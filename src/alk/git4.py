@@ -252,8 +252,8 @@ def _rationalize(v, exact: bool):
     """Reduce a Psi value to a Fraction when honestly possible."""
     if exact:
         if isinstance(v, NFElem):
-            if all(c == 0 for c in v.coeffs[1:]):
-                return v.coeffs[0]
+            if not any(v.num[1:]):
+                return Fraction(v.num[0], v.den)
             return v
         return Fraction(v)
     z = _to_complex(v)
@@ -432,7 +432,7 @@ def block_membership_test(emb: EmbeddingData, gamma, galois_type: str,
 
 def _is_exact_zero(v) -> bool:
     if isinstance(v, NFElem):
-        return all(c == 0 for c in v.coeffs)
+        return not any(v.num)
     return Fraction(v) == 0
 
 

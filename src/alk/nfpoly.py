@@ -3,91 +3,28 @@
 Used for quartic towers: traces of order bases, exact embedding matrices
 for abelian quartic fields, and the Gaussian-period construction of
 cyclic quartic fields inside Q(zeta_p) for primes p = 1 mod 4.
+
+A field element is a vector of integer numerators over one positive
+common denominator, kept in lowest terms (Cohen, GTM 138, ch. 4).  A
+field caches integer tables for reducing x^n ... x^(2n-2) mod m and for
+each automorphism it applies, so a product or a conjugate is integer
+vector work followed by one gcd.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 from typing import Sequence
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers (coefficient lists, low degree first)
-
-
-def poly_trim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return poly_trim([
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ])
-
-
-def poly_scal(s, a):
-    return poly_trim([s * x for x in a])
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
-
-
-def poly_divmod(a, b):
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        f = a[-1] * inv
-        k = len(a) - len(b)
-        q[k] = f
-        for i, y in enumerate(b):
-            a[k + i] -= f * y
-        poly_trim(a)
-    return poly_trim(q), a
-
-
-def poly_mod(a, m):
-    return poly_divmod(a, m)[1]
-
-
-def poly_xgcd(a, b):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], []
-    t0, t1 = [], [Fraction(1)]
-    while r1:
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_add(s0, poly_scal(Fraction(-1), poly_mul(q, s1)))
-        t0, t1 = t1, poly_add(t0, poly_scal(Fraction(-1), poly_mul(q, t1)))
-    if not r0:
-        raise ZeroDivisionError("gcd of zero polynomials")
-    lead = r0[-1]
-    return poly_scal(1 / lead, r0), poly_scal(1 / lead, s0), poly_scal(1 / lead, t0)
-
-
-def poly_compose_mod(a, c, m):
-    """a(c(x)) mod m(x)."""
-    out: list[Fraction] = []
-    power = [Fraction(1)]
-    for coeff in a:
-        out = poly_add(out, poly_scal(coeff, power))
-        power = poly_mod(poly_mul(power, c), m)
-    return out
+def _over_common_den(vecs) -> tuple[list[list[int]], int]:
+    """Integer numerators of Fraction vectors over their least common
+    denominator."""
+    den = lcm(1, *(c.denominator for v in vecs for c in v))
+    return [[c.numerator * (den // c.denominator) for c in v] for v in vecs], den
 
 
 # ---------------------------------------------------------------------------
@@ -105,11 +42,16 @@ class NumberField:
         return len(self.min_poly) - 1
 
     def elem(self, coeffs) -> "NFElem":
-        c = [Fraction(x) for x in coeffs] if not isinstance(coeffs, (int, Fraction)) \
-            else [Fraction(coeffs)]
-        c = poly_mod(c, list(self.min_poly))
-        c = c + [Fraction(0)] * (self.degree - len(c))
-        return NFElem(self, tuple(c))
+        if isinstance(coeffs, (int, Fraction)):
+            coeffs = [coeffs]
+        c = [Fraction(x) for x in coeffs]
+        n, m = self.degree, self._monic
+        while len(c) > n:  # long division by the monic modulus
+            top = c.pop()
+            for i in range(n):
+                c[len(c) - n + i] -= top * m[i]
+        (num,), den = _over_common_den([c + [Fraction(0)] * (n - len(c))])
+        return _canonical(self, num, den)
 
     @property
     def gen(self) -> "NFElem":
@@ -118,25 +60,117 @@ class NumberField:
     def one(self) -> "NFElem":
         return self.elem(1)
 
+    @cached_property
+    def _monic(self) -> list[Fraction]:
+        lead = Fraction(self.min_poly[-1])
+        return [Fraction(c) / lead for c in self.min_poly]
 
-@dataclass(frozen=True)
+    @cached_property
+    def _reduction(self) -> tuple[list[list[int]], int]:
+        """(rows, den) with x^(n+k) = sum_i rows[k][i] x^i / den mod m,
+        0 <= k <= n-2."""
+        n, m = self.degree, self._monic
+        rows, row = [], [-c for c in m[:n]]
+        for _ in range(n - 1):
+            rows.append(row)
+            row = [s - row[-1] * c for s, c in zip([Fraction(0)] + row[:-1], m)]
+        return _over_common_den(rows)
+
+    @cached_property
+    def _traces(self) -> list[int]:
+        """Numerators of Tr(x^i), 0 <= i < n, over the reduction denominator:
+        Tr(x^i) sums the x^j coefficients of x^(i+j)."""
+        n = self.degree
+        rows, den = self._reduction
+        return [n * den] + [sum(rows[i + j - n][j] for j in range(n - i, n))
+                            for i in range(1, n)]
+
+    @cached_property
+    def _conj_tables(self) -> dict:
+        return {}
+
+    def _conj_table(self, conj_poly) -> tuple[list[list[int]], int]:
+        """(rows, den): the images of 1, x, ..., x^(n-1) under x -> conj_poly,
+        as the columns of an integer matrix over one denominator."""
+        key = tuple(conj_poly)
+        table = self._conj_tables.get(key)
+        if table is None:
+            c = self.elem(conj_poly)
+            # integer products, not NFElem.__mul__, so the element
+            # multiplications a caller performs do not depend on the cache
+            powers = [self.one()]
+            for _ in range(self.degree - 1):
+                p = powers[-1]
+                powers.append(_canonical(self, self._mul_ints(p.num, c.num),
+                                         p.den * c.den * self._reduction[1]))
+            cols, den = _over_common_den([p.coeffs for p in powers])
+            table = self._conj_tables[key] = ([list(r) for r in zip(*cols)], den)
+        return table
+
+    def _mul_ints(self, a, b) -> list[int]:
+        """Numerators of a*b mod m over the reduction denominator, for
+        integer vectors a and b."""
+        n = len(a)
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):  # k = i + j
+                    prod[k] += x * y
+        rows, den = self._reduction
+        low = prod[:n] if den == 1 else [c * den for c in prod[:n]]
+        for c, row in zip(prod[n:], rows):
+            if c:
+                for i, r in enumerate(row):
+                    low[i] += c * r
+        return low
+
+
+def _canonical(field: NumberField, num, den: int) -> "NFElem":
+    """The element num/den (den > 0) in lowest terms."""
+    g = gcd(den, *num)
+    if g != 1:
+        num = [x // g for x in num]
+        den //= g
+    return NFElem(field, tuple(num), den)
+
+
 class NFElem:
-    field: NumberField
-    coeffs: tuple[Fraction, ...]
+    """The element sum_i num[i] x^i / den of a NumberField; immutable, with
+    gcd(den, *num) = 1 and den > 0, so equal elements have equal (num, den)."""
 
-    def _coerce(self, other):
+    __slots__ = ("field", "num", "den")
+
+    def __init__(self, field: NumberField, num: tuple[int, ...], den: int):
+        self.field = field
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.den) for x in self.num)
+
+    def __repr__(self):
+        return f"NFElem({self.num}/{self.den} mod {self.field.min_poly})"
+
+    def _coerce(self, other) -> "NFElem":
         if isinstance(other, NFElem):
             return other
-        return self.field.elem(Fraction(other))
+        q = other if isinstance(other, (int, Fraction)) else Fraction(other)
+        return NFElem(self.field, (q.numerator,) + (0,) * (len(self.num) - 1),
+                      q.denominator)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return NFElem(self.field, tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            return _canonical(self.field, [x + y for x, y in zip(self.num, o.num)], da)
+        return _canonical(self.field, [x * db + y * da for x, y in zip(self.num, o.num)],
+                          da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(self.field, tuple(-x for x in self.coeffs))
+        return NFElem(self.field, tuple(-x for x in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -145,23 +179,35 @@ class NFElem:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        prod = poly_mod(poly_mul(list(self.coeffs), list(o.coeffs)),
-                        list(self.field.min_poly))
-        prod = prod + [Fraction(0)] * (self.field.degree - len(prod))
-        return NFElem(self.field, tuple(prod))
+        K = self.field
+        if isinstance(other, NFElem):
+            return _canonical(K, K._mul_ints(self.num, other.num),
+                              self.den * other.den * K._reduction[1])
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        p = other.numerator
+        return _canonical(K, [x * p for x in self.num], self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        g, s, _ = poly_xgcd(poly_trim(list(self.coeffs)), list(self.field.min_poly))
-        if len(g) != 1:
-            raise ZeroDivisionError("element not invertible (reducible modulus?)")
-        inv = poly_scal(1 / g[0], s)
-        return self.field.elem(inv)
+        """Solves self * y = 1 as a rational linear system in the power basis."""
+        if not any(self.num):
+            raise ZeroDivisionError("inverse of zero")
+        from .ratlinalg import solve
+
+        K, n = self.field, len(self.num)
+        # column j: numerators of self * x^j over self.den * K._reduction[1]
+        cols = [K._mul_ints(self.num, [int(i == j) for i in range(n)]) for j in range(n)]
+        y = solve([[Fraction(c) for c in row] for row in zip(*cols)],
+                  [Fraction(int(i == 0)) for i in range(n)])
+        scale = self.den * K._reduction[1]
+        return K.elem([v * scale for v in y])
 
     def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
+        if isinstance(other, NFElem):
+            return self * other.inverse()
+        return self * (1 / Fraction(other))
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()
@@ -180,28 +226,27 @@ class NFElem:
 
     def __eq__(self, other):
         if isinstance(other, NFElem):
-            return self.field.min_poly == other.field.min_poly and self.coeffs == other.coeffs
+            return self.num == other.num and self.den == other.den and (
+                self.field is other.field or self.field.min_poly == other.field.min_poly)
         if isinstance(other, (int, Fraction)):
-            return all(c == 0 for c in self.coeffs[1:]) and self.coeffs[0] == other
+            return not any(self.num[1:]) and \
+                self.num[0] * other.denominator == other.numerator * self.den
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.coeffs))
+        return hash((self.field.min_poly, self.num, self.den))
 
     def mult_matrix(self) -> list[list[Fraction]]:
         """Matrix of multiplication by self on the power basis (columns)."""
-        n = self.field.degree
-        cols = []
-        for i in range(n):
-            basis_vec = [Fraction(0)] * n
-            basis_vec[i] = Fraction(1)
-            prod = (self * NFElem(self.field, tuple(basis_vec))).coeffs
-            cols.append(list(prod))
+        n = len(self.num)
+        cols = [(self * NFElem(self.field, tuple(int(i == j) for i in range(n)), 1)).coeffs
+                for j in range(n)]
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
     def trace(self) -> Fraction:
-        m = self.mult_matrix()
-        return sum(m[i][i] for i in range(len(m)))
+        K = self.field
+        return Fraction(sum(x * t for x, t in zip(self.num, K._traces)),
+                        self.den * K._reduction[1])
 
     def norm(self) -> Fraction:
         from .ratlinalg import mat_det
@@ -210,9 +255,10 @@ class NFElem:
 
     def apply_conj(self, conj_poly: Sequence[Fraction]) -> "NFElem":
         """Image under the automorphism sending the generator to conj_poly."""
-        img = poly_compose_mod(list(self.coeffs), list(conj_poly),
-                               list(self.field.min_poly))
-        return self.field.elem(img)
+        rows, den = self.field._conj_table(conj_poly)
+        x = self.num
+        return _canonical(self.field, [sum(r * c for r, c in zip(row, x)) for row in rows],
+                          self.den * den)
 
     def embed(self, root: complex) -> complex:
         out = 0j
@@ -368,8 +414,6 @@ def gaussian_period_quartic(p: int) -> dict:
     delta_vec = cyc.mul(diff, diff)
     # delta lies in Q(sqrt p): delta = u + v*sqrt(p)
     one = cyc.monomial(0)
-    from .ratlinalg import mat_inv, mat_vec
-
     # solve u*1 + v*gauss = delta on two independent coordinates, verify all
     sol = _solve_in_power_basis(cyc, [one, gauss], delta_vec)
     u, v = sol

@@ -212,35 +212,6 @@ def is_square_in_field(x: QFElem) -> bool:
 # places
 
 
-def _sqrt_mod_p(a: int, p: int) -> Optional[int]:
-    """Tonelli-Shanks square root of a mod odd prime p, or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
-
-
 def splitting_type(F: QuadField, p: int) -> str:
     d = F.d
     if p == 2:
@@ -356,7 +327,6 @@ def finite_valuation(x: QFElem, v: Place) -> int:
         val = v.precision  # at least; cross-check below decides
     else:
         val = valuation(residue, p)
-    other = nv - (val + shift)
     if residue == 0 or val >= v.precision - 8:
         # precision exhausted: recover via the conjugate place if possible
         conj_val = _split_conj_valuation(x, v)
@@ -365,7 +335,6 @@ def finite_valuation(x: QFElem, v: Place) -> int:
                 f"Hensel precision {v.precision} insufficient at p={p}; retry with more"
             )
         return nv - conj_val
-    del other
     return val + shift
 
 

@@ -13,26 +13,21 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .intarith import factorize, is_squarefree
-from .nfpoly import NumberField, gaussian_period_quartic, poly_compose_mod, poly_disc_quartic
+from .nfpoly import NumberField, gaussian_period_quartic, poly_disc_quartic
 from .numfield import FieldTower, QuadField, make_quad_field, make_tower
 
 
 def _cyclic_conj_polys(min_poly, tau_poly):
     """(id, tau^2, tau, tau^3) as polynomials in theta, verified."""
-    m = [Fraction(c) for c in min_poly]
-    t1 = [Fraction(c) for c in tau_poly]
-    ident = [Fraction(0), Fraction(1)]
-    t2 = poly_compose_mod(t1, t1, m)
-    t3 = poly_compose_mod(t2, t1, m)
-    t4 = poly_compose_mod(t3, t1, m)
-
-    def pad(c):
-        c = list(c) + [Fraction(0)] * (4 - len(c))
-        return tuple(c[:4])
-
-    if pad(t4) != pad(ident) or pad(t2) == pad(ident):
+    K = NumberField(tuple(Fraction(c) for c in min_poly))
+    t1 = K.elem(tau_poly)
+    t2 = t1.apply_conj(tau_poly)
+    t3 = t2.apply_conj(tau_poly)
+    t4 = t3.apply_conj(tau_poly)
+    ident = K.gen
+    if t4 != ident or t2 == ident:
         raise ValueError("tau is not an order-4 automorphism")
-    return (pad(ident), pad(t2), pad(t1), pad(t3))
+    return (ident.coeffs, t2.coeffs, t1.coeffs, t3.coeffs)
 
 
 def _check_conj_polys(tower: FieldTower) -> None:

@@ -25,18 +25,6 @@ def mat_vec(a, v):
             for i in range(len(a))]
 
 
-def mat_identity(n, one=Fraction(1)):
-    return [[one if i == j else one * 0 for j in range(n)] for i in range(n)]
-
-
-def mat_sub(a, b):
-    return [[a[i][j] - b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
-
-
-def mat_scal(c, a):
-    return [[c * x for x in row] for row in a]
-
-
 def transpose(a):
     return [list(row) for row in zip(*a)]
 
@@ -85,36 +73,3 @@ def solve(a, rhs):
     """Solve a x = rhs for a vector rhs."""
     inv = mat_inv(a)
     return mat_vec(inv, rhs)
-
-
-def nullspace_rational(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the rational nullspace of a (rows = equations)."""
-    if not a:
-        return []
-    rows = [list(map(Fraction, row)) for row in a]
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -rows[i][fc]
-        basis.append(v)
-    return basis

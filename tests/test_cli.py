@@ -76,6 +76,49 @@ def test_invariants_identity(capsys):
     assert data["in_R"] and data["vanishing_on_special"]
 
 
+def test_invariants_pins_non_rational_values(capsys):
+    # a non-block matrix, so most Psi values lie outside Q and print as
+    # power-basis coordinates
+    code, data = run_json(capsys, ["invariants", "--tower", '{"kind": "zeta5"}',
+                                   "--matrix", "[[1,1,0,0],[0,1,2,0],[0,0,1,0],[1,0,0,1]]"])
+    assert code == 0
+    assert data == {
+        "exact": True,
+        "galois_type": "cyclic",
+        "in_R": False,
+        "vanishing_on_special": False,
+        "values": VALUES_ZETA5_NON_BLOCK,
+    }
+
+
+VALUES_ZETA5_NON_BLOCK = {
+    "0123": "3751/125",
+    "0132": ["-196/125", 0, "4/25", 0],
+    "0213": ["-9627/250", "-63/10", "-537/50", "-903/500"],
+    "0231": ["707/250", "-101/50", 0, "-101/125"],
+    "0312": ["-63/250", "9/50", 0, "9/125"],
+    "0321": ["1899/125", "21/25", "537/50", "441/500"],
+    "1023": ["-296/125", 0, "-4/25", 0],
+    "1032": "16/125",
+    "1203": ["707/250", "101/50", 0, "101/250"],
+    "1230": ["-321/125", 0, "-18/25", 0],
+    "1302": ["129/125", 0, "18/25", 0],
+    "1320": ["-63/250", "9/50", 0, "9/250"],
+    "2013": ["-63/250", "-9/50", 0, "-9/250"],
+    "2031": ["129/125", 0, "18/25", 0],
+    "2103": ["1899/125", "-21/25", "537/50", "-441/500"],
+    "2130": ["-63/250", "-9/50", 0, "-9/125"],
+    "2301": ["-23859/2000", 0, "-216/25", 0],
+    "2310": "-81/2000",
+    "3012": ["-321/125", 0, "-18/25", 0],
+    "3021": ["707/250", "-101/50", 0, "-101/250"],
+    "3102": ["707/250", "101/50", 0, "101/125"],
+    "3120": ["-9627/250", "63/10", "-537/50", "903/500"],
+    "3201": "-10201/2000",
+    "3210": ["62541/2000", 0, "216/25", 0],
+}
+
+
 def test_invariants_float_path_with_precision_env(capsys, monkeypatch):
     monkeypatch.setenv("ALK_PRECISION", "100")
     ident = json.dumps([[1 if i == j else 0 for j in range(4)] for i in range(4)])

@@ -25,7 +25,10 @@ def test_fallback_kernel_matches_the_active_one():
 
 
 def test_force_py_selects_the_fallback():
-    env = dict(os.environ, ALK_FORCE_PY="1")
+    # the child imports alk from the same place as this process
+    src = os.path.dirname(os.path.dirname(enumeration.__file__))
+    env = dict(os.environ, ALK_FORCE_PY="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c", "import alk; print(alk.KERNEL_NAME)"],
         capture_output=True, text=True, env=env, check=True,
