@@ -2,7 +2,10 @@
 
 Used for quartic towers: traces of order bases, exact embedding matrices
 for abelian quartic fields, and the Gaussian-period construction of
-cyclic quartic fields inside Q(zeta_p) for primes p = 1 mod 4.
+cyclic quartic fields inside Q(zeta_p) for primes p = 1 mod 4.  The
+periods and the Gauss sum are integer vectors in Z[zeta_p]; the
+coordinates of eta_1 and of sqrt(p) in the power basis of eta_0 come from
+one exact Gauss-Jordan elimination on the overdetermined system.
 
 A field element is a vector of integer numerators over one positive
 common denominator, kept in lowest terms (Cohen, GTM 138, ch. 4).  A
@@ -18,6 +21,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
+
+from .intarith import factorize
 
 
 def _over_common_den(vecs) -> tuple[list[list[int]], int]:
@@ -283,19 +288,19 @@ def poly_disc_quartic(coeffs: Sequence[Fraction]) -> Fraction:
 
 
 class Cyclotomic:
-    """Z[zeta_p] with vectors indexed by exponents 0..p-1 and the single
-    relation sum_k zeta^k = 0 (canonical form zeroes the coefficient of
-    zeta^(p-1))."""
+    """Z[zeta_p] as integer vectors indexed by exponents 0..p-1 with the
+    single relation sum_k zeta^k = 0 (canonical form zeroes the coefficient
+    of zeta^(p-1))."""
 
     def __init__(self, p: int):
         self.p = p
 
-    def zero(self):
-        return [Fraction(0)] * self.p
+    def zero(self) -> list[int]:
+        return [0] * self.p
 
     def canon(self, v):
         c = v[self.p - 1]
-        return [x - c for x in v[: self.p - 1]] + [Fraction(0)]
+        return [x - c for x in v[: self.p - 1]] + [0]
 
     def add(self, a, b):
         return self.canon([x + y for x, y in zip(a, b)])
@@ -304,32 +309,28 @@ class Cyclotomic:
         return self.canon([s * x for x in a])
 
     def mul(self, a, b):
-        out = self.zero()
+        p, out = self.p, self.zero()
+        nonzero = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                if y == 0:
-                    continue
-                out[(i + j) % self.p] += x * y
+            if x:
+                for j, y in nonzero:
+                    out[(i + j) % p] += x * y
         return self.canon(out)
 
     def monomial(self, k):
         v = self.zero()
-        v[k % self.p] = Fraction(1)
+        v[k % self.p] = 1
         return self.canon(v)
 
     def rational_part(self, v):
         """The rational value if v is rational; raises otherwise."""
         v = self.canon(v)
-        if any(x != 0 for x in v[1:]):
+        if any(v[1:]):
             raise ValueError("not a rational cyclotomic element")
         return v[0]
 
 
 def _primitive_root(p: int) -> int:
-    from .intarith import factorize
-
     fac = factorize(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
@@ -337,33 +338,32 @@ def _primitive_root(p: int) -> int:
     raise ValueError("no primitive root found")
 
 
-def _solve_in_power_basis(cyc: Cyclotomic, powers: list[list[Fraction]],
-                          target: list[Fraction]) -> list[Fraction]:
-    """Rational coordinates of target in span(powers), exact, verified."""
-    from .ratlinalg import mat_inv, mat_vec
+def _solve_in_power_basis(cyc: Cyclotomic, powers: list[list[int]],
+                          target: list[int]) -> list[Fraction]:
+    """Rational coordinates of target in span(powers), exact, verified.
 
-    m = len(powers)
-    # pick m coordinate positions giving an invertible square system
-    cols = list(range(cyc.p - 1))
-    import itertools
-
-    a_full = [[powers[j][i] for j in range(m)] for i in range(cyc.p - 1)]
-    for pick in itertools.combinations(cols, m):
-        sub = [a_full[i] for i in pick]
-        try:
-            inv = mat_inv([[Fraction(x) for x in row] for row in sub])
-        except ZeroDivisionError:
-            continue
-        sol = mat_vec(inv, [target[i] for i in pick])
-        # verify against every coordinate
-        ok = all(
-            sum(sol[j] * powers[j][i] for j in range(m)) == target[i]
-            for i in range(cyc.p - 1)
-        )
-        if ok:
-            return sol
+    One Gauss-Jordan pass over the overdetermined system with a row per
+    coordinate zeta^0 .. zeta^(p-2) (Cohen, GTM 138, ch. 2).
+    """
+    m, rows = len(powers), cyc.p - 1
+    aug = [[Fraction(v[i]) for v in powers] + [Fraction(target[i])] for i in range(rows)]
+    for col in range(m):
+        piv = next((r for r in range(col, rows) if aug[r][col]), None)
+        if piv is None:
+            raise ArithmeticError("power basis is degenerate")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = 1 / aug[col][col]
+        pivot_row = aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(rows):
+            f = aug[r][col]
+            if f and r != col:
+                aug[r] = [x - f * y for x, y in zip(aug[r], pivot_row)]
+    if any(row[m] for row in aug[m:]):
         raise ArithmeticError("target not in the span of the power basis")
-    raise ArithmeticError("power basis is degenerate")
+    sol = [aug[j][m] for j in range(m)]
+    if any(sum(s * v[i] for s, v in zip(sol, powers)) != target[i] for i in range(rows)):
+        raise ArithmeticError("solution does not reproduce the target")
+    return sol
 
 
 def gaussian_period_quartic(p: int) -> dict:
@@ -374,8 +374,8 @@ def gaussian_period_quartic(p: int) -> dict:
     the power basis, and delta = (eta_0 - eta_2)^2 in F = Q(sqrt(p)) as a
     pair (rational part, sqrt(p) coefficient).
     """
-    if p % 4 != 1:
-        raise ValueError("p must be 1 mod 4")
+    if p < 2 or p % 4 != 1 or factorize(p) != {p: 1}:
+        raise ValueError(f"p must be a prime = 1 mod 4, got p = {p}")
     cyc = Cyclotomic(p)
     g = _primitive_root(p)
     m = (p - 1) // 4
@@ -392,9 +392,9 @@ def gaussian_period_quartic(p: int) -> dict:
         new = [cyc.zero() for _ in range(len(poly) + 1)]
         for i, c in enumerate(poly):
             new[i + 1] = cyc.add(new[i + 1], c)
-            new[i] = cyc.add(new[i], cyc.mul(cyc.scal(Fraction(-1), eta), c))
+            new[i] = cyc.add(new[i], cyc.mul(cyc.scal(-1, eta), c))
         poly = new
-    min_poly = tuple(cyc.rational_part(c) for c in poly)
+    min_poly = tuple(Fraction(cyc.rational_part(c)) for c in poly)
     assert min_poly[4] == 1
 
     powers = [cyc.monomial(0)]
@@ -410,11 +410,10 @@ def gaussian_period_quartic(p: int) -> dict:
     gauss = cyc.canon(gauss)
     sqrtp_coords = _solve_in_power_basis(cyc, powers, gauss)
 
-    diff = cyc.add(etas[0], cyc.scal(Fraction(-1), etas[2]))
+    diff = cyc.add(etas[0], cyc.scal(-1, etas[2]))
     delta_vec = cyc.mul(diff, diff)
     # delta lies in Q(sqrt p): delta = u + v*sqrt(p)
     one = cyc.monomial(0)
-    # solve u*1 + v*gauss = delta on two independent coordinates, verify all
     sol = _solve_in_power_basis(cyc, [one, gauss], delta_vec)
     u, v = sol
 

@@ -309,8 +309,25 @@ def finite_valuation(x: QFElem, v: Place) -> int:
         return nv // 2
     if tag == "ramified":
         return nv
-    # split place: evaluate u + v*omega at the Hensel root
+    val = _split_valuation(x, v)
+    if val is not None:
+        return val
+    # precision exhausted: recover via the conjugate place if possible
+    other = Place(v.field, "finite", p, "split2" if tag == "split1" else "split1",
+                  precision=v.precision)
+    conj_val = _split_valuation(x, other)
+    if conj_val is None:
+        raise PrecisionError(
+            f"Hensel precision {v.precision} insufficient at p={p}; retry with more"
+        )
+    return nv - conj_val
+
+
+def _split_valuation(x: QFElem, v: Place) -> Optional[int]:
+    """Valuation at a split place from u + w*omega at its Hensel root, or
+    None when the residue is too close to the precision to be trusted."""
     u, w = x.gen_coords()
+    p = v.p
     shift = min(
         valuation(u, p) if u != 0 else 10 ** 9,
         valuation(w, p) if w != 0 else 10 ** 9,
@@ -324,40 +341,9 @@ def finite_valuation(x: QFElem, v: Place) -> int:
     den = u.denominator * w.denominator
     residue = num * pow(den, -1, mod) % mod
     if residue == 0:
-        val = v.precision  # at least; cross-check below decides
-    else:
-        val = valuation(residue, p)
-    if residue == 0 or val >= v.precision - 8:
-        # precision exhausted: recover via the conjugate place if possible
-        conj_val = _split_conj_valuation(x, v)
-        if conj_val is None:
-            raise PrecisionError(
-                f"Hensel precision {v.precision} insufficient at p={p}; retry with more"
-            )
-        return nv - conj_val
-    return val + shift
-
-
-def _split_conj_valuation(x: QFElem, v: Place) -> Optional[int]:
-    """Valuation at the conjugate split place, if it is precision-safe."""
-    other = Place(v.field, "finite", v.p, "split2" if v.tag == "split1" else "split1",
-                  precision=v.precision)
-    u, w = x.gen_coords()
-    p = v.p
-    shift = min(
-        valuation(u, p) if u != 0 else 10 ** 9,
-        valuation(w, p) if w != 0 else 10 ** 9,
-    )
-    pf = Fraction(p) ** shift
-    u, w = u / pf, w / pf
-    r = other.hensel_root()
-    mod = p ** other.precision
-    num = (u.numerator * w.denominator + w.numerator * u.denominator * r)
-    den = u.denominator * w.denominator
-    residue = num * pow(den, -1, mod) % mod
-    if residue == 0 or valuation(residue, p) >= other.precision - 8:
         return None
-    return valuation(residue, p) + shift
+    val = valuation(residue, p)
+    return None if val >= v.precision - 8 else val + shift
 
 
 def place_data(F: QuadField, x: QFElem, v: Place) -> tuple[Optional[int], float | Fraction]:

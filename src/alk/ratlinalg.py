@@ -29,10 +29,16 @@ def transpose(a):
     return [list(row) for row in zip(*a)]
 
 
+def _unit(x):
+    """The 1 of the entry type of x; Fraction(1) for int entries, so that
+    division stays exact."""
+    return Fraction(1) if isinstance(x, int) else x ** 0
+
+
 def mat_inv(a):
     """Inverse by Gauss-Jordan elimination; raises on singular input."""
     n = len(a)
-    one = a[0][0] ** 0 if hasattr(a[0][0], "__pow__") else Fraction(1)
+    one = _unit(a[0][0])
     aug = [list(row) + [one if i == j else one * 0 for j in range(n)]
            for i, row in enumerate(a)]
     for col in range(n):
@@ -52,7 +58,7 @@ def mat_inv(a):
 def mat_det(a):
     n = len(a)
     m = [list(row) for row in a]
-    det = m[0][0] ** 0 if hasattr(m[0][0], "__pow__") else Fraction(1)
+    det = one = _unit(m[0][0])
     for col in range(n):
         piv = next((r for r in range(col, n) if not m[r][col] == 0), None)
         if piv is None:
@@ -61,7 +67,7 @@ def mat_det(a):
             m[col], m[piv] = m[piv], m[col]
             det = det * -1
         det = det * m[col][col]
-        inv_p = (m[col][col] ** 0) / m[col][col]
+        inv_p = one / m[col][col]
         for r in range(col + 1, n):
             if not m[r][col] == 0:
                 f = m[r][col] * inv_p

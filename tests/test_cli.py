@@ -12,6 +12,12 @@ def run_cli(capsys, argv):
     return code, out
 
 
+def run_cli_err(capsys, argv):
+    """Like run_cli, but returns stderr instead of stdout."""
+    code = main(argv)
+    return code, capsys.readouterr().err
+
+
 def run_json(capsys, argv):
     code, out = run_cli(capsys, argv)
     return code, json.loads(out) if out.strip() else None
@@ -152,6 +158,33 @@ def test_disc_classify_and_cyclic_check(capsys):
     code, data = run_json(capsys, ["cyclic-check", "--tower",
                                    '{"kind": "sqrt2plus"}'])
     assert code == 0 and data["pass"]
+
+
+def test_cyclic_check_pins_the_gaussian_tower_at_97(capsys):
+    code, out = run_cli(capsys, ["cyclic-check", "--tower", '{"kind": "gaussian", "p": 97}'])
+    assert code == 0
+    assert out == CYCLIC_CHECK_GAUSSIAN_97
+
+
+CYCLIC_CHECK_GAUSSIAN_97 = """{
+  "D_F": 97,
+  "D_K": 912673,
+  "D_rel": 97,
+  "decomposition": {
+    "W": 1,
+    "d": 97,
+    "form": "W^2*d"
+  },
+  "pass": true
+}
+"""
+
+
+def test_gaussian_tower_with_bad_p_exits_one(capsys):
+    code, err = run_cli_err(capsys, ["cyclic-check", "--tower",
+                                     '{"kind": "gaussian", "p": 21}'])
+    assert code == 1
+    assert err == "error: p must be a prime = 1 mod 4, got p = 21\n"
 
 
 def test_linnik_rhs_exit_codes(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from alk.numfield import (
     FracIdeal,
     Place,
+    PrecisionError,
     QuadField,
     content,
     finite_places,
@@ -74,6 +75,20 @@ def test_split_valuations_add_up_to_norm_valuation():
 
             assert finite_valuation(x, v1) + finite_valuation(x, v2) \
                 == valuation(x.norm(), p)
+
+
+def test_split_valuation_falls_back_to_the_conjugate_place():
+    F = QuadField(-1)
+    pi = F.elem(2, 1)  # 5 = (2 + i)(2 - i)
+    v1, v2 = finite_places(F, 5, precision=10)
+    x = pi ** 12 * F.elem(1, 1)
+    # one place sees valuation 12, past precision - 8; it is read off the
+    # other place and the norm valuation
+    assert sorted([finite_valuation(x, v1), finite_valuation(x, v2)]) == [0, 12]
+    # at precision 8 no residue is trusted at either place
+    low, _ = finite_places(F, 5, precision=8)
+    with pytest.raises(PrecisionError, match="Hensel precision 8 insufficient at p=5"):
+        finite_valuation(pi, low)
 
 
 def test_prime_ideal_norms():
