@@ -26,7 +26,7 @@ from .boxcount import (
     make_radius_family,
     norm_of_family,
 )
-from .enumeration import KERNEL_NAME, BudgetExceeded, active_kernel
+from .enumeration import KERNEL_NAME, BudgetExceeded
 from .git4 import (
     BowenBall,
     EntropyData,

@@ -1,6 +1,6 @@
-"""Pure-Python lattice enumeration kernel (fallback for the compiled one).
+"""Lattice enumeration and theta sums (Fincke-Pohst).
 
-Enumerates all integer vectors x with x^T G x <= bound for a positive
+Enumerates the integer vectors x with x^T G x <= bound for a positive
 definite Gram matrix G, by nested interval search on the Cholesky factor.
 """
 
@@ -71,6 +71,66 @@ def enumerate_vectors(gram, bound, budget=5_000_000):
 
 
 def gauss_sum(gram, bound, budget=5_000_000):
-    """(sum of exp(-pi * Q(x)), count) over Q(x) <= bound."""
-    coords, norms = enumerate_vectors(gram, bound, budget)
-    return sum(math.exp(-math.pi * q) for q in norms), len(norms)
+    """(sum of exp(-pi * Q(x)), count) over the integer x with Q(x) <= bound.
+
+    Same point set, inclusion test and budget as `enumerate_vectors`, but
+    no point is stored: each exp is added as the innermost level reaches
+    it.  Only the half space where the last nonzero coordinate is positive
+    is visited.  The partial sums s negate exactly in floating point, so
+    x and -x get the same terms t, the same norm and the same verdict, and
+    the full sum is 1 (the origin) plus twice the half sum.
+    """
+    n = len(gram)
+    u = _cholesky_upper(gram)
+    top = bound + 1e-9 * (1.0 + abs(bound))
+    if top < 0:
+        return 0.0, 0
+    if budget < 1:  # the origin alone exceeds it
+        raise BudgetExceeded(budget, max(budget, 0))
+    room = (budget - 1) // 2  # half-space points allowed besides the origin
+    exp = math.exp
+    neg_pi = -math.pi
+    x = [0] * n
+    total = 0.0
+    count = 0
+
+    def level(i, used, free):
+        # x[j] for j > i are set; free: one of them is nonzero, so x[i]
+        # ranges over both signs, otherwise only over x[i] >= 0
+        nonlocal total, count
+        rem = top - used
+        if rem < 0:
+            return
+        ui = u[i]
+        d = ui[i]
+        s = 0
+        for j in range(i + 1, n):
+            s += ui[j] * x[j]
+        half = math.sqrt(rem)
+        hi = math.floor((-s + half) / d + 1e-12)
+        lo = math.ceil((-s - half) / d - 1e-12) if free else 0
+        if i:
+            for xi in range(lo, hi + 1):
+                t = (d * xi + s) ** 2
+                if used + t <= top:
+                    x[i] = xi
+                    level(i - 1, used + t, free or xi != 0)
+            x[i] = 0
+            return
+        if not free:
+            lo = 1  # x = 0 is the origin, counted once outside the sum
+        # the accepted x[0] form one run: trim the ends, then sum without tests
+        while lo <= hi and used + (d * lo + s) ** 2 > top:
+            lo += 1
+        while hi >= lo and used + (d * hi + s) ** 2 > top:
+            hi -= 1
+        if hi < lo:
+            return
+        count += hi - lo + 1
+        if count > room:
+            raise BudgetExceeded(budget, budget)
+        for xi in range(lo, hi + 1):
+            total += exp(neg_pi * (used + (d * xi + s) ** 2))
+
+    level(n - 1, 0.0, False)
+    return 1.0 + 2.0 * total, 1 + 2 * count

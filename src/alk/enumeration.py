@@ -1,9 +1,10 @@
-"""Kernel selection and certified theta sums.
+"""Lattice enumeration and certified theta sums.
 
-The enumeration kernel exists in two builds: a compiled Cython module and
-a pure-Python fallback with an identical contract.  The compiled one is
-preferred at import time; set ALK_FORCE_PY=1 to force the fallback (the
-benchmark uses this).
+One pure-Python Fincke-Pohst kernel (`_fpenum_py`) does the work.  A
+theta sum builds no point list: the kernel adds exp(-pi Q(x)) as it
+reaches each x, visits only the half space where the last nonzero
+coordinate of x is positive, and returns 1 + 2 * (half sum), which is
+exact because x and -x get bit-identical norms.
 
 Theta sums are truncated at a radius R whose Gaussian tail is certified:
 with m the lattice minimum, balls of radius sqrt(m)/2 around lattice
@@ -19,36 +20,20 @@ requested tolerance.
 from __future__ import annotations
 
 import math
-import os
 
 from . import _fpenum_py
 
-if os.environ.get("ALK_FORCE_PY") == "1":
-    _kernel = _fpenum_py
-else:
-    try:
-        from . import _fpenum as _kernel  # type: ignore[no-redef]
-    except ImportError:
-        _kernel = _fpenum_py
-
-KERNEL_NAME = _kernel.KERNEL_NAME
+KERNEL_NAME = _fpenum_py.KERNEL_NAME
 BudgetExceeded = _fpenum_py.BudgetExceeded
 DEFAULT_BUDGET = 5_000_000
 DEFAULT_TAIL_TOL = 1e-12
 
 
-def active_kernel():
-    return _kernel
-
-
 def enumerate_vectors(gram, bound, budget=DEFAULT_BUDGET):
     """Integer vectors with Q(x) <= bound (slightly over-covered; callers
     needing exactness filter with the exact form)."""
-    try:
-        return _kernel.enumerate_vectors([list(map(float, r)) for r in gram],
-                                         float(bound), budget)
-    except _kernel.BudgetExceeded as exc:  # normalize exception type
-        raise BudgetExceeded(exc.budget, exc.found) from None
+    return _fpenum_py.enumerate_vectors([list(map(float, r)) for r in gram],
+                                        float(bound), budget)
 
 
 def lattice_minimum(gram) -> float:
@@ -85,8 +70,5 @@ def theta_log_sum(gram, tail_tol=DEFAULT_TAIL_TOL, budget=DEFAULT_BUDGET):
         radius += 0.25
     tail = gaussian_tail_bound(radius, m, n)
     gram_f = [list(map(float, r)) for r in gram]
-    try:
-        total, _count = _kernel.gauss_sum(gram_f, radius * radius, budget)
-    except _kernel.BudgetExceeded as exc:
-        raise BudgetExceeded(exc.budget, exc.found) from None
+    total, _count = _fpenum_py.gauss_sum(gram_f, radius * radius, budget)
     return math.log(total), radius, tail

@@ -179,15 +179,6 @@ def normalizer_coset_rep(torus: QuadTorus) -> list[list[Fraction]]:
     return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
 
 
-def coset_normalized_coords(torus: QuadTorus, gamma) -> tuple:
-    """Coordinates normalized inside the torus coset: a normalizer element
-    (b1 = 0) is brought to (0, 1) by a torus translation."""
-    lc = local_coords(torus, gamma)
-    if not lc.b1.is_zero():
-        raise ValueError("not in the nontrivial normalizer coset")
-    return (torus.K.elem(0), torus.K.elem(1))
-
-
 # ---------------------------------------------------------------------------
 # integrality and invariant bounds
 

@@ -26,6 +26,8 @@ from .intarith import (
 )
 
 DEFAULT_HENSEL_PRECISION = 64
+# a split-place residue is trusted only below precision - HENSEL_GUARD
+HENSEL_GUARD = 8
 
 
 class PrecisionError(ArithmeticError):
@@ -264,6 +266,13 @@ class Place:
     embedding_index: int = 0
     precision: int = DEFAULT_HENSEL_PRECISION
 
+    def __post_init__(self):
+        if self.kind == "finite" and self.precision <= HENSEL_GUARD:
+            raise ValueError(
+                f"Hensel precision {self.precision} is too low: split-place "
+                f"valuations need a precision above {HENSEL_GUARD}"
+            )
+
     @property
     def residue_size(self) -> int:
         """q_v, the size of the residue field (finite places)."""
@@ -343,7 +352,7 @@ def _split_valuation(x: QFElem, v: Place) -> Optional[int]:
     if residue == 0:
         return None
     val = valuation(residue, p)
-    return None if val >= v.precision - 8 else val + shift
+    return None if val >= v.precision - HENSEL_GUARD else val + shift
 
 
 def place_data(F: QuadField, x: QFElem, v: Place) -> tuple[Optional[int], float | Fraction]:
@@ -443,8 +452,14 @@ class FracIdeal:
         coords = [e.gen_coords() for e in elems]
         den = math.lcm(*[math.lcm(u.denominator, w.denominator) for u, w in coords])
         rows = [(int(u * den), int(w * den)) for u, w in coords]
+        return FracIdeal._from_rows(F, rows, den)
+
+    @staticmethod
+    def _from_rows(F: QuadField, rows, den: int) -> "FracIdeal":
+        """The Z-module spanned by the integer rows, scaled by 1/den, in
+        lowest terms."""
         r = _hnf_rows(rows)
-        g = math.gcd(r[0][0], math.gcd(r[0][1], math.gcd(r[1][1], den)))
+        g = math.gcd(r[0][0], r[0][1], r[1][1], den)
         rows2 = ((r[0][0] // g, r[0][1] // g), (0, r[1][1] // g))
         return FracIdeal(F, rows2, den // g)
 
@@ -475,8 +490,17 @@ class FracIdeal:
         )
 
     def __mul__(self, other: "FracIdeal") -> "FracIdeal":
-        gens = [x * y for x in self.basis_elems() for y in other.basis_elems()]
-        return FracIdeal.from_gens(self.field, gens)
+        # in integers over (1, omega) with omega^2 = t*omega + s: each
+        # product of basis rows, and that product times omega
+        d = self.field.d
+        t, s = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
+        rows = []
+        for a, b in self.rows:
+            for c, e in other.rows:
+                u, v = a * c + s * b * e, a * e + b * c + t * b * e
+                rows.append((u, v))
+                rows.append((s * v, u + t * v))
+        return FracIdeal._from_rows(self.field, rows, self.den * other.den)
 
     def scale(self, c) -> "FracIdeal":
         return FracIdeal.from_gens(self.field, [e * c for e in self.basis_elems()])

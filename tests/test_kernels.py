@@ -1,39 +1,95 @@
-import os
+import math
 import random
-import subprocess
-import sys
 
 import pytest
 
-from alk import _fpenum_py, enumeration
+from alk import _fpenum_py
 from conftest import random_posdef_gram
 
 
-def test_fallback_kernel_matches_the_active_one():
+def reference_gauss_sum(gram, bound):
+    """The full point list of `enumerate_vectors`, summed with math.exp."""
+    _, norms = _fpenum_py.enumerate_vectors(gram, bound)
+    return sum(math.exp(-math.pi * q) for q in norms), len(norms)
+
+
+def _skewed_gram(rng, n):
+    # a unimodular shear of a diagonal form: long, thin Cholesky levels
+    a = [[1 if i == j else (rng.randint(-6, 6) if j > i else 0) for j in range(n)]
+         for i in range(n)]
+    diag = [rng.choice((0.05, 0.3, 1.0, 2.5)) for _ in range(n)]
+    return [[sum(a[k][i] * diag[k] * a[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def _assert_same(gram, bound):
+    total, count = _fpenum_py.gauss_sum(gram, bound)
+    want_total, want_count = reference_gauss_sum(gram, bound)
+    assert count == want_count, (gram, bound)
+    assert abs(total - want_total) <= 1e-12 * want_total, (gram, bound)
+
+
+def test_gauss_sum_matches_the_point_list():
     rng = random.Random(1)
-    kernel = enumeration.active_kernel()
-    for _ in range(5):
-        n = rng.randint(1, 4)
-        gram = [[float(x) for x in row] for row in random_posdef_gram(rng, n)]
-        t1, c1 = kernel.gauss_sum(gram, 20.0)
-        t2, c2 = _fpenum_py.gauss_sum(gram, 20.0)
-        assert c1 == c2
-        assert abs(t1 - t2) <= 1e-9 * max(1.0, abs(t1))
-        v1, n1 = kernel.enumerate_vectors(gram, 9.0)
-        v2, n2 = _fpenum_py.enumerate_vectors(gram, 9.0)
-        assert sorted(v1) == sorted(v2)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            gram = [[float(x) for x in row] for row in random_posdef_gram(rng, n, shift=1)]
+            for bound in (0.0, 0.5, 3.0, 9.0, 20.0):
+                _assert_same(gram, bound)
 
 
-def test_force_py_selects_the_fallback():
-    # the child imports alk from the same place as this process
-    src = os.path.dirname(os.path.dirname(enumeration.__file__))
-    env = dict(os.environ, ALK_FORCE_PY="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run(
-        [sys.executable, "-c", "import alk; print(alk.KERNEL_NAME)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "python"
+def test_gauss_sum_matches_the_point_list_on_skewed_grams():
+    rng = random.Random(2)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            gram = _skewed_gram(rng, n)
+            for bound in (0.2, 1.0, 4.0, 10.0):
+                _assert_same(gram, bound)
+
+
+def test_gauss_sum_on_lattice_shells():
+    # bounds that fall exactly on the shells of Z^2, Z^3 and a scaled A2
+    for gram, shells in (([[1.0, 0.0], [0.0, 1.0]], (1.0, 2.0, 4.0, 5.0, 25.0)),
+                         ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (1.0, 3.0, 9.0)),
+                         ([[2.0, 1.0], [1.0, 2.0]], (2.0, 6.0, 8.0, 14.0))):
+        for bound in shells:
+            _assert_same(gram, bound)
+    # #{x in Z^2 : |x|^2 <= r}: 1, 5, 9, 13, 21
+    z2 = [[1.0, 0.0], [0.0, 1.0]]
+    assert [_fpenum_py.gauss_sum(z2, b)[1] for b in (0.0, 1.0, 2.0, 4.0, 5.0)] == \
+        [1, 5, 9, 13, 21]
+
+
+def test_gauss_sum_below_zero_is_empty():
+    assert _fpenum_py.gauss_sum([[1.0]], -1.0) == (0.0, 0)
+
+
+def test_gauss_sum_budget_is_the_point_list_budget():
+    rng = random.Random(3)
+    grams = [[[1.0]], [[1.0, 0.0], [0.0, 1.0]], [[0.3, 0.1], [0.1, 0.7]]]
+    grams += [[[float(x) for x in row] for row in random_posdef_gram(rng, 3, shift=1)]]
+    for gram in grams:
+        count = _fpenum_py.gauss_sum(gram, 6.0)[1]
+        for budget in range(count + 2):
+            try:
+                _fpenum_py.enumerate_vectors(gram, 6.0, budget)
+                old = None
+            except _fpenum_py.BudgetExceeded as exc:
+                old = (exc.budget, exc.found)
+            try:
+                _fpenum_py.gauss_sum(gram, 6.0, budget)
+                new = None
+            except _fpenum_py.BudgetExceeded as exc:
+                new = (exc.budget, exc.found)
+            assert new == old, (gram, budget)
+            assert (new is None) == (budget >= count)
+
+
+def test_gauss_sum_budget_stops_a_long_row():
+    # one Cholesky row of about 2 * 10^6 points is refused without a walk
+    with pytest.raises(_fpenum_py.BudgetExceeded) as exc:
+        _fpenum_py.gauss_sum([[1e-12]], 1.0, budget=1000)
+    assert (exc.value.budget, exc.value.found) == (1000, 1000)
 
 
 def test_fallback_enumeration_is_symmetric():

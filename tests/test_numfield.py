@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from alk.numfield import (
     FracIdeal,
     Place,
-    PrecisionError,
     QuadField,
     content,
     finite_places,
@@ -85,10 +84,23 @@ def test_split_valuation_falls_back_to_the_conjugate_place():
     # one place sees valuation 12, past precision - 8; it is read off the
     # other place and the norm valuation
     assert sorted([finite_valuation(x, v1), finite_valuation(x, v2)]) == [0, 12]
-    # at precision 8 no residue is trusted at either place
-    low, _ = finite_places(F, 5, precision=8)
-    with pytest.raises(PrecisionError, match="Hensel precision 8 insufficient at p=5"):
-        finite_valuation(pi, low)
+    # at precision 8 no residue could be trusted at either place
+    with pytest.raises(ValueError, match="Hensel precision 8 is too low"):
+        finite_places(F, 5, precision=8)
+
+
+def test_precision_nine_is_the_smallest_usable_precision():
+    F = QuadField(-1)
+    pi = F.elem(2, 1)
+    v1, v2 = finite_places(F, 5, precision=9)
+    # only valuation 0 is trusted at precision 9: the place of pi reads its
+    # valuation off the conjugate place, where pi is a unit
+    for x, want in ((pi, [0, 1]), (pi ** 20 * F.elem(1, 1), [0, 20]),
+                    (pi ** 3 * pi.conj(), [1, 3])):
+        assert sorted([finite_valuation(x, v1), finite_valuation(x, v2)]) == want
+    for precision in (-1, 0, 8):
+        with pytest.raises(ValueError, match=f"Hensel precision {precision} is too low"):
+            Place(F, "finite", 5, "split1", precision=precision)
 
 
 def test_prime_ideal_norms():
@@ -114,6 +126,47 @@ def test_ideal_arithmetic_norm_multiplicative_and_inverse():
             i2 = FracIdeal.from_gens(F, [g2])
             assert (i1 * i2).norm() == i1.norm() * i2.norm()
             assert i1 * i1.inverse() == FracIdeal.maximal_order(F)
+
+
+def _product_by_generators(a, b):
+    """The ideal product through the generators' field arithmetic."""
+    return FracIdeal.from_gens(a.field, [x * y for x in a.basis_elems()
+                                         for y in b.basis_elems()])
+
+
+def _power_by_generators(a, n):
+    out = FracIdeal.maximal_order(a.field)
+    base = a if n >= 0 else a.inverse()
+    for _ in range(abs(n)):
+        out = _product_by_generators(out, base)
+    return out
+
+
+def test_integer_ideal_product_matches_the_generator_route():
+    rng = random.Random(5)
+    cases = 0
+    for d in (-15, -11, -7, -5, -3, -2, -1, 2, 3, 5, 6, 10, 13, 17):
+        F = QuadField(d)
+        ideals = []
+        for p in (2, 3, 5, 7, 11, 13):
+            for place in finite_places(F, p):
+                P = prime_ideal(place)
+                for e in range(-6, 7):
+                    got, want = P ** e, _power_by_generators(P, e)
+                    assert (got.rows, got.den) == (want.rows, want.den), (d, place, e)
+                    cases += 1
+                ideals.append(P)
+        for _ in range(12):
+            g = F.elem(Fraction(rng.randint(-30, 30), rng.randint(1, 12)),
+                       Fraction(rng.randint(-30, 30), rng.randint(1, 12)))
+            if not g.is_zero():
+                ideals.append(FracIdeal.from_gens(F, [g]))
+        for _ in range(40):
+            a, b = rng.choice(ideals), rng.choice(ideals)
+            got, want = a * b, _product_by_generators(a, b)
+            assert (got.rows, got.den) == (want.rows, want.den), (d, a, b)
+            cases += 1
+    assert cases > 1000
 
 
 def test_ideal_contains_its_basis():
