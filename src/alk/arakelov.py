@@ -27,57 +27,39 @@ from .ratlinalg import mat_det, mat_inv
 @dataclass(frozen=True)
 class EuclideanLattice:
     """Free Z-module of rank n with a symmetric positive definite Gram
-    matrix; exact entries when available."""
+    matrix: Fraction entries when the input is rational, floats otherwise."""
 
     gram: tuple[tuple[object, ...], ...]
-    exact: bool
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
     def det(self):
-        if self.exact:
-            return mat_det([list(r) for r in self.gram])
-        import numpy as np
-
-        return float(np.linalg.det([[float(x) for x in r] for r in self.gram]))
+        return mat_det(self.gram)
 
     def covolume(self) -> float:
         return math.sqrt(float(self.det()))
 
     def dual(self) -> "EuclideanLattice":
-        if self.exact:
-            inv = mat_inv([list(r) for r in self.gram])
-            return EuclideanLattice(tuple(tuple(r) for r in inv), True)
-        import numpy as np
-
-        inv = np.linalg.inv([[float(x) for x in r] for r in self.gram])
-        return EuclideanLattice(tuple(tuple(float(x) for x in r) for r in inv), False)
+        return EuclideanLattice(tuple(map(tuple, mat_inv(self.gram))))
 
 
 def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
-    n = len(gram)
     exact = all(isinstance(x, Rational) for row in gram for x in row)
-    if exact:
-        g = [[Fraction(x) for x in row] for row in gram]
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix not symmetric")
-        for k in range(1, n + 1):
-            minor = mat_det([row[:k] for row in g[:k]])
-            if minor <= 0:
-                raise ValueError("Gram matrix not positive definite")
-        return EuclideanLattice(tuple(tuple(r) for r in g), True)
-    import numpy as np
-
-    a = np.array([[float(x) for x in row] for row in gram])
-    if not np.allclose(a, a.T):
-        raise ValueError("Gram matrix not symmetric")
-    if np.linalg.eigvalsh(a).min() <= 0:
-        raise ValueError("Gram matrix not positive definite")
-    return EuclideanLattice(tuple(tuple(float(x) for x in r) for r in a), False)
+    g = [[Fraction(x) if exact else float(x) for x in row] for row in gram]
+    n = len(g)
+    for i in range(n):
+        for j in range(n):
+            a, b = g[i][j], g[j][i]
+            # rational input must be symmetric, float input within an
+            # absolute 1e-8 plus a relative 1e-5 (a NaN fails both tests)
+            if a != b and (exact or not abs(a - b) <= 1e-8 + 1e-5 * abs(b)):
+                raise ValueError("Gram matrix not symmetric")
+    for k in range(1, n + 1):
+        if not mat_det([row[:k] for row in g[:k]]) > 0:
+            raise ValueError("Gram matrix not positive definite")
+    return EuclideanLattice(tuple(map(tuple, g)))
 
 
 @dataclass(frozen=True)

@@ -142,24 +142,26 @@ class EmbeddingData:
 
 
 def _precision_bits() -> int:
+    raw = os.environ.get("ALK_PRECISION", "53")
     try:
-        return int(os.environ.get("ALK_PRECISION", "53"))
+        return int(raw)
     except ValueError:
-        return 53
+        raise ValueError(f"ALK_PRECISION must be an integer number of bits, "
+                         f"got {raw!r}") from None
 
 
 def _float_roots(min_poly, bits: int):
-    coeffs_high_first = [float(c) for c in reversed(min_poly)]
-    if bits > 53:
-        import mpmath
+    """Roots at working precision max(bits, 53): mpmath numbers above 53
+    bits, plain complex numbers (fast arithmetic) at 53 bits and below."""
+    import mpmath
 
-        with mpmath.workprec(bits):
-            roots = mpmath.polyroots([mpmath.mpf(c) for c in coeffs_high_first],
-                                     maxsteps=200, extraprec=bits)
-            return [mpmath.mpc(r) for r in roots]
-    import numpy as np
-
-    return [complex(z) for z in np.roots(coeffs_high_first)]
+    prec = max(bits, 53)
+    with mpmath.workprec(prec):
+        roots = mpmath.polyroots([mpmath.mpf(float(c)) for c in reversed(min_poly)],
+                                 maxsteps=200, extraprec=prec)
+        if bits <= 53:
+            return [complex(r) for r in roots]
+        return [mpmath.mpc(r) for r in roots]
 
 
 def _order_roots_for_F(tower: FieldTower, roots):
@@ -249,7 +251,9 @@ class InvariantProfile:
 
 
 def _rationalize(v, exact: bool):
-    """Reduce a Psi value to a Fraction when honestly possible."""
+    """Reduce a Psi value to a Fraction when honestly possible.  A float
+    value becomes one only with a denominator up to 10**4 within 1e-12,
+    which a random real meets with probability about 1e-4."""
     if exact:
         if isinstance(v, NFElem):
             if not any(v.num[1:]):
@@ -259,7 +263,7 @@ def _rationalize(v, exact: bool):
     z = _to_complex(v)
     if abs(z.imag) > 1e-9:
         return z
-    fr = Fraction(z.real).limit_denominator(10 ** 9)
+    fr = Fraction(z.real).limit_denominator(10 ** 4)
     if abs(float(fr) - z.real) < 1e-12:
         return fr
     return z

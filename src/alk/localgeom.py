@@ -243,8 +243,7 @@ def arch_conjugator(f: list[list[float]]) -> tuple:
         [[1.0, -1.0], [0.0, 1.0]],
     )
     for u in candidates:
-        uinv = _inv2(u)
-        fp = _mul2(_mul2(u, f), uinv)
+        fp = mat_mul(mat_mul(u, f), mat_inv(u))
         if abs(fp[0][1]) >= 0.49:
             break
     else:
@@ -252,26 +251,13 @@ def arch_conjugator(f: list[list[float]]) -> tuple:
     ap, bp = fp[0][0], fp[0][1]
     alpha = cmath.sqrt(complex(ap * ap + bp * fp[1][0]))
     m = [[complex(bp), complex(bp)], [alpha - ap, -alpha - ap]]
-    cmat = _inv2(m)
-    return _mul2(cmat, [[complex(x) for x in row] for row in u]), alpha
-
-
-def _mul2(a, b):
-    return [
-        [a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-        [a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-    ]
-
-
-def _inv2(m):
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    return [[m[1][1] / det, -m[0][1] / det], [-m[1][0] / det, m[0][0] / det]]
+    return mat_mul(mat_inv(m), [[complex(x) for x in row] for row in u]), alpha
 
 
 def arch_local_coords(f: list[list[float]], gamma) -> LocalCoords:
     c, _alpha = arch_conjugator(f)
     g = [[complex(float(x)) for x in row] for row in gamma]
-    m = _mul2(_mul2(c, g), _inv2(c))
+    m = mat_mul(mat_mul(c, g), mat_inv(c))
     return LocalCoords((m[0][0], m[1][1]), (m[0][1], m[1][0]),
                        tuple(tuple(r) for r in c), "arch")
 

@@ -30,10 +30,6 @@ DEFAULT_HENSEL_PRECISION = 64
 HENSEL_GUARD = 8
 
 
-class PrecisionError(ArithmeticError):
-    """Raised when a split-place valuation exceeds the Hensel precision."""
-
-
 # ---------------------------------------------------------------------------
 # fields and elements
 
@@ -321,15 +317,11 @@ def finite_valuation(x: QFElem, v: Place) -> int:
     val = _split_valuation(x, v)
     if val is not None:
         return val
-    # precision exhausted: recover via the conjugate place if possible
+    # precision exhausted: once the p-content is out, x lies in at most one
+    # of the two primes over p, so the conjugate place sees a unit residue
     other = Place(v.field, "finite", p, "split2" if tag == "split1" else "split1",
                   precision=v.precision)
-    conj_val = _split_valuation(x, other)
-    if conj_val is None:
-        raise PrecisionError(
-            f"Hensel precision {v.precision} insufficient at p={p}; retry with more"
-        )
-    return nv - conj_val
+    return nv - _split_valuation(x, other)
 
 
 def _split_valuation(x: QFElem, v: Place) -> Optional[int]:

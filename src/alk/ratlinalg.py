@@ -1,8 +1,12 @@
-"""Generic exact linear algebra over any field-like element type.
+"""Generic linear algebra over any field-like element type.
 
 Entries must support +, -, *, / and compare equal to 0.  Used with
-Fraction, quadratic field elements and number field elements alike.
-Matrices are lists of lists; nothing here mutates its arguments.
+Fraction, quadratic field elements and number field elements alike, and
+with float, complex and mpmath entries too.  The pivot is the first
+nonzero entry of its column, which exact types need and which suits
+symmetric positive definite float Grams (their leading pivots are
+positive).  Matrices are lists of lists; nothing here mutates its
+arguments.
 """
 
 from __future__ import annotations

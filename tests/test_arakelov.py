@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +35,68 @@ def test_lattice_validation():
         euclidean_lattice([[1, 2], [0, 1]])
     with pytest.raises(ValueError):
         euclidean_lattice([[1, 2], [2, 1]])  # indefinite
+    # float input: symmetric up to 1e-8 + 1e-5 relative, then leading minors
+    with pytest.raises(ValueError, match="not symmetric"):
+        euclidean_lattice([[1.0, 0.5], [0.501, 1.0]])
+    with pytest.raises(ValueError, match="not positive definite"):
+        euclidean_lattice([[1.0, 2.0], [2.0, 1.0]])
+    with pytest.raises(ValueError):
+        euclidean_lattice([[float("nan")]])
+    lat = euclidean_lattice([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
+    assert lat.gram == ((1.0, 0.5), (0.5 + 1e-12, 1.0))
+
+
+def test_float_grams_follow_the_exact_route():
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4):
+        for _ in range(5):
+            gram = random_posdef_gram(rng, n)
+            exact = euclidean_lattice(gram)
+            flt = euclidean_lattice([[float(x) for x in row] for row in gram])
+            assert isinstance(exact.gram[0][0], Fraction)
+            assert isinstance(flt.gram[0][0], float)
+            assert abs(flt.det() - exact.det()) <= 1e-12 * exact.det()
+            for row_f, row_e in zip(flt.dual().gram, exact.dual().gram):
+                for a, b in zip(row_f, row_e):
+                    assert abs(a - b) <= 1e-12
+            rep_f = theta_invariants_euclidean(flt).to_dict()
+            for key, want in theta_invariants_euclidean(exact).to_dict().items():
+                assert abs(rep_f[key] - want) <= 1e-12 * max(1.0, abs(want)), key
+
+
+NO_NUMPY_SCRIPT = """
+import os, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from alk.arakelov import (bundle_theta_and_h0ar, direct_image, euclidean_lattice,
+                          make_bundle, theta_invariants_euclidean)
+from alk.git4 import psi_invariants, regular_embedding
+from alk.numfield import FracIdeal, make_quad_field
+from alk.quartics import dihedral_tower
+
+theta_invariants_euclidean(euclidean_lattice([[1.5, 0.3], [0.3, 2.25]]))
+F = make_quad_field(5)
+bundle = make_bundle(F, FracIdeal.maximal_order(F), (1, 2))
+assert isinstance(direct_image(bundle).gram[0][0], float)
+bundle_theta_and_h0ar(bundle)
+gamma = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
+for bits in ("53", "128"):
+    os.environ["ALK_PRECISION"] = bits
+    psi_invariants(regular_embedding(dihedral_tower(2, 1, 1)), gamma)
+assert sys.modules["numpy"] is None
+assert not [m for m in sys.modules if m.startswith("numpy.")]
+print("ok")
+"""
+
+
+def test_float_routes_run_without_numpy():
+    # the child imports alk from the same place as this process
+    src = os.path.dirname(os.path.dirname(enumeration.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", NO_NUMPY_SCRIPT],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
 
 
 def test_theta_of_integer_lattice_matches_direct_sum():

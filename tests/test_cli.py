@@ -136,6 +136,16 @@ def test_invariants_float_path_with_precision_env(capsys, monkeypatch):
     assert data["exact"] is False
 
 
+def test_non_integer_precision_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("ALK_PRECISION", "abc")
+    ident = json.dumps([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+    code, err = run_cli_err(capsys, ["invariants", "--tower",
+                                     '{"kind": "dihedral", "d": 2, "a": 1, "b": 1}',
+                                     "--matrix", ident])
+    assert code == 1
+    assert err == "error: ALK_PRECISION must be an integer number of bits, got 'abc'\n"
+
+
 def test_entropy_and_window(capsys):
     code, data = run_json(capsys, ["entropy", "--a", '["4","2","1/2","1/4"]',
                                    "--prime", "2"])

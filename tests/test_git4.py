@@ -106,6 +106,30 @@ def test_invariants_sum_to_one():
                 assert abs(complex(total) - 1) < 1e-9
 
 
+@pytest.mark.parametrize("bits", ["53", "128"])
+def test_float_route_keeps_only_genuine_rationals(monkeypatch, bits):
+    monkeypatch.setenv("ALK_PRECISION", bits)
+    gamma = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
+    profile = psi_invariants(regular_embedding(DIHEDRAL), gamma)
+    exact = {s: v for s, v in profile.values if isinstance(v, Fraction)}
+    assert exact == {(0, 1, 2, 3): Fraction(7, 4), (1, 0, 3, 2): Fraction(-1, 64)}
+    assert sum(isinstance(v, complex) for _, v in profile.values) == 22
+
+
+def test_roots_are_plain_complex_up_to_53_bits():
+    import mpmath
+
+    from alk.git4 import _float_roots
+
+    for bits, kind in ((24, complex), (53, complex), (54, mpmath.mpc), (128, mpmath.mpc)):
+        roots = _float_roots(DIHEDRAL.theta_min_poly, bits)
+        assert len(roots) == 4 and all(isinstance(r, kind) for r in roots)
+        for r in roots:
+            value = sum(complex(float(c)) * complex(r) ** i
+                        for i, c in enumerate(DIHEDRAL.theta_min_poly))
+            assert abs(value) < 1e-12
+
+
 def test_galois_image_matches_the_structure_tables():
     assert frozenset(galois_image_permutations(regular_embedding(CYCLIC))) \
         == galois_structures("cyclic").image

@@ -139,9 +139,9 @@ def test_arch_conjugator_diagonalizes():
     s = 1.0 / math.sqrt(5.0)
     f = [[0.0, s], [2.0 * s, 0.0]]
     c, alpha = arch_conjugator(f)
-    from alk.localgeom import _inv2, _mul2
+    from alk.ratlinalg import mat_inv, mat_mul
 
-    diag = _mul2(_mul2(c, [[complex(x) for x in r] for r in f]), _inv2(c))
+    diag = mat_mul(mat_mul(c, [[complex(x) for x in r] for r in f]), mat_inv(c))
     assert abs(diag[0][0] - alpha) < 1e-12
     assert abs(diag[1][1] + alpha) < 1e-12
     assert abs(diag[0][1]) < 1e-12 and abs(diag[1][0]) < 1e-12

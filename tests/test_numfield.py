@@ -103,6 +103,31 @@ def test_precision_nine_is_the_smallest_usable_precision():
             Place(F, "finite", 5, "split1", precision=precision)
 
 
+def test_low_precision_valuations_never_run_out():
+    """At precision 9 a residue is trusted only at valuation 0, so deep
+    valuations are read off the conjugate place; that place always sees a
+    unit once the p-content is divided out."""
+    from alk.intarith import valuation
+
+    rng = random.Random(19)
+    for d in (-1, -2, 2, 5, 17):
+        F = QuadField(d)
+        for p in (2, 3, 5, 7, 11, 13):
+            if splitting_type(F, p) != "split":
+                continue
+            low = finite_places(F, p, precision=9)
+            deep = finite_places(F, p)
+            for _ in range(40):
+                # u + w*omega divisible by a random power of one prime over p
+                place, k = rng.choice(deep), rng.randint(0, 20)
+                w = rng.randint(1, 50) * rng.choice((-1, 1))
+                u = -w * place.hensel_root() % p ** k + p ** k * rng.randint(-3, 3)
+                x = (F.omega * w + u) * Fraction(p) ** rng.randint(-3, 3)
+                vals = [finite_valuation(x, v) for v in low]
+                assert sum(vals) == valuation(x.norm(), p), (d, p, x)
+                assert vals == [finite_valuation(x, v) for v in deep], (d, p, x)
+
+
 def test_prime_ideal_norms():
     for d, p in ((-1, 5), (-1, 3), (-1, 2), (5, 5), (2, 3)):
         F = QuadField(d)
