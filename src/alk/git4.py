@@ -246,9 +246,6 @@ class InvariantProfile:
             raise TypeError("non-rational exact value has no canonical number")
         return _to_complex(v)
 
-    def as_dict(self):
-        return dict(self.values)
-
 
 def _rationalize(v, exact: bool):
     """Reduce a Psi value to a Fraction when honestly possible.  A float

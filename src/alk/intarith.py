@@ -34,6 +34,15 @@ def is_squarefree(n: int) -> bool:
     return all(e == 1 for e in factorize(n).values())
 
 
+def squarefree_kernel(n: int) -> int:
+    """The squarefree integer s with n / s a square (sign of n kept)."""
+    s = 1
+    for p, k in factorize(n).items():
+        if k % 2 == 1:
+            s *= p
+    return s if n > 0 else -s
+
+
 def is_square_int(n: int) -> bool:
     if n < 0:
         return False

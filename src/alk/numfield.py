@@ -5,7 +5,9 @@ are pairs of rationals (a, b) meaning a + b*sqrt(d).  Finite places are
 tagged by the splitting behaviour of the rational prime below them;
 split-place valuations go through a Hensel-lifted root of the minimal
 polynomial of the integral-basis generator, so all finite-place data is
-exact.  Quartic fields enter only as towers K = F(sqrt(delta)).
+exact.  Quartic fields enter only as towers K = F(sqrt(delta)); the one
+test that delta is not a square in F also proves the tower quartic
+irreducible (see make_tower).
 """
 
 from __future__ import annotations
@@ -560,17 +562,6 @@ def prime_ideal(place: Place) -> FracIdeal:
 # towers K = F(sqrt(delta))
 
 
-def _poly_is_irreducible_quartic(coeffs: Sequence[Fraction]) -> bool:
-    """Irreducibility over Q of a monic quartic (rational root test plus
-    quadratic-factor test through sympy's exact factorization)."""
-    import sympy
-
-    x = sympy.symbols("x")
-    poly = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(coeffs))
-    return sympy.Poly(poly, x).is_irreducible
-
-
 @dataclass(frozen=True)
 class FieldTower:
     """Q c F c K with [K:F] = 2.
@@ -605,6 +596,20 @@ def make_tower(
     galois_hint: Optional[str] = None,
     conj_polys=None,
 ) -> FieldTower:
+    """The tower F(sqrt(delta)), or Q(sqrt(delta)) when F is None.
+
+    Raises ValueError unless delta is a nonzero nonsquare (in F, or in Q).
+    For quartic towers that test alone decides that theta_min_poly is
+    irreducible over Q:
+    - delta = a + b*sqrt(d) with b != 0: theta = sqrt(delta) gives
+      sqrt(d) = (theta^2 - a)/b in Q(theta), so Q(theta) = F(sqrt(delta)),
+      of degree 4 exactly when delta is not a square in F; then the monic
+      quartic x^4 - Tr(delta) x^2 + Nr(delta) is theta's minimal polynomial.
+    - delta = e rational: Q(sqrt d, sqrt e) has degree 4 exactly when e is
+      not a square in F (neither e nor e/d a rational square), and then
+      theta = sqrt(d) + sqrt(e) is primitive in it: its four conjugates
+      +-sqrt(d) +- sqrt(e) are distinct, as e = d is a square in F.
+    """
     if F is None:
         delta = Fraction(delta)
         if delta == 0 or is_square_fraction(delta):
@@ -623,14 +628,10 @@ def make_tower(
     else:
         # biquadratic: theta = sqrt(d) + sqrt(e)
         e = delta.a
-        if e == d:
-            raise ValueError("delta equals d; not a valid biquadratic datum")
         mp = ((Fraction(d) - e) ** 2, Fraction(0), -2 * (Fraction(d) + e),
               Fraction(0), Fraction(1))
         c = 1 / (2 * (e - d))
         sq = (Fraction(0), -(3 * d + e) * c, Fraction(0), c)
-    if not _poly_is_irreducible_quartic(mp):
-        raise ValueError("delta does not generate a quartic field")
     return FieldTower(F, delta, mp, sq, declared_DK, declared_maximal,
                       galois_hint, conj_polys)
 

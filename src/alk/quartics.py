@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intarith import factorize, is_squarefree
+from .intarith import is_squarefree, squarefree_kernel
 from .nfpoly import NumberField, gaussian_period_quartic, poly_disc_quartic
 from .numfield import FieldTower, QuadField, make_quad_field, make_tower
 
@@ -87,16 +87,9 @@ def biquadratic_tower(d: int, e: int) -> FieldTower:
         tuple(sd[i] * s1 + se[i] * s2 for i in range(4)) for s1, s2 in combos
     )
     # third quadratic subfield has sqrt of the squarefree part of d*e
-    de = d * e
-    sf = 1
-    for p, k in factorize(de).items():
-        if k % 2 == 1:
-            sf *= p
-    if de < 0:
-        sf = -sf
     dk = None
-    if is_squarefree(e) and sf not in (0, 1):
-        dk = F.disc * QuadField(e).disc * QuadField(sf).disc
+    if is_squarefree(e):
+        dk = F.disc * QuadField(e).disc * QuadField(squarefree_kernel(d * e)).disc
     tower = FieldTower(F, tower.delta, tower.theta_min_poly, tower.sqrt_d_coords,
                        declared_DK=dk, declared_maximal=dk is not None,
                        galois_hint="biquadratic", conj_polys=conj)

@@ -18,6 +18,7 @@ from .intarith import (
     divisor_count,
     factorize,
     is_square_fraction,
+    squarefree_kernel,
     valuation,
 )
 from .localgeom import different_and_orders
@@ -51,19 +52,11 @@ def make_descriptor(tower: FieldTower, conductors=None, arch_generator=None):
     return ToralSetDescriptor(tower, cond, arch)
 
 
-def _squarefree_kernel(n: int) -> int:
-    s = 1
-    for p, k in factorize(n).items():
-        if k % 2 == 1:
-            s *= p
-    return s if n > 0 else -s
-
-
 def quad_field_of_square(delta: Fraction) -> QuadField:
     """Q(sqrt(delta)) as a QuadField (squarefree kernel of num*den)."""
     delta = Fraction(delta)
     m = delta.numerator * delta.denominator
-    return QuadField(_squarefree_kernel(m))
+    return QuadField(squarefree_kernel(m))
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +245,12 @@ def cyclic_disc_check(tower: FieldTower) -> dict:
     d_rel = D_K // (D_F * D_F)
     # decomposition D_rel = W^2 d (or W^2 d / 4) with d > 1 squarefree
     decomposition = None
-    kern = _squarefree_kernel(d_rel)
+    kern = squarefree_kernel(d_rel)
     if kern > 1 and is_square_fraction(Fraction(d_rel, kern)):
         w = math.isqrt(d_rel // kern)
         decomposition = {"W": w, "d": kern, "form": "W^2*d"}
     else:
-        kern4 = _squarefree_kernel(4 * d_rel)
+        kern4 = squarefree_kernel(4 * d_rel)
         if kern4 > 1 and is_square_fraction(Fraction(4 * d_rel, kern4)):
             w = math.isqrt(4 * d_rel // kern4)
             decomposition = {"W": w, "d": kern4, "form": "W^2*d/4"}

@@ -197,6 +197,14 @@ def test_gaussian_tower_with_bad_p_exits_one(capsys):
     assert err == "error: p must be a prime = 1 mod 4, got p = 21\n"
 
 
+def test_biquadratic_tower_with_e_equal_to_d_exits_one(capsys):
+    # sqrt(e) = sqrt(d) lies in F: rejected as a square, never built
+    code, err = run_cli_err(capsys, ["classify", "--tower",
+                                     '{"kind": "biquadratic", "d": 3, "e": 3}'])
+    assert code == 1
+    assert err == "error: delta must be a nonsquare in F\n"
+
+
 def test_linnik_rhs_exit_codes(capsys):
     code, data = run_json(capsys, ["linnik-rhs", "--disc", "1e6", "--vol", "1e3",
                                    "--tau", "1.0", "--h", "2.302585092994046"])

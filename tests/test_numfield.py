@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alk.numfield import (
@@ -225,6 +226,80 @@ def test_tower_rejects_square_delta():
         make_tower(F, F.elem(2))
     with pytest.raises(ValueError):
         make_tower(None, Fraction(9))
+
+
+def _quartic_is_reducible(coeffs) -> bool:
+    """Whether the monic quartic c0 + c1 x + c2 x^2 + c3 x^3 + x^4 factors
+    over Q, decided independently of alk.
+
+    x -> y/D, with the least such D, clears the denominators to a monic
+    integer quartic q.  By Gauss's lemma q factors over Q iff it has an
+    integer root or a monic integer quadratic factor y^2 + u y + v.  Every
+    root of q lies below Cauchy's bound R (q's leading term outweighs the
+    others beyond R), so a root r has |r| < R, and a factor has |u| < 2R
+    and |v| < R^2, v | q0.
+    """
+    coeffs = [Fraction(c) for c in coeffs[:4]]
+    D = next(D for D in range(1, math.lcm(*(c.denominator for c in coeffs)) + 1)
+             if all((c * D ** (4 - i)).denominator == 1 for i, c in enumerate(coeffs)))
+    q0, q1, q2, q3 = (int(c * D ** (4 - i)) for i, c in enumerate(coeffs))
+    R = 1
+    while R ** 4 <= abs(q3) * R ** 3 + abs(q2) * R ** 2 + abs(q1) * R + abs(q0):
+        R += 1
+    if any(r ** 4 + q3 * r ** 3 + q2 * r ** 2 + q1 * r + q0 == 0 for r in range(-R, R + 1)):
+        return True
+    for v in range(-R * R, R * R + 1):
+        if v == 0 or q0 % v:
+            continue
+        for u in range(-2 * R, 2 * R + 1):
+            # q = (y^2 + u y + v)(y^2 + s y + t) + remainder
+            s = q3 - u
+            t = q2 - v - u * s
+            if q1 == u * t + v * s and q0 == v * t:
+                return True
+    return False
+
+
+SQUAREFREE_D = [d for d in range(-30, 31)
+                if d not in (0, 1) and all(d % (p * p) for p in (2, 3, 5))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from(SQUAREFREE_D),
+    kind=st.sampled_from(["general", "rational", "square"]),
+    an=st.integers(-6, 6), ad=st.integers(1, 3),
+    bn=st.integers(-6, 6), bd=st.integers(1, 3),
+)
+@example(d=3, kind="rational", an=3, ad=1, bn=0, bd=1)  # e = d
+@example(d=3, kind="square", an=0, ad=1, bn=2, bd=1)  # e = d * 2^2
+@example(d=3, kind="square", an=2, ad=1, bn=0, bd=1)  # e = 2^2
+@example(d=2, kind="general", an=0, ad=1, bn=0, bd=1)  # delta = 0
+def test_make_tower_rejects_exactly_the_reducible_quartics(d, kind, an, ad, bn, bd):
+    """make_tower's nonsquare test is its only check; it must raise exactly
+    when the tower quartic is reducible."""
+    F = QuadField(d)
+    a, b = Fraction(an, ad), Fraction(bn, bd)
+    if kind == "general":
+        delta = F.elem(a, b)
+    elif kind == "rational":
+        delta = F.elem(a)
+    else:
+        delta = F.elem(a, b) ** 2
+    if delta.b != 0:
+        quartic = (delta.norm(), 0, -delta.trace(), 0, 1)
+    else:  # theta = sqrt(d) + sqrt(e)
+        quartic = ((d - delta.a) ** 2, 0, -2 * (d + delta.a), 0, 1)
+    reducible = _quartic_is_reducible(quartic)
+    if kind == "square":
+        assert reducible
+    try:
+        tower = make_tower(F, delta)
+    except ValueError:
+        assert reducible
+        return
+    assert not reducible
+    assert tower.theta_min_poly == quartic
 
 
 @settings(max_examples=60, deadline=None)

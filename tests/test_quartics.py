@@ -1,3 +1,7 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -71,3 +75,55 @@ def test_conjugation_polynomials_generate_order_four():
     g2 = perm_compose(gen, gen)
     g4 = perm_compose(g2, g2)
     assert g2 != (0, 1, 2, 3) and g4 == (0, 1, 2, 3)
+
+
+NO_SYMPY_SCRIPT = """
+import json, sys
+sys.modules["sympy"] = None  # any import of sympy now raises ImportError
+from alk.cli import tower_from_json
+from alk.git4 import regular_embedding
+from alk.toralsets import (classify_galois_type, cyclic_disc_check, make_descriptor,
+                           nonarch_and_global_disc)
+
+def outcome(fn, tower):
+    try:
+        return fn(tower)
+    except ValueError as exc:
+        return "ValueError: " + str(exc)
+
+out = {}
+for spec in sys.argv[1:]:
+    tower = tower_from_json(spec)
+    gtype = outcome(classify_galois_type, tower)
+    disc = outcome(lambda t: nonarch_and_global_disc(make_descriptor(t))["disc_fin"], tower)
+    exact = outcome(lambda t: regular_embedding(t).exact, tower)
+    rel = outcome(lambda t: cyclic_disc_check(t)["D_rel"], tower) if gtype == "cyclic" else None
+    out[spec] = [gtype, disc, exact, rel]
+assert sys.modules["sympy"] is None
+assert not [m for m in sys.modules if m.startswith("sympy.")]
+print(json.dumps(out))
+"""
+
+QUARTIC = "ValueError: quartic tower required"
+# every kind the CLI accepts: Galois type, disc_fin, exact embedding, D_rel
+NO_SYMPY_EXPECTED = {
+    '{"kind": "zeta5"}': ["cyclic", 5, True, 5],
+    '{"kind": "sqrt2plus"}': ["cyclic", 32, True, 32],
+    '{"kind": "biquadratic", "d": 2, "e": 3}': ["biquadratic", 36, True, None],
+    '{"kind": "dihedral", "d": 2, "a": 1, "b": 1}':
+        ["dihedral", "ValueError: quartic descriptor needs a certified maximal order",
+         False, None],
+    '{"kind": "gaussian", "p": 13}': ["cyclic", 13, True, 13],
+    '{"kind": "quadratic", "delta": 5}': [QUARTIC, 5, QUARTIC, None],
+}
+
+
+def test_towers_run_without_sympy():
+    # the child imports alk from the same place as this process
+    src = os.path.dirname(os.path.dirname(quartics.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", NO_SYMPY_SCRIPT, *NO_SYMPY_EXPECTED],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == NO_SYMPY_EXPECTED
