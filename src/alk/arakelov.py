@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import enumeration
 from .numfield import FracIdeal, QFElem, QuadField
-from .ratlinalg import mat_det, mat_inv
+from .ratlinalg import leading_minors, mat_det, mat_inv
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,8 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
             # absolute 1e-8 plus a relative 1e-5 (a NaN fails both tests)
             if a != b and (exact or not abs(a - b) <= 1e-8 + 1e-5 * abs(b)):
                 raise ValueError("Gram matrix not symmetric")
-    for k in range(1, n + 1):
-        if not mat_det([row[:k] for row in g[:k]]) > 0:
-            raise ValueError("Gram matrix not positive definite")
+    if not all(m > 0 for m in leading_minors(g)):
+        raise ValueError("Gram matrix not positive definite")
     return EuclideanLattice(tuple(map(tuple, g)))
 
 
@@ -225,15 +224,43 @@ def direct_image(bundle: HermitianLineBundle) -> EuclideanLattice:
     return euclidean_lattice(gram)
 
 
-def _leq_with_sqrt(rational_part: Fraction, sqrt_part: Fraction, d: int,
-                   bound: Fraction) -> bool:
-    """Exact test of rational_part + sqrt_part*sqrt(d) <= bound (d > 0)."""
-    rem = bound - rational_part
-    if sqrt_part == 0:
-        return rem >= 0
-    if sqrt_part > 0:
-        return rem >= 0 and sqrt_part * sqrt_part * d <= rem * rem
-    return rem >= 0 or sqrt_part * sqrt_part * d >= rem * rem
+def box_membership(ideal: FracIdeal, sq_radii) -> Callable[[int, int], bool]:
+    """Exact test of whether x = m*b0 + k*b1, for (b0, b1) the HNF basis of
+    the ideal, has sigma(x)^2 <= R_sigma at both real embeddings
+    (sq_radii = (R_1, R_2)), or Nr(x) <= R at the complex place
+    (sq_radii = (R,)).
+
+    x is written (U + V*sqrt(d)) / D with integers U, V linear in (m, k).
+    At the complex place the test is U^2 - d*V^2 <= R*D^2; at the real
+    ones sigma(x)^2 = (A +- B*sqrt(d)) / D^2 with A = U^2 + d*V^2 and
+    B = 2*U*V, compared with R*D^2 by integer signs and squares."""
+    F = ideal.field
+    d = F.d
+    (a, b), (_, c) = ideal.rows
+    # m*(a + b*omega) + k*c*omega over den
+    if d % 4 == 1:  # omega = (1 + sqrt(d)) / 2
+        u0, u1, v0, v1, D = 2 * a + b, c, b, c, 2 * ideal.den
+    else:
+        u0, u1, v0, v1, D = a, 0, b, c, ideal.den
+    cleared = [(R.numerator * D * D, R.denominator) for R in sq_radii]
+    if not F.is_real:
+        (P, Q), = cleared
+        return lambda m, k: Q * ((m * u0 + k * u1) ** 2 - d * (m * v0 + k * v1) ** 2) <= P
+    (P1, Q1), (P2, Q2) = cleared
+
+    def leq(x: int, y: int, z: int) -> bool:
+        # x + y*sqrt(d) <= z
+        rem = z - x
+        if y >= 0:
+            return rem >= 0 and y * y * d <= rem * rem
+        return rem >= 0 or y * y * d >= rem * rem
+
+    def inside(m: int, k: int) -> bool:
+        U, V = m * u0 + k * u1, m * v0 + k * v1
+        A, B = U * U + d * V * V, 2 * U * V
+        return leq(Q1 * A, Q1 * B, P1) and leq(Q2 * A, -Q2 * B, P2)
+
+    return inside
 
 
 def box_sections(bundle: HermitianLineBundle,
@@ -245,22 +272,13 @@ def box_sections(bundle: HermitianLineBundle,
         kmax = int(r / q)
         return [k * q for k in range(-kmax, kmax + 1)]
     F = bundle.field
-    b = bundle.ideal.basis_elems()
     lat = direct_image(bundle)
     n = 2
     coords, _ = enumeration.enumerate_vectors(lat.gram, n * (1 + 1e-9), budget)
-    out = []
-    for m, k in coords:
-        x = b[0] * m + b[1] * k
-        if F.is_real:
-            sq = x * x  # sigma_1(x)^2 = a + b sqrt(d), sigma_2 flips the sign
-            ok = _leq_with_sqrt(sq.a, sq.b, F.d, bundle.radii[0] ** 2) and \
-                _leq_with_sqrt(sq.a, -sq.b, F.d, bundle.radii[1] ** 2)
-        else:
-            ok = x.norm() <= bundle.radii[0] ** 2
-        if ok:
-            out.append(x)
-    return out
+    radii = bundle.radii if F.is_real else bundle.radii[:1]
+    inside = box_membership(bundle.ideal, [r * r for r in radii])
+    b = bundle.ideal.basis_elems()
+    return [b[0] * m + b[1] * k for m, k in coords if inside(m, k)]
 
 
 def h1_via_duality(bundle: HermitianLineBundle,

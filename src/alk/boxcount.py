@@ -19,8 +19,8 @@ from typing import Optional
 from . import enumeration
 from .arakelov import (
     HermitianLineBundle,
-    _leq_with_sqrt,
     adeg,
+    box_membership,
     direct_image,
     f_bound,
     make_bundle,
@@ -128,19 +128,10 @@ def count_box(field: Optional[QuadField], r: RadiusFamily,
         for i in range(2)
     ]
     coords, _ = enumeration.enumerate_vectors(gram, 2.0 * (1 + 1e-9), budget)
-    count = 0
-    for m, k in coords:
-        if _in_box(b[0] * m + b[1] * k, field, r):
-            count += 1
-    return count
-
-
-def _in_box(x, field: QuadField, r: RadiusFamily) -> bool:
-    if field.is_real:
-        sq = x * x
-        return (_leq_with_sqrt(sq.a, sq.b, field.d, r.infinite[0] ** 2)
-                and _leq_with_sqrt(sq.a, -sq.b, field.d, r.infinite[1] ** 2))
-    return x.norm() <= r.infinite[0]
+    # |sigma(x)|^2 per real embedding, or the squared modulus Nr(x)
+    sq_radii = [x * x for x in r.infinite] if field.is_real else r.infinite
+    inside = box_membership(ideal, sq_radii)
+    return sum(1 for m, k in coords if inside(m, k))
 
 
 def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
@@ -167,10 +158,35 @@ def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
     inv = [[e[1][1] / det, -e[0][1] / det], [-e[1][0] / det, e[0][0] / det]]
     m_max = int(abs(inv[0][0]) * rho[0] + abs(inv[1][0]) * rho[1]) + 1
     k_max = int(abs(inv[0][1]) * rho[0] + abs(inv[1][1]) * rho[1]) + 1
+    # its own exact test, kept apart from count_box's: x = m*b0 + k*b1 is
+    # (U + V*sqrt(d)) / D, and each embedding is bounded on both sides
+    d = field.d
+    D = math.lcm(b[0].den, b[1].den)
+    (u0, v0), (u1, v1) = [(x.an * (D // x.den), x.bn * (D // x.den)) for x in b]
+    if field.is_real:
+        # q*(U +- V*sqrt(d)) against +-p*D for rho = p/q
+        bounds = [(rho.numerator * D, rho.denominator) for rho in r.infinite]
+
+        def at_most(x: int, y: int, z: int) -> bool:
+            # x + y*sqrt(d) <= z, i.e. y*sqrt(d) <= z - x
+            gap = z - x
+            if y <= 0:
+                return gap >= 0 or y * y * d >= gap * gap
+            return gap >= 0 and y * y * d <= gap * gap
+
+        def inside(U: int, V: int) -> bool:
+            return all(at_most(q * U, q * sign * V, pD) and at_most(-q * U, -q * sign * V, pD)
+                       for sign, (pD, q) in zip((1, -1), bounds))
+    else:
+        # the squared modulus Nr(x) = (U^2 - d*V^2) / D^2
+        p, q = r.infinite[0].numerator * D * D, r.infinite[0].denominator
+
+        def inside(U: int, V: int) -> bool:
+            return q * (U * U - d * V * V) <= p
     count = 0
     for m in range(-m_max, m_max + 1):
         for k in range(-k_max, k_max + 1):
-            if _in_box(b[0] * m + b[1] * k, field, r):
+            if inside(m * u0 + k * u1, m * v0 + k * v1):
                 count += 1
     return count
 

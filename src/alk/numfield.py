@@ -55,50 +55,93 @@ class QuadField:
         return self.d > 0
 
     def elem(self, a, b=0) -> "QFElem":
-        return QFElem(self, Fraction(a), Fraction(b))
+        a, b = Fraction(a), Fraction(b)
+        # numerators over the lcm of the denominators are already coprime to it
+        den = math.lcm(a.denominator, b.denominator)
+        return QFElem(self, a.numerator * (den // a.denominator),
+                      b.numerator * (den // b.denominator), den)
 
     @property
     def omega(self) -> "QFElem":
         # generator of the ring of integers over Z
         if self.d % 4 == 1:
-            return self.elem(Fraction(1, 2), Fraction(1, 2))
-        return self.elem(0, 1)
+            return QFElem(self, 1, 1, 2)
+        return QFElem(self, 0, 1, 1)
 
     @property
     def integral_basis(self) -> tuple["QFElem", "QFElem"]:
         return (self.elem(1), self.omega)
 
+    @property
+    def omega_square(self) -> tuple[int, int]:
+        """(t, s) with omega^2 = t*omega + s."""
+        return (1, (self.d - 1) // 4) if self.d % 4 == 1 else (0, self.d)
+
     def gen_min_poly(self) -> tuple[Fraction, Fraction]:
         """(c0, c1) with omega^2 + c1*omega + c0 = 0."""
-        if self.d % 4 == 1:
-            return (Fraction(1 - self.d, 4), Fraction(-1))
-        return (Fraction(-self.d), Fraction(0))
+        t, s = self.omega_square
+        return (Fraction(-s), Fraction(-t))
+
+    def from_gen_coords(self, u: int, w: int, den: int) -> "QFElem":
+        """The element (u + w*omega) / den."""
+        if self.d % 4 == 1:  # omega = (1 + sqrt(d)) / 2
+            return _qf(self, 2 * u + w, w, 2 * den)
+        return _qf(self, u, w, den)
 
     def __repr__(self):
         return f"QuadField(d={self.d})"
 
 
-@dataclass(frozen=True)
+def _qf(F: QuadField, an: int, bn: int, den: int) -> "QFElem":
+    """The element (an + bn*sqrt(d)) / den, den != 0, in lowest terms."""
+    if den < 0:
+        an, bn, den = -an, -bn, -den
+    g = math.gcd(an, bn, den)
+    if g != 1:
+        an, bn, den = an // g, bn // g, den // g
+    return QFElem(F, an, bn, den)
+
+
 class QFElem:
-    field: QuadField
-    a: Fraction
-    b: Fraction
+    """The element (an + bn*sqrt(d)) / den of a QuadField; immutable, with
+    gcd(an, bn, den) = 1 and den > 0, so equal elements have equal
+    (an, bn, den).  a and b are its rational coordinates."""
+
+    __slots__ = ("field", "an", "bn", "den")
+
+    def __init__(self, field: QuadField, an: int, bn: int, den: int = 1):
+        self.field = field
+        self.an = an
+        self.bn = bn
+        self.den = den
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.an, self.den)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.bn, self.den)
 
     def _coerce(self, other) -> "QFElem":
         if isinstance(other, QFElem):
             if other.field.d != self.field.d:
                 raise ValueError("elements of different fields")
             return other
-        return QFElem(self.field, Fraction(other), Fraction(0))
+        q = other if isinstance(other, (int, Fraction)) else Fraction(other)
+        return QFElem(self.field, q.numerator, 0, q.denominator)
 
     def __add__(self, other):
         o = self._coerce(other)
-        return QFElem(self.field, self.a + o.a, self.b + o.b)
+        da, db = self.den, o.den
+        if da == db:
+            return _qf(self.field, self.an + o.an, self.bn + o.bn, da)
+        return _qf(self.field, self.an * db + o.an * da, self.bn * db + o.bn * da, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QFElem(self.field, -self.a, -self.b)
+        return QFElem(self.field, -self.an, -self.bn, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -107,21 +150,25 @@ class QFElem:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        d = self.field.d
-        return QFElem(
-            self.field,
-            self.a * o.a + d * self.b * o.b,
-            self.a * o.b + self.b * o.a,
-        )
+        if isinstance(other, QFElem):
+            d = self.field.d
+            if other.field.d != d:
+                raise ValueError("elements of different fields")
+            a, b, c, e = self.an, self.bn, other.an, other.bn
+            return _qf(self.field, a * c + d * b * e, a * e + b * c, self.den * other.den)
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        p = other.numerator
+        return _qf(self.field, self.an * p, self.bn * p, self.den * other.denominator)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QFElem":
-        n = self.norm()
+        # ((a + b sqrt d) / den)^-1 = den (a - b sqrt d) / (a^2 - d b^2)
+        n = self.an * self.an - self.field.d * self.bn * self.bn
         if n == 0:
             raise ZeroDivisionError("zero element")
-        return QFElem(self.field, self.a / n, -self.b / n)
+        return _qf(self.field, self.an * self.den, -self.bn * self.den, n)
 
     def __truediv__(self, other):
         return self * self._coerce(other).inverse()
@@ -132,7 +179,7 @@ class QFElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = QFElem(self.field, Fraction(1), Fraction(0))
+        out = QFElem(self.field, 1, 0, 1)
         base = self
         while n:
             if n & 1:
@@ -143,43 +190,52 @@ class QFElem:
 
     def __eq__(self, other):
         if isinstance(other, QFElem):
-            return self.field.d == other.field.d and self.a == other.a and self.b == other.b
+            return (self.an == other.an and self.bn == other.bn and self.den == other.den
+                    and self.field.d == other.field.d)
         if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
+            return self.bn == 0 and self.an * other.denominator == other.numerator * self.den
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.d, self.a, self.b))
+        return hash((self.field.d, self.an, self.bn, self.den))
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return self.an == 0 and self.bn == 0
 
     def conj(self) -> "QFElem":
-        return QFElem(self.field, self.a, -self.b)
+        return QFElem(self.field, self.an, -self.bn, self.den)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.field.d * self.b * self.b
+        return Fraction(self.an * self.an - self.field.d * self.bn * self.bn,
+                        self.den * self.den)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self.an, self.den)
 
     def is_rational(self) -> bool:
-        return self.b == 0
+        return self.bn == 0
+
+    def gen_ints(self) -> tuple[int, int, int]:
+        """Integers (u, w, den) with self = (u + w*omega) / den."""
+        if self.field.d % 4 == 1:  # sqrt(d) = 2*omega - 1
+            return (self.an - self.bn, 2 * self.bn, self.den)
+        return (self.an, self.bn, self.den)
 
     def gen_coords(self) -> tuple[Fraction, Fraction]:
         """Coordinates (u, v) with self = u + v*omega."""
-        if self.field.d % 4 == 1:
-            return (self.a - self.b, 2 * self.b)
-        return (self.a, self.b)
+        u, w, den = self.gen_ints()
+        return (Fraction(u, den), Fraction(w, den))
 
     def embeddings(self) -> tuple[complex, complex]:
         """The two complex embedding values (conjugates for d < 0)."""
         d = self.field.d
+        # int / int rounds correctly, so these equal float(self.a), float(self.b)
+        a, b = self.an / self.den, self.bn / self.den
         if d > 0:
             s = math.sqrt(d)
-            return (float(self.a) + float(self.b) * s, float(self.a) - float(self.b) * s)
+            return (a + b * s, a - b * s)
         s = math.sqrt(-d)
-        z = complex(float(self.a), float(self.b) * s)
+        z = complex(a, b * s)
         return (z, z.conjugate())
 
     def __repr__(self):
@@ -429,23 +485,33 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, 
 @dataclass(frozen=True)
 class FracIdeal:
     """Fractional ideal of O_F, stored as an HNF basis over the integral
-    basis (1, omega): rows (a, b) meaning a + b*omega, scaled by 1/den."""
+    basis (1, omega): rows (a, b) meaning a + b*omega, scaled by 1/den.
+    The form is canonical (a, c > 0, 0 <= b < c, gcd(a, b, c, den) = 1),
+    so equal ideals have equal (rows, den)."""
 
     field: QuadField
     rows: tuple[tuple[int, int], tuple[int, int]]
     den: int
 
+    def __post_init__(self):
+        # equality and hashing read (rows, den), so only the canonical form
+        # of an ideal may be stored
+        (a, b), (z, c) = self.rows
+        if not (z == 0 and a > 0 and 0 <= b < c and self.den > 0
+                and math.gcd(a, b, c, self.den) == 1):
+            raise ValueError(f"{self.rows} / {self.den} is not a canonical HNF basis")
+
     @staticmethod
     def from_gens(F: QuadField, gens: Sequence[QFElem]) -> "FracIdeal":
         """O_F-module generated by the given elements."""
-        omega = F.omega
-        elems = []
-        for g in gens:
-            elems.append(g)
-            elems.append(g * omega)
-        coords = [e.gen_coords() for e in elems]
-        den = math.lcm(*[math.lcm(u.denominator, w.denominator) for u, w in coords])
-        rows = [(int(u * den), int(w * den)) for u, w in coords]
+        t, s = F.omega_square
+        coords = [g.gen_ints() for g in gens]
+        den = math.lcm(*[e for _, _, e in coords])
+        rows = []
+        for u, w, e in coords:
+            u, w = u * (den // e), w * (den // e)
+            rows.append((u, w))
+            rows.append(_times_omega(t, s, u, w))
         return FracIdeal._from_rows(F, rows, den)
 
     @staticmethod
@@ -462,42 +528,46 @@ class FracIdeal:
         return FracIdeal(F, ((1, 0), (0, 1)), 1)
 
     def basis_elems(self) -> tuple[QFElem, QFElem]:
-        F = self.field
-        omega = F.omega
-        out = []
-        for a, b in self.rows:
-            out.append((F.elem(a) + omega * b) * Fraction(1, self.den))
-        return tuple(out)
+        F, den = self.field, self.den
+        return tuple(F.from_gen_coords(u, w, den) for u, w in self.rows)
 
     def norm(self) -> Fraction:
         (a, _), (_, c) = self.rows
         return Fraction(a * c, self.den ** 2)
 
+    def _conj_rows(self) -> list[tuple[int, int]]:
+        # conj(omega) = t - omega
+        t, _ = self.field.omega_square
+        return [(u + t * w, -w) for u, w in self.rows]
+
     def conj(self) -> "FracIdeal":
-        return FracIdeal.from_gens(self.field, [e.conj() for e in self.basis_elems()])
+        return FracIdeal._from_rows(self.field, self._conj_rows(), self.den)
 
     def inverse(self) -> "FracIdeal":
-        # L * conj(L) = Nr(L) * O_F in the maximal order
-        n = self.norm()
-        return FracIdeal.from_gens(
-            self.field, [e.conj() / n for e in self.basis_elems()]
-        )
+        # L * conj(L) = Nr(L) * O_F in the maximal order, Nr(L) = a*c/den^2
+        (a, _), (_, c) = self.rows
+        den = self.den
+        return FracIdeal._from_rows(
+            self.field, [(u * den, w * den) for u, w in self._conj_rows()], a * c)
 
     def __mul__(self, other: "FracIdeal") -> "FracIdeal":
-        # in integers over (1, omega) with omega^2 = t*omega + s: each
-        # product of basis rows, and that product times omega
-        d = self.field.d
-        t, s = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
+        # each product of basis rows, and that product times omega
+        t, s = self.field.omega_square
         rows = []
-        for a, b in self.rows:
-            for c, e in other.rows:
-                u, v = a * c + s * b * e, a * e + b * c + t * b * e
+        for x in self.rows:
+            for y in other.rows:
+                u, v = _row_product(t, s, x, y)
                 rows.append((u, v))
-                rows.append((s * v, u + t * v))
+                rows.append(_times_omega(t, s, u, v))
         return FracIdeal._from_rows(self.field, rows, self.den * other.den)
 
     def scale(self, c) -> "FracIdeal":
-        return FracIdeal.from_gens(self.field, [e * c for e in self.basis_elems()])
+        """c * L for a nonzero rational or field element c."""
+        F = self.field
+        u, w, e = (c if isinstance(c, QFElem) else F.elem(c)).gen_ints()
+        t, s = F.omega_square
+        rows = [_row_product(t, s, x, (u, w)) for x in self.rows]
+        return FracIdeal._from_rows(F, rows, self.den * e)
 
     def __pow__(self, n: int) -> "FracIdeal":
         if n == 0:
@@ -513,32 +583,39 @@ class FracIdeal:
             n >>= 1
         return out
 
-    def contains(self, x: QFElem) -> bool:
-        u, w = x.gen_coords()
+    def _has_row(self, u: int, w: int) -> bool:
+        """Whether (u + w*omega) / den lies in the ideal: (u, w) = m*(a, b)
+        + n*(0, c) over Z."""
         (a, b), (_, c) = self.rows
-        # solve (u, w)*den = m*(a, b) + n*(0, c) over Z
-        un, wn = u * self.den, w * self.den
-        m = Fraction(un, a)
-        if m.denominator != 1:
-            return False
-        n = Fraction(wn - m * b, c)
-        return n.denominator == 1
+        return u % a == 0 and (w - u // a * b) % c == 0
+
+    def contains(self, x: QFElem) -> bool:
+        u, w, e = x.gen_ints()
+        u, w = u * self.den, w * self.den
+        return u % e == 0 and w % e == 0 and self._has_row(u // e, w // e)
 
     def is_ideal(self) -> bool:
-        omega = self.field.omega
-        return all(self.contains(e * omega) for e in self.basis_elems())
+        t, s = self.field.omega_square
+        return all(self._has_row(*_times_omega(t, s, u, w)) for u, w in self.rows)
 
     def __eq__(self, other):
         if not isinstance(other, FracIdeal):
             return NotImplemented
-        return (self.field.d == other.field.d
-                and [Fraction(r[0], self.den) for r in self.rows]
-                == [Fraction(r[0], other.den) for r in other.rows]
-                and [Fraction(r[1], self.den) for r in self.rows]
-                == [Fraction(r[1], other.den) for r in other.rows])
+        return (self.rows == other.rows and self.den == other.den
+                and self.field.d == other.field.d)
 
     def __hash__(self):
         return hash((self.field.d, self.rows, self.den))
+
+
+def _times_omega(t: int, s: int, u: int, w: int) -> tuple[int, int]:
+    """(u + w*omega) * omega over (1, omega), with omega^2 = t*omega + s."""
+    return (s * w, u + t * w)
+
+
+def _row_product(t: int, s: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
+    """(x0 + x1*omega) * (y0 + y1*omega) over (1, omega)."""
+    return (x[0] * y[0] + s * x[1] * y[1], x[0] * y[1] + x[1] * y[0] + t * x[1] * y[1])
 
 
 def prime_ideal(place: Place) -> FracIdeal:

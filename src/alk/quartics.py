@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .intarith import is_squarefree, squarefree_kernel
+from .intarith import squarefree_kernel
 from .nfpoly import NumberField, gaussian_period_quartic, poly_disc_quartic
 from .numfield import FieldTower, QuadField, make_quad_field, make_tower
 
@@ -75,7 +75,8 @@ def sqrt2plus_tower() -> FieldTower:
 
 
 def biquadratic_tower(d: int, e: int) -> FieldTower:
-    """K = Q(sqrt d, sqrt e) with F = Q(sqrt d); d, e squarefree, distinct."""
+    """K = Q(sqrt d, sqrt e) with F = Q(sqrt d); d squarefree and e any
+    integer that is not a square in F."""
     F = make_quad_field(d)
     tower = make_tower(F, Fraction(e), galois_hint="biquadratic")
     # conj polys: theta = sqrt d + sqrt e, images (+,+), (+,-), (-,+), (-,-)
@@ -86,12 +87,12 @@ def biquadratic_tower(d: int, e: int) -> FieldTower:
     conj = tuple(
         tuple(sd[i] * s1 + se[i] * s2 for i in range(4)) for s1, s2 in combos
     )
-    # third quadratic subfield has sqrt of the squarefree part of d*e
-    dk = None
-    if is_squarefree(e):
-        dk = F.disc * QuadField(e).disc * QuadField(squarefree_kernel(d * e)).disc
+    # D_K is the product of the discriminants of the three quadratic
+    # subfields Q(sqrt d), Q(sqrt e) and Q(sqrt(d e))
+    dk = (F.disc * QuadField(squarefree_kernel(e)).disc
+          * QuadField(squarefree_kernel(d * e)).disc)
     tower = FieldTower(F, tower.delta, tower.theta_min_poly, tower.sqrt_d_coords,
-                       declared_DK=dk, declared_maximal=dk is not None,
+                       declared_DK=dk, declared_maximal=True,
                        galois_hint="biquadratic", conj_polys=conj)
     _check_conj_polys(tower)
     return tower

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,7 +13,16 @@ from alk.boxcount import (
     make_radius_family,
     norm_of_family,
 )
-from alk.numfield import Place, finite_places, make_quad_field
+from alk.arakelov import box_membership
+from alk.numfield import (
+    FracIdeal,
+    Place,
+    QuadField,
+    finite_places,
+    make_quad_field,
+    prime_ideal,
+    splitting_type,
+)
 
 
 def test_gaussian_integers_in_small_disc():
@@ -104,3 +114,104 @@ def test_bound_check_passes_in_hypothesis():
     res = counting_bound_check(F, fam, Fraction(1))  # norm 8 >= disc 4
     assert res["hypothesis_ok"] and res["passed"]
     assert res["count"] <= res["bound"]
+
+
+# ---------------------------------------------------------------------------
+# the integer box membership test against the QFElem route it replaced
+
+
+def _leq_with_sqrt(rational_part, sqrt_part, d, bound):
+    """Exact test of rational_part + sqrt_part*sqrt(d) <= bound (d > 0)."""
+    rem = bound - rational_part
+    if sqrt_part == 0:
+        return rem >= 0
+    if sqrt_part > 0:
+        return rem >= 0 and sqrt_part * sqrt_part * d <= rem * rem
+    return rem >= 0 or sqrt_part * sqrt_part * d >= rem * rem
+
+
+def _in_box_reference(x, F, sq_radii):
+    if F.is_real:
+        sq = x * x  # sigma_1(x)^2 = a + b sqrt(d), sigma_2 flips the sign
+        return (_leq_with_sqrt(sq.a, sq.b, F.d, sq_radii[0])
+                and _leq_with_sqrt(sq.a, -sq.b, F.d, sq_radii[1]))
+    return x.norm() <= sq_radii[0]
+
+
+def _basis_coords(ideal, x):
+    """(m, k) with x = m*b0 + k*b1 over the HNF basis of the ideal."""
+    u, w = x.gen_coords()
+    (a, b), (_, c) = ideal.rows
+    m = u * ideal.den / a
+    k = (w * ideal.den - m * b) / c
+    assert m.denominator == 1 and k.denominator == 1
+    return int(m), int(k)
+
+
+MEMBERSHIP_FIELDS = (5, 13, 17, 2, 3, 6, -3, -7, -11, -15, -1, -2, -5)
+
+
+def test_integer_box_membership_matches_the_field_route():
+    rng = random.Random(31)
+    seen = {"in": 0, "out": 0, "boundary": 0}
+    kinds = set()
+    for d in MEMBERSHIP_FIELDS:
+        F = QuadField(d)
+        sqrt_d = F.elem(0, 1)
+        ideals = [FracIdeal.maximal_order(F)]
+        for p in (2, 3, 5, 7):
+            kinds.add((F.is_real, d % 4 == 1, splitting_type(F, p)))
+            for place in finite_places(F, p):
+                for e in (-2, -1, 1, 2):
+                    ideals.append(prime_ideal(place) ** e)
+        for ideal in ideals:
+            b0, b1 = ideal.basis_elems()
+            (_, b), (_, c) = ideal.rows
+            g = math.gcd(b, c)
+            x_rat = b0 * (c // g) - b1 * (b // g)  # the least positive rational
+            assert x_rat.is_rational()
+            q = abs(x_rat.a)
+            boxes = []
+            if F.is_real:
+                # equal and unequal radii, and radii met exactly by the
+                # rational points k*x_rat and the points k*x_rat*sqrt(d)
+                for _ in range(2):
+                    r1 = Fraction(rng.randint(1, 60), rng.randint(1, 9)) * q * q
+                    boxes.append(((r1, r1), []))
+                    boxes.append(((r1, Fraction(rng.randint(1, 60), rng.randint(1, 9)) * q * q), []))
+                t = rng.randint(1, 3)
+                boxes.append(((t * t * q * q, t * t * q * q), [x_rat * t]))
+                boxes.append(((t * t * q * q, 4 * t * t * q * q), [x_rat * t, x_rat * -t]))
+                boxes.append(((d * q * q, d * q * q), [x_rat * sqrt_d]))
+            else:
+                for _ in range(3):
+                    boxes.append(((Fraction(rng.randint(1, 200), rng.randint(1, 9)) * q * q,), []))
+                # Nr(x) = R on the boundary: any lattice point x, and the
+                # units at R = 1 when the ideal is O_F
+                x = b0 * rng.randint(-3, 3) + b1 * rng.randint(1, 3)
+                boxes.append(((x.norm(),), [x, -x]))
+                if ideal == FracIdeal.maximal_order(F):
+                    units = [u for u in (F.elem(1), F.elem(0, 1), F.omega, F.omega - 1)
+                             if u.norm() == 1]
+                    boxes.append(((Fraction(1),), units + [-u for u in units]))
+            for sq_radii, boundary in boxes:
+                inside = box_membership(ideal, sq_radii)
+                points = [(m, k) for m in range(-3, 4) for k in range(-3, 4)]
+                points += [_basis_coords(ideal, x) for x in boundary]
+                for m, k in points:
+                    want = _in_box_reference(b0 * m + b1 * k, F, sq_radii)
+                    assert inside(m, k) == want, (d, ideal, sq_radii, m, k)
+                    seen["in" if want else "out"] += 1
+                # boundary points are in the box, and leave it when any
+                # one radius shrinks
+                for x in boundary:
+                    m, k = _basis_coords(ideal, x)
+                    assert inside(m, k), (d, ideal, sq_radii, x)
+                    hit = [i for i, R in enumerate(sq_radii)
+                           if not box_membership(ideal, [R * (1 - Fraction(1, 10 ** 9)) if j == i
+                                                          else S for j, S in enumerate(sq_radii)])(m, k)]
+                    assert hit, (d, ideal, sq_radii, x)
+                    seen["boundary"] += 1
+    assert min(seen.values()) > 300, seen
+    # real and imaginary fields, d = 1 mod 4 and not, split, inert and ramified
+    assert len(kinds) == 12, kinds

@@ -205,6 +205,20 @@ def test_biquadratic_tower_with_e_equal_to_d_exits_one(capsys):
     assert err == "error: delta must be a nonsquare in F\n"
 
 
+def test_biquadratic_disc_with_e_not_squarefree(capsys):
+    # Q(sqrt 5, sqrt 12) = Q(sqrt 5, sqrt 3): D_K = 5 * 12 * 60, and with
+    # e = -12 the subfields Q(sqrt -3), Q(sqrt -15) give D_K = 5 * 3 * 15;
+    # alk disc prints D_K / D_F^2
+    from alk import quartics
+
+    for e, dk, disc_u in ((12, 3600, {"2": 16, "3": 9}), (-12, 225, {"3": 9})):
+        code, data = run_json(capsys, ["disc", "--tower",
+                                       f'{{"kind": "biquadratic", "d": 5, "e": {e}}}'])
+        assert code == 0, e
+        assert data["disc_fin"] * 5 ** 2 == dk and data["disc_u"] == disc_u, e
+        assert quartics.biquadratic_tower(5, e).declared_DK == dk
+
+
 def test_linnik_rhs_exit_codes(capsys):
     code, data = run_json(capsys, ["linnik-rhs", "--disc", "1e6", "--vol", "1e3",
                                    "--tau", "1.0", "--h", "2.302585092994046"])

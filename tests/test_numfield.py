@@ -330,3 +330,168 @@ def test_place_residue_sizes():
     assert Place(F, "finite", 2, "inert").residue_size == 4
     assert Place(F, "finite", 5, "ramified").residue_size == 5
     assert finite_places(F, 11)[0].residue_size == 11
+
+
+# ---------------------------------------------------------------------------
+# the integer QFElem against plain rational pairs
+
+
+def _ref_mul(x, y, d):
+    return (x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_norm(x, d):
+    return x[0] * x[0] - d * x[1] * x[1]
+
+
+def _ref_inverse(x, d):
+    n = _ref_norm(x, d)
+    return (x[0] / n, -x[1] / n)
+
+
+def _ref_pow(x, e, d):
+    if e < 0:
+        x, e = _ref_inverse(x, d), -e
+    out = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        out = _ref_mul(out, x, d)
+    return out
+
+
+def _coords(x):
+    return (x.a, x.b)
+
+
+def _canonical(x):
+    return x.den > 0 and math.gcd(x.an, x.bn, x.den) == 1 and \
+        (x.a, x.b) == (Fraction(x.an, x.den), Fraction(x.bn, x.den))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from([-15, -11, -7, -5, -3, -2, -1, 2, 3, 5, 6, 10, 13, 17]),
+    xs=st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 12)), min_size=4, max_size=4),
+    e=st.integers(-4, 4),
+)
+def test_qfelem_matches_rational_pairs(d, xs, e):
+    F = QuadField(d)
+    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = xs
+    rx = (Fraction(p0, q0), Fraction(p1, q1))
+    ry = (Fraction(p2, q2), Fraction(p3, q3))
+    x, y = F.elem(*rx), F.elem(*ry)
+    assert _canonical(x) and _coords(x) == rx
+    assert _coords(x + y) == (rx[0] + ry[0], rx[1] + ry[1])
+    assert _coords(x - y) == (rx[0] - ry[0], rx[1] - ry[1])
+    assert _coords(-x) == (-rx[0], -rx[1])
+    assert _coords(x * y) == _ref_mul(rx, ry, d)
+    assert _coords(x.conj()) == (rx[0], -rx[1])
+    assert x.norm() == _ref_norm(rx, d) and type(x.norm()) is Fraction
+    assert x.trace() == 2 * rx[0] and type(x.trace()) is Fraction
+    # x = u + v*omega, with omega = (1 + sqrt d)/2 when d = 1 mod 4
+    if d % 4 == 1:
+        assert x.gen_coords() == (rx[0] - rx[1], 2 * rx[1])
+    else:
+        assert x.gen_coords() == rx
+    # scalars on both sides
+    q = Fraction(p2, q2)
+    assert _coords(x * q) == _coords(q * x) == (rx[0] * q, rx[1] * q)
+    assert _coords(x + p3) == _coords(p3 + x) == (rx[0] + p3, rx[1])
+    assert _coords(p3 - x) == (p3 - rx[0], -rx[1])
+    for z in (x + y, x * y, x * q, x.conj(), -x, x + p3):
+        assert _canonical(z)
+    if not x.is_zero():
+        assert _coords(x.inverse()) == _ref_inverse(rx, d)
+        assert _canonical(x.inverse())
+        assert _coords(y / x) == _ref_mul(ry, _ref_inverse(rx, d), d)
+        assert _coords(1 / x) == _ref_inverse(rx, d)
+        assert _coords(x ** e) == _ref_pow(rx, e, d)
+    if q != 0:
+        assert _coords(x / q) == (rx[0] / q, rx[1] / q)
+    # equality and hashing follow the value, not how it was reached
+    same = F.elem(rx[0] * 3, rx[1] * 3) * Fraction(1, 3)
+    assert same == x and hash(same) == hash(x)
+    assert (x == y) == (rx == ry)
+    r = F.elem(rx[0])
+    assert r == rx[0] and (r == rx[0] + 1) is False
+    assert (x == rx[0]) == (rx[1] == 0)
+    if rx[0].denominator == 1:
+        assert r == int(rx[0])
+
+
+def test_qfelem_canonical_denominator():
+    F = QuadField(5)
+    x = F.elem(Fraction(1, 2), Fraction(1, 2))
+    assert (x.an, x.bn, x.den) == (1, 1, 2) and x == F.omega
+    y = x * 2 - 1  # sqrt(5)
+    assert (y.an, y.bn, y.den) == (0, 1, 1)
+    z = F.elem(Fraction(2, 6), Fraction(-4, 6)).inverse()
+    # (1 - 2 sqrt 5) / 3 has norm -19/9, inverse -3 (1 + 2 sqrt 5) / 19
+    assert (z.an, z.bn, z.den) == (-3, -6, 19)
+    assert F.elem(0) == 0 and F.elem(0).den == 1
+    assert hash(F.elem(3)) == hash(F.elem(Fraction(6, 2)))
+    with pytest.raises(ZeroDivisionError):
+        F.elem(0).inverse()
+    with pytest.raises(ValueError):
+        x * QuadField(-1).elem(1, 1)
+
+
+# ---------------------------------------------------------------------------
+# FracIdeal operations on integer rows against the generator route
+
+
+def _contains_by_fractions(ideal, x):
+    """Membership by solving (u, w) * den = m*(a, b) + n*(0, c) over Q."""
+    u, w = x.gen_coords()
+    (a, b), (_, c) = ideal.rows
+    m = u * ideal.den / a
+    if m.denominator != 1:
+        return False
+    return ((w * ideal.den - m * b) / c).denominator == 1
+
+
+def test_ideal_operations_match_the_generator_route():
+    rng = random.Random(41)
+    cases = 0
+    for d in (-15, -11, -7, -5, -3, -2, -1, 2, 3, 5, 6, 10, 13, 17):
+        F = QuadField(d)
+        omega = F.omega
+        for p in (2, 3, 5, 7, 11, 13):
+            for place in finite_places(F, p):
+                P = prime_ideal(place)
+                for e in range(-6, 7):
+                    ideal = P ** e
+                    basis = ideal.basis_elems()
+                    n = ideal.norm()
+                    assert ideal.inverse() == FracIdeal.from_gens(
+                        F, [x.conj() / n for x in basis])
+                    assert ideal.conj() == FracIdeal.from_gens(F, [x.conj() for x in basis])
+                    c = F.elem(Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)),
+                               Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+                    for s in (c, Fraction(rng.randint(1, 9), rng.randint(1, 9)), -2):
+                        assert ideal.scale(s) == FracIdeal.from_gens(F, [x * s for x in basis])
+                    assert ideal.is_ideal()
+                    assert all(_contains_by_fractions(ideal, x * omega) for x in basis)
+                    for _ in range(4):
+                        x = basis[0] * rng.randint(-5, 5) + basis[1] * rng.randint(-5, 5)
+                        y = x + F.elem(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                                       Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+                        for z in (x, y, x * Fraction(1, p)):
+                            assert ideal.contains(z) == _contains_by_fractions(ideal, z)
+                    cases += 1
+    assert cases > 1300
+
+
+def test_non_ideal_modules_are_rejected():
+    for d in (-1, 5, 2, -3):
+        F = QuadField(d)
+        # Z + 2*omega*Z is an order, not an O_F-ideal
+        module = FracIdeal(F, ((1, 0), (0, 2)), 1)
+        assert not module.is_ideal()
+        assert module.contains(F.elem(1)) and not module.contains(F.omega)
+        assert module != FracIdeal.maximal_order(F)
+        assert FracIdeal.maximal_order(F) == FracIdeal.from_gens(F, [F.elem(-1)])
+        # a basis that is not the canonical HNF is refused, not compared
+        for rows, den in ((((2, 0), (0, 2)), 2), (((1, 3), (0, 2)), 1),
+                          (((1, 0), (1, 1)), 1), (((-1, 0), (0, 1)), 1)):
+            with pytest.raises(ValueError, match="canonical"):
+                FracIdeal(F, rows, den)
