@@ -1,8 +1,7 @@
 """Command-line interface: every operation behind a subcommand, JSON out.
 
 Exit codes: 0 success, 2 hypothesis violation (the result is still
-emitted), 1 error.  ALK_PRECISION overrides the working precision in
-bits for the float embedding path.
+emitted), 1 error.
 """
 
 from __future__ import annotations
@@ -216,7 +215,8 @@ def _cmd_invariants(args, cfg: RunConfig):
         values[_key(s)] = v if not hasattr(v, "coeffs") else list(v.coeffs)
     return {
         "galois_type": gtype,
-        "exact": profile.exact,
+        # the values are coordinates in the power basis of this polynomial's root
+        "min_poly": list(emb.closure.min_poly),
         "values": values,
         "in_R": block["in_R"],
         "vanishing_on_special": block["vanishing"],

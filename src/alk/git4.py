@@ -8,9 +8,10 @@ signed monomials
     Psi0_sigma(g) = det(g)^{-1} sign(sigma) prod_i g[sigma(i)][i]
 
 evaluated on the conjugated matrix generate the bi-T-invariant regular
-functions.  For abelian K the embedding matrix is exact (automorphisms
-as polynomials in theta); otherwise complex floats, with the working
-precision taken from the ALK_PRECISION environment variable.
+functions.  g is exact in the Galois closure L of K: L = K when K/Q is
+abelian, and the degree-8 field F(sqrt(delta), sqrt(conj delta)) when K
+is dihedral.  The Galois relations are checked for every automorphism of
+L, so for a dihedral tower for all eight elements of D4.
 
 Permutations of {0,1,2,3} are stored as image tuples.
 """
@@ -19,15 +20,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .intarith import valuation
+from .intarith import is_square_fraction, sqrt_fraction, valuation
 from .nfpoly import NFElem, NumberField
-from .numfield import FieldTower
-from .ratlinalg import mat_det, mat_inv, mat_mul, transpose
+from .numfield import FieldTower, biquadratic_conj_polys
+from .ratlinalg import mat_det, mat_inv, mat_mul, mat_vec, transpose
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
 IDENTITY = (0, 1, 2, 3)
@@ -76,7 +76,6 @@ class GaloisStructure:
     name: str
     image: frozenset
     special: tuple  # permutations whose invariant vanishing detects the block
-    star_pattern: tuple  # orbit labels of the entry positions
 
 
 # cycles below in 0-based image-tuple form:
@@ -86,15 +85,10 @@ _SWAP34 = (0, 1, 3, 2)
 _KLEIN = frozenset({IDENTITY, (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)})
 
 _STRUCTURES = {
-    "biquadratic": GaloisStructure(
-        "biquadratic", _KLEIN, ((3, 2, 1, 0), (2, 3, 0, 1)),
-        ((1, 2, 3, 4), (2, 1, 4, 3), (3, 4, 1, 2), (4, 3, 2, 1))),
-    "cyclic": GaloisStructure(
-        "cyclic", _closure([_C4]), (_C4, perm_inverse(_C4)),
-        ((1, 2, 3, 4), (2, 1, 4, 3), (4, 3, 1, 2), (3, 4, 2, 1))),
-    "dihedral": GaloisStructure(
-        "dihedral", _closure([_C4, _SWAP34]), (_C4, perm_inverse(_C4)),
-        ((1, 2, 3, 3), (2, 1, 3, 3), (3, 3, 1, 2), (3, 3, 2, 1))),
+    "biquadratic": GaloisStructure("biquadratic", _KLEIN, ((3, 2, 1, 0), (2, 3, 0, 1))),
+    "cyclic": GaloisStructure("cyclic", _closure([_C4]), (_C4, perm_inverse(_C4))),
+    "dihedral": GaloisStructure("dihedral", _closure([_C4, _SWAP34]),
+                                (_C4, perm_inverse(_C4))),
 }
 
 
@@ -104,21 +98,6 @@ def galois_structures(galois_type: str) -> GaloisStructure:
     return _STRUCTURES[galois_type]
 
 
-def pattern_orbits(image) -> tuple:
-    """Orbit labels of the 16 entry positions under the diagonal action."""
-    labels = [[0] * 4 for _ in range(4)]
-    nxt = 1
-    for i in range(4):
-        for j in range(4):
-            if labels[i][j]:
-                continue
-            orbit = {(s[i], s[j]) for s in image}
-            for a, b in orbit:
-                labels[a][b] = nxt
-            nxt += 1
-    return tuple(tuple(r) for r in labels)
-
-
 # ---------------------------------------------------------------------------
 # regular embedding
 
@@ -126,11 +105,12 @@ def pattern_orbits(image) -> tuple:
 @dataclass(frozen=True)
 class EmbeddingData:
     tower: FieldTower
-    nf: NumberField
-    g: tuple  # 4x4 rows, NFElem (exact) or complex/mpmath entries
+    nf: NumberField  # K, whose regular representation gamma comes from
+    closure: NumberField  # the Galois closure L of K, where g lives
+    g: tuple  # 4x4 rows of NFElem in L
     g_inv: tuple
-    exact: bool
-    conj_perm: Optional[tuple] = None  # complex conjugation on embeddings (float mode)
+    automorphisms: tuple  # Gal(L/Q) as nfpoly.Automorphism maps of L
+    galois_image: tuple  # per automorphism tau, rho with tau(g[i][j]) = g[i][rho(j)]
 
     def regular_matrix(self, coeffs) -> list[list[Fraction]]:
         """Regular representation of the element with the given power-basis
@@ -141,87 +121,103 @@ class EmbeddingData:
         return self.regular_matrix(self.tower.sqrt_d_coords)
 
 
-def _precision_bits() -> int:
-    raw = os.environ.get("ALK_PRECISION", "53")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"ALK_PRECISION must be an integer number of bits, "
-                         f"got {raw!r}") from None
+def _galois_conj_polys(tower: FieldTower, K: NumberField):
+    """The four roots of theta's minimal polynomial in K, as polynomials in
+    theta with sqrt(d) positive at the first two, when K/Q is Galois: the
+    roots +-sqrt(d) +- sqrt(e) when delta = e is rational, and +-theta,
+    +-sqrt(Nr delta)/theta when Nr(delta) is a square in F.  None for a
+    dihedral tower."""
+    delta, d = tower.delta, tower.base.d
+    if delta.b == 0:
+        return biquadratic_conj_polys(d, delta.a)
+    n = delta.norm()
+    if is_square_fraction(n):
+        root_n = K.elem(sqrt_fraction(n))
+    elif is_square_fraction(n / d):
+        root_n = K.elem(tower.sqrt_d_coords) * sqrt_fraction(n / d)
+    else:
+        return None
+    theta = K.gen
+    other = root_n / theta  # a square root of conj(delta) = Nr(delta) / delta
+    return tuple(r.coeffs for r in (theta, -theta, other, -other))
 
 
-def _float_roots(min_poly, bits: int):
-    """Roots at working precision max(bits, 53): mpmath numbers above 53
-    bits, plain complex numbers (fast arithmetic) at 53 bits and below."""
-    import mpmath
-
-    prec = max(bits, 53)
-    with mpmath.workprec(prec):
-        roots = mpmath.polyroots([mpmath.mpf(float(c)) for c in reversed(min_poly)],
-                                 maxsteps=200, extraprec=prec)
-        if bits <= 53:
-            return [complex(r) for r in roots]
-        return [mpmath.mpc(r) for r in roots]
+def _closure_mul(x, y, delta):
+    """Product in F(u, v), u^2 = delta and v^2 = conj(delta), of elements
+    given by their F-coordinates on (1, u, v, uv)."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    bar = delta.conj()
+    return (x0 * y0 + x1 * y1 * delta + x2 * y2 * bar + x3 * y3 * delta.norm(),
+            x0 * y1 + x1 * y0 + (x2 * y3 + x3 * y2) * bar,
+            x0 * y2 + x2 * y0 + (x1 * y3 + x3 * y1) * delta,
+            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1)
 
 
-def _order_roots_for_F(tower: FieldTower, roots):
-    """Order the four roots so the induced embeddings restrict to F
-    compatibly: sqrt(d) positive (resp. +i sqrt|d|) at the first two."""
-    d = tower.base.d
-    target = complex(d) ** 0.5  # principal branch
+def _dihedral_closure(tower: FieldTower):
+    """(L, roots, conj polys) for a dihedral tower K = F(u), u^2 = delta.
 
-    def sd_at(r):
-        out = 0j
-        for c in reversed(tower.sqrt_d_coords):
-            out = out * complex(r) + complex(float(c))
-        return out
+    L = F(u, v) with v^2 = conj(delta) has degree 8 and is generated by
+    eta = u + 2v: its conjugates +-u +- 2v and +-v +- 2u are distinct, as
+    u/v is not rational (u^2/v^2 = delta/conj(delta) is not a rational
+    square when b != 0).  (eta = u + v is fixed by the swap u <-> v.)  One
+    exact elimination over the basis sqrt(d)^i u^j v^k gives eta^8 and the
+    coordinates of sqrt(d), u and v in the power basis of eta.  The roots
+    are (u, -u, v, -v), which sends sqrt(d) to +sqrt(d) at the first two,
+    and Gal(L/Q) is D4: u -> +-u, v -> +-v fixing sqrt(d), and u -> +-v,
+    v -> +-u negating it."""
+    delta = tower.delta
+    F = delta.field
+    zero, one = F.elem(0), F.elem(1)
+    eta = (zero, one, F.elem(2), zero)
+    powers = [(one, zero, zero, zero)]
+    for _ in range(8):
+        powers.append(_closure_mul(powers[-1], eta, delta))
 
-    plus, minus = [], []
-    for r in roots:
-        (plus if abs(sd_at(r) - target) < abs(sd_at(r) + target) else minus).append(r)
-    if len(plus) != 2 or len(minus) != 2:
-        raise ArithmeticError("embedding matrix numerically degenerate; "
-                              "raise ALK_PRECISION")
-    key = lambda r: (round(complex(r).real, 9), round(complex(r).imag, 9))
-    return sorted(plus, key=key) + sorted(minus, key=key)
+    def coords(x):
+        return [c for q in x for c in (q.a, q.b)]
+
+    inv = mat_inv(transpose([coords(p) for p in powers[:8]]))
+    eta8, sqrt_d, u, v = (mat_vec(inv, coords(x)) for x in (
+        powers[8], (F.elem(0, 1), zero, zero, zero), (zero, one, zero, zero),
+        (zero, zero, one, zero)))
+    L = NumberField(tuple(-c for c in eta8) + (Fraction(1),))
+    assert L.elem(sqrt_d) ** 2 == tower.base.d, "closure coordinates wrong"
+    conj = [tuple(e1 * x + 2 * e2 * y for x, y in zip(*pair))
+            for pair in ((u, v), (v, u)) for e1 in (1, -1) for e2 in (1, -1)]
+    roots = [L.elem(u), -L.elem(u), L.elem(v), -L.elem(v)]
+    return L, roots, conj
 
 
 def regular_embedding(tower: FieldTower) -> EmbeddingData:
+    """g[i][j] = sigma_j(theta)^i in the Galois closure L of K: L = K for
+    abelian towers, the degree-8 field of _dihedral_closure otherwise."""
     if tower.degree != 4:
         raise ValueError("quartic tower required")
     nf = NumberField(tuple(Fraction(c) for c in tower.theta_min_poly))
-    theta = nf.gen
-    if tower.conj_polys is not None:
-        images = [theta.apply_conj(cp) for cp in tower.conj_polys]
-        g = [[images[j] ** i for j in range(4)] for i in range(4)]
-        g_inv = mat_inv(g)
-        return EmbeddingData(tower, nf, tuple(map(tuple, g)),
-                             tuple(map(tuple, g_inv)), True)
-    bits = _precision_bits()
-    roots = _order_roots_for_F(tower, _float_roots(tower.theta_min_poly, bits))
-    g = [[roots[j] ** i for j in range(4)] for i in range(4)]
-    g_inv = mat_inv(g)
-    # permutation induced by complex conjugation on the embeddings
-    conj_perm = []
+    conj = tower.conj_polys or _galois_conj_polys(tower, nf)
+    if conj is not None:
+        L, roots = nf, [nf.elem(cp) for cp in conj]
+    else:
+        L, roots, conj = _dihedral_closure(tower)
+    g = [[r ** i for r in roots] for i in range(4)]
+    taus = tuple(L.automorphism(cp) for cp in conj)
+    image = tuple(_column_permutation(g, tau) for tau in taus)
+    return EmbeddingData(tower, nf, L, tuple(map(tuple, g)), tuple(map(tuple, mat_inv(g))),
+                         taus, image)
+
+
+def _column_permutation(g, tau) -> tuple:
+    """rho with tau(g[i][j]) = g[i][rho(j)] for the automorphism tau."""
+    rho = []
     for j in range(4):
-        rc = complex(roots[j]).conjugate()
-        k = min(range(4), key=lambda m: abs(complex(roots[m]) - rc))
-        if abs(complex(roots[k]) - rc) > 1e-6:
-            raise ArithmeticError("roots not closed under conjugation")
-        conj_perm.append(k)
-    return EmbeddingData(tower, nf, tuple(map(tuple, g)),
-                         tuple(map(tuple, g_inv)), False, tuple(conj_perm))
-
-
-def _to_complex(x) -> complex:
-    if isinstance(x, complex):
-        return x
-    if isinstance(x, (int, float, Fraction)):
-        return complex(float(x))
-    try:  # mpmath numbers
-        return complex(x)
-    except TypeError:
-        raise TypeError(f"cannot coerce {type(x)} to complex")
+        col_img = [tau(g[i][j]) for i in range(4)]
+        match = next((k for k in range(4) if all(col_img[i] == g[i][k] for i in range(4))),
+                     None)
+        if match is None:
+            raise ArithmeticError("automorphism does not permute the columns")
+        rho.append(match)
+    return tuple(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +226,7 @@ def _to_complex(x) -> complex:
 
 @dataclass(frozen=True)
 class InvariantProfile:
-    values: tuple  # (perm, value) pairs, value exact or complex
-    exact: bool
+    values: tuple  # (perm, value) pairs, value Fraction or NFElem of the closure
     galois_type: Optional[str] = None
 
     def value(self, perm):
@@ -240,56 +235,34 @@ class InvariantProfile:
                 return v
         raise KeyError(perm)
 
-    def numeric(self, perm) -> complex:
-        v = self.value(perm)
-        if isinstance(v, NFElem):
-            raise TypeError("non-rational exact value has no canonical number")
-        return _to_complex(v)
-
-
-def _rationalize(v, exact: bool):
-    """Reduce a Psi value to a Fraction when honestly possible.  A float
-    value becomes one only with a denominator up to 10**4 within 1e-12,
-    which a random real meets with probability about 1e-4."""
-    if exact:
-        if isinstance(v, NFElem):
-            if not any(v.num[1:]):
-                return Fraction(v.num[0], v.den)
-            return v
-        return Fraction(v)
-    z = _to_complex(v)
-    if abs(z.imag) > 1e-9:
-        return z
-    fr = Fraction(z.real).limit_denominator(10 ** 4)
-    if abs(float(fr) - z.real) < 1e-12:
-        return fr
-    return z
-
 
 def conjugated_matrix(emb: EmbeddingData, gamma):
-    """g^{-1} gamma g with gamma rational."""
-    if emb.exact:
-        gm = [[emb.nf.elem(Fraction(x)) for x in row] for row in gamma]
-    else:
-        gm = [[_to_complex(float(Fraction(x))) for x in row] for row in gamma]
-    return mat_mul(mat_mul([list(r) for r in emb.g_inv], gm),
-                   [list(r) for r in emb.g])
+    """g^{-1} gamma g with gamma rational; gamma's entries stay Fractions,
+    so the first product scales field elements by rationals."""
+    gm = [[Fraction(x) for x in row] for row in gamma]
+    return mat_mul(mat_mul(emb.g_inv, gm), emb.g)
 
 
-def psi_invariants(emb: EmbeddingData, gamma,
-                   galois_type: Optional[str] = None) -> InvariantProfile:
+def _psi_values(emb: EmbeddingData, gamma, perms):
+    """(m, [(s, Psi_s(gamma)) for s in perms]) from one conjugated matrix m;
+    a value in Q is returned as a Fraction."""
     det = mat_det([[Fraction(x) for x in row] for row in gamma])
     if det == 0:
         raise ValueError("gamma must be invertible")
     m = conjugated_matrix(emb, gamma)
     vals = []
-    for s in ALL_PERMS:
+    for s in perms:
         prod = m[s[0]][0]
         for i in range(1, 4):
             prod = prod * m[s[i]][i]
         v = prod * Fraction(perm_sign(s), 1) / det
-        vals.append((s, _rationalize(v, emb.exact)))
-    return InvariantProfile(tuple(vals), emb.exact, galois_type)
+        vals.append((s, Fraction(v.num[0], v.den) if not any(v.num[1:]) else v))
+    return m, vals
+
+
+def psi_invariants(emb: EmbeddingData, gamma,
+                   galois_type: Optional[str] = None) -> InvariantProfile:
+    return InvariantProfile(tuple(_psi_values(emb, gamma, ALL_PERMS)[1]), galois_type)
 
 
 def psi_sum_check(emb: EmbeddingData, gamma) -> object:
@@ -302,118 +275,35 @@ def psi_sum_check(emb: EmbeddingData, gamma) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Galois relations and entry patterns
+# Galois relations
 
 
-def _column_permutation_exact(emb: EmbeddingData, conj_poly) -> tuple:
-    """rho with tau(g[i][j]) = g[i][rho(j)] for the automorphism tau."""
-    g = emb.g
-    rho = []
-    for j in range(4):
-        col_img = [g[i][j].apply_conj(conj_poly) for i in range(4)]
-        match = None
-        for k in range(4):
-            if all(col_img[i] == g[i][k] for i in range(4)):
-                match = k
-                break
-        if match is None:
-            raise ArithmeticError("automorphism does not permute the columns")
-        rho.append(match)
-    return tuple(rho)
-
-
-def galois_image_permutations(emb: EmbeddingData) -> tuple:
-    """The image of the Galois group in S4, one permutation per conj poly."""
-    if not emb.exact:
-        raise ValueError("exact embedding required")
-    return tuple(_column_permutation_exact(emb, cp)
-                 for cp in emb.tower.conj_polys)
-
-
-def pattern_and_relation_check(emb: EmbeddingData, gamma,
-                               galois_type: str, tol: float = 1e-9) -> dict:
+def pattern_and_relation_check(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     """Entry-level Galois relation tau(m[i][j]) = m[rho i][rho j] and the
-    profile-level relation tau.Psi_sigma = Psi_{rho sigma rho^{-1}}."""
+    profile-level relation tau.Psi_sigma = Psi_{rho sigma rho^{-1}}, for
+    every automorphism tau of the closure."""
     gs = galois_structures(galois_type)
-    m = conjugated_matrix(emb, gamma)
-    profile = psi_invariants(emb, gamma, galois_type)
-    if emb.exact:
-        entry_ok = True
-        profile_ok = True
-        image = []
-        for cp in emb.tower.conj_polys:
-            rho = _column_permutation_exact(emb, cp)
-            image.append(rho)
-            for i in range(4):
-                for j in range(4):
-                    img = m[i][j].apply_conj(cp)
-                    if img != m[rho[i]][rho[j]]:
-                        entry_ok = False
-            rho_inv = perm_inverse(rho)
-            for s in ALL_PERMS:
-                v = profile.value(s)
-                v_img = v.apply_conj(cp) if isinstance(v, NFElem) else v
-                target = profile.value(perm_compose(perm_compose(rho, s), rho_inv))
-                if not _exact_equal(v_img, target):
-                    profile_ok = False
-        image_ok = frozenset(image) == gs.image
-        return {"entry_relation": entry_ok, "profile_relation": profile_ok,
-                "image_matches": image_ok, "pass": entry_ok and profile_ok and image_ok}
-    # float route: the only automorphism acting computably on plain complex
-    # values is complex conjugation; also require the per-orbit elementary
-    # symmetric functions of the entries to be real (Galois-stable orbits).
-    rho = emb.conj_perm
-    rho_inv = perm_inverse(rho)
-    entry_ok = all(
-        abs(_to_complex(m[i][j]).conjugate() - _to_complex(m[rho[i]][rho[j]])) < tol
-        for i in range(4) for j in range(4)
-    )
-    profile_ok = all(
-        abs(_to_complex(profile.value(s)).conjugate()
-            - _to_complex(profile.value(perm_compose(perm_compose(rho, s), rho_inv)))) < tol
-        for s in ALL_PERMS
-    )
-    labels = pattern_orbits(gs.image)
-    sym_ok = True
-    for lab in {x for row in labels for x in row}:
-        entries = [_to_complex(m[i][j]) for i in range(4) for j in range(4)
-                   if labels[i][j] == lab]
-        e = [1.0 + 0j]
-        for z in entries:
-            e.append(0j)
-            for k in range(len(e) - 1, 0, -1):
-                e[k] = e[k] + z * e[k - 1]
-        if any(abs(c.imag) > tol * max(1.0, abs(c)) for c in e[1:]):
-            sym_ok = False
-    pattern_ok = _same_partition(labels, gs.star_pattern)
+    m, vals = _psi_values(emb, gamma, ALL_PERMS)
+    profile = dict(vals)
+    entry_ok = profile_ok = True
+    for tau, rho in zip(emb.automorphisms, emb.galois_image):
+        if any(tau(m[i][j]) != m[rho[i]][rho[j]] for i in range(4) for j in range(4)):
+            entry_ok = False
+        rho_inv = perm_inverse(rho)
+        for s, v in vals:
+            v_img = tau(v) if isinstance(v, NFElem) else v
+            if v_img != profile[perm_compose(perm_compose(rho, s), rho_inv)]:
+                profile_ok = False
+    image_ok = frozenset(emb.galois_image) == gs.image
     return {"entry_relation": entry_ok, "profile_relation": profile_ok,
-            "orbit_symmetric_real": sym_ok, "pattern_ok": pattern_ok,
-            "pass": entry_ok and profile_ok and sym_ok}
-
-
-def _same_partition(a, b) -> bool:
-    """Whether two label matrices induce the same partition of positions."""
-    def groups(lab):
-        g = {}
-        for i in range(4):
-            for j in range(4):
-                g.setdefault(lab[i][j], set()).add((i, j))
-        return sorted(tuple(sorted(s)) for s in g.values())
-    return groups(a) == groups(b)
-
-
-def _exact_equal(a, b) -> bool:
-    if isinstance(a, NFElem) or isinstance(b, NFElem):
-        return a == b
-    return Fraction(a) == Fraction(b)
+            "image_matches": image_ok, "pass": entry_ok and profile_ok and image_ok}
 
 
 # ---------------------------------------------------------------------------
 # block membership
 
 
-def block_membership_test(emb: EmbeddingData, gamma, galois_type: str,
-                          tol: float = 1e-9) -> dict:
+def block_membership_test(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     """gamma in the embedded Res_{F/Q} GL2 iff Psi_sigma(gamma) = 0 for the
     special permutations iff gamma commutes with multiplication by sqrt(d);
     the commutation route is exact over Q and is the ground truth."""
@@ -421,20 +311,10 @@ def block_membership_test(emb: EmbeddingData, gamma, galois_type: str,
     sd = emb.sqrt_d_matrix()
     gm = [[Fraction(x) for x in row] for row in gamma]
     commutes = mat_mul(sd, gm) == mat_mul(gm, sd)
-    profile = psi_invariants(emb, gamma, galois_type)
-    sp_values = {s: profile.value(s) for s in gs.special}
-    if emb.exact:
-        vanish = all(_is_exact_zero(v) for v in sp_values.values())
-    else:
-        vanish = all(abs(_to_complex(v)) < tol for v in sp_values.values())
+    sp_values = dict(_psi_values(emb, gamma, gs.special)[1])
+    vanish = all(v == 0 for v in sp_values.values())
     return {"in_R": commutes, "psi_sp_values": sp_values,
             "vanishing": vanish, "routes_agree": commutes == vanish}
-
-
-def _is_exact_zero(v) -> bool:
-    if isinstance(v, NFElem):
-        return not any(v.num)
-    return Fraction(v) == 0
 
 
 def content_vanishing_detector(profile: InvariantProfile, gs: GaloisStructure,

@@ -1,17 +1,18 @@
 """Exact arithmetic in Q[x]/(m) for monic m, plus cyclotomic helpers.
 
 Used for quartic towers: traces of order bases, exact embedding matrices
-for abelian quartic fields, and the Gaussian-period construction of
-cyclic quartic fields inside Q(zeta_p) for primes p = 1 mod 4.  The
-periods and the Gauss sum are integer vectors in Z[zeta_p]; the
-coordinates of eta_1 and of sqrt(p) in the power basis of eta_0 come from
-one exact Gauss-Jordan elimination on the overdetermined system.
+in the Galois closure of a quartic field (degree 4 or 8), and the
+Gaussian-period construction of cyclic quartic fields inside Q(zeta_p)
+for primes p = 1 mod 4.  The periods and the Gauss sum are integer
+vectors in Z[zeta_p]; the coordinates of eta_1 and of sqrt(p) in the
+power basis of eta_0 come from one exact Gauss-Jordan elimination on the
+overdetermined system.
 
 A field element is a vector of integer numerators over one positive
 common denominator, kept in lowest terms (Cohen, GTM 138, ch. 4).  A
-field caches integer tables for reducing x^n ... x^(2n-2) mod m and for
-each automorphism it applies, so a product or a conjugate is integer
-vector work followed by one gcd.
+field caches an integer table for reducing x^n ... x^(2n-2) mod m and one
+`Automorphism` (an integer matrix) per automorphism it applies, so a
+product or a conjugate is integer vector work followed by one gcd.
 """
 
 from __future__ import annotations
@@ -91,26 +92,17 @@ class NumberField:
                             for i in range(1, n)]
 
     @cached_property
-    def _conj_tables(self) -> dict:
+    def _automorphisms(self) -> dict:
         return {}
 
-    def _conj_table(self, conj_poly) -> tuple[list[list[int]], int]:
-        """(rows, den): the images of 1, x, ..., x^(n-1) under x -> conj_poly,
-        as the columns of an integer matrix over one denominator."""
+    def automorphism(self, conj_poly) -> "Automorphism":
+        """The automorphism sending the generator to conj_poly, built once
+        per field and polynomial."""
         key = tuple(conj_poly)
-        table = self._conj_tables.get(key)
-        if table is None:
-            c = self.elem(conj_poly)
-            # integer products, not NFElem.__mul__, so the element
-            # multiplications a caller performs do not depend on the cache
-            powers = [self.one()]
-            for _ in range(self.degree - 1):
-                p = powers[-1]
-                powers.append(_canonical(self, self._mul_ints(p.num, c.num),
-                                         p.den * c.den * self._reduction[1]))
-            cols, den = _over_common_den([p.coeffs for p in powers])
-            table = self._conj_tables[key] = ([list(r) for r in zip(*cols)], den)
-        return table
+        tau = self._automorphisms.get(key)
+        if tau is None:
+            tau = self._automorphisms[key] = Automorphism(self, key)
+        return tau
 
     def _mul_ints(self, a, b) -> list[int]:
         """Numerators of a*b mod m over the reduction denominator, for
@@ -260,16 +252,39 @@ class NFElem:
 
     def apply_conj(self, conj_poly: Sequence[Fraction]) -> "NFElem":
         """Image under the automorphism sending the generator to conj_poly."""
-        rows, den = self.field._conj_table(conj_poly)
-        x = self.num
-        return _canonical(self.field, [sum(r * c for r, c in zip(row, x)) for row in rows],
-                          self.den * den)
+        return self.field.automorphism(conj_poly)(self)
 
     def embed(self, root: complex) -> complex:
         out = 0j
         for c in reversed(self.coeffs):
             out = out * root + complex(float(c))
         return out
+
+
+class Automorphism:
+    """x -> x(conj_poly) on a NumberField: one integer matrix, whose columns
+    are the numerators of the images of 1, x, ..., x^(n-1) over one
+    denominator, applied to the numerators of x.  A call hashes nothing."""
+
+    __slots__ = ("field", "_rows", "_den")
+
+    def __init__(self, field: NumberField, conj_poly):
+        c = field.elem(conj_poly)
+        # integer products, not NFElem.__mul__, so the element
+        # multiplications a caller performs do not depend on this table
+        powers = [field.one()]
+        for _ in range(field.degree - 1):
+            p = powers[-1]
+            powers.append(_canonical(field, field._mul_ints(p.num, c.num),
+                                     p.den * c.den * field._reduction[1]))
+        cols, self._den = _over_common_den([p.coeffs for p in powers])
+        self._rows = [list(r) for r in zip(*cols)]
+        self.field = field
+
+    def __call__(self, x: NFElem) -> NFElem:
+        num = x.num
+        return _canonical(self.field, [sum(r * c for r, c in zip(row, num))
+                                       for row in self._rows], x.den * self._den)
 
 
 def poly_disc_quartic(coeffs: Sequence[Fraction]) -> Fraction:

@@ -707,10 +707,24 @@ def make_tower(
         e = delta.a
         mp = ((Fraction(d) - e) ** 2, Fraction(0), -2 * (Fraction(d) + e),
               Fraction(0), Fraction(1))
-        c = 1 / (2 * (e - d))
-        sq = (Fraction(0), -(3 * d + e) * c, Fraction(0), c)
+        sq = _sqrt_coords(d, e)
     return FieldTower(F, delta, mp, sq, declared_DK, declared_maximal,
                       galois_hint, conj_polys)
+
+
+def _sqrt_coords(d, e) -> tuple[Fraction, ...]:
+    """sqrt(d) in the power basis of theta = sqrt(d) + sqrt(e), e != d:
+    theta^3 - (3d + e) theta = 2 (e - d) sqrt(d)."""
+    c = 1 / (2 * (Fraction(e) - d))
+    return (Fraction(0), -(3 * d + e) * c, Fraction(0), c)
+
+
+def biquadratic_conj_polys(d, e) -> tuple[tuple[Fraction, ...], ...]:
+    """The conjugates +-sqrt(d) +- sqrt(e) of theta = sqrt(d) + sqrt(e) in
+    its power basis, with sqrt(d) positive at the first two."""
+    sd, se = _sqrt_coords(d, e), _sqrt_coords(e, d)
+    return tuple(tuple(s1 * x + s2 * y for x, y in zip(sd, se))
+                 for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .intarith import squarefree_kernel
 from .nfpoly import NumberField, gaussian_period_quartic, poly_disc_quartic
-from .numfield import FieldTower, QuadField, make_quad_field, make_tower
+from .numfield import (FieldTower, QuadField, biquadratic_conj_polys, make_quad_field,
+                       make_tower)
 
 
 def _cyclic_conj_polys(min_poly, tau_poly):
@@ -79,21 +80,13 @@ def biquadratic_tower(d: int, e: int) -> FieldTower:
     integer that is not a square in F."""
     F = make_quad_field(d)
     tower = make_tower(F, Fraction(e), galois_hint="biquadratic")
-    # conj polys: theta = sqrt d + sqrt e, images (+,+), (+,-), (-,+), (-,-)
-    sd = list(tower.sqrt_d_coords)
-    c = Fraction(1, 2 * (d - e))
-    se = [Fraction(0), -(3 * e + d) * c, Fraction(0), c]
-    combos = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
-    conj = tuple(
-        tuple(sd[i] * s1 + se[i] * s2 for i in range(4)) for s1, s2 in combos
-    )
     # D_K is the product of the discriminants of the three quadratic
     # subfields Q(sqrt d), Q(sqrt e) and Q(sqrt(d e))
     dk = (F.disc * QuadField(squarefree_kernel(e)).disc
           * QuadField(squarefree_kernel(d * e)).disc)
     tower = FieldTower(F, tower.delta, tower.theta_min_poly, tower.sqrt_d_coords,
-                       declared_DK=dk, declared_maximal=True,
-                       galois_hint="biquadratic", conj_polys=conj)
+                       declared_DK=dk, declared_maximal=True, galois_hint="biquadratic",
+                       conj_polys=biquadratic_conj_polys(d, e))
     _check_conj_polys(tower)
     return tower
 

@@ -2,8 +2,8 @@
 
 Entries must support +, -, *, / and compare equal to 0.  Used with
 Fraction, quadratic field elements and number field elements alike, and
-with float, complex and mpmath entries too.  Matrices of int and Fraction
-entries are cleared to one integer matrix over a common denominator and
+with float and complex entries too.  Matrices of int and Fraction entries
+are cleared to one integer matrix over a common denominator and
 eliminated fraction-free (Bareiss), so every intermediate is an integer
 minor; they give Fraction results.  Other entry types go through
 Gauss-Jordan elimination.  The pivot is the first nonzero entry of its
@@ -22,14 +22,14 @@ def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
     assert len(a[0]) == k
     return [
-        [sum((a[i][t] * b[t][j] for t in range(k)), start=a[i][0] * b[0][j] * 0)
+        [sum((a[i][t] * b[t][j] for t in range(1, k)), start=a[i][0] * b[0][j])
          for j in range(m)]
         for i in range(n)
     ]
 
 
 def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(len(v))), start=a[i][0] * v[0] * 0)
+    return [sum((a[i][j] * v[j] for j in range(1, len(v))), start=a[i][0] * v[0])
             for i in range(len(a))]
 
 

@@ -224,11 +224,7 @@ def test_criterion_08_invariant_relations(capsys):
                  for i in range(4)]
         prof = git4.psi_invariants(emb, ident)
         for s, v in prof.values:
-            want = 1 if s == git4.IDENTITY else 0
-            if emb.exact:
-                if v != want:
-                    ok = False
-            elif abs(complex(v) - want) > 1e-9:
+            if v != (1 if s == git4.IDENTITY else 0):
                 ok = False
     _report(capsys, 8,
             "Galois relations and entry patterns on 100 matrices per type, "

@@ -65,8 +65,9 @@ def test_float_grams_follow_the_exact_route():
 
 
 NO_NUMPY_SCRIPT = """
-import os, sys
+import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+sys.modules["mpmath"] = None  # nor of mpmath
 from alk.arakelov import (bundle_theta_and_h0ar, direct_image, euclidean_lattice,
                           make_bundle, theta_invariants_euclidean)
 from alk.git4 import psi_invariants, regular_embedding
@@ -79,11 +80,10 @@ bundle = make_bundle(F, FracIdeal.maximal_order(F), (1, 2))
 assert isinstance(direct_image(bundle).gram[0][0], float)
 bundle_theta_and_h0ar(bundle)
 gamma = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
-for bits in ("53", "128"):
-    os.environ["ALK_PRECISION"] = bits
-    psi_invariants(regular_embedding(dihedral_tower(2, 1, 1)), gamma)
-assert sys.modules["numpy"] is None
-assert not [m for m in sys.modules if m.startswith("numpy.")]
+psi_invariants(regular_embedding(dihedral_tower(2, 1, 1)), gamma)
+for name in ("numpy", "mpmath"):
+    assert sys.modules[name] is None
+    assert not [m for m in sys.modules if m.startswith(name + ".")]
 print("ok")
 """
 

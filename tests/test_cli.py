@@ -89,9 +89,9 @@ def test_invariants_pins_non_rational_values(capsys):
                                    "--matrix", "[[1,1,0,0],[0,1,2,0],[0,0,1,0],[1,0,0,1]]"])
     assert code == 0
     assert data == {
-        "exact": True,
         "galois_type": "cyclic",
         "in_R": False,
+        "min_poly": [5, 0, 5, 0, 1],
         "vanishing_on_special": False,
         "values": VALUES_ZETA5_NON_BLOCK,
     }
@@ -125,25 +125,21 @@ VALUES_ZETA5_NON_BLOCK = {
 }
 
 
-def test_invariants_float_path_with_precision_env(capsys, monkeypatch):
-    monkeypatch.setenv("ALK_PRECISION", "100")
-    ident = json.dumps([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+def test_invariants_pins_the_dihedral_closure(capsys):
+    # a dihedral tower's values lie in its degree-8 Galois closure and
+    # print as coordinates in the power basis of a root of min_poly
     code, data = run_json(capsys, ["invariants", "--tower",
                                    '{"kind": "dihedral", "d": 2, "a": 1, "b": 1}',
-                                   "--matrix", ident])
+                                   "--matrix", "[[1,1,0,0],[0,1,2,0],[0,0,1,0],[1,0,0,1]]"])
     assert code == 0
     assert data["galois_type"] == "dihedral"
-    assert data["exact"] is False
-
-
-def test_non_integer_precision_exits_one(capsys, monkeypatch):
-    monkeypatch.setenv("ALK_PRECISION", "abc")
-    ident = json.dumps([[1 if i == j else 0 for j in range(4)] for i in range(4)])
-    code, err = run_cli_err(capsys, ["invariants", "--tower",
-                                     '{"kind": "dihedral", "d": 2, "a": 1, "b": 1}',
-                                     "--matrix", ident])
-    assert code == 1
-    assert err == "error: ALK_PRECISION must be an integer number of bits, got 'abc'\n"
+    assert data["min_poly"] == [1681, 0, -460, 0, 146, 0, -20, 0, 1]
+    assert not data["in_R"] and not data["vanishing_on_special"]
+    values = data["values"]
+    assert {k: v for k, v in values.items() if not isinstance(v, list)} == \
+        {"0123": "7/4", "1032": "-1/64"}
+    assert sum(isinstance(v, list) and len(v) == 8 for v in values.values()) == 22
+    assert values["0132"] == ["-167/1632", 0, "-37/1632", 0, "5/544", 0, "-1/1632", 0]
 
 
 def test_entropy_and_window(capsys):

@@ -1,9 +1,10 @@
+import cmath
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alk import quartics
@@ -16,10 +17,8 @@ from alk.git4 import (
     bowen_membership_loop,
     content_vanishing_detector,
     entropy_quantities,
-    galois_image_permutations,
     galois_structures,
     pattern_and_relation_check,
-    pattern_orbits,
     perm_compose,
     perm_inverse,
     perm_sign,
@@ -28,7 +27,11 @@ from alk.git4 import (
     regular_embedding,
     tau_window,
 )
-from alk.ratlinalg import mat_det, mat_mul
+from alk.intarith import is_square_fraction, squarefree_kernel
+from alk.nfpoly import NFElem
+from alk.numfield import make_quad_field, make_tower
+from alk.ratlinalg import mat_det, mat_inv, mat_mul
+from alk.toralsets import classify_galois_type
 from conftest import random_invertible
 
 CYCLIC = quartics.zeta5_tower()
@@ -50,14 +53,6 @@ def test_galois_structure_group_orders():
     assert len(galois_structures("dihedral").image) == 8
     with pytest.raises(ValueError):
         galois_structures("quintic")
-
-
-def test_tabulated_entry_patterns_match_computed_orbits():
-    from alk.git4 import _same_partition
-
-    for name in ("biquadratic", "cyclic", "dihedral"):
-        gs = galois_structures(name)
-        assert _same_partition(pattern_orbits(gs.image), gs.star_pattern)
 
 
 def test_regular_matrix_satisfies_the_minimal_polynomial():
@@ -99,41 +94,82 @@ def test_invariants_sum_to_one():
     for tower in (CYCLIC, BIQUAD, DIHEDRAL):
         emb = regular_embedding(tower)
         for _ in range(5):
-            total = psi_sum_check(emb, random_invertible(rng, 4))
-            if emb.exact:
-                assert total == 1
-            else:
-                assert abs(complex(total) - 1) < 1e-9
+            assert psi_sum_check(emb, random_invertible(rng, 4)) == 1
 
 
-@pytest.mark.parametrize("bits", ["53", "128"])
-def test_float_route_keeps_only_genuine_rationals(monkeypatch, bits):
-    monkeypatch.setenv("ALK_PRECISION", bits)
+def test_dihedral_values_keep_only_genuine_rationals():
     gamma = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
-    profile = psi_invariants(regular_embedding(DIHEDRAL), gamma)
-    exact = {s: v for s, v in profile.values if isinstance(v, Fraction)}
-    assert exact == {(0, 1, 2, 3): Fraction(7, 4), (1, 0, 3, 2): Fraction(-1, 64)}
-    assert sum(isinstance(v, complex) for _, v in profile.values) == 22
+    emb = regular_embedding(DIHEDRAL)
+    assert emb.closure.min_poly == (1681, 0, -460, 0, 146, 0, -20, 0, 1)
+    profile = psi_invariants(emb, gamma)
+    rational = {s: v for s, v in profile.values if isinstance(v, Fraction)}
+    assert rational == {(0, 1, 2, 3): Fraction(7, 4), (1, 0, 3, 2): Fraction(-1, 64)}
+    others = [v for s, v in profile.values if s not in rational]
+    assert len(others) == 22
+    assert all(isinstance(v, NFElem) and any(v.num[1:]) for v in others)
 
 
-def test_roots_are_plain_complex_up_to_53_bits():
-    import mpmath
+def _roots_satisfy_the_minimal_polynomial(emb):
+    for r in emb.g[1]:
+        acc = emb.closure.elem(0)
+        for c in reversed(emb.tower.theta_min_poly):
+            acc = acc * r + c
+        assert acc == 0
 
-    from alk.git4 import _float_roots
 
-    for bits, kind in ((24, complex), (53, complex), (54, mpmath.mpc), (128, mpmath.mpc)):
-        roots = _float_roots(DIHEDRAL.theta_min_poly, bits)
-        assert len(roots) == 4 and all(isinstance(r, kind) for r in roots)
-        for r in roots:
-            value = sum(complex(float(c)) * complex(r) ** i
-                        for i, c in enumerate(DIHEDRAL.theta_min_poly))
-            assert abs(value) < 1e-12
+def _float_oracle_agrees(emb, a, b, d, gamma):
+    """Psi values of a float embedding built from the roots +-sqrt(a +- b
+    sqrt(d)) alone, against the exact values read at eta = u + 2v."""
+    sd = cmath.sqrt(d)
+    u, v = cmath.sqrt(a + b * sd), cmath.sqrt(a - b * sd)
+    roots = (u, -u, v, -v)
+    g = [[r ** i for r in roots] for i in range(4)]
+    m = mat_mul(mat_mul(mat_inv(g), [[complex(x) for x in row] for row in gamma]), g)
+    det = float(mat_det(gamma))
+    eta = u + 2 * v
+    for s, value in psi_invariants(emb, gamma).values:
+        want = perm_sign(s) * math.prod(m[s[i]][i] for i in range(4)) / det
+        got = value.embed(eta) if isinstance(value, NFElem) else complex(value)
+        assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (s, got, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(d=st.integers(-30, 30), a=st.integers(-4, 4), b=st.integers(-3, 3).filter(bool),
+       seed=st.integers(0, 2 ** 16))
+def test_dihedral_closures(d, a, b, seed):
+    assume(d not in (0, 1) and squarefree_kernel(d) == d)
+    n = a * a - d * b * b
+    assume(not is_square_fraction(n) and not is_square_fraction(Fraction(n, d)))
+    emb = regular_embedding(quartics.dihedral_tower(d, a, b))
+    assert emb.closure.degree == 8
+    _roots_satisfy_the_minimal_polynomial(emb)
+    assert frozenset(emb.galois_image) == galois_structures("dihedral").image
+    gamma = random_invertible(random.Random(seed), 4)
+    assert psi_sum_check(emb, gamma) == 1
+    _float_oracle_agrees(emb, a, b, d, gamma)
+
+
+@pytest.mark.parametrize("d, delta, gtype", [
+    (2, (2, 1), "cyclic"),  # Nr(delta) = 2 = sqrt(2)^2
+    (3, (2, 1), "biquadratic"),  # Nr(delta) = 1 with b != 0
+    (2, (3, 0), "biquadratic"),  # delta rational: theta = sqrt 2 + sqrt 3
+])
+def test_galois_towers_without_conj_polys_close_in_K(d, delta, gtype):
+    tower = make_tower(make_quad_field(d), make_quad_field(d).elem(*delta))
+    assert tower.conj_polys is None and classify_galois_type(tower) == gtype
+    emb = regular_embedding(tower)
+    assert emb.closure.degree == 4
+    _roots_satisfy_the_minimal_polynomial(emb)
+    assert frozenset(emb.galois_image) == galois_structures(gtype).image
+    rng = random.Random(5)
+    for _ in range(3):
+        assert pattern_and_relation_check(emb, random_invertible(rng, 4), gtype)["pass"]
 
 
 def test_galois_image_matches_the_structure_tables():
-    assert frozenset(galois_image_permutations(regular_embedding(CYCLIC))) \
+    assert frozenset(regular_embedding(CYCLIC).galois_image) \
         == galois_structures("cyclic").image
-    assert frozenset(galois_image_permutations(regular_embedding(BIQUAD))) \
+    assert frozenset(regular_embedding(BIQUAD).galois_image) \
         == galois_structures("biquadratic").image
 
 

@@ -67,10 +67,9 @@ def test_gaussian_period_towers_are_cyclic_with_cube_discriminant():
 
 
 def test_conjugation_polynomials_generate_order_four():
-    from alk.git4 import galois_image_permutations, perm_compose, regular_embedding
+    from alk.git4 import perm_compose, regular_embedding
 
-    emb = regular_embedding(quartics.gaussian_period_tower(13))
-    image = galois_image_permutations(emb)
+    image = regular_embedding(quartics.gaussian_period_tower(13)).galois_image
     gen = image[2]  # the tau slot of the (id, tau^2, tau, tau^3) ordering
     g2 = perm_compose(gen, gen)
     g4 = perm_compose(g2, g2)
@@ -96,24 +95,24 @@ for spec in sys.argv[1:]:
     tower = tower_from_json(spec)
     gtype = outcome(classify_galois_type, tower)
     disc = outcome(lambda t: nonarch_and_global_disc(make_descriptor(t))["disc_fin"], tower)
-    exact = outcome(lambda t: regular_embedding(t).exact, tower)
+    closure = outcome(lambda t: regular_embedding(t).closure.degree, tower)
     rel = outcome(lambda t: cyclic_disc_check(t)["D_rel"], tower) if gtype == "cyclic" else None
-    out[spec] = [gtype, disc, exact, rel]
+    out[spec] = [gtype, disc, closure, rel]
 assert sys.modules["sympy"] is None
 assert not [m for m in sys.modules if m.startswith("sympy.")]
 print(json.dumps(out))
 """
 
 QUARTIC = "ValueError: quartic tower required"
-# every kind the CLI accepts: Galois type, disc_fin, exact embedding, D_rel
+# every kind the CLI accepts: Galois type, disc_fin, Galois closure degree, D_rel
 NO_SYMPY_EXPECTED = {
-    '{"kind": "zeta5"}': ["cyclic", 5, True, 5],
-    '{"kind": "sqrt2plus"}': ["cyclic", 32, True, 32],
-    '{"kind": "biquadratic", "d": 2, "e": 3}': ["biquadratic", 36, True, None],
+    '{"kind": "zeta5"}': ["cyclic", 5, 4, 5],
+    '{"kind": "sqrt2plus"}': ["cyclic", 32, 4, 32],
+    '{"kind": "biquadratic", "d": 2, "e": 3}': ["biquadratic", 36, 4, None],
     '{"kind": "dihedral", "d": 2, "a": 1, "b": 1}':
         ["dihedral", "ValueError: quartic descriptor needs a certified maximal order",
-         False, None],
-    '{"kind": "gaussian", "p": 13}': ["cyclic", 13, True, 13],
+         8, None],
+    '{"kind": "gaussian", "p": 13}': ["cyclic", 13, 4, 13],
     '{"kind": "quadratic", "delta": 5}': [QUARTIC, 5, QUARTIC, None],
 }
 
