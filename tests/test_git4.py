@@ -109,6 +109,51 @@ def test_dihedral_values_keep_only_genuine_rationals():
     assert all(isinstance(v, NFElem) and any(v.num[1:]) for v in others)
 
 
+def _read_fixed(num, root, bits):
+    """num[0] + num[1] x + ... at a Gaussian fixed-point root (re, im)
+    scaled by 2^bits, in the same scaling."""
+    x = y = 0
+    for c in reversed(num):
+        x, y = ((x * root[0] - y * root[1]) >> bits) + (c << bits), \
+            (x * root[1] + y * root[0]) >> bits
+    return x, y
+
+
+@pytest.mark.parametrize("bits", [53, 128])
+def test_float_route_keeps_only_genuine_rationals(bits):
+    """Read at all eight roots of the closure polynomial to `bits` bits, each
+    non-rational value of the dihedral profile has conjugates a float route
+    could not mistake for one rational, and they sum to its exact trace."""
+    gamma = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
+    emb = regular_embedding(DIHEDRAL)
+    # delta = 1 + sqrt 2: u = sqrt(delta) is real, v = sqrt(conj delta) imaginary
+    one = 1 << bits
+    sqrt2 = math.isqrt(2 << 2 * bits)
+    u, v = (math.isqrt((one + sqrt2) << bits), 0), (0, math.isqrt((sqrt2 - one) << bits))
+    roots = [(e1 * p[0] + 2 * e2 * q[0], e1 * p[1] + 2 * e2 * q[1])
+             for p, q in ((u, v), (v, u)) for e1 in (1, -1) for e2 in (1, -1)]
+
+    def tol(num):  # rounding and root errors in units of 2^-bits; |root| < 5
+        return 16 * (1 + sum(abs(c) * 5 ** i for i, c in enumerate(num)))
+
+    min_poly = [int(c) for c in emb.closure.min_poly]
+    for r in roots:
+        assert all(abs(t) < tol(min_poly) for t in _read_fixed(min_poly, r, bits))
+    nonrational = 0
+    for _, value in psi_invariants(emb, gamma).values:
+        if isinstance(value, Fraction):
+            continue
+        nonrational += 1
+        tol_v = tol(value.num)
+        readings = [_read_fixed(value.num, r, bits) for r in roots]
+        trace = value.trace() * value.den * one
+        assert abs(sum(x for x, _ in readings) - trace) < 8 * tol_v
+        assert abs(sum(y for _, y in readings)) < 8 * tol_v
+        assert max(abs(x - readings[0][0]) + abs(y - readings[0][1])
+                   for x, y in readings) > 4 * tol_v
+    assert nonrational == 22
+
+
 def _roots_satisfy_the_minimal_polynomial(emb):
     for r in emb.g[1]:
         acc = emb.closure.elem(0)
