@@ -22,7 +22,6 @@ from .boxcount import (
     count_box,
     count_box_naive,
     counting_bound_check,
-    line_bundle_from_radii,
     make_radius_family,
     norm_of_family,
 )

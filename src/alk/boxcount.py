@@ -17,14 +17,7 @@ from numbers import Rational
 from typing import Optional
 
 from . import enumeration
-from .arakelov import (
-    HermitianLineBundle,
-    adeg,
-    box_membership,
-    direct_image,
-    f_bound,
-    make_bundle,
-)
+from .arakelov import box_membership, f_bound
 from .intarith import valuation
 from .numfield import FracIdeal, Place, QuadField, prime_ideal
 
@@ -94,16 +87,6 @@ def _ideal_from_finite(r: RadiusFamily):
         e = _radius_exponent(ru, place.residue_size)
         ideal = ideal * prime_ideal(place) ** (-e)
     return ideal
-
-
-def line_bundle_from_radii(field: Optional[QuadField], r: RadiusFamily) -> HermitianLineBundle:
-    ideal = _ideal_from_finite(r)
-    if field is None:
-        return make_bundle(None, ideal, (r.infinite[0],))
-    if field.is_real:
-        return make_bundle(field, ideal, r.infinite)
-    rho = Fraction(float(math.sqrt(r.infinite[0])))
-    return make_bundle(field, ideal, (rho, rho))
 
 
 def count_box(field: Optional[QuadField], r: RadiusFamily,

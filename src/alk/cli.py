@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arakelov, boxcount, enumeration, git4, localgeom, quartics, toralsets
-from .numfield import finite_places, make_quad_field
+from .numfield import Place, finite_places, make_quad_field
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -127,25 +127,13 @@ def _flatten(data, prefix=""):
 
 def _radius_family(field, rinf, rfin_text):
     finite = []
-    if rfin_text:
-        table = json.loads(rfin_text)
-        for p_str, r in table.items():
-            p = int(p_str)
-            radii = r if isinstance(r, list) else [r]
-            if field is None:
-                from .numfield import Place
-
-                finite.append((Place(None, "finite", p, "ramified"), _fraction(radii[0])))
-                continue
-            places = finite_places(field, p)
-            for place, ru in zip(places, radii):
-                finite.append((place, _fraction(ru)))
-    if field is None and rfin_text:
-        # places over Q are just the primes; reuse the rational-ideal path
-        from .boxcount import RadiusFamily
-
-        inf = tuple(_fraction(r) for r in rinf)
-        return RadiusFamily(None, tuple(finite), inf)
+    for p_str, r in (json.loads(rfin_text) if rfin_text else {}).items():
+        p = int(p_str)
+        radii = r if isinstance(r, list) else [r]
+        # over Q a finite place is just the prime
+        places = [Place(None, "finite", p, "ramified")] if field is None \
+            else finite_places(field, p)
+        finite.extend((place, _fraction(ru)) for place, ru in zip(places, radii))
     return boxcount.make_radius_family(field, finite, [_fraction(r) for r in rinf])
 
 

@@ -287,6 +287,8 @@ def pattern_and_relation_check(emb: EmbeddingData, gamma, galois_type: str) -> d
     profile = dict(vals)
     entry_ok = profile_ok = True
     for tau, rho in zip(emb.automorphisms, emb.galois_image):
+        if rho == IDENTITY:  # both relations hold trivially
+            continue
         if any(tau(m[i][j]) != m[rho[i]][rho[j]] for i in range(4) for j in range(4)):
             entry_ok = False
         rho_inv = perm_inverse(rho)

@@ -3,11 +3,11 @@
 A field F = Q(sqrt(d)) is described by a squarefree integer d.  Elements
 are pairs of rationals (a, b) meaning a + b*sqrt(d).  Finite places are
 tagged by the splitting behaviour of the rational prime below them;
-split-place valuations go through a Hensel-lifted root of the minimal
-polynomial of the integral-basis generator, so all finite-place data is
-exact.  Quartic fields enter only as towers K = F(sqrt(delta)); the one
-test that delta is not a square in F also proves the tower quartic
-irreducible (see make_tower).
+split-place valuations are read from residues mod p at a root of the
+minimal polynomial of the integral-basis generator, so all finite-place
+data is exact.  Quartic fields enter only as towers K = F(sqrt(delta));
+the one test that delta is not a square in F also proves the tower
+quartic irreducible (see make_tower).
 """
 
 from __future__ import annotations
@@ -26,10 +26,6 @@ from .intarith import (
     sqrt_fraction,
     valuation,
 )
-
-DEFAULT_HENSEL_PRECISION = 64
-# a split-place residue is trusted only below precision - HENSEL_GUARD
-HENSEL_GUARD = 8
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +278,11 @@ def splitting_type(F: QuadField, p: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _hensel_root(d: int, p: int, prec: int) -> int:
-    """Root of the minimal polynomial of omega mod p^prec (split p only)."""
-    F = QuadField(d)
-    c0, c1 = F.gen_min_poly()
-    c0n, c1n = int(c0), int(c1)
-
-    def f(x):
-        return x * x + c1n * x + c0n
-
-    def fp(x):
-        return 2 * x + c1n
-
-    r = next(x for x in range(p) if f(x) % p == 0 and fp(x) % p != 0)
-    k = 1
-    while k < prec:
-        k = min(2 * k, prec)
-        mod = p ** k
-        # Newton step: fp(r) is a unit mod p by simplicity of the root
-        r = (r - f(r) * pow(fp(r), -1, mod)) % mod
-    return r
+def _hensel_root(d: int, p: int) -> int:
+    """The least root in [0, p) of omega's minimal polynomial mod p (split
+    p only)."""
+    c0, c1 = QuadField(d).gen_min_poly()
+    return next(x for x in range(p) if (x * x + int(c1) * x + int(c0)) % p == 0)
 
 
 @dataclass(frozen=True)
@@ -310,7 +291,8 @@ class Place:
 
     kind: 'finite', 'real' or 'complex'.  Finite places carry the prime p
     and a tag in {'split1', 'split2', 'inert', 'ramified'}; real places an
-    embedding index in {0, 1}.
+    embedding index in {0, 1}.  The two split places are the primes
+    (p, omega - r) at the two roots r of omega's minimal polynomial mod p.
     """
 
     field: QuadField
@@ -318,14 +300,6 @@ class Place:
     p: int = 0
     tag: str = ""
     embedding_index: int = 0
-    precision: int = DEFAULT_HENSEL_PRECISION
-
-    def __post_init__(self):
-        if self.kind == "finite" and self.precision <= HENSEL_GUARD:
-            raise ValueError(
-                f"Hensel precision {self.precision} is too low: split-place "
-                f"valuations need a precision above {HENSEL_GUARD}"
-            )
 
     @property
     def residue_size(self) -> int:
@@ -335,23 +309,22 @@ class Place:
         return self.p * self.p if self.tag == "inert" else self.p
 
     def hensel_root(self) -> int:
-        """Root of the omega minimal polynomial mod p^precision."""
+        """This split place's root mod p of omega's minimal polynomial."""
         if not self.tag.startswith("split"):
-            raise ValueError("Hensel root only at split places")
-        r = _hensel_root(self.field.d, self.p, self.precision)
+            raise ValueError("root mod p only at split places")
+        r = _hensel_root(self.field.d, self.p)
         if self.tag == "split2":
-            # the other root; the two roots sum to -c1 mod p^M
+            # the other root; the two roots sum to -c1 mod p
             _, c1 = self.field.gen_min_poly()
-            r = (-int(c1) - r) % self.p ** self.precision
+            r = (-int(c1) - r) % self.p
         return r
 
 
-def finite_places(F: QuadField, p: int, precision: int = DEFAULT_HENSEL_PRECISION) -> list[Place]:
+def finite_places(F: QuadField, p: int) -> list[Place]:
     t = splitting_type(F, p)
     if t == "split":
-        return [Place(F, "finite", p, "split1", precision=precision),
-                Place(F, "finite", p, "split2", precision=precision)]
-    return [Place(F, "finite", p, t, precision=precision)]
+        return [Place(F, "finite", p, "split1"), Place(F, "finite", p, "split2")]
+    return [Place(F, "finite", p, t)]
 
 
 def infinite_places(F: QuadField) -> list[Place]:
@@ -372,37 +345,17 @@ def finite_valuation(x: QFElem, v: Place) -> int:
         return nv // 2
     if tag == "ramified":
         return nv
-    val = _split_valuation(x, v)
-    if val is not None:
-        return val
-    # precision exhausted: once the p-content is out, x lies in at most one
-    # of the two primes over p, so the conjugate place sees a unit residue
-    other = Place(v.field, "finite", p, "split2" if tag == "split1" else "split1",
-                  precision=v.precision)
-    return nv - _split_valuation(x, other)
-
-
-def _split_valuation(x: QFElem, v: Place) -> Optional[int]:
-    """Valuation at a split place from u + w*omega at its Hensel root, or
-    None when the residue is too close to the precision to be trusted."""
-    u, w = x.gen_coords()
-    p = v.p
-    shift = min(
-        valuation(u, p) if u != 0 else 10 ** 9,
-        valuation(w, p) if w != 0 else 10 ** 9,
-    )
-    pf = Fraction(p) ** shift
-    u, w = u / pf, w / pf
-    r = v.hensel_root()
-    mod = p ** v.precision
-    # u, w are p-integral here; reduce the rational representative mod p^M
-    num = (u.numerator * w.denominator + w.numerator * u.denominator * r)
-    den = u.denominator * w.denominator
-    residue = num * pow(den, -1, mod) % mod
-    if residue == 0:
-        return None
-    val = valuation(residue, p)
-    return None if val >= v.precision - HENSEL_GUARD else val + shift
+    # split: x = (u + w*omega) / den = p^s * y * (unit at p) with
+    # y = (u + w*omega) / p^k not divisible by p.  The two primes over p are
+    # coprime, so y lies in at most one of them: in this place's prime
+    # (p, omega - r) exactly when u + w*r = 0 mod p^(k+1), and then that
+    # prime carries all of Nr(y)'s p-part, v_p(Nr x) - 2s.
+    u, w, den = x.gen_ints()
+    k = min(valuation(c, p) for c in (u, w) if c)
+    s = k - valuation(den, p)
+    if (u + w * v.hensel_root()) % p ** (k + 1) == 0:
+        return nv - s
+    return s
 
 
 def place_data(F: QuadField, x: QFElem, v: Place) -> tuple[Optional[int], float | Fraction]:
@@ -630,7 +583,7 @@ def prime_ideal(place: Place) -> FracIdeal:
         else:  # p = 2, d = 3 mod 4
             gen = F.elem(1, 1)
         return FracIdeal.from_gens(F, [F.elem(p), gen])
-    r = place.hensel_root() % p
+    r = place.hensel_root()
     omega = F.omega
     return FracIdeal.from_gens(F, [F.elem(p), omega - F.elem(r)])
 
@@ -647,6 +600,8 @@ class FieldTower:
     For quartic towers theta denotes a primitive element of K with monic
     minimal polynomial theta_min_poly (degree 4, rational coefficients);
     sqrt_d_coords expresses sqrt(d) in the power basis of theta.
+    declared_DK, when present, is the certified discriminant of K's
+    maximal order.
     conj_polys, when present, give the four embeddings K -> K (abelian K)
     as polynomials in theta, ordered compatibly with F.
     """
@@ -656,7 +611,6 @@ class FieldTower:
     theta_min_poly: Optional[tuple[Fraction, ...]] = None
     sqrt_d_coords: Optional[tuple[Fraction, ...]] = None
     declared_DK: Optional[int] = None
-    declared_maximal: bool = False
     galois_hint: Optional[str] = None
     conj_polys: Optional[tuple[tuple[Fraction, ...], ...]] = field(default=None)
 
@@ -669,7 +623,6 @@ def make_tower(
     F: Optional[QuadField],
     delta,
     declared_DK: Optional[int] = None,
-    declared_maximal: bool = False,
     galois_hint: Optional[str] = None,
     conj_polys=None,
 ) -> FieldTower:
@@ -691,8 +644,7 @@ def make_tower(
         delta = Fraction(delta)
         if delta == 0 or is_square_fraction(delta):
             raise ValueError("delta must be a nonsquare")
-        return FieldTower(None, delta, declared_DK=declared_DK,
-                          declared_maximal=declared_maximal, galois_hint=galois_hint)
+        return FieldTower(None, delta, declared_DK=declared_DK, galois_hint=galois_hint)
     if not isinstance(delta, QFElem):
         delta = F.elem(delta)
     if delta.is_zero() or is_square_in_field(delta):
@@ -708,8 +660,7 @@ def make_tower(
         mp = ((Fraction(d) - e) ** 2, Fraction(0), -2 * (Fraction(d) + e),
               Fraction(0), Fraction(1))
         sq = _sqrt_coords(d, e)
-    return FieldTower(F, delta, mp, sq, declared_DK, declared_maximal,
-                      galois_hint, conj_polys)
+    return FieldTower(F, delta, mp, sq, declared_DK, galois_hint, conj_polys)
 
 
 def _sqrt_coords(d, e) -> tuple[Fraction, ...]:

@@ -57,8 +57,8 @@ def zeta5_tower() -> FieldTower:
     delta = F.elem(Fraction(-5, 2), Fraction(1, 2))
     min_poly = (Fraction(5), Fraction(0), Fraction(5), Fraction(0), Fraction(1))
     conj = _cyclic_conj_polys(min_poly, [Fraction(0), Fraction(-3), Fraction(0), Fraction(-1)])
-    tower = make_tower(F, delta, declared_DK=125, declared_maximal=True,
-                       galois_hint="cyclic", conj_polys=conj)
+    tower = make_tower(F, delta, declared_DK=125, galois_hint="cyclic",
+                       conj_polys=conj)
     _check_conj_polys(tower)
     return tower
 
@@ -69,8 +69,8 @@ def sqrt2plus_tower() -> FieldTower:
     delta = F.elem(2, 1)
     min_poly = (Fraction(2), Fraction(0), Fraction(-4), Fraction(0), Fraction(1))
     conj = _cyclic_conj_polys(min_poly, [Fraction(0), Fraction(-3), Fraction(0), Fraction(1)])
-    tower = make_tower(F, delta, declared_DK=2048, declared_maximal=True,
-                       galois_hint="cyclic", conj_polys=conj)
+    tower = make_tower(F, delta, declared_DK=2048, galois_hint="cyclic",
+                       conj_polys=conj)
     _check_conj_polys(tower)
     return tower
 
@@ -85,7 +85,7 @@ def biquadratic_tower(d: int, e: int) -> FieldTower:
     dk = (F.disc * QuadField(squarefree_kernel(e)).disc
           * QuadField(squarefree_kernel(d * e)).disc)
     tower = FieldTower(F, tower.delta, tower.theta_min_poly, tower.sqrt_d_coords,
-                       declared_DK=dk, declared_maximal=True, galois_hint="biquadratic",
+                       declared_DK=dk, galois_hint="biquadratic",
                        conj_polys=biquadratic_conj_polys(d, e))
     _check_conj_polys(tower)
     return tower
@@ -111,8 +111,8 @@ def gaussian_period_tower(p: int) -> FieldTower:
     delta = F.elem(u, v)
     conj = _cyclic_conj_polys(data["min_poly"], list(data["tau_poly"]))
     tower = FieldTower(F, delta, data["min_poly"], data["sqrtp_coords"],
-                       declared_DK=p ** 3, declared_maximal=True,
-                       galois_hint="cyclic", conj_polys=conj)
+                       declared_DK=p ** 3, galois_hint="cyclic",
+                       conj_polys=conj)
     _check_conj_polys(tower)
     disc_power = poly_disc_quartic(tower.theta_min_poly)
     ratio = Fraction(disc_power, tower.declared_DK)

@@ -77,7 +77,7 @@ def nonarch_and_global_disc(desc: ToralSetDescriptor) -> dict:
             if du != 1:
                 table[p] = du
     else:
-        if tower.declared_DK is None or not tower.declared_maximal:
+        if tower.declared_DK is None:
             raise ValueError("quartic descriptor needs a certified maximal order")
         d_rel = Fraction(abs(tower.declared_DK), tower.base.disc ** 2)
         if d_rel.denominator != 1:
@@ -236,7 +236,7 @@ def cyclic_disc_check(tower: FieldTower) -> dict:
     """D_{K/F} >= D_F / 4 for cyclic quartic K with quadratic subfield F."""
     if classify_galois_type(tower) != "cyclic":
         raise ValueError("cyclic tower required")
-    if tower.declared_DK is None or not tower.declared_maximal:
+    if tower.declared_DK is None:
         raise ValueError("needs a certified field discriminant")
     D_K = abs(tower.declared_DK)
     D_F = tower.base.disc

@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 from alk.cli import main
 
@@ -250,3 +252,22 @@ def test_usage_and_runtime_errors_exit_one(capsys):
     assert code == 1
     code, _ = run_cli(capsys, ["theta", "--gram", "[[1, 2], [0, 1]]"])
     assert code == 1
+
+
+def test_count_box_over_q_validates_its_radii(capsys):
+    # a negative radius, and one radius too many for Q's one infinite place
+    for rinf in ("[-1]", "[1, 2]"):
+        code, _ = run_cli(capsys, ["count-box", "--rinf", rinf, "--rfin", '{"2": 2}'])
+        assert code == 1, rinf
+    code, data = run_json(capsys, ["count-box", "--rinf", "[3]", "--rfin", '{"2": 2}'])
+    assert code == 0 and data["count"] == 13
+
+
+def test_every_readme_command_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("alk ")]
+    assert len(lines) >= 12
+    for line in lines:
+        code, _ = run_cli(capsys, shlex.split(line)[1:])
+        assert code in (0, 2), line

@@ -77,56 +77,66 @@ def test_split_valuations_add_up_to_norm_valuation():
                 == valuation(x.norm(), p)
 
 
-def test_split_valuation_falls_back_to_the_conjugate_place():
-    F = QuadField(-1)
-    pi = F.elem(2, 1)  # 5 = (2 + i)(2 - i)
-    v1, v2 = finite_places(F, 5, precision=10)
-    x = pi ** 12 * F.elem(1, 1)
-    # one place sees valuation 12, past precision - 8; it is read off the
-    # other place and the norm valuation
-    assert sorted([finite_valuation(x, v1), finite_valuation(x, v2)]) == [0, 12]
-    # at precision 8 no residue could be trusted at either place
-    with pytest.raises(ValueError, match="Hensel precision 8 is too low"):
-        finite_places(F, 5, precision=8)
-
-
-def test_precision_nine_is_the_smallest_usable_precision():
-    F = QuadField(-1)
-    pi = F.elem(2, 1)
-    v1, v2 = finite_places(F, 5, precision=9)
-    # only valuation 0 is trusted at precision 9: the place of pi reads its
-    # valuation off the conjugate place, where pi is a unit
-    for x, want in ((pi, [0, 1]), (pi ** 20 * F.elem(1, 1), [0, 20]),
-                    (pi ** 3 * pi.conj(), [1, 3])):
-        assert sorted([finite_valuation(x, v1), finite_valuation(x, v2)]) == want
-    for precision in (-1, 0, 8):
-        with pytest.raises(ValueError, match=f"Hensel precision {precision} is too low"):
-            Place(F, "finite", 5, "split1", precision=precision)
-
-
-def test_low_precision_valuations_never_run_out():
-    """At precision 9 a residue is trusted only at valuation 0, so deep
-    valuations are read off the conjugate place; that place always sees a
-    unit once the p-content is divided out."""
+def _valuation_by_ideals(x, place, bound):
+    """v_P(x) from ideal arithmetic alone: the largest g with x in
+    P^g * conj(P)^(-bound) * (1/D), D the prime-to-p part of x's
+    denominator.  Valid while both valuations over p lie in [-bound, bound]."""
     from alk.intarith import valuation
 
-    rng = random.Random(19)
-    for d in (-1, -2, 2, 5, 17):
+    p = place.p
+    P = prime_ideal(place)
+    den = x.gen_ints()[2]
+    D = den // p ** valuation(den, p)
+    # P * conj(P) = (p), so P^g * conj(P)^(-bound) = P^(g + bound) / p^bound
+    scale = Fraction(1, p ** bound * D)
+
+    def contains(g):
+        return (P ** (g + bound)).scale(scale).contains(x)
+
+    lo, hi = -bound, bound + 1  # contains(lo) holds, contains(hi) fails
+    assert contains(lo) and not contains(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if contains(mid) else (lo, mid)
+    return lo
+
+
+def test_split_valuation_matches_an_ideal_membership_oracle():
+    """Valuations past 100, denominators with p and other primes, both
+    split places, and p = 2 split, against the FracIdeal oracle."""
+    from alk.intarith import valuation
+
+    rng = random.Random(23)
+    bound, deep = 140, 0
+    for d, p in ((17, 2), (41, 2), (-7, 2), (-1, 5), (2, 7), (5, 11), (-2, 3), (13, 3)):
         F = QuadField(d)
-        for p in (2, 3, 5, 7, 11, 13):
-            if splitting_type(F, p) != "split":
-                continue
-            low = finite_places(F, p, precision=9)
-            deep = finite_places(F, p)
-            for _ in range(40):
-                # u + w*omega divisible by a random power of one prime over p
-                place, k = rng.choice(deep), rng.randint(0, 20)
-                w = rng.randint(1, 50) * rng.choice((-1, 1))
-                u = -w * place.hensel_root() % p ** k + p ** k * rng.randint(-3, 3)
-                x = (F.omega * w + u) * Fraction(p) ** rng.randint(-3, 3)
-                vals = [finite_valuation(x, v) for v in low]
-                assert sum(vals) == valuation(x.norm(), p), (d, p, x)
-                assert vals == [finite_valuation(x, v) for v in deep], (d, p, x)
+        places = finite_places(F, p)
+        c0, c1 = F.gen_min_poly()
+        roots = [v.hensel_root() for v in places]
+        assert all(0 <= r < p and (r * r + c1 * r + c0) % p == 0 for r in roots)
+        assert roots[0] != roots[1]
+        assert prime_ideal(places[0]).conj() == prime_ideal(places[1])
+        # y = omega - r' with r' = r mod p and Nr(y) = f(r') of valuation 1
+        # lies in the prime of r, to the first power, and not in its conjugate
+        r = next(r for r in (roots[0], roots[0] + p) if (r * r + c1 * r + c0) % p ** 2)
+        y = F.omega - r
+        for _ in range(6):
+            c = F.elem(rng.randint(-9, 9) or 1, rng.randint(-9, 9))
+            den = rng.choice((1, 3, 5, 7, 12)) * p ** rng.randint(0, 4)
+            a = rng.choice((rng.randint(0, 20), rng.randint(95, 120)))
+            x = (y ** a * y.conj() ** rng.randint(0, 20)
+                 * c * Fraction(p ** rng.randint(0, 3), den))
+            if rng.random() < 0.3:
+                x = x.inverse()
+            vals = [finite_valuation(x, v) for v in places]
+            assert vals == [_valuation_by_ideals(x, v, bound) for v in places], (d, p, x)
+            assert sum(vals) == valuation(x.norm(), p)
+            deep += max(map(abs, vals)) >= 100
+        for q in (Fraction(p ** 5, 3), Fraction(7, p ** 2)):
+            x = F.elem(q)
+            assert [finite_valuation(x, v) for v in places] \
+                == [_valuation_by_ideals(x, v, bound) for v in places]
+    assert deep >= 10
 
 
 def test_prime_ideal_norms():
@@ -315,14 +325,6 @@ def test_product_of_absolute_values_is_one(d, an, ad, bn, bd):
     if x.is_zero():
         return
     assert abs(content(F, x) - 1.0) < 1e-9
-
-
-def test_hensel_root_actually_solves_min_poly():
-    F = QuadField(-1)
-    place = finite_places(F, 5)[0]
-    r = place.hensel_root()
-    c0, c1 = F.gen_min_poly()
-    assert (r * r + int(c1) * r + int(c0)) % 5 ** place.precision == 0
 
 
 def test_place_residue_sizes():
