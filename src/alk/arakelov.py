@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import enumeration
 from .numfield import FracIdeal, QFElem, QuadField
@@ -197,31 +197,51 @@ def tensor_bundle(b1: HermitianLineBundle, b2: HermitianLineBundle) -> Hermitian
     return make_bundle(b1.field, b1.ideal * b2.ideal, radii)
 
 
+def _bundle_sq_radii(bundle: HermitianLineBundle) -> list[Fraction]:
+    """rho_sigma^2 per real embedding, or rho^2 once at the complex place."""
+    radii = bundle.radii if bundle.field.is_real else bundle.radii[:1]
+    return [r * r for r in radii]
+
+
 def direct_image(bundle: HermitianLineBundle) -> EuclideanLattice:
     """Underlying Z-lattice with ||v||^2 = sum over embeddings of
     |sigma(v)|^2 / rho_sigma^2.  Exact Gram whenever the radii allow."""
     if bundle.field is None:
         q = bundle.ideal
         return euclidean_lattice([[(q / bundle.radii[0]) ** 2]])
-    F = bundle.field
-    b = bundle.ideal.basis_elems()
-    r1, r2 = bundle.radii
-    if F.is_real:
-        if r1 == r2:
-            rho2 = r1 * r1
-            gram = [[(b[i] * b[j]).trace() / rho2 for j in range(2)] for i in range(2)]
-            return euclidean_lattice(gram)
-        emb = [x.embeddings() for x in b]
-        scale = (float(r1) ** 2, float(r2) ** 2)
-        gram_f = [
-            [sum(emb[i][k] * emb[j][k] / scale[k] for k in range(2))
-             for j in range(2)]
-            for i in range(2)
-        ]
-        return euclidean_lattice(gram_f)
-    rho2 = r1 * r1
-    gram = [[(b[i] * b[j].conj()).trace() / rho2 for j in range(2)] for i in range(2)]
-    return euclidean_lattice(gram)
+    return euclidean_lattice(ideal_gram(bundle.ideal, _bundle_sq_radii(bundle)))
+
+
+def _ideal_forms(ideal: FracIdeal):
+    """((u0, u1), (v0, v1), D) with m*b0 + k*b1 = (U + V*sqrt(d)) / D,
+    where U = m*u0 + k*u1 and V = m*v0 + k*v1, over the HNF basis."""
+    (a, b), (_, c) = ideal.rows
+    # m*(a + b*omega) + k*c*omega over den
+    if ideal.field.d % 4 == 1:  # omega = (1 + sqrt(d)) / 2
+        return (2 * a + b, c), (b, c), 2 * ideal.den
+    return (a, 0), (b, c), ideal.den
+
+
+def ideal_gram(ideal: FracIdeal, sq_radii) -> list[list]:
+    """Gram of sum_sigma sigma(x)^2 / R_sigma on the HNF basis of the
+    ideal, for squared radii (R_1, R_2) at the real embeddings, or of
+    2*Nr(x) / R at the complex place (sq_radii = (R,)).
+
+    With b_i = (u_i + v_i*sqrt(d)) / D the entries are
+    2*(u_i*u_j + |d|*v_i*v_j) / (D^2*R), exact Fractions for equal real
+    radii and at the complex place; unequal real radii give floats."""
+    d = ideal.field.d
+    u, v, D = _ideal_forms(ideal)
+    if len(sq_radii) == 1 or sq_radii[0] == sq_radii[1]:
+        R = sq_radii[0]
+        return [[Fraction(2 * (u[i] * u[j] + abs(d) * v[i] * v[j]), D * D) / R
+                 for j in range(2)] for i in range(2)]
+    # int / int rounds correctly, as in QFElem.embeddings
+    s = math.sqrt(d)
+    emb = [(u[i] / D + v[i] / D * s, u[i] / D - v[i] / D * s) for i in range(2)]
+    scale = [float(R) for R in sq_radii]
+    return [[sum(emb[i][k] * emb[j][k] / scale[k] for k in range(2))
+             for j in range(2)] for i in range(2)]
 
 
 def box_membership(ideal: FracIdeal, sq_radii) -> Callable[[int, int], bool]:
@@ -234,16 +254,10 @@ def box_membership(ideal: FracIdeal, sq_radii) -> Callable[[int, int], bool]:
     At the complex place the test is U^2 - d*V^2 <= R*D^2; at the real
     ones sigma(x)^2 = (A +- B*sqrt(d)) / D^2 with A = U^2 + d*V^2 and
     B = 2*U*V, compared with R*D^2 by integer signs and squares."""
-    F = ideal.field
-    d = F.d
-    (a, b), (_, c) = ideal.rows
-    # m*(a + b*omega) + k*c*omega over den
-    if d % 4 == 1:  # omega = (1 + sqrt(d)) / 2
-        u0, u1, v0, v1, D = 2 * a + b, c, b, c, 2 * ideal.den
-    else:
-        u0, u1, v0, v1, D = a, 0, b, c, ideal.den
+    d = ideal.field.d
+    (u0, u1), (v0, v1), D = _ideal_forms(ideal)
     cleared = [(R.numerator * D * D, R.denominator) for R in sq_radii]
-    if not F.is_real:
+    if d < 0:
         (P, Q), = cleared
         return lambda m, k: Q * ((m * u0 + k * u1) ** 2 - d * (m * v0 + k * v1) ** 2) <= P
     (P1, Q1), (P2, Q2) = cleared
@@ -263,22 +277,33 @@ def box_membership(ideal: FracIdeal, sq_radii) -> Callable[[int, int], bool]:
     return inside
 
 
+def box_points(ideal: FracIdeal, sq_radii,
+               budget: int = enumeration.DEFAULT_BUDGET) -> Iterator[tuple[int, int]]:
+    """The (m, k) with x = m*b0 + k*b1 inside the box of `box_membership`:
+    the ellipsoid of `ideal_gram` at 2 covers the box, and each of its
+    points is filtered exactly."""
+    coords, _ = enumeration.enumerate_vectors(ideal_gram(ideal, sq_radii),
+                                              2 * (1 + 1e-9), budget)
+    inside = box_membership(ideal, sq_radii)
+    return (c for c in coords if inside(*c))
+
+
+def rational_box_bound(q: Fraction, r: Fraction) -> int:
+    """The largest k with |k*q| <= r: the box over Q is k*q, |k| <= it."""
+    return int(r / q)
+
+
 def box_sections(bundle: HermitianLineBundle,
                  budget: int = enumeration.DEFAULT_BUDGET) -> list:
     """All s in the ideal with |sigma(s)| <= rho_sigma at every embedding;
     membership decided exactly."""
     if bundle.field is None:
-        q, r = bundle.ideal, bundle.radii[0]
-        kmax = int(r / q)
+        q = bundle.ideal
+        kmax = rational_box_bound(q, bundle.radii[0])
         return [k * q for k in range(-kmax, kmax + 1)]
-    F = bundle.field
-    lat = direct_image(bundle)
-    n = 2
-    coords, _ = enumeration.enumerate_vectors(lat.gram, n * (1 + 1e-9), budget)
-    radii = bundle.radii if F.is_real else bundle.radii[:1]
-    inside = box_membership(bundle.ideal, [r * r for r in radii])
-    b = bundle.ideal.basis_elems()
-    return [b[0] * m + b[1] * k for m, k in coords if inside(m, k)]
+    b0, b1 = bundle.ideal.basis_elems()
+    return [b0 * m + b1 * k
+            for m, k in box_points(bundle.ideal, _bundle_sq_radii(bundle), budget)]
 
 
 def h1_via_duality(bundle: HermitianLineBundle,

@@ -17,7 +17,7 @@ from numbers import Rational
 from typing import Optional
 
 from . import enumeration
-from .arakelov import box_membership, f_bound
+from .arakelov import box_points, f_bound, rational_box_bound
 from .intarith import valuation
 from .numfield import FracIdeal, Place, QuadField, prime_ideal
 
@@ -94,27 +94,10 @@ def count_box(field: Optional[QuadField], r: RadiusFamily,
     """#{x in F : |x|_u <= r_u for every place u}, exact."""
     ideal = _ideal_from_finite(r)
     if field is None:
-        kmax = int(r.infinite[0] / ideal)
-        return 2 * kmax + 1
-    b = ideal.basis_elems()
-    # over-cover with the ellipsoid sum |sigma(x)|^2 / rho^2 <= 2, then
-    # filter exactly against the true box
-    if field.is_real:
-        rho2 = [float(x) ** 2 for x in r.infinite]
-    else:
-        rho2 = [float(r.infinite[0])] * 2  # squared modulus per conjugate
-    emb = [x.embeddings() for x in b]
-    gram = [
-        [sum((emb[i][k] * emb[j][k].conjugate()).real / rho2[k]
-             if isinstance(emb[i][k], complex) else emb[i][k] * emb[j][k] / rho2[k]
-             for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    coords, _ = enumeration.enumerate_vectors(gram, 2.0 * (1 + 1e-9), budget)
+        return 2 * rational_box_bound(ideal, r.infinite[0]) + 1
     # |sigma(x)|^2 per real embedding, or the squared modulus Nr(x)
     sq_radii = [x * x for x in r.infinite] if field.is_real else r.infinite
-    inside = box_membership(ideal, sq_radii)
-    return sum(1 for m, k in coords if inside(m, k))
+    return sum(1 for _ in box_points(ideal, sq_radii, budget))
 
 
 def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:

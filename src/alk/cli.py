@@ -133,6 +133,9 @@ def _radius_family(field, rinf, rfin_text):
         # over Q a finite place is just the prime
         places = [Place(None, "finite", p, "ramified")] if field is None \
             else finite_places(field, p)
+        if len(radii) != len(places):
+            raise ValueError(f"--rfin at {p}: {len(radii)} radii for "
+                             f"{len(places)} place(s) over {p}")
         finite.extend((place, _fraction(ru)) for place, ru in zip(places, radii))
     return boxcount.make_radius_family(field, finite, [_fraction(r) for r in rinf])
 

@@ -426,7 +426,6 @@ class BowenBall:
 
 
 def _in_gl_zp(x, p: int) -> bool:
-    n = len(x)
     for row in x:
         for v in row:
             if v != 0 and valuation(Fraction(v), p) < 0:
@@ -456,7 +455,5 @@ def bowen_membership(x, ball: BowenBall) -> bool:
             v = Fraction(x[i][j])
             if v != 0 and valuation(v, ball.p) < need:
                 return False
-            if v == 0:
-                continue
     det = mat_det([[Fraction(v) for v in row] for row in x])
     return det != 0 and valuation(det, ball.p) == 0

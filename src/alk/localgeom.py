@@ -44,12 +44,14 @@ class QuadTorus:
         w, z = _coords_in_basis(x * g, g)
         return [[u, v], [w, z]]
 
+    def eigenbasis(self) -> list[list[QFElem]]:
+        """[[1, 1], [g, conj g]], the inverse of the conjugator."""
+        one, g = self.K.elem(1), self.basis_gen
+        return [[one, one], [g, g.conj()]]
+
     def conjugator(self) -> list[list[QFElem]]:
         """c with c * embed(x) * c^{-1} = diag(x, conj x) for all x."""
-        K, g = self.K, self.basis_gen
-        one = K.elem(1)
-        m = [[one, one], [g, g.conj()]]
-        return mat_inv(m)
+        return mat_inv(self.eigenbasis())
 
 
 def _coords_in_basis(x: QFElem, g: QFElem) -> tuple[Fraction, Fraction]:
@@ -141,8 +143,7 @@ def local_coords(torus: QuadTorus, gamma) -> LocalCoords:
     K = torus.K
     g = [[_as_field_elem(K, x) for x in row] for row in gamma]
     c = torus.conjugator()
-    cinv = mat_inv(c)
-    m = mat_mul(mat_mul(c, g), cinv)
+    m = mat_mul(mat_mul(c, g), torus.eigenbasis())
     if not (m[1][1] == m[0][0].conj() and m[1][0] == m[0][1].conj()):
         raise ArithmeticError("conjugated matrix lost its sigma-pattern")
     return LocalCoords(m[0][0], m[0][1], tuple(tuple(r) for r in c), "finite")
@@ -156,10 +157,8 @@ def _as_field_elem(K: QuadField, x) -> QFElem:
 
 def reconstruct(torus: QuadTorus, coords: LocalCoords):
     """c^{-1} [[b1, b2], [conj b2, conj b1]] c, for the identity check."""
-    c = [list(r) for r in coords.c]
-    cinv = mat_inv(c)
     mid = [[coords.b1, coords.b2], [coords.b2.conj(), coords.b1.conj()]]
-    return mat_mul(mat_mul(cinv, mid), c)
+    return mat_mul(mat_mul(torus.eigenbasis(), mid), [list(r) for r in coords.c])
 
 
 def psi_invariant(torus: QuadTorus, gamma) -> Fraction:

@@ -287,17 +287,6 @@ class Automorphism:
                                        for row in self._rows], x.den * self._den)
 
 
-def poly_disc_quartic(coeffs: Sequence[Fraction]) -> Fraction:
-    """Discriminant of a monic quartic = disc of the power basis Z[theta]."""
-    K = NumberField(tuple(Fraction(c) for c in coeffs))
-    theta = K.gen
-    basis = [K.one(), theta, theta * theta, theta * theta * theta]
-    gram = [[(basis[i] * basis[j]).trace() for j in range(4)] for i in range(4)]
-    from .ratlinalg import mat_det
-
-    return mat_det(gram)
-
-
 # ---------------------------------------------------------------------------
 # cyclotomic arithmetic for Gaussian periods
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .intarith import squarefree_kernel
-from .nfpoly import NumberField, gaussian_period_quartic, poly_disc_quartic
+from .nfpoly import NumberField, gaussian_period_quartic
 from .numfield import (FieldTower, QuadField, biquadratic_conj_polys, make_quad_field,
-                       make_tower)
+                       make_tower, trace_form_disc)
 
 
 def _cyclic_conj_polys(min_poly, tau_poly):
@@ -114,7 +114,8 @@ def gaussian_period_tower(p: int) -> FieldTower:
                        declared_DK=p ** 3, galois_hint="cyclic",
                        conj_polys=conj)
     _check_conj_polys(tower)
-    disc_power = poly_disc_quartic(tower.theta_min_poly)
+    theta = NumberField(tower.theta_min_poly).gen
+    disc_power = trace_form_disc([theta ** i for i in range(4)])
     ratio = Fraction(disc_power, tower.declared_DK)
     from .intarith import is_square_fraction
 

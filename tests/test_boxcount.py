@@ -13,7 +13,7 @@ from alk.boxcount import (
     make_radius_family,
     norm_of_family,
 )
-from alk.arakelov import box_membership
+from alk.arakelov import box_membership, box_sections, ideal_gram, make_bundle
 from alk.numfield import (
     FracIdeal,
     Place,
@@ -215,3 +215,62 @@ def test_integer_box_membership_matches_the_field_route():
     assert min(seen.values()) > 300, seen
     # real and imaginary fields, d = 1 mod 4 and not, split, inert and ramified
     assert len(kinds) == 12, kinds
+
+
+# ---------------------------------------------------------------------------
+# the one ideal Gram behind count_box, box_sections and direct_image
+
+
+def test_ideal_gram_matches_the_trace_and_embedding_grams():
+    rng = random.Random(37)
+    kinds, seen = set(), {"equal": 0, "unequal": 0, "complex": 0}
+    for d in MEMBERSHIP_FIELDS:
+        F = QuadField(d)
+        ideals = [FracIdeal.maximal_order(F)]
+        for p in (2, 3, 5, 7):
+            kinds.add((F.is_real, splitting_type(F, p)))
+            for place in finite_places(F, p):
+                ideals += [prime_ideal(place) ** e for e in range(-4, 5) if e]
+        for ideal in ideals:
+            b = ideal.basis_elems()
+            R = Fraction(rng.randint(1, 60), rng.randint(1, 9))
+            if not F.is_real:
+                # 2*Nr(x)/R = (|sigma(x)|^2 + |conj sigma(x)|^2)/R
+                want = [[(b[i] * b[j].conj()).trace() / R for j in range(2)] for i in range(2)]
+                got = ideal_gram(ideal, (R,))
+                assert got == want and all(type(x) is Fraction for row in got for x in row)
+                seen["complex"] += 1
+                continue
+            want = [[(b[i] * b[j]).trace() / R for j in range(2)] for i in range(2)]
+            got = ideal_gram(ideal, (R, R))
+            assert got == want and all(type(x) is Fraction for row in got for x in row)
+            seen["equal"] += 1
+            R2 = R * Fraction(rng.randint(10, 30), rng.randint(1, 9)) ** 2  # > R
+            emb = [x.embeddings() for x in b]
+            want = [[emb[i][0] * emb[j][0] / float(R) + emb[i][1] * emb[j][1] / float(R2)
+                     for j in range(2)] for i in range(2)]
+            got = ideal_gram(ideal, (R, R2))
+            scale = max(abs(x) for row in want for x in row)
+            for row_g, row_w in zip(got, want):
+                for g, w in zip(row_g, row_w):
+                    assert type(g) is float and abs(g - w) <= 1e-14 * scale, (d, ideal, R, R2)
+            seen["unequal"] += 1
+    assert len(kinds) == 6, kinds  # real and imaginary; split, inert, ramified
+    assert min(seen.values()) > 100, seen
+
+
+def test_complex_count_box_equals_the_number_of_box_sections():
+    # count_box takes the normalized radius R = rho^2 at the complex place,
+    # box_sections the radius rho at each conjugate embedding
+    rng = random.Random(41)
+    for d in (d for d in MEMBERSHIP_FIELDS if d < 0):
+        F = QuadField(d)
+        for p in (2, 3, 5):
+            for place in finite_places(F, p):
+                for e in range(-2, 3):
+                    q = place.residue_size
+                    rho = Fraction(rng.randint(1, 12), rng.randint(1, 3))
+                    fam = make_radius_family(F, [(place, Fraction(q) ** e)], [rho * rho])
+                    ideal = FracIdeal.maximal_order(F) * prime_ideal(place) ** (-e)
+                    sections = box_sections(make_bundle(F, ideal, (rho, rho)))
+                    assert count_box(F, fam) == len(sections) == count_box_naive(F, fam)

@@ -56,6 +56,21 @@ def test_count_box_with_finite_radii(capsys):
     assert code == 0 and data["count"] == 37
 
 
+def test_count_box_needs_one_finite_radius_per_place(capsys):
+    # 3 is inert in Q(i) and 2 is one place of Q: a second radius was dropped;
+    # 5 splits in Q(i), so a bare number leaves its second place unset
+    for field, rinf, rfin in (('{"d": -1}', "[2]", '{"3": [9, 81]}'),
+                              ("q", "[3]", '{"2": [2, 1024]}'),
+                              ('{"d": -1}', "[2]", '{"5": 5}'),
+                              ('{"d": -1}', "[2]", '{"5": [5]}')):
+        code, err = run_cli_err(capsys, ["count-box", "--field", field, "--rinf", rinf,
+                                         "--rfin", rfin])
+        assert code == 1 and "place(s) over" in err, rfin
+    code, data = run_json(capsys, ["count-box", "--field", '{"d": -1}',
+                                   "--rinf", "[2]", "--rfin", '{"3": [9]}'])
+    assert code == 0 and data["norm"] == 18
+
+
 def test_local_two_by_two(capsys):
     code, data = run_json(capsys, ["local", "--d", "2", "--prime", "2",
                                    "--matrix", "[[1, 1], [0, 1]]"])
