@@ -213,35 +213,41 @@ def direct_image(bundle: HermitianLineBundle) -> EuclideanLattice:
 
 
 def _ideal_forms(ideal: FracIdeal):
-    """((u0, u1), (v0, v1), D) with m*b0 + k*b1 = (U + V*sqrt(d)) / D,
-    where U = m*u0 + k*u1 and V = m*v0 + k*v1, over the HNF basis."""
+    """(((u0, v0), (u1, v1)), D) with b_i = (u_i + v_i*sqrt(d)) / D for the
+    HNF basis (b0, b1) of the ideal."""
     (a, b), (_, c) = ideal.rows
-    # m*(a + b*omega) + k*c*omega over den
+    # b0 = a + b*omega, b1 = c*omega, over den
     if ideal.field.d % 4 == 1:  # omega = (1 + sqrt(d)) / 2
-        return (2 * a + b, c), (b, c), 2 * ideal.den
-    return (a, 0), (b, c), ideal.den
+        return ((2 * a + b, b), (c, c)), 2 * ideal.den
+    return ((a, b), (0, c)), ideal.den
+
+
+def _trace_form(d: int, x, y) -> int:
+    """u*u' + |d|*v*v' for forms x = (u, v), y = (u', v')."""
+    return x[0] * y[0] + abs(d) * x[1] * y[1]
+
+
+def _forms_gram(F: QuadField, basis, D: int, sq_radii) -> list[list]:
+    """`ideal_gram` on the basis x_i = (u_i + v_i*sqrt(d)) / D given by
+    its forms (u_i, v_i)."""
+    if len(sq_radii) == 1 or sq_radii[0] == sq_radii[1]:
+        R = sq_radii[0]
+        return [[Fraction(2 * _trace_form(F.d, x, y), D * D) / R for y in basis]
+                for x in basis]
+    emb = [F.elem(Fraction(u, D), Fraction(v, D)).embeddings() for u, v in basis]
+    scale = [float(R) for R in sq_radii]
+    return [[sum(x[k] * y[k] / scale[k] for k in range(2)) for y in emb]
+            for x in emb]
 
 
 def ideal_gram(ideal: FracIdeal, sq_radii) -> list[list]:
     """Gram of sum_sigma sigma(x)^2 / R_sigma on the HNF basis of the
     ideal, for squared radii (R_1, R_2) at the real embeddings, or of
-    2*Nr(x) / R at the complex place (sq_radii = (R,)).
-
-    With b_i = (u_i + v_i*sqrt(d)) / D the entries are
-    2*(u_i*u_j + |d|*v_i*v_j) / (D^2*R), exact Fractions for equal real
-    radii and at the complex place; unequal real radii give floats."""
-    d = ideal.field.d
-    u, v, D = _ideal_forms(ideal)
-    if len(sq_radii) == 1 or sq_radii[0] == sq_radii[1]:
-        R = sq_radii[0]
-        return [[Fraction(2 * (u[i] * u[j] + abs(d) * v[i] * v[j]), D * D) / R
-                 for j in range(2)] for i in range(2)]
-    # int / int rounds correctly, as in QFElem.embeddings
-    s = math.sqrt(d)
-    emb = [(u[i] / D + v[i] / D * s, u[i] / D - v[i] / D * s) for i in range(2)]
-    scale = [float(R) for R in sq_radii]
-    return [[sum(emb[i][k] * emb[j][k] / scale[k] for k in range(2))
-             for j in range(2)] for i in range(2)]
+    2*Nr(x) / R at the complex place (sq_radii = (R,)).  With
+    b_i = (u_i + v_i*sqrt(d)) / D the entries are the exact Fractions
+    2*(u_i*u_j + |d|*v_i*v_j) / (D^2*R), or, at unequal real radii,
+    floats from the embeddings."""
+    return _forms_gram(ideal.field, *_ideal_forms(ideal), sq_radii)
 
 
 def box_membership(ideal: FracIdeal, sq_radii) -> Callable[[int, int], bool]:
@@ -255,7 +261,7 @@ def box_membership(ideal: FracIdeal, sq_radii) -> Callable[[int, int], bool]:
     ones sigma(x)^2 = (A +- B*sqrt(d)) / D^2 with A = U^2 + d*V^2 and
     B = 2*U*V, compared with R*D^2 by integer signs and squares."""
     d = ideal.field.d
-    (u0, u1), (v0, v1), D = _ideal_forms(ideal)
+    ((u0, v0), (u1, v1)), D = _ideal_forms(ideal)
     cleared = [(R.numerator * D * D, R.denominator) for R in sq_radii]
     if d < 0:
         (P, Q), = cleared
@@ -277,20 +283,39 @@ def box_membership(ideal: FracIdeal, sq_radii) -> Callable[[int, int], bool]:
     return inside
 
 
+def _gauss_reduced(d: int, basis):
+    """(reduced, columns): a Lagrange-Gauss reduced basis, as forms, for the
+    trace form u*u' + |d|*v*v', and the integer columns c_j with
+    reduced_j = c_j[0]*basis_0 + c_j[1]*basis_1.  Exact."""
+    (p, cp), (r, cr) = (basis[0], (1, 0)), (basis[1], (0, 1))
+    while True:
+        if _trace_form(d, r, r) < _trace_form(d, p, p):
+            (p, cp), (r, cr) = (r, cr), (p, cp)
+        n = _trace_form(d, p, p)
+        mu = (2 * _trace_form(d, p, r) + n) // (2 * n)  # nearest to <p, r>/<p, p>
+        if mu == 0:
+            return (p, r), (cp, cr)
+        r = (r[0] - mu * p[0], r[1] - mu * p[1])
+        cr = (cr[0] - mu * cp[0], cr[1] - mu * cp[1])
+
+
 def box_points(ideal: FracIdeal, sq_radii,
                budget: int = enumeration.DEFAULT_BUDGET) -> Iterator[tuple[int, int]]:
-    """The (m, k) with x = m*b0 + k*b1 inside the box of `box_membership`:
-    the ellipsoid of `ideal_gram` at 2 covers the box, and each of its
-    points is filtered exactly."""
-    coords, _ = enumeration.enumerate_vectors(ideal_gram(ideal, sq_radii),
+    """The (m, k) with x = m*b0 + k*b1 inside the box of `box_membership`.
+    The HNF basis is first Lagrange-Gauss reduced for the trace form, so
+    that a skewed ideal gives a well-conditioned Gram; the ellipsoid of
+    the reduced basis at 2 covers the box, and each of its points is
+    mapped back to (m, k) and filtered exactly."""
+    F = ideal.field
+    basis, D = _ideal_forms(ideal)
+    reduced, ((a0, a1), (c0, c1)) = _gauss_reduced(F.d, basis)
+    coords, _ = enumeration.enumerate_vectors(_forms_gram(F, reduced, D, sq_radii),
                                               2 * (1 + 1e-9), budget)
     inside = box_membership(ideal, sq_radii)
-    return (c for c in coords if inside(*c))
-
-
-def rational_box_bound(q: Fraction, r: Fraction) -> int:
-    """The largest k with |k*q| <= r: the box over Q is k*q, |k| <= it."""
-    return int(r / q)
+    for s, t in coords:
+        m, k = s * a0 + t * c0, s * a1 + t * c1
+        if inside(m, k):
+            yield m, k
 
 
 def box_sections(bundle: HermitianLineBundle,
@@ -299,11 +324,11 @@ def box_sections(bundle: HermitianLineBundle,
     membership decided exactly."""
     if bundle.field is None:
         q = bundle.ideal
-        kmax = rational_box_bound(q, bundle.radii[0])
+        kmax = int(bundle.radii[0] / q)
         return [k * q for k in range(-kmax, kmax + 1)]
     b0, b1 = bundle.ideal.basis_elems()
-    return [b0 * m + b1 * k
-            for m, k in box_points(bundle.ideal, _bundle_sq_radii(bundle), budget)]
+    points = box_points(bundle.ideal, _bundle_sq_radii(bundle), budget)
+    return [b0 * m + b1 * k for m, k in sorted(points, key=lambda c: (c[1], c[0]))]
 
 
 def h1_via_duality(bundle: HermitianLineBundle,

@@ -17,7 +17,7 @@ from numbers import Rational
 from typing import Optional
 
 from . import enumeration
-from .arakelov import box_points, f_bound, rational_box_bound
+from .arakelov import box_points, f_bound
 from .intarith import valuation
 from .numfield import FracIdeal, Place, QuadField, prime_ideal
 
@@ -94,7 +94,7 @@ def count_box(field: Optional[QuadField], r: RadiusFamily,
     """#{x in F : |x|_u <= r_u for every place u}, exact."""
     ideal = _ideal_from_finite(r)
     if field is None:
-        return 2 * rational_box_bound(ideal, r.infinite[0]) + 1
+        return 2 * int(r.infinite[0] / ideal) + 1
     # |sigma(x)|^2 per real embedding, or the squared modulus Nr(x)
     sq_radii = [x * x for x in r.infinite] if field.is_real else r.infinite
     return sum(1 for _ in box_points(ideal, sq_radii, budget))

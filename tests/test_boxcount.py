@@ -274,3 +274,26 @@ def test_complex_count_box_equals_the_number_of_box_sections():
                     ideal = FracIdeal.maximal_order(F) * prime_ideal(place) ** (-e)
                     sections = box_sections(make_bundle(F, ideal, (rho, rho)))
                     assert count_box(F, fam) == len(sections) == count_box_naive(F, fam)
+
+
+def test_skewed_split_ideals_count_exactly():
+    # P^-e at a split prime is principal here, (pi^-e), with an HNF basis
+    # that grows more skewed with |e|.  With |x|_P <= q^e and Archimedean
+    # radius q^(-e/2) the box holds x = pi^-e * y with |Nr(y)| <= 1: y = 0
+    # or a unit.  An imaginary field keeps every root of unity; a real one
+    # keeps 0 alone, since |sigma_1(x)| = |sigma_2(x)| would make the ideal
+    # Galois stable.
+    roots = {-1: 4, -2: 2, -3: 6, -7: 2, 2: 0, 3: 0}
+    for d, p in ((-1, 5), (-1, 13), (-2, 3), (-3, 7), (-3, 13), (-7, 2), (2, 7), (3, 13)):
+        F = QuadField(d)
+        place = finite_places(F, p)[0]
+        assert splitting_type(F, p) == "split"
+        q = place.residue_size
+        for e in (-24, -16, -8, 8, 16, 24):
+            rho = Fraction(q) ** (-e // 2)
+            rinf = [rho * rho] if d < 0 else [rho, rho]
+            fam = make_radius_family(F, [(place, Fraction(q) ** e)], rinf)
+            bundle = make_bundle(F, prime_ideal(place) ** (-e), (rho, rho))
+            want = 1 + roots[d]
+            assert count_box(F, fam, budget=1000) == want, (d, p, e)
+            assert len(box_sections(bundle, budget=1000)) == want, (d, p, e)

@@ -71,6 +71,19 @@ def test_count_box_needs_one_finite_radius_per_place(capsys):
     assert code == 0 and data["norm"] == 18
 
 
+def test_count_box_at_skewed_split_ideals(capsys):
+    # x in P^12 over 5 in Q(i) with Nr(x) <= 5^12: 0 and the four unit
+    # multiples of a generator.  x in P^16 over 2 in Q(sqrt 41) with
+    # |sigma_1(x)| <= 2^16 and |sigma_2(x)| <= 1 (unequal radii): a nonzero
+    # x has |Nr(x)| = 2^16, so sigma_2(x) = +-1 and x = +-1, not in P^16
+    for field, rinf, rfin, want in (
+            ('{"d": -1}', "[244140625]", '{"5": ["1/244140625", 1]}', 5),
+            ('{"d": 41}', "[65536, 1]", '{"2": ["1/65536", 1]}', 1)):
+        code, data = run_json(capsys, ["count-box", "--field", field, "--rinf", rinf,
+                                       "--rfin", rfin])
+        assert code == 2 and data["count"] == want, field
+
+
 def test_local_two_by_two(capsys):
     code, data = run_json(capsys, ["local", "--d", "2", "--prime", "2",
                                    "--matrix", "[[1, 1], [0, 1]]"])
