@@ -14,7 +14,7 @@ everywhere are exactly the elements of the ideal inside the box
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterator, Optional, Sequence
@@ -63,6 +63,10 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
 
 @dataclass(frozen=True)
 class ThetaReport:
+    """h0, h1: log theta of L and L*, summed over |v| <= truncation_radius;
+    each is below the true value by less than tail_bound, which bounds the
+    truncation only, not float rounding (large on skewed Grams)."""
+
     h0: float
     h1: float
     adeg: float
@@ -70,13 +74,7 @@ class ThetaReport:
     tail_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "h0": self.h0,
-            "h1": self.h1,
-            "adeg": self.adeg,
-            "truncation_radius": self.truncation_radius,
-            "tail_bound": self.tail_bound,
-        }
+        return asdict(self)
 
 
 def theta_invariants_euclidean(
@@ -85,9 +83,8 @@ def theta_invariants_euclidean(
     budget: int = enumeration.DEFAULT_BUDGET,
 ) -> ThetaReport:
     h0, radius, tail = enumeration.theta_log_sum(lat.gram, tail_tol, budget)
-    h1, radius_d, tail_d = enumeration.theta_log_sum(lat.dual().gram, tail_tol, budget)
-    adeg = -math.log(lat.covolume())
-    return ThetaReport(h0, h1, adeg, max(radius, radius_d), max(tail, tail_d))
+    h1, _, _ = enumeration.theta_log_sum(lat.dual().gram, tail_tol, budget)
+    return ThetaReport(h0, h1, -math.log(lat.covolume()), radius, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +333,7 @@ def h1_via_duality(bundle: HermitianLineBundle,
                    budget: int = enumeration.DEFAULT_BUDGET) -> float:
     """h1 of the bundle as h0 of dual tensor canonical."""
     twisted = tensor_bundle(dual_bundle(bundle), canonical_bundle(bundle.field))
-    lat = direct_image(twisted)
-    h0, _, _ = enumeration.theta_log_sum(lat.gram, tail_tol, budget)
-    return h0
+    return enumeration.theta_log_sum(direct_image(twisted).gram, tail_tol, budget)[0]
 
 
 def bundle_theta_and_h0ar(

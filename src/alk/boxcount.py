@@ -17,7 +17,7 @@ from numbers import Rational
 from typing import Optional
 
 from . import enumeration
-from .arakelov import box_points, f_bound
+from .arakelov import _gauss_reduced, box_points, f_bound
 from .intarith import valuation
 from .numfield import FracIdeal, Place, QuadField, prime_ideal
 
@@ -101,8 +101,9 @@ def count_box(field: Optional[QuadField], r: RadiusFamily,
 
 
 def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
-    """Independent oracle: direct double loop over ideal-basis coefficients
-    inside coefficient bounds obtained from the inverse embedding matrix."""
+    """Independent oracle: direct double loop over the coefficients of x
+    in a Lagrange-Gauss reduced basis of the ideal, inside exact integer
+    bounds from the trace form, with its own exact membership test."""
     ideal = _ideal_from_finite(r)
     if field is None:
         count = 0
@@ -112,23 +113,22 @@ def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
             k += 1
         return count
     b = ideal.basis_elems()
-    if field.is_real:
-        e = [[float(v) for v in x.embeddings()] for x in b]
-        rho = [float(x) for x in r.infinite]
-    else:
-        emb = [x.embeddings()[0] for x in b]
-        e = [[z.real, z.imag] for z in emb]
-        rho = [math.sqrt(float(r.infinite[0]))] * 2
-    # coords (m, k) satisfy (sigma_1 x, sigma_2 x) = (m, k) . E
-    det = e[0][0] * e[1][1] - e[0][1] * e[1][0]
-    inv = [[e[1][1] / det, -e[0][1] / det], [-e[1][0] / det, e[0][0] / det]]
-    m_max = int(abs(inv[0][0]) * rho[0] + abs(inv[1][0]) * rho[1]) + 1
-    k_max = int(abs(inv[0][1]) * rho[0] + abs(inv[1][1]) * rho[1]) + 1
-    # its own exact test, kept apart from count_box's: x = m*b0 + k*b1 is
-    # (U + V*sqrt(d)) / D, and each embedding is bounded on both sides
+    # x = (U + V*sqrt(d)) / D; the trace form T(x) = U^2 + |d|*V^2 is
+    # D^2 * Nr(x) at the complex place and D^2 * (sigma_1(x)^2 +
+    # sigma_2(x)^2) / 2 at the real ones, so the box lies in T <= t_max
     d = field.d
     D = math.lcm(b[0].den, b[1].den)
-    (u0, v0), (u1, v1) = [(x.an * (D // x.den), x.bn * (D // x.den)) for x in b]
+    forms = [(x.an * (D // x.den), x.bn * (D // x.den)) for x in b]
+    (u0, v0), (u1, v1) = reduced = _gauss_reduced(d, forms)[0]
+    t_max = D * D * (sum(x * x for x in r.infinite) / 2 if field.is_real
+                     else r.infinite[0])
+    # x = m*b0 + k*b1 in the reduced basis has m^2 <= T(x) * T(b1) / det
+    # and k^2 <= T(x) * T(b0) / det (Cauchy-Schwarz against the dual basis)
+    (n0, n01), (_, n1) = [[x[0] * y[0] + abs(d) * x[1] * y[1] for y in reduced]
+                          for x in reduced]
+    det = n0 * n1 - n01 * n01
+    m_max = math.isqrt(math.floor(t_max * n1 / det))
+    k_max = math.isqrt(math.floor(t_max * n0 / det))
     if field.is_real:
         # q*(U +- V*sqrt(d)) against +-p*D for rho = p/q
         bounds = [(rho.numerator * D, rho.denominator) for rho in r.infinite]

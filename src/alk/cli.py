@@ -42,6 +42,12 @@ def _fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _budget(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return int(text)
+
+
 def _parse_field(text):
     if text is None or text.lower() in ("q", "null"):
         return None
@@ -361,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", default=argparse.SUPPRESS,
                         choices=["json", "csv"])
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--budget", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--budget", type=_budget, default=argparse.SUPPRESS)
     parser = argparse.ArgumentParser(prog="alk", parents=[common])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -454,7 +460,8 @@ def main(argv=None) -> int:
                     fmt=getattr(args, "format", "json"))
     try:
         report, code = args.handler(args, cfg)
-    except (ValueError, ArithmeticError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, ArithmeticError, KeyError, json.JSONDecodeError,
+            enumeration.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     _emit(report, cfg.fmt)

@@ -6,19 +6,17 @@ reaches each x, visits only the half space where the last nonzero
 coordinate of x is positive, and returns 1 + 2 * (half sum), which is
 exact because x and -x get bit-identical norms.
 
-Theta sums are truncated at a radius R whose Gaussian tail is certified:
-with m the lattice minimum, balls of radius sqrt(m)/2 around lattice
-points are disjoint, so #{v : |v| <= r} <= (1 + 2r/sqrt(m))^n and
-
-    sum_{|v| > R} e^{-pi |v|^2}
-        <= sum_{k >= 0} (1 + 2(R+k+1)/sqrt(m))^n e^{-pi (R+k)^2}.
-
-The reported tail_bound is this sum; R is grown until it is below the
-requested tolerance.
+The sum stops at a radius set by the rank n and the tolerance alone.
+For c > 1/sqrt(2 pi), Banaszczyk's lemma (Math. Ann. 296 (1993), Lemma
+1.5) bounds the mass e^{-pi |v|^2} of any rank-n lattice outside radius
+c sqrt(n) by C^n theta, with C = c sqrt(2 pi e) e^{-pi c^2}.  So the log
+of the partial sum falls below log theta by less than -log(1 - C^n), the
+reported tail_bound; it covers truncation, not float rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import _fpenum_py
@@ -36,39 +34,37 @@ def enumerate_vectors(gram, bound, budget=DEFAULT_BUDGET):
                                         float(bound), budget)
 
 
-def lattice_minimum(gram) -> float:
-    """Smallest nonzero value of the quadratic form on Z^n (float)."""
-    bound = min(float(gram[i][i]) for i in range(len(gram)))
-    while True:
-        _, norms = enumerate_vectors(gram, bound)
-        nz = [q for q in norms if q > 1e-12]
-        if nz:
-            return min(nz)
-        bound *= 2.0
+def _banaszczyk_bound(n: int, radius: float) -> float:
+    """-log(1 - C^n) for c = radius / sqrt(n); inf where C^n >= 1."""
+    c = radius / math.sqrt(n)
+    log_cn = n * (math.log(c) + 0.5 * math.log(2 * math.pi * math.e) - math.pi * c * c)
+    return math.inf if log_cn >= 0 else -math.log1p(-math.exp(log_cn))
 
 
-def gaussian_tail_bound(radius: float, minimum: float, n: int) -> float:
-    root_m = math.sqrt(minimum)
-    total = 0.0
-    k = 0
-    while True:
-        term = (1.0 + 2.0 * (radius + k + 1) / root_m) ** n \
-            * math.exp(-math.pi * (radius + k) ** 2)
-        total += term
-        if term < 1e-40 and k > 2:
-            return total
-        k += 1
+@functools.lru_cache(maxsize=None)
+def truncation_radius(n: int, tail_tol: float) -> tuple[float, float]:
+    """(R, bound): the smallest radius, to 40 bisection steps, at which the
+    Banaszczyk bound for rank n is below tail_tol, and that bound."""
+    lo = hi = math.sqrt(n / (2 * math.pi))  # where C = 1
+    while _banaszczyk_bound(n, hi) >= tail_tol:
+        lo, hi = hi, 2 * hi
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        if _banaszczyk_bound(n, mid) < tail_tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi, _banaszczyk_bound(n, hi)
 
 
 def theta_log_sum(gram, tail_tol=DEFAULT_TAIL_TOL, budget=DEFAULT_BUDGET):
     """(h0, truncation_radius, tail_bound) with h0 = log sum e^{-pi Q(v)}
     over the whole lattice, certified to the given tail tolerance."""
-    n = len(gram)
-    m = lattice_minimum(gram)
-    radius = max(1.5, math.sqrt(math.log(4.0 / tail_tol) / math.pi))
-    while gaussian_tail_bound(radius, m, n) >= tail_tol:
-        radius += 0.25
-    tail = gaussian_tail_bound(radius, m, n)
+    if not 0 < tail_tol < 1:
+        raise ValueError(f"tail tolerance {tail_tol} not in (0, 1)")
+    if not gram:
+        raise ValueError("theta sum of a rank-0 lattice")
+    radius, tail = truncation_radius(len(gram), tail_tol)
     gram_f = [list(map(float, r)) for r in gram]
-    total, _count = _fpenum_py.gauss_sum(gram_f, radius * radius, budget)
+    total, _ = _fpenum_py.gauss_sum(gram_f, radius * radius, budget)
     return math.log(total), radius, tail

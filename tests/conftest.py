@@ -60,3 +60,20 @@ def random_invertible(rng: random.Random, n: int, span: int = 3):
              for _ in range(n)]
         if mat_det([row[:] for row in m]) != 0:
             return m
+
+
+def within_seconds(seconds: int, fn):
+    """fn(), or TimeoutError once it has run for the given seconds, so that
+    a regression to a hang fails instead of stalling the suite."""
+    import signal
+
+    def stop(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.alarm(seconds)
+    try:
+        return fn()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)

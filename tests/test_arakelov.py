@@ -208,3 +208,50 @@ def test_budget_is_enforced():
     gram = [[Fraction(1, 100)]]
     with pytest.raises(enumeration.BudgetExceeded):
         enumeration.enumerate_vectors(gram, 1.0, budget=3)
+
+
+def _theta_1d(g):
+    """sum_k exp(-pi g k^2) over all integers k, summed until the terms
+    underflow, far past any truncation radius."""
+    kmax = math.isqrt(math.ceil(800 / (math.pi * g))) + 1
+    return math.fsum(math.exp(-math.pi * g * k * k) for k in range(-kmax, kmax + 1))
+
+
+@pytest.mark.parametrize("tail_tol", [1e-12, 1e-6, 1e-3])
+def test_theta_truncation_error_within_the_tail_bound(tail_tol):
+    """On a diagonal lattice theta is a product of 1-D series, so h0 is
+    known independently of the enumeration; the truncated sum may miss it
+    only by less than the reported bound, which depends on the rank alone."""
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            diag = [Fraction(rng.randint(1, 100), 20) for _ in range(n)]
+            gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+            h0, radius, tail = enumeration.theta_log_sum(gram, tail_tol)
+            want = math.fsum(math.log(_theta_1d(float(g))) for g in diag)
+            assert tail < tail_tol
+            assert -1e-14 <= want - h0 <= tail, (diag, want - h0, tail)
+            lat = euclidean_lattice(gram)
+            assert enumeration.theta_log_sum(lat.dual().gram, tail_tol)[1:] == (radius, tail)
+            rep = theta_invariants_euclidean(lat, tail_tol)
+            assert (rep.truncation_radius, rep.tail_bound) == (radius, tail)
+
+
+def test_truncation_radius_depends_on_the_rank_alone():
+    # the smallest radius with Banaszczyk's bound below 1e-12: about 3.20
+    # at rank 2 and 3.36 at rank 4, and it grows with the rank
+    radii = [enumeration.truncation_radius(n, 1e-12)[0] for n in range(1, 9)]
+    assert radii == sorted(radii)
+    assert abs(radii[1] - 3.1965) < 1e-4 and abs(radii[3] - 3.3557) < 1e-4
+    for n in (1, 4):
+        r, tail = enumeration.truncation_radius(n, 1e-12)
+        assert tail < 1e-12 <= enumeration._banaszczyk_bound(n, r * (1 - 1e-9))
+
+
+@pytest.mark.parametrize("tail_tol", [0, -1e-12, 1, 2.5, float("nan"), float("inf")])
+def test_tail_tolerance_outside_zero_one_is_rejected(tail_tol):
+    lat = euclidean_lattice([[1]])
+    with pytest.raises(ValueError, match="tail tolerance"):
+        enumeration.theta_log_sum(lat.gram, tail_tol)
+    with pytest.raises(ValueError, match="tail tolerance"):
+        theta_invariants_euclidean(lat, tail_tol)

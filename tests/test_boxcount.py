@@ -23,6 +23,7 @@ from alk.numfield import (
     prime_ideal,
     splitting_type,
 )
+from conftest import within_seconds
 
 
 def test_gaussian_integers_in_small_disc():
@@ -297,3 +298,14 @@ def test_skewed_split_ideals_count_exactly():
             want = 1 + roots[d]
             assert count_box(F, fam, budget=1000) == want, (d, p, e)
             assert len(box_sections(bundle, budget=1000)) == want, (d, p, e)
+
+
+def test_naive_count_is_fast_at_skewed_split_ideals():
+    # at d = -1, p = 5 the HNF basis of P^-e grows skewed with |e|; the
+    # oracle's coefficient box comes from the reduced basis, so its size
+    # follows the box, not the skew
+    F = QuadField(-1)
+    place = finite_places(F, 5)[0]
+    for e in (-16, -24):
+        fam = make_radius_family(F, [(place, Fraction(5) ** e)], [Fraction(5) ** -e])
+        assert within_seconds(5, lambda: count_box_naive(F, fam)) == count_box(F, fam) == 5

@@ -2,7 +2,10 @@ import json
 import shlex
 from pathlib import Path
 
+import pytest
+
 from alk.cli import main
+from conftest import within_seconds
 
 
 def run_cli(capsys, argv):
@@ -280,6 +283,8 @@ def test_usage_and_runtime_errors_exit_one(capsys):
     assert code == 1
     code, _ = run_cli(capsys, ["theta", "--gram", "[[1, 2], [0, 1]]"])
     assert code == 1
+    code, err = run_cli_err(capsys, ["theta", "--gram", "[]"])
+    assert code == 1 and "rank-0" in err
 
 
 def test_count_box_over_q_validates_its_radii(capsys):
@@ -299,3 +304,20 @@ def test_every_readme_command_runs(capsys):
     for line in lines:
         code, _ = run_cli(capsys, shlex.split(line)[1:])
         assert code in (0, 2), line
+
+
+def test_budget_below_one_is_a_usage_error(capsys):
+    for budget in ("0", "-5", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["theta", "--gram", "[[1]]", "--budget", budget])
+        assert exc.value.code == 1, budget
+        assert "argument --budget: must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_exceeded_budget_is_an_error_line(capsys):
+    # [[1e300]] has the dual [[1e-300]], whose ball holds ~10^150 points
+    for argv in (["theta", "--gram", "[[1]]", "--budget", "2"],
+                 ["theta", "--gram", "[[1e300]]"]):
+        code, err = within_seconds(10, lambda: run_cli_err(capsys, argv))
+        assert code == 1, argv
+        assert err.startswith("error: enumeration budget"), err
