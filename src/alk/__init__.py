@@ -58,7 +58,6 @@ from .numfield import (
     FieldTower,
     FracIdeal,
     Place,
-    QFElem,
     QuadField,
     content,
     finite_places,

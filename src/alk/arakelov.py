@@ -20,7 +20,8 @@ from numbers import Rational
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import enumeration
-from .numfield import FracIdeal, QFElem, QuadField
+from .nfpoly import NFElem
+from .numfield import FracIdeal, QuadField, embeddings
 from .ratlinalg import leading_minors, mat_det, mat_inv
 
 
@@ -137,9 +138,10 @@ def canonical_bundle(field: Optional[QuadField]) -> HermitianLineBundle:
     log D_F."""
     if field is None:
         return trivial_bundle(None)
+    # the different is generated by sqrt(d), or by 2*sqrt(d) when d != 1
+    # mod 4, and 1/sqrt(d) = sqrt(d)/d
     d = field.d
-    sqrt_d = field.elem(0, 1)
-    gen = 1 / sqrt_d if d % 4 == 1 else 1 / (2 * sqrt_d)
+    gen = field.elem(0, Fraction(1, d if d % 4 == 1 else 2 * d))
     ideal = FracIdeal.from_gens(field, [gen])
     return make_bundle(field, ideal, (1, 1))
 
@@ -160,14 +162,14 @@ def adeg_via_section(bundle: HermitianLineBundle, s) -> float:
             raise ValueError("section not in the ideal")
         index = abs(s) / bundle.ideal
         return math.log(index) - math.log(abs(s) / bundle.radii[0])
-    assert isinstance(s, QFElem)
+    assert isinstance(s, NFElem)
     if s.is_zero():
         raise ValueError("zero section")
     if not bundle.ideal.contains(s):
         raise ValueError("section not in the ideal")
     index = abs(s.norm()) / bundle.ideal.norm()
     arch = 0.0
-    for k, sigma in enumerate(s.embeddings()):
+    for k, sigma in enumerate(embeddings(s)):
         arch += math.log(abs(sigma) / float(bundle.radii[k]))
     return math.log(index) - arch
 
@@ -231,7 +233,7 @@ def _forms_gram(F: QuadField, basis, D: int, sq_radii) -> list[list]:
         R = sq_radii[0]
         return [[Fraction(2 * _trace_form(F.d, x, y), D * D) / R for y in basis]
                 for x in basis]
-    emb = [F.elem(Fraction(u, D), Fraction(v, D)).embeddings() for u, v in basis]
+    emb = [embeddings(F.elem(Fraction(u, D), Fraction(v, D))) for u, v in basis]
     scale = [float(R) for R in sq_radii]
     return [[sum(x[k] * y[k] / scale[k] for k in range(2)) for y in emb]
             for x in emb]

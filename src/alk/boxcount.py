@@ -118,7 +118,7 @@ def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
     # sigma_2(x)^2) / 2 at the real ones, so the box lies in T <= t_max
     d = field.d
     D = math.lcm(b[0].den, b[1].den)
-    forms = [(x.an * (D // x.den), x.bn * (D // x.den)) for x in b]
+    forms = [tuple(c * (D // x.den) for c in x.num) for x in b]
     (u0, v0), (u1, v1) = reduced = _gauss_reduced(d, forms)[0]
     t_max = D * D * (sum(x * x for x in r.infinite) / 2 if field.is_real
                      else r.infinite[0])

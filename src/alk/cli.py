@@ -187,8 +187,7 @@ def _cmd_local(args, cfg: RunConfig):
         return res, EXIT_OK
     ext = localgeom.different_and_orders(args.d, args.prime, args.conductor)
     checks = localgeom.integrality_checks(ext, gamma)
-    torus = localgeom.QuadTorus(ext.K, ext.alpha)
-    psi = localgeom.psi_invariant(torus, gamma)
+    psi = localgeom.psi_invariant(ext.torus, gamma)
     bound = localgeom.psi_bound_finite(ext, gamma)
     return {
         "ext": {"p": ext.p, "type": ext.ext_type, "conductor": ext.conductor,

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .intarith import is_square_fraction, sqrt_fraction, valuation
 from .nfpoly import NFElem, NumberField
-from .numfield import FieldTower, biquadratic_conj_polys
+from .numfield import FieldTower, biquadratic_conj_polys, conj
 from .ratlinalg import mat_det, mat_inv, mat_mul, mat_vec, transpose
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
@@ -147,7 +147,7 @@ def _closure_mul(x, y, delta):
     given by their F-coordinates on (1, u, v, uv)."""
     x0, x1, x2, x3 = x
     y0, y1, y2, y3 = y
-    bar = delta.conj()
+    bar = conj(delta)
     return (x0 * y0 + x1 * y1 * delta + x2 * y2 * bar + x3 * y3 * delta.norm(),
             x0 * y1 + x1 * y0 + (x2 * y3 + x3 * y2) * bar,
             x0 * y2 + x2 * y0 + (x1 * y3 + x3 * y1) * delta,
@@ -166,8 +166,7 @@ def _dihedral_closure(tower: FieldTower):
     are (u, -u, v, -v), which sends sqrt(d) to +sqrt(d) at the first two,
     and Gal(L/Q) is D4: u -> +-u, v -> +-v fixing sqrt(d), and u -> +-v,
     v -> +-u negating it."""
-    delta = tower.delta
-    F = delta.field
+    delta, F = tower.delta, tower.base
     zero, one = F.elem(0), F.elem(1)
     eta = (zero, one, F.elem(2), zero)
     powers = [(one, zero, zero, zero)]
@@ -175,7 +174,7 @@ def _dihedral_closure(tower: FieldTower):
         powers.append(_closure_mul(powers[-1], eta, delta))
 
     def coords(x):
-        return [c for q in x for c in (q.a, q.b)]
+        return [c for q in x for c in q.coeffs]
 
     inv = mat_inv(transpose([coords(p) for p in powers[:8]]))
     eta8, sqrt_d, u, v = (mat_vec(inv, coords(x)) for x in (

@@ -14,11 +14,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 from .intarith import valuation
-from .numfield import QFElem, QuadField
+from .nfpoly import NFElem
+from .numfield import QuadField, conj
 from .ratlinalg import mat_inv, mat_mul
 
 
@@ -31,30 +33,35 @@ class QuadTorus:
     """Multiplication model of K^x on the basis (1, basis_gen)."""
 
     K: QuadField
-    basis_gen: QFElem
+    basis_gen: NFElem
 
     def __post_init__(self):
         if self.basis_gen.b == 0:
             raise ValueError("basis generator must not be rational")
 
-    def embed(self, x: QFElem) -> list[list[Fraction]]:
+    def embed(self, x: NFElem) -> list[list[Fraction]]:
         """Matrix of right multiplication by x on row vectors."""
         g = self.basis_gen
         u, v = _coords_in_basis(x, g)
         w, z = _coords_in_basis(x * g, g)
         return [[u, v], [w, z]]
 
-    def eigenbasis(self) -> list[list[QFElem]]:
+    def eigenbasis(self) -> list[list[NFElem]]:
         """[[1, 1], [g, conj g]], the inverse of the conjugator."""
         one, g = self.K.elem(1), self.basis_gen
-        return [[one, one], [g, g.conj()]]
+        return [[one, one], [g, conj(g)]]
 
-    def conjugator(self) -> list[list[QFElem]]:
+    def conjugator(self) -> list[list[NFElem]]:
         """c with c * embed(x) * c^{-1} = diag(x, conj x) for all x."""
+        return [row[:] for row in self._conjugator]
+
+    @cached_property
+    def _conjugator(self) -> list[list[NFElem]]:
+        # one inverse per torus, not one per local_coords call
         return mat_inv(self.eigenbasis())
 
 
-def _coords_in_basis(x: QFElem, g: QFElem) -> tuple[Fraction, Fraction]:
+def _coords_in_basis(x: NFElem, g: NFElem) -> tuple[Fraction, Fraction]:
     """(u, v) with x = u + v*g."""
     v = x.b / g.b
     u = x.a - v * g.a
@@ -84,10 +91,15 @@ class LocalQuadExt:
     p: int
     conductor: int
     ext_type: str  # split / inert / ramified
-    alpha: QFElem  # order generator f*omega
-    delta: QFElem  # different generator alpha - conj(alpha)
+    alpha: NFElem  # order generator f*omega
+    delta: NFElem  # different generator alpha - conj(alpha)
 
-    @property
+    @cached_property
+    def torus(self) -> QuadTorus:
+        """The torus on the basis (1, alpha) of the order."""
+        return QuadTorus(self.K, self.alpha)
+
+    @cached_property
     def disc_valuation(self) -> int:
         return valuation(self.delta.norm(), self.p)
 
@@ -96,12 +108,12 @@ class LocalQuadExt:
         """|disc O_u|_p^{-1} = p^{v_p(Nr delta)}."""
         return Fraction(self.p) ** self.disc_valuation
 
-    def in_order(self, x: QFElem) -> bool:
+    def in_order(self, x: NFElem) -> bool:
         """x in Z_p + Z_p*alpha."""
         u, v = _coords_in_basis(x, self.alpha)
         return _p_integral(u, self.p) and _p_integral(v, self.p)
 
-    def in_inverse_different(self, x: QFElem) -> bool:
+    def in_inverse_different(self, x: NFElem) -> bool:
         return self.in_order(x * self.delta)
 
 
@@ -116,7 +128,7 @@ def different_and_orders(D: int, p: int, f: int = 1) -> LocalQuadExt:
 
     K = QuadField(D)
     alpha = K.omega * f
-    delta = alpha - alpha.conj()
+    delta = alpha - conj(alpha)
     return LocalQuadExt(K, p, f, splitting_type(K, p), alpha, delta)
 
 
@@ -126,7 +138,7 @@ def different_and_orders(D: int, p: int, f: int = 1) -> LocalQuadExt:
 
 @dataclass(frozen=True)
 class LocalCoords:
-    b1: object  # QFElem (finite) or complex (Archimedean)
+    b1: object  # NFElem (finite) or a pair of complex numbers (Archimedean)
     b2: object
     c: tuple  # conjugator rows
     kind: str  # "finite" or "arch"
@@ -141,23 +153,17 @@ class LocalCoords:
 def local_coords(torus: QuadTorus, gamma) -> LocalCoords:
     """Exact coordinates of a rational 2x2 matrix with respect to the torus."""
     K = torus.K
-    g = [[_as_field_elem(K, x) for x in row] for row in gamma]
+    g = [[K.coerce(x) for x in row] for row in gamma]
     c = torus.conjugator()
     m = mat_mul(mat_mul(c, g), torus.eigenbasis())
-    if not (m[1][1] == m[0][0].conj() and m[1][0] == m[0][1].conj()):
+    if not (m[1][1] == conj(m[0][0]) and m[1][0] == conj(m[0][1])):
         raise ArithmeticError("conjugated matrix lost its sigma-pattern")
     return LocalCoords(m[0][0], m[0][1], tuple(tuple(r) for r in c), "finite")
 
 
-def _as_field_elem(K: QuadField, x) -> QFElem:
-    if isinstance(x, QFElem):
-        return x
-    return K.elem(Fraction(x))
-
-
 def reconstruct(torus: QuadTorus, coords: LocalCoords):
     """c^{-1} [[b1, b2], [conj b2, conj b1]] c, for the identity check."""
-    mid = [[coords.b1, coords.b2], [coords.b2.conj(), coords.b1.conj()]]
+    mid = [[coords.b1, coords.b2], [conj(coords.b2), conj(coords.b1)]]
     return mat_mul(mat_mul(torus.eigenbasis(), mid), [list(r) for r in coords.c])
 
 
@@ -173,7 +179,7 @@ def psi_invariant(torus: QuadTorus, gamma) -> Fraction:
 def normalizer_coset_rep(torus: QuadTorus) -> list[list[Fraction]]:
     """A representative of the nontrivial N_T/T coset (needs conj g = -g)."""
     g = torus.basis_gen
-    if g.conj() != -g:
+    if conj(g) != -g:
         raise ValueError("representative implemented for trace-zero generators")
     return [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(-1)]]
 
@@ -185,8 +191,7 @@ def normalizer_coset_rep(torus: QuadTorus) -> list[list[Fraction]]:
 def integrality_checks(ext: LocalQuadExt, gamma) -> dict:
     """The four order conditions on the coordinates, their conjunction, and
     the direct matrix-side membership gamma in GL2(Z_p)."""
-    torus = QuadTorus(ext.K, ext.alpha)
-    lc = local_coords(torus, gamma)
+    lc = local_coords(ext.torus, gamma)
     p = ext.p
     det = Fraction(gamma[0][0] * gamma[1][1] - gamma[0][1] * gamma[1][0])
     checks = {
@@ -208,8 +213,7 @@ def integrality_checks(ext: LocalQuadExt, gamma) -> dict:
 
 def psi_bound_finite(ext: LocalQuadExt, gamma) -> dict:
     """|psi(k)|_p <= disc_u for k in GL2(Z_p), as exact valuations."""
-    torus = QuadTorus(ext.K, ext.alpha)
-    psi = psi_invariant(torus, [[Fraction(x) for x in row] for row in gamma])
+    psi = psi_invariant(ext.torus, [[Fraction(x) for x in row] for row in gamma])
     if psi == 0:
         return {"psi": psi, "abs": Fraction(0), "disc_u": ext.disc_u, "ok": True}
     abs_psi = Fraction(ext.p) ** (-valuation(psi, ext.p))
@@ -360,7 +364,7 @@ def block_coordinates_gl4(F: QuadField, gamma, f: int = 1) -> dict:
     alpha = F.omega * f
     one = F.elem(1)
     zero = F.elem(0)
-    c = mat_inv([[one, one], [alpha, alpha.conj()]])
+    c = mat_inv([[one, one], [alpha, conj(alpha)]])
     dd = [
         [c[0][0], c[0][1], zero, zero],
         [c[1][0], c[1][1], zero, zero],
@@ -370,12 +374,12 @@ def block_coordinates_gl4(F: QuadField, gamma, f: int = 1) -> dict:
     perm = [[one if (i, j) in ((0, 0), (1, 2), (2, 1), (3, 3)) else zero
              for j in range(4)] for i in range(4)]
     c1 = mat_mul(perm, dd)
-    g = [[_as_field_elem(F, x) for x in row] for row in gamma]
+    g = [[F.coerce(x) for x in row] for row in gamma]
     m = mat_mul(mat_mul(c1, g), mat_inv(c1))
     a1 = [[m[0][0], m[0][1]], [m[1][0], m[1][1]]]
     a2 = [[m[0][2], m[0][3]], [m[1][2], m[1][3]]]
     pattern_ok = all(
-        m[2 + i][2 + j] == a1[i][j].conj() and m[2 + i][j] == a2[i][j].conj()
+        m[2 + i][2 + j] == conj(a1[i][j]) and m[2 + i][j] == conj(a2[i][j])
         for i in range(2) for j in range(2)
     )
     return {"A1": a1, "A2": a2, "pattern_ok": pattern_ok, "c1": c1}

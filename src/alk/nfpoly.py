@@ -131,6 +131,11 @@ def _canonical(field: NumberField, num, den: int) -> "NFElem":
     return NFElem(field, tuple(num), den)
 
 
+def _same_field(x: "NFElem", y: "NFElem") -> None:
+    if x.field is not y.field and x.field.min_poly != y.field.min_poly:
+        raise ValueError("elements of different fields")
+
+
 class NFElem:
     """The element sum_i num[i] x^i / den of a NumberField; immutable, with
     gcd(den, *num) = 1 and den > 0, so equal elements have equal (num, den)."""
@@ -146,11 +151,22 @@ class NFElem:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.num)
 
+    @property
+    def a(self) -> Fraction:
+        """The coordinate of 1; on x^2 - d, self = a + b*sqrt(d)."""
+        return Fraction(self.num[0], self.den)
+
+    @property
+    def b(self) -> Fraction:
+        """The coordinate of x."""
+        return Fraction(self.num[1], self.den)
+
     def __repr__(self):
         return f"NFElem({self.num}/{self.den} mod {self.field.min_poly})"
 
     def _coerce(self, other) -> "NFElem":
         if isinstance(other, NFElem):
+            _same_field(self, other)
             return other
         q = other if isinstance(other, (int, Fraction)) else Fraction(other)
         return NFElem(self.field, (q.numerator,) + (0,) * (len(self.num) - 1),
@@ -178,6 +194,7 @@ class NFElem:
     def __mul__(self, other):
         K = self.field
         if isinstance(other, NFElem):
+            _same_field(self, other)
             return _canonical(K, K._mul_ints(self.num, other.num),
                               self.den * other.den * K._reduction[1])
         if not isinstance(other, (int, Fraction)):
@@ -189,17 +206,13 @@ class NFElem:
 
     def inverse(self):
         """Solves self * y = 1 as a rational linear system in the power basis."""
-        if not any(self.num):
+        if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        from .ratlinalg import solve
+        from .ratlinalg import mat_inv
 
-        K, n = self.field, len(self.num)
-        # column j: numerators of self * x^j over self.den * K._reduction[1]
-        cols = [K._mul_ints(self.num, [int(i == j) for i in range(n)]) for j in range(n)]
-        y = solve([[Fraction(c) for c in row] for row in zip(*cols)],
-                  [Fraction(int(i == 0)) for i in range(n)])
-        scale = self.den * K._reduction[1]
-        return K.elem([v * scale for v in y])
+        # (m / s) y = e_0, so y is s times the first column of m^-1
+        m, s = self._int_mult_matrix()
+        return self.field.elem([s * row[0] for row in mat_inv(m)])
 
     def __truediv__(self, other):
         if isinstance(other, NFElem):
@@ -233,12 +246,21 @@ class NFElem:
     def __hash__(self):
         return hash((self.field.min_poly, self.num, self.den))
 
+    def is_zero(self) -> bool:
+        return not any(self.num)
+
+    def _int_mult_matrix(self) -> tuple[list[list[int]], int]:
+        """(m, s) with integer m and m / s the matrix of multiplication by
+        self on the power basis (columns): column j holds the numerators of
+        self * x^j."""
+        K, n = self.field, len(self.num)
+        cols = [K._mul_ints(self.num, [int(i == j) for i in range(n)]) for j in range(n)]
+        return [list(row) for row in zip(*cols)], self.den * K._reduction[1]
+
     def mult_matrix(self) -> list[list[Fraction]]:
         """Matrix of multiplication by self on the power basis (columns)."""
-        n = len(self.num)
-        cols = [(self * NFElem(self.field, tuple(int(i == j) for i in range(n)), 1)).coeffs
-                for j in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        m, s = self._int_mult_matrix()
+        return [[Fraction(x, s) for x in row] for row in m]
 
     def trace(self) -> Fraction:
         K = self.field
@@ -248,7 +270,8 @@ class NFElem:
     def norm(self) -> Fraction:
         from .ratlinalg import mat_det
 
-        return mat_det(self.mult_matrix())
+        m, s = self._int_mult_matrix()
+        return mat_det(m) / s ** len(m)
 
     def apply_conj(self, conj_poly: Sequence[Fraction]) -> "NFElem":
         """Image under the automorphism sending the generator to conj_poly."""

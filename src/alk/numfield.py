@@ -1,13 +1,15 @@
 """Exact arithmetic in quadratic fields and quadratic towers.
 
-A field F = Q(sqrt(d)) is described by a squarefree integer d.  Elements
-are pairs of rationals (a, b) meaning a + b*sqrt(d).  Finite places are
-tagged by the splitting behaviour of the rational prime below them;
-split-place valuations are read from residues mod p at a root of the
-minimal polynomial of the integral-basis generator, so all finite-place
-data is exact.  Quartic fields enter only as towers K = F(sqrt(delta));
-the one test that delta is not a square in F also proves the tower
-quartic irreducible (see make_tower).
+A field F = Q(sqrt(d)) is described by a squarefree integer d.  Its
+elements are `nfpoly.NFElem`s of Q[x]/(x^2 - d), x = sqrt(d), so
+a + b*sqrt(d) has power-basis coordinates (a, b); the degree-2 helpers
+below (conj, embeddings, coordinates on the integral basis) read them.
+Finite places are tagged by the splitting behaviour of the rational prime
+below them; split-place valuations are read from residues mod p at a root
+of the minimal polynomial of the integral-basis generator, so all
+finite-place data is exact.  Quartic fields enter only as towers
+K = F(sqrt(delta)); the one test that delta is not a square in F also
+proves the tower quartic irreducible (see make_tower).
 """
 
 from __future__ import annotations
@@ -26,15 +28,22 @@ from .intarith import (
     sqrt_fraction,
     valuation,
 )
+from .nfpoly import NFElem, NumberField, _canonical
 
 
 # ---------------------------------------------------------------------------
 # fields and elements
 
 
+@lru_cache(maxsize=None)
+def _quad_nf(d: int) -> NumberField:
+    return NumberField((Fraction(-d), Fraction(0), Fraction(1)))
+
+
 @dataclass(frozen=True)
 class QuadField:
-    """F = Q(sqrt(d)) for squarefree d not in {0, 1}."""
+    """F = Q(sqrt(d)) for squarefree d not in {0, 1}; its elements are
+    NFElems of nf = Q[x]/(x^2 - d), one NumberField per d."""
 
     d: int
 
@@ -50,22 +59,35 @@ class QuadField:
     def is_real(self) -> bool:
         return self.d > 0
 
-    def elem(self, a, b=0) -> "QFElem":
+    @property
+    def nf(self) -> NumberField:
+        return _quad_nf(self.d)
+
+    def elem(self, a, b=0) -> NFElem:
+        """The element a + b*sqrt(d)."""
         a, b = Fraction(a), Fraction(b)
         # numerators over the lcm of the denominators are already coprime to it
         den = math.lcm(a.denominator, b.denominator)
-        return QFElem(self, a.numerator * (den // a.denominator),
-                      b.numerator * (den // b.denominator), den)
+        return NFElem(self.nf, (a.numerator * (den // a.denominator),
+                                b.numerator * (den // b.denominator)), den)
+
+    def coerce(self, x) -> NFElem:
+        """x as an element of F: a rational, or an element of F itself."""
+        if not isinstance(x, NFElem):
+            return self.elem(x)
+        if x.field.min_poly != self.nf.min_poly:
+            raise ValueError(f"{x} is not an element of {self}")
+        return x
 
     @property
-    def omega(self) -> "QFElem":
+    def omega(self) -> NFElem:
         # generator of the ring of integers over Z
         if self.d % 4 == 1:
-            return QFElem(self, 1, 1, 2)
-        return QFElem(self, 0, 1, 1)
+            return NFElem(self.nf, (1, 1), 2)
+        return NFElem(self.nf, (0, 1), 1)
 
     @property
-    def integral_basis(self) -> tuple["QFElem", "QFElem"]:
+    def integral_basis(self) -> tuple[NFElem, NFElem]:
         return (self.elem(1), self.omega)
 
     @property
@@ -78,175 +100,66 @@ class QuadField:
         t, s = self.omega_square
         return (Fraction(-s), Fraction(-t))
 
-    def from_gen_coords(self, u: int, w: int, den: int) -> "QFElem":
-        """The element (u + w*omega) / den."""
+    def from_gen_coords(self, u: int, w: int, den: int) -> NFElem:
+        """The element (u + w*omega) / den, den > 0."""
         if self.d % 4 == 1:  # omega = (1 + sqrt(d)) / 2
-            return _qf(self, 2 * u + w, w, 2 * den)
-        return _qf(self, u, w, den)
+            return _canonical(self.nf, (2 * u + w, w), 2 * den)
+        return _canonical(self.nf, (u, w), den)
 
     def __repr__(self):
         return f"QuadField(d={self.d})"
-
-
-def _qf(F: QuadField, an: int, bn: int, den: int) -> "QFElem":
-    """The element (an + bn*sqrt(d)) / den, den != 0, in lowest terms."""
-    if den < 0:
-        an, bn, den = -an, -bn, -den
-    g = math.gcd(an, bn, den)
-    if g != 1:
-        an, bn, den = an // g, bn // g, den // g
-    return QFElem(F, an, bn, den)
-
-
-class QFElem:
-    """The element (an + bn*sqrt(d)) / den of a QuadField; immutable, with
-    gcd(an, bn, den) = 1 and den > 0, so equal elements have equal
-    (an, bn, den).  a and b are its rational coordinates."""
-
-    __slots__ = ("field", "an", "bn", "den")
-
-    def __init__(self, field: QuadField, an: int, bn: int, den: int = 1):
-        self.field = field
-        self.an = an
-        self.bn = bn
-        self.den = den
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self.an, self.den)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self.bn, self.den)
-
-    def _coerce(self, other) -> "QFElem":
-        if isinstance(other, QFElem):
-            if other.field.d != self.field.d:
-                raise ValueError("elements of different fields")
-            return other
-        q = other if isinstance(other, (int, Fraction)) else Fraction(other)
-        return QFElem(self.field, q.numerator, 0, q.denominator)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        da, db = self.den, o.den
-        if da == db:
-            return _qf(self.field, self.an + o.an, self.bn + o.bn, da)
-        return _qf(self.field, self.an * db + o.an * da, self.bn * db + o.bn * da, da * db)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QFElem(self.field, -self.an, -self.bn, self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, QFElem):
-            d = self.field.d
-            if other.field.d != d:
-                raise ValueError("elements of different fields")
-            a, b, c, e = self.an, self.bn, other.an, other.bn
-            return _qf(self.field, a * c + d * b * e, a * e + b * c, self.den * other.den)
-        if not isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-        p = other.numerator
-        return _qf(self.field, self.an * p, self.bn * p, self.den * other.denominator)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QFElem":
-        # ((a + b sqrt d) / den)^-1 = den (a - b sqrt d) / (a^2 - d b^2)
-        n = self.an * self.an - self.field.d * self.bn * self.bn
-        if n == 0:
-            raise ZeroDivisionError("zero element")
-        return _qf(self.field, self.an * self.den, -self.bn * self.den, n)
-
-    def __truediv__(self, other):
-        return self * self._coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = QFElem(self.field, 1, 0, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        if isinstance(other, QFElem):
-            return (self.an == other.an and self.bn == other.bn and self.den == other.den
-                    and self.field.d == other.field.d)
-        if isinstance(other, (int, Fraction)):
-            return self.bn == 0 and self.an * other.denominator == other.numerator * self.den
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.field.d, self.an, self.bn, self.den))
-
-    def is_zero(self) -> bool:
-        return self.an == 0 and self.bn == 0
-
-    def conj(self) -> "QFElem":
-        return QFElem(self.field, self.an, -self.bn, self.den)
-
-    def norm(self) -> Fraction:
-        return Fraction(self.an * self.an - self.field.d * self.bn * self.bn,
-                        self.den * self.den)
-
-    def trace(self) -> Fraction:
-        return Fraction(2 * self.an, self.den)
-
-    def is_rational(self) -> bool:
-        return self.bn == 0
-
-    def gen_ints(self) -> tuple[int, int, int]:
-        """Integers (u, w, den) with self = (u + w*omega) / den."""
-        if self.field.d % 4 == 1:  # sqrt(d) = 2*omega - 1
-            return (self.an - self.bn, 2 * self.bn, self.den)
-        return (self.an, self.bn, self.den)
-
-    def gen_coords(self) -> tuple[Fraction, Fraction]:
-        """Coordinates (u, v) with self = u + v*omega."""
-        u, w, den = self.gen_ints()
-        return (Fraction(u, den), Fraction(w, den))
-
-    def embeddings(self) -> tuple[complex, complex]:
-        """The two complex embedding values (conjugates for d < 0)."""
-        d = self.field.d
-        # int / int rounds correctly, so these equal float(self.a), float(self.b)
-        a, b = self.an / self.den, self.bn / self.den
-        if d > 0:
-            s = math.sqrt(d)
-            return (a + b * s, a - b * s)
-        s = math.sqrt(-d)
-        z = complex(a, b * s)
-        return (z, z.conjugate())
-
-    def __repr__(self):
-        return f"({self.a} + {self.b}*sqrt({self.field.d}))"
 
 
 def make_quad_field(d: int) -> QuadField:
     return QuadField(d)
 
 
-def is_square_in_field(x: QFElem) -> bool:
+def _d(x: NFElem) -> int:
+    """d for an element x of Q[x]/(x^2 - d)."""
+    return -x.field.min_poly[0].numerator
+
+
+_CONJ = (0, -1)  # sqrt(d) -> -sqrt(d)
+
+
+def conj(x: NFElem) -> NFElem:
+    """The Galois conjugate of a quadratic field element."""
+    return x.apply_conj(_CONJ)
+
+
+def gen_ints(x: NFElem) -> tuple[int, int, int]:
+    """Integers (u, w, den) with x = (u + w*omega) / den."""
+    an, bn = x.num
+    if _d(x) % 4 == 1:  # sqrt(d) = 2*omega - 1
+        return (an - bn, 2 * bn, x.den)
+    return (an, bn, x.den)
+
+
+def gen_coords(x: NFElem) -> tuple[Fraction, Fraction]:
+    """Coordinates (u, v) with x = u + v*omega."""
+    u, w, den = gen_ints(x)
+    return (Fraction(u, den), Fraction(w, den))
+
+
+def embeddings(x: NFElem) -> tuple[complex, complex]:
+    """The two complex embedding values of a quadratic field element
+    (conjugates for d < 0; floats for d > 0)."""
+    d = _d(x)
+    # int / int rounds correctly, so these equal float(x.a), float(x.b)
+    a, b = x.num[0] / x.den, x.num[1] / x.den
+    if d > 0:
+        s = math.sqrt(d)
+        return (a + b * s, a - b * s)
+    s = math.sqrt(-d)
+    z = complex(a, b * s)
+    return (z, z.conjugate())
+
+
+def is_square_in_field(x: NFElem) -> bool:
     """Whether x is a square in its quadratic field."""
     if x.is_zero():
         return True
-    d = x.field.d
+    d = _d(x)
     if x.b == 0:
         return is_square_fraction(x.a) or is_square_fraction(x.a / d)
     # (s + t sqrt(d))^2 = x needs Nr(x) a square and s^2 = (a +- sqrt(Nr))/2 a square
@@ -333,7 +246,7 @@ def infinite_places(F: QuadField) -> list[Place]:
     return [Place(F, "complex")]
 
 
-def finite_valuation(x: QFElem, v: Place) -> int:
+def finite_valuation(x: NFElem, v: Place) -> int:
     """Exact valuation of x != 0 at a finite place."""
     if x.is_zero():
         raise ValueError("valuation of 0")
@@ -350,7 +263,7 @@ def finite_valuation(x: QFElem, v: Place) -> int:
     # coprime, so y lies in at most one of them: in this place's prime
     # (p, omega - r) exactly when u + w*r = 0 mod p^(k+1), and then that
     # prime carries all of Nr(y)'s p-part, v_p(Nr x) - 2s.
-    u, w, den = x.gen_ints()
+    u, w, den = gen_ints(x)
     k = min(valuation(c, p) for c in (u, w) if c)
     s = k - valuation(den, p)
     if (u + w * v.hensel_root()) % p ** (k + 1) == 0:
@@ -358,7 +271,7 @@ def finite_valuation(x: QFElem, v: Place) -> int:
     return s
 
 
-def place_data(F: QuadField, x: QFElem, v: Place) -> tuple[Optional[int], float | Fraction]:
+def place_data(F: QuadField, x: NFElem, v: Place) -> tuple[Optional[int], float | Fraction]:
     """(valuation, normalized absolute value) of x at the place v.
 
     Finite absolute values are exact Fractions q_v^(-val); Archimedean
@@ -369,16 +282,16 @@ def place_data(F: QuadField, x: QFElem, v: Place) -> tuple[Optional[int], float 
         q = Fraction(v.residue_size)
         return val, q ** (-val)
     if v.kind == "real":
-        return None, abs(x.embeddings()[v.embedding_index])
+        return None, abs(embeddings(x)[v.embedding_index])
     # complex place, normalized absolute value = squared modulus = Nr(x)
     return None, float(abs(x.norm()))
 
 
-def support_places(F: QuadField, x: QFElem) -> list[Place]:
+def support_places(F: QuadField, x: NFElem) -> list[Place]:
     """All finite places where |x|_v can differ from 1."""
     if x.is_zero():
         raise ValueError("0 has no support")
-    u, w = x.gen_coords()
+    u, w = gen_coords(x)
     den = math.lcm(u.denominator, w.denominator)
     y = x * den
     primes = set(prime_support(Fraction(den))) if den != 1 else set()
@@ -389,7 +302,7 @@ def support_places(F: QuadField, x: QFElem) -> list[Place]:
     return out
 
 
-def content(F: QuadField, x: QFElem) -> float:
+def content(F: QuadField, x: NFElem) -> float:
     """Product of |x|_v over all places; equals 1 for x != 0."""
     c = Fraction(1)
     for v in support_places(F, x):
@@ -455,10 +368,10 @@ class FracIdeal:
             raise ValueError(f"{self.rows} / {self.den} is not a canonical HNF basis")
 
     @staticmethod
-    def from_gens(F: QuadField, gens: Sequence[QFElem]) -> "FracIdeal":
+    def from_gens(F: QuadField, gens: Sequence[NFElem]) -> "FracIdeal":
         """O_F-module generated by the given elements."""
         t, s = F.omega_square
-        coords = [g.gen_ints() for g in gens]
+        coords = [gen_ints(g) for g in gens]
         den = math.lcm(*[e for _, _, e in coords])
         rows = []
         for u, w, e in coords:
@@ -480,7 +393,7 @@ class FracIdeal:
     def maximal_order(F: QuadField) -> "FracIdeal":
         return FracIdeal(F, ((1, 0), (0, 1)), 1)
 
-    def basis_elems(self) -> tuple[QFElem, QFElem]:
+    def basis_elems(self) -> tuple[NFElem, NFElem]:
         F, den = self.field, self.den
         return tuple(F.from_gen_coords(u, w, den) for u, w in self.rows)
 
@@ -517,7 +430,7 @@ class FracIdeal:
     def scale(self, c) -> "FracIdeal":
         """c * L for a nonzero rational or field element c."""
         F = self.field
-        u, w, e = (c if isinstance(c, QFElem) else F.elem(c)).gen_ints()
+        u, w, e = gen_ints(F.coerce(c))
         t, s = F.omega_square
         rows = [_row_product(t, s, x, (u, w)) for x in self.rows]
         return FracIdeal._from_rows(F, rows, self.den * e)
@@ -542,8 +455,8 @@ class FracIdeal:
         (a, b), (_, c) = self.rows
         return u % a == 0 and (w - u // a * b) % c == 0
 
-    def contains(self, x: QFElem) -> bool:
-        u, w, e = x.gen_ints()
+    def contains(self, x: NFElem) -> bool:
+        u, w, e = gen_ints(x)
         u, w = u * self.den, w * self.den
         return u % e == 0 and w % e == 0 and self._has_row(u // e, w // e)
 
@@ -607,7 +520,7 @@ class FieldTower:
     """
 
     base: Optional[QuadField]
-    delta: object  # QFElem for quartic towers, Fraction for base Q
+    delta: object  # NFElem of base for quartic towers, Fraction for base Q
     theta_min_poly: Optional[tuple[Fraction, ...]] = None
     sqrt_d_coords: Optional[tuple[Fraction, ...]] = None
     declared_DK: Optional[int] = None
@@ -628,9 +541,10 @@ def make_tower(
 ) -> FieldTower:
     """The tower F(sqrt(delta)), or Q(sqrt(delta)) when F is None.
 
-    Raises ValueError unless delta is a nonzero nonsquare (in F, or in Q).
-    For quartic towers that test alone decides that theta_min_poly is
-    irreducible over Q:
+    Raises ValueError unless delta is a nonzero nonsquare (in F, or in Q),
+    given as a rational or as an element of F itself.  For quartic towers
+    the nonsquare test alone decides that theta_min_poly is irreducible
+    over Q:
     - delta = a + b*sqrt(d) with b != 0: theta = sqrt(delta) gives
       sqrt(d) = (theta^2 - a)/b in Q(theta), so Q(theta) = F(sqrt(delta)),
       of degree 4 exactly when delta is not a square in F; then the monic
@@ -645,8 +559,7 @@ def make_tower(
         if delta == 0 or is_square_fraction(delta):
             raise ValueError("delta must be a nonsquare")
         return FieldTower(None, delta, declared_DK=declared_DK, galois_hint=galois_hint)
-    if not isinstance(delta, QFElem):
-        delta = F.elem(delta)
+    delta = F.coerce(delta)
     if delta.is_zero() or is_square_in_field(delta):
         raise ValueError("delta must be a nonsquare in F")
     d = F.d
@@ -683,11 +596,8 @@ def biquadratic_conj_polys(d, e) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def trace_form_disc(basis: Sequence) -> Fraction:
-    """det(Tr(b_i b_j)) for a module basis of an order.
-
-    Accepts quadratic field elements or number field elements (anything
-    with a trace() method and multiplication).
-    """
+    """det(Tr(b_i b_j)) for a module basis of an order, given as NFElems
+    (of a QuadField or of any NumberField)."""
     n = len(basis)
     gram = [[(basis[i] * basis[j]).trace() for j in range(n)] for i in range(n)]
     from .ratlinalg import mat_det

@@ -1,7 +1,7 @@
 """Generic linear algebra over any field-like element type.
 
 Entries must support +, -, *, / and compare equal to 0.  Used with
-Fraction, quadratic field elements and number field elements alike, and
+Fraction and number field elements (quadratic fields included) alike, and
 with float and complex entries too.  Matrices of int and Fraction entries
 are cleared to one integer matrix over a common denominator and
 eliminated fraction-free (Bareiss), so every intermediate is an integer

@@ -22,7 +22,8 @@ from .intarith import (
     valuation,
 )
 from .localgeom import different_and_orders
-from .numfield import FieldTower, QFElem, QuadField
+from .numfield import FieldTower, QuadField
+from .ratlinalg import mat_det
 
 
 @dataclass(frozen=True)
@@ -105,36 +106,19 @@ def nonarch_and_global_disc(desc: ToralSetDescriptor) -> dict:
 
 def arch_disc_from_basis(basis) -> float:
     """det(<k_i, k_j>) / |det(Tr(k_i k_j))| for a basis of the torus algebra
-    (entrywise inner product in the numerator, trace form below)."""
-    mats = [[list(map(float, row)) for row in k] for k in basis]
+    (entrywise inner product in the numerator, trace form below), with
+    both determinants exact over the Fractions of the entries."""
+    mats = [[list(map(Fraction, row)) for row in k] for k in basis]
     m = len(mats)
     n = len(mats[0])
     inner = [[sum(mats[a][i][j] * mats[b][i][j] for i in range(n) for j in range(n))
               for b in range(m)] for a in range(m)]
     tracef = [[sum(mats[a][i][j] * mats[b][j][i] for i in range(n) for j in range(n))
                for b in range(m)] for a in range(m)]
-    det_tr = _det_float(tracef)
-    if abs(det_tr) < 1e-12:
+    det_tr = mat_det(tracef)
+    if det_tr == 0:
         raise ValueError("trace Gram is singular for this basis")
-    return _det_float(inner) / abs(det_tr)
-
-
-def _det_float(m):
-    a = [row[:] for row in m]
-    n = len(a)
-    det = 1.0
-    for c in range(n):
-        piv = max(range(c, n), key=lambda r: abs(a[r][c]))
-        if abs(a[piv][c]) < 1e-300:
-            return 0.0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = -det
-        det *= a[c][c]
-        for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return det
+    return float(mat_det(inner) / abs(det_tr))
 
 
 def arch_disc(k) -> float:
@@ -205,7 +189,7 @@ def classify_galois_type(tower: FieldTower) -> str:
         raise ValueError("quartic tower required")
     d = Fraction(tower.base.d)
     delta = tower.delta
-    if isinstance(delta, QFElem) and delta.b != 0:
+    if delta.b != 0:
         nr = delta.norm()
         if is_square_fraction(nr):
             primary = "biquadratic"

@@ -22,7 +22,7 @@ from alk.localgeom import (
     reconstruct,
     standard_torus,
 )
-from alk.numfield import QuadField, make_quad_field
+from alk.numfield import QuadField, conj, make_quad_field
 from alk.ratlinalg import mat_mul
 from conftest import random_gl2_zp, random_invertible
 
@@ -51,7 +51,7 @@ def test_conjugator_diagonalizes_the_torus():
 
     emb = [[K.elem(v) for v in row] for row in torus.embed(x)]
     diag = mat_mul(mat_mul(c, emb), mat_inv(c))
-    assert diag[0][0] == x and diag[1][1] == x.conj()
+    assert diag[0][0] == x and diag[1][1] == conj(x)
     assert diag[0][1].is_zero() and diag[1][0].is_zero()
 
 

@@ -206,3 +206,16 @@ def test_canonical_form_equality_and_hash():
     # the same value in a different field is a different element
     other = NumberField(FIELDS["zeta5"][0])
     assert other.elem([1, 2]) != K.elem([1, 2])
+
+
+def test_elements_of_different_fields_do_not_mix():
+    sqrt2 = NumberField((-2, 0, 1)).gen
+    sqrt3 = NumberField((-3, 0, 1)).gen
+    theta = NumberField(FIELDS["zeta5"][0]).gen
+    for x, y in ((sqrt2, sqrt3), (sqrt2, theta), (theta, sqrt2)):
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
+            with pytest.raises(ValueError, match="different fields"):
+                op()
+        assert x != y
+    # equal minimal polynomials are the same field, built twice
+    assert sqrt2 * NumberField((Fraction(-2), 0, 1)).gen == 2

@@ -57,7 +57,14 @@ def test_quartic_descriptor_requires_certification():
 
 
 def test_archimedean_discriminant_worked_value():
-    assert abs(arch_disc([[0, 1], [2, 0]]) - 1.25) < 1e-12
+    # Grams [[2, 0], [0, 5]] (entrywise) and [[2, 0], [0, 4]] (trace), exact
+    assert arch_disc([[0, 1], [2, 0]]) == 1.25
+
+
+def test_archimedean_discriminant_rejects_a_singular_trace_form():
+    ident = [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="singular"):
+        arch_disc_from_basis([ident, [[2, 0], [0, 2]]])
 
 
 def test_archimedean_discriminant_is_basis_independent():
@@ -73,7 +80,7 @@ def test_archimedean_discriminant_is_basis_independent():
               for i in range(2)]
         b2 = [[u[1][0] * ident[i][j] + u[1][1] * k[i][j] for j in range(2)]
               for i in range(2)]
-        assert abs(arch_disc_from_basis([b1, b2]) - base) < 1e-9
+        assert arch_disc_from_basis([b1, b2]) == base  # det(u)^2 cancels exactly
 
 
 def test_arch_disc_needs_traceless_input():
