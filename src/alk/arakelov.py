@@ -50,6 +50,8 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
     exact = all(isinstance(x, Rational) for row in gram for x in row)
     g = [[Fraction(x) if exact else float(x) for x in row] for row in gram]
     n = len(g)
+    if any(len(row) != n for row in g):
+        raise ValueError("Gram matrix not square")
     for i in range(n):
         for j in range(n):
             a, b = g[i][j], g[j][i]

@@ -25,7 +25,6 @@ EXIT_HYPOTHESIS = 2
 @dataclass(frozen=True)
 class RunConfig:
     budget: int = enumeration.DEFAULT_BUDGET
-    tail_tol: float = enumeration.DEFAULT_TAIL_TOL
     seed: int = 0
     fmt: str = "json"
 
@@ -39,7 +38,15 @@ def _fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10 ** 12)
-    return Fraction(x)
+    if isinstance(x, int):
+        return Fraction(x)
+    raise ValueError(f"not a number: {json.dumps(x)}")
+
+
+def _int(x) -> int:
+    if isinstance(x, (int, float, str)):
+        return int(x)
+    raise ValueError(f"not an integer: {json.dumps(x)}")
 
 
 def _budget(text: str) -> int:
@@ -48,35 +55,52 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+def _load(text, kind, what):
+    """The JSON value of text, which must be an array (kind list) or an
+    object (kind dict)."""
+    data = json.loads(text) if isinstance(text, str) else text
+    if not isinstance(data, kind):
+        raise ValueError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
+    return data
+
+
 def _parse_field(text):
     if text is None or text.lower() in ("q", "null"):
         return None
     data = json.loads(text)
     if data is None:
         return None
-    return make_quad_field(int(data["d"]))
+    return make_quad_field(_int(_load(data, dict, "--field")["d"]))
 
 
-def _parse_matrix(text):
-    rows = json.loads(text)
-    return [[_fraction(x) for x in row] for row in rows]
+def _matrix_rows(text, what, sizes=None) -> list[list]:
+    """The rows of a square JSON matrix, of a size in sizes when given."""
+    rows = _load(text, list, what)
+    if not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
+        raise ValueError(f"{what} must be a square matrix")
+    if sizes and len(rows) not in sizes:
+        raise ValueError(f"{what} must be " + " or ".join(f"{n}x{n}" for n in sizes))
+    return rows
+
+
+def _parse_matrix(text, what, sizes=None):
+    return [[_fraction(x) for x in row] for row in _matrix_rows(text, what, sizes)]
 
 
 def tower_from_json(data) -> object:
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = _load(data, dict, "a tower")
     kind = data["kind"]
     if kind == "zeta5":
         return quartics.zeta5_tower()
     if kind == "sqrt2plus":
         return quartics.sqrt2plus_tower()
     if kind == "biquadratic":
-        return quartics.biquadratic_tower(int(data["d"]), int(data["e"]))
+        return quartics.biquadratic_tower(_int(data["d"]), _int(data["e"]))
     if kind == "dihedral":
-        return quartics.dihedral_tower(int(data["d"]), _fraction(data["a"]),
+        return quartics.dihedral_tower(_int(data["d"]), _fraction(data["a"]),
                                        _fraction(data["b"]))
     if kind == "gaussian":
-        return quartics.gaussian_period_tower(int(data["p"]))
+        return quartics.gaussian_period_tower(_int(data["p"]))
     if kind == "quadratic":
         from .numfield import make_tower
 
@@ -133,7 +157,7 @@ def _flatten(data, prefix=""):
 
 def _radius_family(field, rinf, rfin_text):
     finite = []
-    for p_str, r in (json.loads(rfin_text) if rfin_text else {}).items():
+    for p_str, r in (_load(rfin_text, dict, "--rfin") if rfin_text else {}).items():
         p = int(p_str)
         radii = r if isinstance(r, list) else [r]
         # over Q a finite place is just the prime
@@ -152,9 +176,9 @@ def _radius_family(field, rinf, rfin_text):
 
 def _cmd_theta(args, cfg: RunConfig):
     if args.gram:
-        gram = _parse_matrix(args.gram)
+        gram = _parse_matrix(args.gram, "--gram")
         lat = arakelov.euclidean_lattice(gram)
-        rep = arakelov.theta_invariants_euclidean(lat, cfg.tail_tol, cfg.budget)
+        rep = arakelov.theta_invariants_euclidean(lat, budget=cfg.budget)
         return {"report": rep.to_dict(), "kind": "euclidean"}, EXIT_OK
     field = _parse_field(args.field)
     if args.canonical:
@@ -162,9 +186,9 @@ def _cmd_theta(args, cfg: RunConfig):
     else:
         bundle = arakelov.trivial_bundle(field)
         if args.radii:
-            radii = tuple(_fraction(r) for r in json.loads(args.radii))
+            radii = tuple(_fraction(r) for r in _load(args.radii, list, "--radii"))
             bundle = arakelov.make_bundle(field, bundle.ideal, radii)
-    rep, h0ar = arakelov.bundle_theta_and_h0ar(bundle, cfg.tail_tol, cfg.budget)
+    rep, h0ar = arakelov.bundle_theta_and_h0ar(bundle, budget=cfg.budget)
     return {"report": rep.to_dict(), "h0_ar": h0ar, "kind": "bundle"}, EXIT_OK
 
 
@@ -180,7 +204,7 @@ def _cmd_count_box(args, cfg: RunConfig):
 
 
 def _cmd_local(args, cfg: RunConfig):
-    gamma = _parse_matrix(args.matrix)
+    gamma = _parse_matrix(args.matrix, "--matrix", (2, 4))
     if len(gamma) == 4:
         F = make_quad_field(args.d)
         res = localgeom.block_integrality(F, gamma, args.prime, args.conductor)
@@ -203,7 +227,7 @@ def _cmd_invariants(args, cfg: RunConfig):
     tower = tower_from_json(args.tower)
     emb = git4.regular_embedding(tower)
     gtype = toralsets.classify_galois_type(tower)
-    gamma = _parse_matrix(args.matrix)
+    gamma = _parse_matrix(args.matrix, "--matrix", (4,))
     profile = git4.psi_invariants(emb, gamma, gtype)
     block = git4.block_membership_test(emb, gamma, gtype)
     values = {}
@@ -220,7 +244,7 @@ def _cmd_invariants(args, cfg: RunConfig):
 
 
 def _cmd_entropy(args, cfg: RunConfig):
-    a = [_fraction(x) for x in json.loads(args.a)]
+    a = [_fraction(x) for x in _load(args.a, list, "--a")]
     data = git4.entropy_quantities(a, args.prime)
     return {
         "logs": list(data.logs),
@@ -240,8 +264,9 @@ def _cmd_tau_window(args, cfg: RunConfig):
 
 def _cmd_disc(args, cfg: RunConfig):
     tower = tower_from_json(args.tower)
-    conductors = json.loads(args.conductors) if args.conductors else {}
-    arch = json.loads(args.arch) if args.arch else None
+    conductors = _load(args.conductors or "{}", dict, "--conductors")
+    conductors = {p: _int(f) for p, f in conductors.items()}
+    arch = _matrix_rows(args.arch, "--arch") if args.arch else None
     desc = toralsets.make_descriptor(tower, conductors, arch)
     return toralsets.nonarch_and_global_disc(desc), EXIT_OK
 
@@ -289,7 +314,7 @@ def _verification_battery(cfg: RunConfig) -> list[dict]:
         gram = [[sum(m[i][k] * m[j][k] for k in range(n)) + (4 if i == j else 0)
                  for j in range(n)] for i in range(n)]
         lat = arakelov.euclidean_lattice(gram)
-        rep = arakelov.theta_invariants_euclidean(lat, cfg.tail_tol, cfg.budget)
+        rep = arakelov.theta_invariants_euclidean(lat, budget=cfg.budget)
         worst = max(worst, abs(rep.h0 - rep.h1 - rep.adeg))
     record("01_poisson_riemann_roch", worst < 1e-9, {"worst": worst})
 

@@ -6,8 +6,14 @@ import math
 from fractions import Fraction
 
 
+TRIAL_LIMIT = 10 ** 6
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| by trial division (desk-scale inputs)."""
+    """Prime factorization of |n| by trial division up to TRIAL_LIMIT.
+
+    Raises ValueError when the cofactor left exceeds TRIAL_LIMIT^2, since it
+    may then be composite; any smaller cofactor is prime."""
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -18,6 +24,9 @@ def factorize(n: int) -> dict[int, int]:
             n //= p
     f = 5
     while f * f <= n:
+        if f > TRIAL_LIMIT:
+            raise ValueError(f"cannot factor {n}: no prime factor up to "
+                             f"{TRIAL_LIMIT}, and too large to be certified prime")
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

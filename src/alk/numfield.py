@@ -15,7 +15,7 @@ proves the tower quartic irreducible (see make_tower).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -516,7 +516,9 @@ class FieldTower:
     declared_DK, when present, is the certified discriminant of K's
     maximal order.
     conj_polys, when present, give the four embeddings K -> K (abelian K)
-    as polynomials in theta, ordered compatibly with F.
+    as polynomials in theta, ordered compatibly with F.  Only Gaussian
+    towers set them, since their theta is not sqrt(delta); git4 derives
+    the conjugates of every other tower from delta.
     """
 
     base: Optional[QuadField]
@@ -525,7 +527,7 @@ class FieldTower:
     sqrt_d_coords: Optional[tuple[Fraction, ...]] = None
     declared_DK: Optional[int] = None
     galois_hint: Optional[str] = None
-    conj_polys: Optional[tuple[tuple[Fraction, ...], ...]] = field(default=None)
+    conj_polys: Optional[tuple[tuple[Fraction, ...], ...]] = None
 
     @property
     def degree(self) -> int:
@@ -537,7 +539,6 @@ def make_tower(
     delta,
     declared_DK: Optional[int] = None,
     galois_hint: Optional[str] = None,
-    conj_polys=None,
 ) -> FieldTower:
     """The tower F(sqrt(delta)), or Q(sqrt(delta)) when F is None.
 
@@ -573,7 +574,7 @@ def make_tower(
         mp = ((Fraction(d) - e) ** 2, Fraction(0), -2 * (Fraction(d) + e),
               Fraction(0), Fraction(1))
         sq = _sqrt_coords(d, e)
-    return FieldTower(F, delta, mp, sq, declared_DK, galois_hint, conj_polys)
+    return FieldTower(F, delta, mp, sq, declared_DK, galois_hint)
 
 
 def _sqrt_coords(d, e) -> tuple[Fraction, ...]:

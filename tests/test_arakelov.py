@@ -42,6 +42,9 @@ def test_lattice_validation():
         euclidean_lattice([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(ValueError):
         euclidean_lattice([[float("nan")]])
+    for gram in ([[1, 2]], [[2, 0], [0]]):
+        with pytest.raises(ValueError, match="Gram matrix not square"):
+            euclidean_lattice(gram)
     lat = euclidean_lattice([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
     assert lat.gram == ((1.0, 0.5), (0.5 + 1e-12, 1.0))
 

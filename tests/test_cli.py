@@ -285,6 +285,45 @@ def test_usage_and_runtime_errors_exit_one(capsys):
     assert code == 1
     code, err = run_cli_err(capsys, ["theta", "--gram", "[]"])
     assert code == 1 and "rank-0" in err
+    # not square: the first was read as the Gram [[1]] of Z
+    for gram in ("[[1, 2]]", "[[2, 0], [0]]"):
+        code, err = run_cli_err(capsys, ["theta", "--gram", gram])
+        assert code == 1 and err.startswith("error: ") and "square" in err, gram
+
+
+ZETA5 = '{"kind": "zeta5"}'
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--tower", "[]"],
+    ["classify", "--tower", '{"kind": "gaussian", "p": [13]}'],
+    ["count-box", "--field", "[1]", "--rinf", "[1]"],
+    ["count-box", "--field", '{"d": null}', "--rinf", "[1]"],
+    ["count-box", "--rinf", "[1]", "--rfin", "[1]"],
+    ["count-box", "--rinf", "[1]", "--rfin", '{"2": {"a": 1}}'],
+    ["theta", "--radii", "3"],
+    ["theta", "--gram", "[1]"],
+    ["theta", "--gram", "[[null]]"],
+    ["disc", "--tower", ZETA5, "--conductors", "[1]"],
+    ["disc", "--tower", ZETA5, "--conductors", '{"2": [1]}'],
+    ["disc", "--tower", ZETA5, "--arch", "[1]"],
+    ["entropy", "--a", "3"],
+    ["local", "--matrix", "[[1]]", "--prime", "2", "--d", "3"],
+    ["local", "--matrix", "[[1, 2], [3]]", "--prime", "2", "--d", "3"],
+    ["invariants", "--tower", ZETA5, "--matrix", "[[1, 0], [0, 1]]"],
+], ids=" ".join)
+def test_malformed_json_is_an_error_line(capsys, argv):
+    # each raised TypeError, AttributeError, AssertionError or IndexError
+    code, err = run_cli_err(capsys, argv)
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_inputs_beyond_trial_division_are_an_error_line(capsys):
+    # 10^18 + 3 has no prime factor below 10^6; dividing up to its square
+    # root did not finish in 10 s
+    argv = ["count-box", "--field", '{"d": 1000000000000000003}', "--rinf", "[2, 2]"]
+    code, err = within_seconds(5, lambda: run_cli_err(capsys, argv))
+    assert code == 1 and err.startswith("error: cannot factor 1000000000000000003"), err
 
 
 def test_count_box_over_q_validates_its_radii(capsys):

@@ -1,35 +1,29 @@
-"""Gaussian-period data: solver errors, input checks and exact identities
+"""Gaussian-period data: pinned values, input checks and exact identities
 inside the quartic field NumberField(min_poly)."""
 
-from fractions import Fraction
+from fractions import Fraction as Q
 
 import pytest
 
-from alk.nfpoly import Cyclotomic, NumberField, _solve_in_power_basis, gaussian_period_quartic
+from alk.intarith import factorize
+from alk.nfpoly import NumberField, gaussian_period_quartic
 
-PRIMES = (13, 17, 29, 37, 41, 53, 61, 73, 89, 97)
-
-
-def test_solver_returns_exact_coordinates():
-    cyc = Cyclotomic(13)
-    one, z = cyc.monomial(0), cyc.monomial(1)
-    target = cyc.add(cyc.scal(3, one), cyc.scal(-2, z))
-    sol = _solve_in_power_basis(cyc, [one, z], target)
-    assert sol == [3, -2] and all(type(c) is Fraction for c in sol)
+PRIMES = tuple(p for p in range(5, 1000, 4) if factorize(p) == {p: 1})
 
 
-def test_solver_rejects_a_rank_deficient_basis():
-    cyc = Cyclotomic(13)
-    z = cyc.monomial(1)
-    basis = [cyc.monomial(0), z, cyc.scal(2, z)]
-    with pytest.raises(ArithmeticError, match="power basis is degenerate"):
-        _solve_in_power_basis(cyc, basis, z)
-
-
-def test_solver_rejects_a_target_outside_the_span():
-    cyc = Cyclotomic(13)
-    with pytest.raises(ArithmeticError, match="target not in the span"):
-        _solve_in_power_basis(cyc, [cyc.monomial(0), cyc.monomial(1)], cyc.monomial(2))
+def test_period_data_is_pinned():
+    # printed by the Z[zeta_p] construction this one replaced
+    assert gaussian_period_quartic(5) == {
+        "p": 5, "min_poly": (Q(1), Q(1), Q(1), Q(1), Q(1)),
+        "tau_poly": (Q(0), Q(0), Q(1), Q(0)),
+        "sqrtp_coords": (Q(-1), Q(0), Q(-2), Q(-2)), "delta": (Q(-5, 2), Q(-1, 2))}
+    assert gaussian_period_quartic(13) == {
+        "p": 13, "min_poly": (Q(3), Q(-4), Q(2), Q(1), Q(1)),
+        "tau_poly": (Q(-2), Q(4, 3), Q(1), Q(2, 3)),
+        "sqrtp_coords": (Q(3), Q(2, 3), Q(0), Q(-2, 3)), "delta": (Q(-13, 2), Q(3, 2))}
+    data = gaussian_period_quartic(13)
+    assert all(type(c) is Q for k in ("min_poly", "tau_poly", "sqrtp_coords", "delta")
+               for c in data[k])
 
 
 @pytest.mark.parametrize("p", (-3, 0, 1, 2, 3, 7, 9, 21, 25, 45))

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from alk import quartics
+from alk.git4 import _galois_conj_polys
 from alk.nfpoly import NFElem, NumberField
 from alk.numfield import make_quad_field, make_tower
 
@@ -78,7 +79,11 @@ def _fields():
         "dihedral211": quartics.dihedral_tower(2, 1, 1),
         "nonintegral": rational,
     }
-    return {name: (tuple(t.theta_min_poly), t.conj_polys) for name, t in towers.items()}
+    # the automorphisms of the Galois towers: git4 derives them from delta,
+    # except for the Gaussian tower, which carries its periods
+    return {name: (tuple(t.theta_min_poly),
+                   t.conj_polys or _galois_conj_polys(t, NumberField(t.theta_min_poly)))
+            for name, t in towers.items()}
 
 
 FIELDS = _fields()
@@ -87,6 +92,11 @@ FIELDS = _fields()
 def test_nonintegral_field_is_covered():
     m, _ = FIELDS["nonintegral"]
     assert any(c.denominator != 1 for c in m)
+
+
+def test_galois_fields_carry_their_automorphisms():
+    assert all(FIELDS[name][1] for name in ("zeta5", "gaussian13", "biquadratic23"))
+    assert FIELDS["dihedral211"][1] is None and FIELDS["nonintegral"][1] is None
 
 
 def _rand_coeffs(rng, n, span=9):

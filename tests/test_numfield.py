@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import within_seconds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alk.intarith import factorize
 from alk.numfield import (
     FracIdeal,
     Place,
@@ -532,3 +534,21 @@ def test_non_ideal_modules_are_rejected():
                           (((1, 0), (1, 1)), 1), (((-1, 0), (0, 1)), 1)):
             with pytest.raises(ValueError, match="canonical"):
                 FracIdeal(F, rows, den)
+
+
+def test_factorize_stops_trial_division_at_ten_to_the_six():
+    assert factorize(999983 * 999979) == {999979: 1, 999983: 1}
+    assert factorize(2 ** 5 * 7 * 999983 ** 2) == {2: 5, 7: 1, 999983: 2}
+    assert factorize(1000003 * 999983) == {999983: 1, 1000003: 1}
+    assert factorize(10 ** 12 + 39) == {10 ** 12 + 39: 1}  # prime, below 1000001^2
+    for n in (1000003 ** 2, 2 ** 61 - 1):  # the cofactor may be composite
+        with pytest.raises(ValueError, match=f"cannot factor {n}"):
+            within_seconds(5, lambda: factorize(n))
+
+
+def test_content_of_an_element_with_a_huge_norm_is_an_error():
+    # 1/6 and 3/4 as floats are Fractions over 2^55; trial division of the
+    # norm ran for more than 8 s
+    F = QuadField(-15)
+    with pytest.raises(ValueError, match="cannot factor"):
+        within_seconds(5, lambda: content(F, F.elem(1 / 6, 3 / 4)))

@@ -5,6 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from conftest import within_seconds
 
 from alk import quartics
 from alk.intarith import is_square_fraction
@@ -70,6 +71,13 @@ def test_gaussian_period_towers_are_cyclic_with_cube_discriminant():
         assert classify_galois_type(tower) == "cyclic"
         ratio = Fraction(_power_basis_disc(tower.theta_min_poly), p ** 3)
         assert ratio > 0 and is_square_fraction(ratio)
+
+
+def test_gaussian_tower_at_a_five_digit_prime_is_built_and_classified_fast():
+    # the period products cost O(p), so p = 10009 takes milliseconds
+    tower = within_seconds(5, lambda: quartics.gaussian_period_tower(10009))
+    assert within_seconds(5, lambda: classify_galois_type(tower)) == "cyclic"
+    assert tower.base.d == 10009 and tower.declared_DK == 10009 ** 3
 
 
 def test_conjugation_polynomials_generate_order_four():
