@@ -1,7 +1,7 @@
-"""Lattice enumeration and theta sums (Fincke-Pohst).
-
-Enumerates the integer vectors x with x^T G x <= bound for a positive
-definite Gram matrix G, by nested interval search on the Cholesky factor.
+"""Lattice enumeration and theta sums (Fincke-Pohst) for a positive
+definite float Gram G: nested interval search on its Cholesky factor for
+the integer x with x^T G x <= bound, with slack.  `gauss_sum` is the theta
+kernel; `enumerate_vectors` is the point list it is tested against.
 """
 
 from __future__ import annotations

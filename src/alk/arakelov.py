@@ -17,7 +17,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import enumeration
 from .nfpoly import NFElem
@@ -198,19 +198,14 @@ def tensor_bundle(b1: HermitianLineBundle, b2: HermitianLineBundle) -> Hermitian
     return make_bundle(b1.field, b1.ideal * b2.ideal, radii)
 
 
-def _bundle_sq_radii(bundle: HermitianLineBundle) -> list[Fraction]:
-    """rho_sigma^2 per real embedding, or rho^2 once at the complex place."""
-    radii = bundle.radii if bundle.field.is_real else bundle.radii[:1]
-    return [r * r for r in radii]
-
-
 def direct_image(bundle: HermitianLineBundle) -> EuclideanLattice:
     """Underlying Z-lattice with ||v||^2 = sum over embeddings of
     |sigma(v)|^2 / rho_sigma^2.  Exact Gram whenever the radii allow."""
     if bundle.field is None:
         q = bundle.ideal
         return euclidean_lattice([[(q / bundle.radii[0]) ** 2]])
-    return euclidean_lattice(ideal_gram(bundle.ideal, _bundle_sq_radii(bundle)))
+    radii = bundle.radii if bundle.field.is_real else bundle.radii[:1]
+    return euclidean_lattice(ideal_gram(bundle.ideal, [r * r for r in radii]))
 
 
 def _ideal_forms(ideal: FracIdeal):
@@ -228,9 +223,15 @@ def _trace_form(d: int, x, y) -> int:
     return x[0] * y[0] + abs(d) * x[1] * y[1]
 
 
-def _forms_gram(F: QuadField, basis, D: int, sq_radii) -> list[list]:
-    """`ideal_gram` on the basis x_i = (u_i + v_i*sqrt(d)) / D given by
-    its forms (u_i, v_i)."""
+def ideal_gram(ideal: FracIdeal, sq_radii) -> list[list]:
+    """Gram of sum_sigma sigma(x)^2 / R_sigma on the HNF basis of the
+    ideal, for squared radii (R_1, R_2) at the real embeddings, or of
+    2*Nr(x) / R at the complex place (sq_radii = (R,)).  With
+    b_i = (u_i + v_i*sqrt(d)) / D the entries are the exact Fractions
+    2*(u_i*u_j + |d|*v_i*v_j) / (D^2*R), or, at unequal real radii,
+    floats from the embeddings."""
+    F = ideal.field
+    basis, D = _ideal_forms(ideal)
     if len(sq_radii) == 1 or sq_radii[0] == sq_radii[1]:
         R = sq_radii[0]
         return [[Fraction(2 * _trace_form(F.d, x, y), D * D) / R for y in basis]
@@ -239,49 +240,6 @@ def _forms_gram(F: QuadField, basis, D: int, sq_radii) -> list[list]:
     scale = [float(R) for R in sq_radii]
     return [[sum(x[k] * y[k] / scale[k] for k in range(2)) for y in emb]
             for x in emb]
-
-
-def ideal_gram(ideal: FracIdeal, sq_radii) -> list[list]:
-    """Gram of sum_sigma sigma(x)^2 / R_sigma on the HNF basis of the
-    ideal, for squared radii (R_1, R_2) at the real embeddings, or of
-    2*Nr(x) / R at the complex place (sq_radii = (R,)).  With
-    b_i = (u_i + v_i*sqrt(d)) / D the entries are the exact Fractions
-    2*(u_i*u_j + |d|*v_i*v_j) / (D^2*R), or, at unequal real radii,
-    floats from the embeddings."""
-    return _forms_gram(ideal.field, *_ideal_forms(ideal), sq_radii)
-
-
-def box_membership(ideal: FracIdeal, sq_radii) -> Callable[[int, int], bool]:
-    """Exact test of whether x = m*b0 + k*b1, for (b0, b1) the HNF basis of
-    the ideal, has sigma(x)^2 <= R_sigma at both real embeddings
-    (sq_radii = (R_1, R_2)), or Nr(x) <= R at the complex place
-    (sq_radii = (R,)).
-
-    x is written (U + V*sqrt(d)) / D with integers U, V linear in (m, k).
-    At the complex place the test is U^2 - d*V^2 <= R*D^2; at the real
-    ones sigma(x)^2 = (A +- B*sqrt(d)) / D^2 with A = U^2 + d*V^2 and
-    B = 2*U*V, compared with R*D^2 by integer signs and squares."""
-    d = ideal.field.d
-    ((u0, v0), (u1, v1)), D = _ideal_forms(ideal)
-    cleared = [(R.numerator * D * D, R.denominator) for R in sq_radii]
-    if d < 0:
-        (P, Q), = cleared
-        return lambda m, k: Q * ((m * u0 + k * u1) ** 2 - d * (m * v0 + k * v1) ** 2) <= P
-    (P1, Q1), (P2, Q2) = cleared
-
-    def leq(x: int, y: int, z: int) -> bool:
-        # x + y*sqrt(d) <= z
-        rem = z - x
-        if y >= 0:
-            return rem >= 0 and y * y * d <= rem * rem
-        return rem >= 0 or y * y * d >= rem * rem
-
-    def inside(m: int, k: int) -> bool:
-        U, V = m * u0 + k * u1, m * v0 + k * v1
-        A, B = U * U + d * V * V, 2 * U * V
-        return leq(Q1 * A, Q1 * B, P1) and leq(Q2 * A, -Q2 * B, P2)
-
-    return inside
 
 
 def _gauss_reduced(d: int, basis):
@@ -300,23 +258,63 @@ def _gauss_reduced(d: int, basis):
         cr = (cr[0] - mu * cp[0], cr[1] - mu * cp[1])
 
 
-def box_points(ideal: FracIdeal, sq_radii,
+def _floor_surd(p: int, q: int, d: int, m: int) -> int:
+    """floor((p + q*sqrt(d)) / m) for m > 0 and a nonsquare d > 0."""
+    r = math.isqrt(q * q * d)
+    return (p + (r if q >= 0 else -r - 1)) // m
+
+
+def box_points(ideal: FracIdeal, radii,
                budget: int = enumeration.DEFAULT_BUDGET) -> Iterator[tuple[int, int]]:
-    """The (m, k) with x = m*b0 + k*b1 inside the box of `box_membership`.
-    The HNF basis is first Lagrange-Gauss reduced for the trace form, so
-    that a skewed ideal gives a well-conditioned Gram; the ellipsoid of
-    the reduced basis at 2 covers the box, and each of its points is
-    mapped back to (m, k) and filtered exactly."""
-    F = ideal.field
+    """The (m, k) with x = m*b0 + k*b1 in the ideal's HNF basis and
+    |sigma(x)| <= rho_sigma at both real embeddings (radii (rho_1, rho_2)), or
+    Nr(x) <= R at the complex place (radii (R,)), in exact integer rows t of
+    x = s*r0 + t*r1 = (U + V*sqrt(d)) / D over a Lagrange-Gauss reduced basis:
+    U^2 + |d|*V^2 = A*s^2 + 2*B*s*t + C*t^2, which is D^2*Nr(x) or
+    D^2*(sigma_1(x)^2 + sigma_2(x)^2) / 2, is at most N on the box.  Row -t is
+    row t negated.  The budget bounds the rows and the points."""
+    d = ideal.field.d
     basis, D = _ideal_forms(ideal)
-    reduced, ((a0, a1), (c0, c1)) = _gauss_reduced(F.d, basis)
-    coords, _ = enumeration.enumerate_vectors(_forms_gram(F, reduced, D, sq_radii),
-                                              2 * (1 + 1e-9), budget)
-    inside = box_membership(ideal, sq_radii)
-    for s, t in coords:
-        m, k = s * a0 + t * c0, s * a1 + t * c1
-        if inside(m, k):
+    reduced, ((a0, a1), (c0, c1)) = _gauss_reduced(d, basis)
+    (p0, q0), (p1, q1) = r0, r1 = reduced
+    A, B, C = _trace_form(d, r0, r0), _trace_form(d, r0, r1), _trace_form(d, r1, r1)
+    radii = [Fraction(r) for r in radii]
+    N = math.floor((radii[0] if d < 0 else (radii[0] ** 2 + radii[1] ** 2) / 2) * D * D)
+    if d < 0:
+        def row(t: int) -> tuple[int, int]:
+            disc = (B * t) ** 2 - A * (C * t * t - N)
+            r = math.isqrt(max(disc, 0))
+            return (-((B * t + r) // A), (r - B * t) // A) if disc >= 0 else (1, 0)
+    else:
+        # |s*alpha + t*beta| <= rho*D for alpha, beta the images of r0, r1 at
+        # sqrt(d) -> g*sqrt(d); over n = alpha*conj(alpha) and rho = a/b the
+        # two ends (+-a*D - t*b*beta) / (b*alpha) are (P + Q*sqrt(d)) / (b*|n|)
+        n = p0 * p0 - d * q0 * q0
+        h = 1 if n > 0 else -1
+        strips = [(h * a * D * p0, -g * h * a * D * q0, h * b * (d * q0 * q1 - p0 * p1),
+                   g * h * b * (p1 * q0 - p0 * q1), b * abs(n))
+                  for g, (a, b) in zip((1, -1), (r.as_integer_ratio() for r in radii))]
+
+        def row(t: int) -> tuple[int, int]:
+            # ceil(min) = min(ceil) and floor(max) = max(floor) of the ends
+            ends = [[(t * P1 + e * P0, t * Q1 + e * Q0, M) for e in (1, -1)]
+                    for P0, Q0, P1, Q1, M in strips]
+            return (max(min(-_floor_surd(-P, -Q, d, M) for P, Q, M in s) for s in ends),
+                    min(max(_floor_surd(P, Q, d, M) for P, Q, M in s) for s in ends))
+    rows = math.isqrt(N * A // (A * C - B * B)) + 1
+    if rows > budget:  # a needle-thin box has many empty rows
+        raise enumeration.BudgetExceeded(budget, budget)
+    found = 0
+    for t in range(rows):
+        lo, hi = row(t)
+        found += max(hi - lo + 1, 0) * (2 if t else 1)
+        if found > budget:
+            raise enumeration.BudgetExceeded(budget, budget)
+        for s in range(lo, hi + 1):
+            m, k = s * a0 + t * c0, s * a1 + t * c1
             yield m, k
+            if t:
+                yield -m, -k
 
 
 def box_sections(bundle: HermitianLineBundle,
@@ -328,7 +326,9 @@ def box_sections(bundle: HermitianLineBundle,
         kmax = int(bundle.radii[0] / q)
         return [k * q for k in range(-kmax, kmax + 1)]
     b0, b1 = bundle.ideal.basis_elems()
-    points = box_points(bundle.ideal, _bundle_sq_radii(bundle), budget)
+    # Nr(s) = |sigma(s)|^2 at the complex place
+    radii = bundle.radii if bundle.field.is_real else (bundle.radii[0] ** 2,)
+    points = box_points(bundle.ideal, radii, budget)
     return [b0 * m + b1 * k for m, k in sorted(points, key=lambda c: (c[1], c[0]))]
 
 

@@ -37,17 +37,10 @@ def _radius_exponent(r: Fraction, q: int) -> int:
     """e with r = q^e, or raise."""
     if r <= 0:
         raise ValueError("radius must be positive")
-    if r == 1:
-        return 0
-    if r.denominator == 1:
-        e = valuation(r, q)
-        if q ** e != r:
-            raise ValueError(f"{r} is not a power of {q}")
-        return e
-    e = -valuation(r, q)
-    if Fraction(1, q ** e) != r:
+    e = valuation(r, q)
+    if Fraction(q) ** e != r:
         raise ValueError(f"{r} is not a power of {q}")
-    return -e
+    return e
 
 
 def make_radius_family(field: Optional[QuadField], finite, infinite) -> RadiusFamily:
@@ -67,12 +60,7 @@ def make_radius_family(field: Optional[QuadField], finite, infinite) -> RadiusFa
 
 
 def norm_of_family(r: RadiusFamily) -> Fraction:
-    out = Fraction(1)
-    for _, ru in r.finite:
-        out *= ru
-    for ru in r.infinite:
-        out *= ru
-    return out
+    return math.prod([ru for _, ru in r.finite] + list(r.infinite), start=Fraction(1))
 
 
 def _ideal_from_finite(r: RadiusFamily):
@@ -95,9 +83,7 @@ def count_box(field: Optional[QuadField], r: RadiusFamily,
     ideal = _ideal_from_finite(r)
     if field is None:
         return 2 * int(r.infinite[0] / ideal) + 1
-    # |sigma(x)|^2 per real embedding, or the squared modulus Nr(x)
-    sq_radii = [x * x for x in r.infinite] if field.is_real else r.infinite
-    return sum(1 for _ in box_points(ideal, sq_radii, budget))
+    return sum(1 for _ in box_points(ideal, r.infinite, budget))
 
 
 def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import arakelov, boxcount, enumeration, git4, localgeom, quartics, toralsets
+from .intarith import is_prime
 from .numfield import Place, finite_places, make_quad_field
 
 EXIT_OK = 0
@@ -89,22 +90,28 @@ def _parse_matrix(text, what, sizes=None):
 
 def tower_from_json(data) -> object:
     data = _load(data, dict, "a tower")
-    kind = data["kind"]
+
+    def field(key):
+        if key in data:
+            return data[key]
+        raise ValueError(f"{data.get('kind', 'a')} tower needs the field {key!r}")
+
+    kind = field("kind")
     if kind == "zeta5":
         return quartics.zeta5_tower()
     if kind == "sqrt2plus":
         return quartics.sqrt2plus_tower()
     if kind == "biquadratic":
-        return quartics.biquadratic_tower(_int(data["d"]), _int(data["e"]))
+        return quartics.biquadratic_tower(_int(field("d")), _int(field("e")))
     if kind == "dihedral":
-        return quartics.dihedral_tower(_int(data["d"]), _fraction(data["a"]),
-                                       _fraction(data["b"]))
+        return quartics.dihedral_tower(_int(field("d")), _fraction(field("a")),
+                                       _fraction(field("b")))
     if kind == "gaussian":
-        return quartics.gaussian_period_tower(_int(data["p"]))
+        return quartics.gaussian_period_tower(_int(field("p")))
     if kind == "quadratic":
         from .numfield import make_tower
 
-        return make_tower(None, _fraction(data["delta"]))
+        return make_tower(None, _fraction(field("delta")))
     raise ValueError(f"unknown tower kind {kind!r}")
 
 
@@ -161,6 +168,8 @@ def _radius_family(field, rinf, rfin_text):
         p = int(p_str)
         radii = r if isinstance(r, list) else [r]
         # over Q a finite place is just the prime
+        if field is None and not is_prime(p):
+            raise ValueError(f"{p} is not a prime")
         places = [Place(None, "finite", p, "ramified")] if field is None \
             else finite_places(field, p)
         if len(radii) != len(places):

@@ -1,4 +1,4 @@
-"""Lattice enumeration and certified theta sums.
+"""Certified theta sums; box counts walk exact rows in `arakelov.box_points`.
 
 One pure-Python Fincke-Pohst kernel (`_fpenum_py`) does the work.  A
 theta sum builds no point list: the kernel adds exp(-pi Q(x)) as it
@@ -25,13 +25,6 @@ KERNEL_NAME = _fpenum_py.KERNEL_NAME
 BudgetExceeded = _fpenum_py.BudgetExceeded
 DEFAULT_BUDGET = 5_000_000
 DEFAULT_TAIL_TOL = 1e-12
-
-
-def enumerate_vectors(gram, bound, budget=DEFAULT_BUDGET):
-    """Integer vectors with Q(x) <= bound (slightly over-covered; callers
-    needing exactness filter with the exact form)."""
-    return _fpenum_py.enumerate_vectors([list(map(float, r)) for r in gram],
-                                        float(bound), budget)
 
 
 def _banaszczyk_bound(n: int, radius: float) -> float:

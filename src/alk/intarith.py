@@ -72,8 +72,14 @@ def sqrt_fraction(x: Fraction | int) -> Fraction:
     return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and factorize(n) == {n: 1}
+
+
 def valuation(x: Fraction | int, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
+    """The exponent of p in a nonzero rational, for an integer p >= 2."""
+    if p < 2:
+        raise ValueError(f"valuation at {p}: need an integer of at least 2")
     x = Fraction(x)
     if x == 0:
         raise ValueError("valuation of 0 is undefined (infinite)")

@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Sequence
 
-from .intarith import factorize
+from .intarith import factorize, is_prime
 from .ratlinalg import mat_det, mat_inv, mat_vec, transpose
 
 
@@ -337,7 +337,7 @@ def gaussian_period_quartic(p: int) -> dict:
     normal coordinates of eta_0^0..eta_0^3 maps to the power basis; the
     Gauss sum is sqrt(p) = eta_0 - eta_1 + eta_2 - eta_3.
     """
-    if p < 2 or p % 4 != 1 or factorize(p) != {p: 1}:
+    if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"p must be a prime = 1 mod 4, got p = {p}")
     g, m = _primitive_root(p), (p - 1) // 4
     cls = [0] * p  # x in C_cls[x] for 0 < x < p

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 from .intarith import (
     factorize,
+    is_prime,
     is_square_fraction,
     is_squarefree,
     prime_support,
@@ -178,6 +179,8 @@ def is_square_in_field(x: NFElem) -> bool:
 
 
 def splitting_type(F: QuadField, p: int) -> str:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
     d = F.d
     if p == 2:
         if d % 8 == 1:

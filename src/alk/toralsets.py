@@ -17,6 +17,7 @@ from typing import Optional
 from .intarith import (
     divisor_count,
     factorize,
+    is_prime,
     is_square_fraction,
     squarefree_kernel,
     valuation,
@@ -45,8 +46,8 @@ class ToralSetDescriptor:
 
 def make_descriptor(tower: FieldTower, conductors=None, arch_generator=None):
     cond = tuple(sorted((int(p), int(f)) for p, f in (conductors or {}).items()))
-    if any(f == 0 for _, f in cond):
-        raise ValueError("zero conductor")
+    if any(f == 0 or not is_prime(p) for p, f in cond):
+        raise ValueError(f"conductors must be nonzero, at primes: got {dict(cond)}")
     arch = None
     if arch_generator is not None:
         arch = tuple(tuple(x for x in row) for row in arch_generator)

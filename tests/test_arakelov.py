@@ -24,6 +24,7 @@ from alk.arakelov import (
     theta_invariants_euclidean,
     trivial_bundle,
 )
+from alk.boxcount import count_box, make_radius_family
 from alk.numfield import make_quad_field
 from conftest import random_posdef_gram, random_principal_bundle
 
@@ -208,9 +209,10 @@ def test_degree_based_bounds_hold_on_samples():
 
 
 def test_budget_is_enforced():
-    gram = [[Fraction(1, 100)]]
+    F = make_quad_field(-1)
+    fam = make_radius_family(F, [], [Fraction(100)])
     with pytest.raises(enumeration.BudgetExceeded):
-        enumeration.enumerate_vectors(gram, 1.0, budget=3)
+        count_box(F, fam, budget=3)
 
 
 def _theta_1d(g):

@@ -13,7 +13,8 @@ from alk.boxcount import (
     make_radius_family,
     norm_of_family,
 )
-from alk.arakelov import box_membership, box_sections, ideal_gram, make_bundle
+from alk.arakelov import box_points, box_sections, ideal_gram, make_bundle
+from alk.enumeration import BudgetExceeded
 from alk.numfield import (
     FracIdeal,
     Place,
@@ -121,7 +122,7 @@ def test_bound_check_passes_in_hypothesis():
 
 
 # ---------------------------------------------------------------------------
-# the integer box membership test against the field-element route it replaced
+# box_points against a membership test on field elements
 
 
 def _leq_with_sqrt(rational_part, sqrt_part, d, bound):
@@ -134,12 +135,14 @@ def _leq_with_sqrt(rational_part, sqrt_part, d, bound):
     return rem >= 0 or sqrt_part * sqrt_part * d >= rem * rem
 
 
-def _in_box_reference(x, F, sq_radii):
+def _in_box_reference(x, F, radii):
+    """|sigma_i(x)| <= rho_i at the real embeddings, Nr(x) <= R at the
+    complex place."""
     if F.is_real:
         sq = x * x  # sigma_1(x)^2 = a + b sqrt(d), sigma_2 flips the sign
-        return (_leq_with_sqrt(sq.a, sq.b, F.d, sq_radii[0])
-                and _leq_with_sqrt(sq.a, -sq.b, F.d, sq_radii[1]))
-    return x.norm() <= sq_radii[0]
+        return (_leq_with_sqrt(sq.a, sq.b, F.d, radii[0] ** 2)
+                and _leq_with_sqrt(sq.a, -sq.b, F.d, radii[1] ** 2))
+    return x.norm() <= radii[0]
 
 
 def _basis_coords(ideal, x):
@@ -155,13 +158,12 @@ def _basis_coords(ideal, x):
 MEMBERSHIP_FIELDS = (5, 13, 17, 2, 3, 6, -3, -7, -11, -15, -1, -2, -5)
 
 
-def test_integer_box_membership_matches_the_field_route():
+def test_box_points_match_the_field_route():
     rng = random.Random(31)
     seen = {"in": 0, "out": 0, "boundary": 0}
     kinds = set()
     for d in MEMBERSHIP_FIELDS:
         F = QuadField(d)
-        sqrt_d = F.elem(0, 1)
         ideals = [FracIdeal.maximal_order(F)]
         for p in (2, 3, 5, 7):
             kinds.add((F.is_real, d % 4 == 1, splitting_type(F, p)))
@@ -178,15 +180,15 @@ def test_integer_box_membership_matches_the_field_route():
             boxes = []
             if F.is_real:
                 # equal and unequal radii, and radii met exactly by the
-                # rational points k*x_rat and the points k*x_rat*sqrt(d)
+                # rational points k*x_rat, the only ones with a rational
+                # |sigma(x)|
                 for _ in range(2):
-                    r1 = Fraction(rng.randint(1, 60), rng.randint(1, 9)) * q * q
+                    r1 = Fraction(rng.randint(1, 60), rng.randint(1, 9)) * q
                     boxes.append(((r1, r1), []))
-                    boxes.append(((r1, Fraction(rng.randint(1, 60), rng.randint(1, 9)) * q * q), []))
+                    boxes.append(((r1, Fraction(rng.randint(1, 60), rng.randint(1, 9)) * q), []))
                 t = rng.randint(1, 3)
-                boxes.append(((t * t * q * q, t * t * q * q), [x_rat * t]))
-                boxes.append(((t * t * q * q, 4 * t * t * q * q), [x_rat * t, x_rat * -t]))
-                boxes.append(((d * q * q, d * q * q), [x_rat * sqrt_d]))
+                boxes.append(((t * q, t * q), [x_rat * t]))
+                boxes.append(((t * q, 2 * t * q), [x_rat * t, x_rat * -t]))
             else:
                 for _ in range(3):
                     boxes.append(((Fraction(rng.randint(1, 200), rng.randint(1, 9)) * q * q,), []))
@@ -198,27 +200,48 @@ def test_integer_box_membership_matches_the_field_route():
                     units = [u for u in (F.elem(1), F.elem(0, 1), F.omega, F.omega - 1)
                              if u.norm() == 1]
                     boxes.append(((Fraction(1),), units + [-u for u in units]))
-            for sq_radii, boundary in boxes:
-                inside = box_membership(ideal, sq_radii)
-                points = [(m, k) for m in range(-3, 4) for k in range(-3, 4)]
-                points += [_basis_coords(ideal, x) for x in boundary]
-                for m, k in points:
-                    want = _in_box_reference(b0 * m + b1 * k, F, sq_radii)
-                    assert inside(m, k) == want, (d, ideal, sq_radii, m, k)
-                    seen["in" if want else "out"] += 1
-                # boundary points are in the box, and leave it when any
-                # one radius shrinks
+            for radii, boundary in boxes:
+                points = list(box_points(ideal, radii))
+                assert len(set(points)) == len(points)
+                points = set(points)
+                for m in range(-3, 4):
+                    for k in range(-3, 4):
+                        want = _in_box_reference(b0 * m + b1 * k, F, radii)
+                        assert ((m, k) in points) == want, (d, ideal, radii, m, k)
+                        seen["in" if want else "out"] += 1
+                # boundary points are returned, and drop out when any one
+                # radius shrinks
                 for x in boundary:
-                    m, k = _basis_coords(ideal, x)
-                    assert inside(m, k), (d, ideal, sq_radii, x)
-                    hit = [i for i, R in enumerate(sq_radii)
-                           if not box_membership(ideal, [R * (1 - Fraction(1, 10 ** 9)) if j == i
-                                                          else S for j, S in enumerate(sq_radii)])(m, k)]
-                    assert hit, (d, ideal, sq_radii, x)
+                    mk = _basis_coords(ideal, x)
+                    assert mk in points, (d, ideal, radii, x)
+                    hit = [i for i in range(len(radii))
+                           if mk not in box_points(ideal, [r * (1 - Fraction(1, 10 ** 9)) if j == i
+                                                           else r for j, r in enumerate(radii)])]
+                    assert hit, (d, ideal, radii, x)
                     seen["boundary"] += 1
     assert min(seen.values()) > 300, seen
     # real and imaginary fields, d = 1 mod 4 and not, split, inert and ramified
     assert len(kinds) == 12, kinds
+
+
+def test_budget_counts_box_points_only():
+    # the parent route enumerated an ellipse holding more points than the
+    # box, so it raised at these budgets
+    for d, rinf, count in ((5, [20, 20], 717), (2, [30, 7], 299)):
+        F = QuadField(d)
+        fam = make_radius_family(F, [], rinf)
+        assert count_box(F, fam, budget=count) == count == count_box_naive(F, fam)
+        with pytest.raises(BudgetExceeded):
+            count_box(F, fam, budget=count - 1)
+
+
+def test_needle_thin_box_is_refused_by_the_budget():
+    # radii 10^-10 and 10^10 over O_F: billions of rows of the trace-form
+    # ellipse, nearly all empty, are not walked
+    F = QuadField(5)
+    fam = make_radius_family(F, [], [Fraction(1, 10 ** 10), 10 ** 10])
+    with pytest.raises(BudgetExceeded):
+        within_seconds(5, lambda: count_box(F, fam))
 
 
 # ---------------------------------------------------------------------------

@@ -318,6 +318,33 @@ def test_malformed_json_is_an_error_line(capsys, argv):
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("argv", [
+    # each of the first four hung in valuation's loop at p = 1 or -1
+    ["local", "--matrix", "[[1, 0], [0, 1]]", "--prime", "1", "--d", "-1"],
+    ["local", "--matrix", "[[1, 0], [0, 1]]", "--prime", "-1", "--d", "-1"],
+    ["entropy", "--a", "[1, 2, 3, 4]", "--prime", "1"],
+    ["disc", "--tower", '{"kind": "quadratic", "delta": 2}', "--conductors", '{"1": 2}'],
+    ["local", "--matrix", "[[1, 0], [0, 1]]", "--prime", "0", "--d", "-1"],
+    # non-prime places printed a count
+    ["count-box", "--field", '{"d": -1}', "--rinf", "[2]", "--rfin", '{"4": 1}'],
+    ["count-box", "--field", '{"d": -1}', "--rinf", "[2]", "--rfin", '{"-3": 1}'],
+    ["count-box", "--rinf", "[3]", "--rfin", '{"4": 4}'],
+    # radii 10^-10 and 10^10: billions of mostly empty rows
+    ["count-box", "--field", '{"d": 5}', "--rinf", "[1e-10, 1e10]"],
+], ids=" ".join)
+def test_bad_primes_and_needle_boxes_are_an_error_line(capsys, argv):
+    code, err = within_seconds(5, lambda: run_cli_err(capsys, argv))
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_missing_tower_field_is_named(capsys):
+    # printed the bare KeyError "error: 'a'"
+    for tower, want in (('{"kind": "dihedral", "d": 2}', "dihedral tower needs the field 'a'"),
+                        ('{"d": 2}', "a tower needs the field 'kind'")):
+        code, err = run_cli_err(capsys, ["classify", "--tower", tower])
+        assert code == 1 and err == f"error: {want}\n", err
+
+
 def test_inputs_beyond_trial_division_are_an_error_line(capsys):
     # 10^18 + 3 has no prime factor below 10^6; dividing up to its square
     # root did not finish in 10 s

@@ -7,7 +7,8 @@ from conftest import within_seconds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alk.intarith import factorize
+from alk.intarith import factorize, valuation
+from alk.localgeom import different_and_orders
 from alk.numfield import (
     FracIdeal,
     Place,
@@ -552,3 +553,21 @@ def test_content_of_an_element_with_a_huge_norm_is_an_error():
     F = QuadField(-15)
     with pytest.raises(ValueError, match="cannot factor"):
         within_seconds(5, lambda: content(F, F.elem(1 / 6, 3 / 4)))
+
+
+def test_valuation_needs_a_base_of_at_least_two():
+    # p = 1 and p = -1 divide every integer, so the loop never ended; p = 0
+    # raised ZeroDivisionError
+    for p in (1, -1, 0, -7):
+        with pytest.raises(ValueError, match="at least 2"):
+            within_seconds(5, lambda: valuation(12, p))
+    assert valuation(Fraction(48, 5), 4) == 2  # a residue size base is kept
+
+
+@pytest.mark.parametrize("p", [4, 1, 0, -3, 15])
+def test_places_exist_only_over_primes(p):
+    # finite_places(QuadField(-1), 4) returned an inert place at 4
+    with pytest.raises(ValueError, match="not a prime"):
+        finite_places(QuadField(-1), p)
+    with pytest.raises(ValueError, match="not a prime"):
+        different_and_orders(5, p)

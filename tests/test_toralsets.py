@@ -42,6 +42,14 @@ def test_quadratic_descriptor_discriminants():
     assert not data3["maximal_type"]
 
 
+def test_descriptor_conductors_sit_at_primes():
+    tower = make_tower(None, Fraction(2))
+    for key in (1, 4, 0, -3):
+        with pytest.raises(ValueError, match="at primes"):
+            make_descriptor(tower, {key: 2})
+    assert make_descriptor(tower, {"3": 3}).local_conductors == ((3, 3),)
+
+
 def test_quartic_descriptor_uses_the_certified_discriminant():
     tower = quartics.zeta5_tower()
     data = nonarch_and_global_disc(make_descriptor(tower))
