@@ -386,6 +386,16 @@ def _verification_battery(cfg: RunConfig) -> list[dict]:
     rhs = toralsets.linnik_rhs(1e6, 1e3, 1.0, math.log(10.0), 0.0)
     record("10_linnik_rhs", abs(rhs["value"] - (1e-3 + 1e-2)) < 1e-12,
            {"value": rhs["value"]})
+
+    # Leibniz sum and Galois relations in the degree-8 dihedral closure
+    emb = git4.regular_embedding(quartics.dihedral_tower(2, 1, 1))
+    gamma = [[1, Fraction(1, 2), 0, 0], [0, 1, 2, 0], [0, 0, Fraction(1, 3), 0],
+             [1, 0, 0, 1]]
+    sum_ok = git4.psi_sum_check(emb, gamma) == 1
+    rel_ok = git4.pattern_and_relation_check(emb, gamma, "dihedral")["pass"]
+    record("11_psi_dihedral_closure", sum_ok and rel_ok,
+           {"closure_degree": emb.closure.degree, "psi_sum_is_one": sum_ok,
+            "relations": rel_ok})
     return out
 
 

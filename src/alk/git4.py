@@ -13,6 +13,13 @@ abelian, and the degree-8 field F(sqrt(delta), sqrt(conj delta)) when K
 is dihedral.  The Galois relations are checked for every automorphism of
 L, so for a dihedral tower for all eight elements of D4.
 
+The conjugated matrix m = g^{-1} gamma g is linear in gamma:
+m[i][j] = sum_{k,l} gamma[k][l] g^{-1}[i][k] g[l][j].  Each embedding
+caches, on first use, the 16 closure products of every entry as integer
+numerators over one denominator per entry, so conjugating a rational
+gamma is one integer dot product per coordinate of each entry and one
+gcd per entry, with no field multiplication.
+
 Permutations of {0,1,2,3} are stored as image tuples.
 """
 
@@ -22,10 +29,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Optional
 
-from .intarith import is_square_fraction, sqrt_fraction, valuation
-from .nfpoly import NFElem, NumberField
+from .intarith import is_prime, is_square_fraction, sqrt_fraction, valuation
+from .nfpoly import NFElem, NumberField, _canonical
 from .numfield import FieldTower, biquadratic_conj_polys, conj
 from .ratlinalg import mat_det, mat_inv, mat_mul, mat_vec, transpose
 
@@ -117,8 +126,28 @@ class EmbeddingData:
         coordinates (acting on row vectors)."""
         return transpose(self.nf.elem(coeffs).mult_matrix())
 
-    def sqrt_d_matrix(self) -> list[list[Fraction]]:
-        return self.regular_matrix(self.tower.sqrt_d_coords)
+    @cached_property
+    def sqrt_d_matrix(self) -> tuple:
+        """Regular representation of sqrt(d), built once per embedding, as
+        tuple rows of Fractions."""
+        return tuple(map(tuple, self.regular_matrix(self.tower.sqrt_d_coords)))
+
+    @cached_property
+    def conjugation_table(self) -> tuple:
+        """Per entry (i, j) a pair (D, rows): rows[c][4k + l] / D is
+        coordinate c of g^{-1}[i][k] g[l][j] in the power basis of the
+        closure, with D the least common denominator of the 16 products.
+        Built on first use."""
+        table = []
+        for a_row in self.g_inv:
+            entries = []
+            for j in range(4):
+                prods = [a * row[j] for a in a_row for row in self.g]
+                den = math.lcm(*(x.den for x in prods))
+                cols = [[c * (den // x.den) for c in x.num] for x in prods]
+                entries.append((den, tuple(zip(*cols))))
+            table.append(tuple(entries))
+        return tuple(table)
 
 
 def _galois_conj_polys(tower: FieldTower, K: NumberField):
@@ -236,10 +265,16 @@ class InvariantProfile:
 
 
 def conjugated_matrix(emb: EmbeddingData, gamma):
-    """g^{-1} gamma g with gamma rational; gamma's entries stay Fractions,
-    so the first product scales field elements by rationals."""
-    gm = [[Fraction(x) for x in row] for row in gamma]
-    return mat_mul(mat_mul(emb.g_inv, gm), emb.g)
+    """g^{-1} gamma g with gamma rational, as 4x4 rows of NFElem of the
+    closure: gamma is cleared to 16 integers over one denominator e, and
+    entry (i, j) is read from `emb.conjugation_table` as one integer dot
+    product per coordinate over D_ij * e, in lowest terms."""
+    q = [Fraction(x) for row in gamma for x in row]
+    e = math.lcm(*(x.denominator for x in q))
+    v = [x.numerator * (e // x.denominator) for x in q]
+    L = emb.closure
+    return [[_canonical(L, [sum(map(mul, coord, v)) for coord in rows], den * e)
+             for den, rows in entries] for entries in emb.conjugation_table]
 
 
 def _psi_values(emb: EmbeddingData, gamma, perms):
@@ -309,7 +344,7 @@ def block_membership_test(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     special permutations iff gamma commutes with multiplication by sqrt(d);
     the commutation route is exact over Q and is the ground truth."""
     gs = galois_structures(galois_type)
-    sd = emb.sqrt_d_matrix()
+    sd = emb.sqrt_d_matrix
     gm = [[Fraction(x) for x in row] for row in gamma]
     commutes = mat_mul(sd, gm) == mat_mul(gm, sd)
     sp_values = dict(_psi_values(emb, gamma, gs.special)[1])
@@ -359,6 +394,8 @@ class EntropyData:
 def root_log_values(t, p: Optional[int] = None) -> tuple:
     if p is None:
         return tuple(math.log(abs(float(x))) for x in t)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
     return tuple(-valuation(Fraction(x), p) * math.log(p) for x in t)
 
 
@@ -418,6 +455,8 @@ class BowenBall:
     tau: int
 
     def __post_init__(self):
+        if not is_prime(self.p):
+            raise ValueError(f"{self.p} is not a prime")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
         if any(Fraction(x) == 0 for x in self.a):

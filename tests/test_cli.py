@@ -264,7 +264,10 @@ def test_verify_all_battery(capsys):
     code, data = run_json(capsys, ["verify-all"])
     assert code == 0
     assert data["pass"] and all(c["pass"] for c in data["checks"])
-    assert len(data["checks"]) >= 11
+    assert len(data["checks"]) >= 12
+    dihedral = next(c for c in data["checks"] if c["id"] == "11_psi_dihedral_closure")
+    assert dihedral["detail"] == {"closure_degree": 8, "psi_sum_is_one": True,
+                                  "relations": True}
 
 
 def test_csv_format_on_either_side_of_the_subcommand(capsys):
@@ -325,10 +328,11 @@ def test_malformed_json_is_an_error_line(capsys, argv):
     ["entropy", "--a", "[1, 2, 3, 4]", "--prime", "1"],
     ["disc", "--tower", '{"kind": "quadratic", "delta": 2}', "--conductors", '{"1": 2}'],
     ["local", "--matrix", "[[1, 0], [0, 1]]", "--prime", "0", "--d", "-1"],
-    # non-prime places printed a count
+    # non-prime places printed a count, or base-4 entropies
     ["count-box", "--field", '{"d": -1}', "--rinf", "[2]", "--rfin", '{"4": 1}'],
     ["count-box", "--field", '{"d": -1}', "--rinf", "[2]", "--rfin", '{"-3": 1}'],
     ["count-box", "--rinf", "[3]", "--rfin", '{"4": 4}'],
+    ["entropy", "--a", "[1, 2, 3, 4]", "--prime", "4"],
     # radii 10^-10 and 10^10: billions of mostly empty rows
     ["count-box", "--field", '{"d": 5}', "--rinf", "[1e-10, 1e10]"],
 ], ids=" ".join)

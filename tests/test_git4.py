@@ -15,6 +15,7 @@ from alk.git4 import (
     block_membership_test,
     bowen_membership,
     bowen_membership_loop,
+    conjugated_matrix,
     content_vanishing_detector,
     entropy_quantities,
     galois_structures,
@@ -69,14 +70,59 @@ def test_regular_matrix_satisfies_the_minimal_polynomial():
 
 
 def test_conjugation_diagonalizes_regular_matrices():
-    from alk.git4 import conjugated_matrix
-
     emb = regular_embedding(CYCLIC)
     m = conjugated_matrix(emb, emb.regular_matrix((1, 2, 0, 1)))
     for i in range(4):
         for j in range(4):
             if i != j:
                 assert all(c == 0 for c in m[i][j].coeffs)
+
+
+def _seeded_dihedral_make_tower(seed):
+    rng = random.Random(seed)
+    while True:
+        d = rng.choice([-7, -5, -3, -2, -1, 2, 3, 5, 6, 7, 10, 13])
+        F = make_quad_field(d)
+        delta = F.elem(Fraction(rng.randint(-5, 5), rng.randint(1, 3)),
+                       Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        try:
+            tower = make_tower(F, delta)
+        except ValueError:  # delta a square in F
+            continue
+        if classify_galois_type(tower) == "dihedral":
+            return tower
+
+
+@pytest.mark.parametrize("tower", [
+    CYCLIC, quartics.gaussian_period_tower(13), BIQUAD, quartics.sqrt2plus_tower(),
+    DIHEDRAL, _seeded_dihedral_make_tower(23),
+], ids=["zeta5", "gauss13", "biquadratic", "sqrt2plus", "dihedral", "make_tower"])
+def test_conjugation_table_equals_the_matrix_product(tower):
+    emb = regular_embedding(tower)
+    table = emb.conjugation_table
+    rng = random.Random(31)
+    gammas = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)]
+               for _ in range(4)] for _ in range(4)]
+    gammas += [[[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)] for _ in range(2)]
+    gammas.append([[int(i == j) for j in range(4)] for i in range(4)])
+    for gamma in gammas:
+        want = mat_mul(mat_mul(emb.g_inv, [[Fraction(x) for x in row] for row in gamma]),
+                       emb.g)
+        got = conjugated_matrix(emb, gamma)
+        for got_row, want_row in zip(got, want):
+            for x, y in zip(got_row, want_row):
+                assert x.field is emb.closure
+                assert (x.num, x.den) == (y.num, y.den)
+    assert emb.conjugation_table is table  # built once per embedding
+
+
+def test_sqrt_d_matrix_is_built_once_and_immutable():
+    emb = regular_embedding(DIHEDRAL)
+    sd = emb.sqrt_d_matrix
+    assert emb.sqrt_d_matrix is sd and isinstance(sd, tuple)
+    assert all(isinstance(row, tuple) for row in sd)
+    assert mat_mul(sd, sd) == [[Fraction(2 if i == j else 0) for j in range(4)]
+                               for i in range(4)]
 
 
 def test_identity_profile_is_a_delta():
@@ -292,6 +338,15 @@ def test_entropy_symmetric_under_inversion():
         for s in ALL_PERMS:
             # same multiset of terms, summed in a different order
             assert abs(ent.eta_sigma[s] - ent.eta_sigma[perm_inverse(s)]) < 1e-12
+
+
+@pytest.mark.parametrize("p", [4, 6])
+def test_non_prime_places_are_rejected(p):
+    # entropy_quantities read base-p "valuations" at p = 4
+    with pytest.raises(ValueError, match="not a prime"):
+        entropy_quantities([Fraction(1), Fraction(2), Fraction(3), Fraction(4)], p)
+    with pytest.raises(ValueError, match="not a prime"):
+        BowenBall(p, (Fraction(1, 2), Fraction(2)), 1)
 
 
 def test_archimedean_entropy_route():
