@@ -20,7 +20,6 @@ from numbers import Rational
 from typing import Iterator, Optional, Sequence
 
 from . import enumeration
-from .nfpoly import NFElem
 from .numfield import FracIdeal, QuadField, embeddings
 from .ratlinalg import leading_minors, mat_det, mat_inv
 
@@ -155,7 +154,8 @@ def sections_basis(bundle: HermitianLineBundle):
 
 
 def adeg_via_section(bundle: HermitianLineBundle, s) -> float:
-    """deg = log [L : O_F s] - sum_sigma log ||s||_sigma for s in L."""
+    """deg = log [L : O_F s] - sum_sigma log ||s||_sigma for s in L (a
+    rational, or an element of F)."""
     if bundle.field is None:
         s = Fraction(s)
         if s == 0:
@@ -164,7 +164,7 @@ def adeg_via_section(bundle: HermitianLineBundle, s) -> float:
             raise ValueError("section not in the ideal")
         index = abs(s) / bundle.ideal
         return math.log(index) - math.log(abs(s) / bundle.radii[0])
-    assert isinstance(s, NFElem)
+    s = bundle.field.coerce(s)
     if s.is_zero():
         raise ValueError("zero section")
     if not bundle.ideal.contains(s):

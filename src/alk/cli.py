@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import arakelov, boxcount, enumeration, git4, localgeom, quartics, toralsets
 from .intarith import is_prime
-from .numfield import Place, finite_places, make_quad_field
+from .numfield import Place, finite_places, make_quad_field, make_tower
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -45,8 +45,15 @@ def _fraction(x) -> Fraction:
 
 
 def _int(x) -> int:
-    if isinstance(x, (int, float, str)):
+    """An integer given as a JSON integer, an integral float such as 2.0 or
+    a decimal string such as "2"; anything else raises ValueError."""
+    if isinstance(x, int) or isinstance(x, float) and x.is_integer():
         return int(x)
+    if isinstance(x, str):
+        try:
+            return int(x)
+        except ValueError:
+            pass
     raise ValueError(f"not an integer: {json.dumps(x)}")
 
 
@@ -109,8 +116,6 @@ def tower_from_json(data) -> object:
     if kind == "gaussian":
         return quartics.gaussian_period_tower(_int(field("p")))
     if kind == "quadratic":
-        from .numfield import make_tower
-
         return make_tower(None, _fraction(field("delta")))
     raise ValueError(f"unknown tower kind {kind!r}")
 
@@ -139,14 +144,14 @@ def _key(k):
     return str(k)
 
 
-def _emit(report: dict, fmt: str) -> None:
+def _render(report: dict, fmt: str) -> list[str]:
+    """The output lines of a report; a NaN or infinity in it raises
+    ValueError in either format, as it has no JSON value."""
     data = _jsonable(report)
+    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     if fmt == "csv":
-        flat = _flatten(data)
-        for k, v in flat:
-            print(f"{k},{v}")
-        return
-    print(json.dumps(data, indent=2, sort_keys=True))
+        return [f"{k},{v}" for k, v in _flatten(data)]
+    return [text]
 
 
 def _flatten(data, prefix=""):
@@ -503,11 +508,13 @@ def main(argv=None) -> int:
                     fmt=getattr(args, "format", "json"))
     try:
         report, code = args.handler(args, cfg)
+        lines = _render(report, cfg.fmt)
     except (ValueError, ArithmeticError, KeyError, json.JSONDecodeError,
             enumeration.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    _emit(report, cfg.fmt)
+    for line in lines:
+        print(line)
     return code
 
 

@@ -8,9 +8,11 @@ signed monomials
     Psi0_sigma(g) = det(g)^{-1} sign(sigma) prod_i g[sigma(i)][i]
 
 evaluated on the conjugated matrix generate the bi-T-invariant regular
-functions.  g is exact in the Galois closure L of K: L = K when K/Q is
-abelian, and the degree-8 field F(sqrt(delta), sqrt(conj delta)) when K
-is dihedral.  The Galois relations are checked for every automorphism of
+functions.  Every tower writes theta = alpha + sqrt(delta) with alpha in
+F, so one root formula gives its four conjugates: alpha +- sqrt(delta)
+and conj(alpha) +- sqrt(conj delta).  g is exact in the Galois closure L
+of K: L = K when K/Q is abelian, and the degree-8 field
+F(sqrt(delta), sqrt(conj delta)) when K is dihedral.  The Galois relations are checked for every automorphism of
 L, so for a dihedral tower for all eight elements of D4.
 
 The conjugated matrix m = g^{-1} gamma g is linear in gamma:
@@ -35,7 +37,7 @@ from typing import Optional
 
 from .intarith import is_prime, is_square_fraction, sqrt_fraction, valuation
 from .nfpoly import NFElem, NumberField, _canonical
-from .numfield import FieldTower, biquadratic_conj_polys, conj
+from .numfield import FieldTower, conj
 from .ratlinalg import mat_det, mat_inv, mat_mul, mat_vec, transpose
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
@@ -150,25 +152,25 @@ class EmbeddingData:
         return tuple(table)
 
 
-def _galois_conj_polys(tower: FieldTower, K: NumberField):
-    """The four roots of theta's minimal polynomial in K, as polynomials in
-    theta with sqrt(d) positive at the first two, when K/Q is Galois: the
-    roots +-sqrt(d) +- sqrt(e) when delta = e is rational, and +-theta,
-    +-sqrt(Nr delta)/theta when Nr(delta) is a square in F.  None for a
-    dihedral tower."""
+def _embed(x, sqrt_d):
+    """The element x = a + b*sqrt(d) of F in a field holding sqrt_d."""
+    return sqrt_d * x.b + x.a
+
+
+def _conj_delta_root(tower: FieldTower, sqrt_d, u):
+    """v in K with v^2 = conj(delta), given sqrt(d) and u^2 = delta in K,
+    when K/Q is Galois: u itself when delta is rational, else
+    sqrt(Nr delta)/u with sqrt(Nr delta) rational or sqrt(d) times a
+    rational.  None for a dihedral tower."""
     delta, d = tower.delta, tower.base.d
     if delta.b == 0:
-        return biquadratic_conj_polys(d, delta.a)
+        return u
     n = delta.norm()
     if is_square_fraction(n):
-        root_n = K.elem(sqrt_fraction(n))
-    elif is_square_fraction(n / d):
-        root_n = K.elem(tower.sqrt_d_coords) * sqrt_fraction(n / d)
-    else:
-        return None
-    theta = K.gen
-    other = root_n / theta  # a square root of conj(delta) = Nr(delta) / delta
-    return tuple(r.coeffs for r in (theta, -theta, other, -other))
+        return sqrt_fraction(n) / u
+    if is_square_fraction(n / d):
+        return sqrt_d * sqrt_fraction(n / d) / u
+    return None
 
 
 def _closure_mul(x, y, delta):
@@ -184,17 +186,16 @@ def _closure_mul(x, y, delta):
 
 
 def _dihedral_closure(tower: FieldTower):
-    """(L, roots, conj polys) for a dihedral tower K = F(u), u^2 = delta.
+    """(L, sqrt(d), u, v) for a dihedral tower K = F(u), u^2 = delta.
 
     L = F(u, v) with v^2 = conj(delta) has degree 8 and is generated by
     eta = u + 2v: its conjugates +-u +- 2v and +-v +- 2u are distinct, as
     u/v is not rational (u^2/v^2 = delta/conj(delta) is not a rational
     square when b != 0).  (eta = u + v is fixed by the swap u <-> v.)  One
     exact elimination over the basis sqrt(d)^i u^j v^k gives eta^8 and the
-    coordinates of sqrt(d), u and v in the power basis of eta.  The roots
-    are (u, -u, v, -v), which sends sqrt(d) to +sqrt(d) at the first two,
-    and Gal(L/Q) is D4: u -> +-u, v -> +-v fixing sqrt(d), and u -> +-v,
-    v -> +-u negating it."""
+    coordinates of sqrt(d), u and v in the power basis of eta.  Gal(L/Q)
+    is D4: u -> +-u, v -> +-v fixing sqrt(d), and u -> +-v, v -> +-u
+    negating it."""
     delta, F = tower.delta, tower.base
     zero, one = F.elem(0), F.elem(1)
     eta = (zero, one, F.elem(2), zero)
@@ -210,29 +211,57 @@ def _dihedral_closure(tower: FieldTower):
         powers[8], (F.elem(0, 1), zero, zero, zero), (zero, one, zero, zero),
         (zero, zero, one, zero)))
     L = NumberField(tuple(-c for c in eta8) + (Fraction(1),))
-    assert L.elem(sqrt_d) ** 2 == tower.base.d, "closure coordinates wrong"
-    conj = [tuple(e1 * x + 2 * e2 * y for x, y in zip(*pair))
-            for pair in ((u, v), (v, u)) for e1 in (1, -1) for e2 in (1, -1)]
-    roots = [L.elem(u), -L.elem(u), L.elem(v), -L.elem(v)]
-    return L, roots, conj
+    return L, L.elem(sqrt_d), L.elem(u), L.elem(v)
 
 
 def regular_embedding(tower: FieldTower) -> EmbeddingData:
-    """g[i][j] = sigma_j(theta)^i in the Galois closure L of K: L = K for
-    abelian towers, the degree-8 field of _dihedral_closure otherwise."""
-    if tower.degree != 4:
+    """g[i][j] = sigma_j(theta)^i in the Galois closure L of K, with the one
+    root formula theta = alpha + u -> alpha + u, alpha - u, conj(alpha) + v,
+    conj(alpha) - v for u^2 = delta and v^2 = conj(delta), so sqrt(d) is
+    positive at the first two roots.  For abelian towers L = K,
+    u = theta - alpha and v lies in K; otherwise L is the degree-8 field of
+    _dihedral_closure.  Gal(L/Q) is given by the images of L's generator:
+    the roots when L = K, the conjugates +-u +- 2v, +-v +- 2u of u + 2v
+    otherwise.  Inconsistent tower data raise ArithmeticError."""
+    if tower.degree != 4 or tower.alpha is None:
         raise ValueError("quartic tower required")
     nf = NumberField(tuple(Fraction(c) for c in tower.theta_min_poly))
-    conj = tower.conj_polys or _galois_conj_polys(tower, nf)
-    if conj is not None:
-        L, roots = nf, [nf.elem(cp) for cp in conj]
-    else:
-        L, roots, conj = _dihedral_closure(tower)
+    sqrt_d = nf.elem(tower.sqrt_d_coords)
+    u = nf.gen - _embed(tower.alpha, sqrt_d)
+    v = _conj_delta_root(tower, sqrt_d, u)
+    L, images = nf, None
+    if v is None:
+        L, sqrt_d, u, v = _dihedral_closure(tower)
+        images = [s * x + 2 * t * y for x, y in ((u, v), (v, u))
+                  for s in (1, -1) for t in (1, -1)]
+    alpha, alpha_bar = _embed(tower.alpha, sqrt_d), _embed(conj(tower.alpha), sqrt_d)
+    roots = [alpha + u, alpha - u, alpha_bar + v, alpha_bar - v]
     g = [[r ** i for r in roots] for i in range(4)]
-    taus = tuple(L.automorphism(cp) for cp in conj)
+    _check_roots(tower, g, sqrt_d, u)
+    taus = tuple(L.automorphism(x.coeffs) for x in images or roots)
     image = tuple(_column_permutation(g, tau) for tau in taus)
+    # slots 0 and 1 are the embeddings with sqrt(d) positive
+    if any(tau(sqrt_d) != (sqrt_d if rho[0] < 2 else -sqrt_d)
+           for tau, rho in zip(taus, image)):
+        raise ArithmeticError("embedding order not compatible with F")
     return EmbeddingData(tower, nf, L, tuple(map(tuple, g)), tuple(map(tuple, mat_inv(g))),
                          taus, image)
+
+
+def _check_roots(tower: FieldTower, g, sqrt_d, u) -> None:
+    """Raise ArithmeticError unless sqrt(d)^2 = d and u^2 = delta in L,
+    sqrt_d_coords at the first root give sqrt(d), and every root satisfies
+    theta's minimal polynomial."""
+    if sqrt_d * sqrt_d != tower.base.d or u * u != _embed(tower.delta, sqrt_d):
+        raise ArithmeticError("sqrt(d) or u = theta - alpha does not match delta")
+    if sum(c * row[0] for c, row in zip(tower.sqrt_d_coords, g)) != sqrt_d:
+        raise ArithmeticError("sqrt_d_coords do not give sqrt(d) at the first root")
+    for r in g[1]:
+        acc = 0
+        for c in reversed(tower.theta_min_poly):
+            acc = acc * r + c
+        if acc != 0:
+            raise ArithmeticError("the root formula gives a non-root of theta's polynomial")
 
 
 def _column_permutation(g, tau) -> tuple:

@@ -20,7 +20,7 @@ from typing import Optional
 
 from .intarith import valuation
 from .nfpoly import NFElem
-from .numfield import QuadField, conj
+from .numfield import QuadField, conj, splitting_type
 from .ratlinalg import mat_inv, mat_mul
 
 
@@ -124,8 +124,6 @@ def _p_integral(x: Fraction, p: int) -> bool:
 def different_and_orders(D: int, p: int, f: int = 1) -> LocalQuadExt:
     if f == 0:
         raise ValueError("conductor must be nonzero")
-    from .numfield import splitting_type
-
     K = QuadField(D)
     alpha = K.omega * f
     delta = alpha - conj(alpha)
@@ -340,7 +338,8 @@ def norm_index(ext: LocalQuadExt) -> int:
     # dyadic: enumerate norms of units modulo 8
     tr = int(ext.alpha.trace())
     nr = ext.alpha.norm()
-    assert nr.denominator == 1
+    if nr.denominator != 1:
+        raise ArithmeticError(f"order generator {ext.alpha} is not integral")
     nr = int(nr)
     images = set()
     for x in range(8):
@@ -349,7 +348,8 @@ def norm_index(ext: LocalQuadExt) -> int:
             if n % 2 == 1:
                 images.add(n)
     units = {1, 3, 5, 7}
-    assert images <= units and all((a * b) % 8 in images for a in images for b in images)
+    if not (images <= units and all((a * b) % 8 in images for a in images for b in images)):
+        raise ArithmeticError(f"unit norms {sorted(images)} mod 8 are not a subgroup")
     return len(units) // len(images)
 
 

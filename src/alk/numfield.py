@@ -30,6 +30,7 @@ from .intarith import (
     valuation,
 )
 from .nfpoly import NFElem, NumberField, _canonical
+from .ratlinalg import mat_det
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +519,10 @@ class FieldTower:
     sqrt_d_coords expresses sqrt(d) in the power basis of theta.
     declared_DK, when present, is the certified discriminant of K's
     maximal order.
-    conj_polys, when present, give the four embeddings K -> K (abelian K)
-    as polynomials in theta, ordered compatibly with F.  Only Gaussian
-    towers set them, since their theta is not sqrt(delta); git4 derives
-    the conjugates of every other tower from delta.
+    alpha is the element of F with theta = alpha + sqrt(delta) (quartic
+    towers), so the four conjugates of theta are alpha +- sqrt(delta) and
+    conj(alpha) +- sqrt(conj delta); git4 builds them from this one root
+    formula for every tower.
     """
 
     base: Optional[QuadField]
@@ -530,7 +531,7 @@ class FieldTower:
     sqrt_d_coords: Optional[tuple[Fraction, ...]] = None
     declared_DK: Optional[int] = None
     galois_hint: Optional[str] = None
-    conj_polys: Optional[tuple[tuple[Fraction, ...], ...]] = None
+    alpha: Optional[NFElem] = None  # theta - sqrt(delta), in F
 
     @property
     def degree(self) -> int:
@@ -557,6 +558,8 @@ def make_tower(
       not a square in F (neither e nor e/d a rational square), and then
       theta = sqrt(d) + sqrt(e) is primitive in it: its four conjugates
       +-sqrt(d) +- sqrt(e) are distinct, as e = d is a square in F.
+    alpha = theta - sqrt(delta) is 0 in the first case and sqrt(d) in the
+    second.
     """
     if F is None:
         delta = Fraction(delta)
@@ -569,30 +572,19 @@ def make_tower(
     d = F.d
     if delta.b != 0:
         # theta = sqrt(delta), minimal polynomial x^4 - Tr(delta) x^2 + Nr(delta)
+        alpha = F.elem(0)
         mp = (delta.norm(), Fraction(0), -delta.trace(), Fraction(0), Fraction(1))
         sq = (Fraction(-delta.a, 1) / delta.b, Fraction(0), 1 / delta.b, Fraction(0))
     else:
-        # biquadratic: theta = sqrt(d) + sqrt(e)
+        # biquadratic: theta = sqrt(d) + sqrt(e), and
+        # theta^3 - (3d + e) theta = 2 (e - d) sqrt(d)
         e = delta.a
+        alpha = F.elem(0, 1)
         mp = ((Fraction(d) - e) ** 2, Fraction(0), -2 * (Fraction(d) + e),
               Fraction(0), Fraction(1))
-        sq = _sqrt_coords(d, e)
-    return FieldTower(F, delta, mp, sq, declared_DK, galois_hint)
-
-
-def _sqrt_coords(d, e) -> tuple[Fraction, ...]:
-    """sqrt(d) in the power basis of theta = sqrt(d) + sqrt(e), e != d:
-    theta^3 - (3d + e) theta = 2 (e - d) sqrt(d)."""
-    c = 1 / (2 * (Fraction(e) - d))
-    return (Fraction(0), -(3 * d + e) * c, Fraction(0), c)
-
-
-def biquadratic_conj_polys(d, e) -> tuple[tuple[Fraction, ...], ...]:
-    """The conjugates +-sqrt(d) +- sqrt(e) of theta = sqrt(d) + sqrt(e) in
-    its power basis, with sqrt(d) positive at the first two."""
-    sd, se = _sqrt_coords(d, e), _sqrt_coords(e, d)
-    return tuple(tuple(s1 * x + s2 * y for x, y in zip(sd, se))
-                 for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+        c = 1 / (2 * (e - d))
+        sq = (Fraction(0), -(3 * d + e) * c, Fraction(0), c)
+    return FieldTower(F, delta, mp, sq, declared_DK, galois_hint, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +596,6 @@ def trace_form_disc(basis: Sequence) -> Fraction:
     (of a QuadField or of any NumberField)."""
     n = len(basis)
     gram = [[(basis[i] * basis[j]).trace() for j in range(n)] for i in range(n)]
-    from .ratlinalg import mat_det
-
     det = mat_det([[Fraction(x) for x in row] for row in gram])
     if det == 0:
         raise ValueError("trace Gram is singular: not a basis of an order")

@@ -2,13 +2,11 @@
 
 Curated families: Q(zeta_5), Q(sqrt(2+sqrt 2)), biquadratic fields
 Q(sqrt d, sqrt e), and the quartic subfields of Q(zeta_p) for primes
-p = 1 mod 4 (Gaussian periods).  All but the last are built by
-make_tower, whose primitive element is sqrt(delta) (or sqrt(d) + sqrt(e)),
-and git4 derives their conjugates from delta.  A Gaussian tower's
-primitive element is the period eta_0, which is not sqrt(delta), so its
-conj_polys are the periods (eta_0, eta_2, eta_1, eta_3) in the power basis
-of eta_0: the four embeddings of K into itself, ordered compatibly with
-the quadratic subfield F.
+p = 1 mod 4 (Gaussian periods).  Every tower writes its primitive element
+as theta = alpha + sqrt(delta) with alpha in F: make_tower takes
+theta = sqrt(delta) (alpha = 0) or sqrt(d) + sqrt(e) (alpha = sqrt d), and
+a Gaussian tower keeps the period eta_0 with alpha = (-1 + sqrt p)/4.
+git4 takes all four conjugates of theta from this one root formula.
 """
 
 from __future__ import annotations
@@ -19,26 +17,6 @@ from fractions import Fraction
 from .intarith import is_square_fraction, squarefree_kernel
 from .nfpoly import NumberField, gaussian_period_quartic
 from .numfield import FieldTower, QuadField, make_quad_field, make_tower, trace_form_disc
-
-
-def _check_conj_polys(tower: FieldTower) -> None:
-    """Each conjugation poly must send theta to a root of its min poly and
-    respect F-compatibility of the embedding order."""
-    K = NumberField(tower.theta_min_poly)
-    theta = K.gen
-    sqrt_d = K.elem(tower.sqrt_d_coords)
-    assert sqrt_d * sqrt_d == Fraction(tower.base.d), "sqrt_d_coords wrong"
-    for j, cp in enumerate(tower.conj_polys):
-        img = theta.apply_conj(cp)
-        acc = K.elem(tower.theta_min_poly[0])
-        power = K.one()
-        for c in tower.theta_min_poly[1:]:
-            power = power * img
-            acc = acc + power * c
-        assert acc == 0, "conjugation does not permute the roots"
-        sd_img = sqrt_d.apply_conj(cp)
-        want = sqrt_d if j < 2 else -sqrt_d
-        assert sd_img == want, "embedding order not compatible with F"
 
 
 def zeta5_tower() -> FieldTower:
@@ -77,23 +55,24 @@ def dihedral_tower(d: int, a, b) -> FieldTower:
 def gaussian_period_tower(p: int) -> FieldTower:
     """The cyclic quartic subfield of Q(zeta_p), p prime, p = 1 mod 4.
 
-    The primitive element is the Gaussian period eta_0, and conj_polys are
-    the periods (eta_0, eta_2, eta_1, eta_3), the images of eta_0 under
-    (id, tau^2, tau, tau^3); the declared discriminant p^3 comes from the
+    The primitive element is the Gaussian period eta_0.  As
+    eta_0 + eta_2 = (-1 + sqrt p)/2, it is alpha + sqrt(delta) with
+    alpha = (-1 + sqrt p)/4 and delta = (eta_0 - eta_2)^2/4, which is
+    checked in K.  The declared discriminant p^3 comes from the
     conductor-discriminant formula and is cross-checked against the
     power-basis trace form (square index).
     """
     data = gaussian_period_quartic(p)
     K = NumberField(data["min_poly"])
-    eta0, eta1, sqrtp = K.gen, K.elem(data["tau_poly"]), K.elem(data["sqrtp_coords"])
-    # from -1 = eta_0 + eta_1 + eta_2 + eta_3 and sqrt(p) = eta_0 - eta_1 + eta_2 - eta_3
-    eta2, eta3 = (sqrtp - 1) / 2 - eta0, (-1 - sqrtp) / 2 - eta1
     F = make_quad_field(p)
-    tower = FieldTower(F, F.elem(*data["delta"]), data["min_poly"],
-                       data["sqrtp_coords"], declared_DK=p ** 3, galois_hint="cyclic",
-                       conj_polys=tuple(e.coeffs for e in (eta0, eta2, eta1, eta3)))
-    _check_conj_polys(tower)
-    ratio = Fraction(trace_form_disc([eta0 ** i for i in range(4)]), tower.declared_DK)
+    alpha, delta = F.elem(Fraction(-1, 4), Fraction(1, 4)), F.elem(*data["delta"]) / 4
+    sqrtp = K.elem(data["sqrtp_coords"])
+    u = K.gen - sqrtp * alpha.b - alpha.a
+    if sqrtp * sqrtp != p or u * u != sqrtp * delta.b + delta.a:
+        raise ArithmeticError(f"eta_0 - alpha does not square to delta at p = {p}")
+    tower = FieldTower(F, delta, data["min_poly"], data["sqrtp_coords"],
+                       declared_DK=p ** 3, galois_hint="cyclic", alpha=alpha)
+    ratio = Fraction(trace_form_disc([K.gen ** i for i in range(4)]), tower.declared_DK)
     if ratio <= 0 or not is_square_fraction(ratio):
         raise ArithmeticError("power basis discriminant inconsistent with p^3")
     return tower

@@ -20,7 +20,8 @@ from fractions import Fraction
 
 def mat_mul(a, b):
     n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
+    if len(a[0]) != k:
+        raise ValueError(f"cannot multiply {n}x{len(a[0])} by {k}x{m}")
     return [
         [sum((a[i][t] * b[t][j] for t in range(1, k)), start=a[i][0] * b[0][j])
          for j in range(m)]

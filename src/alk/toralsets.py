@@ -292,19 +292,8 @@ def divisor_bound_check(desc: ToralSetDescriptor) -> dict:
     where the different's norm is a non-unit."""
     data = nonarch_and_global_disc(desc)
     disc_fin = data["disc_fin"]
-    tower = desc.tower
-    if tower.base is None:
-        K = quad_field_of_square(tower.delta)
-        support = set(factorize(K.disc)) | {p for p, _ in desc.local_conductors}
-        b = 0
-        for p in support:
-            if p == 2:
-                continue
-            ext = different_and_orders(K.d, p, desc.conductor_at(p))
-            if ext.disc_valuation > 0:
-                b += 1
-    else:
-        b = sum(1 for p in data["disc_u"] if p != 2)
+    # disc_u holds exactly the places whose local discriminant is a non-unit
+    b = sum(p != 2 for p in data["disc_u"])
     tau_d = divisor_count(disc_fin) if disc_fin != 0 else 0
     return {"b": b, "2^b": 2 ** b, "divisor_count": tau_d,
             "disc_fin": disc_fin, "pass": 2 ** b <= tau_d}

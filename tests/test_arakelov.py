@@ -139,6 +139,14 @@ def test_degree_independent_of_chosen_section():
         assert abs(adeg_via_section(bundle, b1) - adeg_via_section(bundle, b2)) < 1e-12
 
 
+def test_sections_are_read_as_elements_of_the_field():
+    # a non-NFElem section was guarded by an assert only
+    bundle = trivial_bundle(make_quad_field(2))
+    assert adeg_via_section(bundle, 2) == adeg_via_section(bundle, bundle.field.elem(2))
+    with pytest.raises(ValueError):
+        adeg_via_section(bundle, make_quad_field(3).elem(1, 1))
+
+
 def test_degree_of_dual_and_tensor():
     rng = random.Random(9)
     for F in FIELDS:

@@ -314,6 +314,8 @@ ZETA5 = '{"kind": "zeta5"}'
     ["local", "--matrix", "[[1]]", "--prime", "2", "--d", "3"],
     ["local", "--matrix", "[[1, 2], [3]]", "--prime", "2", "--d", "3"],
     ["invariants", "--tower", ZETA5, "--matrix", "[[1, 0], [0, 1]]"],
+    # truncated to d = 2 and answered "biquadratic"
+    ["classify", "--tower", '{"kind": "biquadratic", "d": 2.9, "e": 3}'],
 ], ids=" ".join)
 def test_malformed_json_is_an_error_line(capsys, argv):
     # each raised TypeError, AttributeError, AssertionError or IndexError
@@ -339,6 +341,24 @@ def test_malformed_json_is_an_error_line(capsys, argv):
 def test_bad_primes_and_needle_boxes_are_an_error_line(capsys, argv):
     code, err = within_seconds(5, lambda: run_cli_err(capsys, argv))
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_integral_floats_and_strings_are_integers(capsys):
+    code, data = run_json(capsys, ["classify", "--tower",
+                                   '{"kind": "biquadratic", "d": 2.0, "e": "3"}'])
+    assert code == 0 and data == {"type": "biquadratic"}
+
+
+@pytest.mark.parametrize("argv", [
+    # printed "lo": NaN, Infinity, and a csv nan, each with exit 0
+    ["tau-window", "--eta", "nan", "--hint", "1", "--DK", "10", "--DF", "2"],
+    ["linnik-rhs", "--disc", "inf", "--tau", "1", "--h", "1"],
+    ["--format", "csv", "tau-window", "--eta", "nan", "--hint", "1", "--DK", "10", "--DF", "2"],
+], ids=" ".join)
+def test_non_finite_results_are_an_error_line(capsys, argv):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_missing_tower_field_is_named(capsys):

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -30,7 +31,7 @@ from alk.git4 import (
 )
 from alk.intarith import is_square_fraction, squarefree_kernel
 from alk.nfpoly import NFElem
-from alk.numfield import make_quad_field, make_tower
+from alk.numfield import conj, make_quad_field, make_tower
 from alk.ratlinalg import mat_det, mat_inv, mat_mul
 from alk.toralsets import classify_galois_type
 from conftest import random_invertible
@@ -240,14 +241,19 @@ def test_dihedral_closures(d, a, b, seed):
     _float_oracle_agrees(emb, a, b, d, gamma)
 
 
-@pytest.mark.parametrize("d, delta, gtype", [
-    (2, (2, 1), "cyclic"),  # Nr(delta) = 2 = sqrt(2)^2
-    (3, (2, 1), "biquadratic"),  # Nr(delta) = 1 with b != 0
-    (2, (3, 0), "biquadratic"),  # delta rational: theta = sqrt 2 + sqrt 3
-])
-def test_galois_towers_without_conj_polys_close_in_K(d, delta, gtype):
-    tower = make_tower(make_quad_field(d), make_quad_field(d).elem(*delta))
-    assert tower.conj_polys is None and classify_galois_type(tower) == gtype
+def _tower(d, delta):
+    return make_tower(make_quad_field(d), make_quad_field(d).elem(*delta))
+
+
+@pytest.mark.parametrize("build, gtype", [
+    pytest.param(lambda: _tower(2, (2, 1)), "cyclic", id="d2-cyclic"),  # Nr = sqrt(2)^2
+    pytest.param(lambda: _tower(3, (2, 1)), "biquadratic", id="d3-biquadratic"),  # Nr = 1
+    pytest.param(lambda: _tower(2, (3, 0)), "biquadratic", id="d2-rational-delta"),
+] + [pytest.param(lambda p=p: quartics.gaussian_period_tower(p), "cyclic", id=f"gauss{p}")
+     for p in (5, 13, 17, 29)])
+def test_galois_towers_close_in_K(build, gtype):
+    tower = build()
+    assert classify_galois_type(tower) == gtype
     emb = regular_embedding(tower)
     assert emb.closure.degree == 4
     _roots_satisfy_the_minimal_polynomial(emb)
@@ -255,6 +261,20 @@ def test_galois_towers_without_conj_polys_close_in_K(d, delta, gtype):
     rng = random.Random(5)
     for _ in range(3):
         assert pattern_and_relation_check(emb, random_invertible(rng, 4), gtype)["pass"]
+
+
+@pytest.mark.parametrize("tower", [CYCLIC, BIQUAD, DIHEDRAL, quartics.sqrt2plus_tower(),
+                                   quartics.gaussian_period_tower(13)])
+def test_inconsistent_tower_data_is_refused(tower):
+    regular_embedding(tower)
+    wrong = [dataclasses.replace(tower, alpha=tower.alpha + 1),
+             dataclasses.replace(tower, sqrt_d_coords=tuple(-c for c in tower.sqrt_d_coords)),
+             dataclasses.replace(tower, sqrt_d_coords=tuple(2 * c for c in tower.sqrt_d_coords))]
+    if tower.alpha != 0:
+        wrong.append(dataclasses.replace(tower, alpha=conj(tower.alpha)))
+    for bad in wrong:
+        with pytest.raises(ArithmeticError):
+            regular_embedding(bad)
 
 
 def test_galois_image_matches_the_structure_tables():

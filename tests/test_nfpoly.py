@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from alk import quartics
-from alk.git4 import _galois_conj_polys
+from alk.git4 import regular_embedding
 from alk.nfpoly import NFElem, NumberField
 from alk.numfield import make_quad_field, make_tower
 
@@ -79,11 +79,14 @@ def _fields():
         "dihedral211": quartics.dihedral_tower(2, 1, 1),
         "nonintegral": rational,
     }
-    # the automorphisms of the Galois towers: git4 derives them from delta,
-    # except for the Gaussian tower, which carries its periods
-    return {name: (tuple(t.theta_min_poly),
-                   t.conj_polys or _galois_conj_polys(t, NumberField(t.theta_min_poly)))
-            for name, t in towers.items()}
+    # the automorphisms of the Galois towers send theta to its conjugates,
+    # which git4 builds in K itself
+    out = {}
+    for name, t in towers.items():
+        emb = regular_embedding(t)
+        roots = tuple(r.coeffs for r in emb.g[1]) if emb.closure.degree == 4 else None
+        out[name] = (tuple(t.theta_min_poly), roots)
+    return out
 
 
 FIELDS = _fields()

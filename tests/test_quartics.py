@@ -46,7 +46,7 @@ def test_biquadratic_tower_classification_and_disc():
 def test_dihedral_tower_classification():
     tower = quartics.dihedral_tower(2, 1, 1)
     assert classify_galois_type(tower) == "dihedral"
-    assert tower.conj_polys is None
+    assert tower.alpha == 0
 
 
 def test_biquadratic_rejects_equal_radicands():

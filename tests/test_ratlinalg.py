@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from alk.arakelov import euclidean_lattice
-from alk.ratlinalg import leading_minors, mat_det, mat_inv, solve
+from alk.ratlinalg import leading_minors, mat_det, mat_inv, mat_mul, solve
 
 
 def test_int_matrices_give_exact_fractions():
@@ -166,3 +166,9 @@ def test_euclidean_lattice_accepts_exactly_the_positive_definite_grams():
                 with pytest.raises(ValueError, match="not positive definite"):
                     euclidean_lattice(gram)
     assert min(seen.values()) > 30
+
+
+def test_mat_mul_rejects_mismatched_shapes():
+    assert mat_mul([[1, 2]], [[3], [4]]) == [[11]]
+    with pytest.raises(ValueError):
+        mat_mul([[1, 2]], [[3, 4]])

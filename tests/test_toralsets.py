@@ -166,3 +166,10 @@ def test_divisor_count_bound():
     assert res3["2^b"] <= res3["divisor_count"] and res3["pass"]
     quartic = divisor_bound_check(make_descriptor(quartics.zeta5_tower()))
     assert quartic["b"] == 1 and quartic["pass"]
+    # b counts the odd primes of the field discriminant and of the conductors
+    for delta, conductors, b in ((2, {3: 3, 5: 5}, 2), (2, {2: 4}, 0), (2, {3: -3}, 1),
+                                 (2, {7: 1}, 0), (-15, {}, 2), (-15, {3: 9}, 2),
+                                 (-15, {7: 7, 2: 2}, 3)):
+        res = divisor_bound_check(make_descriptor(make_tower(None, Fraction(delta)),
+                                                  conductors))
+        assert res["b"] == b and res["pass"], (delta, conductors, res)
