@@ -35,20 +35,25 @@ class RunConfig:
 
 
 def _fraction(x) -> Fraction:
+    """A number given as a JSON number or a string; JSON true and false,
+    which Python reads as 1 and 0, raise ValueError."""
     if isinstance(x, str):
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x).limit_denominator(10 ** 12)
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError(f"not a number: {json.dumps(x)}")
 
 
 def _int(x) -> int:
     """An integer given as a JSON integer, an integral float such as 2.0 or
-    a decimal string such as "2"; anything else raises ValueError."""
-    if isinstance(x, int) or isinstance(x, float) and x.is_integer():
+    a decimal string such as "2"; anything else, true and false included,
+    raises ValueError."""
+    if isinstance(x, float) and x.is_integer():
         return int(x)
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
     if isinstance(x, str):
         try:
             return int(x)
@@ -150,7 +155,9 @@ def _render(report: dict, fmt: str) -> list[str]:
     data = _jsonable(report)
     text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     if fmt == "csv":
-        return [f"{k},{v}" for k, v in _flatten(data)]
+        # true, false and null as in JSON; strings and numbers as they are
+        return [f"{k},{json.dumps(v) if v is None or isinstance(v, bool) else v}"
+                for k, v in _flatten(data)]
     return [text]
 
 

@@ -35,9 +35,9 @@ from functools import cached_property
 from operator import mul
 from typing import Optional
 
-from .intarith import is_prime, is_square_fraction, sqrt_fraction, valuation
+from .intarith import is_prime, valuation
 from .nfpoly import NFElem, NumberField, _canonical
-from .numfield import FieldTower, conj
+from .numfield import FieldTower, conj, norm_square_class
 from .ratlinalg import mat_det, mat_inv, mat_mul, mat_vec, transpose
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
@@ -161,15 +161,14 @@ def _conj_delta_root(tower: FieldTower, sqrt_d, u):
     """v in K with v^2 = conj(delta), given sqrt(d) and u^2 = delta in K,
     when K/Q is Galois: u itself when delta is rational, else
     sqrt(Nr delta)/u with sqrt(Nr delta) rational or sqrt(d) times a
-    rational.  None for a dihedral tower."""
-    delta, d = tower.delta, tower.base.d
-    if delta.b == 0:
+    rational (numfield.norm_square_class).  None for a dihedral tower."""
+    if tower.delta.b == 0:
         return u
-    n = delta.norm()
-    if is_square_fraction(n):
-        return sqrt_fraction(n) / u
-    if is_square_fraction(n / d):
-        return sqrt_d * sqrt_fraction(n / d) / u
+    kind, r = norm_square_class(tower.delta)
+    if kind == "biquadratic":
+        return r / u
+    if kind == "cyclic":
+        return sqrt_d * r / u
     return None
 
 

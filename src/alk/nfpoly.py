@@ -322,15 +322,15 @@ def _primitive_root(p: int) -> int:
 def gaussian_period_quartic(p: int) -> dict:
     """Exact data for the quartic subfield K of Q(zeta_p), p prime, p = 1 mod 4.
 
-    Returns min_poly of the period eta_0, the conjugation polynomial of a
-    Galois generator tau (eta_0 -> eta_1), the coordinates of sqrt(p) in
+    Returns min_poly of the period eta_0, the coordinates of sqrt(p) in
     the power basis, and delta = (eta_0 - eta_2)^2 in F = Q(sqrt(p)) as a
     pair (rational part, sqrt(p) coefficient).
 
     The work is done on the normal basis eta_0..eta_3 of K, where eta_j
-    sums zeta^x over C_j = {g^(4k+j)} for the primitive root g, tau shifts
-    coordinates and 1 = -(eta_0 + ... + eta_3).  With m = (p-1)/4 and the
-    cyclotomic numbers (j, t) = #{z in C_j : 1 + z in C_t},
+    sums zeta^x over C_j = {g^(4k+j)} for the primitive root g, the Galois
+    generator tau: eta_j -> eta_(j+1) shifts coordinates and
+    1 = -(eta_0 + ... + eta_3).  With m = (p-1)/4 and the cyclotomic
+    numbers (j, t) = #{z in C_j : 1 + z in C_t},
     eta_0 eta_j = sum_t ((j, t) - m [-1 in C_j]) eta_t and
     eta_a eta_b = tau^a(eta_0 eta_(b-a)) (Berndt-Evans-Williams, Gauss and
     Jacobi Sums, ch. 2), so this costs O(p).  One 4x4 inverse of the
@@ -368,7 +368,6 @@ def gaussian_period_quartic(p: int) -> dict:
     return {
         "p": p,
         "min_poly": tuple(-c for c in mat_vec(inv, powers[4])) + (Fraction(1),),
-        "tau_poly": tuple(mat_vec(inv, [0, 1, 0, 0])),
         "sqrtp_coords": tuple(mat_vec(inv, [1, -1, 1, -1])),
         "delta": (Fraction(-(a + b), 2), Fraction(a - b, 2)),
     }

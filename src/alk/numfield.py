@@ -161,18 +161,26 @@ def is_square_in_field(x: NFElem) -> bool:
     """Whether x is a square in its quadratic field."""
     if x.is_zero():
         return True
-    d = _d(x)
     if x.b == 0:
-        return is_square_fraction(x.a) or is_square_fraction(x.a / d)
+        return is_square_fraction(x.a) or is_square_fraction(x.a / _d(x))
     # (s + t sqrt(d))^2 = x needs Nr(x) a square and s^2 = (a +- sqrt(Nr))/2 a square
-    n = x.norm()
-    if not is_square_fraction(n):
-        return False
-    r = sqrt_fraction(n)
-    for s2 in ((x.a + r) / 2, (x.a - r) / 2):
-        if is_square_fraction(s2):
-            return True
-    return False
+    kind, r = norm_square_class(x)
+    return kind == "biquadratic" and any(
+        is_square_fraction((x.a + sign * r) / 2) for sign in (1, -1))
+
+
+def norm_square_class(delta: NFElem) -> tuple[str, Optional[Fraction]]:
+    """The square class of Nr(delta) for delta = a + b*sqrt(d) != 0, which
+    decides the Galois type of F(sqrt(delta))/Q when delta is not a square
+    in F (Kappe-Warren, Amer. Math. Monthly 96 (1989)):
+    ("biquadratic", r) with r^2 = Nr(delta), ("cyclic", r) with
+    r^2 = Nr(delta)/d, or ("dihedral", None).  A rational delta has
+    Nr(delta) = delta^2, so it is biquadratic."""
+    n = delta.norm()
+    for kind, x in (("biquadratic", n), ("cyclic", n / _d(delta))):
+        if is_square_fraction(x):
+            return kind, sqrt_fraction(x)
+    return "dihedral", None
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,14 @@ A descriptor bundles a field tower (the torus), a finite map of local
 conductors (empty = maximal type), and optionally a traceless generator
 of the Archimedean torus algebra.  Finite-place discriminants are exact
 integers; the Archimedean one is the Gram-determinant ratio.
+
+A quartic tower K = F(sqrt(delta)), F = Q(sqrt d), is biquadratic when
+Nr(delta) is a rational square, cyclic when Nr(delta)/d is one, and
+dihedral otherwise (Kappe-Warren, Amer. Math. Monthly 96 (1989)); the
+one place that reads this square class is numfield.norm_square_class.
+Before a type is returned, the tower's theta_min_poly is checked
+coefficient by coefficient against N_{F/Q}((x - alpha)^2 - delta), the
+characteristic polynomial of theta = alpha + sqrt(delta).
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .intarith import (
     valuation,
 )
 from .localgeom import different_and_orders
-from .numfield import FieldTower, QuadField
+from .numfield import FieldTower, QuadField, conj, norm_square_class
 from .ratlinalg import mat_det
 
 
@@ -142,75 +150,30 @@ def arch_disc(k) -> float:
 # Galois classification
 
 
-def _rational_roots_cubic(coeffs) -> list[Fraction]:
-    """Exact rational roots of a cubic, coefficients low-degree first."""
-    c = [Fraction(x) for x in coeffs]
-    den = 1
-    for x in c:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ic = [int(x * den) for x in c]
-    while ic and ic[-1] == 0:
-        ic.pop()
-    lead, const = ic[-1], ic[0]
-    roots = set()
-    if const == 0:
-        roots.add(Fraction(0))
-        ic = ic[1:]
-        lead, const = ic[-1], ic[0]
-    def divisors(n):
-        n = abs(n)
-        out = set()
-        i = 1
-        while i * i <= n:
-            if n % i == 0:
-                out |= {i, n // i}
-            i += 1
-        return out
-    for p in divisors(const):
-        for q in divisors(lead):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(co * cand ** i for i, co in enumerate(ic)) == 0:
-                    roots.add(cand)
-    return sorted(roots)
-
-
-def resolvent_cubic(min_poly) -> tuple:
-    """Resolvent cubic y^3 - q y^2 + (pr - 4s) y - (p^2 s - 4 q s + r^2) of
-    x^4 + p x^3 + q x^2 + r x + s, coefficients low-degree first."""
-    s, r, q, p, lead = [Fraction(c) for c in min_poly]
-    if lead != 1:
-        raise ValueError("monic quartic required")
-    return (-(p * p * s - 4 * q * s + r * r), p * r - 4 * s, -q, Fraction(1))
+def _theta_norm_poly(tower: FieldTower) -> tuple:
+    """N_{F/Q}((x - alpha)^2 - delta), the characteristic polynomial of
+    theta = alpha + sqrt(delta) over Q, coefficients low-degree first:
+    x^4 - Tr(2 alpha) x^3 + (Tr(beta) + Nr(2 alpha)) x^2
+    - Tr(2 alpha conj(beta)) x + Nr(beta) with beta = alpha^2 - delta."""
+    c, beta = 2 * tower.alpha, tower.alpha * tower.alpha - tower.delta
+    return (beta.norm(), -(c * conj(beta)).trace(), beta.trace() + c.norm(),
+            -c.trace(), Fraction(1))
 
 
 def classify_galois_type(tower: FieldTower) -> str:
-    """biquadratic / cyclic / dihedral / other, by the square class of
-    Nr(delta), cross-checked against the resolvent cubic's rational roots."""
-    if tower.degree != 4:
+    """biquadratic / cyclic / dihedral by the square class of Nr(delta)
+    (numfield.norm_square_class).  Raises ArithmeticError unless
+    theta_min_poly equals N_{F/Q}((x - alpha)^2 - delta) coefficient by
+    coefficient, or when galois_hint names another type."""
+    if tower.degree != 4 or tower.alpha is None:
         raise ValueError("quartic tower required")
-    d = Fraction(tower.base.d)
-    delta = tower.delta
-    if delta.b != 0:
-        nr = delta.norm()
-        if is_square_fraction(nr):
-            primary = "biquadratic"
-        elif is_square_fraction(nr * d):
-            primary = "cyclic"
-        else:
-            primary = "dihedral"
-    else:
-        primary = "biquadratic"  # theta = sqrt(d) + sqrt(e) construction
-    n_roots = len(_rational_roots_cubic(resolvent_cubic(tower.theta_min_poly)))
-    if n_roots == 0:
-        return "other"
-    expected = 3 if primary == "biquadratic" else 1
-    if n_roots != expected:
+    if tuple(tower.theta_min_poly) != _theta_norm_poly(tower):
         raise ArithmeticError(
-            f"resolvent cubic ({n_roots} rational roots) contradicts the "
-            f"norm square-class classification {primary}")
-    if tower.galois_hint is not None and tower.galois_hint != primary:
+            "theta_min_poly is not the norm of (x - alpha)^2 - delta")
+    gtype, _ = norm_square_class(tower.delta)
+    if tower.galois_hint is not None and tower.galois_hint != gtype:
         raise ArithmeticError("construction metadata contradicts classification")
-    return primary
+    return gtype
 
 
 # ---------------------------------------------------------------------------

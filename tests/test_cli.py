@@ -279,6 +279,21 @@ def test_csv_format_on_either_side_of_the_subcommand(capsys):
     assert code == 0 and out.strip() == "type,cyclic"
 
 
+def test_csv_writes_booleans_and_null_as_json_words(capsys):
+    # printed "empty,True"
+    code, out = run_cli(capsys, ["--format", "csv", "tau-window", "--eta", "1", "--hint", "1",
+                                 "--DK", "10", "--DF", "2"])
+    assert code == 0 and "empty,true" in out.splitlines()
+    assert not any(line.endswith((",True", ",False", ",None")) for line in out.splitlines())
+
+
+def test_classify_large_coefficients_answers(capsys):
+    # the resolvent cubic's divisor search did not finish within 60 s
+    argv = ["classify", "--tower", '{"kind": "dihedral", "d": 2, "a": 10000000, "b": 3}']
+    code, data = within_seconds(5, lambda: run_json(capsys, argv))
+    assert code == 0 and data == {"type": "dihedral"}
+
+
 def test_usage_and_runtime_errors_exit_one(capsys):
     code, _ = run_cli(capsys, ["no-such-command"])
     assert code == 1
@@ -316,6 +331,9 @@ ZETA5 = '{"kind": "zeta5"}'
     ["invariants", "--tower", ZETA5, "--matrix", "[[1, 0], [0, 1]]"],
     # truncated to d = 2 and answered "biquadratic"
     ["classify", "--tower", '{"kind": "biquadratic", "d": 2.9, "e": 3}'],
+    # JSON true read as 1: answered "dihedral", and a conductor 1 at 2
+    ["classify", "--tower", '{"kind": "dihedral", "d": 2, "a": true, "b": 1}'],
+    ["disc", "--tower", ZETA5, "--conductors", '{"2": true}'],
 ], ids=" ".join)
 def test_malformed_json_is_an_error_line(capsys, argv):
     # each raised TypeError, AttributeError, AssertionError or IndexError

@@ -5,8 +5,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from alk.git4 import regular_embedding
 from alk.intarith import factorize
 from alk.nfpoly import NumberField, gaussian_period_quartic
+from alk.quartics import gaussian_period_tower
 
 PRIMES = tuple(p for p in range(5, 1000, 4) if factorize(p) == {p: 1})
 
@@ -15,14 +17,12 @@ def test_period_data_is_pinned():
     # printed by the Z[zeta_p] construction this one replaced
     assert gaussian_period_quartic(5) == {
         "p": 5, "min_poly": (Q(1), Q(1), Q(1), Q(1), Q(1)),
-        "tau_poly": (Q(0), Q(0), Q(1), Q(0)),
         "sqrtp_coords": (Q(-1), Q(0), Q(-2), Q(-2)), "delta": (Q(-5, 2), Q(-1, 2))}
     assert gaussian_period_quartic(13) == {
         "p": 13, "min_poly": (Q(3), Q(-4), Q(2), Q(1), Q(1)),
-        "tau_poly": (Q(-2), Q(4, 3), Q(1), Q(2, 3)),
         "sqrtp_coords": (Q(3), Q(2, 3), Q(0), Q(-2, 3)), "delta": (Q(-13, 2), Q(3, 2))}
     data = gaussian_period_quartic(13)
-    assert all(type(c) is Q for k in ("min_poly", "tau_poly", "sqrtp_coords", "delta")
+    assert all(type(c) is Q for k in ("min_poly", "sqrtp_coords", "delta")
                for c in data[k])
 
 
@@ -37,10 +37,12 @@ def test_period_data_satisfies_exact_field_identities(p):
     data = gaussian_period_quartic(p)
     assert data["p"] == p and data["min_poly"][4] == 1
     K = NumberField(data["min_poly"])
-    theta, tau = K.gen, data["tau_poly"]
+    # slot 2 of the root order alpha +- u, conj(alpha) +- v is eta_1 or eta_3
+    tau = regular_embedding(gaussian_period_tower(p)).automorphisms[2]
+    theta = K.gen
     images = [theta]
     for _ in range(4):
-        images.append(images[-1].apply_conj(tau))
+        images.append(tau(images[-1]))
     # tau has order 4: theta, tau theta, tau^2 theta are distinct, tau^4 = id
     assert images[1] != theta and images[2] != theta and images[4] == theta
     sqrtp = K.elem(data["sqrtp_coords"])

@@ -22,6 +22,7 @@ from alk.numfield import (
     is_square_in_field,
     make_quad_field,
     make_tower,
+    norm_square_class,
     prime_ideal,
     splitting_type,
     trace_form_disc,
@@ -234,6 +235,17 @@ def test_square_detection_in_field():
     assert is_square_in_field(F.elem(2))  # sqrt(2)^2
     assert not is_square_in_field(F.elem(3))
     assert not is_square_in_field(F.elem(1, 1))
+
+
+def test_norm_square_class_worked_values():
+    # Nr = 4 = 2^2; Nr = 2 = 1^2 * 2; Nr = 7; a rational delta has Nr = delta^2
+    assert norm_square_class(QuadField(5).elem(3, 1)) == ("biquadratic", 2)
+    assert norm_square_class(QuadField(2).elem(2, 1)) == ("cyclic", 1)
+    assert norm_square_class(QuadField(2).elem(3, 1)) == ("dihedral", None)
+    assert norm_square_class(QuadField(3).elem(-5)) == ("biquadratic", 5)
+    zeta5_delta = QuadField(5).elem(Fraction(-5, 2), Fraction(1, 2))
+    kind, r = norm_square_class(zeta5_delta)
+    assert kind == "cyclic" and 5 * r * r == zeta5_delta.norm()
 
 
 def test_tower_rejects_square_delta():

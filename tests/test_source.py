@@ -14,3 +14,41 @@ def test_no_assert_statements_in_the_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level _name bound by a def, a class or
+    an assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def _names_read(node):
+    """Every name node reads: loaded names, attributes and imported names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.ImportFrom):
+            yield from (alias.name for alias in sub.names)
+
+
+def test_private_helpers_are_used_in_the_package():
+    # a module-level _helper that only its own definition (or the tests)
+    # reads is dead package code
+    trees = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(Path(alk.__file__).parent.glob("*.py"))]
+    reads = [(node, set(_names_read(node))) for tree in trees for node in tree.body]
+    unused = [name for tree in trees for name, own in _private_definitions(tree)
+              if not any(name in names for node, names in reads if node is not own)]
+    assert unused == []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,6 @@ from alk.toralsets import (
     make_descriptor,
     nonarch_and_global_disc,
     quad_field_of_square,
-    resolvent_cubic,
 )
 
 
@@ -96,15 +96,106 @@ def test_arch_disc_needs_traceless_input():
         arch_disc([[1, 0], [0, 1]])
 
 
-def test_resolvent_cubic_roots_separate_the_types():
-    from alk.toralsets import _rational_roots_cubic
+def _rational_roots_cubic(coeffs) -> list[Fraction]:
+    """Exact rational roots of a cubic, coefficients low-degree first, by
+    the rational root theorem: every divisor pair of the cleared constant
+    and leading coefficient is tried."""
+    c = [Fraction(x) for x in coeffs]
+    den = math.lcm(*(x.denominator for x in c))
+    ic = [int(x * den) for x in c]
+    while ic and ic[-1] == 0:
+        ic.pop()
+    roots = set()
+    if ic[0] == 0:
+        roots.add(Fraction(0))
+        ic = ic[1:]
+    lead, const = ic[-1], ic[0]
 
-    biq = quartics.biquadratic_tower(2, 3)
-    cyc = quartics.zeta5_tower()
-    dih = quartics.dihedral_tower(2, 1, 1)
-    assert len(_rational_roots_cubic(resolvent_cubic(biq.theta_min_poly))) == 3
-    assert len(_rational_roots_cubic(resolvent_cubic(cyc.theta_min_poly))) == 1
-    assert len(_rational_roots_cubic(resolvent_cubic(dih.theta_min_poly))) == 1
+    def divisors(n):
+        n = abs(n)
+        return {k for i in range(1, math.isqrt(n) + 1) if n % i == 0 for k in (i, n // i)}
+
+    for p in divisors(const):
+        for q in divisors(lead):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                if sum(co * cand ** i for i, co in enumerate(ic)) == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+def resolvent_cubic(min_poly) -> tuple:
+    """Resolvent cubic y^3 - q y^2 + (pr - 4s) y - (p^2 s - 4 q s + r^2) of
+    x^4 + p x^3 + q x^2 + r x + s, coefficients low-degree first."""
+    s, r, q, p, lead = [Fraction(c) for c in min_poly]
+    assert lead == 1
+    return (-(p * p * s - 4 * q * s + r * r), p * r - 4 * s, -q, Fraction(1))
+
+
+def _resolvent_roots(tower):
+    return len(_rational_roots_cubic(resolvent_cubic(tower.theta_min_poly)))
+
+
+def _agrees_with_the_resolvent(tower):
+    """classify_galois_type against the resolvent oracle: 3 rational roots
+    for a biquadratic tower, 1 for a cyclic or dihedral one."""
+    gtype = classify_galois_type(tower)
+    assert _resolvent_roots(tower) == (3 if gtype == "biquadratic" else 1), gtype
+    return gtype
+
+
+def test_resolvent_cubic_roots_separate_the_types():
+    assert _resolvent_roots(quartics.biquadratic_tower(2, 3)) == 3
+    assert _resolvent_roots(quartics.zeta5_tower()) == 1
+    assert _resolvent_roots(quartics.dihedral_tower(2, 1, 1)) == 1
+    assert _rational_roots_cubic((0, -1, 0, 1)) == [-1, 0, 1]
+    assert _rational_roots_cubic((Fraction(-1, 4), 0, 0, 2)) == [Fraction(1, 2)]
+
+
+def test_every_quartic_constructor_agrees_with_the_resolvent():
+    cyclic = [quartics.zeta5_tower(), quartics.sqrt2plus_tower()]
+    cyclic += [quartics.gaussian_period_tower(p)
+               for p in (13, 17, 29, 37, 41, 53, 61, 73, 89, 97)]
+    assert [_agrees_with_the_resolvent(t) for t in cyclic] == ["cyclic"] * 12
+    for d, e in ((2, 3), (5, -1), (-1, -3), (3, 7), (-7, 2)):
+        assert _agrees_with_the_resolvent(quartics.biquadratic_tower(d, e)) == "biquadratic"
+    for d, a, b in ((2, 1, 1), (5, 1, 1), (-1, 1, 2), (3, Fraction(1, 2), 3)):
+        assert _agrees_with_the_resolvent(quartics.dihedral_tower(d, a, b)) == "dihedral"
+
+
+def test_seeded_towers_agree_with_the_resolvent():
+    # delta * mu^2 keeps the square class of Nr(delta); d + b sqrt(d) with
+    # d - b^2 a square is cyclic, and b = 0 marks a field with no such datum
+    rng = random.Random(41)
+    seen = {"biquadratic": 0, "cyclic": 0, "dihedral": 0}
+    for _ in range(90):
+        d, b = rng.choice(((2, 1), (5, 1), (5, 2), (10, 3), (13, 2), (-1, 0), (3, 0),
+                           (-7, 0), (6, 0)))
+        F = make_quad_field(d)
+        base = rng.choice((F.elem(d, b),
+                           F.elem(rng.randint(-9, 9), rng.randint(-9, 9)),
+                           F.elem(rng.randint(-9, 9))))
+        mu = F.elem(rng.randint(-2, 2), rng.randint(-2, 2)) / rng.randint(1, 3)
+        try:
+            tower = make_tower(F, base * mu * mu)
+        except ValueError:  # zero or a square in F
+            continue
+        seen[_agrees_with_the_resolvent(tower)] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("build", (quartics.zeta5_tower, lambda: quartics.biquadratic_tower(2, 3),
+                                   lambda: quartics.dihedral_tower(2, 1, 1),
+                                   lambda: quartics.gaussian_period_tower(13)))
+def test_tower_data_off_theta_norm_polynomial_is_an_error(build):
+    tower = build()
+    wrong = [dataclasses.replace(tower, alpha=tower.alpha + 1)]
+    for i in range(4):
+        mp = list(tower.theta_min_poly)
+        mp[i] += 1
+        wrong.append(dataclasses.replace(tower, theta_min_poly=tuple(mp)))
+    for bad in wrong:
+        with pytest.raises(ArithmeticError, match="norm of"):
+            classify_galois_type(bad)
 
 
 def test_classification_contradiction_is_an_error():
