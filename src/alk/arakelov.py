@@ -27,15 +27,17 @@ from .ratlinalg import leading_minors, mat_det, mat_inv
 @dataclass(frozen=True)
 class EuclideanLattice:
     """Free Z-module of rank n with a symmetric positive definite Gram
-    matrix: Fraction entries when the input is rational, floats otherwise."""
+    matrix of Fraction entries; a float entry is stored as the Fraction of
+    its exact binary value, so det, dual and the definiteness test are
+    exact for every Gram."""
 
-    gram: tuple[tuple[object, ...], ...]
+    gram: tuple[tuple[Fraction, ...], ...]
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
-    def det(self):
+    def det(self) -> Fraction:
         return mat_det(self.gram)
 
     def covolume(self) -> float:
@@ -47,17 +49,20 @@ class EuclideanLattice:
 
 def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
     exact = all(isinstance(x, Rational) for row in gram for x in row)
-    g = [[Fraction(x) if exact else float(x) for x in row] for row in gram]
+    g = [[x if exact else float(x) for x in row] for row in gram]
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("Gram matrix not square")
+    if not exact and not all(math.isfinite(x) for row in g for x in row):
+        raise ValueError("Gram entries must be finite")
     for i in range(n):
         for j in range(n):
             a, b = g[i][j], g[j][i]
             # rational input must be symmetric, float input within an
-            # absolute 1e-8 plus a relative 1e-5 (a NaN fails both tests)
+            # absolute 1e-8 plus a relative 1e-5
             if a != b and (exact or not abs(a - b) <= 1e-8 + 1e-5 * abs(b)):
                 raise ValueError("Gram matrix not symmetric")
+    g = [[Fraction(x) for x in row] for row in g]
     if not all(m > 0 for m in leading_minors(g)):
         raise ValueError("Gram matrix not positive definite")
     return EuclideanLattice(tuple(map(tuple, g)))

@@ -147,6 +147,8 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
                          budget: int = enumeration.DEFAULT_BUDGET) -> dict:
     """Compares the exact box count with C(n, c) ||r|| / sqrt(D_F)."""
     c = Fraction(c)
+    if c <= 0:
+        raise ValueError("c must be positive")
     n = 1 if field is None else 2
     disc = 1 if field is None else field.disc
     norm = norm_of_family(r)

@@ -12,6 +12,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from . import arakelov, boxcount, enumeration, git4, localgeom, quartics, toralsets
@@ -34,24 +35,39 @@ class RunConfig:
 # parsing helpers
 
 
+def _json_number(text: str) -> Fraction:
+    """A JSON number with a fraction or an exponent, read exactly as the
+    decimal it is.  NaN, Infinity and exponents beyond a float's
+    (|e| > 400, whose exact value would be costly to build) raise
+    ValueError."""
+    x = Decimal(text)
+    if not x.is_finite() or x and not -400 <= x.adjusted() <= 400:
+        raise ValueError(f"not a finite number in a float's range: {text}")
+    return Fraction(x)
+
+
+def _json(text: str):
+    """The JSON value of text with every number exact: integers as int,
+    other numbers as Fraction."""
+    return json.loads(text, parse_float=_json_number, parse_constant=_json_number)
+
+
 def _fraction(x) -> Fraction:
     """A number given as a JSON number or a string; JSON true and false,
     which Python reads as 1 and 0, raise ValueError."""
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10 ** 12)
-    if isinstance(x, int) and not isinstance(x, bool):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
-    raise ValueError(f"not a number: {json.dumps(x)}")
+    raise ValueError(f"not a number: {json.dumps(_jsonable(x))}")
 
 
 def _int(x) -> int:
-    """An integer given as a JSON integer, an integral float such as 2.0 or
+    """An integer given as a JSON integer, an integral number such as 2.0 or
     a decimal string such as "2"; anything else, true and false included,
     raises ValueError."""
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
     if isinstance(x, int) and not isinstance(x, bool):
         return x
     if isinstance(x, str):
@@ -59,7 +75,7 @@ def _int(x) -> int:
             return int(x)
         except ValueError:
             pass
-    raise ValueError(f"not an integer: {json.dumps(x)}")
+    raise ValueError(f"not an integer: {json.dumps(_jsonable(x))}")
 
 
 def _budget(text: str) -> int:
@@ -71,7 +87,7 @@ def _budget(text: str) -> int:
 def _load(text, kind, what):
     """The JSON value of text, which must be an array (kind list) or an
     object (kind dict)."""
-    data = json.loads(text) if isinstance(text, str) else text
+    data = _json(text) if isinstance(text, str) else text
     if not isinstance(data, kind):
         raise ValueError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
     return data
@@ -80,7 +96,7 @@ def _load(text, kind, what):
 def _parse_field(text):
     if text is None or text.lower() in ("q", "null"):
         return None
-    data = json.loads(text)
+    data = _json(text)
     if data is None:
         return None
     return make_quad_field(_int(_load(data, dict, "--field")["d"]))
@@ -215,7 +231,7 @@ def _cmd_theta(args, cfg: RunConfig):
 
 def _cmd_count_box(args, cfg: RunConfig):
     field = _parse_field(args.field)
-    rinf = json.loads(args.rinf)
+    rinf = _json(args.rinf)
     if not isinstance(rinf, list):
         rinf = [rinf]
     fam = _radius_family(field, rinf, args.rfin)
@@ -503,6 +519,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_finite(args) -> None:
+    """Refuse NaN and infinities in the float options before any work."""
+    for name, value in vars(args).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"--{name} must be finite, not {value}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -514,6 +537,7 @@ def main(argv=None) -> int:
                     seed=getattr(args, "seed", 0),
                     fmt=getattr(args, "format", "json"))
     try:
+        _check_finite(args)
         report, code = args.handler(args, cfg)
         lines = _render(report, cfg.fmt)
     except (ValueError, ArithmeticError, KeyError, json.JSONDecodeError,

@@ -13,7 +13,9 @@ F, so one root formula gives its four conjugates: alpha +- sqrt(delta)
 and conj(alpha) +- sqrt(conj delta).  g is exact in the Galois closure L
 of K: L = K when K/Q is abelian, and the degree-8 field
 F(sqrt(delta), sqrt(conj delta)) when K is dihedral.  The Galois relations are checked for every automorphism of
-L, so for a dihedral tower for all eight elements of D4.
+L, so for a dihedral tower for all eight elements of D4.  g g^T is the
+rational trace form T[i][k] = Tr(theta^(i+k)) of K, so g^{-1} = g^T T^{-1}
+needs one rational 4x4 inverse and no field inverse in L.
 
 The conjugated matrix m = g^{-1} gamma g is linear in gamma:
 m[i][j] = sum_{k,l} gamma[k][l] g^{-1}[i][k] g[l][j].  Each embedding
@@ -243,7 +245,10 @@ def regular_embedding(tower: FieldTower) -> EmbeddingData:
     if any(tau(sqrt_d) != (sqrt_d if rho[0] < 2 else -sqrt_d)
            for tau, rho in zip(taus, image)):
         raise ArithmeticError("embedding order not compatible with F")
-    return EmbeddingData(tower, nf, L, tuple(map(tuple, g)), tuple(map(tuple, mat_inv(g))),
+    # g^-1 = g^T T^-1 with T = g g^T = (Tr theta^(i+k)), rational
+    traces = [x.trace() for x in itertools.accumulate([nf.gen] * 6, mul, initial=nf.one())]
+    g_inv = mat_mul(transpose(g), mat_inv([traces[i:i + 4] for i in range(4)]))
+    return EmbeddingData(tower, nf, L, tuple(map(tuple, g)), tuple(map(tuple, g_inv)),
                          taus, image)
 
 
@@ -458,6 +463,8 @@ def tau_window(eta: float, h_int: float, D_K, D_F, c=1, kappa: float = 0.0,
         raise ValueError("discriminants must be positive")
     if eta <= 0 or h_int <= 0:
         raise ValueError("window needs positive eta and h_int")
+    if c <= 0:
+        raise ValueError("c must be positive")
     log_dk, log_df = math.log(D_K), math.log(D_F)
     lo = (0.5 * log_dk + kappa) / eta
     hi = (log_dk - 3.0 * log_df - math.log(float(c))) / (2.0 * h_int)

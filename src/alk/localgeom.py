@@ -21,7 +21,7 @@ from typing import Optional
 from .intarith import valuation
 from .nfpoly import NFElem
 from .numfield import QuadField, conj, splitting_type
-from .ratlinalg import mat_inv, mat_mul
+from .ratlinalg import mat_mul
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,15 @@ class QuadTorus:
     @cached_property
     def _conjugator(self) -> list[list[NFElem]]:
         # one inverse per torus, not one per local_coords call
-        return mat_inv(self.eigenbasis())
+        return _inv2(self.eigenbasis())
+
+
+def _inv2(m):
+    """Inverse of a 2x2 matrix by its adjugate, over NFElem, float or
+    complex entries alike."""
+    (a, b), (c, d) = m
+    r = 1 / (a * d - b * c)
+    return [[d * r, -b * r], [-c * r, a * r]]
 
 
 def _coords_in_basis(x: NFElem, g: NFElem) -> tuple[Fraction, Fraction]:
@@ -244,7 +252,7 @@ def arch_conjugator(f: list[list[float]]) -> tuple:
         [[1.0, -1.0], [0.0, 1.0]],
     )
     for u in candidates:
-        fp = mat_mul(mat_mul(u, f), mat_inv(u))
+        fp = mat_mul(mat_mul(u, f), _inv2(u))
         if abs(fp[0][1]) >= 0.49:
             break
     else:
@@ -252,13 +260,13 @@ def arch_conjugator(f: list[list[float]]) -> tuple:
     ap, bp = fp[0][0], fp[0][1]
     alpha = cmath.sqrt(complex(ap * ap + bp * fp[1][0]))
     m = [[complex(bp), complex(bp)], [alpha - ap, -alpha - ap]]
-    return mat_mul(mat_inv(m), [[complex(x) for x in row] for row in u]), alpha
+    return mat_mul(_inv2(m), [[complex(x) for x in row] for row in u]), alpha
 
 
 def arch_local_coords(f: list[list[float]], gamma) -> LocalCoords:
     c, _alpha = arch_conjugator(f)
     g = [[complex(float(x)) for x in row] for row in gamma]
-    m = mat_mul(mat_mul(c, g), mat_inv(c))
+    m = mat_mul(mat_mul(c, g), _inv2(c))
     return LocalCoords((m[0][0], m[1][1]), (m[0][1], m[1][0]),
                        tuple(tuple(r) for r in c), "arch")
 
@@ -364,18 +372,15 @@ def block_coordinates_gl4(F: QuadField, gamma, f: int = 1) -> dict:
     alpha = F.omega * f
     one = F.elem(1)
     zero = F.elem(0)
-    c = mat_inv([[one, one], [alpha, conj(alpha)]])
-    dd = [
-        [c[0][0], c[0][1], zero, zero],
-        [c[1][0], c[1][1], zero, zero],
-        [zero, zero, c[0][0], c[0][1]],
-        [zero, zero, c[1][0], c[1][1]],
-    ]
-    perm = [[one if (i, j) in ((0, 0), (1, 2), (2, 1), (3, 3)) else zero
-             for j in range(4)] for i in range(4)]
-    c1 = mat_mul(perm, dd)
+    e = [[one, one], [alpha, conj(alpha)]]
+    c = _inv2(e)
+    # c1 = P diag(c, c) with P the involution swapping coordinates 1 and 2
+    # (rows of c1, columns of c1^-1 = diag(e, e) P)
+    c1 = [c[0] + [zero, zero], [zero, zero] + c[0], c[1] + [zero, zero], [zero, zero] + c[1]]
+    c1_inv = [[e[0][0], zero, e[0][1], zero], [e[1][0], zero, e[1][1], zero],
+              [zero, e[0][0], zero, e[0][1]], [zero, e[1][0], zero, e[1][1]]]
     g = [[F.coerce(x) for x in row] for row in gamma]
-    m = mat_mul(mat_mul(c1, g), mat_inv(c1))
+    m = mat_mul(mat_mul(c1, g), c1_inv)
     a1 = [[m[0][0], m[0][1]], [m[1][0], m[1][1]]]
     a2 = [[m[0][2], m[0][3]], [m[1][2], m[1][3]]]
     pattern_ok = all(

@@ -221,6 +221,10 @@ def linnik_rhs(disc: float, vol: float, tau: float, h: float, eps: float,
     hypothesis tau <= (log disc - log(c D_F)) / (2h) checked and flagged."""
     if disc <= 0 or vol <= 0 or h <= 0 or tau < 0:
         raise ValueError("positive disc, vol, h and nonnegative tau required")
+    if c <= 0:
+        raise ValueError("c must be positive")
+    if D_F <= 0:
+        raise ValueError("D_F must be positive")
     term1 = 1.0 / vol
     term2 = disc ** (1.0 + eps) / vol ** 2 * math.exp(-2.0 * tau * h)
     tau_max = (math.log(disc) - math.log(c * D_F)) / (2.0 * h)

@@ -26,6 +26,7 @@ from alk.arakelov import (
 )
 from alk.boxcount import count_box, make_radius_family
 from alk.numfield import make_quad_field
+from alk.ratlinalg import mat_det
 from conftest import random_posdef_gram, random_principal_bundle
 
 FIELDS = [make_quad_field(d) for d in (-1, 2, 5, -3)]
@@ -41,24 +42,32 @@ def test_lattice_validation():
         euclidean_lattice([[1.0, 0.5], [0.501, 1.0]])
     with pytest.raises(ValueError, match="not positive definite"):
         euclidean_lattice([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(ValueError):
-        euclidean_lattice([[float("nan")]])
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="Gram entries must be finite"):
+            euclidean_lattice([[bad]])
+    with pytest.raises(ValueError, match="Gram entries must be finite"):
+        euclidean_lattice([[1, 0], [0, float("inf")]])
     for gram in ([[1, 2]], [[2, 0], [0]]):
         with pytest.raises(ValueError, match="Gram matrix not square"):
             euclidean_lattice(gram)
+    # the stored Fractions equal the floats
     lat = euclidean_lattice([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
     assert lat.gram == ((1.0, 0.5), (0.5 + 1e-12, 1.0))
+    assert all(type(x) is Fraction for row in lat.gram for x in row)
 
 
 def test_float_grams_follow_the_exact_route():
     rng = random.Random(23)
     for n in (1, 2, 3, 4):
         for _ in range(5):
-            gram = random_posdef_gram(rng, n)
+            gram = [[x / 3 for x in row] for row in random_posdef_gram(rng, n)]
             exact = euclidean_lattice(gram)
-            flt = euclidean_lattice([[float(x) for x in row] for row in gram])
-            assert isinstance(exact.gram[0][0], Fraction)
-            assert isinstance(flt.gram[0][0], float)
+            floats = [[float(x) for x in row] for row in gram]
+            flt = euclidean_lattice(floats)
+            # the stored Fractions equal the floats, and det is their exact det
+            assert flt.gram == tuple(map(tuple, floats))
+            assert all(type(x) is Fraction for row in flt.gram for x in row)
+            assert flt.det() == mat_det([[Fraction(x) for x in row] for row in floats])
             assert abs(flt.det() - exact.det()) <= 1e-12 * exact.det()
             for row_f, row_e in zip(flt.dual().gram, exact.dual().gram):
                 for a, b in zip(row_f, row_e):
@@ -73,7 +82,7 @@ import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 sys.modules["mpmath"] = None  # nor of mpmath
 from alk.arakelov import (bundle_theta_and_h0ar, direct_image, euclidean_lattice,
-                          make_bundle, theta_invariants_euclidean)
+                          ideal_gram, make_bundle, theta_invariants_euclidean)
 from alk.git4 import psi_invariants, regular_embedding
 from alk.numfield import FracIdeal, make_quad_field
 from alk.quartics import dihedral_tower
@@ -81,7 +90,9 @@ from alk.quartics import dihedral_tower
 theta_invariants_euclidean(euclidean_lattice([[1.5, 0.3], [0.3, 2.25]]))
 F = make_quad_field(5)
 bundle = make_bundle(F, FracIdeal.maximal_order(F), (1, 2))
-assert isinstance(direct_image(bundle).gram[0][0], float)
+gram = ideal_gram(bundle.ideal, [1, 4])
+assert isinstance(gram[0][0], float)
+assert direct_image(bundle).gram == tuple(map(tuple, gram))
 bundle_theta_and_h0ar(bundle)
 gamma = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
 psi_invariants(regular_embedding(dihedral_tower(2, 1, 1)), gamma)

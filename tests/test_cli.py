@@ -334,6 +334,10 @@ ZETA5 = '{"kind": "zeta5"}'
     # JSON true read as 1: answered "dihedral", and a conductor 1 at 2
     ["classify", "--tower", '{"kind": "dihedral", "d": 2, "a": true, "b": 1}'],
     ["disc", "--tower", ZETA5, "--conductors", '{"2": true}'],
+    # NaN and Infinity are no JSON numbers, nor is an exponent beyond a float's
+    ["count-box", "--rinf", "[NaN]"],
+    ["theta", "--gram", "[[Infinity]]"],
+    ["count-box", "--rinf", "1e-999999999"],
 ], ids=" ".join)
 def test_malformed_json_is_an_error_line(capsys, argv):
     # each raised TypeError, AttributeError, AssertionError or IndexError
@@ -359,6 +363,50 @@ def test_malformed_json_is_an_error_line(capsys, argv):
 def test_bad_primes_and_needle_boxes_are_an_error_line(capsys, argv):
     code, err = within_seconds(5, lambda: run_cli_err(capsys, argv))
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_json_numbers_are_read_exactly(capsys):
+    # read as a float and cut to a denominator of 10^12, the radius was 1
+    # and the box held 5 Gaussian integers
+    for rinf in ("0.9999999999999", '"9999999999999/10000000000000"'):
+        code, data = run_json(capsys, ["count-box", "--field", '{"d": -1}', "--rinf", rinf])
+        assert data["count"] == 1, rinf
+
+
+FLOAT_OPTIONS = {
+    "tau-window": ["--eta", "1", "--hint", "1", "--DK", "10", "--DF", "2", "--kappa", "0",
+                   "--eps", "0.1", "--beta", "1", "--mode", "refined"],
+    "linnik-rhs": ["--disc", "10", "--vol", "1", "--tau", "1", "--h", "1", "--DF", "1"],
+}
+
+
+@pytest.mark.parametrize("command, option", [
+    (command, option) for command, argv in FLOAT_OPTIONS.items()
+    for option in argv[::2] if option != "--mode"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_options_are_refused(capsys, command, option, value):
+    # --eta inf printed a window with exit 0; a NaN failed only on output
+    argv = FLOAT_OPTIONS[command]
+    assert main([command] + argv) in (0, 2)
+    capsys.readouterr()
+    i = argv.index(option)
+    code, err = run_cli_err(capsys, [command] + argv[:i] + argv[i + 2:] + [f"{option}={value}"])
+    assert code == 1 and err == f"error: {option} must be finite, not {value}\n", err
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["tau-window", "--eta", "1", "--hint", "1", "--DK", "10", "--DF", "2", "--c", "0"],
+     "c must be positive"),
+    (["count-box", "--rinf", "1", "--c", "-2"], "c must be positive"),
+    (["linnik-rhs", "--disc", "10", "--tau", "1", "--h", "1", "--c", "0"],
+     "c must be positive"),
+    (["linnik-rhs", "--disc", "10", "--tau", "1", "--h", "1", "--DF", "0"],
+     "D_F must be positive"),
+], ids=["tau-window c", "count-box c", "linnik-rhs c", "linnik-rhs DF"])
+def test_nonpositive_constants_are_named(capsys, argv, want):
+    # each printed "error: math domain error"
+    code, err = run_cli_err(capsys, argv)
+    assert code == 1 and err == f"error: {want}\n", err
 
 
 def test_integral_floats_and_strings_are_integers(capsys):
@@ -424,8 +472,10 @@ def test_budget_below_one_is_a_usage_error(capsys):
 
 def test_exceeded_budget_is_an_error_line(capsys):
     # [[1e300]] has the dual [[1e-300]], whose ball holds ~10^150 points
+    # [[1e-30]], cut to a denominator of 10^12, was refused as not positive
+    # definite
     for argv in (["theta", "--gram", "[[1]]", "--budget", "2"],
-                 ["theta", "--gram", "[[1e300]]"]):
+                 ["theta", "--gram", "[[1e300]]"], ["theta", "--gram", "[[1e-30]]"]):
         code, err = within_seconds(10, lambda: run_cli_err(capsys, argv))
         assert code == 1, argv
         assert err.startswith("error: enumeration budget"), err

@@ -32,9 +32,9 @@ from alk.git4 import (
 from alk.intarith import is_square_fraction, squarefree_kernel
 from alk.nfpoly import NFElem
 from alk.numfield import conj, make_quad_field, make_tower
-from alk.ratlinalg import mat_det, mat_inv, mat_mul
+from alk.ratlinalg import mat_det, mat_mul
 from alk.toralsets import classify_galois_type
-from conftest import random_invertible
+from conftest import gauss_jordan, random_invertible, random_tower
 
 CYCLIC = quartics.zeta5_tower()
 BIQUAD = quartics.biquadratic_tower(2, 3)
@@ -115,6 +115,32 @@ def test_conjugation_table_equals_the_matrix_product(tower):
                 assert x.field is emb.closure
                 assert (x.num, x.den) == (y.num, y.den)
     assert emb.conjugation_table is table  # built once per embedding
+
+
+def _seeded_towers_per_type(count):
+    rng = random.Random(43)
+    seen = {"biquadratic": [], "cyclic": [], "dihedral": []}
+    while min(map(len, seen.values())) < count:
+        tower = random_tower(rng)
+        if tower is not None and len(seen[classify_galois_type(tower)]) < count:
+            seen[classify_galois_type(tower)].append(tower)
+    return [t for towers in seen.values() for t in towers]
+
+
+def test_g_inv_from_the_trace_form_is_the_inverse():
+    """g^-1 = g^T (Tr theta^(i+k))^-1 is the inverse of g, equal to plain
+    Gauss-Jordan elimination over the closure."""
+    towers = [CYCLIC, quartics.sqrt2plus_tower(), BIQUAD, quartics.biquadratic_tower(-1, 5),
+              DIHEDRAL, quartics.dihedral_tower(-1, 1, 2), quartics.gaussian_period_tower(13),
+              quartics.gaussian_period_tower(29)] + _seeded_towers_per_type(10)
+    for tower in towers:
+        emb = regular_embedding(tower)
+        one, zero = emb.closure.one(), emb.closure.elem(0)
+        assert mat_mul(emb.g, emb.g_inv) == [[one if i == j else zero for j in range(4)]
+                                             for i in range(4)]
+        want = gauss_jordan(emb.g)[1]
+        assert [[(x.num, x.den) for x in row] for row in emb.g_inv] == \
+            [[(x.num, x.den) for x in row] for row in want]
 
 
 def test_sqrt_d_matrix_is_built_once_and_immutable():
@@ -216,7 +242,8 @@ def _float_oracle_agrees(emb, a, b, d, gamma):
     u, v = cmath.sqrt(a + b * sd), cmath.sqrt(a - b * sd)
     roots = (u, -u, v, -v)
     g = [[r ** i for r in roots] for i in range(4)]
-    m = mat_mul(mat_mul(mat_inv(g), [[complex(x) for x in row] for row in gamma]), g)
+    g_inv = gauss_jordan(g)[1]
+    m = mat_mul(mat_mul(g_inv, [[complex(x) for x in row] for row in gamma]), g)
     det = float(mat_det(gamma))
     eta = u + 2 * v
     for s, value in psi_invariants(emb, gamma).values:

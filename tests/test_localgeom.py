@@ -24,7 +24,7 @@ from alk.localgeom import (
 )
 from alk.numfield import QuadField, conj, make_quad_field
 from alk.ratlinalg import mat_mul
-from conftest import random_gl2_zp, random_invertible
+from conftest import gauss_jordan, random_gl2_zp, random_invertible
 
 
 def _rational_entries(m):
@@ -47,10 +47,8 @@ def test_conjugator_diagonalizes_the_torus():
     K = torus.K
     x = K.elem(3, 2)
     c = torus.conjugator()
-    from alk.ratlinalg import mat_inv
-
     emb = [[K.elem(v) for v in row] for row in torus.embed(x)]
-    diag = mat_mul(mat_mul(c, emb), mat_inv(c))
+    diag = mat_mul(mat_mul(c, emb), gauss_jordan(c)[1])
     assert diag[0][0] == x and diag[1][1] == conj(x)
     assert diag[0][1].is_zero() and diag[1][0].is_zero()
 
@@ -139,9 +137,7 @@ def test_arch_conjugator_diagonalizes():
     s = 1.0 / math.sqrt(5.0)
     f = [[0.0, s], [2.0 * s, 0.0]]
     c, alpha = arch_conjugator(f)
-    from alk.ratlinalg import mat_inv, mat_mul
-
-    diag = mat_mul(mat_mul(c, [[complex(x) for x in r] for r in f]), mat_inv(c))
+    diag = mat_mul(mat_mul(c, [[complex(x) for x in r] for r in f]), gauss_jordan(c)[1])
     assert abs(diag[0][0] - alpha) < 1e-12
     assert abs(diag[1][1] + alpha) < 1e-12
     assert abs(diag[0][1]) < 1e-12 and abs(diag[1][0]) < 1e-12
@@ -219,6 +215,21 @@ def test_block_coordinates_pattern_and_identity():
     for _ in range(10):
         gamma = random_invertible(rng, 4)
         assert block_coordinates_gl4(F, gamma)["pattern_ok"]
+
+
+def test_block_coordinates_are_the_conjugate_by_c1():
+    """The blocks are those of c1 gamma c1^-1 with c1^-1 from plain
+    Gauss-Jordan elimination, not from the closed form diag(E, E) P."""
+    rng = random.Random(59)
+    for d, f in ((2, 1), (5, 1), (-1, 2), (-3, 1)):
+        F = make_quad_field(d)
+        for _ in range(3):
+            gamma = random_invertible(rng, 4)
+            bc = block_coordinates_gl4(F, gamma, f)
+            g = [[F.coerce(x) for x in row] for row in gamma]
+            m = mat_mul(mat_mul(bc["c1"], g), gauss_jordan(bc["c1"])[1])
+            assert bc["A1"] == [row[:2] for row in m[:2]]
+            assert bc["A2"] == [row[2:] for row in m[:2]]
 
 
 def test_block_integrality_of_integral_matrices():

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 from alk.arakelov import euclidean_lattice
-from alk.ratlinalg import leading_minors, mat_det, mat_inv, mat_mul, solve
+from alk.nfpoly import NumberField
+from alk.ratlinalg import leading_minors, mat_det, mat_inv, mat_mul
+from conftest import gauss_jordan
 
 
 def test_int_matrices_give_exact_fractions():
@@ -13,9 +15,6 @@ def test_int_matrices_give_exact_fractions():
     assert all(type(x) is Fraction for row in inv for x in row)
     det = mat_det([[2, 1], [1, 3]])
     assert det == 5 and type(det) is Fraction
-    x = solve([[2, 1], [1, 3]], [1, 2])
-    assert x == [Fraction(1, 5), Fraction(3, 5)]
-    assert all(type(c) is Fraction for c in x)
 
 
 def test_singular_int_matrix_has_fraction_zero_determinant():
@@ -23,37 +22,19 @@ def test_singular_int_matrix_has_fraction_zero_determinant():
     assert det == 0 and type(det) is Fraction
 
 
-def test_float_matrices_stay_float():
-    assert type(mat_det([[1.0, 2.0], [3.0, 4.0]])) is float
-    assert mat_inv([[2.0, 0.0], [0.0, 4.0]]) == [[0.5, 0.0], [0.0, 0.25]]
+def test_non_rational_entries_raise_type_error():
+    K = NumberField((Fraction(-2), Fraction(0), Fraction(1)))
+    for x in (2.0, 2 + 0j, K.gen):
+        m = [[1, 0], [0, x]]
+        for fn in (mat_inv, mat_det, leading_minors):
+            with pytest.raises(TypeError, match="int or Fraction"):
+                fn(m)
+    # products stay generic
+    assert mat_mul([[K.gen]], [[K.gen]]) == [[K.elem(2)]]
 
 
 # ---------------------------------------------------------------------------
 # fraction-free (Bareiss) elimination against plain Gauss-Jordan
-
-
-def _gauss_jordan(a):
-    """(det, inverse or None) of a square matrix by Gauss-Jordan elimination
-    over Fractions, with the first nonzero pivot of each column."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0), None
-        if piv != col:
-            aug[col], aug[piv] = aug[piv], aug[col]
-            det = -det
-        p = aug[col][col]
-        det *= p
-        aug[col] = [x / p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return det, [row[n:] for row in aug]
 
 
 def _random_matrix(rng, n, kind):
@@ -90,7 +71,7 @@ def test_bareiss_det_and_inverse_match_gauss_jordan():
                 cases.append(m)
     singular = 0
     for m in cases:
-        det, inv = _gauss_jordan(m)
+        det, inv = gauss_jordan(m)
         got = mat_det(m)
         assert got == det and type(got) is Fraction, m
         if inv is None:
@@ -106,16 +87,14 @@ def test_bareiss_det_and_inverse_match_gauss_jordan():
     assert singular > 40
 
 
-def test_leading_minors_exact_and_float():
+def test_leading_minors_exact():
     m = [[2, 1, 0], [1, Fraction(1, 2), 3], [0, 3, 1]]
     # the second minor is 0: the list stops there
     assert leading_minors(m) == [2, 0]
     g = [[4, 2, 1], [2, 3, Fraction(1, 2)], [1, Fraction(1, 2), 5]]
-    want = [_gauss_jordan([row[:k] for row in g[:k]])[0] for k in (1, 2, 3)]
+    want = [gauss_jordan([row[:k] for row in g[:k]])[0] for k in (1, 2, 3)]
     assert leading_minors(g) == want
     assert all(type(x) is Fraction for x in leading_minors(g))
-    gf = [[float(x) for x in row] for row in g]
-    assert leading_minors(gf) == [mat_det([row[:k] for row in gf[:k]]) for k in (1, 2, 3)]
 
 
 GRAMS_REJECTED = [
@@ -142,7 +121,7 @@ def test_euclidean_lattice_accepts_exactly_the_positive_definite_grams():
     leading-block determinants do, for exact and float Grams."""
 
     def by_blocks(g):
-        return all(_gauss_jordan([row[:k] for row in g[:k]])[0] > 0
+        return all(gauss_jordan([row[:k] for row in g[:k]])[0] > 0
                    for k in range(1, len(g) + 1))
 
     rng = random.Random(29)

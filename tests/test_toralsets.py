@@ -19,6 +19,7 @@ from alk.toralsets import (
     nonarch_and_global_disc,
     quad_field_of_square,
 )
+from conftest import random_tower
 
 
 def test_square_class_of_the_radicand():
@@ -163,23 +164,12 @@ def test_every_quartic_constructor_agrees_with_the_resolvent():
 
 
 def test_seeded_towers_agree_with_the_resolvent():
-    # delta * mu^2 keeps the square class of Nr(delta); d + b sqrt(d) with
-    # d - b^2 a square is cyclic, and b = 0 marks a field with no such datum
     rng = random.Random(41)
     seen = {"biquadratic": 0, "cyclic": 0, "dihedral": 0}
     for _ in range(90):
-        d, b = rng.choice(((2, 1), (5, 1), (5, 2), (10, 3), (13, 2), (-1, 0), (3, 0),
-                           (-7, 0), (6, 0)))
-        F = make_quad_field(d)
-        base = rng.choice((F.elem(d, b),
-                           F.elem(rng.randint(-9, 9), rng.randint(-9, 9)),
-                           F.elem(rng.randint(-9, 9))))
-        mu = F.elem(rng.randint(-2, 2), rng.randint(-2, 2)) / rng.randint(1, 3)
-        try:
-            tower = make_tower(F, base * mu * mu)
-        except ValueError:  # zero or a square in F
-            continue
-        seen[_agrees_with_the_resolvent(tower)] += 1
+        tower = random_tower(rng)
+        if tower is not None:
+            seen[_agrees_with_the_resolvent(tower)] += 1
     assert min(seen.values()) >= 10, seen
 
 
