@@ -29,7 +29,8 @@ class EuclideanLattice:
     """Free Z-module of rank n with a symmetric positive definite Gram
     matrix of Fraction entries; a float entry is stored as the Fraction of
     its exact binary value, so det, dual and the definiteness test are
-    exact for every Gram."""
+    exact for every Gram.  A float Gram is symmetric only within a
+    tolerance, so its upper triangle is stored for both halves."""
 
     gram: tuple[tuple[Fraction, ...], ...]
 
@@ -62,7 +63,9 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
             # absolute 1e-8 plus a relative 1e-5
             if a != b and (exact or not abs(a - b) <= 1e-8 + 1e-5 * abs(b)):
                 raise ValueError("Gram matrix not symmetric")
-    g = [[Fraction(x) for x in row] for row in g]
+    # one triangle for both halves, so a float pair within the tolerance
+    # is stored equal
+    g = [[Fraction(g[i][j] if i <= j else g[j][i]) for j in range(n)] for i in range(n)]
     if not all(m > 0 for m in leading_minors(g)):
         raise ValueError("Gram matrix not positive definite")
     return EuclideanLattice(tuple(map(tuple, g)))

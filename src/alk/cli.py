@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -544,8 +545,14 @@ def main(argv=None) -> int:
             enumeration.BudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone; send what is left to devnull so that the
+        # flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -24,6 +24,13 @@ numerators over one denominator per entry, so conjugating a rational
 gamma is one integer dot product per coordinate of each entry and one
 gcd per entry, with no field multiplication.
 
+A Psi profile shares its partial products: P[a][b] = m[a][0] m[b][1] and
+Q[c][d] = m[c][2] m[d][3] are formed once per ordered pair, so
+Psi_sigma = sign(sigma)/det(gamma) P[sigma0][sigma1] Q[sigma2][sigma3]
+takes one more field product, and the rational factor sign/det is folded
+into its integer numerators and denominator before the one reduction to
+lowest terms: 48 field products for all 24 permutations.
+
 Permutations of {0,1,2,3} are stored as image tuples.
 """
 
@@ -312,17 +319,36 @@ def conjugated_matrix(emb: EmbeddingData, gamma):
 
 def _psi_values(emb: EmbeddingData, gamma, perms):
     """(m, [(s, Psi_s(gamma)) for s in perms]) from one conjugated matrix m;
-    a value in Q is returned as a Fraction."""
+    a value in Q is returned as a Fraction.
+
+    Psi_s = P[s0][s1] Q[s2][s3] sign(s)/det with the shared products
+    P[a][b] = m[a][0] m[b][1] and Q[c][d] = m[c][2] m[d][3], each formed
+    once and only for the pairs that `perms` use (at most 12 of each).  The
+    last product is left as integer numerators, and the rational factor
+    sign(s)/det is folded into them and into the denominator before the one
+    reduction to lowest terms, so a full profile takes 48 field products."""
     det = mat_det([[Fraction(x) for x in row] for row in gamma])
     if det == 0:
         raise ValueError("gamma must be invertible")
     m = conjugated_matrix(emb, gamma)
+    L = emb.closure
+    # sign(s)/det = sign(s) * scale / |det.numerator|; det_den also holds
+    # the denominator of the _mul_ints numerators
+    scale = det.denominator if det > 0 else -det.denominator
+    det_den = abs(det.numerator) * L._reduction[1]
+    P, Q = {}, {}
     vals = []
     for s in perms:
-        prod = m[s[0]][0]
-        for i in range(1, 4):
-            prod = prod * m[s[i]][i]
-        v = prod * Fraction(perm_sign(s), 1) / det
+        a, b, c, d = s
+        p = P.get((a, b))
+        if p is None:
+            p = P[a, b] = m[a][0] * m[b][1]
+        q = Q.get((c, d))
+        if q is None:
+            q = Q[c, d] = m[c][2] * m[d][3]
+        f = perm_sign(s) * scale
+        v = _canonical(L, [x * f for x in L._mul_ints(p.num, q.num)],
+                       p.den * q.den * det_den)
         vals.append((s, Fraction(v.num[0], v.den) if not any(v.num[1:]) else v))
     return m, vals
 

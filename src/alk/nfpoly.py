@@ -11,8 +11,11 @@ of eta_0.
 A field element is a vector of integer numerators over one positive
 common denominator, kept in lowest terms (Cohen, GTM 138, ch. 4).  A
 field caches an integer table for reducing x^n ... x^(2n-2) mod m and one
-`Automorphism` (an integer matrix) per automorphism it applies, so a
-product or a conjugate is integer vector work followed by one gcd.
+`Automorphism` per automorphism it applies: an integer matrix over one
+denominator, each row kept as its nonzero entries only (in the Galois
+closures of quartic fields, 4 to 13 of 16 entries are nonzero, and 8 to
+29 of 64 in degree 8).  A product or a conjugate is integer vector work
+followed by one gcd.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .intarith import factorize, is_prime
@@ -282,9 +286,12 @@ class NFElem:
 
 
 class Automorphism:
-    """x -> x(conj_poly) on a NumberField: one integer matrix, whose columns
-    are the numerators of the images of 1, x, ..., x^(n-1) over one
-    denominator, applied to the numerators of x.  A call hashes nothing."""
+    """x -> x(conj_poly) on a NumberField.  The images of 1, x, ...,
+    x^(n-1) are the columns of an integer matrix over one denominator; each
+    row is stored as its nonzero entries only, a tuple of column indices
+    and a tuple of coefficients, and a coordinate of the image is the dot
+    product of those coefficients with the numerators of x at those
+    columns.  A call hashes nothing."""
 
     __slots__ = ("field", "_rows", "_den")
 
@@ -298,13 +305,15 @@ class Automorphism:
             powers.append(_canonical(field, field._mul_ints(p.num, c.num),
                                      p.den * c.den * field._reduction[1]))
         cols, self._den = _over_common_den([p.coeffs for p in powers])
-        self._rows = [list(r) for r in zip(*cols)]
+        self._rows = tuple(
+            (tuple(j for j, r in enumerate(row) if r), tuple(r for r in row if r))
+            for row in zip(*cols))
         self.field = field
 
     def __call__(self, x: NFElem) -> NFElem:
-        num = x.num
-        return _canonical(self.field, [sum(r * c for r, c in zip(row, num))
-                                       for row in self._rows], x.den * self._den)
+        get = x.num.__getitem__
+        return _canonical(self.field, [sum(map(mul, coeffs, map(get, cols)))
+                                       for cols, coeffs in self._rows], x.den * self._den)
 
 
 # ---------------------------------------------------------------------------

@@ -50,10 +50,14 @@ def test_lattice_validation():
     for gram in ([[1, 2]], [[2, 0], [0]]):
         with pytest.raises(ValueError, match="Gram matrix not square"):
             euclidean_lattice(gram)
-    # the stored Fractions equal the floats
+    # the stored Fractions equal the floats of the upper triangle
     lat = euclidean_lattice([[1.0, 0.5], [0.5 + 1e-12, 1.0]])
-    assert lat.gram == ((1.0, 0.5), (0.5 + 1e-12, 1.0))
+    assert lat.gram == ((1.0, 0.5), (0.5, 1.0))
     assert all(type(x) is Fraction for row in lat.gram for x in row)
+    # a pair unequal within the tolerance is stored symmetric, so the dual is too
+    lat = euclidean_lattice([[1.0, 0.5], [0.5 + 1e-9, 1.0]])
+    for g in (lat.gram, lat.dual().gram):
+        assert all(g[i][j] == g[j][i] for i in range(2) for j in range(2))
 
 
 def test_float_grams_follow_the_exact_route():

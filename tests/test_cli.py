@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -479,3 +482,22 @@ def test_exceeded_budget_is_an_error_line(capsys):
         code, err = within_seconds(10, lambda: run_cli_err(capsys, argv))
         assert code == 1, argv
         assert err.startswith("error: enumeration budget"), err
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    """A reader that has gone before alk writes (`alk verify-all | true`)
+    ends the command with its own exit code and nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "alk.cli", "verify-all"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              timeout=60)
+    finally:
+        os.close(write_end)
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr == b""
+    assert proc.returncode == 0

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alk import quartics
+from alk import git4, quartics
 from alk.git4 import (
     ALL_PERMS,
     IDENTITY,
@@ -125,6 +125,86 @@ def _seeded_towers_per_type(count):
         if tower is not None and len(seen[classify_galois_type(tower)]) < count:
             seen[classify_galois_type(tower)].append(tower)
     return [t for towers in seen.values() for t in towers]
+
+
+def _psi_oracle(emb, gamma, perms):
+    """Psi_s one monomial at a time: three closure products, then the sign,
+    then 1/det, each an NFElem product."""
+    det = mat_det([[Fraction(x) for x in row] for row in gamma])
+    m = conjugated_matrix(emb, gamma)
+    vals = []
+    for s in perms:
+        prod = m[s[0]][0]
+        for i in range(1, 4):
+            prod = prod * m[s[i]][i]
+        v = prod * Fraction(perm_sign(s), 1) / det
+        vals.append((s, Fraction(v.num[0], v.den) if not any(v.num[1:]) else v))
+    return vals
+
+
+@pytest.mark.parametrize("towers", [
+    pytest.param([CYCLIC, quartics.gaussian_period_tower(13), BIQUAD,
+                  quartics.sqrt2plus_tower(), DIHEDRAL, _seeded_dihedral_make_tower(23)],
+                 id="curated"),
+    pytest.param(_seeded_towers_per_type(5), id="seeded"),
+])
+def test_psi_values_equal_the_per_monomial_oracle(towers):
+    rng = random.Random(37)
+    # non-integral entries with det < 0, the same with two rows swapped
+    # (det > 0), and integral ones with det -2 and 1
+    gammas = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)]
+               for _ in range(4)] for _ in range(2)]
+    gammas.append([gammas[1][1], gammas[1][0]] + gammas[1][2:])
+    gammas += [[[3, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 0, 1]],
+               [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, -1], [0, 0, 0, 1]]]
+    assert any(mat_det(g) < 0 for g in gammas) and any(mat_det(g) > 0 for g in gammas)
+    assert any(Fraction(x).denominator != 1 for g in gammas for row in g for x in row)
+    for tower in towers:
+        emb = regular_embedding(tower)
+        gtype = classify_galois_type(tower)
+        for perms in (ALL_PERMS, galois_structures(gtype).special):
+            for gamma in gammas:
+                got = git4._psi_values(emb, gamma, perms)[1]
+                want = _psi_oracle(emb, gamma, perms)
+                assert [s for s, _ in got] == list(perms)
+                for (s, x), (_, y) in zip(got, want):
+                    assert type(x) is type(y), s
+                    if isinstance(x, NFElem):
+                        assert x.field is emb.closure
+                        assert (x.num, x.den) == (y.num, y.den), s
+                    else:
+                        assert x == y, s
+
+
+@pytest.mark.parametrize("tower, gtype", [(CYCLIC, "cyclic"), (BIQUAD, "biquadratic"),
+                                          (DIHEDRAL, "dihedral")],
+                         ids=["cyclic", "biquadratic", "dihedral"])
+def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype):
+    """One wrong entry of the conjugated matrix, or one wrong Psi value,
+    turns the matching relation False."""
+    emb = regular_embedding(tower)
+    gamma = random_invertible(random.Random(11), 4)
+    assert pattern_and_relation_check(emb, gamma, gtype)["pass"]
+    conjugate, psi_values = git4.conjugated_matrix, git4._psi_values
+
+    def wrong_entry(emb, gamma):
+        m = conjugate(emb, gamma)
+        m[0][1] = m[0][1] + 1
+        return m
+
+    monkeypatch.setattr(git4, "conjugated_matrix", wrong_entry)
+    res = pattern_and_relation_check(emb, gamma, gtype)
+    assert not res["entry_relation"] and not res["pass"]
+    monkeypatch.setattr(git4, "conjugated_matrix", conjugate)
+
+    def wrong_value(emb, gamma, perms):
+        # the transposition (0 1) is moved by conjugation in every image
+        m, vals = psi_values(emb, gamma, perms)
+        return m, [(s, v + 1 if s == (1, 0, 2, 3) else v) for s, v in vals]
+
+    monkeypatch.setattr(git4, "_psi_values", wrong_value)
+    res = pattern_and_relation_check(emb, gamma, gtype)
+    assert res["entry_relation"] and not res["profile_relation"] and not res["pass"]
 
 
 def test_g_inv_from_the_trace_form_is_the_inverse():

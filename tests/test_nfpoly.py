@@ -5,16 +5,16 @@ Fraction coefficient lists, composes by Horner's rule, and takes traces
 and norms of the multiplication matrix it builds itself.
 """
 
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from alk import quartics
-from alk.git4 import regular_embedding
+from alk.git4 import _dihedral_closure, regular_embedding
 from alk.nfpoly import NFElem, NumberField
 from alk.numfield import make_quad_field, make_tower
+from conftest import gauss_jordan
 
 
 # ---------------------------------------------------------------------------
@@ -55,14 +55,9 @@ def ref_mult_matrix(a, m):
 
 
 def ref_det(a):
-    n, total = len(a), Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = Fraction(sign)
-        for i in range(n):
-            term *= a[i][perm[i]]
-        total += term
-    return total
+    """By plain Gauss-Jordan elimination over Fractions: the Leibniz sum has
+    40,320 terms in degree 8."""
+    return gauss_jordan(a)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +81,12 @@ def _fields():
         emb = regular_embedding(t)
         roots = tuple(r.coeffs for r in emb.g[1]) if emb.closure.degree == 4 else None
         out[name] = (tuple(t.theta_min_poly), roots)
+    # the degree-8 closure of the dihedral tower, generated by eta = u + 2v,
+    # with the eight images +-u +- 2v, +-v +- 2u of eta under D4
+    L, _, u, v = _dihedral_closure(towers["dihedral211"])
+    images = tuple((s * x + 2 * t * y).coeffs for x, y in ((u, v), (v, u))
+                   for s in (1, -1) for t in (1, -1))
+    out["dihedral211_closure"] = (L.min_poly, images)
     return out
 
 
@@ -99,6 +100,8 @@ def test_nonintegral_field_is_covered():
 
 def test_galois_fields_carry_their_automorphisms():
     assert all(FIELDS[name][1] for name in ("zeta5", "gaussian13", "biquadratic23"))
+    m, images = FIELDS["dihedral211_closure"]
+    assert len(m) == 9 and len(set(images)) == 8
     assert FIELDS["dihedral211"][1] is None and FIELDS["nonintegral"][1] is None
 
 
