@@ -13,7 +13,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import arakelov, boxcount, enumeration, git4, localgeom, quartics, toralsets
@@ -37,11 +37,14 @@ class RunConfig:
 
 
 def _json_number(text: str) -> Fraction:
-    """A JSON number with a fraction or an exponent, read exactly as the
-    decimal it is.  NaN, Infinity and exponents beyond a float's
-    (|e| > 400, whose exact value would be costly to build) raise
-    ValueError."""
-    x = Decimal(text)
+    """A JSON number with a fraction or an exponent, or a decimal string,
+    read exactly as the decimal it is.  NaN, Infinity, exponents beyond a
+    float's (|e| > 400, whose exact value would be costly to build) and
+    text that is no decimal raise ValueError."""
+    try:
+        x = Decimal(text)
+    except InvalidOperation:
+        raise ValueError(f"not a number: {text!r}") from None
     if not x.is_finite() or x and not -400 <= x.adjusted() <= 400:
         raise ValueError(f"not a finite number in a float's range: {text}")
     return Fraction(x)
@@ -54,10 +57,11 @@ def _json(text: str):
 
 
 def _fraction(x) -> Fraction:
-    """A number given as a JSON number or a string; JSON true and false,
-    which Python reads as 1 and 0, raise ValueError."""
+    """A number given as a JSON number or a string, "p/q" or a decimal read
+    as _json_number reads one; JSON true and false, which Python reads as
+    1 and 0, raise ValueError."""
     if isinstance(x, str):
-        return Fraction(x)
+        return Fraction(x) if "/" in x else _json_number(x)
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return Fraction(x)
     raise ValueError(f"not a number: {json.dumps(_jsonable(x))}")

@@ -139,9 +139,10 @@ class EmbeddingData:
 
     @cached_property
     def sqrt_d_matrix(self) -> tuple:
-        """Regular representation of sqrt(d), built once per embedding, as
-        tuple rows of Fractions."""
-        return tuple(map(tuple, self.regular_matrix(self.tower.sqrt_d_coords)))
+        """sqrt(d)'s regular representation times its common denominator, as
+        tuple rows of ints, built once per embedding (commuting ignores scalars)."""
+        m, _ = self.nf.elem(self.tower.sqrt_d_coords)._int_mult_matrix()
+        return tuple(zip(*m))
 
     @cached_property
     def conjugation_table(self) -> tuple:
@@ -231,9 +232,9 @@ def regular_embedding(tower: FieldTower) -> EmbeddingData:
     _dihedral_closure.  Gal(L/Q) is given by the images of L's generator:
     the roots when L = K, the conjugates +-u +- 2v, +-v +- 2u of u + 2v
     otherwise.  Inconsistent tower data raise ArithmeticError."""
-    if tower.degree != 4 or tower.alpha is None:
+    if tower.degree != 4:
         raise ValueError("quartic tower required")
-    nf = NumberField(tuple(Fraction(c) for c in tower.theta_min_poly))
+    nf = NumberField(tower.theta_min_poly)
     sqrt_d = nf.elem(tower.sqrt_d_coords)
     u = nf.gen - _embed(tower.alpha, sqrt_d)
     v = _conj_delta_root(tower, sqrt_d, u)
@@ -297,11 +298,12 @@ class InvariantProfile:
     values: tuple  # (perm, value) pairs, value Fraction or NFElem of the closure
     galois_type: Optional[str] = None
 
-    def value(self, perm):
-        for s, v in self.values:
-            if s == perm:
-                return v
-        raise KeyError(perm)
+
+def _cleared(gamma) -> tuple[list[int], int]:
+    """(v, e): gamma's 16 entries, row by row, as integers over one denominator e."""
+    q = [Fraction(x) for row in gamma for x in row]
+    e = math.lcm(*(x.denominator for x in q))
+    return [x.numerator * (e // x.denominator) for x in q], e
 
 
 def conjugated_matrix(emb: EmbeddingData, gamma):
@@ -309,9 +311,7 @@ def conjugated_matrix(emb: EmbeddingData, gamma):
     closure: gamma is cleared to 16 integers over one denominator e, and
     entry (i, j) is read from `emb.conjugation_table` as one integer dot
     product per coordinate over D_ij * e, in lowest terms."""
-    q = [Fraction(x) for row in gamma for x in row]
-    e = math.lcm(*(x.denominator for x in q))
-    v = [x.numerator * (e // x.denominator) for x in q]
+    v, e = _cleared(gamma)
     L = emb.closure
     return [[_canonical(L, [sum(map(mul, coord, v)) for coord in rows], den * e)
              for den, rows in entries] for entries in emb.conjugation_table]
@@ -371,23 +371,26 @@ def psi_sum_check(emb: EmbeddingData, gamma) -> object:
 # Galois relations
 
 
+# _CONJUGATION[rho][i] is the index in ALL_PERMS of rho sigma rho^-1, sigma = ALL_PERMS[i]
+_CONJUGATION = {r: tuple(ALL_PERMS.index(perm_compose(perm_compose(r, s), perm_inverse(r)))
+                         for s in ALL_PERMS) for r in ALL_PERMS}
+
+
 def pattern_and_relation_check(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     """Entry-level Galois relation tau(m[i][j]) = m[rho i][rho j] and the
     profile-level relation tau.Psi_sigma = Psi_{rho sigma rho^{-1}}, for
     every automorphism tau of the closure."""
     gs = galois_structures(galois_type)
     m, vals = _psi_values(emb, gamma, ALL_PERMS)
-    profile = dict(vals)
+    values = [v for _, v in vals]
     entry_ok = profile_ok = True
     for tau, rho in zip(emb.automorphisms, emb.galois_image):
         if rho == IDENTITY:  # both relations hold trivially
             continue
         if any(tau(m[i][j]) != m[rho[i]][rho[j]] for i in range(4) for j in range(4)):
             entry_ok = False
-        rho_inv = perm_inverse(rho)
-        for s, v in vals:
-            v_img = tau(v) if isinstance(v, NFElem) else v
-            if v_img != profile[perm_compose(perm_compose(rho, s), rho_inv)]:
+        for v, k in zip(values, _CONJUGATION[rho]):
+            if (tau(v) if isinstance(v, NFElem) else v) != values[k]:
                 profile_ok = False
     image_ok = frozenset(emb.galois_image) == gs.image
     return {"entry_relation": entry_ok, "profile_relation": profile_ok,
@@ -401,10 +404,11 @@ def pattern_and_relation_check(emb: EmbeddingData, gamma, galois_type: str) -> d
 def block_membership_test(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     """gamma in the embedded Res_{F/Q} GL2 iff Psi_sigma(gamma) = 0 for the
     special permutations iff gamma commutes with multiplication by sqrt(d);
-    the commutation route is exact over Q and is the ground truth."""
+    the commutation route, exact on integer multiples of both, is the truth."""
     gs = galois_structures(galois_type)
     sd = emb.sqrt_d_matrix
-    gm = [[Fraction(x) for x in row] for row in gamma]
+    v, _ = _cleared(gamma)
+    gm = [v[i:i + 4] for i in range(0, 16, 4)]
     commutes = mat_mul(sd, gm) == mat_mul(gm, sd)
     sp_values = dict(_psi_values(emb, gamma, gs.special)[1])
     vanish = all(v == 0 for v in sp_values.values())
@@ -412,7 +416,7 @@ def block_membership_test(emb: EmbeddingData, gamma, galois_type: str) -> dict:
             "vanishing": vanish, "routes_agree": commutes == vanish}
 
 
-def content_vanishing_detector(profile: InvariantProfile, gs: GaloisStructure,
+def content_vanishing_detector(gs: GaloisStructure,
                                disc: float, tau: float, eta_sigma: dict,
                                C: float = 1.0,
                                in_R: Optional[bool] = None) -> dict:

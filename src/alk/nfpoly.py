@@ -4,9 +4,9 @@ Used for quartic towers: traces of order bases, exact embedding matrices
 in the Galois closure of a quartic field (degree 4 or 8), and the
 Gaussian-period construction of cyclic quartic fields inside Q(zeta_p)
 for primes p = 1 mod 4.  The periods are multiplied on their own normal
-basis, with a table of cyclotomic numbers built in O(p) steps, and one
-4x4 inverse from `ratlinalg` gives their coordinates in the power basis
-of eta_0.
+basis, with a table of cyclotomic numbers built in O(p) steps; the one
+product needed is (eta_0 - eta_2)^2, the radicand delta of the tower
+(numfield.FieldTower derives the rest from it).
 
 A field element is a vector of integer numerators over one positive
 common denominator, kept in lowest terms (Cohen, GTM 138, ch. 4).  A
@@ -28,7 +28,7 @@ from operator import mul
 from typing import Sequence
 
 from .intarith import factorize, is_prime
-from .ratlinalg import mat_det, mat_inv, mat_vec, transpose
+from .ratlinalg import mat_det, mat_inv
 
 
 def _over_common_den(vecs) -> tuple[list[list[int]], int]:
@@ -331,9 +331,8 @@ def _primitive_root(p: int) -> int:
 def gaussian_period_quartic(p: int) -> dict:
     """Exact data for the quartic subfield K of Q(zeta_p), p prime, p = 1 mod 4.
 
-    Returns min_poly of the period eta_0, the coordinates of sqrt(p) in
-    the power basis, and delta = (eta_0 - eta_2)^2 in F = Q(sqrt(p)) as a
-    pair (rational part, sqrt(p) coefficient).
+    Returns delta = (eta_0 - eta_2)^2 in F = Q(sqrt(p)) as a pair
+    (rational part, sqrt(p) coefficient).
 
     The work is done on the normal basis eta_0..eta_3 of K, where eta_j
     sums zeta^x over C_j = {g^(4k+j)} for the primitive root g, the Galois
@@ -342,9 +341,9 @@ def gaussian_period_quartic(p: int) -> dict:
     numbers (j, t) = #{z in C_j : 1 + z in C_t},
     eta_0 eta_j = sum_t ((j, t) - m [-1 in C_j]) eta_t and
     eta_a eta_b = tau^a(eta_0 eta_(b-a)) (Berndt-Evans-Williams, Gauss and
-    Jacobi Sums, ch. 2), so this costs O(p).  One 4x4 inverse of the
-    normal coordinates of eta_0^0..eta_0^3 maps to the power basis; the
-    Gauss sum is sqrt(p) = eta_0 - eta_1 + eta_2 - eta_3.
+    Jacobi Sums, ch. 2), so this costs O(p).  The square must be fixed by
+    tau^2, (a, b, a, b), and eta_0 + eta_2 = (-1 + sqrt p)/2 and
+    eta_1 + eta_3 = (-1 - sqrt p)/2 (the Gauss sum) then give delta.
     """
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"p must be a prime = 1 mod 4, got p = {p}")
@@ -366,17 +365,7 @@ def gaussian_period_quartic(p: int) -> dict:
                     out[(t + a) % 4] += ua * vb * c
         return out
 
-    powers = [[-1] * 4, [1, 0, 0, 0]]
-    for _ in range(3):
-        powers.append(mul(powers[-1], powers[1]))
-    inv = mat_inv(transpose(powers[:4]))
     a, b, a2, b2 = mul([1, 0, -1, 0], [1, 0, -1, 0])
     if (a2, b2) != (a, b):
         raise ArithmeticError("(eta_0 - eta_2)^2 is not fixed by tau^2")
-    # eta_0 + eta_2 = (-1 + sqrt p)/2 and eta_1 + eta_3 = (-1 - sqrt p)/2
-    return {
-        "p": p,
-        "min_poly": tuple(-c for c in mat_vec(inv, powers[4])) + (Fraction(1),),
-        "sqrtp_coords": tuple(mat_vec(inv, [1, -1, 1, -1])),
-        "delta": (Fraction(-(a + b), 2), Fraction(a - b, 2)),
-    }
+    return {"p": p, "delta": (Fraction(-(a + b), 2), Fraction(a - b, 2))}

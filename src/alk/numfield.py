@@ -8,8 +8,8 @@ Finite places are tagged by the splitting behaviour of the rational prime
 below them; split-place valuations are read from residues mod p at a root
 of the minimal polynomial of the integral-basis generator, so all
 finite-place data is exact.  Quartic fields enter only as towers
-K = F(sqrt(delta)); the one test that delta is not a square in F also
-proves the tower quartic irreducible (see make_tower).
+K = F(sqrt(delta)) given by (F, delta, alpha), theta = alpha + sqrt(delta)
+primitive; FieldTower's constructor is the one place that checks them.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .intarith import (
@@ -519,31 +519,75 @@ def prime_ideal(place: Place) -> FracIdeal:
 
 @dataclass(frozen=True)
 class FieldTower:
-    """Q c F c K with [K:F] = 2.
+    """Q c F c K = F(sqrt(delta)) with [K:F] = 2.
 
     base None means F = Q (then K is the quadratic field of sqrt(delta)).
-    For quartic towers theta denotes a primitive element of K with monic
-    minimal polynomial theta_min_poly (degree 4, rational coefficients);
-    sqrt_d_coords expresses sqrt(d) in the power basis of theta.
+    A quartic tower is (F, delta, alpha) with delta and alpha in F: its
+    primitive element theta = alpha + sqrt(delta) has the conjugates
+    alpha +- sqrt(delta) and conj(alpha) +- sqrt(conj delta), which git4
+    builds from this one root formula, and theta_min_poly and
+    sqrt_d_coords are derived from (F, delta, alpha) on first use.
     declared_DK, when present, is the certified discriminant of K's
     maximal order.
-    alpha is the element of F with theta = alpha + sqrt(delta) (quartic
-    towers), so the four conjugates of theta are alpha +- sqrt(delta) and
-    conj(alpha) +- sqrt(conj delta); git4 builds them from this one root
-    formula for every tower.
+
+    The constructor raises ValueError unless delta is a nonzero nonsquare
+    (in F, or in Q) and, for a quartic tower, alpha and delta are not both
+    rational.  This proves theta of degree 4: [K:F] = 2, and
+    2 b1 theta + b2 - 2 a1 b1, the denominator of sqrt(d) in
+    sqrt_d_coords, is zero only when b1 = b2 = 0, as theta is not in F;
+    so F and sqrt(delta) = theta - alpha lie in Q(theta).
     """
 
     base: Optional[QuadField]
     delta: object  # NFElem of base for quartic towers, Fraction for base Q
-    theta_min_poly: Optional[tuple[Fraction, ...]] = None
-    sqrt_d_coords: Optional[tuple[Fraction, ...]] = None
+    alpha: Optional[NFElem] = None  # theta - sqrt(delta), in F
     declared_DK: Optional[int] = None
     galois_hint: Optional[str] = None
-    alpha: Optional[NFElem] = None  # theta - sqrt(delta), in F
+
+    def __post_init__(self):
+        F, delta, alpha = self.base, self.delta, self.alpha
+        if F is None:
+            if alpha is not None or delta == 0 or is_square_fraction(Fraction(delta)):
+                raise ValueError("delta must be a nonsquare")
+            return
+        # coerce raises ValueError for an element of another field
+        if not all(isinstance(x, NFElem) and F.coerce(x) is x for x in (delta, alpha)):
+            raise ValueError("a quartic tower needs delta and alpha in F")
+        if delta.is_zero() or is_square_in_field(delta):
+            raise ValueError("delta must be a nonsquare in F")
+        if delta.b == 0 and alpha.b == 0:
+            raise ValueError("theta = alpha + sqrt(delta) is not primitive: "
+                             "alpha and delta are both rational")
 
     @property
     def degree(self) -> int:
         return 2 if self.base is None else 4
+
+    @cached_property
+    def theta_min_poly(self) -> Optional[tuple[Fraction, ...]]:
+        """N_{F/Q}((x - alpha)^2 - delta), low-degree first, for
+        alpha = a1 + b1*sqrt(d) and alpha^2 - delta = ba + bb*sqrt(d):
+        x^4 - Tr(2 alpha) x^3 + (Tr(beta) + Nr(2 alpha)) x^2
+        - Tr(2 alpha conj(beta)) x + Nr(beta).  None for base Q."""
+        if self.base is None:
+            return None
+        d, a1, b1 = self.base.d, self.alpha.a, self.alpha.b
+        beta = self.alpha * self.alpha - self.delta
+        ba, bb = beta.a, beta.b
+        return (ba * ba - d * bb * bb, 4 * (d * b1 * bb - a1 * ba),
+                2 * ba + 4 * (a1 * a1 - d * b1 * b1), -4 * a1, Fraction(1))
+
+    @cached_property
+    def sqrt_d_coords(self) -> Optional[tuple[Fraction, ...]]:
+        """sqrt(d) in the power basis of theta: (theta - alpha)^2 = delta
+        reads theta^2 - 2 a1 theta + ba = sqrt(d) (2 b1 theta - bb).  None
+        for base Q."""
+        if self.base is None:
+            return None
+        beta = self.alpha * self.alpha - self.delta
+        K = NumberField(self.theta_min_poly)
+        return (K.elem([beta.a, -2 * self.alpha.a, 1])
+                / K.elem([-beta.b, 2 * self.alpha.b])).coeffs
 
 
 def make_tower(
@@ -552,47 +596,17 @@ def make_tower(
     declared_DK: Optional[int] = None,
     galois_hint: Optional[str] = None,
 ) -> FieldTower:
-    """The tower F(sqrt(delta)), or Q(sqrt(delta)) when F is None.
-
-    Raises ValueError unless delta is a nonzero nonsquare (in F, or in Q),
-    given as a rational or as an element of F itself.  For quartic towers
-    the nonsquare test alone decides that theta_min_poly is irreducible
-    over Q:
-    - delta = a + b*sqrt(d) with b != 0: theta = sqrt(delta) gives
-      sqrt(d) = (theta^2 - a)/b in Q(theta), so Q(theta) = F(sqrt(delta)),
-      of degree 4 exactly when delta is not a square in F; then the monic
-      quartic x^4 - Tr(delta) x^2 + Nr(delta) is theta's minimal polynomial.
-    - delta = e rational: Q(sqrt d, sqrt e) has degree 4 exactly when e is
-      not a square in F (neither e nor e/d a rational square), and then
-      theta = sqrt(d) + sqrt(e) is primitive in it: its four conjugates
-      +-sqrt(d) +- sqrt(e) are distinct, as e = d is a square in F.
-    alpha = theta - sqrt(delta) is 0 in the first case and sqrt(d) in the
-    second.
-    """
+    """The tower F(sqrt(delta)), or Q(sqrt(delta)) when F is None, with
+    delta a rational or an element of F itself.  theta = sqrt(delta)
+    (alpha = 0) when delta is not rational, and theta = sqrt(d) + sqrt(e)
+    (alpha = sqrt(d)) when delta = e is; FieldTower raises ValueError
+    unless delta is a nonzero nonsquare."""
     if F is None:
-        delta = Fraction(delta)
-        if delta == 0 or is_square_fraction(delta):
-            raise ValueError("delta must be a nonsquare")
-        return FieldTower(None, delta, declared_DK=declared_DK, galois_hint=galois_hint)
+        return FieldTower(None, Fraction(delta), declared_DK=declared_DK,
+                          galois_hint=galois_hint)
     delta = F.coerce(delta)
-    if delta.is_zero() or is_square_in_field(delta):
-        raise ValueError("delta must be a nonsquare in F")
-    d = F.d
-    if delta.b != 0:
-        # theta = sqrt(delta), minimal polynomial x^4 - Tr(delta) x^2 + Nr(delta)
-        alpha = F.elem(0)
-        mp = (delta.norm(), Fraction(0), -delta.trace(), Fraction(0), Fraction(1))
-        sq = (Fraction(-delta.a, 1) / delta.b, Fraction(0), 1 / delta.b, Fraction(0))
-    else:
-        # biquadratic: theta = sqrt(d) + sqrt(e), and
-        # theta^3 - (3d + e) theta = 2 (e - d) sqrt(d)
-        e = delta.a
-        alpha = F.elem(0, 1)
-        mp = ((Fraction(d) - e) ** 2, Fraction(0), -2 * (Fraction(d) + e),
-              Fraction(0), Fraction(1))
-        c = 1 / (2 * (e - d))
-        sq = (Fraction(0), -(3 * d + e) * c, Fraction(0), c)
-    return FieldTower(F, delta, mp, sq, declared_DK, galois_hint, alpha)
+    alpha = F.elem(0, 1) if delta.b == 0 else F.elem(0)
+    return FieldTower(F, delta, alpha, declared_DK, galois_hint)
 
 
 # ---------------------------------------------------------------------------

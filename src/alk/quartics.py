@@ -2,11 +2,14 @@
 
 Curated families: Q(zeta_5), Q(sqrt(2+sqrt 2)), biquadratic fields
 Q(sqrt d, sqrt e), and the quartic subfields of Q(zeta_p) for primes
-p = 1 mod 4 (Gaussian periods).  Every tower writes its primitive element
-as theta = alpha + sqrt(delta) with alpha in F: make_tower takes
-theta = sqrt(delta) (alpha = 0) or sqrt(d) + sqrt(e) (alpha = sqrt d), and
-a Gaussian tower keeps the period eta_0 with alpha = (-1 + sqrt p)/4.
-git4 takes all four conjugates of theta from this one root formula.
+p = 1 mod 4 (Gaussian periods).  Every tower is given by (F, delta, alpha),
+its primitive element being theta = alpha + sqrt(delta) with alpha in F:
+make_tower takes theta = sqrt(delta) (alpha = 0) or sqrt(d) + sqrt(e)
+(alpha = sqrt d), and a Gaussian tower keeps the period eta_0 with
+alpha = (-1 + sqrt p)/4 and delta read from the period products.
+FieldTower derives theta's minimal polynomial and the coordinates of
+sqrt(d) from these three, and git4 takes all four conjugates of theta
+from the same root formula.
 """
 
 from __future__ import annotations
@@ -57,22 +60,17 @@ def gaussian_period_tower(p: int) -> FieldTower:
 
     The primitive element is the Gaussian period eta_0.  As
     eta_0 + eta_2 = (-1 + sqrt p)/2, it is alpha + sqrt(delta) with
-    alpha = (-1 + sqrt p)/4 and delta = (eta_0 - eta_2)^2/4, which is
-    checked in K.  The declared discriminant p^3 comes from the
-    conductor-discriminant formula and is cross-checked against the
-    power-basis trace form (square index).
+    alpha = (-1 + sqrt p)/4 and delta = (eta_0 - eta_2)^2/4.  The declared
+    discriminant p^3 comes from the conductor-discriminant formula and is
+    cross-checked against the trace form of the power basis of the derived
+    theta_min_poly (square index).
     """
-    data = gaussian_period_quartic(p)
-    K = NumberField(data["min_poly"])
     F = make_quad_field(p)
-    alpha, delta = F.elem(Fraction(-1, 4), Fraction(1, 4)), F.elem(*data["delta"]) / 4
-    sqrtp = K.elem(data["sqrtp_coords"])
-    u = K.gen - sqrtp * alpha.b - alpha.a
-    if sqrtp * sqrtp != p or u * u != sqrtp * delta.b + delta.a:
-        raise ArithmeticError(f"eta_0 - alpha does not square to delta at p = {p}")
-    tower = FieldTower(F, delta, data["min_poly"], data["sqrtp_coords"],
-                       declared_DK=p ** 3, galois_hint="cyclic", alpha=alpha)
-    ratio = Fraction(trace_form_disc([K.gen ** i for i in range(4)]), tower.declared_DK)
+    delta = F.elem(*gaussian_period_quartic(p)["delta"]) / 4
+    tower = FieldTower(F, delta, F.elem(Fraction(-1, 4), Fraction(1, 4)),
+                       declared_DK=p ** 3, galois_hint="cyclic")
+    theta = NumberField(tower.theta_min_poly).gen
+    ratio = Fraction(trace_form_disc([theta ** i for i in range(4)]), tower.declared_DK)
     if ratio <= 0 or not is_square_fraction(ratio):
         raise ArithmeticError("power basis discriminant inconsistent with p^3")
     return tower

@@ -10,9 +10,9 @@ A quartic tower K = F(sqrt(delta)), F = Q(sqrt d), is biquadratic when
 Nr(delta) is a rational square, cyclic when Nr(delta)/d is one, and
 dihedral otherwise (Kappe-Warren, Amer. Math. Monthly 96 (1989)); the
 one place that reads this square class is numfield.norm_square_class.
-Before a type is returned, the tower's theta_min_poly is checked
-coefficient by coefficient against N_{F/Q}((x - alpha)^2 - delta), the
-characteristic polynomial of theta = alpha + sqrt(delta).
+The tower is (F, delta, alpha) alone, so there is no second description
+of K to compare it with; a galois_hint that names another type is an
+error.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .intarith import (
     valuation,
 )
 from .localgeom import different_and_orders
-from .numfield import FieldTower, QuadField, conj, norm_square_class
+from .numfield import FieldTower, QuadField, norm_square_class
 from .ratlinalg import mat_det
 
 
@@ -150,26 +150,12 @@ def arch_disc(k) -> float:
 # Galois classification
 
 
-def _theta_norm_poly(tower: FieldTower) -> tuple:
-    """N_{F/Q}((x - alpha)^2 - delta), the characteristic polynomial of
-    theta = alpha + sqrt(delta) over Q, coefficients low-degree first:
-    x^4 - Tr(2 alpha) x^3 + (Tr(beta) + Nr(2 alpha)) x^2
-    - Tr(2 alpha conj(beta)) x + Nr(beta) with beta = alpha^2 - delta."""
-    c, beta = 2 * tower.alpha, tower.alpha * tower.alpha - tower.delta
-    return (beta.norm(), -(c * conj(beta)).trace(), beta.trace() + c.norm(),
-            -c.trace(), Fraction(1))
-
-
 def classify_galois_type(tower: FieldTower) -> str:
     """biquadratic / cyclic / dihedral by the square class of Nr(delta)
-    (numfield.norm_square_class).  Raises ArithmeticError unless
-    theta_min_poly equals N_{F/Q}((x - alpha)^2 - delta) coefficient by
-    coefficient, or when galois_hint names another type."""
-    if tower.degree != 4 or tower.alpha is None:
+    (numfield.norm_square_class).  Raises ArithmeticError when galois_hint
+    names another type."""
+    if tower.degree != 4:
         raise ValueError("quartic tower required")
-    if tuple(tower.theta_min_poly) != _theta_norm_poly(tower):
-        raise ArithmeticError(
-            "theta_min_poly is not the norm of (x - alpha)^2 - delta")
     gtype, _ = norm_square_class(tower.delta)
     if tower.galois_hint is not None and tower.galois_hint != gtype:
         raise ArithmeticError("construction metadata contradicts classification")

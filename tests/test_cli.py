@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from alk.cli import main
 from conftest import within_seconds
@@ -501,3 +503,67 @@ def test_closed_stdout_pipe_exits_quietly():
     assert b"Traceback" not in proc.stderr
     assert proc.stderr == b""
     assert proc.returncode == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzzed --tower input: every outcome is an answer, a hypothesis violation or
+# one error line
+
+
+_FUZZ_SCALARS = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.decimals(allow_nan=True, allow_infinity=True).map(str),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.none(),
+    st.text(max_size=6),
+)
+_FUZZ_VALUES = st.recursive(_FUZZ_SCALARS, lambda inner: st.lists(inner, max_size=3),
+                            max_leaves=5)
+# p > 2,000 would only make the O(p) period construction slow
+_FUZZ_P = st.one_of(st.integers(-10 ** 6, 2000), st.integers(0, 2000),
+                    st.floats(max_value=2000),
+                    st.sampled_from([float("nan"), float("inf")]), st.none(),
+                    st.text(max_size=3), st.lists(st.integers(0, 2000), max_size=2))
+_TOWER_FIELDS = {"zeta5": (), "sqrt2plus": (), "biquadratic": ("d", "e"),
+                 "dihedral": ("d", "a", "b"), "gaussian": ("p",), "quadratic": ("delta",)}
+_ALL_FIELDS = ("d", "e", "a", "b", "delta")
+
+
+@st.composite
+def _fuzz_towers(draw):
+    known = st.sampled_from(sorted(_TOWER_FIELDS))
+    kind = draw(st.one_of(known, known, st.text(max_size=8), _FUZZ_VALUES))
+    data = {"kind": kind}
+    keys = _TOWER_FIELDS.get(kind, _ALL_FIELDS) if isinstance(kind, str) else _ALL_FIELDS
+    for key in keys:
+        if draw(st.integers(0, 7)):  # a field is left out now and then
+            data[key] = draw(_FUZZ_P if key == "p" else
+                             st.one_of(st.integers(-30, 30), _FUZZ_VALUES))
+    return json.dumps(data)
+
+
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is no JSON value")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("command", ["classify", "disc", "invariants", "cyclic-check"])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tower=_fuzz_towers())
+@example(tower='{"kind": "dihedral", "d": 2, "a": "1e999999", "b": 1}')
+@example(tower='{"kind": "quadratic", "delta": "1e-999999"}')
+@example(tower='{"kind": "dihedral", "d": 2, "a": "1/3", "b": "abc"}')
+def test_fuzzed_towers_end_in_an_answer_or_one_error_line(capsys, command, tower):
+    capsys.readouterr()
+    argv = [command, "--tower", tower]
+    if command == "invariants":
+        argv += ["--matrix", "[[1, 2, 0, 0], [0, 1, 3, 0], [0, 0, 1, 4], [5, 0, 0, 1]]"]
+    code = within_seconds(20, lambda: main(argv))
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err and err.count("error:") <= 1, err
+    assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
+    if out:
+        _strict_json(out)

@@ -31,7 +31,7 @@ from alk.git4 import (
 )
 from alk.intarith import is_square_fraction, squarefree_kernel
 from alk.nfpoly import NFElem
-from alk.numfield import conj, make_quad_field, make_tower
+from alk.numfield import make_quad_field, make_tower
 from alk.ratlinalg import mat_det, mat_mul
 from alk.toralsets import classify_galois_type
 from conftest import gauss_jordan, random_invertible, random_tower
@@ -224,12 +224,20 @@ def test_g_inv_from_the_trace_form_is_the_inverse():
 
 
 def test_sqrt_d_matrix_is_built_once_and_immutable():
-    emb = regular_embedding(DIHEDRAL)
-    sd = emb.sqrt_d_matrix
-    assert emb.sqrt_d_matrix is sd and isinstance(sd, tuple)
-    assert all(isinstance(row, tuple) for row in sd)
-    assert mat_mul(sd, sd) == [[Fraction(2 if i == j else 0) for j in range(4)]
-                               for i in range(4)]
+    for tower in (DIHEDRAL, quartics.gaussian_period_tower(13)):
+        emb = regular_embedding(tower)
+        sd = emb.sqrt_d_matrix
+        assert emb.sqrt_d_matrix is sd and isinstance(sd, tuple)
+        assert all(isinstance(row, tuple) and all(type(x) is int for x in row)
+                   for row in sd)
+        # a positive integer multiple c of sqrt(d)'s regular representation
+        reg = emb.regular_matrix(tower.sqrt_d_coords)
+        i, j = next((i, j) for i in range(4) for j in range(4) if reg[i][j])
+        c = sd[i][j] / reg[i][j]
+        assert c > 0 and [[c * x for x in row] for row in reg] == [list(row) for row in sd]
+        d = tower.base.d
+        assert mat_mul(sd, sd) == [[d * c * c if i == j else 0 for j in range(4)]
+                                   for i in range(4)]
 
 
 def test_identity_profile_is_a_delta():
@@ -373,13 +381,12 @@ def test_galois_towers_close_in_K(build, gtype):
 @pytest.mark.parametrize("tower", [CYCLIC, BIQUAD, DIHEDRAL, quartics.sqrt2plus_tower(),
                                    quartics.gaussian_period_tower(13)])
 def test_inconsistent_tower_data_is_refused(tower):
+    """_check_roots refuses sqrt(d) coordinates that are not derived from
+    (F, delta, alpha), written over the cached ones."""
     regular_embedding(tower)
-    wrong = [dataclasses.replace(tower, alpha=tower.alpha + 1),
-             dataclasses.replace(tower, sqrt_d_coords=tuple(-c for c in tower.sqrt_d_coords)),
-             dataclasses.replace(tower, sqrt_d_coords=tuple(2 * c for c in tower.sqrt_d_coords))]
-    if tower.alpha != 0:
-        wrong.append(dataclasses.replace(tower, alpha=conj(tower.alpha)))
-    for bad in wrong:
+    for scale in (-1, 2):
+        bad = dataclasses.replace(tower)
+        bad.__dict__["sqrt_d_coords"] = tuple(scale * c for c in tower.sqrt_d_coords)
         with pytest.raises(ArithmeticError):
             regular_embedding(bad)
 
@@ -433,15 +440,13 @@ def test_content_detector_forces_vanishing_consistently():
     emb = regular_embedding(CYCLIC)
     gs = galois_structures("cyclic")
     eta = {s: 1.0 for s in ALL_PERMS}
-    gamma = emb.regular_matrix((1, 1, 0, 0))
-    profile = psi_invariants(emb, gamma, "cyclic")
-    res = content_vanishing_detector(profile, gs, disc=2.0, tau=10.0,
+    res = content_vanishing_detector(gs, disc=2.0, tau=10.0,
                                      eta_sigma=eta, in_R=True)
     assert res["forced_zero"]
     with pytest.raises(ArithmeticError):
-        content_vanishing_detector(profile, gs, disc=2.0, tau=10.0,
+        content_vanishing_detector(gs, disc=2.0, tau=10.0,
                                    eta_sigma=eta, in_R=False)
-    res = content_vanishing_detector(profile, gs, disc=2.0, tau=0.0,
+    res = content_vanishing_detector(gs, disc=2.0, tau=0.0,
                                      eta_sigma=eta, in_R=False)
     assert not res["forced_zero"]
 

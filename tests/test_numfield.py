@@ -3,13 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import within_seconds
+from conftest import random_tower, within_seconds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alk import quartics
 from alk.intarith import factorize, valuation
 from alk.localgeom import different_and_orders
 from alk.numfield import (
+    FieldTower,
     FracIdeal,
     Place,
     QuadField,
@@ -304,8 +306,8 @@ SQUAREFREE_D = [d for d in range(-30, 31)
 @example(d=3, kind="square", an=2, ad=1, bn=0, bd=1)  # e = 2^2
 @example(d=2, kind="general", an=0, ad=1, bn=0, bd=1)  # delta = 0
 def test_make_tower_rejects_exactly_the_reducible_quartics(d, kind, an, ad, bn, bd):
-    """make_tower's nonsquare test is its only check; it must raise exactly
-    when the tower quartic is reducible."""
+    """The tower's nonsquare test is the only check on make_tower's data;
+    it must raise exactly when the tower quartic is reducible."""
     F = QuadField(d)
     a, b = Fraction(an, ad), Fraction(bn, bd)
     if kind == "general":
@@ -485,6 +487,63 @@ def test_make_tower_rejects_delta_from_another_field():
     # the same value as an element of F itself is accepted
     tower = make_tower(QuadField(2), QuadField(2).elem(1, 1))
     assert tower.base.d == 2 and tower.delta == QuadField(2).elem(1, 1)
+
+
+def _closed_forms(tower):
+    """(theta_min_poly, sqrt_d_coords) by the two closed forms for the
+    towers of make_tower: theta = sqrt(delta) for delta = a + b sqrt(d)
+    with b != 0, where sqrt(d) = (theta^2 - a)/b, and
+    theta = sqrt(d) + sqrt(e) for rational delta = e, where
+    theta^3 - (3d + e) theta = 2 (e - d) sqrt(d)."""
+    d, delta = tower.base.d, tower.delta
+    if delta.b != 0:
+        assert tower.alpha == 0
+        return ((delta.norm(), 0, -delta.trace(), 0, 1),
+                (-delta.a / delta.b, 0, 1 / delta.b, 0))
+    assert tower.alpha == tower.base.elem(0, 1)
+    e = delta.a
+    c = 1 / (2 * (e - d))
+    return ((d - e) ** 2, 0, -2 * (d + e), 0, 1), (0, -(3 * d + e) * c, 0, c)
+
+
+def test_derived_tower_data_equals_the_closed_forms():
+    towers = [quartics.zeta5_tower(), quartics.sqrt2plus_tower()]
+    towers += [quartics.biquadratic_tower(d, e)
+               for d, e in ((2, 3), (5, -1), (-1, -3), (3, 7), (-7, 2), (2, 12))]
+    towers += [quartics.dihedral_tower(d, a, b)
+               for d, a, b in ((2, 1, 1), (5, 1, 1), (-1, 1, 2), (3, Fraction(1, 2), 3))]
+    rng = random.Random(53)
+    seeded = [t for t in (random_tower(rng) for _ in range(60)) if t is not None]
+    assert len(seeded) >= 30
+    for tower in towers + seeded:
+        mp, sq = _closed_forms(tower)
+        assert tower.theta_min_poly == mp and tower.sqrt_d_coords == sq
+        assert all(type(c) is Fraction for c in tower.theta_min_poly + tower.sqrt_d_coords)
+
+
+def test_tower_constructor_refuses_zero_square_and_rational_data():
+    F = QuadField(2)
+    zero, sqrt2 = F.elem(0), F.elem(0, 1)
+    # delta = 0; 2 = sqrt(2)^2 and 3 + 2 sqrt(2) = (1 + sqrt 2)^2 are squares
+    # in F; theta = 1 + sqrt(3) lies in a quadratic field
+    for delta, alpha in ((zero, sqrt2), (zero, F.elem(1, 1)), (F.elem(2), sqrt2),
+                         (F.elem(3, 2), zero), (F.elem(9), sqrt2), (F.elem(3), F.elem(1)),
+                         (F.elem(3), zero), (F.elem(3, 1), None), (Fraction(3), sqrt2)):
+        with pytest.raises(ValueError):
+            FieldTower(F, delta, alpha)
+    for delta in (0, 2, 9, F.elem(3, 2), zero):
+        with pytest.raises(ValueError):
+            make_tower(F, delta)
+    for delta in (0, 9, Fraction(4, 9)):
+        with pytest.raises(ValueError):
+            FieldTower(None, Fraction(delta))
+        with pytest.raises(ValueError):
+            make_tower(None, delta)
+    with pytest.raises(ValueError):
+        FieldTower(None, Fraction(3), sqrt2)
+    # theta = 1 + sqrt(2) + sqrt(3) is primitive:
+    # N((x - 1 - sqrt 2)^2 - 3) = (x^2 - 2x)^2 - 8 (1 - x)^2
+    assert FieldTower(F, F.elem(3), F.elem(1, 1)).theta_min_poly == (-8, 16, -4, -4, 1)
 
 
 # ---------------------------------------------------------------------------

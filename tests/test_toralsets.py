@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from alk import quartics
+from alk.git4 import regular_embedding
+from alk.nfpoly import NumberField
 from alk.numfield import make_tower, make_quad_field
 from alk.toralsets import (
     arch_disc,
@@ -177,15 +179,21 @@ def test_seeded_towers_agree_with_the_resolvent():
                                    lambda: quartics.dihedral_tower(2, 1, 1),
                                    lambda: quartics.gaussian_period_tower(13)))
 def test_tower_data_off_theta_norm_polynomial_is_an_error(build):
+    """A theta_min_poly that is not N((x - alpha)^2 - delta), written over
+    the cached one, is refused by the root check of the embedding; alpha + 1
+    is another consistent tower, whose theta is shifted by 1."""
     tower = build()
-    wrong = [dataclasses.replace(tower, alpha=tower.alpha + 1)]
     for i in range(4):
+        bad = dataclasses.replace(tower)
         mp = list(tower.theta_min_poly)
         mp[i] += 1
-        wrong.append(dataclasses.replace(tower, theta_min_poly=tuple(mp)))
-    for bad in wrong:
-        with pytest.raises(ArithmeticError, match="norm of"):
-            classify_galois_type(bad)
+        bad.__dict__["theta_min_poly"] = tuple(mp)
+        with pytest.raises(ArithmeticError):
+            regular_embedding(bad)
+    shifted = dataclasses.replace(tower, alpha=tower.alpha + 1)
+    x = NumberField(tower.theta_min_poly).gen
+    assert sum(c * (x + 1) ** i for i, c in enumerate(shifted.theta_min_poly)) == 0
+    assert classify_galois_type(shifted) == classify_galois_type(tower)
 
 
 def test_classification_contradiction_is_an_error():
