@@ -143,7 +143,7 @@ def tower_from_json(data) -> object:
         return quartics.gaussian_period_tower(_int(field("p")))
     if kind == "quadratic":
         return make_tower(None, _fraction(field("delta")))
-    raise ValueError(f"unknown tower kind {kind!r}")
+    raise ValueError(f"unknown tower kind {json.dumps(_jsonable(kind))}")
 
 
 def _jsonable(x):
@@ -172,14 +172,21 @@ def _key(k):
 
 def _render(report: dict, fmt: str) -> list[str]:
     """The output lines of a report; a NaN or infinity in it raises
-    ValueError in either format, as it has no JSON value."""
-    data = _jsonable(report)
-    text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
-    if fmt == "csv":
-        # true, false and null as in JSON; strings and numbers as they are
-        return [f"{k},{json.dumps(v) if v is None or isinstance(v, bool) else v}"
-                for k, v in _flatten(data)]
-    return [text]
+    ValueError in either format, as it has no JSON value.  Python's bound
+    on the digits of an int converted to text guards the parsing of input;
+    exact results from bounded input may pass it, so it is lifted here."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        data = _jsonable(report)
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+        if fmt == "csv":
+            # true, false and null as in JSON; strings and numbers as they are
+            return [f"{k},{json.dumps(v) if v is None or isinstance(v, bool) else v}"
+                    for k, v in _flatten(data)]
+        return [text]
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _flatten(data, prefix=""):
@@ -275,10 +282,14 @@ def _cmd_invariants(args, cfg: RunConfig):
     values = {}
     for s, v in profile.values:
         values[_key(s)] = v if not hasattr(v, "coeffs") else list(v.coeffs)
+    # coordinates on the Kummer basis of the Galois closure: products of
+    # sqrt(d), u and v, with u^2 = a + b sqrt(d) and v^2 = a - b sqrt(d)
     return {
         "galois_type": gtype,
-        # the values are coordinates in the power basis of this polynomial's root
-        "min_poly": list(emb.closure.min_poly),
+        "d": tower.base.d,
+        "u^2": list(emb.closure.squares[1]),
+        "basis": ["*".join(g for b, g in enumerate(("sqrt(d)", "u", "v")) if i >> b & 1)
+                  or "1" for i in range(emb.closure.degree)],
         "values": values,
         "in_R": block["in_R"],
         "vanishing_on_special": block["vanishing"],

@@ -11,11 +11,16 @@ evaluated on the conjugated matrix generate the bi-T-invariant regular
 functions.  Every tower writes theta = alpha + sqrt(delta) with alpha in
 F, so one root formula gives its four conjugates: alpha +- sqrt(delta)
 and conj(alpha) +- sqrt(conj delta).  g is exact in the Galois closure L
-of K: L = K when K/Q is abelian, and the degree-8 field
-F(sqrt(delta), sqrt(conj delta)) when K is dihedral.  The Galois relations are checked for every automorphism of
-L, so for a dihedral tower for all eight elements of D4.  g g^T is the
-rational trace form T[i][k] = Tr(theta^(i+k)) of K, so g^{-1} = g^T T^{-1}
-needs one rational 4x4 inverse and no field inverse in L.
+of K, held in Kummer coordinates over F = Q(sqrt d) (Cohen, GTM 193,
+ch. 2 and 5): L = F(u) = K on the basis {1, sqrt d} x {1, u} when K/Q is
+abelian, and L = F(u, v) of degree 8 on {1, sqrt d} x {1, u, v, uv} when
+K is dihedral, with u and v integer multiples of sqrt(delta) and
+sqrt(conj delta).  An automorphism of L is given by the images of
+sqrt(d), u and v, so on the dihedral closure it permutes the basis up to
+sign.  The Galois relations are checked on generators of Gal(L/Q), which
+implies them for every automorphism.  g g^T is the rational trace form
+T[i][k] = Tr(theta^(i+k)) of K, so g^{-1} = g^T T^{-1} needs one rational
+4x4 inverse and no field inverse in L.
 
 The conjugated matrix m = g^{-1} gamma g is linear in gamma:
 m[i][j] = sum_{k,l} gamma[k][l] g^{-1}[i][k] g[l][j].  Each embedding
@@ -45,9 +50,9 @@ from operator import mul
 from typing import Optional
 
 from .intarith import is_prime, valuation
-from .nfpoly import NFElem, NumberField, _canonical
+from .nfpoly import Automorphism, NFElem, NumberField, _canonical
 from .numfield import FieldTower, conj, norm_square_class
-from .ratlinalg import mat_det, mat_inv, mat_mul, mat_vec, transpose
+from .ratlinalg import mat_det, mat_inv, mat_mul, transpose
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
 IDENTITY = (0, 1, 2, 3)
@@ -126,7 +131,7 @@ def galois_structures(galois_type: str) -> GaloisStructure:
 class EmbeddingData:
     tower: FieldTower
     nf: NumberField  # K, whose regular representation gamma comes from
-    closure: NumberField  # the Galois closure L of K, where g lives
+    closure: NumberField  # the Galois closure L of K, on a Kummer basis; g lives in L
     g: tuple  # 4x4 rows of NFElem in L
     g_inv: tuple
     automorphisms: tuple  # Gal(L/Q) as nfpoly.Automorphism maps of L
@@ -145,10 +150,21 @@ class EmbeddingData:
         return tuple(zip(*m))
 
     @cached_property
+    def generators(self) -> tuple:
+        """A smallest set of (tau, rho) pairs whose rho generate the Galois
+        image: one for C4, two for V4 and D4.  As tau -> rho is injective
+        (g's columns are distinct), the taus generate Gal(L/Q)."""
+        pairs = [p for p in zip(self.automorphisms, self.galois_image) if p[1] != IDENTITY]
+        size = len(set(self.galois_image))
+        return next(gens for k in range(1, len(pairs) + 1)
+                    for gens in itertools.combinations(pairs, k)
+                    if len(_closure([rho for _, rho in gens])) == size)
+
+    @cached_property
     def conjugation_table(self) -> tuple:
         """Per entry (i, j) a pair (D, rows): rows[c][4k + l] / D is
-        coordinate c of g^{-1}[i][k] g[l][j] in the power basis of the
-        closure, with D the least common denominator of the 16 products.
+        coordinate c of g^{-1}[i][k] g[l][j] on the basis of the closure,
+        with D the least common denominator of the 16 products.
         Built on first use."""
         table = []
         for a_row in self.g_inv:
@@ -162,110 +178,76 @@ class EmbeddingData:
         return tuple(table)
 
 
-def _embed(x, sqrt_d):
-    """The element x = a + b*sqrt(d) of F in a field holding sqrt_d."""
-    return sqrt_d * x.b + x.a
-
-
-def _conj_delta_root(tower: FieldTower, sqrt_d, u):
-    """v in K with v^2 = conj(delta), given sqrt(d) and u^2 = delta in K,
-    when K/Q is Galois: u itself when delta is rational, else
-    sqrt(Nr delta)/u with sqrt(Nr delta) rational or sqrt(d) times a
-    rational (numfield.norm_square_class).  None for a dihedral tower."""
-    if tower.delta.b == 0:
-        return u
-    kind, r = norm_square_class(tower.delta)
+def _conj_delta_ratio(tower: FieldTower) -> Optional[NFElem]:
+    """v/u in F for u^2 = delta and v^2 = conj(delta) when K/Q is Galois:
+    1 when delta is rational, else r/delta or r sqrt(d)/delta with
+    r^2 = Nr(delta) or Nr(delta)/d (numfield.norm_square_class), as
+    v = r/u or r sqrt(d)/u.  None for a dihedral tower."""
+    F, delta = tower.base, tower.delta
+    if delta.b == 0:
+        return F.elem(1)
+    kind, r = norm_square_class(delta)
     if kind == "biquadratic":
-        return r / u
+        return r / delta
     if kind == "cyclic":
-        return sqrt_d * r / u
+        return F.elem(0, r) / delta
     return None
 
 
-def _closure_mul(x, y, delta):
-    """Product in F(u, v), u^2 = delta and v^2 = conj(delta), of elements
-    given by their F-coordinates on (1, u, v, uv)."""
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    bar = conj(delta)
-    return (x0 * y0 + x1 * y1 * delta + x2 * y2 * bar + x3 * y3 * delta.norm(),
-            x0 * y1 + x1 * y0 + (x2 * y3 + x3 * y2) * bar,
-            x0 * y2 + x2 * y0 + (x1 * y3 + x3 * y1) * delta,
-            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1)
-
-
-def _dihedral_closure(tower: FieldTower):
-    """(L, sqrt(d), u, v) for a dihedral tower K = F(u), u^2 = delta.
-
-    L = F(u, v) with v^2 = conj(delta) has degree 8 and is generated by
-    eta = u + 2v: its conjugates +-u +- 2v and +-v +- 2u are distinct, as
-    u/v is not rational (u^2/v^2 = delta/conj(delta) is not a rational
-    square when b != 0).  (eta = u + v is fixed by the swap u <-> v.)  One
-    exact elimination over the basis sqrt(d)^i u^j v^k gives eta^8 and the
-    coordinates of sqrt(d), u and v in the power basis of eta.  Gal(L/Q)
-    is D4: u -> +-u, v -> +-v fixing sqrt(d), and u -> +-v, v -> +-u
-    negating it."""
-    delta, F = tower.delta, tower.base
-    zero, one = F.elem(0), F.elem(1)
-    eta = (zero, one, F.elem(2), zero)
-    powers = [(one, zero, zero, zero)]
-    for _ in range(8):
-        powers.append(_closure_mul(powers[-1], eta, delta))
-
-    def coords(x):
-        return [c for q in x for c in q.coeffs]
-
-    inv = mat_inv(transpose([coords(p) for p in powers[:8]]))
-    eta8, sqrt_d, u, v = (mat_vec(inv, coords(x)) for x in (
-        powers[8], (F.elem(0, 1), zero, zero, zero), (zero, one, zero, zero),
-        (zero, zero, one, zero)))
-    L = NumberField(tuple(-c for c in eta8) + (Fraction(1),))
-    return L, L.elem(sqrt_d), L.elem(u), L.elem(v)
+def _automorphism(L: NumberField, gen_images) -> Automorphism:
+    """The automorphism of the Kummer field L sending its generators
+    (sqrt(d), u[, v]) to gen_images: basis element e_i, the product of the
+    generators at the set bits of i, goes to the product of their images."""
+    images = [L.one()]
+    for y in gen_images:
+        images += [x * y for x in images]
+    return Automorphism(L, images)
 
 
 def regular_embedding(tower: FieldTower) -> EmbeddingData:
     """g[i][j] = sigma_j(theta)^i in the Galois closure L of K, with the one
-    root formula theta = alpha + u -> alpha + u, alpha - u, conj(alpha) + v,
-    conj(alpha) - v for u^2 = delta and v^2 = conj(delta), so sqrt(d) is
-    positive at the first two roots.  For abelian towers L = K,
-    u = theta - alpha and v lies in K; otherwise L is the degree-8 field of
-    _dihedral_closure.  Gal(L/Q) is given by the images of L's generator:
-    the roots when L = K, the conjugates +-u +- 2v, +-v +- 2u of u + 2v
-    otherwise.  Inconsistent tower data raise ArithmeticError."""
+    root formula theta = alpha + sqrt(delta) -> alpha +- sqrt(delta),
+    conj(alpha) +- sqrt(conj delta), so sqrt(d) is positive at the first
+    two roots.  On L's Kummer basis, u = c sqrt(delta) and
+    v = c sqrt(conj delta) with c the denominator of delta, so that every
+    structure constant is an integer; v = (v/u) u when K/Q is abelian.  The
+    roots alpha +- u/c and conj(alpha) +- v/c are read off, and every
+    automorphism sends sqrt(d) to +-sqrt(d) and u, v to +-u, +-v, or to
+    +-v, +-u when it negates sqrt(d).  Inconsistent tower data raise
+    ArithmeticError."""
     if tower.degree != 4:
         raise ValueError("quartic tower required")
-    nf = NumberField(tower.theta_min_poly)
-    sqrt_d = nf.elem(tower.sqrt_d_coords)
-    u = nf.gen - _embed(tower.alpha, sqrt_d)
-    v = _conj_delta_root(tower, sqrt_d, u)
-    L, images = nf, None
-    if v is None:
-        L, sqrt_d, u, v = _dihedral_closure(tower)
-        images = [s * x + 2 * t * y for x, y in ((u, v), (v, u))
-                  for s in (1, -1) for t in (1, -1)]
-    alpha, alpha_bar = _embed(tower.alpha, sqrt_d), _embed(conj(tower.alpha), sqrt_d)
-    roots = [alpha + u, alpha - u, alpha_bar + v, alpha_bar - v]
+    ratio, c = _conj_delta_ratio(tower), tower.delta.den
+    u2 = tower.delta * (c * c)
+    conj_square = () if ratio is not None else ((u2.a, -u2.b),)
+    L = NumberField(squares=((Fraction(tower.base.d), Fraction(0)), (u2.a, u2.b)) + conj_square)
+    sqrt_d, u = L.elem([0, 1]), L.elem([0, 0, 1])
+    if ratio is None:
+        v, signs = L.elem([0, 0, 0, 0, 1]), (1, -1)
+    else:
+        v, signs = L.elem(ratio.coeffs) * u, (1,)
+    alpha, alpha_bar = L.elem(tower.alpha.coeffs), L.elem(conj(tower.alpha).coeffs)
+    roots = [alpha + u / c, alpha - u / c, alpha_bar + v / c, alpha_bar - v / c]
     g = [[r ** i for r in roots] for i in range(4)]
-    _check_roots(tower, g, sqrt_d, u)
-    taus = tuple(L.automorphism(x.coeffs) for x in images or roots)
+    _check_roots(tower, g, sqrt_d)
+    taus = tuple(_automorphism(L, (e * sqrt_d, s * x, t * y)[:len(L.squares)])
+                 for e, x, y in ((1, u, v), (-1, v, u)) for s in (1, -1) for t in signs)
     image = tuple(_column_permutation(g, tau) for tau in taus)
     # slots 0 and 1 are the embeddings with sqrt(d) positive
     if any(tau(sqrt_d) != (sqrt_d if rho[0] < 2 else -sqrt_d)
            for tau, rho in zip(taus, image)):
         raise ArithmeticError("embedding order not compatible with F")
     # g^-1 = g^T T^-1 with T = g g^T = (Tr theta^(i+k)), rational
+    nf = NumberField(tower.theta_min_poly)
     traces = [x.trace() for x in itertools.accumulate([nf.gen] * 6, mul, initial=nf.one())]
     g_inv = mat_mul(transpose(g), mat_inv([traces[i:i + 4] for i in range(4)]))
     return EmbeddingData(tower, nf, L, tuple(map(tuple, g)), tuple(map(tuple, g_inv)),
                          taus, image)
 
 
-def _check_roots(tower: FieldTower, g, sqrt_d, u) -> None:
-    """Raise ArithmeticError unless sqrt(d)^2 = d and u^2 = delta in L,
-    sqrt_d_coords at the first root give sqrt(d), and every root satisfies
-    theta's minimal polynomial."""
-    if sqrt_d * sqrt_d != tower.base.d or u * u != _embed(tower.delta, sqrt_d):
-        raise ArithmeticError("sqrt(d) or u = theta - alpha does not match delta")
+def _check_roots(tower: FieldTower, g, sqrt_d) -> None:
+    """Raise ArithmeticError unless sqrt_d_coords at the first root give
+    sqrt(d) and every root satisfies theta's minimal polynomial."""
     if sum(c * row[0] for c, row in zip(tower.sqrt_d_coords, g)) != sqrt_d:
         raise ArithmeticError("sqrt_d_coords do not give sqrt(d) at the first root")
     for r in g[1]:
@@ -335,7 +317,7 @@ def _psi_values(emb: EmbeddingData, gamma, perms):
     # sign(s)/det = sign(s) * scale / |det.numerator|; det_den also holds
     # the denominator of the _mul_ints numerators
     scale = det.denominator if det > 0 else -det.denominator
-    det_den = abs(det.numerator) * L._reduction[1]
+    det_den = abs(det.numerator) * L._table[2]
     P, Q = {}, {}
     vals = []
     for s in perms:
@@ -379,14 +361,13 @@ _CONJUGATION = {r: tuple(ALL_PERMS.index(perm_compose(perm_compose(r, s), perm_i
 def pattern_and_relation_check(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     """Entry-level Galois relation tau(m[i][j]) = m[rho i][rho j] and the
     profile-level relation tau.Psi_sigma = Psi_{rho sigma rho^{-1}}, for
-    every automorphism tau of the closure."""
+    the generators of Gal(L/Q): each relation holds for tau tau' once it
+    holds for tau and tau', so on generators it holds on the whole group."""
     gs = galois_structures(galois_type)
     m, vals = _psi_values(emb, gamma, ALL_PERMS)
     values = [v for _, v in vals]
     entry_ok = profile_ok = True
-    for tau, rho in zip(emb.automorphisms, emb.galois_image):
-        if rho == IDENTITY:  # both relations hold trivially
-            continue
+    for tau, rho in emb.generators:
         if any(tau(m[i][j]) != m[rho[i]][rho[j]] for i in range(4) for j in range(4)):
             entry_ok = False
         for v, k in zip(values, _CONJUGATION[rho]):

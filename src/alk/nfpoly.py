@@ -1,21 +1,21 @@
-"""Exact arithmetic in Q[x]/(m) for monic m, and Gaussian periods.
+"""Exact arithmetic in number fields on a fixed basis, and Gaussian periods.
 
 Used for quartic towers: traces of order bases, exact embedding matrices
-in the Galois closure of a quartic field (degree 4 or 8), and the
+in the Galois closure of a quartic field, which git4 holds on a Kummer
+basis (products of sqrt(d), u, v with u^2, v^2 in Q(sqrt d)), and the
 Gaussian-period construction of cyclic quartic fields inside Q(zeta_p)
 for primes p = 1 mod 4.  The periods are multiplied on their own normal
 basis, with a table of cyclotomic numbers built in O(p) steps; the one
-product needed is (eta_0 - eta_2)^2, the radicand delta of the tower
-(numfield.FieldTower derives the rest from it).
+product needed is (eta_0 - eta_2)^2, the radicand delta of the tower.
 
 A field element is a vector of integer numerators over one positive
 common denominator, kept in lowest terms (Cohen, GTM 138, ch. 4).  A
-field caches an integer table for reducing x^n ... x^(2n-2) mod m and one
-`Automorphism` per automorphism it applies: an integer matrix over one
-denominator, each row kept as its nonzero entries only (in the Galois
-closures of quartic fields, 4 to 13 of 16 entries are nonzero, and 8 to
-29 of 64 in degree 8).  A product or a conjugate is integer vector work
-followed by one gcd.
+field caches one integer table for either basis: the monomial each
+product of two basis elements is accumulated into, and the rows that
+reduce the monomials beyond the basis.  An `Automorphism` is an integer
+matrix over one denominator built from the images of the basis, each row
+kept as its nonzero entries only (a signed permutation on a dihedral
+closure).  A product or a conjugate is integer vector work and one gcd.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Sequence
+from typing import Optional
 
 from .intarith import factorize, is_prime
 from .ratlinalg import mat_det, mat_inv
@@ -44,23 +44,32 @@ def _over_common_den(vecs) -> tuple[list[list[int]], int]:
 
 @dataclass(frozen=True)
 class NumberField:
-    """Q[x]/(min_poly) with min_poly monic of degree n."""
+    """A number field of degree n with a fixed Q-basis e_0 = 1, ..., e_(n-1).
 
-    min_poly: tuple[Fraction, ...]
+    Either the power basis e_i = x^i of Q[x]/(min_poly), min_poly monic of
+    degree n, or, when min_poly is None, the Kummer basis of
+    Q(w_0, ..., w_(k-1)) with n = 2^k given by `squares`: w_0^2 = d is
+    rational, each w_b^2 = p + q w_0 is read from squares[b] = (p, q), and
+    e_i is the product of the w_b at the set bits b of i."""
+
+    min_poly: Optional[tuple[Fraction, ...]] = None
+    squares: tuple = ()
 
     @property
     def degree(self) -> int:
-        return len(self.min_poly) - 1
+        return len(self.min_poly) - 1 if self.min_poly is not None else 1 << len(self.squares)
 
     def elem(self, coeffs) -> "NFElem":
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
         c = [Fraction(x) for x in coeffs]
-        n, m = self.degree, self._monic
+        n = self.degree
+        if len(c) > n and self.min_poly is None:
+            raise ValueError(f"{len(c)} coordinates for a field of degree {n}")
         while len(c) > n:  # long division by the monic modulus
             top = c.pop()
             for i in range(n):
-                c[len(c) - n + i] -= top * m[i]
+                c[len(c) - n + i] -= top * self._monic[i]
         (num,), den = _over_common_den([c + [Fraction(0)] * (n - len(c))])
         return _canonical(self, num, den)
 
@@ -77,52 +86,70 @@ class NumberField:
         return [Fraction(c) / lead for c in self.min_poly]
 
     @cached_property
-    def _reduction(self) -> tuple[list[list[int]], int]:
-        """(rows, den) with x^(n+k) = sum_i rows[k][i] x^i / den mod m,
-        0 <= k <= n-2."""
-        n, m = self.degree, self._monic
-        rows, row = [], [-c for c in m[:n]]
-        for _ in range(n - 1):
-            rows.append(row)
-            row = [s - row[-1] * c for s, c in zip([Fraction(0)] + row[:-1], m)]
-        return _over_common_den(rows)
+    def _table(self) -> tuple[list, list, int]:
+        """(index, rows, den): e_i e_j is the monomial index[i][j].  Monomial
+        k < n is e_k; monomial n + k is sum_{(i, r) in rows[k]} r e_i / den.
+        On a power basis the monomials are x^(i+j) and rows[k] reduces
+        x^(n+k) mod m.  On a Kummer basis e_i e_j = e_(i^j) s with s the
+        product of the squares w_b^2 at the set bits of i&j, an element
+        p + q w_0 of Q(w_0), so the monomials are the pairs (i^j, i&j)."""
+        n = self.degree
+        if self.min_poly is not None:
+            index = [range(i, i + n) for i in range(n)]
+            # x^n = -sum_(i<n) p[i] x^i / D, so x^(n+k) is rows[k] / D^(k+1)
+            # with rows[k+1] = D x rows[k] - rows[k][n-1] p, then in lowest terms
+            (p,), _ = _over_common_den([self.min_poly])
+            D, p = (p[n], p[:n]) if p[n] > 0 else (-p[n], [-c for c in p[:n]])
+            rows, row = [], [-c for c in p]
+            for _ in range(n - 1):
+                rows.append(row)
+                row = [D * s - row[-1] * c for s, c in zip([0] + row[:-1], p)]
+            rows = [[x * D ** (n - 2 - k) for x in row] for k, row in enumerate(rows)]
+            g = gcd(D ** (n - 1), *(x for row in rows for x in row))
+            rows, den = [[x // g for x in row] for row in rows], D ** (n - 1) // g
+        else:
+            d = self.squares[0][0]
+            pairs = {}  # (i^j, i&j) -> monomial number
+            index = [[i ^ j if not i & j else pairs.setdefault((i ^ j, i & j), n + len(pairs))
+                      for j in range(n)] for i in range(n)]
+            rows = []
+            for t, bits in pairs:
+                p, q = Fraction(1), Fraction(0)
+                for b, (sp, sq) in enumerate(self.squares):
+                    if bits >> b & 1:
+                        p, q = p * sp + d * q * sq, p * sq + q * sp
+                row = [Fraction(0)] * n
+                row[t], row[t ^ 1] = p, q * d if t & 1 else q  # e_t w_0 = d^(t&1) e_(t^1)
+                rows.append(row)
+            rows, den = _over_common_den(rows)
+        return index, [[(i, r) for i, r in enumerate(row) if r] for row in rows], den
 
     @cached_property
     def _traces(self) -> list[int]:
-        """Numerators of Tr(x^i), 0 <= i < n, over the reduction denominator:
-        Tr(x^i) sums the x^j coefficients of x^(i+j)."""
-        n = self.degree
-        rows, den = self._reduction
-        return [n * den] + [sum(rows[i + j - n][j] for j in range(n - i, n))
-                            for i in range(1, n)]
-
-    @cached_property
-    def _automorphisms(self) -> dict:
-        return {}
-
-    def automorphism(self, conj_poly) -> "Automorphism":
-        """The automorphism sending the generator to conj_poly, built once
-        per field and polynomial."""
-        key = tuple(conj_poly)
-        tau = self._automorphisms.get(key)
-        if tau is None:
-            tau = self._automorphisms[key] = Automorphism(self, key)
-        return tau
+        """Numerators of Tr(e_i) over the table denominator: the trace of
+        multiplication by e_i sums the e_j coordinates of e_i e_j.  For
+        i > 0 no e_i e_j is the basis element e_j, so only the reduced
+        monomials contribute."""
+        index, rows, den = self._table
+        n, reduced = len(index), [dict(row) for row in rows]
+        return [n * den] + [sum(reduced[k - n].get(j, 0) for j, k in enumerate(idx) if k >= n)
+                            for idx in index[1:]]
 
     def _mul_ints(self, a, b) -> list[int]:
-        """Numerators of a*b mod m over the reduction denominator, for
-        integer vectors a and b."""
+        """Numerators of a*b over the table denominator, for integer
+        coordinate vectors a and b: the products are accumulated per
+        monomial, then the monomials beyond the basis are reduced."""
+        index, rows, den = self._table
         n = len(a)
-        prod = [0] * (2 * n - 1)
+        prod = [0] * (n + len(rows))
         for i, x in enumerate(a):
             if x:
-                for k, y in enumerate(b, i):  # k = i + j
-                    prod[k] += x * y
-        rows, den = self._reduction
+                for j, k in enumerate(index[i]):
+                    prod[k] += x * b[j]
         low = prod[:n] if den == 1 else [c * den for c in prod[:n]]
         for c, row in zip(prod[n:], rows):
             if c:
-                for i, r in enumerate(row):
+                for i, r in row:
                     low[i] += c * r
         return low
 
@@ -137,7 +164,7 @@ def _canonical(field: NumberField, num, den: int) -> "NFElem":
 
 
 def _same_field(x: "NFElem", y: "NFElem") -> None:
-    if x.field is not y.field and x.field.min_poly != y.field.min_poly:
+    if x.field is not y.field and x.field != y.field:
         raise ValueError("elements of different fields")
 
 
@@ -167,7 +194,7 @@ class NFElem:
         return Fraction(self.num[1], self.den)
 
     def __repr__(self):
-        return f"NFElem({self.num}/{self.den} mod {self.field.min_poly})"
+        return f"NFElem({self.num}/{self.den} in {self.field})"
 
     def _coerce(self, other) -> "NFElem":
         if isinstance(other, NFElem):
@@ -201,7 +228,7 @@ class NFElem:
         if isinstance(other, NFElem):
             _same_field(self, other)
             return _canonical(K, K._mul_ints(self.num, other.num),
-                              self.den * other.den * K._reduction[1])
+                              self.den * other.den * K._table[2])
         if not isinstance(other, (int, Fraction)):
             other = Fraction(other)
         p = other.numerator
@@ -210,7 +237,7 @@ class NFElem:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Solves self * y = 1 as a rational linear system in the power basis."""
+        """Solves self * y = 1 as a rational linear system in the field's basis."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
         # (m / s) y = e_0, so y is s times the first column of m^-1
@@ -240,71 +267,54 @@ class NFElem:
     def __eq__(self, other):
         if isinstance(other, NFElem):
             return self.num == other.num and self.den == other.den and (
-                self.field is other.field or self.field.min_poly == other.field.min_poly)
+                self.field is other.field or self.field == other.field)
         if isinstance(other, (int, Fraction)):
             return not any(self.num[1:]) and \
                 self.num[0] * other.denominator == other.numerator * self.den
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.min_poly, self.num, self.den))
+        return hash((self.field, self.num, self.den))
 
     def is_zero(self) -> bool:
         return not any(self.num)
 
     def _int_mult_matrix(self) -> tuple[list[list[int]], int]:
         """(m, s) with integer m and m / s the matrix of multiplication by
-        self on the power basis (columns): column j holds the numerators of
-        self * x^j."""
+        self on the field's basis (columns): column j holds the numerators
+        of self * e_j."""
         K, n = self.field, len(self.num)
         cols = [K._mul_ints(self.num, [int(i == j) for i in range(n)]) for j in range(n)]
-        return [list(row) for row in zip(*cols)], self.den * K._reduction[1]
+        return [list(row) for row in zip(*cols)], self.den * K._table[2]
 
     def mult_matrix(self) -> list[list[Fraction]]:
-        """Matrix of multiplication by self on the power basis (columns)."""
+        """Matrix of multiplication by self on the field's basis (columns)."""
         m, s = self._int_mult_matrix()
         return [[Fraction(x, s) for x in row] for row in m]
 
     def trace(self) -> Fraction:
         K = self.field
         return Fraction(sum(x * t for x, t in zip(self.num, K._traces)),
-                        self.den * K._reduction[1])
+                        self.den * K._table[2])
 
     def norm(self) -> Fraction:
         m, s = self._int_mult_matrix()
         return mat_det(m) / s ** len(m)
 
-    def apply_conj(self, conj_poly: Sequence[Fraction]) -> "NFElem":
-        """Image under the automorphism sending the generator to conj_poly."""
-        return self.field.automorphism(conj_poly)(self)
-
-    def embed(self, root: complex) -> complex:
-        out = 0j
-        for c in reversed(self.coeffs):
-            out = out * root + complex(float(c))
-        return out
-
 
 class Automorphism:
-    """x -> x(conj_poly) on a NumberField.  The images of 1, x, ...,
-    x^(n-1) are the columns of an integer matrix over one denominator; each
-    row is stored as its nonzero entries only, a tuple of column indices
-    and a tuple of coefficients, and a coordinate of the image is the dot
-    product of those coefficients with the numerators of x at those
-    columns.  A call hashes nothing."""
+    """The Q-linear map of a NumberField sending each basis element e_i to
+    images[i], an automorphism when the images are those of the basis
+    under one.  The images are the columns of an integer matrix over one
+    denominator; each row is stored as its nonzero entries only, a tuple of
+    column indices and a tuple of coefficients, and a coordinate of the
+    image is the dot product of those coefficients with the numerators of
+    x at those columns.  A call hashes nothing."""
 
     __slots__ = ("field", "_rows", "_den")
 
-    def __init__(self, field: NumberField, conj_poly):
-        c = field.elem(conj_poly)
-        # integer products, not NFElem.__mul__, so the element
-        # multiplications a caller performs do not depend on this table
-        powers = [field.one()]
-        for _ in range(field.degree - 1):
-            p = powers[-1]
-            powers.append(_canonical(field, field._mul_ints(p.num, c.num),
-                                     p.den * c.den * field._reduction[1]))
-        cols, self._den = _over_common_den([p.coeffs for p in powers])
+    def __init__(self, field: NumberField, images):
+        cols, self._den = _over_common_den([x.coeffs for x in images])
         self._rows = tuple(
             (tuple(j for j, r in enumerate(row) if r), tuple(r for r in row if r))
             for row in zip(*cols))

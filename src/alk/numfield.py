@@ -121,12 +121,9 @@ def _d(x: NFElem) -> int:
     return -x.field.min_poly[0].numerator
 
 
-_CONJ = (0, -1)  # sqrt(d) -> -sqrt(d)
-
-
 def conj(x: NFElem) -> NFElem:
-    """The Galois conjugate of a quadratic field element."""
-    return x.apply_conj(_CONJ)
+    """The Galois conjugate a - b*sqrt(d) of x = a + b*sqrt(d)."""
+    return NFElem(x.field, (x.num[0], -x.num[1]), x.den)
 
 
 def gen_ints(x: NFElem) -> tuple[int, int, int]:

@@ -127,3 +127,48 @@ def within_seconds(seconds: int, fn):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, old)
+
+
+def closure_mul(x, y, delta):
+    """Product in F(u, v), u^2 = delta and v^2 = conj(delta), of elements
+    given by their F-coordinates on (1, u, v, uv): the reference for the
+    structure constants of the Kummer closure."""
+    from alk.numfield import conj
+
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    bar = conj(delta)
+    return (x0 * y0 + x1 * y1 * delta + x2 * y2 * bar + x3 * y3 * delta.norm(),
+            x0 * y1 + x1 * y0 + (x2 * y3 + x3 * y2) * bar,
+            x0 * y2 + x2 * y0 + (x1 * y3 + x3 * y1) * delta,
+            x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1)
+
+
+def eta_closure(tower):
+    """(L, sqrt(d), u, v) for a dihedral tower K = F(u), u^2 = delta, with L
+    on the power basis of eta = u + 2v: the degree-8 construction that the
+    Kummer closure replaced, kept as its oracle.
+
+    L = F(u, v) with v^2 = conj(delta) is generated by eta, whose
+    conjugates +-u +- 2v and +-v +- 2u are distinct.  One exact elimination
+    over the basis sqrt(d)^i u^j v^k gives eta^8 and the coordinates of
+    sqrt(d), u and v in the power basis of eta."""
+    from alk.nfpoly import NumberField
+    from alk.ratlinalg import mat_inv, mat_vec, transpose
+
+    delta, F = tower.delta, tower.base
+    zero, one = F.elem(0), F.elem(1)
+    eta = (zero, one, F.elem(2), zero)
+    powers = [(one, zero, zero, zero)]
+    for _ in range(8):
+        powers.append(closure_mul(powers[-1], eta, delta))
+
+    def coords(x):
+        return [c for q in x for c in q.coeffs]
+
+    inv = mat_inv(transpose([coords(p) for p in powers[:8]]))
+    eta8, sqrt_d, u, v = (mat_vec(inv, coords(x)) for x in (
+        powers[8], (F.elem(0, 1), zero, zero, zero), (zero, one, zero, zero),
+        (zero, zero, one, zero)))
+    L = NumberField(tuple(-c for c in eta8) + (Fraction(1),))
+    return L, L.elem(sqrt_d), L.elem(u), L.elem(v)

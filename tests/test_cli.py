@@ -3,14 +3,18 @@ import os
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from alk import quartics
 from alk.cli import main
-from conftest import within_seconds
+from alk.intarith import sqrt_fraction
+from alk.nfpoly import NumberField
+from conftest import eta_closure, within_seconds
 
 
 def run_cli(capsys, argv):
@@ -122,20 +126,60 @@ def test_invariants_identity(capsys):
 
 def test_invariants_pins_non_rational_values(capsys):
     # a non-block matrix, so most Psi values lie outside Q and print as
-    # power-basis coordinates
+    # coordinates on the Kummer basis of the closure
     code, data = run_json(capsys, ["invariants", "--tower", '{"kind": "zeta5"}',
                                    "--matrix", "[[1,1,0,0],[0,1,2,0],[0,0,1,0],[1,0,0,1]]"])
     assert code == 0
     assert data == {
+        "basis": ["1", "sqrt(d)", "u", "sqrt(d)*u"],
+        "d": 5,
         "galois_type": "cyclic",
         "in_R": False,
-        "min_poly": [5, 0, 5, 0, 1],
+        "u^2": [-10, 2],
         "vanishing_on_special": False,
         "values": VALUES_ZETA5_NON_BLOCK,
     }
+    # each value rebuilt from d, u^2 and the basis is the value pinned before
+    old = NumberField(quartics.zeta5_tower().theta_min_poly)
+    for key, value in VALUES_ZETA5_NON_BLOCK.items():
+        want = VALUES_ZETA5_THETA_BASIS[key]
+        if isinstance(value, str):
+            assert value == want
+        else:
+            assert _to_old_basis(quartics.zeta5_tower(), data, value, old.gen) == \
+                old.elem([Fraction(x) for x in want])
 
 
 VALUES_ZETA5_NON_BLOCK = {
+    "0123": "3751/125",
+    "0132": ["-246/125", "2/25", 0, 0],
+    "0213": ["-5829/500", "-537/100", "-357/400", "-903/2000"],
+    "0231": ["707/250", 0, 0, "-101/500"],
+    "0312": ["-63/250", 0, 0, "9/500"],
+    "0321": ["-5829/500", "537/100", "-273/400", "441/2000"],
+    "1023": ["-246/125", "-2/25", 0, 0],
+    "1032": "16/125",
+    "1203": ["707/250", 0, "101/200", "101/1000"],
+    "1230": ["-96/125", "-9/25", 0, 0],
+    "1302": ["-96/125", "9/25", 0, 0],
+    "1320": ["-63/250", 0, "9/200", "9/1000"],
+    "2013": ["-63/250", 0, "-9/200", "-9/1000"],
+    "2031": ["-96/125", "9/25", 0, 0],
+    "2103": ["-5829/500", "537/100", "273/400", "-441/2000"],
+    "2130": ["-63/250", 0, 0, "-9/500"],
+    "2301": ["19341/2000", "-108/25", 0, 0],
+    "2310": "-81/2000",
+    "3012": ["-96/125", "-9/25", 0, 0],
+    "3021": ["707/250", 0, "-101/200", "-101/1000"],
+    "3102": ["707/250", 0, 0, "101/500"],
+    "3120": ["-5829/500", "-537/100", "357/400", "903/2000"],
+    "3201": "-10201/2000",
+    "3210": ["19341/2000", "108/25", 0, 0],
+}
+
+# the same values as printed before the closure was held in Kummer
+# coordinates: on the power basis of theta, a root of x^4 + 5x^2 + 5
+VALUES_ZETA5_THETA_BASIS = {
     "0123": "3751/125",
     "0132": ["-196/125", 0, "4/25", 0],
     "0213": ["-9627/250", "-63/10", "-537/50", "-903/500"],
@@ -163,21 +207,69 @@ VALUES_ZETA5_NON_BLOCK = {
 }
 
 
+def _to_old_basis(tower, data, value, theta):
+    """A printed value rebuilt from d, u^2 and the basis names in the field
+    of theta, the root of theta_min_poly (abelian towers) or eta = u + 2v
+    (dihedral ones) on whose power basis values were printed before:
+    sqrt(d) is read from sqrt_d_coords or eta_closure, and u = c sqrt(delta),
+    v = c sqrt(conj delta) with c^2 = u^2 / delta."""
+    L = theta.field
+    if len(data["basis"]) == 8:
+        _, sqrt_d, u, v = eta_closure(tower)
+    else:
+        sqrt_d = L.elem(tower.sqrt_d_coords)
+        u = theta - (sqrt_d * tower.alpha.b + tower.alpha.a)
+        v = None
+    u2 = [Fraction(x) for x in data["u^2"]]
+    assert data["d"] == tower.base.d and u2[1] * tower.delta.a == u2[0] * tower.delta.b
+    c = sqrt_fraction(u2[1] / tower.delta.b)
+    gens = {"sqrt(d)": sqrt_d, "u": c * u, "v": None if v is None else c * v}
+    total = L.elem(0)
+    for name, x in zip(data["basis"], value):
+        term = L.elem(Fraction(x))
+        for g in name.split("*"):
+            term = term * gens[g] if g != "1" else term
+        total = total + term
+    return total
+
+
 def test_invariants_pins_the_dihedral_closure(capsys):
     # a dihedral tower's values lie in its degree-8 Galois closure and
-    # print as coordinates in the power basis of a root of min_poly
+    # print as coordinates on the basis {1, sqrt d} x {1, u, v, uv}
     code, data = run_json(capsys, ["invariants", "--tower",
                                    '{"kind": "dihedral", "d": 2, "a": 1, "b": 1}',
                                    "--matrix", "[[1,1,0,0],[0,1,2,0],[0,0,1,0],[1,0,0,1]]"])
     assert code == 0
     assert data["galois_type"] == "dihedral"
-    assert data["min_poly"] == [1681, 0, -460, 0, 146, 0, -20, 0, 1]
+    assert (data["d"], data["u^2"]) == (2, [1, 1])
+    assert data["basis"] == ["1", "sqrt(d)", "u", "sqrt(d)*u", "v", "sqrt(d)*v", "u*v",
+                             "sqrt(d)*u*v"]
     assert not data["in_R"] and not data["vanishing_on_special"]
     values = data["values"]
     assert {k: v for k, v in values.items() if not isinstance(v, list)} == \
         {"0123": "7/4", "1032": "-1/64"}
     assert sum(isinstance(v, list) and len(v) == 8 for v in values.values()) == 22
-    assert values["0132"] == ["-167/1632", 0, "-37/1632", 0, "5/544", 0, "-1/1632", 0]
+    assert values["0132"] == ["-1/16", "-1/8", 0, 0, 0, 0, 0, 0]
+    # before, on the power basis of eta, a root of
+    # x^8 - 20x^6 + 146x^4 - 460x^2 + 1681
+    tower = quartics.dihedral_tower(2, 1, 1)
+    L = eta_closure(tower)[0]
+    assert L.min_poly == (1681, 0, -460, 0, 146, 0, -20, 0, 1)
+    assert _to_old_basis(tower, data, values["0132"], L.gen) == L.elem(
+        [Fraction(x) for x in ["-167/1632", 0, "-37/1632", 0, "5/544", 0, "-1/1632", 0]])
+
+
+def test_invariants_of_400_digit_dihedral_data_answer(capsys):
+    # failed after about 6 s while printing, with Python's 4,300-digit
+    # string-limit message
+    argv = ["invariants", "--tower", '{"kind": "dihedral", "d": 2, "a": "1e-400", "b": "1e400"}',
+            "--matrix", "[[1,1,0,0],[0,1,2,0],[0,0,1,0],[1,0,0,1]]"]
+    code, data = within_seconds(10, lambda: run_json(capsys, argv))
+    assert code == 0 and data["galois_type"] == "dihedral"
+    assert data["u^2"] == [10 ** 400, 10 ** 1200]
+    assert max(len(x) for v in data["values"].values() if isinstance(v, list)
+               for x in v if isinstance(x, str)) > 4300
+    assert sys.get_int_max_str_digits() == 4300  # restored after printing
 
 
 def test_entropy_and_window(capsys):
@@ -438,6 +530,14 @@ def test_missing_tower_field_is_named(capsys):
                         ('{"d": 2}', "a tower needs the field 'kind'")):
         code, err = run_cli_err(capsys, ["classify", "--tower", tower])
         assert code == 1 and err == f"error: {want}\n", err
+
+
+def test_unknown_tower_kind_is_named_by_its_json_value(capsys):
+    # a non-string kind printed as a Python repr, "Fraction(3, 2)"
+    for kind, want in (('1.5', '"3/2"'), ('"nope"', '"nope"'), ('[1, null]', '[1, null]'),
+                       ('true', 'true')):
+        code, err = run_cli_err(capsys, ["classify", "--tower", f'{{"kind": {kind}}}'])
+        assert code == 1 and err == f"error: unknown tower kind {want}\n", err
 
 
 def test_inputs_beyond_trial_division_are_an_error_line(capsys):

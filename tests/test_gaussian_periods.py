@@ -1,5 +1,5 @@
 """Gaussian-period data: pinned values, input checks, exact identities
-inside the quartic field NumberField(theta_min_poly), and the tower's
+inside the quartic field, held as its own Galois closure, and the tower's
 derived data against the normal-basis construction of eta_0."""
 
 from fractions import Fraction as Q
@@ -9,7 +9,7 @@ from conftest import gauss_jordan
 
 from alk.git4 import regular_embedding
 from alk.intarith import factorize
-from alk.nfpoly import NumberField, gaussian_period_quartic
+from alk.nfpoly import gaussian_period_quartic
 from alk.quartics import gaussian_period_tower
 
 PRIMES = tuple(p for p in range(5, 1000, 4) if factorize(p) == {p: 1})
@@ -39,17 +39,19 @@ def test_rejects_p_that_is_not_a_prime_one_mod_four(p):
 def test_period_data_satisfies_exact_field_identities(p):
     tower = gaussian_period_tower(p)
     assert tower.theta_min_poly[4] == 1
-    K = NumberField(tower.theta_min_poly)
-    # slot 2 of the root order alpha +- u, conj(alpha) +- v is eta_1 or eta_3
-    tau = regular_embedding(tower).automorphisms[2]
-    theta = K.gen
+    # K is its own Galois closure L, held in Kummer coordinates; tau, the
+    # automorphism of slot 2 of the root order alpha +- u, conj(alpha) +- v,
+    # sends eta_0 to eta_1 or eta_3
+    emb = regular_embedding(tower)
+    tau = emb.automorphisms[2]
+    theta = emb.g[1][0]
     images = [theta]
     for _ in range(4):
         images.append(tau(images[-1]))
     # tau has order 4: theta, tau theta, tau^2 theta are distinct, tau^4 = id
     assert images[1] != theta and images[2] != theta and images[4] == theta
-    sqrtp = K.elem(tower.sqrt_d_coords)
-    assert sqrtp * sqrtp == p
+    sqrtp = sum(c * theta ** i for i, c in enumerate(tower.sqrt_d_coords))
+    assert sqrtp * sqrtp == p and sqrtp == emb.closure.elem([0, 1])
     u, v = gaussian_period_quartic(p)["delta"]
     diff = theta - images[2]
     assert diff * diff == u + v * sqrtp

@@ -30,11 +30,11 @@ from alk.git4 import (
     tau_window,
 )
 from alk.intarith import is_square_fraction, squarefree_kernel
-from alk.nfpoly import NFElem
-from alk.numfield import make_quad_field, make_tower
+from alk.nfpoly import NFElem, NumberField
+from alk.numfield import conj, make_quad_field, make_tower, norm_square_class
 from alk.ratlinalg import mat_det, mat_mul
 from alk.toralsets import classify_galois_type
-from conftest import gauss_jordan, random_invertible, random_tower
+from conftest import eta_closure, gauss_jordan, random_invertible, random_tower
 
 CYCLIC = quartics.zeta5_tower()
 BIQUAD = quartics.biquadratic_tower(2, 3)
@@ -176,15 +176,41 @@ def test_psi_values_equal_the_per_monomial_oracle(towers):
                         assert x == y, s
 
 
-@pytest.mark.parametrize("tower, gtype", [(CYCLIC, "cyclic"), (BIQUAD, "biquadratic"),
-                                          (DIHEDRAL, "dihedral")],
+def _relations_on_every_automorphism(emb, gamma):
+    """(entry, profile) relations checked for every automorphism of the
+    closure, not only for generators: the oracle of
+    pattern_and_relation_check."""
+    m, vals = git4._psi_values(emb, gamma, ALL_PERMS)
+    values = [v for _, v in vals]
+    entry_ok = profile_ok = True
+    for tau, rho in zip(emb.automorphisms, emb.galois_image):
+        if any(tau(m[i][j]) != m[rho[i]][rho[j]] for i in range(4) for j in range(4)):
+            entry_ok = False
+        for v, k in zip(values, git4._CONJUGATION[rho]):
+            if (tau(v) if isinstance(v, NFElem) else v) != values[k]:
+                profile_ok = False
+    return entry_ok, profile_ok
+
+
+def _relations(emb, gamma, gtype):
+    res = pattern_and_relation_check(emb, gamma, gtype)
+    assert (res["entry_relation"], res["profile_relation"]) == \
+        _relations_on_every_automorphism(emb, gamma)
+    return res
+
+
+@pytest.mark.parametrize("tower, gtype, count", [(CYCLIC, "cyclic", 1),
+                                                 (BIQUAD, "biquadratic", 2),
+                                                 (DIHEDRAL, "dihedral", 2)],
                          ids=["cyclic", "biquadratic", "dihedral"])
-def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype):
+def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype, count):
     """One wrong entry of the conjugated matrix, or one wrong Psi value,
-    turns the matching relation False."""
+    turns the matching relation False, on the generators as on every
+    automorphism."""
     emb = regular_embedding(tower)
+    assert len(emb.generators) == count
     gamma = random_invertible(random.Random(11), 4)
-    assert pattern_and_relation_check(emb, gamma, gtype)["pass"]
+    assert _relations(emb, gamma, gtype)["pass"]
     conjugate, psi_values = git4.conjugated_matrix, git4._psi_values
 
     def wrong_entry(emb, gamma):
@@ -193,7 +219,7 @@ def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype):
         return m
 
     monkeypatch.setattr(git4, "conjugated_matrix", wrong_entry)
-    res = pattern_and_relation_check(emb, gamma, gtype)
+    res = _relations(emb, gamma, gtype)
     assert not res["entry_relation"] and not res["pass"]
     monkeypatch.setattr(git4, "conjugated_matrix", conjugate)
 
@@ -203,8 +229,72 @@ def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype):
         return m, [(s, v + 1 if s == (1, 0, 2, 3) else v) for s, v in vals]
 
     monkeypatch.setattr(git4, "_psi_values", wrong_value)
-    res = pattern_and_relation_check(emb, gamma, gtype)
+    res = _relations(emb, gamma, gtype)
     assert res["entry_relation"] and not res["profile_relation"] and not res["pass"]
+
+
+def _power_basis_closure(tower):
+    """(L, sqrt(d), u, v) of the closure on a power basis, as it was built
+    before Kummer coordinates: K itself on theta's power basis when K/Q is
+    abelian, with u = theta - alpha and v = u, r/u or r sqrt(d)/u
+    (r^2 = Nr(delta) or Nr(delta)/d), and eta_closure's degree-8 field when
+    K is dihedral."""
+    if classify_galois_type(tower) == "dihedral":
+        return eta_closure(tower)
+    K = NumberField(tower.theta_min_poly)
+    sqrt_d = K.elem(tower.sqrt_d_coords)
+    u = K.gen - (sqrt_d * tower.alpha.b + tower.alpha.a)
+    if tower.delta.b == 0:
+        return K, sqrt_d, u, u
+    kind, r = norm_square_class(tower.delta)
+    return K, sqrt_d, u, (r if kind == "biquadratic" else sqrt_d * r) / u
+
+
+def _power_basis_profile(tower, gamma):
+    """(g, Psi values) in the power-basis closure: g from the root formula,
+    g^-1 by Gauss-Jordan, and each Psi one monomial at a time."""
+    L, sqrt_d, u, v = _power_basis_closure(tower)
+    alpha, alpha_bar = (sqrt_d * x.b + x.a for x in (tower.alpha, conj(tower.alpha)))
+    roots = [alpha + u, alpha - u, alpha_bar + v, alpha_bar - v]
+    g = [[r ** i for r in roots] for i in range(4)]
+    m = mat_mul(mat_mul(gauss_jordan(g)[1], [[Fraction(x) for x in row] for row in gamma]), g)
+    det = mat_det(gamma)
+    values = []
+    for s in ALL_PERMS:
+        x = m[s[0]][0] * m[s[1]][1] * m[s[2]][2] * m[s[3]][3] * Fraction(perm_sign(s)) / det
+        values.append(Fraction(x.num[0], x.den) if not any(x.num[1:]) else x)
+    return (L, sqrt_d, u, v), g, values
+
+
+@pytest.mark.parametrize("towers", [
+    pytest.param([CYCLIC, quartics.gaussian_period_tower(13), BIQUAD, quartics.sqrt2plus_tower(),
+                  quartics.biquadratic_tower(-1, 5), DIHEDRAL, quartics.dihedral_tower(-1, 1, 2),
+                  quartics.dihedral_tower(2, 10 ** 12, 13), _seeded_dihedral_make_tower(23)],
+                 id="curated"),
+    pytest.param(_seeded_towers_per_type(30), id="seeded"),
+])
+def test_kummer_closure_equals_the_power_basis_closure(towers):
+    """The map sqrt(d) -> sqrt(d), u -> c u, v -> c v from the Kummer
+    closure to the power-basis closure (theta's, or eta's) carries g and
+    every non-rational Psi value to those computed there, and the rational
+    values are equal Fractions."""
+    rng = random.Random(47)
+    for tower in towers:
+        emb = regular_embedding(tower)
+        gamma = random_invertible(rng, 4)
+        (L, sqrt_d, u, v), g, values = _power_basis_profile(tower, gamma)
+        c = _scale(emb)
+        images = [L.one()]
+        for y in (sqrt_d, u * c, v * c)[:len(emb.closure.squares)]:
+            images += [x * y for x in images]
+
+        def to_power_basis(x):
+            return sum((img * a for a, img in zip(x.coeffs, images) if a), L.elem(0))
+
+        assert [[to_power_basis(x) for x in row] for row in emb.g] == g
+        for (s, x), y in zip(psi_invariants(emb, gamma).values, values):
+            assert type(x) is type(y), s
+            assert (x if isinstance(x, Fraction) else to_power_basis(x)) == y, s
 
 
 def test_g_inv_from_the_trace_form_is_the_inverse():
@@ -261,7 +351,8 @@ def test_invariants_sum_to_one():
 def test_dihedral_values_keep_only_genuine_rationals():
     gamma = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
     emb = regular_embedding(DIHEDRAL)
-    assert emb.closure.min_poly == (1681, 0, -460, 0, 146, 0, -20, 0, 1)
+    # sqrt(2), u = sqrt(1 + sqrt 2) and v = sqrt(1 - sqrt 2)
+    assert emb.closure == NumberField(squares=((2, 0), (1, 1), (1, -1)))
     profile = psi_invariants(emb, gamma)
     rational = {s: v for s, v in profile.values if isinstance(v, Fraction)}
     assert rational == {(0, 1, 2, 3): Fraction(7, 4), (1, 0, 3, 2): Fraction(-1, 64)}
@@ -270,43 +361,50 @@ def test_dihedral_values_keep_only_genuine_rationals():
     assert all(isinstance(v, NFElem) and any(v.num[1:]) for v in others)
 
 
-def _read_fixed(num, root, bits):
-    """num[0] + num[1] x + ... at a Gaussian fixed-point root (re, im)
-    scaled by 2^bits, in the same scaling."""
-    x = y = 0
-    for c in reversed(num):
-        x, y = ((x * root[0] - y * root[1]) >> bits) + (c << bits), \
-            (x * root[1] + y * root[0]) >> bits
-    return x, y
+def _read_fixed(num, gens, bits):
+    """sum_i num[i] e_i at Gaussian fixed-point values (re, im) of the
+    Kummer generators, scaled by 2^bits, in the same scaling; e_i is the
+    product of the generators at the set bits of i."""
+    monos = [(1 << bits, 0)]
+    for g in gens:
+        monos += [((x * g[0] - y * g[1]) >> bits, (x * g[1] + y * g[0]) >> bits)
+                  for x, y in monos]
+    return (sum(c * x for c, (x, _) in zip(num, monos)),
+            sum(c * y for c, (_, y) in zip(num, monos)))
 
 
 @pytest.mark.parametrize("bits", [53, 128])
 def test_float_route_keeps_only_genuine_rationals(bits):
-    """Read at all eight roots of the closure polynomial to `bits` bits, each
-    non-rational value of the dihedral profile has conjugates a float route
-    could not mistake for one rational, and they sum to its exact trace."""
+    """Read at all eight complex embeddings of (sqrt d, u, v) to `bits`
+    bits, each non-rational value of the dihedral profile has conjugates a
+    float route could not mistake for one rational, and they sum to its
+    exact trace."""
     gamma = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
     emb = regular_embedding(DIHEDRAL)
-    # delta = 1 + sqrt 2: u = sqrt(delta) is real, v = sqrt(conj delta) imaginary
+    # delta = 1 + sqrt 2: at sqrt(2) > 0, u = sqrt(delta) is real and
+    # v = sqrt(conj delta) imaginary; at sqrt(2) < 0 they trade places
     one = 1 << bits
     sqrt2 = math.isqrt(2 << 2 * bits)
-    u, v = (math.isqrt((one + sqrt2) << bits), 0), (0, math.isqrt((sqrt2 - one) << bits))
-    roots = [(e1 * p[0] + 2 * e2 * q[0], e1 * p[1] + 2 * e2 * q[1])
-             for p, q in ((u, v), (v, u)) for e1 in (1, -1) for e2 in (1, -1)]
+    re, im = (math.isqrt((one + sqrt2) << bits), 0), (0, math.isqrt((sqrt2 - one) << bits))
+    embeddings = [((e * sqrt2, 0), (s * p[0], s * p[1]), (t * q[0], t * q[1]))
+                  for e, p, q in ((1, re, im), (-1, im, re)) for s in (1, -1) for t in (1, -1)]
 
-    def tol(num):  # rounding and root errors in units of 2^-bits; |root| < 5
-        return 16 * (1 + sum(abs(c) * 5 ** i for i, c in enumerate(num)))
+    def tol(num):  # rounding and root errors in units of 2^-bits; |e_i| < 8
+        return 16 * (1 + sum(8 * abs(c) for c in num))
 
-    min_poly = [int(c) for c in emb.closure.min_poly]
-    for r in roots:
-        assert all(abs(t) < tol(min_poly) for t in _read_fixed(min_poly, r, bits))
+    for sd, u, v in embeddings:
+        # sqrt(d)^2 = 2, u^2 = 1 + sqrt(d) and v^2 = 1 - sqrt(d) at each
+        for x, want in ((sd, (2, 0)), (u, (1, 1)), (v, (1, -1))):
+            square = _read_fixed([0, 0, 0, 1], (x, x), bits)  # e_3 = x x
+            target = (want[0] * one + want[1] * sd[0], want[1] * sd[1])
+            assert all(abs(a - b) < tol([1, 1]) for a, b in zip(square, target))
     nonrational = 0
     for _, value in psi_invariants(emb, gamma).values:
         if isinstance(value, Fraction):
             continue
         nonrational += 1
         tol_v = tol(value.num)
-        readings = [_read_fixed(value.num, r, bits) for r in roots]
+        readings = [_read_fixed(value.num, gens, bits) for gens in embeddings]
         trace = value.trace() * value.den * one
         assert abs(sum(x for x, _ in readings) - trace) < 8 * tol_v
         assert abs(sum(y for _, y in readings)) < 8 * tol_v
@@ -323,9 +421,26 @@ def _roots_satisfy_the_minimal_polynomial(emb):
         assert acc == 0
 
 
+def _scale(emb):
+    """c with roots alpha +- u/c and conj(alpha) +- v/c for the Kummer
+    generators u and v of the closure."""
+    return 2 / (emb.g[1][0] - emb.g[1][1]).coeffs[2]
+
+
+def _at(value, gens):
+    """An element of a Kummer closure at complex values of its generators
+    (sqrt d, u[, v])."""
+    monos = [1]
+    for g in gens:
+        monos += [m * g for m in monos]
+    return sum(float(c) * m for c, m in zip(value.coeffs, monos))
+
+
 def _float_oracle_agrees(emb, a, b, d, gamma):
     """Psi values of a float embedding built from the roots +-sqrt(a +- b
-    sqrt(d)) alone, against the exact values read at eta = u + 2v."""
+    sqrt(d)) alone, against the exact values read at the complex embedding
+    sqrt(d), c sqrt(a + b sqrt d), c sqrt(a - b sqrt d) of the closure's
+    generators."""
     sd = cmath.sqrt(d)
     u, v = cmath.sqrt(a + b * sd), cmath.sqrt(a - b * sd)
     roots = (u, -u, v, -v)
@@ -333,10 +448,10 @@ def _float_oracle_agrees(emb, a, b, d, gamma):
     g_inv = gauss_jordan(g)[1]
     m = mat_mul(mat_mul(g_inv, [[complex(x) for x in row] for row in gamma]), g)
     det = float(mat_det(gamma))
-    eta = u + 2 * v
+    c = float(_scale(emb))
     for s, value in psi_invariants(emb, gamma).values:
         want = perm_sign(s) * math.prod(m[s[i]][i] for i in range(4)) / det
-        got = value.embed(eta) if isinstance(value, NFElem) else complex(value)
+        got = _at(value, (sd, c * u, c * v)) if isinstance(value, NFElem) else complex(value)
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want)), (s, got, want)
 
 
@@ -405,7 +520,7 @@ def test_relation_and_pattern_check_per_type():
     for tower, gtype in cases:
         emb = regular_embedding(tower)
         for _ in range(8):
-            res = pattern_and_relation_check(emb, random_invertible(rng, 4), gtype)
+            res = _relations(emb, random_invertible(rng, 4), gtype)
             assert res["pass"], (gtype, res)
 
 

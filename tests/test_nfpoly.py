@@ -1,8 +1,10 @@
-"""NFElem against plain Fraction polynomial arithmetic.
+"""NFElem against plain Fraction arithmetic.
 
-The reference multiplies schoolbook and reduces by long division over
-Fraction coefficient lists, composes by Horner's rule, and takes traces
-and norms of the multiplication matrix it builds itself.
+On a power basis the reference multiplies schoolbook and reduces by long
+division over Fraction coefficient lists, and composes by Horner's rule.
+On a Kummer basis it multiplies F-coordinates on (1, u, v, uv) by
+conftest.closure_mul.  Traces and norms are taken of the multiplication
+matrix the reference builds itself.
 """
 
 import random
@@ -11,10 +13,10 @@ from fractions import Fraction
 import pytest
 
 from alk import quartics
-from alk.git4 import _dihedral_closure, regular_embedding
-from alk.nfpoly import NFElem, NumberField
+from alk.git4 import regular_embedding
+from alk.nfpoly import Automorphism, NFElem, NumberField
 from alk.numfield import make_quad_field, make_tower
-from conftest import gauss_jordan
+from conftest import closure_mul, eta_closure, gauss_jordan
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +50,31 @@ def ref_compose(a, c, m):
     return ref_mod(out, m)
 
 
-def ref_mult_matrix(a, m):
-    n = len(m) - 1
-    cols = [ref_mul(a, [Fraction(int(i == j)) for i in range(n)], m) for j in range(n)]
+def ref_kummer_mul(a, b, squares):
+    """a * b on the Kummer basis sqrt(d)^s u^j v^k (index s + 2j + 4k) of
+    F(u[, v]), u^2 = p + q sqrt(d) for squares = ((d, 0), (p, q), ...),
+    through F-coordinates on (1, u, v, uv)."""
+    F, n = make_quad_field(int(squares[0][0])), len(a)
+    delta = F.elem(*squares[1])
+
+    def f_coords(x):
+        x = list(x) + [Fraction(0)] * (8 - n)
+        return [F.elem(x[2 * k], x[2 * k + 1]) for k in range(4)]
+
+    prod = closure_mul(f_coords(a), f_coords(b), delta)
+    return [c for q in prod for c in q.coeffs][:n]
+
+
+def ref_product(K):
+    """The reference product on K's basis, as a function of two coordinate
+    lists."""
+    if K.min_poly is not None:
+        return lambda a, b: ref_mul(a, b, K.min_poly)
+    return lambda a, b: ref_kummer_mul(a, b, K.squares)
+
+
+def ref_mult_matrix(a, mul, n):
+    cols = [mul(a, [Fraction(int(i == j)) for i in range(n)]) for j in range(n)]
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
@@ -61,7 +85,9 @@ def ref_det(a):
 
 
 # ---------------------------------------------------------------------------
-# fields: (min_poly, conjugation polynomials or None)
+# fields: theta's power basis of each tower, the Kummer closure of each
+# tower, a Kummer field whose squares are not integral, and the dihedral
+# closure on the power basis of eta = u + 2v, as it was built before
 
 
 def _fields():
@@ -74,35 +100,37 @@ def _fields():
         "dihedral211": quartics.dihedral_tower(2, 1, 1),
         "nonintegral": rational,
     }
-    # the automorphisms of the Galois towers send theta to its conjugates,
-    # which git4 builds in K itself
     out = {}
     for name, t in towers.items():
-        emb = regular_embedding(t)
-        roots = tuple(r.coeffs for r in emb.g[1]) if emb.closure.degree == 4 else None
-        out[name] = (tuple(t.theta_min_poly), roots)
-    # the degree-8 closure of the dihedral tower, generated by eta = u + 2v,
-    # with the eight images +-u +- 2v, +-v +- 2u of eta under D4
-    L, _, u, v = _dihedral_closure(towers["dihedral211"])
-    images = tuple((s * x + 2 * t * y).coeffs for x, y in ((u, v), (v, u))
-                   for s in (1, -1) for t in (1, -1))
-    out["dihedral211_closure"] = (L.min_poly, images)
+        out[name] = NumberField(t.theta_min_poly)
+        out[name + "_kummer"] = regular_embedding(t).closure
+    out["dihedral211_closure"] = eta_closure(towers["dihedral211"])[0]
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    out["fractional_kummer"] = NumberField(squares=((3, 0), (half, third), (half, -third)))
     return out
 
 
 FIELDS = _fields()
+EMBEDDINGS = {name: regular_embedding(t) for name, t in (
+    ("zeta5", quartics.zeta5_tower()), ("gaussian13", quartics.gaussian_period_tower(13)),
+    ("biquadratic23", quartics.biquadratic_tower(2, 3)),
+    ("dihedral211", quartics.dihedral_tower(2, 1, 1)))}
 
 
 def test_nonintegral_field_is_covered():
-    m, _ = FIELDS["nonintegral"]
-    assert any(c.denominator != 1 for c in m)
+    assert any(c.denominator != 1 for c in FIELDS["nonintegral"].min_poly)
+    assert FIELDS["fractional_kummer"]._table[2] != 1
+    # scaling u makes the structure constants of every closure integral
+    assert all(FIELDS[name + "_kummer"]._table[2] == 1 for name in
+               ("zeta5", "gaussian13", "biquadratic23", "dihedral211", "nonintegral"))
 
 
 def test_galois_fields_carry_their_automorphisms():
-    assert all(FIELDS[name][1] for name in ("zeta5", "gaussian13", "biquadratic23"))
-    m, images = FIELDS["dihedral211_closure"]
-    assert len(m) == 9 and len(set(images)) == 8
-    assert FIELDS["dihedral211"][1] is None and FIELDS["nonintegral"][1] is None
+    assert FIELDS["dihedral211_closure"].degree == FIELDS["dihedral211_kummer"].degree == 8
+    assert FIELDS["zeta5_kummer"].degree == 4 and FIELDS["zeta5_kummer"].min_poly is None
+    for name, emb in EMBEDDINGS.items():
+        count = 8 if name == "dihedral211" else 4
+        assert len(emb.automorphisms) == len(set(emb.galois_image)) == count
 
 
 def _rand_coeffs(rng, n, span=9):
@@ -118,53 +146,59 @@ def _is_canonical(x: NFElem) -> bool:
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_ring_operations_match_reference(name):
-    m, _ = FIELDS[name]
-    K, n = NumberField(m), len(m) - 1
+    K = FIELDS[name]
+    n, mul = K.degree, ref_product(K)
     rng = random.Random(7001)
     for _ in range(25):
         a, b = _rand_coeffs(rng, n), _rand_coeffs(rng, n)
         x, y = K.elem(a), K.elem(b)
         q = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
         k = rng.randint(-5, 5)
+        one = [Fraction(1)] + [Fraction(0)] * (n - 1)
         cases = {
             "add": (x + y, [s + t for s, t in zip(a, b)]),
             "sub": (x - y, [s - t for s, t in zip(a, b)]),
             "neg": (-x, [-s for s in a]),
-            "mul": (x * y, ref_mul(a, b, m)),
+            "mul": (x * y, mul(a, b)),
             "mul_int": (x * k, [s * k for s in a]),
             "rmul_int": (k * x, [s * k for s in a]),
             "mul_frac": (x * q, [s * q for s in a]),
             "rmul_frac": (q * x, [s * q for s in a]),
             "add_int": (x + k, [a[0] + k] + a[1:]),
             "rsub_frac": (q - x, [q - a[0]] + [-s for s in a[1:]]),
-            "pow3": (x ** 3, ref_mul(ref_mul(a, a, m), a, m)),
-            "pow0": (x ** 0, ref_mod([Fraction(1)], m)),
+            "pow3": (x ** 3, mul(mul(a, a), a)),
+            "pow0": (x ** 0, one),
         }
         for op, (got, want) in cases.items():
             assert isinstance(got, NFElem) and _is_canonical(got), op
             assert list(got.coeffs) == want, op
-        assert x.trace() == sum(ref_mult_matrix(a, m)[i][i] for i in range(n))
-        assert x.norm() == ref_det(ref_mult_matrix(a, m))
-        assert x.mult_matrix() == ref_mult_matrix(a, m)
+        matrix = ref_mult_matrix(a, mul, n)
+        assert x.trace() == sum(matrix[i][i] for i in range(n))
+        assert x.norm() == ref_det(matrix)
+        assert x.mult_matrix() == matrix
         long_input = _rand_coeffs(rng, 3 * n)
-        assert list(K.elem(long_input).coeffs) == ref_mod(long_input, m)
+        if K.min_poly is not None:
+            assert list(K.elem(long_input).coeffs) == ref_mod(long_input, K.min_poly)
+        else:
+            with pytest.raises(ValueError, match="coordinates for a field of degree"):
+                K.elem(long_input)
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_division_and_inverse_match_reference(name):
-    m, _ = FIELDS[name]
-    K, n = NumberField(m), len(m) - 1
+    K = FIELDS[name]
+    n, mul = K.degree, ref_product(K)
     rng = random.Random(7002)
-    one = ref_mod([Fraction(1)], m)
+    one = [Fraction(1)] + [Fraction(0)] * (n - 1)
     for _ in range(15):
         a, b = _rand_coeffs(rng, n), _rand_coeffs(rng, n)
         if not any(b):
             continue
         x, y = K.elem(a), K.elem(b)
         inv = y.inverse()
-        assert ref_mul(list(inv.coeffs), b, m) == one
-        assert ref_mul(list((x / y).coeffs), b, m) == ref_mod(a, m)
-        assert ref_mul(list((3 / y).coeffs), b, m) == ref_mod([Fraction(3)], m)
+        assert mul(list(inv.coeffs), b) == one
+        assert mul(list((x / y).coeffs), b) == a
+        assert mul(list((3 / y).coeffs), b) == [3 * c for c in one]
         assert list((y ** -2).coeffs) == list((inv * inv).coeffs)
         k = rng.choice([-4, -1, 2, 7])
         q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
@@ -176,30 +210,69 @@ def test_division_and_inverse_match_reference(name):
         K.one() / 0
 
 
-@pytest.mark.parametrize("name", sorted(FIELDS))
-def test_apply_conj_matches_composition(name):
-    m, conj_polys = FIELDS[name]
-    K, n = NumberField(m), len(m) - 1
+@pytest.mark.parametrize("name", sorted(n for n in FIELDS if FIELDS[n].min_poly is not None))
+def test_automorphism_from_power_basis_images_is_composition(name):
+    """Sending x^i to c^i is x -> a(c(x)) mod m for any c; on the Galois
+    fields some c are automorphisms."""
+    K = FIELDS[name]
+    n, m = K.degree, K.min_poly
     rng = random.Random(7003)
-    # automorphisms where the tower has them, arbitrary polynomials otherwise:
-    # x -> a(c(x)) mod m is well defined for any c
-    polys = list(conj_polys or []) + [tuple(_rand_coeffs(rng, n, 3)) for _ in range(2)]
-    for c in polys:
+    for _ in range(3):
+        c = _rand_coeffs(rng, n, 3)
+        tau = Automorphism(K, [K.elem(c) ** i for i in range(n)])
         for _ in range(10):
             a = _rand_coeffs(rng, n)
-            got = K.elem(a).apply_conj(c)
+            got = tau(K.elem(a))
             assert _is_canonical(got)
-            assert list(got.coeffs) == ref_compose(a, list(c), m)
-    if conj_polys:
-        # automorphisms are ring maps
-        for c in conj_polys:
-            x, y = K.elem(_rand_coeffs(rng, n)), K.elem(_rand_coeffs(rng, n))
-            assert (x * y).apply_conj(c) == x.apply_conj(c) * y.apply_conj(c)
+            assert list(got.coeffs) == ref_compose(a, c, m)
+
+
+def conj_in(L, x):
+    """conj(x) for x = a + b sqrt(d) in the Kummer field L."""
+    assert not any(x.num[2:])
+    return L.elem([x.coeffs[0], -x.coeffs[1]])
+
+
+@pytest.mark.parametrize("name", sorted(EMBEDDINGS))
+def test_closure_automorphisms_are_ring_maps_from_generator_images(name):
+    """Each automorphism of a Kummer closure sends sqrt(d), u and v to
+    +-sqrt(d) and +-u, +-v (or +-v, +-u with sqrt(d) negated, where v is
+    a basis element or, in an abelian closure, an F-multiple of u), sends
+    each basis element to the product of its generators' images, and is a
+    ring map; on the dihedral closure it is a signed permutation."""
+    emb = EMBEDDINGS[name]
+    L = emb.closure
+    n = L.degree
+    gens = [L.elem([int(i == 1 << b) for i in range(n)]) for b in range(len(L.squares))]
+    sqrt_d, u = gens[0], gens[1]
+    # the roots are alpha +- u/c and conj(alpha) +- v/c
+    r = emb.g[1]
+    v = (r[2] - r[3]) / (r[0] - r[1]).coeffs[2]
+    assert (r[0] - r[1]) / (r[0] - r[1]).coeffs[2] == u and v * v == conj_in(L, u * u)
+    if n == 8:
+        assert v == gens[2]
+    rng = random.Random(7004)
+    for tau in emb.automorphisms:
+        e = 1 if tau(sqrt_d) == sqrt_d else -1
+        assert tau(sqrt_d) == e * sqrt_d
+        x, y = (u, v) if e == 1 else (v, u)
+        assert tau(u) in (x, -x) and tau(v) in (y, -y)
+        for i in range(n):
+            want = L.one()
+            for b, g in enumerate(gens):
+                if i >> b & 1:
+                    want = want * tau(g)
+            assert tau(L.elem([int(j == i) for j in range(n)])) == want
+        for _ in range(5):
+            x, y = L.elem(_rand_coeffs(rng, n)), L.elem(_rand_coeffs(rng, n))
+            assert tau(x * y) == tau(x) * tau(y) and tau(x + y) == tau(x) + tau(y)
+        if n == 8:
+            assert tau._den == 1 and all(len(cols) == 1 and coeffs[0] in (1, -1)
+                                         for cols, coeffs in tau._rows)
 
 
 def test_canonical_form_equality_and_hash():
-    m, _ = FIELDS["nonintegral"]
-    K = NumberField(m)
+    K = FIELDS["nonintegral"]
     half = K.elem([Fraction(1, 2)])
     pairs = [
         (K.elem([Fraction(2, 4)]), half),
@@ -220,14 +293,18 @@ def test_canonical_form_equality_and_hash():
     assert K.elem([0]).den == 1
     assert K.gen != Fraction(0) and K.gen != K.one()
     # the same value in a different field is a different element
-    other = NumberField(FIELDS["zeta5"][0])
+    other = FIELDS["zeta5"]
     assert other.elem([1, 2]) != K.elem([1, 2])
+    # and so is the same coordinate vector on a Kummer basis
+    kummer = FIELDS["zeta5_kummer"]
+    assert kummer.elem([1, 2]) != other.elem([1, 2]) and kummer.elem(3) != other.elem(3)
+    assert kummer.elem([1, 2]) == NumberField(squares=kummer.squares).elem([1, 2])
 
 
 def test_elements_of_different_fields_do_not_mix():
     sqrt2 = NumberField((-2, 0, 1)).gen
     sqrt3 = NumberField((-3, 0, 1)).gen
-    theta = NumberField(FIELDS["zeta5"][0]).gen
+    theta = FIELDS["zeta5"].gen
     for x, y in ((sqrt2, sqrt3), (sqrt2, theta), (theta, sqrt2)):
         for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
             with pytest.raises(ValueError, match="different fields"):

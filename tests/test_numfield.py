@@ -408,6 +408,10 @@ def test_quadratic_elements_match_rational_pairs(d, xs, e):
     assert _coords(-x) == (-rx[0], -rx[1])
     assert _coords(x * y) == _ref_mul(rx, ry, d)
     assert _coords(conj(x)) == (rx[0], -rx[1])
+    # conj flips the sign of the sqrt(d) numerator: an equal element of F,
+    # and a ring map
+    assert conj(x) == F.elem(rx[0], -rx[1]) and conj(x).field is x.field
+    assert conj(x * y) == conj(x) * conj(y) and conj(conj(x)) == x
     assert x.norm() == _ref_norm(rx, d) and type(x.norm()) is Fraction
     assert x.trace() == 2 * rx[0] and type(x.trace()) is Fraction
     # x = u + v*omega, with omega = (1 + sqrt d)/2 when d = 1 mod 4
