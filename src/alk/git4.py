@@ -13,7 +13,7 @@ F, so one root formula gives its four conjugates: alpha +- sqrt(delta)
 and conj(alpha) +- sqrt(conj delta).  g is exact in the Galois closure L
 of K, held in Kummer coordinates over F = Q(sqrt d) (Cohen, GTM 193,
 ch. 2 and 5): L = F(u) = K on the basis {1, sqrt d} x {1, u} when K/Q is
-abelian, and L = F(u, v) of degree 8 on {1, sqrt d} x {1, u, v, uv} when
+abelian, and L = K(v) of degree 8 on {1, sqrt d} x {1, u, v, uv} when
 K is dihedral, with u and v integer multiples of sqrt(delta) and
 sqrt(conj delta).  An automorphism of L is given by the images of
 sqrt(d), u and v, so on the dihedral closure it permutes the basis up to
@@ -130,24 +130,28 @@ def galois_structures(galois_type: str) -> GaloisStructure:
 @dataclass(frozen=True)
 class EmbeddingData:
     tower: FieldTower
-    nf: NumberField  # K, whose regular representation gamma comes from
-    closure: NumberField  # the Galois closure L of K, on a Kummer basis; g lives in L
+    closure: NumberField  # the Galois closure L of K, K itself or K(v); g lives in L
     g: tuple  # 4x4 rows of NFElem in L
     g_inv: tuple
     automorphisms: tuple  # Gal(L/Q) as nfpoly.Automorphism maps of L
     galois_image: tuple  # per automorphism tau, rho with tau(g[i][j]) = g[i][rho(j)]
 
     def regular_matrix(self, coeffs) -> list[list[Fraction]]:
-        """Regular representation of the element with the given power-basis
-        coordinates (acting on row vectors)."""
-        return transpose(self.nf.elem(coeffs).mult_matrix())
+        """Regular representation of the element x with the given power-basis
+        coordinates (acting on row vectors): row i is [x theta^i] P^-1."""
+        powers = self.tower.theta_powers
+        if len(coeffs) > 4:
+            raise ValueError(f"{len(coeffs)} coordinates for a quartic field")
+        x = sum(map(mul, map(Fraction, coeffs), powers))
+        return mat_mul([(x * t).coeffs for t in powers], self.tower.theta_basis_inverse)
 
     @cached_property
     def sqrt_d_matrix(self) -> tuple:
         """sqrt(d)'s regular representation times its common denominator, as
         tuple rows of ints, built once per embedding (commuting ignores scalars)."""
-        m, _ = self.nf.elem(self.tower.sqrt_d_coords)._int_mult_matrix()
-        return tuple(zip(*m))
+        m = self.regular_matrix(self.tower.sqrt_d_coords)
+        den = math.lcm(*(x.denominator for row in m for x in row))
+        return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m)
 
     @cached_property
     def generators(self) -> tuple:
@@ -208,19 +212,18 @@ def regular_embedding(tower: FieldTower) -> EmbeddingData:
     """g[i][j] = sigma_j(theta)^i in the Galois closure L of K, with the one
     root formula theta = alpha + sqrt(delta) -> alpha +- sqrt(delta),
     conj(alpha) +- sqrt(conj delta), so sqrt(d) is positive at the first
-    two roots.  On L's Kummer basis, u = c sqrt(delta) and
-    v = c sqrt(conj delta) with c the denominator of delta, so that every
-    structure constant is an integer; v = (v/u) u when K/Q is abelian.  The
+    two roots.  L is the tower's K = F(u), u = c sqrt(delta), when K/Q is
+    abelian, with v = (v/u) u, and K(v), v = c sqrt(conj delta), when K is
+    dihedral; every structure constant is an integer.  The
     roots alpha +- u/c and conj(alpha) +- v/c are read off, and every
     automorphism sends sqrt(d) to +-sqrt(d) and u, v to +-u, +-v, or to
     +-v, +-u when it negates sqrt(d).  Inconsistent tower data raise
     ArithmeticError."""
     if tower.degree != 4:
         raise ValueError("quartic tower required")
-    ratio, c = _conj_delta_ratio(tower), tower.delta.den
-    u2 = tower.delta * (c * c)
-    conj_square = () if ratio is not None else ((u2.a, -u2.b),)
-    L = NumberField(squares=((Fraction(tower.base.d), Fraction(0)), (u2.a, u2.b)) + conj_square)
+    ratio, c, K = _conj_delta_ratio(tower), tower.u_scale, tower.nf
+    p, q = K.squares[1]
+    L = K if ratio is not None else NumberField(K.squares + ((p, -q),))
     sqrt_d, u = L.elem([0, 1]), L.elem([0, 0, 1])
     if ratio is None:
         v, signs = L.elem([0, 0, 0, 0, 1]), (1, -1)
@@ -237,11 +240,11 @@ def regular_embedding(tower: FieldTower) -> EmbeddingData:
     if any(tau(sqrt_d) != (sqrt_d if rho[0] < 2 else -sqrt_d)
            for tau, rho in zip(taus, image)):
         raise ArithmeticError("embedding order not compatible with F")
-    # g^-1 = g^T T^-1 with T = g g^T = (Tr theta^(i+k)), rational
-    nf = NumberField(tower.theta_min_poly)
-    traces = [x.trace() for x in itertools.accumulate([nf.gen] * 6, mul, initial=nf.one())]
+    # g^-1 = g^T T^-1 with T = g g^T = (Tr theta^(i+k)), rational, from K
+    powers = tower.theta_powers
+    traces = [x.trace() for x in powers + tuple(powers[3] * x for x in powers[1:])]
     g_inv = mat_mul(transpose(g), mat_inv([traces[i:i + 4] for i in range(4)]))
-    return EmbeddingData(tower, nf, L, tuple(map(tuple, g)), tuple(map(tuple, g_inv)),
+    return EmbeddingData(tower, L, tuple(map(tuple, g)), tuple(map(tuple, g_inv)),
                          taus, image)
 
 
@@ -454,10 +457,20 @@ def entropy_quantities(t, p: Optional[int] = None) -> EntropyData:
         eta_sigma[s] = sum(abs(logs[s[i]] - logs[i]) for i in range(4) if s[i] != i)
     eta = {name: min(eta_sigma[s] for s in gs.special)
            for name, gs in _STRUCTURES.items()}
-    h_haar = sum(abs(logs[i] - logs[j]) for i in range(4) for j in range(i + 1, 4))
-    h_int = abs(logs[0] - logs[1]) + abs(logs[2] - logs[3])
-    return EntropyData(logs, eta_sigma, eta, h_haar, h_int,
-                       h_int < h_haar / 3.0)
+    h_haar, h_int = _haar_and_int(logs)
+    if p is None:
+        in_a_prime = h_int < h_haar / 3.0
+    else:
+        # the logs are -v log p, so the strict test is exact on the valuations v
+        v_haar, v_int = _haar_and_int([valuation(Fraction(x), p) for x in t])
+        in_a_prime = 3 * v_int < v_haar
+    return EntropyData(logs, eta_sigma, eta, h_haar, h_int, in_a_prime)
+
+
+def _haar_and_int(x) -> tuple:
+    """(sum_(i<j) |x_i - x_j|, |x_1 - x_2| + |x_3 - x_4|)."""
+    return (sum(abs(x[i] - x[j]) for i in range(4) for j in range(i + 1, 4)),
+            abs(x[0] - x[1]) + abs(x[2] - x[3]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,21 @@
-"""Exact arithmetic in number fields on a fixed basis, and Gaussian periods.
+"""Exact arithmetic in number fields on a Kummer basis, and Gaussian periods.
 
-Used for quartic towers: traces of order bases, exact embedding matrices
-in the Galois closure of a quartic field, which git4 holds on a Kummer
-basis (products of sqrt(d), u, v with u^2, v^2 in Q(sqrt d)), and the
-Gaussian-period construction of cyclic quartic fields inside Q(zeta_p)
-for primes p = 1 mod 4.  The periods are multiplied on their own normal
-basis, with a table of cyclotomic numbers built in O(p) steps; the one
-product needed is (eta_0 - eta_2)^2, the radicand delta of the tower.
+Every field is a tower of quadratic extensions on the products of its
+generators sqrt(d), u, v, whose squares lie in Q(sqrt d) (Cohen, GTM 193,
+ch. 2), so Q(sqrt d) c K = F(u) c L = K(v) embed by zero-padding
+coordinates.  Cyclic quartic fields inside Q(zeta_p), p = 1 mod 4, are
+built from Gaussian periods multiplied on their own normal basis through
+a table of cyclotomic numbers built in O(p) steps; the one product
+needed is (eta_0 - eta_2)^2, the radicand delta of the tower.
 
 A field element is a vector of integer numerators over one positive
 common denominator, kept in lowest terms (Cohen, GTM 138, ch. 4).  A
-field caches one integer table for either basis: the monomial each
-product of two basis elements is accumulated into, and the rows that
-reduce the monomials beyond the basis.  An `Automorphism` is an integer
-matrix over one denominator built from the images of the basis, each row
-kept as its nonzero entries only (a signed permutation on a dihedral
-closure).  A product or a conjugate is integer vector work and one gcd.
+field caches one integer table: the monomial each product of two basis
+elements is accumulated into, and the rows that reduce the monomials
+beyond the basis.  Norm and inverse multiply by the conjugate that
+negates the last generator, and repeat in the field below.  An
+`Automorphism` is an integer matrix over one denominator built from the
+images of the basis, each row kept as its nonzero entries only.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Optional
 
 from .intarith import factorize, is_prime
-from .ratlinalg import mat_det, mat_inv
 
 
 def _over_common_den(vecs) -> tuple[list[list[int]], int]:
@@ -44,96 +42,58 @@ def _over_common_den(vecs) -> tuple[list[list[int]], int]:
 
 @dataclass(frozen=True)
 class NumberField:
-    """A number field of degree n with a fixed Q-basis e_0 = 1, ..., e_(n-1).
+    """The number field Q(w_0, ..., w_(k-1)) of degree n = 2^k on its
+    Kummer basis: w_0^2 = d is rational, each w_b^2 = p + q w_0 is read
+    from squares[b] = (p, q), and basis element e_i is the product of the
+    w_b at the set bits b of i.  The first half of the basis is that of
+    the field without w_(k-1)."""
 
-    Either the power basis e_i = x^i of Q[x]/(min_poly), min_poly monic of
-    degree n, or, when min_poly is None, the Kummer basis of
-    Q(w_0, ..., w_(k-1)) with n = 2^k given by `squares`: w_0^2 = d is
-    rational, each w_b^2 = p + q w_0 is read from squares[b] = (p, q), and
-    e_i is the product of the w_b at the set bits b of i."""
-
-    min_poly: Optional[tuple[Fraction, ...]] = None
-    squares: tuple = ()
+    squares: tuple
 
     @property
     def degree(self) -> int:
-        return len(self.min_poly) - 1 if self.min_poly is not None else 1 << len(self.squares)
+        return 1 << len(self.squares)
 
     def elem(self, coeffs) -> "NFElem":
+        """The element with the given coordinates, zero-padded to the degree."""
         if isinstance(coeffs, (int, Fraction)):
             coeffs = [coeffs]
         c = [Fraction(x) for x in coeffs]
         n = self.degree
-        if len(c) > n and self.min_poly is None:
+        if len(c) > n:
             raise ValueError(f"{len(c)} coordinates for a field of degree {n}")
-        while len(c) > n:  # long division by the monic modulus
-            top = c.pop()
-            for i in range(n):
-                c[len(c) - n + i] -= top * self._monic[i]
         (num,), den = _over_common_den([c + [Fraction(0)] * (n - len(c))])
         return _canonical(self, num, den)
-
-    @property
-    def gen(self) -> "NFElem":
-        return self.elem([0, 1])
 
     def one(self) -> "NFElem":
         return self.elem(1)
 
     @cached_property
-    def _monic(self) -> list[Fraction]:
-        lead = Fraction(self.min_poly[-1])
-        return [Fraction(c) / lead for c in self.min_poly]
+    def _subfield(self) -> "NumberField":
+        return NumberField(self.squares[:-1])
 
     @cached_property
     def _table(self) -> tuple[list, list, int]:
         """(index, rows, den): e_i e_j is the monomial index[i][j].  Monomial
         k < n is e_k; monomial n + k is sum_{(i, r) in rows[k]} r e_i / den.
-        On a power basis the monomials are x^(i+j) and rows[k] reduces
-        x^(n+k) mod m.  On a Kummer basis e_i e_j = e_(i^j) s with s the
-        product of the squares w_b^2 at the set bits of i&j, an element
-        p + q w_0 of Q(w_0), so the monomials are the pairs (i^j, i&j)."""
-        n = self.degree
-        if self.min_poly is not None:
-            index = [range(i, i + n) for i in range(n)]
-            # x^n = -sum_(i<n) p[i] x^i / D, so x^(n+k) is rows[k] / D^(k+1)
-            # with rows[k+1] = D x rows[k] - rows[k][n-1] p, then in lowest terms
-            (p,), _ = _over_common_den([self.min_poly])
-            D, p = (p[n], p[:n]) if p[n] > 0 else (-p[n], [-c for c in p[:n]])
-            rows, row = [], [-c for c in p]
-            for _ in range(n - 1):
-                rows.append(row)
-                row = [D * s - row[-1] * c for s, c in zip([0] + row[:-1], p)]
-            rows = [[x * D ** (n - 2 - k) for x in row] for k, row in enumerate(rows)]
-            g = gcd(D ** (n - 1), *(x for row in rows for x in row))
-            rows, den = [[x // g for x in row] for row in rows], D ** (n - 1) // g
-        else:
-            d = self.squares[0][0]
-            pairs = {}  # (i^j, i&j) -> monomial number
-            index = [[i ^ j if not i & j else pairs.setdefault((i ^ j, i & j), n + len(pairs))
-                      for j in range(n)] for i in range(n)]
-            rows = []
-            for t, bits in pairs:
-                p, q = Fraction(1), Fraction(0)
-                for b, (sp, sq) in enumerate(self.squares):
-                    if bits >> b & 1:
-                        p, q = p * sp + d * q * sq, p * sq + q * sp
-                row = [Fraction(0)] * n
-                row[t], row[t ^ 1] = p, q * d if t & 1 else q  # e_t w_0 = d^(t&1) e_(t^1)
-                rows.append(row)
-            rows, den = _over_common_den(rows)
+        e_i e_j = e_(i^j) s with s the product of the squares w_b^2 at the
+        set bits of i&j, an element p + q w_0 of Q(w_0), so the monomials
+        beyond the basis are the pairs (i^j, i&j)."""
+        n, d = self.degree, self.squares[0][0]
+        pairs = {}  # (i^j, i&j) -> monomial number
+        index = [[i ^ j if not i & j else pairs.setdefault((i ^ j, i & j), n + len(pairs))
+                  for j in range(n)] for i in range(n)]
+        rows = []
+        for t, bits in pairs:
+            p, q = Fraction(1), Fraction(0)
+            for b, (sp, sq) in enumerate(self.squares):
+                if bits >> b & 1:
+                    p, q = p * sp + d * q * sq, p * sq + q * sp
+            row = [Fraction(0)] * n
+            row[t], row[t ^ 1] = p, q * d if t & 1 else q  # e_t w_0 = d^(t&1) e_(t^1)
+            rows.append(row)
+        rows, den = _over_common_den(rows)
         return index, [[(i, r) for i, r in enumerate(row) if r] for row in rows], den
-
-    @cached_property
-    def _traces(self) -> list[int]:
-        """Numerators of Tr(e_i) over the table denominator: the trace of
-        multiplication by e_i sums the e_j coordinates of e_i e_j.  For
-        i > 0 no e_i e_j is the basis element e_j, so only the reduced
-        monomials contribute."""
-        index, rows, den = self._table
-        n, reduced = len(index), [dict(row) for row in rows]
-        return [n * den] + [sum(reduced[k - n].get(j, 0) for j, k in enumerate(idx) if k >= n)
-                            for idx in index[1:]]
 
     def _mul_ints(self, a, b) -> list[int]:
         """Numerators of a*b over the table denominator, for integer
@@ -153,6 +113,13 @@ class NumberField:
                     low[i] += c * r
         return low
 
+    def _down(self, num, den: int) -> tuple[tuple, tuple[int, ...], int]:
+        """(conj, y, yden): x' = conj/den is x = num/den with the last
+        generator negated, and x x' = y/yden lies in the field below."""
+        h = len(num) // 2
+        conj = num[:h] + tuple(-x for x in num[h:])
+        return conj, tuple(self._mul_ints(num, conj)[:h]), den * den * self._table[2]
+
 
 def _canonical(field: NumberField, num, den: int) -> "NFElem":
     """The element num/den (den > 0) in lowest terms."""
@@ -169,7 +136,7 @@ def _same_field(x: "NFElem", y: "NFElem") -> None:
 
 
 class NFElem:
-    """The element sum_i num[i] x^i / den of a NumberField; immutable, with
+    """The element sum_i num[i] e_i / den of a NumberField; immutable, with
     gcd(den, *num) = 1 and den > 0, so equal elements have equal (num, den)."""
 
     __slots__ = ("field", "num", "den")
@@ -185,12 +152,12 @@ class NFElem:
 
     @property
     def a(self) -> Fraction:
-        """The coordinate of 1; on x^2 - d, self = a + b*sqrt(d)."""
+        """The coordinate of 1; in Q(sqrt d), self = a + b*sqrt(d)."""
         return Fraction(self.num[0], self.den)
 
     @property
     def b(self) -> Fraction:
-        """The coordinate of x."""
+        """The coordinate of sqrt(d)."""
         return Fraction(self.num[1], self.den)
 
     def __repr__(self):
@@ -237,12 +204,17 @@ class NFElem:
     __rmul__ = __mul__
 
     def inverse(self):
-        """Solves self * y = 1 as a rational linear system in the field's basis."""
+        """x^-1 = x' (x x')^-1, with x x' inverted in the field below."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # (m / s) y = e_0, so y is s times the first column of m^-1
-        m, s = self._int_mult_matrix()
-        return self.field.elem([s * row[0] for row in mat_inv(m)])
+        K = self.field
+        conj, y, yden = K._down(self.num, self.den)
+        t = self.den * K._table[2]
+        if len(y) == 1:  # x x' is rational: x^-1 = conj * den * T / y
+            s = t if y[0] > 0 else -t
+            return _canonical(K, [x * s for x in conj], abs(y[0]))
+        y_inv = _canonical(K._subfield, y, yden).inverse()
+        return _canonical(K, K._mul_ints(conj, y_inv.num + (0,) * len(y)), t * y_inv.den)
 
     def __truediv__(self, other):
         if isinstance(other, NFElem):
@@ -279,27 +251,15 @@ class NFElem:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def _int_mult_matrix(self) -> tuple[list[list[int]], int]:
-        """(m, s) with integer m and m / s the matrix of multiplication by
-        self on the field's basis (columns): column j holds the numerators
-        of self * e_j."""
-        K, n = self.field, len(self.num)
-        cols = [K._mul_ints(self.num, [int(i == j) for i in range(n)]) for j in range(n)]
-        return [list(row) for row in zip(*cols)], self.den * K._table[2]
-
-    def mult_matrix(self) -> list[list[Fraction]]:
-        """Matrix of multiplication by self on the field's basis (columns)."""
-        m, s = self._int_mult_matrix()
-        return [[Fraction(x, s) for x in row] for row in m]
-
     def trace(self) -> Fraction:
-        K = self.field
-        return Fraction(sum(x * t for x, t in zip(self.num, K._traces)),
-                        self.den * K._table[2])
+        """n times the coordinate of 1: e_i e_j has no e_j term unless i = 0."""
+        return Fraction(len(self.num) * self.num[0], self.den)
 
     def norm(self) -> Fraction:
-        m, s = self._int_mult_matrix()
-        return mat_det(m) / s ** len(m)
+        """N(x) = N(x x'), taken in the field below."""
+        K = self.field
+        _, y, yden = K._down(self.num, self.den)
+        return Fraction(y[0], yden) if len(y) == 1 else _canonical(K._subfield, y, yden).norm()
 
 
 class Automorphism:

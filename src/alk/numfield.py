@@ -1,15 +1,17 @@
 """Exact arithmetic in quadratic fields and quadratic towers.
 
 A field F = Q(sqrt(d)) is described by a squarefree integer d.  Its
-elements are `nfpoly.NFElem`s of Q[x]/(x^2 - d), x = sqrt(d), so
-a + b*sqrt(d) has power-basis coordinates (a, b); the degree-2 helpers
-below (conj, embeddings, coordinates on the integral basis) read them.
+elements are `nfpoly.NFElem`s on the Kummer basis (1, sqrt d), so
+a + b*sqrt(d) has coordinates (a, b); the degree-2 helpers below (conj,
+embeddings, coordinates on the integral basis) read them.
 Finite places are tagged by the splitting behaviour of the rational prime
 below them; split-place valuations are read from residues mod p at a root
 of the minimal polynomial of the integral-basis generator, so all
 finite-place data is exact.  Quartic fields enter only as towers
 K = F(sqrt(delta)) given by (F, delta, alpha), theta = alpha + sqrt(delta)
 primitive; FieldTower's constructor is the one place that checks them.
+K is held on the Kummer basis that extends F's, and theta's power basis
+only as data, the rows theta^i of P and P^-1.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .intarith import (
     valuation,
 )
 from .nfpoly import NFElem, NumberField, _canonical
-from .ratlinalg import mat_det
+from .ratlinalg import mat_inv
 
 
 # ---------------------------------------------------------------------------
@@ -39,13 +41,13 @@ from .ratlinalg import mat_det
 
 @lru_cache(maxsize=None)
 def _quad_nf(d: int) -> NumberField:
-    return NumberField((Fraction(-d), Fraction(0), Fraction(1)))
+    return NumberField(((d, 0),))
 
 
 @dataclass(frozen=True)
 class QuadField:
     """F = Q(sqrt(d)) for squarefree d not in {0, 1}; its elements are
-    NFElems of nf = Q[x]/(x^2 - d), one NumberField per d."""
+    NFElems of nf, the Kummer field of sqrt(d), one NumberField per d."""
 
     d: int
 
@@ -77,7 +79,7 @@ class QuadField:
         """x as an element of F: a rational, or an element of F itself."""
         if not isinstance(x, NFElem):
             return self.elem(x)
-        if x.field.min_poly != self.nf.min_poly:
+        if x.field != self.nf:
             raise ValueError(f"{x} is not an element of {self}")
         return x
 
@@ -117,8 +119,8 @@ def make_quad_field(d: int) -> QuadField:
 
 
 def _d(x: NFElem) -> int:
-    """d for an element x of Q[x]/(x^2 - d)."""
-    return -x.field.min_poly[0].numerator
+    """d for an element x of Q(sqrt(d))."""
+    return x.field.squares[0][0]
 
 
 def conj(x: NFElem) -> NFElem:
@@ -522,17 +524,19 @@ class FieldTower:
     A quartic tower is (F, delta, alpha) with delta and alpha in F: its
     primitive element theta = alpha + sqrt(delta) has the conjugates
     alpha +- sqrt(delta) and conj(alpha) +- sqrt(conj delta), which git4
-    builds from this one root formula, and theta_min_poly and
-    sqrt_d_coords are derived from (F, delta, alpha) on first use.
+    builds from this one root formula; the data below are derived from
+    (F, delta, alpha) on first use.  K is `nf`, on the Kummer basis
+    {1, sqrt d, u, sqrt(d) u} that extends F's, with u = c sqrt(delta) and
+    c = `u_scale` the denominator of delta; P's rows are `theta_powers`.
     declared_DK, when present, is the certified discriminant of K's
     maximal order.
 
     The constructor raises ValueError unless delta is a nonzero nonsquare
     (in F, or in Q) and, for a quartic tower, alpha and delta are not both
-    rational.  This proves theta of degree 4: [K:F] = 2, and
-    2 b1 theta + b2 - 2 a1 b1, the denominator of sqrt(d) in
-    sqrt_d_coords, is zero only when b1 = b2 = 0, as theta is not in F;
-    so F and sqrt(delta) = theta - alpha lie in Q(theta).
+    rational.  This proves theta of degree 4, so P is invertible: [K:F] = 2,
+    and (theta - alpha)^2 = delta gives sqrt(d) (2 b1 theta - bb) in Q(theta)
+    for alpha = a1 + b1 sqrt(d), alpha^2 - delta = ba + bb sqrt(d), where
+    2 b1 theta - bb = 0 only when b1 = bb = 0, with alpha and delta rational.
     """
 
     base: Optional[QuadField]
@@ -574,17 +578,31 @@ class FieldTower:
         return (ba * ba - d * bb * bb, 4 * (d * b1 * bb - a1 * ba),
                 2 * ba + 4 * (a1 * a1 - d * b1 * b1), -4 * a1, Fraction(1))
 
+    @property
+    def u_scale(self) -> int:
+        return self.delta.den
+
+    @cached_property
+    def nf(self) -> NumberField:
+        """K = F(u), u^2 = c^2 delta, on the Kummer basis {1, sqrt d} x {1, u}."""
+        c = self.u_scale
+        return NumberField(((self.base.d, 0), tuple(x * c for x in self.delta.num)))
+
+    @cached_property
+    def theta_powers(self) -> tuple[NFElem, ...]:
+        """theta^0, ..., theta^3 in nf, theta = alpha + u/c: the rows of P."""
+        theta = self.nf.elem([self.alpha.a, self.alpha.b, Fraction(1, self.u_scale)])
+        return tuple(theta ** i for i in range(4))
+
+    @cached_property
+    def theta_basis_inverse(self) -> tuple[tuple[Fraction, ...], ...]:
+        """P^-1: row j is the basis element e_j of nf in the power basis of theta."""
+        return tuple(map(tuple, mat_inv([x.coeffs for x in self.theta_powers])))
+
     @cached_property
     def sqrt_d_coords(self) -> Optional[tuple[Fraction, ...]]:
-        """sqrt(d) in the power basis of theta: (theta - alpha)^2 = delta
-        reads theta^2 - 2 a1 theta + ba = sqrt(d) (2 b1 theta - bb).  None
-        for base Q."""
-        if self.base is None:
-            return None
-        beta = self.alpha * self.alpha - self.delta
-        K = NumberField(self.theta_min_poly)
-        return (K.elem([beta.a, -2 * self.alpha.a, 1])
-                / K.elem([-beta.b, 2 * self.alpha.b])).coeffs
+        """sqrt(d) = e_1 in the power basis of theta.  None for base Q."""
+        return None if self.base is None else self.theta_basis_inverse[1]
 
 
 def make_tower(
@@ -604,18 +622,3 @@ def make_tower(
     delta = F.coerce(delta)
     alpha = F.elem(0, 1) if delta.b == 0 else F.elem(0)
     return FieldTower(F, delta, alpha, declared_DK, galois_hint)
-
-
-# ---------------------------------------------------------------------------
-# trace form discriminants
-
-
-def trace_form_disc(basis: Sequence) -> Fraction:
-    """det(Tr(b_i b_j)) for a module basis of an order, given as NFElems
-    (of a QuadField or of any NumberField)."""
-    n = len(basis)
-    gram = [[(basis[i] * basis[j]).trace() for j in range(n)] for i in range(n)]
-    det = mat_det([[Fraction(x) for x in row] for row in gram])
-    if det == 0:
-        raise ValueError("trace Gram is singular: not a basis of an order")
-    return det

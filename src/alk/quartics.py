@@ -7,9 +7,9 @@ its primitive element being theta = alpha + sqrt(delta) with alpha in F:
 make_tower takes theta = sqrt(delta) (alpha = 0) or sqrt(d) + sqrt(e)
 (alpha = sqrt d), and a Gaussian tower keeps the period eta_0 with
 alpha = (-1 + sqrt p)/4 and delta read from the period products.
-FieldTower derives theta's minimal polynomial and the coordinates of
-sqrt(d) from these three, and git4 takes all four conjugates of theta
-from the same root formula.
+FieldTower derives theta's minimal polynomial, K's Kummer basis and the
+coordinates of sqrt(d) from these three, and git4 takes all four
+conjugates of theta from the same root formula.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .intarith import is_square_fraction, squarefree_kernel
-from .nfpoly import NumberField, gaussian_period_quartic
-from .numfield import FieldTower, QuadField, make_quad_field, make_tower, trace_form_disc
+from .nfpoly import gaussian_period_quartic
+from .numfield import FieldTower, QuadField, make_quad_field, make_tower
 
 
 def zeta5_tower() -> FieldTower:
@@ -62,15 +62,25 @@ def gaussian_period_tower(p: int) -> FieldTower:
     eta_0 + eta_2 = (-1 + sqrt p)/2, it is alpha + sqrt(delta) with
     alpha = (-1 + sqrt p)/4 and delta = (eta_0 - eta_2)^2/4.  The declared
     discriminant p^3 comes from the conductor-discriminant formula and is
-    cross-checked against the trace form of the power basis of the derived
-    theta_min_poly (square index).
+    cross-checked against `power_basis_disc` (square index).
     """
     F = make_quad_field(p)
     delta = F.elem(*gaussian_period_quartic(p)["delta"]) / 4
     tower = FieldTower(F, delta, F.elem(Fraction(-1, 4), Fraction(1, 4)),
                        declared_DK=p ** 3, galois_hint="cyclic")
-    theta = NumberField(tower.theta_min_poly).gen
-    ratio = Fraction(trace_form_disc([theta ** i for i in range(4)]), tower.declared_DK)
+    ratio = power_basis_disc(tower) / tower.declared_DK
     if ratio <= 0 or not is_square_fraction(ratio):
         raise ArithmeticError("power basis discriminant inconsistent with p^3")
     return tower
+
+
+def power_basis_disc(tower: FieldTower) -> Fraction:
+    """disc(theta_min_poly) = 16 Nr(delta) X^2: the roots alpha +- s and
+    conj(alpha) +- t, s^2 = delta and t^2 = conj(delta), differ by 2s and
+    2t within each pair, and with e = alpha - conj(alpha) the differences
+    across the pairs multiply to ((e + s)^2 - t^2)((e - s)^2 - t^2) =
+    X = e^4 - 2 e^2 Tr(delta) + 4 b_delta^2 d, with e^2 = 4 b_alpha^2 d."""
+    d, delta = tower.base.d, tower.delta
+    e2 = 4 * tower.alpha.b ** 2 * d
+    x = e2 * e2 - 4 * e2 * delta.a + 4 * delta.b ** 2 * d
+    return 16 * (delta.a ** 2 - d * delta.b ** 2) * x * x

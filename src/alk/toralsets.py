@@ -109,7 +109,7 @@ def nonarch_and_global_disc(desc: ToralSetDescriptor) -> dict:
         out["disc_arch"] = arch
         out["disc"] = disc_fin * arch
     else:
-        out["disc"] = float(disc_fin)
+        out["disc"] = disc_fin
     return out
 
 

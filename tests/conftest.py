@@ -6,6 +6,7 @@ suite is deterministic.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -144,16 +145,191 @@ def closure_mul(x, y, delta):
             x0 * y3 + x3 * y0 + x1 * y2 + x2 * y1)
 
 
+def _common_den(vecs):
+    """Integer numerators of Fraction vectors over their least common
+    denominator."""
+    den = math.lcm(1, *(c.denominator for v in vecs for c in v))
+    return [[c.numerator * (den // c.denominator) for c in v] for v in vecs], den
+
+
+class PowerBasisField:
+    """Q[x]/(m) on its power basis, for a monic m given low degree first:
+    the reference field that the package's Kummer basis is checked
+    against.  An element is a tuple of Fraction coefficients; a product is
+    schoolbook and reduced mod m by long division, the trace and norm are
+    read from the multiplication matrix, and the inverse solves it by
+    gauss_jordan."""
+
+    def __init__(self, min_poly):
+        self.min_poly = tuple(Fraction(c) for c in min_poly)
+        assert self.min_poly[-1] == 1, "monic polynomial required"
+        self.degree = len(self.min_poly) - 1
+        (self._p,), _ = _common_den([self.min_poly])
+
+    def __eq__(self, other):
+        return isinstance(other, PowerBasisField) and self.min_poly == other.min_poly
+
+    def __hash__(self):
+        return hash(self.min_poly)
+
+    def reduce(self, c, den: int) -> "PowerBasisElem":
+        """The element of integer numerators c over den, reduced mod m by
+        long division: with m cleared to integers p over its leading
+        integer, each step multiplies by that integer and subtracts the top
+        coefficient times p."""
+        p = self._p
+        n, lead = self.degree, p[-1]
+        c = list(c)
+        while len(c) > n:
+            top = c.pop()
+            c = [x * lead for x in c]
+            for i in range(n):
+                c[len(c) - n + i] -= top * p[i]
+            den *= lead
+        return PowerBasisElem(self, tuple(Fraction(x, den) for x in c + [0] * (n - len(c))))
+
+    def elem(self, coeffs) -> "PowerBasisElem":
+        if isinstance(coeffs, (int, Fraction)):
+            coeffs = [coeffs]
+        (c,), den = _common_den([[Fraction(x) for x in coeffs]])
+        return self.reduce(c, den)
+
+    def one(self) -> "PowerBasisElem":
+        return self.elem(1)
+
+    @property
+    def gen(self) -> "PowerBasisElem":
+        return self.elem([0, 1])
+
+
+class PowerBasisElem:
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: PowerBasisField, coeffs: tuple):
+        self.field, self.coeffs = field, coeffs
+
+    def _coerce(self, other) -> "PowerBasisElem":
+        if isinstance(other, PowerBasisElem):
+            if other.field != self.field:
+                raise ValueError("elements of different fields")
+            return other
+        return self.field.elem(Fraction(other))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return PowerBasisElem(self.field, tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return PowerBasisElem(self.field, tuple(-x for x in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -self._coerce(other)
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __mul__(self, other):
+        """Schoolbook on integer numerators over one denominator, reduced
+        mod m by long division."""
+        o = self._coerce(other)
+        (a, b), den = _common_den([self.coeffs, o.coeffs])
+        out = [0] * (2 * self.field.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        return self.field.reduce(out, den * den)
+
+    __rmul__ = __mul__
+
+    def mult_matrix(self):
+        """The matrix of multiplication by self, columns self * x^j."""
+        n = self.field.degree
+        cols = [(self * self.field.elem([0] * j + [1])).coeffs for j in range(n)]
+        return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+    def trace(self) -> Fraction:
+        m = self.mult_matrix()
+        return sum(m[i][i] for i in range(len(m)))
+
+    def norm(self) -> Fraction:
+        return gauss_jordan(self.mult_matrix())[0]
+
+    def inverse(self):
+        inv = gauss_jordan(self.mult_matrix())[1]
+        if inv is None:
+            raise ZeroDivisionError("inverse of zero")
+        return PowerBasisElem(self.field, tuple(row[0] for row in inv))
+
+    def __truediv__(self, other):
+        if isinstance(other, PowerBasisElem):
+            return self * other.inverse()
+        return self * (1 / Fraction(other))
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) * self.inverse()
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** -k
+        out = self.field.one()
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, PowerBasisElem):
+            return self.field == other.field and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self.coeffs == self.field.elem(other).coeffs
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"PowerBasisElem({self.coeffs})"
+
+
+def trace_form_det(basis) -> Fraction:
+    """det(Tr(b_i b_j)) by gauss_jordan, for elements of any field."""
+    return gauss_jordan([[(x * y).trace() for y in basis] for x in basis])[0]
+
+
+def power_basis_trace_disc(tower) -> Fraction:
+    """The discriminant of theta's power basis, from the trace form of the
+    reference field of theta_min_poly."""
+    theta = PowerBasisField(tower.theta_min_poly).gen
+    return trace_form_det([theta ** i for i in range(4)])
+
+
+def random_alpha_tower(rng: random.Random):
+    """random_tower's radicand with a fractional alpha drawn directly, or
+    None when FieldTower refuses the data."""
+    from alk.numfield import FieldTower
+
+    tower = random_tower(rng)
+    if tower is None:
+        return None
+    alpha = tower.base.elem(Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                            Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+    try:
+        return FieldTower(tower.base, tower.delta, alpha)
+    except ValueError:
+        return None
+
+
 def eta_closure(tower):
     """(L, sqrt(d), u, v) for a dihedral tower K = F(u), u^2 = delta, with L
-    on the power basis of eta = u + 2v: the degree-8 construction that the
-    Kummer closure replaced, kept as its oracle.
+    the reference field of eta = u + 2v: the degree-8 construction on
+    eta's power basis that the Kummer closure replaced, kept as its oracle.
 
     L = F(u, v) with v^2 = conj(delta) is generated by eta, whose
     conjugates +-u +- 2v and +-v +- 2u are distinct.  One exact elimination
     over the basis sqrt(d)^i u^j v^k gives eta^8 and the coordinates of
     sqrt(d), u and v in the power basis of eta."""
-    from alk.nfpoly import NumberField
     from alk.ratlinalg import mat_inv, mat_vec, transpose
 
     delta, F = tower.delta, tower.base
@@ -170,5 +346,5 @@ def eta_closure(tower):
     eta8, sqrt_d, u, v = (mat_vec(inv, coords(x)) for x in (
         powers[8], (F.elem(0, 1), zero, zero, zero), (zero, one, zero, zero),
         (zero, zero, one, zero)))
-    L = NumberField(tuple(-c for c in eta8) + (Fraction(1),))
+    L = PowerBasisField(tuple(-c for c in eta8) + (Fraction(1),))
     return L, L.elem(sqrt_d), L.elem(u), L.elem(v)

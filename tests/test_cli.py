@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -13,8 +14,7 @@ from hypothesis import strategies as st
 from alk import quartics
 from alk.cli import main
 from alk.intarith import sqrt_fraction
-from alk.nfpoly import NumberField
-from conftest import eta_closure, within_seconds
+from conftest import PowerBasisField, eta_closure, within_seconds
 
 
 def run_cli(capsys, argv):
@@ -140,7 +140,7 @@ def test_invariants_pins_non_rational_values(capsys):
         "values": VALUES_ZETA5_NON_BLOCK,
     }
     # each value rebuilt from d, u^2 and the basis is the value pinned before
-    old = NumberField(quartics.zeta5_tower().theta_min_poly)
+    old = PowerBasisField(quartics.zeta5_tower().theta_min_poly)
     for key, value in VALUES_ZETA5_NON_BLOCK.items():
         want = VALUES_ZETA5_THETA_BASIS[key]
         if isinstance(value, str):
@@ -276,13 +276,31 @@ def test_entropy_and_window(capsys):
     code, data = run_json(capsys, ["entropy", "--a", '["4","2","1/2","1/4"]',
                                    "--prime", "2"])
     assert code == 0 and data["in_A_prime"]
-    import math
 
     code, win = run_json(capsys, ["tau-window", "--eta", str(12 * math.log(2)),
                                   "--hint", str(2 * math.log(2)),
                                   "--DK", str(2.0 ** 60), "--DF", "16"])
     assert code == 0
     assert abs(win["lo"] - 2.5) < 1e-9 and abs(win["hi"] - 12.0) < 1e-9
+
+
+def test_entropy_a_prime_boundary_is_exact(capsys):
+    # h_int = log 17 = h_haar / 3 exactly, so the strict test is false; a
+    # float comparison rounded it to true at p = 17 and not at p = 19
+    for p in ("17", "19"):
+        code, data = run_json(capsys, ["entropy", "--a", '["1", "1", "1", "1/17"]',
+                                       "--prime", p])
+        assert code == 0 and data["in_A_prime"] is False, p
+    code, data = run_json(capsys, ["entropy", "--a", '["1", "1", "1", "1/17"]', "--prime", "17"])
+    assert data["h_int"] == math.log(17) and data["logs"][3] == math.log(17)
+
+
+def test_disc_without_an_archimedean_generator_is_an_exact_integer(capsys):
+    code, out = run_cli(capsys, ["disc", "--tower", '{"kind": "quadratic", "delta": 2}',
+                                 "--conductors", '{"3": 3}'])
+    data = json.loads(out)
+    assert code == 0 and data["disc"] == data["disc_fin"] == 72
+    assert '"disc": 72,' in out
 
 
 def test_disc_classify_and_cyclic_check(capsys):
@@ -667,3 +685,112 @@ def test_fuzzed_towers_end_in_an_answer_or_one_error_line(capsys, command, tower
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), err
     if out:
         _strict_json(out)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed options of the subcommands that read no --tower: every outcome is
+# an answer, a hypothesis violation, a usage error or one error line
+
+
+_FUZZ_SMALL = st.one_of(st.integers(-5, 5), st.integers(-5, 5), _FUZZ_SCALARS)
+
+
+def _square(elements, sizes=(0, 1, 2, 3, 4)):
+    return st.sampled_from(sizes).flatmap(lambda n: st.lists(
+        st.lists(elements, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+def _json_text(values):
+    """Option text: mostly a JSON value, now and then text that need not be
+    JSON."""
+    return st.one_of(values.map(json.dumps), values.map(json.dumps), values.map(json.dumps),
+                     st.text(max_size=8))
+
+
+def _number_text(numbers):
+    """Text for an option that argparse reads as an int or a float: mostly
+    one of numbers, now and then any float or any text."""
+    return st.one_of(*[numbers.map(str)] * 6,
+                     st.floats(allow_nan=True, allow_infinity=True,
+                               allow_subnormal=True).map(repr),
+                     st.text(max_size=6))
+
+
+def _matrix(sizes):
+    return _json_text(st.one_of(_square(st.integers(-5, 5), sizes),
+                                _square(st.integers(-5, 5), sizes), _square(_FUZZ_SMALL),
+                                _FUZZ_VALUES))
+
+
+_FIELD = st.one_of(st.sampled_from(["q", "null"]),
+                   _json_text(st.fixed_dictionaries({"d": st.one_of(st.integers(-30, 30),
+                                                                    _FUZZ_SCALARS)})),
+                   _json_text(_FUZZ_VALUES))
+_RADII = _json_text(st.one_of(*[st.lists(st.integers(1, 5), min_size=1, max_size=2)] * 2,
+                              st.lists(_FUZZ_SMALL, max_size=3), _FUZZ_VALUES))
+_RFIN = _json_text(st.dictionaries(st.one_of(st.integers(-3, 30).map(str), st.text(max_size=3)),
+                                   st.one_of(_FUZZ_SMALL, st.lists(_FUZZ_SMALL, max_size=3)),
+                                   max_size=2))
+_FLOAT = _number_text(st.one_of(st.integers(-10 ** 6, 10 ** 6), st.integers(1, 100),
+                                st.floats(1e-3, 1e30)))
+_PRIME = _number_text(st.one_of(st.sampled_from([2, 3, 5, 7, 11, 13, 1999]),
+                                st.integers(-5, 2000)))
+# (option, text strategy, required); a flag's strategy is None
+_OPTIONS = {
+    "theta": [("--gram", _matrix((1, 2, 3)), False), ("--field", _FIELD, False),
+              ("--radii", _RADII, False), ("--canonical", None, False)],
+    "count-box": [("--field", _FIELD, False), ("--rinf", _RADII, True),
+                  ("--rfin", _RFIN, False), ("--c", _json_text(_FUZZ_SMALL), False)],
+    "local": [("--matrix", _matrix((2, 4)), True), ("--prime", _PRIME, True),
+              ("--conductor", _number_text(st.integers(-3, 40)), False),
+              ("--d", _number_text(st.integers(-50, 50)), True)],
+    "invariants": [("--tower", st.just('{"kind": "zeta5"}'), True),
+                   ("--matrix", _matrix((4,)), True)],
+    "entropy": [("--a", _json_text(st.one_of(st.lists(_FUZZ_SMALL, min_size=4, max_size=4),
+                                             _FUZZ_VALUES)), True),
+                ("--prime", _PRIME, False)],
+    "tau-window": [("--eta", _FLOAT, True), ("--hint", _FLOAT, True), ("--DK", _FLOAT, True),
+                   ("--DF", _FLOAT, True), ("--c", _json_text(_FUZZ_SMALL), False),
+                   ("--kappa", _FLOAT, False),
+                   ("--mode", st.sampled_from(["main", "refined", "other"]), False),
+                   ("--eps", _FLOAT, False), ("--beta", _FLOAT, False)],
+    "linnik-rhs": [("--disc", _FLOAT, True), ("--vol", _FLOAT, False), ("--tau", _FLOAT, True),
+                   ("--h", _FLOAT, True), ("--eps", _FLOAT, False),
+                   ("--c", _json_text(_FUZZ_SMALL), False), ("--DF", _FLOAT, False),
+                   ("--special", None, False)],
+}
+
+
+@st.composite
+def _fuzz_argv(draw, command):
+    argv = [command, "--budget", "10000"]
+    for option, text, required in _OPTIONS[command]:
+        # a required option is left out now and then, an optional one half the time
+        if draw(st.sampled_from([True] * 7 + [False] if required else [True, False])):
+            argv += [option] if text is None else [option, draw(text)]
+    return argv
+
+
+def _run_fuzzed(capsys, argv):
+    capsys.readouterr()
+
+    def call():
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+    code = within_seconds(20, call)
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err and err.count("error:") <= 1, err
+    if out:
+        _strict_json(out)
+
+
+@pytest.mark.parametrize("command", sorted(_OPTIONS))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_options_end_in_an_answer_or_one_error_line(capsys, command, data):
+    _run_fuzzed(capsys, data.draw(_fuzz_argv(command)))

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -29,12 +30,12 @@ from alk.git4 import (
     regular_embedding,
     tau_window,
 )
-from alk.intarith import is_square_fraction, squarefree_kernel
+from alk.intarith import is_prime, is_square_fraction, squarefree_kernel
 from alk.nfpoly import NFElem, NumberField
 from alk.numfield import conj, make_quad_field, make_tower, norm_square_class
 from alk.ratlinalg import mat_det, mat_mul
 from alk.toralsets import classify_galois_type
-from conftest import eta_closure, gauss_jordan, random_invertible, random_tower
+from conftest import PowerBasisField, eta_closure, gauss_jordan, random_invertible, random_tower
 
 CYCLIC = quartics.zeta5_tower()
 BIQUAD = quartics.biquadratic_tower(2, 3)
@@ -68,6 +69,13 @@ def test_regular_matrix_satisfies_the_minimal_polynomial():
         power = mat_mul(power, theta)
         acc = [[acc[i][j] + c * power[i][j] for j in range(n)] for i in range(n)]
     assert all(x == 0 for row in acc for x in row)
+
+
+def test_regular_matrix_takes_at_most_four_coordinates():
+    emb = regular_embedding(CYCLIC)
+    assert emb.regular_matrix((0, 1)) == emb.regular_matrix((0, 1, 0, 0))
+    with pytest.raises(ValueError, match="5 coordinates for a quartic field"):
+        emb.regular_matrix((0, 0, 0, 0, 1))
 
 
 def test_conjugation_diagonalizes_regular_matrices():
@@ -241,7 +249,7 @@ def _power_basis_closure(tower):
     K is dihedral."""
     if classify_galois_type(tower) == "dihedral":
         return eta_closure(tower)
-    K = NumberField(tower.theta_min_poly)
+    K = PowerBasisField(tower.theta_min_poly)
     sqrt_d = K.elem(tower.sqrt_d_coords)
     u = K.gen - (sqrt_d * tower.alpha.b + tower.alpha.a)
     if tower.delta.b == 0:
@@ -262,7 +270,7 @@ def _power_basis_profile(tower, gamma):
     values = []
     for s in ALL_PERMS:
         x = m[s[0]][0] * m[s[1]][1] * m[s[2]][2] * m[s[3]][3] * Fraction(perm_sign(s)) / det
-        values.append(Fraction(x.num[0], x.den) if not any(x.num[1:]) else x)
+        values.append(x.coeffs[0] if not any(x.coeffs[1:]) else x)
     return (L, sqrt_d, u, v), g, values
 
 
@@ -293,7 +301,7 @@ def test_kummer_closure_equals_the_power_basis_closure(towers):
 
         assert [[to_power_basis(x) for x in row] for row in emb.g] == g
         for (s, x), y in zip(psi_invariants(emb, gamma).values, values):
-            assert type(x) is type(y), s
+            assert isinstance(x, Fraction) == isinstance(y, Fraction), s
             assert (x if isinstance(x, Fraction) else to_power_basis(x)) == y, s
 
 
@@ -594,6 +602,31 @@ def test_non_prime_places_are_rejected(p):
         entropy_quantities([Fraction(1), Fraction(2), Fraction(3), Fraction(4)], p)
     with pytest.raises(ValueError, match="not a prime"):
         BowenBall(p, (Fraction(1, 2), Fraction(2)), 1)
+
+
+def _a_prime_by_valuations(v):
+    """3 (|v1 - v2| + |v3 - v4|) < sum_(i<j) |vi - vj|."""
+    h_haar = sum(abs(x - y) for x, y in itertools.combinations(v, 2))
+    return 3 * (abs(v[0] - v[1]) + abs(v[2] - v[3])) < h_haar
+
+
+def test_a_prime_at_finite_places_is_decided_on_valuations():
+    """At diag(1, 1, 1, 1/17), h_int = log 17 = h_haar / 3, so the strict
+    test is false; in floats h_haar / 3.0 rounded above h_int.  The sweep
+    takes every prime below 2,000 and the valuation patterns (up to a
+    shift) whose two sides differ by at most 1."""
+    assert not entropy_quantities([1, 1, 1, Fraction(1, 17)], 17).in_A_prime
+    patterns = [v for v in itertools.product((-1, 0, 1), repeat=3)
+                if abs(3 * (abs(v[0]) + abs(v[1] - v[2]))
+                       - sum(abs(x - y) for x, y in itertools.combinations((0,) + v, 2))) <= 1]
+    assert len(patterns) == 15
+    for p in range(2, 2000):
+        if not is_prime(p):
+            continue
+        for v in patterns:
+            v = (0,) + v
+            ent = entropy_quantities([Fraction(p) ** x for x in v], p)
+            assert ent.in_A_prime == _a_prime_by_valuations(v), (p, v)
 
 
 def test_archimedean_entropy_route():

@@ -1,53 +1,31 @@
 """NFElem against plain Fraction arithmetic.
 
-On a power basis the reference multiplies schoolbook and reduces by long
-division over Fraction coefficient lists, and composes by Horner's rule.
-On a Kummer basis it multiplies F-coordinates on (1, u, v, uv) by
-conftest.closure_mul.  Traces and norms are taken of the multiplication
-matrix the reference builds itself.
+Every field is on a Kummer basis: the quadratic fields Q(sqrt d), each
+tower's K = F(u), the Galois closures of git4, and a field whose squares
+are not integral.  The reference multiplies F-coordinates on (1, u, v, uv)
+by conftest.closure_mul.  Traces, norms and inverses are read from the
+multiplication matrix the reference builds itself, by gauss_jordan.  The
+power basis of theta (or of eta = u + 2v on the dihedral closure) enters
+as conftest's reference field, through the tower's P and P^-1.
 """
 
+import ast
+import dataclasses
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from alk import quartics
+from alk import nfpoly, quartics
 from alk.git4 import regular_embedding
 from alk.nfpoly import Automorphism, NFElem, NumberField
 from alk.numfield import make_quad_field, make_tower
-from conftest import closure_mul, eta_closure, gauss_jordan
+from conftest import PowerBasisField, closure_mul, eta_closure, gauss_jordan
 
 
 # ---------------------------------------------------------------------------
-# reference arithmetic on coefficient lists (low degree first)
-
-
-def ref_mod(a, m):
-    """Remainder of a by the monic m, padded to length deg m."""
-    a, n = list(a), len(m) - 1
-    while len(a) > n:
-        top = a.pop()
-        for i in range(n):
-            a[len(a) - n + i] -= top * m[i]
-    return a + [Fraction(0)] * (n - len(a))
-
-
-def ref_mul(a, b, m):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return ref_mod(out, m)
-
-
-def ref_compose(a, c, m):
-    """a(c(x)) mod m by Horner's rule."""
-    out = [Fraction(0)]
-    for coeff in reversed(a):
-        out = ref_mul(out, c, m)
-        out[0] += coeff
-    return ref_mod(out, m)
+# reference arithmetic on coordinate lists
 
 
 def ref_kummer_mul(a, b, squares):
@@ -55,7 +33,7 @@ def ref_kummer_mul(a, b, squares):
     F(u[, v]), u^2 = p + q sqrt(d) for squares = ((d, 0), (p, q), ...),
     through F-coordinates on (1, u, v, uv)."""
     F, n = make_quad_field(int(squares[0][0])), len(a)
-    delta = F.elem(*squares[1])
+    delta = F.elem(*squares[1]) if len(squares) > 1 else F.elem(1)
 
     def f_coords(x):
         x = list(x) + [Fraction(0)] * (8 - n)
@@ -68,8 +46,6 @@ def ref_kummer_mul(a, b, squares):
 def ref_product(K):
     """The reference product on K's basis, as a function of two coordinate
     lists."""
-    if K.min_poly is not None:
-        return lambda a, b: ref_mul(a, b, K.min_poly)
     return lambda a, b: ref_kummer_mul(a, b, K.squares)
 
 
@@ -78,56 +54,84 @@ def ref_mult_matrix(a, mul, n):
     return [[cols[j][i] for j in range(n)] for i in range(n)]
 
 
-def ref_det(a):
-    """By plain Gauss-Jordan elimination over Fractions: the Leibniz sum has
-    40,320 terms in degree 8."""
-    return gauss_jordan(a)[0]
-
-
 # ---------------------------------------------------------------------------
-# fields: theta's power basis of each tower, the Kummer closure of each
-# tower, a Kummer field whose squares are not integral, and the dihedral
-# closure on the power basis of eta = u + 2v, as it was built before
+# fields: K of each tower and its Galois closure (K itself when K/Q is
+# abelian), quadratic fields, and a Kummer field whose squares are not
+# integral
 
 
-def _fields():
+def _towers():
     F = make_quad_field(3)
-    rational = make_tower(F, F.elem(Fraction(1, 2), Fraction(1, 3)))
-    towers = {
+    return {
         "zeta5": quartics.zeta5_tower(),
         "gaussian13": quartics.gaussian_period_tower(13),
         "biquadratic23": quartics.biquadratic_tower(2, 3),
         "dihedral211": quartics.dihedral_tower(2, 1, 1),
-        "nonintegral": rational,
+        "nonintegral": make_tower(F, F.elem(Fraction(1, 2), Fraction(1, 3))),
     }
+
+
+TOWERS = _towers()
+
+
+def _fields():
     out = {}
-    for name, t in towers.items():
-        out[name] = NumberField(t.theta_min_poly)
+    for name, t in TOWERS.items():
+        out[name] = t.nf
         out[name + "_kummer"] = regular_embedding(t).closure
-    out["dihedral211_closure"] = eta_closure(towers["dihedral211"])[0]
+    for d in (2, 5, -7):
+        out[f"sqrt{d}"] = make_quad_field(d).nf
     half, third = Fraction(1, 2), Fraction(1, 3)
     out["fractional_kummer"] = NumberField(squares=((3, 0), (half, third), (half, -third)))
     return out
 
 
 FIELDS = _fields()
-EMBEDDINGS = {name: regular_embedding(t) for name, t in (
-    ("zeta5", quartics.zeta5_tower()), ("gaussian13", quartics.gaussian_period_tower(13)),
-    ("biquadratic23", quartics.biquadratic_tower(2, 3)),
-    ("dihedral211", quartics.dihedral_tower(2, 1, 1)))}
+EMBEDDINGS = {name: regular_embedding(TOWERS[name]) for name in
+              ("zeta5", "gaussian13", "biquadratic23", "dihedral211")}
+
+
+def test_number_field_has_one_basis():
+    """A field is its Kummer squares and nothing else: no polynomial, no
+    matrix route, and no linear algebra behind the arithmetic."""
+    assert [f.name for f in dataclasses.fields(NumberField)] == ["squares"]
+    for name in ("min_poly", "_monic", "gen", "_traces"):
+        assert not hasattr(NumberField, name), name
+    for name in ("_int_mult_matrix", "mult_matrix"):
+        assert not hasattr(NFElem, name), name
+    tree = ast.parse(Path(nfpoly.__file__).read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                and n.module and "ratlinalg" in n.module]
 
 
 def test_nonintegral_field_is_covered():
-    assert any(c.denominator != 1 for c in FIELDS["nonintegral"].min_poly)
+    assert TOWERS["nonintegral"].delta.den != 1
     assert FIELDS["fractional_kummer"]._table[2] != 1
-    # scaling u makes the structure constants of every closure integral
-    assert all(FIELDS[name + "_kummer"]._table[2] == 1 for name in
-               ("zeta5", "gaussian13", "biquadratic23", "dihedral211", "nonintegral"))
+    # scaling u makes the structure constants of every K and closure integral
+    assert all(FIELDS[name]._table[2] == FIELDS[name + "_kummer"]._table[2] == 1
+               for name in TOWERS)
+
+
+def test_fields_of_a_tower_share_their_leading_basis():
+    """F c K c L embed by zero-padding coordinates: products and inverses
+    of elements of a subfield have zero coordinates beyond it."""
+    rng = random.Random(7000)
+    for name, t in TOWERS.items():
+        F, K, L = t.base.nf, FIELDS[name], FIELDS[name + "_kummer"]
+        assert L.squares[:2] == K.squares and K.squares[:1] == F.squares
+        for small, big in ((F, K), (K, L), (F, L)):
+            for _ in range(5):
+                a, b = _rand_coeffs(rng, small.degree), _rand_coeffs(rng, small.degree)
+                x, y = small.elem(a), small.elem(b)
+                assert big.elem(a) * big.elem(b) == big.elem((x * y).coeffs)
+                if any(b):
+                    assert big.elem(b).inverse() == big.elem(y.inverse().coeffs)
+                    assert big.elem(b).norm() == y.norm() ** (big.degree // small.degree)
 
 
 def test_galois_fields_carry_their_automorphisms():
-    assert FIELDS["dihedral211_closure"].degree == FIELDS["dihedral211_kummer"].degree == 8
-    assert FIELDS["zeta5_kummer"].degree == 4 and FIELDS["zeta5_kummer"].min_poly is None
+    assert FIELDS["dihedral211_kummer"].degree == 8 and FIELDS["dihedral211"].degree == 4
+    assert FIELDS["zeta5_kummer"].degree == 4 and FIELDS["zeta5_kummer"] is FIELDS["zeta5"]
     for name, emb in EMBEDDINGS.items():
         count = 8 if name == "dihedral211" else 4
         assert len(emb.automorphisms) == len(set(emb.galois_image)) == count
@@ -172,16 +176,15 @@ def test_ring_operations_match_reference(name):
         for op, (got, want) in cases.items():
             assert isinstance(got, NFElem) and _is_canonical(got), op
             assert list(got.coeffs) == want, op
+        # trace, norm and inverse from the reference multiplication matrix
         matrix = ref_mult_matrix(a, mul, n)
+        det, inv = gauss_jordan(matrix)
         assert x.trace() == sum(matrix[i][i] for i in range(n))
-        assert x.norm() == ref_det(matrix)
-        assert x.mult_matrix() == matrix
-        long_input = _rand_coeffs(rng, 3 * n)
-        if K.min_poly is not None:
-            assert list(K.elem(long_input).coeffs) == ref_mod(long_input, K.min_poly)
-        else:
-            with pytest.raises(ValueError, match="coordinates for a field of degree"):
-                K.elem(long_input)
+        assert x.norm() == det
+        if any(a):
+            assert list(x.inverse().coeffs) == [row[0] for row in inv]
+        with pytest.raises(ValueError, match="coordinates for a field of degree"):
+            K.elem(_rand_coeffs(rng, n + 1))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -210,21 +213,49 @@ def test_division_and_inverse_match_reference(name):
         K.one() / 0
 
 
-@pytest.mark.parametrize("name", sorted(n for n in FIELDS if FIELDS[n].min_poly is not None))
+def _power_bases():
+    """name -> (field, P, P^-1, reference field): theta's powers in each
+    tower's K, and those of eta = (u + 2v)/c in the dihedral closure,
+    whose reference field is eta_closure's."""
+    out = {name: (t.nf, t.theta_powers, t.theta_basis_inverse,
+                  PowerBasisField(t.theta_min_poly)) for name, t in TOWERS.items()}
+    t, L = TOWERS["dihedral211"], FIELDS["dihedral211_kummer"]
+    eta = L.elem([0, 0, 1, 0, 2]) / t.u_scale
+    P = [eta ** i for i in range(8)]
+    out["dihedral211_closure"] = (L, P, gauss_jordan([x.coeffs for x in P])[1],
+                                  eta_closure(t)[0])
+    return out
+
+
+POWER_BASES = _power_bases()
+
+
+@pytest.mark.parametrize("name", sorted(POWER_BASES))
 def test_automorphism_from_power_basis_images_is_composition(name):
-    """Sending x^i to c^i is x -> a(c(x)) mod m for any c; on the Galois
-    fields some c are automorphisms."""
-    K = FIELDS[name]
-    n, m = K.degree, K.min_poly
+    """Sending theta^i to c^i is x = a(theta) -> a(c) for any c; on the
+    Galois fields some c are automorphisms.  The map is built on the
+    Kummer basis, e_j going to the image of its power-basis coordinates
+    (row j of P^-1), and checked against composition in the reference
+    field of theta's minimal polynomial."""
+    K, P, P_inv, ref = POWER_BASES[name]
+    n = K.degree
     rng = random.Random(7003)
+
+    def from_power(coords):
+        return sum((c * p for c, p in zip(coords, P)), K.elem(0))
+
     for _ in range(3):
         c = _rand_coeffs(rng, n, 3)
-        tau = Automorphism(K, [K.elem(c) ** i for i in range(n)])
+        powers = [from_power(c) ** i for i in range(n)]
+        tau = Automorphism(K, [sum((r * p for r, p in zip(row, powers)), K.elem(0))
+                               for row in P_inv])
         for _ in range(10):
             a = _rand_coeffs(rng, n)
-            got = tau(K.elem(a))
+            got = tau(from_power(a))
             assert _is_canonical(got)
-            assert list(got.coeffs) == ref_compose(a, c, m)
+            want = sum((x * ref.elem(c) ** i for i, x in enumerate(a)), ref.elem(0))
+            assert [sum(x * row[i] for x, row in zip(got.coeffs, P_inv)) for i in range(n)] \
+                == list(want.coeffs)
 
 
 def conj_in(L, x):
@@ -282,7 +313,7 @@ def test_canonical_form_equality_and_hash():
         (K.elem([Fraction(1, 3), Fraction(2, 6)]) * 3, K.elem([1, 1])),
         (K.elem([Fraction(1, 2), Fraction(1, 2)]) + K.elem([Fraction(1, 2), Fraction(-1, 2)]),
          K.one()),
-        (K.gen - K.gen, K.elem([0])),
+        (K.elem([0, 1]) - K.elem([0, 1]), K.elem([0])),
     ]
     for got, want in pairs:
         assert got == want and hash(got) == hash(want)
@@ -291,24 +322,23 @@ def test_canonical_form_equality_and_hash():
     assert half == Fraction(1, 2) and half != Fraction(1, 3) and half != 0
     assert K.elem([0]) == 0 and K.one() == 1
     assert K.elem([0]).den == 1
-    assert K.gen != Fraction(0) and K.gen != K.one()
-    # the same value in a different field is a different element
+    assert K.elem([0, 1]) != Fraction(0) and K.elem([0, 1]) != K.one()
+    # the same coordinate vector in a different field is a different element
     other = FIELDS["zeta5"]
-    assert other.elem([1, 2]) != K.elem([1, 2])
-    # and so is the same coordinate vector on a Kummer basis
-    kummer = FIELDS["zeta5_kummer"]
-    assert kummer.elem([1, 2]) != other.elem([1, 2]) and kummer.elem(3) != other.elem(3)
-    assert kummer.elem([1, 2]) == NumberField(squares=kummer.squares).elem([1, 2])
+    assert other.elem([1, 2]) != K.elem([1, 2]) and other.elem(3) != K.elem(3)
+    # and so is the same value in a subfield
+    assert FIELDS["sqrt5"].elem([1, 2]) != other.elem([1, 2])
+    assert other.elem([1, 2]) == NumberField(squares=other.squares).elem([1, 2])
 
 
 def test_elements_of_different_fields_do_not_mix():
-    sqrt2 = NumberField((-2, 0, 1)).gen
-    sqrt3 = NumberField((-3, 0, 1)).gen
-    theta = FIELDS["zeta5"].gen
-    for x, y in ((sqrt2, sqrt3), (sqrt2, theta), (theta, sqrt2)):
+    sqrt2 = NumberField(((2, 0),)).elem([0, 1])
+    sqrt3 = NumberField(((3, 0),)).elem([0, 1])
+    u = FIELDS["zeta5"].elem([0, 0, 1])
+    for x, y in ((sqrt2, sqrt3), (sqrt2, u), (u, sqrt2)):
         for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x / y):
             with pytest.raises(ValueError, match="different fields"):
                 op()
         assert x != y
-    # equal minimal polynomials are the same field, built twice
-    assert sqrt2 * NumberField((Fraction(-2), 0, 1)).gen == 2
+    # equal squares are the same field, built twice
+    assert sqrt2 * NumberField(((Fraction(2), 0),)).elem([0, 1]) == 2

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_tower, within_seconds
+from conftest import random_tower, trace_form_det, within_seconds
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +27,6 @@ from alk.numfield import (
     norm_square_class,
     prime_ideal,
     splitting_type,
-    trace_form_disc,
 )
 
 FIELDS = [-1, 2, 5, -3]
@@ -225,7 +224,7 @@ def test_ideal_contains_its_basis():
 def test_trace_form_of_integral_basis_gives_signed_discriminant():
     for d in (-1, 2, 5, -3, 13, -7):
         F = QuadField(d)
-        det = trace_form_disc(F.integral_basis)
+        det = trace_form_det(F.integral_basis)
         signed = d if d % 4 == 1 else 4 * d
         assert det == signed
 

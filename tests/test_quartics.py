@@ -1,22 +1,22 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
-from conftest import within_seconds
 
 from alk import quartics
 from alk.intarith import is_square_fraction
-from alk.nfpoly import NumberField
-from alk.numfield import trace_form_disc
 from alk.toralsets import classify_galois_type
-
-
-def _power_basis_disc(min_poly):
-    theta = NumberField(min_poly).gen
-    return trace_form_disc([theta ** i for i in range(4)])
+from conftest import (
+    PowerBasisField,
+    power_basis_trace_disc,
+    random_alpha_tower,
+    random_tower,
+    within_seconds,
+)
 
 
 def test_cyclotomic_tower_presentation():
@@ -39,7 +39,7 @@ def test_biquadratic_tower_classification_and_disc():
     tower = quartics.biquadratic_tower(2, 3)
     assert classify_galois_type(tower) == "biquadratic"
     # power basis discriminant differs from the field one by a square
-    ratio = Fraction(_power_basis_disc(tower.theta_min_poly), tower.declared_DK)
+    ratio = Fraction(power_basis_trace_disc(tower), tower.declared_DK)
     assert ratio > 0 and is_square_fraction(ratio)
 
 
@@ -58,7 +58,7 @@ def test_sqrt_d_coordinates_square_to_d():
     for tower in (quartics.zeta5_tower(), quartics.sqrt2plus_tower(),
                   quartics.biquadratic_tower(5, 3),
                   quartics.gaussian_period_tower(13)):
-        K = NumberField(tower.theta_min_poly)
+        K = PowerBasisField(tower.theta_min_poly)
         sd = K.elem(tower.sqrt_d_coords)
         assert sd * sd == Fraction(tower.base.d)
 
@@ -69,8 +69,26 @@ def test_gaussian_period_towers_are_cyclic_with_cube_discriminant():
         assert tower.base.d == p
         assert tower.declared_DK == p ** 3
         assert classify_galois_type(tower) == "cyclic"
-        ratio = Fraction(_power_basis_disc(tower.theta_min_poly), p ** 3)
+        ratio = Fraction(power_basis_trace_disc(tower), p ** 3)
         assert ratio > 0 and is_square_fraction(ratio)
+
+
+def test_closed_form_disc_equals_the_trace_form_of_the_power_basis():
+    """16 Nr(delta) X^2 against det(Tr(theta^(i+k))) in the reference field
+    of theta_min_poly, on the curated towers and on seeded towers of every
+    Galois type, with alpha = 0, sqrt(d) or a fractional alpha."""
+    towers = [quartics.zeta5_tower(), quartics.sqrt2plus_tower(),
+              quartics.biquadratic_tower(2, 3), quartics.biquadratic_tower(-7, 2),
+              quartics.dihedral_tower(2, 1, 1), quartics.dihedral_tower(3, Fraction(1, 2), 3)]
+    towers += [quartics.gaussian_period_tower(p) for p in (13, 17, 29, 37, 41, 53)]
+    rng = random.Random(2202)
+    for make in (random_tower, random_alpha_tower):
+        towers += [t for t in (make(rng) for _ in range(250)) if t is not None]
+    types = {classify_galois_type(t) for t in towers}
+    assert len(towers) >= 300 and types == {"biquadratic", "cyclic", "dihedral"}
+    assert any(t.alpha.b != 0 and t.alpha.a.denominator != 1 for t in towers)
+    for tower in towers:
+        assert quartics.power_basis_disc(tower) == power_basis_trace_disc(tower), tower
 
 
 def test_gaussian_tower_at_a_five_digit_prime_is_built_and_classified_fast():
