@@ -1,7 +1,7 @@
 """Lattice enumeration and theta sums (Fincke-Pohst) for a positive
 definite float Gram G: nested interval search on its Cholesky factor for
 the integer x with x^T G x <= bound, with slack.  `gauss_sum` is the theta
-kernel; `enumerate_vectors` is the point list it is tested against.
+kernel; the tests check it against a reference that lists the points.
 """
 
 from __future__ import annotations
@@ -32,53 +32,16 @@ def _cholesky_upper(gram):
     return u
 
 
-def enumerate_vectors(gram, bound, budget=5_000_000):
-    """All integer x with Q(x) <= bound.  Returns (list of tuples, list of
-    float norms).  Deterministic ordering (lexicographic from the last
-    coordinate down)."""
-    n = len(gram)
-    u = _cholesky_upper(gram)
-    coords: list[tuple[int, ...]] = []
-    norms: list[float] = []
-    x = [0] * n
-    eps = 1e-9 * (1.0 + abs(bound))
-
-    def rec(i, used):
-        # used = sum of squared terms from levels > i
-        rem = bound + eps - used
-        if rem < 0:
-            return
-        s = sum(u[i][j] * x[j] for j in range(i + 1, n))
-        half = math.sqrt(rem)
-        lo = math.ceil((-s - half) / u[i][i] - 1e-12)
-        hi = math.floor((-s + half) / u[i][i] + 1e-12)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            t = (u[i][i] * xi + s) ** 2
-            if used + t > bound + eps:
-                continue
-            if i == 0:
-                if len(coords) >= budget:
-                    raise BudgetExceeded(budget, len(coords))
-                coords.append(tuple(x))
-                norms.append(used + t)
-            else:
-                rec(i - 1, used + t)
-        x[i] = 0
-
-    rec(n - 1, 0.0)
-    return coords, norms
-
-
 def gauss_sum(gram, bound, budget=5_000_000):
     """(sum of exp(-pi * Q(x)), count) over the integer x with Q(x) <= bound.
 
-    Same point set, inclusion test and budget as `enumerate_vectors`, but
-    no point is stored: each exp is added as the innermost level reaches
-    it.  Only the half space where the last nonzero coordinate is positive
-    is visited.  The partial sums s negate exactly in floating point, so
-    x and -x get the same terms t, the same norm and the same verdict, and
-    the full sum is 1 (the origin) plus twice the half sum.
+    No point is stored: each exp is added as the innermost level reaches
+    it.  The point set, inclusion test and budget are those of the full
+    point list that the tests keep as the reference.  Only the half space
+    where the last nonzero coordinate is positive is visited.  The partial
+    sums s negate exactly in floating point, so x and -x get the same
+    terms t, the same norm and the same verdict, and the full sum is 1
+    (the origin) plus twice the half sum.
     """
     n = len(gram)
     u = _cholesky_upper(gram)

@@ -22,12 +22,10 @@ implies them for every automorphism.  g g^T is the rational trace form
 T[i][k] = Tr(theta^(i+k)) of K, so g^{-1} = g^T T^{-1} needs one rational
 4x4 inverse and no field inverse in L.
 
-The conjugated matrix m = g^{-1} gamma g is linear in gamma:
-m[i][j] = sum_{k,l} gamma[k][l] g^{-1}[i][k] g[l][j].  Each embedding
-caches, on first use, the 16 closure products of every entry as integer
-numerators over one denominator per entry, so conjugating a rational
-gamma is one integer dot product per coordinate of each entry and one
-gcd per entry, with no field multiplication.
+The conjugated matrix m = g^{-1} gamma g is linear in gamma.  Each
+embedding caches, on first use, one `nfpoly.Conjugation` for (g^{-1}, g),
+so conjugating a rational gamma is one integer dot product per
+coordinate of each entry, with no field multiplication.
 
 A Psi profile shares its partial products: P[a][b] = m[a][0] m[b][1] and
 Q[c][d] = m[c][2] m[d][3] are formed once per ordered pair, so
@@ -50,7 +48,7 @@ from operator import mul
 from typing import Optional
 
 from .intarith import is_prime, valuation
-from .nfpoly import Automorphism, NFElem, NumberField, _canonical
+from .nfpoly import Automorphism, Conjugation, NFElem, NumberField, _canonical, _cleared
 from .numfield import FieldTower, conj, norm_square_class
 from .ratlinalg import mat_det, mat_inv, mat_mul, transpose
 
@@ -165,21 +163,11 @@ class EmbeddingData:
                     if len(_closure([rho for _, rho in gens])) == size)
 
     @cached_property
-    def conjugation_table(self) -> tuple:
-        """Per entry (i, j) a pair (D, rows): rows[c][4k + l] / D is
-        coordinate c of g^{-1}[i][k] g[l][j] on the basis of the closure,
-        with D the least common denominator of the 16 products.
-        Built on first use."""
-        table = []
-        for a_row in self.g_inv:
-            entries = []
-            for j in range(4):
-                prods = [a * row[j] for a in a_row for row in self.g]
-                den = math.lcm(*(x.den for x in prods))
-                cols = [[c * (den // x.den) for c in x.num] for x in prods]
-                entries.append((den, tuple(zip(*cols))))
-            table.append(tuple(entries))
-        return tuple(table)
+    def conjugation_table(self) -> Conjugation:
+        """gamma -> g^{-1} gamma g as one `nfpoly.Conjugation`, whose integer
+        table of the closure products g^{-1}[i][k] g[l][j] is built on
+        first use."""
+        return Conjugation(self.closure, self.g_inv, self.g)
 
 
 def _conj_delta_ratio(tower: FieldTower) -> Optional[NFElem]:
@@ -284,22 +272,10 @@ class InvariantProfile:
     galois_type: Optional[str] = None
 
 
-def _cleared(gamma) -> tuple[list[int], int]:
-    """(v, e): gamma's 16 entries, row by row, as integers over one denominator e."""
-    q = [Fraction(x) for row in gamma for x in row]
-    e = math.lcm(*(x.denominator for x in q))
-    return [x.numerator * (e // x.denominator) for x in q], e
-
-
 def conjugated_matrix(emb: EmbeddingData, gamma):
     """g^{-1} gamma g with gamma rational, as 4x4 rows of NFElem of the
-    closure: gamma is cleared to 16 integers over one denominator e, and
-    entry (i, j) is read from `emb.conjugation_table` as one integer dot
-    product per coordinate over D_ij * e, in lowest terms."""
-    v, e = _cleared(gamma)
-    L = emb.closure
-    return [[_canonical(L, [sum(map(mul, coord, v)) for coord in rows], den * e)
-             for den, rows in entries] for entries in emb.conjugation_table]
+    closure, read from `emb.conjugation_table` with no field multiplication."""
+    return emb.conjugation_table(gamma)
 
 
 def _psi_values(emb: EmbeddingData, gamma, perms):

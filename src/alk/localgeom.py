@@ -3,10 +3,13 @@
 A torus is the unit group of a quadratic algebra K = Q(sqrt D) acting on
 itself; we fix the right-regular matrix model on a basis (1, g): the
 matrix of x = a + b*sqrt(D) on the basis (1, sqrt(D)) is
-[[a, b], [bD, a]].  The conjugator built from the eigenbasis of the
-algebra turns any rational 2x2 matrix gamma into coordinates
-(b1, b2) in K with c gamma c^{-1} = [[b1, b2], [conj b2, conj b1]];
-everything at finite places is exact.
+[[a, b], [bD, a]].  The eigenbasis E = [[1, 1], [g, conj g]] of the
+algebra turns any rational 2x2 matrix gamma into coordinates (b1, b2) in
+K with E^{-1} gamma E = [[b1, b2], [conj b2, conj b1]], read from one
+`nfpoly.Conjugation` per torus, the kernel git4 uses for g^{-1} gamma g.
+The Res_{F/Q} GL2 block coordinates of a rational 4x4 matrix are the
+(b1, b2) of its four 2x2 blocks on the torus (1, f omega) (Khayutin,
+Duke Math. J. 168 (2019)).  Everything at finite places is exact.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .intarith import valuation
-from .nfpoly import NFElem
+from .nfpoly import Conjugation, NFElem
 from .numfield import QuadField, conj, splitting_type
-from .ratlinalg import mat_mul
+from .ratlinalg import mat_det, mat_mul
 
 
 # ---------------------------------------------------------------------------
@@ -47,23 +50,21 @@ class QuadTorus:
         return [[u, v], [w, z]]
 
     def eigenbasis(self) -> list[list[NFElem]]:
-        """[[1, 1], [g, conj g]], the inverse of the conjugator."""
+        """E = [[1, 1], [g, conj g]]: E^{-1} embed(x) E = diag(x, conj x)."""
         one, g = self.K.elem(1), self.basis_gen
         return [[one, one], [g, conj(g)]]
 
-    def conjugator(self) -> list[list[NFElem]]:
-        """c with c * embed(x) * c^{-1} = diag(x, conj x) for all x."""
-        return [row[:] for row in self._conjugator]
-
     @cached_property
-    def _conjugator(self) -> list[list[NFElem]]:
-        # one inverse per torus, not one per local_coords call
-        return _inv2(self.eigenbasis())
+    def conjugate(self) -> Conjugation:
+        """gamma -> E^{-1} gamma E on rational 2x2 matrices; one inverse
+        and one table per torus."""
+        e = self.eigenbasis()
+        return Conjugation(self.K.nf, _inv2(e), e)
 
 
 def _inv2(m):
-    """Inverse of a 2x2 matrix by its adjugate, over NFElem, float or
-    complex entries alike."""
+    """Inverse of a 2x2 matrix by its adjugate: over NFElem for a torus's
+    kernel and `reconstruct`, over float or complex Archimedean data."""
     (a, b), (c, d) = m
     r = 1 / (a * d - b * c)
     return [[d * r, -b * r], [-c * r, a * r]]
@@ -146,7 +147,6 @@ def different_and_orders(D: int, p: int, f: int = 1) -> LocalQuadExt:
 class LocalCoords:
     b1: object  # NFElem (finite) or a pair of complex numbers (Archimedean)
     b2: object
-    c: tuple  # conjugator rows
     kind: str  # "finite" or "arch"
 
     def psi(self, det_gamma) -> object:
@@ -156,21 +156,25 @@ class LocalCoords:
         return self.b2[0] * self.b2[1] / det_gamma
 
 
+def _sigma_pattern(m) -> bool:
+    """m = [[b1, b2], [conj b2, conj b1]]."""
+    return m[1][1] == conj(m[0][0]) and m[1][0] == conj(m[0][1])
+
+
 def local_coords(torus: QuadTorus, gamma) -> LocalCoords:
-    """Exact coordinates of a rational 2x2 matrix with respect to the torus."""
-    K = torus.K
-    g = [[K.coerce(x) for x in row] for row in gamma]
-    c = torus.conjugator()
-    m = mat_mul(mat_mul(c, g), torus.eigenbasis())
-    if not (m[1][1] == conj(m[0][0]) and m[1][0] == conj(m[0][1])):
+    """Exact coordinates of a rational 2x2 matrix with respect to the torus;
+    a non-rational entry raises ValueError."""
+    m = torus.conjugate(gamma)
+    if not _sigma_pattern(m):
         raise ArithmeticError("conjugated matrix lost its sigma-pattern")
-    return LocalCoords(m[0][0], m[0][1], tuple(tuple(r) for r in c), "finite")
+    return LocalCoords(m[0][0], m[0][1], "finite")
 
 
 def reconstruct(torus: QuadTorus, coords: LocalCoords):
-    """c^{-1} [[b1, b2], [conj b2, conj b1]] c, for the identity check."""
+    """E [[b1, b2], [conj b2, conj b1]] E^{-1}, for the identity check."""
+    e = torus.eigenbasis()
     mid = [[coords.b1, coords.b2], [conj(coords.b2), conj(coords.b1)]]
-    return mat_mul(mat_mul(torus.eigenbasis(), mid), [list(r) for r in coords.c])
+    return mat_mul(mat_mul(e, mid), _inv2(e))
 
 
 def psi_invariant(torus: QuadTorus, gamma) -> Fraction:
@@ -267,8 +271,7 @@ def arch_local_coords(f: list[list[float]], gamma) -> LocalCoords:
     c, _alpha = arch_conjugator(f)
     g = [[complex(float(x)) for x in row] for row in gamma]
     m = mat_mul(mat_mul(c, g), _inv2(c))
-    return LocalCoords((m[0][0], m[1][1]), (m[0][1], m[1][0]),
-                       tuple(tuple(r) for r in c), "arch")
+    return LocalCoords((m[0][0], m[1][1]), (m[0][1], m[1][0]), "arch")
 
 
 def psi_invariant_arch(f: list[list[float]], gamma) -> complex:
@@ -367,33 +370,25 @@ def norm_index(ext: LocalQuadExt) -> int:
 
 def block_coordinates_gl4(F: QuadField, gamma, f: int = 1) -> dict:
     """Coordinates of a rational 4x4 matrix with respect to the embedded
-    Res_{F/Q} GL2: conjugation by P_(23) diag(c, c) yields blocks
-    [[A1, A2], [conj A2, conj A1]] with A1, A2 over F."""
-    alpha = F.omega * f
-    one = F.elem(1)
-    zero = F.elem(0)
-    e = [[one, one], [alpha, conj(alpha)]]
-    c = _inv2(e)
-    # c1 = P diag(c, c) with P the involution swapping coordinates 1 and 2
-    # (rows of c1, columns of c1^-1 = diag(e, e) P)
-    c1 = [c[0] + [zero, zero], [zero, zero] + c[0], c[1] + [zero, zero], [zero, zero] + c[1]]
-    c1_inv = [[e[0][0], zero, e[0][1], zero], [e[1][0], zero, e[1][1], zero],
-              [zero, e[0][0], zero, e[0][1]], [zero, e[1][0], zero, e[1][1]]]
-    g = [[F.coerce(x) for x in row] for row in gamma]
-    m = mat_mul(mat_mul(c1, g), c1_inv)
-    a1 = [[m[0][0], m[0][1]], [m[1][0], m[1][1]]]
-    a2 = [[m[0][2], m[0][3]], [m[1][2], m[1][3]]]
-    pattern_ok = all(
-        m[2 + i][2 + j] == conj(a1[i][j]) and m[2 + i][j] == conj(a2[i][j])
-        for i in range(2) for j in range(2)
-    )
-    return {"A1": a1, "A2": a2, "pattern_ok": pattern_ok, "c1": c1}
+    Res_{F/Q} GL2: conjugation by c1 = P_(23) diag(c, c), c = E^{-1} on the
+    torus (1, f omega), yields blocks [[A1, A2], [conj A2, conj A1]] with
+    A1[i][j], A2[i][j] the (b1, b2) of gamma's 2x2 block (i, j)."""
+    if len(gamma) != 4 or any(len(row) != 4 for row in gamma):
+        raise ValueError("expected a 4x4 matrix")
+    conjugate = QuadTorus(F, F.omega * f).conjugate
+    blocks = [[conjugate([row[2 * j:2 * j + 2] for row in gamma[2 * i:2 * i + 2]])
+               for j in range(2)] for i in range(2)]
+    return {"A1": [[m[0][0] for m in row] for row in blocks],
+            "A2": [[m[0][1] for m in row] for row in blocks],
+            "pattern_ok": all(_sigma_pattern(m) for row in blocks for m in row)}
 
 
 def block_integrality(F: QuadField, gamma, p: int, f: int = 1) -> dict:
     """Integrality of the block coordinates for gamma in GL4(Z_p)."""
     ext = different_and_orders(F.d, p, f)
     bc = block_coordinates_gl4(F, gamma, f)
+    if mat_det([[Fraction(x) for x in row] for row in gamma]) == 0:
+        raise ValueError("gamma must be invertible")
     a1, a2 = bc["A1"], bc["A2"]
     in_inv_diff = all(ext.in_inverse_different(a1[i][j]) and
                       ext.in_inverse_different(a2[i][j])

@@ -15,7 +15,10 @@ elements is accumulated into, and the rows that reduce the monomials
 beyond the basis.  Norm and inverse multiply by the conjugate that
 negates the last generator, and repeat in the field below.  An
 `Automorphism` is an integer matrix over one denominator built from the
-images of the basis, each row kept as its nonzero entries only.
+images of the basis, each row kept as its nonzero entries only.  A
+`Conjugation` gamma -> A gamma B of rational matrices by fixed matrices
+over a field is likewise an integer table, applied by dot products: the
+one kernel for git4's g^-1 gamma g and for the GL2 torus coordinates.
 """
 
 from __future__ import annotations
@@ -284,6 +287,53 @@ class Automorphism:
         get = x.num.__getitem__
         return _canonical(self.field, [sum(map(mul, coeffs, map(get, cols)))
                                        for cols, coeffs in self._rows], x.den * self._den)
+
+
+def _cleared(matrix) -> tuple[list[int], int]:
+    """(v, e): the matrix's entries, row by row, as integers over one
+    denominator e.  An entry that is not a rational number raises ValueError."""
+    try:
+        q = [Fraction(x) for row in matrix for x in row]
+    except TypeError:
+        raise ValueError("matrix entries must be rational numbers") from None
+    (v,), e = _over_common_den([q])
+    return v, e
+
+
+class Conjugation:
+    """The map gamma -> A gamma B on rational n x n matrices, for fixed n x n
+    matrices A and B over a NumberField; a conjugation when A = B^-1.
+    Entry (i, j) is sum_(k,l) gamma[k][l] A[i][k] B[l][j], linear in gamma,
+    so the n^2 products A[i][k] B[l][j] of each entry are formed once and
+    held as integer numerators over one denominator per entry.  A call
+    clears gamma to integers over one denominator e and takes each
+    coordinate of each entry as one integer dot product, over that entry's
+    denominator times e, with no field multiplication."""
+
+    __slots__ = ("field", "_table")
+
+    def __init__(self, field: NumberField, left, right):
+        self.field = field
+        table = []
+        for a_row in left:
+            entries = []
+            for j in range(len(right[0])):
+                prods = [a * row[j] for a in a_row for row in right]
+                den = lcm(*(x.den for x in prods))
+                cols = [[c * (den // x.den) for c in x.num] for x in prods]
+                entries.append((den, tuple(zip(*cols))))
+            table.append(tuple(entries))
+        # table[i][j] = (D, rows): rows[c][n k + l] / D is coordinate c of A[i][k] B[l][j]
+        self._table = tuple(table)
+
+    def __call__(self, gamma) -> list[list[NFElem]]:
+        n = len(self._table)
+        if len(gamma) != n or any(len(row) != n for row in gamma):
+            raise ValueError(f"expected a {n}x{n} matrix")
+        v, e = _cleared(gamma)
+        K = self.field
+        return [[_canonical(K, [sum(map(mul, coord, v)) for coord in rows], den * e)
+                 for den, rows in entries] for entries in self._table]
 
 
 # ---------------------------------------------------------------------------

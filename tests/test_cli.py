@@ -113,6 +113,19 @@ def test_local_four_by_four(capsys):
     assert data["pattern_ok"] and data["A2_zero"]
 
 
+@pytest.mark.parametrize("matrix", [
+    "[[0,0,0,0],[0,0,0,0],[0,0,0,0],[0,0,0,0]]",
+    "[[1,0,0,0],[0,1,0,0],[0,0,0,0],[0,0,0,0]]",
+], ids=["zero", "rank2"])
+def test_local_four_by_four_refuses_a_singular_matrix(capsys, matrix):
+    # exited 0 and printed the block checks, while a singular 2x2 exits 1
+    code, err = run_cli_err(capsys, ["local", "--d", "5", "--prime", "5", "--matrix", matrix])
+    assert (code, err) == (1, "error: gamma must be invertible\n")
+    code, err = run_cli_err(capsys, ["local", "--d", "5", "--prime", "5",
+                                     "--matrix", "[[1, 1], [1, 1]]"])
+    assert (code, err) == (1, "error: gamma must be invertible\n")
+
+
 def test_invariants_identity(capsys):
     ident = json.dumps([[1 if i == j else 0 for j in range(4)] for i in range(4)])
     code, data = run_json(capsys, ["invariants", "--tower", '{"kind": "zeta5"}',

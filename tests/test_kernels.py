@@ -7,9 +7,48 @@ from alk import _fpenum_py
 from conftest import random_posdef_gram
 
 
+def enumerate_vectors(gram, bound, budget=5_000_000):
+    """All integer x with Q(x) <= bound, the reference point list of
+    `gauss_sum`: (list of tuples, list of float norms), lexicographic from
+    the last coordinate down, with the kernel's Cholesky factor, slack and
+    budget."""
+    n = len(gram)
+    u = _fpenum_py._cholesky_upper(gram)
+    coords: list[tuple[int, ...]] = []
+    norms: list[float] = []
+    x = [0] * n
+    eps = 1e-9 * (1.0 + abs(bound))
+
+    def rec(i, used):
+        # used = sum of squared terms from levels > i
+        rem = bound + eps - used
+        if rem < 0:
+            return
+        s = sum(u[i][j] * x[j] for j in range(i + 1, n))
+        half = math.sqrt(rem)
+        lo = math.ceil((-s - half) / u[i][i] - 1e-12)
+        hi = math.floor((-s + half) / u[i][i] + 1e-12)
+        for xi in range(lo, hi + 1):
+            x[i] = xi
+            t = (u[i][i] * xi + s) ** 2
+            if used + t > bound + eps:
+                continue
+            if i == 0:
+                if len(coords) >= budget:
+                    raise _fpenum_py.BudgetExceeded(budget, len(coords))
+                coords.append(tuple(x))
+                norms.append(used + t)
+            else:
+                rec(i - 1, used + t)
+        x[i] = 0
+
+    rec(n - 1, 0.0)
+    return coords, norms
+
+
 def reference_gauss_sum(gram, bound):
     """The full point list of `enumerate_vectors`, summed with math.exp."""
-    _, norms = _fpenum_py.enumerate_vectors(gram, bound)
+    _, norms = enumerate_vectors(gram, bound)
     return sum(math.exp(-math.pi * q) for q in norms), len(norms)
 
 
@@ -72,7 +111,7 @@ def test_gauss_sum_budget_is_the_point_list_budget():
         count = _fpenum_py.gauss_sum(gram, 6.0)[1]
         for budget in range(count + 2):
             try:
-                _fpenum_py.enumerate_vectors(gram, 6.0, budget)
+                enumerate_vectors(gram, 6.0, budget)
                 old = None
             except _fpenum_py.BudgetExceeded as exc:
                 old = (exc.budget, exc.found)
@@ -93,7 +132,7 @@ def test_gauss_sum_budget_stops_a_long_row():
 
 
 def test_fallback_enumeration_is_symmetric():
-    vecs, norms = _fpenum_py.enumerate_vectors([[1.0, 0.0], [0.0, 1.0]], 4.0)
+    vecs, norms = enumerate_vectors([[1.0, 0.0], [0.0, 1.0]], 4.0)
     s = set(vecs)
     assert all(tuple(-c for c in v) in s for v in vecs)
     assert (0, 0) in s
@@ -101,5 +140,5 @@ def test_fallback_enumeration_is_symmetric():
 
 def test_budget_exceeded_reports_progress():
     with pytest.raises(_fpenum_py.BudgetExceeded) as exc:
-        _fpenum_py.enumerate_vectors([[0.01]], 1.0, budget=3)
+        enumerate_vectors([[0.01]], 1.0, budget=3)
     assert exc.value.budget == 3

@@ -43,14 +43,66 @@ def test_embedding_is_multiplicative():
 
 
 def test_conjugator_diagonalizes_the_torus():
+    """E^-1 embed(x) E = diag(x, conj x), with E^-1 from plain Gauss-Jordan
+    elimination, and the torus's kernel gives the same matrix."""
     torus = order_torus(5, 2)
     K = torus.K
     x = K.elem(3, 2)
-    c = torus.conjugator()
+    e = torus.eigenbasis()
     emb = [[K.elem(v) for v in row] for row in torus.embed(x)]
-    diag = mat_mul(mat_mul(c, emb), gauss_jordan(c)[1])
+    diag = mat_mul(mat_mul(gauss_jordan(e)[1], emb), e)
     assert diag[0][0] == x and diag[1][1] == conj(x)
     assert diag[0][1].is_zero() and diag[1][0].is_zero()
+    assert torus.conjugate(torus.embed(x)) == diag
+
+
+def _conjugate_by_eigenbasis(torus, gamma):
+    """c gamma E with c = E^-1 from Gauss-Jordan elimination, over NFElem."""
+    K, e = torus.K, torus.eigenbasis()
+    g = [[K.elem(x) for x in row] for row in gamma]
+    return mat_mul(mat_mul(gauss_jordan(e)[1], g), e)
+
+
+def test_local_coords_are_the_conjugate_by_the_eigenbasis():
+    """(b1, b2) is the top row of c gamma E on fractional gamma, at
+    conductors 1 to 3 and at p = 2, through every caller of the kernel."""
+    rng = random.Random(67)
+    for D, p, f in ((-7, 2, 1), (-3, 2, 2), (-1, 2, 3), (2, 2, 2), (3, 3, 3),
+                    (5, 2, 2), (5, 5, 3), (13, 2, 1)):
+        ext = different_and_orders(D, p, f)
+        for _ in range(8):
+            gamma = [[Fraction(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(2)]
+                     for _ in range(2)]
+            det = gamma[0][0] * gamma[1][1] - gamma[0][1] * gamma[1][0]
+            if det == 0:
+                continue
+            want = _conjugate_by_eigenbasis(ext.torus, gamma)
+            assert ext.torus.conjugate(gamma) == want
+            lc = local_coords(ext.torus, gamma)
+            assert (lc.b1, lc.b2) == (want[0][0], want[0][1])
+            assert integrality_checks(ext, gamma)["coords"] == lc
+            assert psi_bound_finite(ext, gamma)["psi"] == want[0][1].norm() / det
+
+
+def test_malformed_matrices_are_refused():
+    """A non-rational entry or a wrong shape raises ValueError; the kernel
+    would otherwise read a misshapen gamma as the entries it has."""
+    torus = standard_torus(2)
+    K = torus.K
+    for entry in (K.elem(0, 1), K.elem(1), complex(1, 1)):
+        with pytest.raises(ValueError, match="rational"):
+            local_coords(torus, [[entry, 0], [0, 1]])
+    gamma = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    gamma[2][1] = K.elem(0, 1)
+    with pytest.raises(ValueError, match="rational"):
+        block_coordinates_gl4(QuadField(2), gamma)
+    for gamma in ([[1, 2, 3], [4, 5, 6]], [[1], [2]], [[1, 2], [3, 4], [5, 6]], [[1, 2]]):
+        with pytest.raises(ValueError, match="expected a 2x2 matrix"):
+            local_coords(torus, gamma)
+    for gamma in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0, 0, 0]] * 4,
+                  [[1, 0, 0, 0]] * 5):
+        with pytest.raises(ValueError, match="expected a 4x4 matrix"):
+            block_coordinates_gl4(QuadField(5), gamma)
 
 
 def test_coordinates_reconstruct_the_matrix_exactly():
@@ -218,18 +270,27 @@ def test_block_coordinates_pattern_and_identity():
 
 
 def test_block_coordinates_are_the_conjugate_by_c1():
-    """The blocks are those of c1 gamma c1^-1 with c1^-1 from plain
-    Gauss-Jordan elimination, not from the closed form diag(E, E) P."""
+    """The blocks are those of c1 gamma c1^-1 with c1 = P diag(c, c), P the
+    involution swapping coordinates 1 and 2, c = E^-1 and c1^-1 all from
+    plain Gauss-Jordan elimination."""
     rng = random.Random(59)
-    for d, f in ((2, 1), (5, 1), (-1, 2), (-3, 1)):
+    for d, f in ((2, 1), (5, 1), (-1, 2), (-3, 1), (13, 3), (-7, 2)):
         F = make_quad_field(d)
+        alpha = F.omega * f
+        zero, one = F.elem(0), F.elem(1)
+        c = gauss_jordan([[one, one], [alpha, conj(alpha)]])[1]
+        c1 = [c[0] + [zero, zero], [zero, zero] + c[0], c[1] + [zero, zero],
+              [zero, zero] + c[1]]
         for _ in range(3):
             gamma = random_invertible(rng, 4)
             bc = block_coordinates_gl4(F, gamma, f)
-            g = [[F.coerce(x) for x in row] for row in gamma]
-            m = mat_mul(mat_mul(bc["c1"], g), gauss_jordan(bc["c1"])[1])
+            g = [[F.elem(x) for x in row] for row in gamma]
+            m = mat_mul(mat_mul(c1, g), gauss_jordan(c1)[1])
             assert bc["A1"] == [row[:2] for row in m[:2]]
             assert bc["A2"] == [row[2:] for row in m[:2]]
+            assert bc["pattern_ok"]
+            assert [row[2:] for row in m[2:]] == [[conj(x) for x in r] for r in bc["A1"]]
+            assert [row[:2] for row in m[2:]] == [[conj(x) for x in r] for r in bc["A2"]]
 
 
 def test_block_integrality_of_integral_matrices():
@@ -241,3 +302,11 @@ def test_block_integrality_of_integral_matrices():
         res = block_integrality(F, gamma, 5)
         assert res["pattern_ok"]
         assert res["in_inv_different"] and res["difference_integral"]
+
+
+def test_block_integrality_refuses_singular_matrices():
+    F = make_quad_field(5)
+    rank_two = [[Fraction(int(i == j and i < 2)) for j in range(4)] for i in range(4)]
+    for gamma in ([[Fraction(0)] * 4 for _ in range(4)], rank_two):
+        with pytest.raises(ValueError, match="gamma must be invertible"):
+            block_integrality(F, gamma, 5)
