@@ -32,6 +32,18 @@ def _cholesky_upper(gram):
     return u
 
 
+def _first_false(lo, hi, pred):
+    """The least v in [lo, hi] with pred(v) false, or hi + 1, for a pred that
+    holds on a prefix of [lo, hi]; by bisection."""
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return lo
+
+
 def gauss_sum(gram, bound, budget=5_000_000):
     """(sum of exp(-pi * Q(x)), count) over the integer x with Q(x) <= bound.
 
@@ -82,11 +94,15 @@ def gauss_sum(gram, bound, budget=5_000_000):
             return
         if not free:
             lo = 1  # x = 0 is the origin, counted once outside the sum
-        # the accepted x[0] form one run: trim the ends, then sum without tests
-        while lo <= hi and used + (d * lo + s) ** 2 > top:
-            lo += 1
-        while hi >= lo and used + (d * hi + s) ** 2 > top:
-            hi -= 1
+        # the accepted x[0] form one run: trim the ends, then sum without tests.
+        # y = d*x + s rises with x, so Q falls while y < 0 and rises after:
+        # the rejected x below the run (y < 0) and above it (y > 0) are found
+        # by bisection.  Single steps would not end past 2^53, where float(x)
+        # repeats over many integers
+        if lo <= hi and used + (d * lo + s) ** 2 > top:
+            lo = _first_false(lo, hi, lambda v: (y := d * v + s) < 0 and used + y ** 2 > top)
+        if lo <= hi and used + (d * hi + s) ** 2 > top:
+            hi = _first_false(lo, hi, lambda v: (y := d * v + s) <= 0 or used + y ** 2 <= top) - 1
         if hi < lo:
             return
         count += hi - lo + 1

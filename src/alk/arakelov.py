@@ -2,7 +2,11 @@
 
 Degrees, theta invariants, Poisson-Riemann-Roch, duality, and the
 comparison bounds.  Gram matrices and ideals are exact; theta values are
-floats with certified truncation tails.
+floats with certified truncation tails.  The theta invariants of a
+Euclidean lattice sum its sparser side, L or L*, and take the other from
+Poisson summation, h0 - h1 = adeg, with log det from the logs of its
+numerator and denominator; a bundle sums L, L* and the duality twist and
+compares the two h1 routes.
 
 Norm convention for bundles: a bundle carries one radius rho per
 Archimedean embedding (equal at conjugate embeddings) and the section
@@ -41,9 +45,6 @@ class EuclideanLattice:
     def det(self) -> Fraction:
         return mat_det(self.gram)
 
-    def covolume(self) -> float:
-        return math.sqrt(float(self.det()))
-
     def dual(self) -> "EuclideanLattice":
         return EuclideanLattice(tuple(map(tuple, mat_inv(self.gram))))
 
@@ -73,9 +74,11 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
 
 @dataclass(frozen=True)
 class ThetaReport:
-    """h0, h1: log theta of L and L*, summed over |v| <= truncation_radius;
-    each is below the true value by less than tail_bound, which bounds the
-    truncation only, not float rounding (large on skewed Grams)."""
+    """h0, h1: log theta of L and L*.  For a Euclidean lattice one of them
+    is summed over |v| <= truncation_radius and the other is derived from
+    it by Poisson summation, h0 - h1 = adeg; both are below the true values
+    by less than tail_bound, which bounds the truncation only, not float
+    rounding of the sum (large on skewed Grams) or of log det."""
 
     h0: float
     h1: float
@@ -92,9 +95,19 @@ def theta_invariants_euclidean(
     tail_tol: float = enumeration.DEFAULT_TAIL_TOL,
     budget: int = enumeration.DEFAULT_BUDGET,
 ) -> ThetaReport:
-    h0, radius, tail = enumeration.theta_log_sum(lat.gram, tail_tol, budget)
-    h1, _, _ = enumeration.theta_log_sum(lat.dual().gram, tail_tol, budget)
-    return ThetaReport(h0, h1, -math.log(lat.covolume()), radius, tail)
+    """Sums the sparser side, L when det(L) >= 1 and L* otherwise, and takes
+    the other from theta_{L*}(1) = covol(L) * theta_L(1)."""
+    det = lat.det() if lat.rank else Fraction(1)  # theta_log_sum refuses rank 0
+    # math.log reads an int of any size, where float(det) may overflow or
+    # underflow
+    adeg = (math.log(det.denominator) - math.log(det.numerator)) / 2
+    if det >= 1:
+        h0, radius, tail = enumeration.theta_log_sum(lat.gram, tail_tol, budget)
+        h1 = h0 - adeg
+    else:
+        h1, radius, tail = enumeration.theta_log_sum(lat.dual().gram, tail_tol, budget)
+        h0 = h1 + adeg
+    return ThetaReport(h0, h1, adeg, radius, tail)
 
 
 # ---------------------------------------------------------------------------

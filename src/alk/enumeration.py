@@ -12,6 +12,10 @@ For c > 1/sqrt(2 pi), Banaszczyk's lemma (Math. Ann. 296 (1993), Lemma
 c sqrt(n) by C^n theta, with C = c sqrt(2 pi e) e^{-pi c^2}.  So the log
 of the partial sum falls below log theta by less than -log(1 - C^n), the
 reported tail_bound; it covers truncation, not float rounding.
+
+Each call sums one lattice.  `arakelov.theta_invariants_euclidean` calls it
+on the sparser of L and L* only and derives the other side by Poisson
+summation, which keeps the same tail_bound plus the rounding of log det.
 """
 
 from __future__ import annotations

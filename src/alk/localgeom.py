@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Optional
 
@@ -82,8 +82,10 @@ def standard_torus(D: int) -> QuadTorus:
     return QuadTorus(K, K.elem(0, 1))
 
 
+@lru_cache
 def order_torus(D: int, f: int) -> QuadTorus:
-    """Torus on the basis (1, f*omega) of the conductor-f order."""
+    """Torus on the basis (1, f*omega) of the conductor-f order; one per
+    (D, f), so its conjugation table is built once."""
     K = QuadField(D)
     return QuadTorus(K, K.omega * f)
 
@@ -375,7 +377,7 @@ def block_coordinates_gl4(F: QuadField, gamma, f: int = 1) -> dict:
     A1[i][j], A2[i][j] the (b1, b2) of gamma's 2x2 block (i, j)."""
     if len(gamma) != 4 or any(len(row) != 4 for row in gamma):
         raise ValueError("expected a 4x4 matrix")
-    conjugate = QuadTorus(F, F.omega * f).conjugate
+    conjugate = order_torus(F.d, f).conjugate
     blocks = [[conjugate([row[2 * j:2 * j + 2] for row in gamma[2 * i:2 * i + 2]])
                for j in range(2)] for i in range(2)]
     return {"A1": [[m[0][0] for m in row] for row in blocks],

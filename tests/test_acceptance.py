@@ -38,13 +38,17 @@ def test_criterion_01_theta_duality(capsys):
     for _ in range(20):
         n = rng.randint(1, 3)
         lat = arakelov.euclidean_lattice(random_posdef_gram(rng, n))
+        # the report derives one side from the other by Poisson summation;
+        # both are held against the kernel's direct sums of L and L*
         rep = arakelov.theta_invariants_euclidean(lat)
-        worst = max(worst, abs(rep.h0 - rep.h1 - rep.adeg))
+        h0, _, _ = enumeration.theta_log_sum(lat.gram)
+        h1, _, _ = enumeration.theta_log_sum(lat.dual().gram)
+        worst = max(worst, abs(rep.h0 - h0), abs(rep.h1 - h1))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-9 and elapsed < 10.0
     _report(capsys, 1,
-            f"theta duality residual {worst:.2e} on 20 random lattices of "
-            f"rank <= 3 in {elapsed:.2f}s (< 1e-9, < 10s)", ok)
+            f"theta duality residual {worst:.2e} against direct sums of L and "
+            f"L* on 20 random lattices of rank <= 3 in {elapsed:.2f}s (< 1e-9, < 10s)", ok)
 
 
 def test_criterion_02_canonical_degree_and_h1_route(capsys):

@@ -6,6 +6,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alk import enumeration
 from alk.arakelov import (
@@ -131,13 +133,73 @@ def test_theta_of_integer_lattice_matches_direct_sum():
     assert rep.tail_bound < 1e-12
 
 
+def _direct_sums(lat):
+    """h0 and h1 each summed by the kernel, on L and on L*."""
+    return (enumeration.theta_log_sum(lat.gram)[0],
+            enumeration.theta_log_sum(lat.dual().gram)[0])
+
+
 def test_theta_duality_residual_on_random_lattices():
+    # the report sums one side and derives the other by Poisson summation,
+    # so its own h0 - h1 - adeg is 0; the derived side is checked here
+    # against its direct sum
     rng = random.Random(11)
     for _ in range(10):
         n = rng.randint(1, 3)
         lat = euclidean_lattice(random_posdef_gram(rng, n))
         rep = theta_invariants_euclidean(lat)
-        assert abs(rep.h0 - rep.h1 - rep.adeg) < 1e-9
+        h0, h1 = _direct_sums(lat)
+        assert abs(rep.h0 - h0) < 1e-9 and abs(rep.h1 - h1) < 1e-9
+
+
+@st.composite
+def _scaled_grams(draw):
+    """(A^T A + I) * 2^k for an integer A with entries in [-1, 1], rank 1-4,
+    and k in [-6, 6] with |k| * n <= 12, so that det falls on either side
+    of 1 while the denser side's direct sum stays below ~10^5 points, whose
+    float rounding stays below 1e-12."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(-min(6, 12 // n), min(6, 12 // n)))
+    a = draw(st.lists(st.lists(st.integers(-1, 1), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    return [[(sum(a[m][i] * a[m][j] for m in range(n)) + (i == j)) * Fraction(2) ** k
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram=_scaled_grams())
+def test_summed_and_derived_sides_match_their_direct_sums(gram):
+    lat = euclidean_lattice(gram)
+    rep = theta_invariants_euclidean(lat)
+    h0, h1 = _direct_sums(lat)
+    assert abs(rep.h0 - h0) <= rep.tail_bound + 1e-12
+    assert abs(rep.h1 - h1) <= rep.tail_bound + 1e-12
+    assert abs(rep.adeg + 0.5 * math.log(lat.det())) <= 1e-12 * max(1.0, abs(rep.adeg))
+
+
+@pytest.mark.parametrize("k", [-6, -1, 0, 1, 6])
+def test_theta_of_a_scaled_unimodular_gram_is_a_product(k):
+    """U^T U 2^k is isometric to 2^(k/2) Z^4, so h0 and h1 are 4 log of
+    1-D series.  At k = -6 or 6 the denser side, summed directly, is off by
+    3e-12 through float rounding over 2.6 million points; the report sums
+    the sparser side and derives the other."""
+    u = [[1, 2, -1, 0], [0, 1, 3, 1], [0, 0, 1, -2], [0, 0, 0, 1]]
+    gram = [[sum(u[m][i] * u[m][j] for m in range(4)) * Fraction(2) ** k
+             for j in range(4)] for i in range(4)]
+    rep = theta_invariants_euclidean(euclidean_lattice(gram))
+    for got, g in ((rep.h0, 2.0 ** k), (rep.h1, 2.0 ** -k)):
+        want = 4 * math.log(_theta_1d(g))
+        assert -1e-12 <= want - got <= rep.tail_bound + 1e-12, (k, want - got)
+    assert abs(rep.adeg + 2 * k * math.log(2)) <= 1e-12
+
+
+def test_sheared_integer_lattice_is_exact():
+    # Z^2 on the basis (1, 0), (k, 1): det 1, so L is summed, and h1 = h0
+    want = 2 * math.log(_theta_1d(1.0))
+    for k in (10 ** 3, 10 ** 5, 10 ** 6):
+        rep = theta_invariants_euclidean(euclidean_lattice([[1, k], [k, k * k + 1]]))
+        assert rep.adeg == 0
+        assert abs(rep.h0 - want) <= 1e-14 and rep.h1 == rep.h0
 
 
 def test_scaled_integer_lattice_degree():

@@ -607,14 +607,31 @@ def test_budget_below_one_is_a_usage_error(capsys):
 
 
 def test_exceeded_budget_is_an_error_line(capsys):
-    # [[1e300]] has the dual [[1e-300]], whose ball holds ~10^150 points
-    # [[1e-30]], cut to a denominator of 10^12, was refused as not positive
-    # definite
+    # [[1e-300, 0], [0, 1e300]] has det 1 and is needle-thin on both sides;
+    # the bundle's Gram has entries near 1e-200.  Their runs of x[0] end
+    # near 10^150 and 10^100, past 2^53, where float(x) repeats
     for argv in (["theta", "--gram", "[[1]]", "--budget", "2"],
-                 ["theta", "--gram", "[[1e300]]"], ["theta", "--gram", "[[1e-30]]"]):
+                 ["theta", "--gram", "[[1e-300, 0], [0, 1e300]]"],
+                 ["theta", "--field", '{"d": 5}', "--radii", '["1e100", "1e100"]']):
         code, err = within_seconds(10, lambda: run_cli_err(capsys, argv))
         assert code == 1, argv
         assert err.startswith("error: enumeration budget"), err
+
+
+@pytest.mark.parametrize("gram, h0, h1", [
+    ("[[1e300]]", 0, 150), ("[[1e-30]]", 15, 0), ("[[1000000000000]]", 0, 6),
+    ("[[1e200, 0], [0, 1e200]]", 0, 200), ("[[1e-200, 0], [0, 1e-200]]", 200, 0)])
+def test_theta_of_a_scaled_integer_lattice_is_closed_form(capsys, gram, h0, h1):
+    """On L = 10^(e/2) Z^n the sparser side's theta is 1 to double precision,
+    so h0 and h1 are 0 and n*|e|/2 * log 10, in either order.  The dense side
+    (~10^150 points for [[1e300]]) is beyond any budget, and float(det)
+    overflows or underflows at the 1e200 and 1e-200 Grams."""
+    code, data = within_seconds(10, lambda: run_json(capsys, ["theta", "--gram", gram]))
+    assert code == 0
+    rep = data["report"]
+    assert abs(rep["h0"] - h0 * math.log(10)) <= 1e-12
+    assert abs(rep["h1"] - h1 * math.log(10)) <= 1e-12
+    assert abs(rep["adeg"] - (h0 - h1) * math.log(10)) <= 1e-12
 
 
 def test_closed_stdout_pipe_exits_quietly():

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from alk import _fpenum_py
-from conftest import random_posdef_gram
+from alk import _fpenum_py, enumeration
+from conftest import random_posdef_gram, within_seconds
 
 
 def enumerate_vectors(gram, bound, budget=5_000_000):
@@ -129,6 +129,49 @@ def test_gauss_sum_budget_stops_a_long_row():
     with pytest.raises(_fpenum_py.BudgetExceeded) as exc:
         _fpenum_py.gauss_sum([[1e-12]], 1.0, budget=1000)
     assert (exc.value.budget, exc.value.found) == (1000, 1000)
+
+
+def _just_below(q):
+    """The largest bound whose slack bound + 1e-9 * (1 + bound) is below q."""
+    b = (q - 1e-9) / (1 + 1e-9)
+    while b + 1e-9 * (1.0 + abs(b)) >= q:
+        b = math.nextafter(b, -math.inf)
+    while (c := math.nextafter(b, math.inf)) + 1e-9 * (1.0 + abs(c)) < q:
+        b = c
+    return b
+
+
+def test_gauss_sum_trims_the_ends_of_a_run(monkeypatch):
+    # at a bound a hair below the norm q of a point, the ends of a run,
+    # widened by the 1e-12 slack in x, hold points of norm q that the
+    # kernel must drop, as the reference does
+    trims = []
+    first_false = _fpenum_py._first_false
+    monkeypatch.setattr(_fpenum_py, "_first_false",
+                        lambda *args: trims.append(args) or first_false(*args))
+    rng = random.Random(4)
+    grams = [[[1.0]], [[1.0, 0.0], [0.0, 1.0]], [[2.0, 1.0], [1.0, 2.0]]]
+    grams += [_skewed_gram(rng, n) for n in (2, 3, 4) for _ in range(3)]
+    for gram in grams:
+        n = len(gram)
+        for _ in range(6):
+            x = [rng.randint(-2, 2) for _ in range(n)]
+            q = sum(gram[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+            if 0 < q <= 12:
+                _assert_same(gram, _just_below(q))
+    assert trims
+
+
+@pytest.mark.parametrize("gram", [[[1e-200, 0.0], [0.0, 1e-200]],
+                                  [[1e-300, 0.0], [0.0, 1e300]]])
+def test_gauss_sum_refuses_a_run_past_two_to_the_53(gram):
+    # the run of x[0] ends near 10^100 or 10^150, where float(x) repeats
+    # over many integers and a trim by single steps would not end; whether
+    # an end needs trimming depends on the bound, the theta radius among them
+    radius = enumeration.truncation_radius(2, 1e-12)[0]
+    for bound in (1.0, 10.0, radius * radius, 20.0):
+        with pytest.raises(_fpenum_py.BudgetExceeded):
+            within_seconds(10, lambda: _fpenum_py.gauss_sum(gram, bound))
 
 
 def test_fallback_enumeration_is_symmetric():

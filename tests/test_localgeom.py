@@ -293,6 +293,13 @@ def test_block_coordinates_are_the_conjugate_by_c1():
             assert [row[:2] for row in m[2:]] == [[conj(x) for x in r] for r in bc["A2"]]
 
 
+def test_one_torus_per_order():
+    # block_coordinates_gl4 reads the conjugation table of this cached torus
+    torus = order_torus(13, 3)
+    assert order_torus(13, 3) is torus and order_torus(13, 3).conjugate is torus.conjugate
+    assert order_torus(13, 2) is not torus and order_torus(5, 3) is not torus
+
+
 def test_block_integrality_of_integral_matrices():
     rng = random.Random(53)
     F = make_quad_field(5)
