@@ -48,8 +48,11 @@ def gauss_sum(gram, bound, budget=5_000_000):
     """(sum of exp(-pi * Q(x)), count) over the integer x with Q(x) <= bound.
 
     No point is stored: each exp is added as the innermost level reaches
-    it.  The point set, inclusion test and budget are those of the full
-    point list that the tests keep as the reference.  Only the half space
+    it.  The point set, inclusion test and point budget are those of the
+    full point list that the tests keep as the reference; the same budget
+    also bounds the values the outer levels walk (each level's range is
+    counted once, when it is set), so a long outer range of mostly empty
+    inner runs is refused instead of walked.  Only the half space
     where the last nonzero coordinate is positive is visited.  The partial
     sums s negate exactly in floating point, so x and -x get the same
     terms t, the same norm and the same verdict, and the full sum is 1
@@ -68,11 +71,12 @@ def gauss_sum(gram, bound, budget=5_000_000):
     x = [0] * n
     total = 0.0
     count = 0
+    nodes = 0
 
     def level(i, used, free):
         # x[j] for j > i are set; free: one of them is nonzero, so x[i]
         # ranges over both signs, otherwise only over x[i] >= 0
-        nonlocal total, count
+        nonlocal total, count, nodes
         rem = top - used
         if rem < 0:
             return
@@ -85,6 +89,9 @@ def gauss_sum(gram, bound, budget=5_000_000):
         hi = math.floor((-s + half) / d + 1e-12)
         lo = math.ceil((-s - half) / d - 1e-12) if free else 0
         if i:
+            nodes += max(hi - lo + 1, 0)
+            if nodes > budget:
+                raise BudgetExceeded(budget, budget)
             for xi in range(lo, hi + 1):
                 t = (d * xi + s) ** 2
                 if used + t <= top:

@@ -5,8 +5,11 @@ comparison bounds.  Gram matrices and ideals are exact; theta values are
 floats with certified truncation tails.  The theta invariants of a
 Euclidean lattice sum its sparser side, L or L*, and take the other from
 Poisson summation, h0 - h1 = adeg, with log det from the logs of its
-numerator and denominator; a bundle sums L, L* and the duality twist and
-compares the two h1 routes.
+numerator and denominator; a rank-2 side is summed on an exactly reduced
+basis.  A bundle takes one theta sum, on its direct image: the ideal's
+basis is reduced for the bundle's own form in integers of Q(sqrt(d)) by
+the one Lagrange-Gauss helper `_lagrange`, and L* stands for the Serre
+twist once the twist's ideal is checked, exactly, to be the trace dual.
 
 Norm convention for bundles: a bundle carries one radius rho per
 Archimedean embedding (equal at conjugate embeddings) and the section
@@ -74,11 +77,14 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
 
 @dataclass(frozen=True)
 class ThetaReport:
-    """h0, h1: log theta of L and L*.  For a Euclidean lattice one of them
-    is summed over |v| <= truncation_radius and the other is derived from
-    it by Poisson summation, h0 - h1 = adeg; both are below the true values
-    by less than tail_bound, which bounds the truncation only, not float
-    rounding of the sum (large on skewed Grams) or of log det."""
+    """h0, h1: log theta of L and L*.  One of them is summed over
+    |v| <= truncation_radius and the other is derived from it by Poisson
+    summation, h0 - h1 = adeg for a Euclidean lattice; both are below the
+    true values by less than tail_bound, which bounds the truncation only,
+    not float rounding of the sum or of log det (small on the reduced bases
+    of rank 2, large on skewed Grams of rank 3 and 4).  For a bundle, L is
+    its direct image, h1 is also h0 of the Serre twist, and adeg is the
+    bundle's degree, so h0 - h1 = adeg - log(D_F) / 2."""
 
     h0: float
     h1: float
@@ -101,12 +107,15 @@ def theta_invariants_euclidean(
     # math.log reads an int of any size, where float(det) may overflow or
     # underflow
     adeg = (math.log(det.denominator) - math.log(det.numerator)) / 2
-    if det >= 1:
-        h0, radius, tail = enumeration.theta_log_sum(lat.gram, tail_tol, budget)
-        h1 = h0 - adeg
-    else:
-        h1, radius, tail = enumeration.theta_log_sum(lat.dual().gram, tail_tol, budget)
-        h0 = h1 + adeg
+    gram = lat.gram if det >= 1 else lat.dual().gram
+    if lat.rank == 2:  # summed on a reduced basis, whose float Cholesky is well conditioned
+        entries = (gram[0][0], gram[0][1], gram[1][1])
+        m = math.lcm(*(x.denominator for x in entries))
+        (a, _), (b, _), (c, _) = _lagrange(tuple((x.numerator * (m // x.denominator), 0)
+                                                 for x in entries))[0]
+        gram = [[a / m, b / m], [b / m, c / m]]
+    h, radius, tail = enumeration.theta_log_sum(gram, tail_tol, budget)
+    h0, h1 = (h, h - adeg) if det >= 1 else (h + adeg, h)
     return ThetaReport(h0, h1, adeg, radius, tail)
 
 
@@ -160,12 +169,15 @@ def canonical_bundle(field: Optional[QuadField]) -> HermitianLineBundle:
     log D_F."""
     if field is None:
         return trivial_bundle(None)
-    # the different is generated by sqrt(d), or by 2*sqrt(d) when d != 1
-    # mod 4, and 1/sqrt(d) = sqrt(d)/d
-    d = field.d
-    gen = field.elem(0, Fraction(1, d if d % 4 == 1 else 2 * d))
-    ideal = FracIdeal.from_gens(field, [gen])
+    ideal = FracIdeal.from_gens(field, [_inverse_different(field)])
     return make_bundle(field, ideal, (1, 1))
+
+
+def _inverse_different(field: QuadField):
+    """A generator of the inverse different: the different is generated by
+    sqrt(d), or by 2*sqrt(d) when d != 1 mod 4, and 1/sqrt(d) = sqrt(d)/d."""
+    d = field.d
+    return field.elem(0, Fraction(1, d if d % 4 == 1 else 2 * d))
 
 
 def sections_basis(bundle: HermitianLineBundle):
@@ -221,12 +233,12 @@ def tensor_bundle(b1: HermitianLineBundle, b2: HermitianLineBundle) -> Hermitian
 
 def direct_image(bundle: HermitianLineBundle) -> EuclideanLattice:
     """Underlying Z-lattice with ||v||^2 = sum over embeddings of
-    |sigma(v)|^2 / rho_sigma^2.  Exact Gram whenever the radii allow."""
+    |sigma(v)|^2 / rho_sigma^2, on the reduced basis of `ideal_gram`."""
     if bundle.field is None:
         q = bundle.ideal
         return euclidean_lattice([[(q / bundle.radii[0]) ** 2]])
     radii = bundle.radii if bundle.field.is_real else bundle.radii[:1]
-    return euclidean_lattice(ideal_gram(bundle.ideal, [r * r for r in radii]))
+    return euclidean_lattice(ideal_gram(bundle.ideal, [r * r for r in radii])[0])
 
 
 def _ideal_forms(ideal: FracIdeal):
@@ -239,50 +251,83 @@ def _ideal_forms(ideal: FracIdeal):
     return ((a, b), (0, c)), ideal.den
 
 
-def _trace_form(d: int, x, y) -> int:
-    """u*u' + |d|*v*v' for forms x = (u, v), y = (u', v')."""
-    return x[0] * y[0] + abs(d) * x[1] * y[1]
-
-
-def ideal_gram(ideal: FracIdeal, sq_radii) -> list[list]:
-    """Gram of sum_sigma sigma(x)^2 / R_sigma on the HNF basis of the
-    ideal, for squared radii (R_1, R_2) at the real embeddings, or of
-    2*Nr(x) / R at the complex place (sq_radii = (R,)).  With
-    b_i = (u_i + v_i*sqrt(d)) / D the entries are the exact Fractions
-    2*(u_i*u_j + |d|*v_i*v_j) / (D^2*R), or, at unequal real radii,
-    floats from the embeddings."""
-    F = ideal.field
-    basis, D = _ideal_forms(ideal)
-    if len(sq_radii) == 1 or sq_radii[0] == sq_radii[1]:
-        R = sq_radii[0]
-        return [[Fraction(2 * _trace_form(F.d, x, y), D * D) / R for y in basis]
-                for x in basis]
-    emb = [embeddings(F.elem(Fraction(u, D), Fraction(v, D))) for u, v in basis]
-    scale = [float(R) for R in sq_radii]
-    return [[sum(x[k] * y[k] / scale[k] for k in range(2)) for y in emb]
-            for x in emb]
-
-
-def _gauss_reduced(d: int, basis):
-    """(reduced, columns): a Lagrange-Gauss reduced basis, as forms, for the
-    trace form u*u' + |d|*v*v', and the integer columns c_j with
-    reduced_j = c_j[0]*basis_0 + c_j[1]*basis_1.  Exact."""
-    (p, cp), (r, cr) = (basis[0], (1, 0)), (basis[1], (0, 1))
-    while True:
-        if _trace_form(d, r, r) < _trace_form(d, p, p):
-            (p, cp), (r, cr) = (r, cr), (p, cp)
-        n = _trace_form(d, p, p)
-        mu = (2 * _trace_form(d, p, r) + n) // (2 * n)  # nearest to <p, r>/<p, p>
-        if mu == 0:
-            return (p, r), (cp, cr)
-        r = (r[0] - mu * p[0], r[1] - mu * p[1])
-        cr = (cr[0] - mu * cp[0], cr[1] - mu * cp[1])
+def _surd_sign(x: int, y: int, d: int) -> int:
+    """The sign of x + y*sqrt(d), for y = 0 or a nonsquare d > 0."""
+    lead = x if y == 0 or x * y > 0 or x * x > y * y * d else y
+    return (lead > 0) - (lead < 0)
 
 
 def _floor_surd(p: int, q: int, d: int, m: int) -> int:
-    """floor((p + q*sqrt(d)) / m) for m > 0 and a nonsquare d > 0."""
+    """floor((p + q*sqrt(d)) / m) for m > 0, and q = 0 or a nonsquare d > 0."""
     r = math.isqrt(q * q * d)
     return (p + (r if q >= 0 else -r - 1)) // m
+
+
+def _lagrange(gram, d: int = 0):
+    """(gram', (c0, c1)): the Lagrange-Gauss reduction of a positive definite
+    binary form, exact.  gram = (A, B, C) stands for [[A, B], [B, C]], each
+    entry an integer pair (x, y) for x + y*sqrt(d): y = 0 for a rational form,
+    whatever d is, and otherwise d > 0 is a nonsquare and the conjugate form
+    (y -> -y) is positive definite too, as it is for sum sigma(x)sigma(y)/R_sigma
+    (the conjugate swaps the radii).  gram' is the Gram of the reduced basis
+    r_j = c_j[0]*e_0 + c_j[1]*e_1, with A' <= C' and |2B'| <= A'."""
+    (a, ay), (b, by), (c, cy) = gram
+    c0, c1 = (1, 0), (0, 1)
+    while True:
+        if _surd_sign(c - a, cy - ay, d) < 0:
+            a, ay, c, cy, c0, c1 = c, cy, a, ay, c1, c0
+        # mu = floor(B/A + 1/2) = floor((2B + A) * conj(A) / (2 A conj(A)))
+        x, y = 2 * b + a, 2 * by + ay
+        mu = _floor_surd(x * a - y * ay * d, y * a - x * ay, d, 2 * (a * a - ay * ay * d))
+        if mu == 0:
+            return ((a, ay), (b, by), (c, cy)), (c0, c1)
+        c, cy = c - mu * (2 * b - mu * a), cy - mu * (2 * by - mu * ay)
+        b, by = b - mu * a, by - mu * ay
+        c1 = (c1[0] - mu * c0[0], c1[1] - mu * c0[1])
+
+
+def _reduce_forms(d: int, forms, s: int = 1, t: int = 0):
+    """(gram, columns, reduced): `_lagrange` on the Gram of
+    s*(u*u' + |d|*v*v') + t*(u*v' + v*u')*sqrt(d) over two integer forms
+    (u, v) of (u + v*sqrt(d)) / D, and the reduced forms.  That is
+    D^2 * sum_sigma sigma(x)sigma(y)^* / R_sigma for s = 1/R_1 + 1/R_2 and
+    t = 1/R_1 - 1/R_2; s = 1, t = 0 is the trace form.  t = 0 at equal
+    radii and at the complex place."""
+    (u0, v0), (u1, v1) = forms
+    gram = tuple((s * (x[0] * y[0] + abs(d) * x[1] * y[1]), t * (x[0] * y[1] + x[1] * y[0]))
+                 for x, y in ((forms[0], forms[0]), (forms[0], forms[1]), (forms[1], forms[1])))
+    gram, cols = _lagrange(gram, d)
+    return gram, cols, tuple((m * u0 + k * u1, m * v0 + k * v1) for m, k in cols)
+
+
+def _surd_float(x: int, y: int, d: int, k: int) -> float:
+    """(x + y*sqrt(d)) / k for k > 0 in floats without cancellation: the sum
+    when x and y have the same sign, else (x^2 - y^2*d) / (k*(x - y*sqrt(d)))."""
+    r = math.sqrt(d)
+    if x * y >= 0:
+        return x / k + y / k * r
+    return (x * x - y * y * d) / (k * x) / (1 - y / x * r)
+
+
+def ideal_gram(ideal: FracIdeal, sq_radii) -> tuple[list[list], tuple]:
+    """(gram, columns): the Gram of sum_sigma sigma(x) sigma(y)^* / R_sigma,
+    for squared radii (R_1, R_2) at the real embeddings or R at the complex
+    place (sq_radii = (R,), the form 2*Re(x y^*) / R), on the Lagrange-Gauss
+    reduced basis r_j = c_j[0]*b0 + c_j[1]*b1 of the ideal's HNF basis
+    (b0, b1) for this form; columns are the c_j.  The reduction is exact, in
+    integers of Q(sqrt(d)).  The entries are exact Fractions at equal radii
+    and at the complex place, and otherwise floats rounded from their exact
+    values without cancellation (`_surd_float`)."""
+    forms, D = _ideal_forms(ideal)
+    inv = [1 / Fraction(R) for R in (sq_radii if len(sq_radii) == 2 else sq_radii * 2)]
+    s, t = inv[0] + inv[1], inv[0] - inv[1]
+    m = math.lcm(s.denominator, t.denominator)
+    d = ideal.field.d
+    gram, cols, _ = _reduce_forms(d, forms, s.numerator * (m // s.denominator),
+                                  t.numerator * (m // t.denominator))
+    k = m * D * D
+    a, b, c = (Fraction(x, k) if t == 0 else _surd_float(x, y, d, k) for x, y in gram)
+    return [[a, b], [b, c]], cols
 
 
 def box_points(ideal: FracIdeal, radii,
@@ -296,9 +341,8 @@ def box_points(ideal: FracIdeal, radii,
     row t negated.  The budget bounds the rows and the points."""
     d = ideal.field.d
     basis, D = _ideal_forms(ideal)
-    reduced, ((a0, a1), (c0, c1)) = _gauss_reduced(d, basis)
-    (p0, q0), (p1, q1) = r0, r1 = reduced
-    A, B, C = _trace_form(d, r0, r0), _trace_form(d, r0, r1), _trace_form(d, r1, r1)
+    ((A, _), (B, _), (C, _)), ((a0, a1), (c0, c1)), reduced = _reduce_forms(d, basis)
+    (p0, q0), (p1, q1) = reduced
     radii = [Fraction(r) for r in radii]
     N = math.floor((radii[0] if d < 0 else (radii[0] ** 2 + radii[1] ** 2) / 2) * D * D)
     if d < 0:
@@ -347,18 +391,49 @@ def box_sections(bundle: HermitianLineBundle,
         kmax = int(bundle.radii[0] / q)
         return [k * q for k in range(-kmax, kmax + 1)]
     b0, b1 = bundle.ideal.basis_elems()
+    points = _unit_box_points(bundle, budget)
+    return [b0 * m + b1 * k for m, k in sorted(points, key=lambda c: (c[1], c[0]))]
+
+
+def box_count(bundle: HermitianLineBundle,
+              budget: int = enumeration.DEFAULT_BUDGET) -> int:
+    """The number of `box_sections`, counted without building them."""
+    if bundle.field is None:
+        return 2 * int(bundle.radii[0] / bundle.ideal) + 1
+    return sum(1 for _ in _unit_box_points(bundle, budget))
+
+
+def _unit_box_points(bundle: HermitianLineBundle, budget: int):
     # Nr(s) = |sigma(s)|^2 at the complex place
     radii = bundle.radii if bundle.field.is_real else (bundle.radii[0] ** 2,)
-    points = box_points(bundle.ideal, radii, budget)
-    return [b0 * m + b1 * k for m, k in sorted(points, key=lambda c: (c[1], c[0]))]
+    return box_points(bundle.ideal, radii, budget)
+
+
+def serre_twist(bundle: HermitianLineBundle) -> HermitianLineBundle:
+    """The dual of the bundle tensor the canonical bundle, whose h0 is the
+    bundle's h1 by Serre duality."""
+    return tensor_bundle(dual_bundle(bundle), canonical_bundle(bundle.field))
 
 
 def h1_via_duality(bundle: HermitianLineBundle,
                    tail_tol: float = enumeration.DEFAULT_TAIL_TOL,
                    budget: int = enumeration.DEFAULT_BUDGET) -> float:
-    """h1 of the bundle as h0 of dual tensor canonical."""
-    twisted = tensor_bundle(dual_bundle(bundle), canonical_bundle(bundle.field))
-    return enumeration.theta_log_sum(direct_image(twisted).gram, tail_tol, budget)[0]
+    """h1 of the bundle as h0 of the Serre twist, summed on its own lattice:
+    the oracle for the h1 that `bundle_theta_and_h0ar` derives."""
+    return enumeration.theta_log_sum(direct_image(serre_twist(bundle)).gram, tail_tol, budget)[0]
+
+
+def check_trace_dual(ideal: FracIdeal, dual: FracIdeal) -> None:
+    """Raises ArithmeticError unless `dual` is the trace dual of `ideal`: the
+    matrix Tr(b_i c_j) over their HNF bases must be integral with det +-1."""
+    d = ideal.field.d
+    xs, D = _ideal_forms(ideal)
+    ys, E = _ideal_forms(dual)
+    # Tr((u + v*sqrt(d)) (u' + v'*sqrt(d))) = 2*(u*u' + d*v*v')
+    t = [2 * (x[0] * y[0] + d * x[1] * y[1]) for x in xs for y in ys]
+    de = D * E
+    if any(x % de for x in t) or abs(t[0] * t[3] - t[1] * t[2]) != de * de:
+        raise ArithmeticError("the Serre twist's ideal is not the trace dual of the ideal")
 
 
 def bundle_theta_and_h0ar(
@@ -366,18 +441,18 @@ def bundle_theta_and_h0ar(
     tail_tol: float = enumeration.DEFAULT_TAIL_TOL,
     budget: int = enumeration.DEFAULT_BUDGET,
 ) -> tuple[ThetaReport, float]:
-    """Theta invariants of the bundle (h1 via the duality route, checked
-    against the direct-image dual) and the Arakelov h0 from the unit box."""
-    lat = direct_image(bundle)
-    h0, radius, tail = enumeration.theta_log_sum(lat.gram, tail_tol, budget)
-    h1_direct, _, _ = enumeration.theta_log_sum(lat.dual().gram, tail_tol, budget)
-    h1_dual = h1_via_duality(bundle, tail_tol, budget)
-    if abs(h1_direct - h1_dual) > 1e-6:
-        raise ArithmeticError(
-            f"duality routes disagree: {h1_direct} vs {h1_dual}")
-    report = ThetaReport(h0, h1_dual, adeg(bundle), radius, tail)
-    h0_ar = math.log(len(box_sections(bundle, budget)))
-    return report, h0_ar
+    """Theta invariants of the bundle from one theta sum, and the Arakelov h0
+    from the unit box.  h0 and h1 are those of the direct image L and of L*
+    (`theta_invariants_euclidean`, which sums one side); L* is the Serre
+    twist's lattice, whose h0 is the bundle's h1, once the twist's ideal
+    I^-1 d^-1 is checked, exactly, to be the trace dual of I.  adeg is the
+    bundle's degree."""
+    if bundle.field is not None:
+        ideal = bundle.ideal
+        check_trace_dual(ideal, ideal.inverse().scale(_inverse_different(bundle.field)))
+    rep = theta_invariants_euclidean(direct_image(bundle), tail_tol, budget)
+    report = ThetaReport(rep.h0, rep.h1, adeg(bundle), rep.truncation_radius, rep.tail_bound)
+    return report, math.log(box_count(bundle, budget))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from numbers import Rational
 from typing import Optional
 
 from . import enumeration
-from .arakelov import _gauss_reduced, box_points, f_bound
+from .arakelov import _reduce_forms, box_points, f_bound
 from .intarith import valuation
 from .numfield import FracIdeal, Place, QuadField, prime_ideal
 
@@ -105,13 +105,11 @@ def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
     d = field.d
     D = math.lcm(b[0].den, b[1].den)
     forms = [tuple(c * (D // x.den) for c in x.num) for x in b]
-    (u0, v0), (u1, v1) = reduced = _gauss_reduced(d, forms)[0]
+    ((n0, _), (n01, _), (n1, _)), _, ((u0, v0), (u1, v1)) = _reduce_forms(d, forms)
     t_max = D * D * (sum(x * x for x in r.infinite) / 2 if field.is_real
                      else r.infinite[0])
     # x = m*b0 + k*b1 in the reduced basis has m^2 <= T(x) * T(b1) / det
     # and k^2 <= T(x) * T(b0) / det (Cauchy-Schwarz against the dual basis)
-    (n0, n01), (_, n1) = [[x[0] * y[0] + abs(d) * x[1] * y[1] for y in reduced]
-                          for x in reduced]
     det = n0 * n1 - n01 * n01
     m_max = math.isqrt(math.floor(t_max * n1 / det))
     k_max = math.isqrt(math.floor(t_max * n0 / det))

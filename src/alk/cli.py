@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import arakelov, boxcount, enumeration, git4, localgeom, quartics, toralsets
 from .intarith import is_prime
-from .numfield import Place, finite_places, make_quad_field, make_tower
+from .numfield import FracIdeal, Place, finite_places, make_quad_field, make_tower
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -381,6 +381,19 @@ def _verification_battery(cfg: RunConfig) -> list[dict]:
         got = arakelov.adeg(arakelov.canonical_bundle(F))
         worst = max(worst, abs(got - math.log(F.disc)))
     record("02_canonical_degree", worst < 1e-9, {"worst": worst})
+
+    # a bundle's one-sum h1 (derived or summed on L*) against h0 of the
+    # Serre twist, summed on its own lattice
+    worst = 0.0
+    for d in (-1, 2, 5, -3):
+        F = make_quad_field(d)
+        gen = F.elem(rng.randint(1, 3), rng.randint(-2, 2))
+        radii = [Fraction(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(2)]
+        bundle = arakelov.make_bundle(F, FracIdeal.from_gens(F, [gen]),
+                                      radii if F.is_real else radii[:1] * 2)
+        rep, _ = arakelov.bundle_theta_and_h0ar(bundle, budget=cfg.budget)
+        worst = max(worst, abs(rep.h1 - arakelov.h1_via_duality(bundle, budget=cfg.budget)))
+    record("02_serre_duality_h1", worst < 1e-9, {"worst": worst})
 
     # box count worked example
     F = make_quad_field(-1)

@@ -15,7 +15,8 @@ reported tail_bound; it covers truncation, not float rounding.
 
 Each call sums one lattice.  `arakelov.theta_invariants_euclidean` calls it
 on the sparser of L and L* only and derives the other side by Poisson
-summation, which keeps the same tail_bound plus the rounding of log det.
+summation, which keeps the same tail_bound plus the rounding of log det;
+a Hermitian bundle goes through it too, so it takes one call.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from alk.arakelov import make_bundle
@@ -39,6 +40,55 @@ def random_principal_bundle(rng: random.Random, F: QuadField):
     r1 = Fraction(rng.randint(1, 6), rng.randint(1, 2))
     r2 = r1 if not F.is_real else Fraction(rng.randint(1, 6), rng.randint(1, 2))
     return make_bundle(F, ideal, (r1, r2))
+
+
+PI_100 = Decimal("3.14159265358979323846264338327950288419716939937510"
+                 "58209749445923078164062862089986280348253421170679")
+
+
+def decimal_log_theta(bundle, digits: int = 50, cut: int = 40) -> Decimal:
+    """log theta of a quadratic-field bundle's lattice, the sum over s in
+    the ideal of exp(-pi Q(s)) with Q(s) = sum_sigma |sigma(s)|^2 / rho_sigma^2,
+    in decimal arithmetic: the oracle for alk's theta sums.  Every s with
+    Q(s) <= cut is summed, and the rest add less than about exp(-pi cut) per
+    point.  s = m*b0 + k*b1 on the ideal's basis has two real coordinates,
+    sigma_1(s) and sigma_2(s) at a real field, Re and Im of sigma(s) at a
+    complex one, with Q = w_1 f_1^2 + w_2 f_2^2; the loop bounds on k and m
+    come from |f_i| <= sqrt(cut / w_i) in floats, widened by 1e-6."""
+    F = bundle.field
+    basis = bundle.ideal.basis_elems()
+    with localcontext() as ctx:
+        ctx.prec = digits + 15
+        root = Decimal(abs(F.d)).sqrt()
+
+        def dec(q):
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        if F.is_real:
+            w = [1 / Fraction(r) ** 2 for r in bundle.radii]
+            coords = [(dec(x.a) + dec(x.b) * root, dec(x.a) - dec(x.b) * root) for x in basis]
+        else:
+            w = [2 / Fraction(bundle.radii[0]) ** 2] * 2
+            coords = [(dec(x.a), dec(x.b) * root) for x in basis]
+        (p0, p1), (q0, q1) = [[float(c) for c in xy] for xy in coords]
+        lim = [math.sqrt(cut / float(wi)) for wi in w]
+        det = p0 * q1 - q0 * p1
+        # k = (p0 f_2 - p1 f_1) / det
+        kmax = int((abs(p0) * lim[1] + abs(p1) * lim[0]) / abs(det)) + 1
+        wd = [dec(wi) for wi in w]
+        total = Decimal(0)
+        for k in range(-kmax, kmax + 1):
+            lo, hi = -math.inf, math.inf
+            for c, e, L in ((p0, q0, lim[0]), (p1, q1, lim[1])):
+                if c:  # |m c + k e| <= L
+                    ends = sorted(((-L - k * e) / c, (L - k * e) / c))
+                    lo, hi = max(lo, ends[0]), min(hi, ends[1])
+            for m in range(math.ceil(lo - 1e-6), math.floor(hi + 1e-6) + 1):
+                f = [m * a + k * b for a, b in zip(*coords)]
+                q = wd[0] * f[0] ** 2 + wd[1] * f[1] ** 2
+                if q <= cut:
+                    total += (-PI_100 * q).exp()
+        return total.ln()
 
 
 def random_gl2_zp(rng: random.Random, p: int):

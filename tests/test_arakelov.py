@@ -6,30 +6,35 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alk import enumeration
+from alk import _fpenum_py, arakelov, enumeration
 from alk.arakelov import (
     adeg,
     adeg_via_section,
     box_sections,
     bundle_theta_and_h0ar,
     canonical_bundle,
+    check_trace_dual,
+    direct_image,
     dual_bundle,
     euclidean_lattice,
     f_bound,
     h1_via_duality,
+    make_bundle,
     sections_basis,
+    serre_twist,
     tensor_bundle,
     theta_bounds,
     theta_invariants_euclidean,
     trivial_bundle,
 )
 from alk.boxcount import count_box, make_radius_family
-from alk.numfield import make_quad_field
+from alk.numfield import FracIdeal, finite_places, make_quad_field, prime_ideal, splitting_type
 from alk.ratlinalg import mat_det
-from conftest import random_posdef_gram, random_principal_bundle
+from conftest import (decimal_log_theta, random_posdef_gram, random_principal_bundle,
+                      within_seconds)
 
 FIELDS = [make_quad_field(d) for d in (-1, 2, 5, -3)]
 
@@ -96,7 +101,7 @@ from alk.quartics import dihedral_tower
 theta_invariants_euclidean(euclidean_lattice([[1.5, 0.3], [0.3, 2.25]]))
 F = make_quad_field(5)
 bundle = make_bundle(F, FracIdeal.maximal_order(F), (1, 2))
-gram = ideal_gram(bundle.ideal, [1, 4])
+gram = ideal_gram(bundle.ideal, [1, 4])[0]
 assert isinstance(gram[0][0], float)
 assert direct_image(bundle).gram == tuple(map(tuple, gram))
 bundle_theta_and_h0ar(bundle)
@@ -244,11 +249,127 @@ def test_h1_routes_agree():
     for F in FIELDS:
         for _ in range(3):
             bundle = random_principal_bundle(rng, F)
-            from alk.arakelov import direct_image
-
             lat = direct_image(bundle)
             h1_direct, _, _ = enumeration.theta_log_sum(lat.dual().gram)
             assert abs(h1_direct - h1_via_duality(bundle)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# bundles: one theta sum on a reduced basis
+
+
+# O_F of Q(sqrt(5)) at radii (1/rho, rho): h0 and h1 of the 50-digit
+# decimal oracle, rounded to 17 digits
+PINNED_OF5 = {300: (0.0039512551138542853, 0.80867021133090447),
+              10 ** 3: (0.0036507933785848094, 0.808369749595635)}
+
+
+@pytest.mark.parametrize("rho", [300, 10 ** 3, 10 ** 4])
+@pytest.mark.parametrize("d", [2, 5, 13])
+def test_bundle_theta_at_unequal_radii_matches_a_decimal_oracle(d, rho):
+    # the float Gram of the HNF basis, built from the embeddings, was off by
+    # 2.4e-8 in h1 at rho = 300 and refused rho = 10^3 and 10^4
+    F = make_quad_field(d)
+    bundle = make_bundle(F, FracIdeal.maximal_order(F), (Fraction(1, rho), rho))
+
+    def run():
+        report, h0_ar = bundle_theta_and_h0ar(bundle)
+        oracle = [float(decimal_log_theta(b)) for b in (bundle, serre_twist(bundle))]
+        return report, h0_ar, oracle
+
+    report, h0_ar, (h0, h1) = within_seconds(30, run)
+    assert abs(report.h0 - h0) <= report.tail_bound + 1e-12
+    assert abs(report.h1 - h1) <= report.tail_bound + 1e-12
+    assert abs(report.adeg) <= 1e-12  # the radii multiply to 1
+    assert h0_ar == 0.0  # a unit has |sigma_1| <= 1/rho < rho <= |sigma_2|, save 0
+    if d == 5 and rho in PINNED_OF5:
+        assert (h0, h1) == PINNED_OF5[rho]
+
+
+@st.composite
+def _bundles(draw):
+    """A bundle over one of seven fields: a principal ideal with small
+    generator or a prime power, at equal radii, or at real radii whose
+    ratio is at most 16.  det(L) = N(I)^2 D_F / (rho_1 rho_2)^2 stays in
+    [10^-6, 10^6], so that the direct sum of the denser side, L or L*,
+    meets at most a few 10^4 points."""
+    d = draw(st.sampled_from((-1, -3, -7, 2, 5, 13, 41)))
+    F = make_quad_field(d)
+    if draw(st.booleans()):
+        gen = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        ideal = FracIdeal.from_gens(F, [F.elem(*gen)])
+    else:
+        places = finite_places(F, draw(st.sampled_from((2, 3, 5, 7))))
+        ideal = prime_ideal(draw(st.sampled_from(places))) ** draw(st.sampled_from((-2, -1, 1, 2)))
+    r1 = Fraction(draw(st.integers(1, 8)), draw(st.integers(1, 4)))
+    r2 = r1 if d < 0 else r1 * Fraction(draw(st.integers(1, 16)), draw(st.integers(1, 16)))
+    assume(Fraction(1, 10 ** 6) <= ideal.norm() ** 2 * F.disc / (r1 * r2) ** 2 <= 10 ** 6)
+    return make_bundle(F, ideal, (r1, r2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(bundle=_bundles())
+def test_one_sum_report_matches_direct_sums_of_l_l_star_and_the_twist(bundle):
+    report, _ = bundle_theta_and_h0ar(bundle)
+    lat = direct_image(bundle)
+    h0, h1 = _direct_sums(lat)
+    assert abs(report.h0 - h0) <= 1e-9
+    assert abs(report.h1 - h1) <= 1e-9
+    assert abs(report.h1 - h1_via_duality(bundle)) <= 1e-9
+
+
+def test_the_serre_twist_ideal_is_the_trace_dual():
+    # I^-1 d^-1 over prime powers: Tr(b_i c_j) is an integer matrix of det
+    # +-1, and ideals that are not the trace dual are refused
+    kinds = set()
+    for d in (-1, -3, -5, -7, 2, 3, 5, 13):
+        F = make_quad_field(d)
+        for p in (2, 3, 5, 7):
+            kinds.add(splitting_type(F, p))
+            for place in finite_places(F, p):
+                for e in (-4, -3, -2, -1, 1, 2, 3, 4):
+                    ideal = prime_ideal(place) ** e
+                    twist = serre_twist(make_bundle(F, ideal, (1, 1))).ideal
+                    check_trace_dual(ideal, twist)
+                    check_trace_dual(twist, ideal)
+                    wrong = [ideal.inverse(), twist.scale(2), twist.scale(Fraction(1, 2))]
+                    if twist.conj() != twist:
+                        wrong.append(twist.conj())
+                    for other in wrong:
+                        with pytest.raises(ArithmeticError, match="trace dual"):
+                            check_trace_dual(ideal, other)
+    assert kinds == {"split", "inert", "ramified"}
+
+
+def test_a_wrong_inverse_different_is_refused(monkeypatch):
+    F = make_quad_field(5)
+    monkeypatch.setattr(arakelov, "_inverse_different", lambda field: field.elem(1))
+    with pytest.raises(ArithmeticError, match="trace dual"):
+        bundle_theta_and_h0ar(trivial_bundle(F))
+
+
+def test_a_bundle_takes_one_theta_sum(monkeypatch):
+    calls = []
+    gauss_sum = _fpenum_py.gauss_sum
+    monkeypatch.setattr(_fpenum_py, "gauss_sum",
+                        lambda *args, **kw: calls.append(args) or gauss_sum(*args, **kw))
+    rng = random.Random(29)
+    for F in FIELDS + [None]:
+        for _ in range(3):
+            bundle = trivial_bundle(None) if F is None else random_principal_bundle(rng, F)
+            calls.clear()
+            bundle_theta_and_h0ar(bundle)
+            assert len(calls) == 1, bundle
+
+
+@pytest.mark.parametrize("k", [10 ** 3, 10 ** 5, 10 ** 7])
+def test_sheared_grams_are_reduced_before_either_side_is_summed(k):
+    # Z^2 on the basis (1, 0), (k, 1), scaled by 1/4: det 1/16, so the dual,
+    # 4 Z^2 on a sheared basis, is summed; h0 and h1 are 2 log of 1-D series
+    gram = [[Fraction(1, 4), Fraction(k, 4)], [Fraction(k, 4), Fraction(k * k + 1, 4)]]
+    rep = within_seconds(5, lambda: theta_invariants_euclidean(euclidean_lattice(gram)))
+    assert abs(rep.h0 - 2 * math.log(_theta_1d(0.25))) <= rep.tail_bound + 1e-12
+    assert abs(rep.h1 - 2 * math.log(_theta_1d(4.0))) <= rep.tail_bound + 1e-12
 
 
 def test_box_sections_symmetric_and_contain_zero():

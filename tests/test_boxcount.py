@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,6 @@ from alk.numfield import (
     Place,
     QuadField,
     conj,
-    embeddings,
     finite_places,
     gen_coords,
     make_quad_field,
@@ -248,40 +248,58 @@ def test_needle_thin_box_is_refused_by_the_budget():
 # the one ideal Gram behind count_box, box_sections and direct_image
 
 
+def _exact_value(a: Fraction, b: Fraction, d: int, R1, R2) -> Decimal:
+    """sigma_1(x)/R1 + sigma_2(x)/R2 for x = a + b*sqrt(d), to 50 digits."""
+    dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
+    root = Decimal(d).sqrt()
+    s, t = 1 / Fraction(R1) + 1 / Fraction(R2), 1 / Fraction(R1) - 1 / Fraction(R2)
+    return dec(a * s) + dec(b * t) * root
+
+
 def test_ideal_gram_matches_the_trace_and_embedding_grams():
+    # the Gram on the reduced basis r_j = c_j[0]*b0 + c_j[1]*b1: exact at
+    # equal radii and at the complex place, and at unequal real radii each
+    # entry within 4 ulp of its exact value, correctly rounded from 50 digits
     rng = random.Random(37)
     kinds, seen = set(), {"equal": 0, "unequal": 0, "complex": 0}
-    for d in MEMBERSHIP_FIELDS:
-        F = QuadField(d)
-        ideals = [FracIdeal.maximal_order(F)]
-        for p in (2, 3, 5, 7):
-            kinds.add((F.is_real, splitting_type(F, p)))
-            for place in finite_places(F, p):
-                ideals += [prime_ideal(place) ** e for e in range(-4, 5) if e]
-        for ideal in ideals:
-            b = ideal.basis_elems()
-            R = Fraction(rng.randint(1, 60), rng.randint(1, 9))
-            if not F.is_real:
-                # 2*Nr(x)/R = (|sigma(x)|^2 + |conj sigma(x)|^2)/R
-                want = [[(b[i] * conj(b[j])).trace() / R for j in range(2)] for i in range(2)]
-                got = ideal_gram(ideal, (R,))
-                assert got == want and all(type(x) is Fraction for row in got for x in row)
-                seen["complex"] += 1
-                continue
-            want = [[(b[i] * b[j]).trace() / R for j in range(2)] for i in range(2)]
-            got = ideal_gram(ideal, (R, R))
-            assert got == want and all(type(x) is Fraction for row in got for x in row)
-            seen["equal"] += 1
-            R2 = R * Fraction(rng.randint(10, 30), rng.randint(1, 9)) ** 2  # > R
-            emb = [embeddings(x) for x in b]
-            want = [[emb[i][0] * emb[j][0] / float(R) + emb[i][1] * emb[j][1] / float(R2)
-                     for j in range(2)] for i in range(2)]
-            got = ideal_gram(ideal, (R, R2))
-            scale = max(abs(x) for row in want for x in row)
-            for row_g, row_w in zip(got, want):
-                for g, w in zip(row_g, row_w):
-                    assert type(g) is float and abs(g - w) <= 1e-14 * scale, (d, ideal, R, R2)
-            seen["unequal"] += 1
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for d in MEMBERSHIP_FIELDS:
+            F = QuadField(d)
+            ideals = [FracIdeal.maximal_order(F)]
+            for p in (2, 3, 5, 7):
+                kinds.add((F.is_real, splitting_type(F, p)))
+                for place in finite_places(F, p):
+                    ideals += [prime_ideal(place) ** e for e in range(-4, 5) if e]
+            for ideal in ideals:
+                b = ideal.basis_elems()
+                R = Fraction(rng.randint(1, 60), rng.randint(1, 9))
+                R2 = R * Fraction(rng.randint(10, 30), rng.randint(1, 9)) ** 2  # > R
+                for sq_radii in ([(R,)] if d < 0 else [(R, R), (R, R2), (R2, R)]):
+                    got, cols = ideal_gram(ideal, sq_radii)
+                    (m0, k0), (m1, k1) = cols
+                    assert abs(m0 * k1 - m1 * k0) == 1
+                    r = [b[0] * m + b[1] * k for m, k in cols]
+                    if d < 0 or sq_radii[0] == sq_radii[1]:
+                        # 2*Nr(x)/R = (|sigma(x)|^2 + |conj sigma(x)|^2)/R
+                        other = conj if d < 0 else (lambda x: x)
+                        want = [[(r[i] * other(r[j])).trace() / R for j in range(2)]
+                                for i in range(2)]
+                        assert got == want and all(type(x) is Fraction for row in got for x in row)
+                        exact = want
+                        seen["complex" if d < 0 else "equal"] += 1
+                    else:
+                        exact = [[_exact_value((r[i] * r[j]).a, (r[i] * r[j]).b, d, *sq_radii)
+                                  for j in range(2)] for i in range(2)]
+                        for row_g, row_e in zip(got, exact):
+                            for g, e in zip(row_g, row_e):
+                                w = float(e)
+                                assert type(g) is float and abs(g - w) <= 4 * math.ulp(w), \
+                                    (d, ideal, sq_radii, g, e)
+                        seen["unequal"] += 1
+                    # Lagrange-Gauss reduced: |2B| <= A <= C
+                    (A, B), (_, C) = exact
+                    assert 2 * abs(B) <= A <= C, (d, ideal, sq_radii, exact)
     assert len(kinds) == 6, kinds  # real and imaginary; split, inert, ramified
     assert min(seen.values()) > 100, seen
 

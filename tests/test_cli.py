@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from alk import quartics
+from alk import enumeration, quartics
 from alk.cli import main
 from alk.intarith import sqrt_fraction
 from conftest import PowerBasisField, eta_closure, within_seconds
@@ -366,7 +366,7 @@ def test_biquadratic_disc_with_e_not_squarefree(capsys):
     # Q(sqrt 5, sqrt 12) = Q(sqrt 5, sqrt 3): D_K = 5 * 12 * 60, and with
     # e = -12 the subfields Q(sqrt -3), Q(sqrt -15) give D_K = 5 * 3 * 15;
     # alk disc prints D_K / D_F^2
-    from alk import quartics
+    from alk import enumeration, quartics
 
     for e, dk, disc_u in ((12, 3600, {"2": 16, "3": 9}), (-12, 225, {"3": 9})):
         code, data = run_json(capsys, ["disc", "--tower",
@@ -632,6 +632,37 @@ def test_theta_of_a_scaled_integer_lattice_is_closed_form(capsys, gram, h0, h1):
     assert abs(rep["h0"] - h0 * math.log(10)) <= 1e-12
     assert abs(rep["h1"] - h1 * math.log(10)) <= 1e-12
     assert abs(rep["adeg"] - (h0 - h1) * math.log(10)) <= 1e-12
+
+
+@pytest.mark.parametrize("gram, reduced", [
+    ("[[1e14, 1e7], [1e7, 1.00000000000001]]", [[1, -1e-7], [-1e-7, 1 + 1e-14]]),
+    ("[[1e12, 1e6], [1e6, 1.000000000001]]", [[1, -1e-6], [-1e-6, 1 + 1e-12]])])
+def test_theta_of_a_sheared_gram_answers_at_once(capsys, gram, reduced):
+    # det 1, so L is summed, on the basis e_2, e_1 - 10^7 e_2 (10^6 e_2),
+    # whose Gram is well conditioned; the unreduced sum ran for minutes
+    code, data = within_seconds(5, lambda: run_json(capsys, ["theta", "--gram", gram]))
+    assert code == 0
+    want = enumeration.theta_log_sum(reduced)[0]
+    assert abs(data["report"]["h0"] - want) <= 1e-14
+    assert data["report"]["h1"] == data["report"]["h0"]
+
+
+def test_theta_of_a_rank_3_sheared_gram_exits_on_the_budget(capsys):
+    # the sheared block is not reduced at rank 3; its outer level walked
+    # ~3*10^7 values for minutes, and the node budget now stops it
+    argv = ["theta", "--gram", "[[1e14, 1e7, 0], [1e7, 1.00000000000001, 0], [0, 0, 1]]"]
+    code, err = within_seconds(20, lambda: run_cli_err(capsys, argv))
+    assert code == 1 and err.startswith("error: enumeration budget"), err
+
+
+@pytest.mark.parametrize("rho", ["1000", "10000"])
+def test_theta_of_a_bundle_at_unequal_radii_answers(capsys, rho):
+    # "duality routes disagree" at 1000, "not positive definite" at 10000
+    argv = ["theta", "--field", '{"d": 5}', "--radii", f'["1/{rho}", {rho}]']
+    code, data = within_seconds(10, lambda: run_json(capsys, argv))
+    assert code == 0
+    rep = data["report"]
+    assert abs(rep["h1"] - rep["h0"] - 0.5 * math.log(5)) <= 1e-12
 
 
 def test_closed_stdout_pipe_exits_quietly():

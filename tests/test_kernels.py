@@ -131,6 +131,22 @@ def test_gauss_sum_budget_stops_a_long_row():
     assert (exc.value.budget, exc.value.found) == (1000, 1000)
 
 
+def test_gauss_sum_budget_bounds_the_outer_levels():
+    # Z^2 on a sheared basis: the outer level has ~3*10^7 values of x[1],
+    # almost all with an empty run of x[0]; it ran for minutes
+    gram = [[1e14, 1e7], [1e7, 1.00000000000001]]
+    with pytest.raises(_fpenum_py.BudgetExceeded) as exc:
+        within_seconds(5, lambda: _fpenum_py.gauss_sum(gram, 10.0))
+    assert (exc.value.budget, exc.value.found) == (5_000_000, 5_000_000)
+    # U^T U for U = [[100, 1], [0, 0.1]]: 25 values of x[1] >= 0 at bound 6,
+    # and 5 points, so a budget of 10 holds the points and not the values
+    gram = [[1e4, 100.0], [100.0, 1.01]]
+    assert enumerate_vectors(gram, 6.0, 10)[0] == [(0, -2), (0, -1), (0, 0), (0, 1), (0, 2)]
+    assert _fpenum_py.gauss_sum(gram, 6.0, 25)[1] == 5
+    with pytest.raises(_fpenum_py.BudgetExceeded):
+        _fpenum_py.gauss_sum(gram, 6.0, 24)
+
+
 def _just_below(q):
     """The largest bound whose slack bound + 1e-9 * (1 + bound) is below q."""
     b = (q - 1e-9) / (1 + 1e-9)
