@@ -27,12 +27,24 @@ embedding caches, on first use, one `nfpoly.Conjugation` for (g^{-1}, g),
 so conjugating a rational gamma is one integer dot product per
 coordinate of each entry, with no field multiplication.
 
-A Psi profile shares its partial products: P[a][b] = m[a][0] m[b][1] and
-Q[c][d] = m[c][2] m[d][3] are formed once per ordered pair, so
+Every entry point makes one integer pass over gamma: it checks the 4x4
+shape, clears gamma once to integers v over one denominator e, takes
+det(gamma) = det(v)/e^4, and conjugates only the entries m[sigma(j)][j]
+that the requested permutations read (8 of 16 for the two special
+permutations of a block test).  A Psi profile shares its partial
+products: P[a][b] = m[a][0] m[b][1] and Q[c][d] = m[c][2] m[d][3] are
+formed once per ordered pair and kept as integer numerators, so
 Psi_sigma = sign(sigma)/det(gamma) P[sigma0][sigma1] Q[sigma2][sigma3]
 takes one more field product, and the rational factor sign/det is folded
 into its integer numerators and denominator before the one reduction to
-lowest terms: 48 field products for all 24 permutations.
+lowest terms: 48 field products for all 24 permutations.  The Galois
+action tau.Psi_sigma = Psi_{rho sigma rho^{-1}} (after Khayutin, Duke
+Math. J. 168(12), 2019) lets `psi_invariants` form Psi directly only on
+one representative per orbit of S4 under conjugation by the Galois image
+(10 for C4, 12 for V4, 8 for D4) and take every other value as the image
+of its representative under an automorphism: 22, 28 and 19 field
+products per profile.  `pattern_and_relation_check`, the check of that
+relation, forms all 24 values directly.
 
 Permutations of {0,1,2,3} are stored as image tuples.
 """
@@ -43,7 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import mul
 from typing import Optional
 
@@ -88,6 +100,11 @@ def _closure(gens):
         group |= frontier
         frontier = {perm_compose(a, b) for a in group for b in group} - group
     return frozenset(group)
+
+
+# _CONJUGATION[rho][i] is the index in ALL_PERMS of rho sigma rho^-1, sigma = ALL_PERMS[i]
+_CONJUGATION = {r: tuple(ALL_PERMS.index(perm_compose(perm_compose(r, s), perm_inverse(r)))
+                         for s in ALL_PERMS) for r in ALL_PERMS}
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +185,16 @@ class EmbeddingData:
         table of the closure products g^{-1}[i][k] g[l][j] is built on
         first use."""
         return Conjugation(self.closure, self.g_inv, self.g)
+
+    @cached_property
+    def psi_plan(self) -> tuple:
+        """(reps, derived) of `_orbit_plan` for this embedding's Galois
+        image, with each rho of derived replaced by its automorphism tau:
+        (s, r, tau) with Psi_s = tau(Psi_{reps[r]}).  Built on first use,
+        with no field arithmetic."""
+        reps, derived = _orbit_plan(frozenset(self.galois_image))
+        tau_of = dict(zip(self.galois_image, self.automorphisms))
+        return reps, tuple((s, r, tau_of[rho]) for s, r, rho in derived)
 
 
 def _conj_delta_ratio(tower: FieldTower) -> Optional[NFElem]:
@@ -278,45 +305,119 @@ def conjugated_matrix(emb: EmbeddingData, gamma):
     return emb.conjugation_table(gamma)
 
 
-def _psi_values(emb: EmbeddingData, gamma, perms):
-    """(m, [(s, Psi_s(gamma)) for s in perms]) from one conjugated matrix m;
-    a value in Q is returned as a Fraction.
+# sign(s) for every permutation s, built once
+_SIGN = {s: perm_sign(s) for s in ALL_PERMS}
 
-    Psi_s = P[s0][s1] Q[s2][s3] sign(s)/det with the shared products
-    P[a][b] = m[a][0] m[b][1] and Q[c][d] = m[c][2] m[d][3], each formed
-    once and only for the pairs that `perms` use (at most 12 of each).  The
-    last product is left as integer numerators, and the rational factor
-    sign(s)/det is folded into them and into the denominator before the one
-    reduction to lowest terms, so a full profile takes 48 field products."""
-    det = mat_det([[Fraction(x) for x in row] for row in gamma])
+
+def _clear(gamma) -> tuple[list[int], int, Fraction]:
+    """(v, e, det): the 4x4 rational gamma's entries, row by row, as
+    integers v over one denominator e, and det(gamma) = det(v)/e^4 != 0."""
+    if len(gamma) != 4 or any(len(row) != 4 for row in gamma):
+        raise ValueError("expected a 4x4 matrix")
+    v, e = _cleared(gamma)
+    det = mat_det([v[i:i + 4] for i in range(0, 16, 4)]) / e ** 4
     if det == 0:
         raise ValueError("gamma must be invertible")
-    m = conjugated_matrix(emb, gamma)
+    return v, e, det
+
+
+def _entries(emb: EmbeddingData, v, e: int, perms) -> list[list]:
+    """m = g^{-1} gamma g for gamma cleared to v over e, at the entries
+    m[s(j)][j] that perms read; the other entries are None."""
+    entry = emb.conjugation_table.entry
+    m = [[None] * 4 for _ in range(4)]
+    for s in perms:
+        for j, i in enumerate(s):
+            if m[i][j] is None:
+                m[i][j] = entry(v, e, i, j)
+    return m
+
+
+def _psi_values(emb: EmbeddingData, gamma, perms):
+    """(m, [(s, Psi_s(gamma)) for s in perms]), formed directly for every s;
+    a value in Q is returned as a Fraction."""
+    return _profile(emb, *_clear(gamma), perms)
+
+
+def _profile(emb: EmbeddingData, v, e: int, det: Fraction, perms):
+    """`_psi_values` on gamma cleared to v over e, with determinant det.
+
+    Only the entries of m = g^{-1} gamma g that perms read are conjugated
+    (`_entries`).  Psi_s = P[s0][s1] Q[s2][s3] sign(s)/det with the shared
+    products P[a][b] = m[a][0] m[b][1] and Q[c][d] = m[c][2] m[d][3], each
+    formed once, only for the pairs that perms use, and kept as
+    `_mul_ints` numerators over their denominator.  The rational factor
+    sign(s)/det is folded into the integer numerators of the last product
+    and into its denominator, so each value is reduced to lowest terms
+    once.  All 24 permutations take 12 + 12 + 24 = 48 field products."""
+    m = _entries(emb, v, e, perms)
     L = emb.closure
+    mul_ints = L._mul_ints
     # sign(s)/det = sign(s) * scale / |det.numerator|; det_den also holds
-    # the denominator of the _mul_ints numerators
+    # the denominator of the last _mul_ints numerators
     scale = det.denominator if det > 0 else -det.denominator
-    det_den = abs(det.numerator) * L._table[2]
+    table_den = L._table[2]
+    det_den = abs(det.numerator) * table_den
     P, Q = {}, {}
     vals = []
     for s in perms:
         a, b, c, d = s
         p = P.get((a, b))
         if p is None:
-            p = P[a, b] = m[a][0] * m[b][1]
+            x, y = m[a][0], m[b][1]
+            p = P[a, b] = (mul_ints(x.num, y.num), x.den * y.den * table_den)
         q = Q.get((c, d))
         if q is None:
-            q = Q[c, d] = m[c][2] * m[d][3]
-        f = perm_sign(s) * scale
-        v = _canonical(L, [x * f for x in L._mul_ints(p.num, q.num)],
-                       p.den * q.den * det_den)
-        vals.append((s, Fraction(v.num[0], v.den) if not any(v.num[1:]) else v))
+            x, y = m[c][2], m[d][3]
+            q = Q[c, d] = (mul_ints(x.num, y.num), x.den * y.den * table_den)
+        f = _SIGN[s] * scale
+        val = _canonical(L, [x * f for x in mul_ints(p[0], q[0])], p[1] * q[1] * det_den)
+        vals.append((s, Fraction(val.num[0], val.den) if not any(val.num[1:]) else val))
     return m, vals
+
+
+@lru_cache(maxsize=None)
+def _orbit_plan(image: frozenset) -> tuple:
+    """(reps, derived) for the action s -> rho s rho^{-1} of the Galois
+    image on S4.  reps holds one permutation per orbit: of all such
+    choices, the first in the order of ALL_PERMS that uses the fewest
+    distinct pairs (s0, s1) and (s2, s3), so the fewest products P and Q.
+    derived holds (s, r, rho) for every other permutation
+    s = rho reps[r] rho^{-1}.  The orbits number 10, 12 and 8 for C4, V4
+    and D4, and the choices at most 1024."""
+    group = sorted(image)
+    orbits, seen = [], set()
+    for i in range(len(ALL_PERMS)):
+        if i not in seen:
+            orbit = sorted({_CONJUGATION[rho][i] for rho in group})
+            seen.update(orbit)
+            orbits.append(orbit)
+    reps = min(itertools.product(*orbits),
+               key=lambda c: len({ALL_PERMS[k][:2] for k in c})
+               + len({ALL_PERMS[k][2:] for k in c}))
+    targets = {}  # index of s -> (s, r, rho)
+    for r, k in enumerate(reps):
+        for rho in group:
+            t = _CONJUGATION[rho][k]
+            if t not in reps and t not in targets:
+                targets[t] = (ALL_PERMS[t], r, rho)
+    return tuple(ALL_PERMS[k] for k in reps), tuple(targets[t] for t in sorted(targets))
 
 
 def psi_invariants(emb: EmbeddingData, gamma,
                    galois_type: Optional[str] = None) -> InvariantProfile:
-    return InvariantProfile(tuple(_psi_values(emb, gamma, ALL_PERMS)[1]), galois_type)
+    """The 24 values Psi_s(gamma), formed directly only on one
+    representative per Galois orbit (`EmbeddingData.psi_plan`); every
+    other value is tau(Psi_rep) for the automorphism tau whose rho
+    conjugates the representative to s, as tau.Psi_rep =
+    Psi_{rho rep rho^{-1}}, and a rational value is copied as it is."""
+    reps, derived = emb.psi_plan
+    _, vals = _profile(emb, *_clear(gamma), reps)
+    values = dict(vals)
+    for s, r, tau in derived:
+        x = vals[r][1]
+        values[s] = tau(x) if isinstance(x, NFElem) else x
+    return InvariantProfile(tuple((s, values[s]) for s in ALL_PERMS), galois_type)
 
 
 def psi_sum_check(emb: EmbeddingData, gamma) -> object:
@@ -330,11 +431,6 @@ def psi_sum_check(emb: EmbeddingData, gamma) -> object:
 
 # ---------------------------------------------------------------------------
 # Galois relations
-
-
-# _CONJUGATION[rho][i] is the index in ALL_PERMS of rho sigma rho^-1, sigma = ALL_PERMS[i]
-_CONJUGATION = {r: tuple(ALL_PERMS.index(perm_compose(perm_compose(r, s), perm_inverse(r)))
-                         for s in ALL_PERMS) for r in ALL_PERMS}
 
 
 def pattern_and_relation_check(emb: EmbeddingData, gamma, galois_type: str) -> dict:
@@ -367,10 +463,10 @@ def block_membership_test(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     the commutation route, exact on integer multiples of both, is the truth."""
     gs = galois_structures(galois_type)
     sd = emb.sqrt_d_matrix
-    v, _ = _cleared(gamma)
+    v, e, det = _clear(gamma)
     gm = [v[i:i + 4] for i in range(0, 16, 4)]
     commutes = mat_mul(sd, gm) == mat_mul(gm, sd)
-    sp_values = dict(_psi_values(emb, gamma, gs.special)[1])
+    sp_values = dict(_profile(emb, v, e, det, gs.special)[1])
     vanish = all(v == 0 for v in sp_values.values())
     return {"in_R": commutes, "psi_sp_values": sp_values,
             "vanishing": vanish, "routes_agree": commutes == vanish}

@@ -305,10 +305,12 @@ class Conjugation:
     matrices A and B over a NumberField; a conjugation when A = B^-1.
     Entry (i, j) is sum_(k,l) gamma[k][l] A[i][k] B[l][j], linear in gamma,
     so the n^2 products A[i][k] B[l][j] of each entry are formed once and
-    held as integer numerators over one denominator per entry.  A call
-    clears gamma to integers over one denominator e and takes each
-    coordinate of each entry as one integer dot product, over that entry's
-    denominator times e, with no field multiplication."""
+    held as integer numerators over one denominator per entry.  gamma is
+    cleared once to integers v over one denominator e (`_cleared`), and
+    each coordinate of an entry is one integer dot product with v, over
+    that entry's denominator times e, with no field multiplication.  A
+    call takes every entry; `entry` takes one, so a caller that reads only
+    some entries (git4's Psi values) conjugates only those."""
 
     __slots__ = ("field", "_table")
 
@@ -331,9 +333,12 @@ class Conjugation:
         if len(gamma) != n or any(len(row) != n for row in gamma):
             raise ValueError(f"expected a {n}x{n} matrix")
         v, e = _cleared(gamma)
-        K = self.field
-        return [[_canonical(K, [sum(map(mul, coord, v)) for coord in rows], den * e)
-                 for den, rows in entries] for entries in self._table]
+        return [[self.entry(v, e, i, j) for j in range(n)] for i in range(n)]
+
+    def entry(self, v, e: int, i: int, j: int) -> NFElem:
+        """Entry (i, j) of A gamma B for gamma cleared to v over e."""
+        den, rows = self._table[i][j]
+        return _canonical(self.field, [sum(map(mul, coord, v)) for coord in rows], den * e)
 
 
 # ---------------------------------------------------------------------------

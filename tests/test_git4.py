@@ -102,10 +102,12 @@ def _seeded_dihedral_make_tower(seed):
             return tower
 
 
-@pytest.mark.parametrize("tower", [
-    CYCLIC, quartics.gaussian_period_tower(13), BIQUAD, quartics.sqrt2plus_tower(),
-    DIHEDRAL, _seeded_dihedral_make_tower(23),
-], ids=["zeta5", "gauss13", "biquadratic", "sqrt2plus", "dihedral", "make_tower"])
+CURATED = [CYCLIC, quartics.gaussian_period_tower(13), BIQUAD, quartics.sqrt2plus_tower(),
+           DIHEDRAL, _seeded_dihedral_make_tower(23)]
+
+
+@pytest.mark.parametrize("tower", CURATED, ids=["zeta5", "gauss13", "biquadratic", "sqrt2plus",
+                                                 "dihedral", "make_tower"])
 def test_conjugation_table_equals_the_matrix_product(tower):
     emb = regular_embedding(tower)
     table = emb.conjugation_table
@@ -150,16 +152,10 @@ def _psi_oracle(emb, gamma, perms):
     return vals
 
 
-@pytest.mark.parametrize("towers", [
-    pytest.param([CYCLIC, quartics.gaussian_period_tower(13), BIQUAD,
-                  quartics.sqrt2plus_tower(), DIHEDRAL, _seeded_dihedral_make_tower(23)],
-                 id="curated"),
-    pytest.param(_seeded_towers_per_type(5), id="seeded"),
-])
-def test_psi_values_equal_the_per_monomial_oracle(towers):
+def _oracle_gammas():
+    """Non-integral entries with det < 0, the same with two rows swapped
+    (det > 0), and integral ones with det -2 and 1."""
     rng = random.Random(37)
-    # non-integral entries with det < 0, the same with two rows swapped
-    # (det > 0), and integral ones with det -2 and 1
     gammas = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)]
                for _ in range(4)] for _ in range(2)]
     gammas.append([gammas[1][1], gammas[1][0]] + gammas[1][2:])
@@ -167,6 +163,15 @@ def test_psi_values_equal_the_per_monomial_oracle(towers):
                [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, -1], [0, 0, 0, 1]]]
     assert any(mat_det(g) < 0 for g in gammas) and any(mat_det(g) > 0 for g in gammas)
     assert any(Fraction(x).denominator != 1 for g in gammas for row in g for x in row)
+    return gammas
+
+
+@pytest.mark.parametrize("towers", [
+    pytest.param(CURATED, id="curated"),
+    pytest.param(_seeded_towers_per_type(5), id="seeded"),
+])
+def test_psi_values_equal_the_per_monomial_oracle(towers):
+    gammas = _oracle_gammas()
     for tower in towers:
         emb = regular_embedding(tower)
         gtype = classify_galois_type(tower)
@@ -182,6 +187,83 @@ def test_psi_values_equal_the_per_monomial_oracle(towers):
                         assert (x.num, x.den) == (y.num, y.den), s
                     else:
                         assert x == y, s
+
+
+@pytest.mark.parametrize("towers", [
+    pytest.param(CURATED, id="curated"),
+    pytest.param(_seeded_towers_per_type(50), id="seeded"),
+])
+def test_orbit_route_equals_the_direct_route(towers):
+    """psi_invariants, which forms Psi only on orbit representatives and
+    derives the rest by automorphisms, equals the direct route value for
+    value: same type, same field, same (num, den)."""
+    gammas = _oracle_gammas()
+    for tower in towers:
+        emb = regular_embedding(tower)
+        for gamma in gammas:
+            got = psi_invariants(emb, gamma).values
+            want = git4._psi_values(emb, gamma, ALL_PERMS)[1]
+            assert [s for s, _ in got] == list(ALL_PERMS)
+            for (s, x), (_, y) in zip(got, want):
+                assert type(x) is type(y), s
+                if isinstance(x, NFElem):
+                    assert x.field is emb.closure
+                    assert (x.num, x.den) == (y.num, y.den), s
+                else:
+                    assert x == y, s
+
+
+@pytest.mark.parametrize("tower, n_reps, n_products", [(CYCLIC, 10, 22), (BIQUAD, 12, 28),
+                                                       (DIHEDRAL, 8, 19)],
+                         ids=["cyclic", "biquadratic", "dihedral"])
+def test_orbit_plan_covers_every_permutation_once(tower, n_reps, n_products):
+    emb = regular_embedding(tower)
+    reps, derived = emb.psi_plan
+    assert emb.psi_plan is emb.psi_plan  # built once per embedding
+    assert len(reps) == n_reps
+    covered = list(reps) + [s for s, _, _ in derived]
+    assert sorted(covered) == sorted(ALL_PERMS)
+    # P and Q products of the representatives, then one product per value
+    assert len({s[:2] for s in reps}) + len({s[2:] for s in reps}) + len(reps) == n_products
+    rho_of = {id(tau): rho for tau, rho in zip(emb.automorphisms, emb.galois_image)}
+    for s, r, tau in derived:
+        rho = rho_of[id(tau)]
+        assert s == perm_compose(perm_compose(rho, reps[r]), perm_inverse(rho))
+    # the group-level plan is the same for every embedding with this image
+    assert [(s, r) for s, r, _ in derived] == \
+        [(s, r) for s, r, _ in git4._orbit_plan(frozenset(emb.galois_image))[1]]
+
+
+@pytest.mark.parametrize("tower, gtype", [(CYCLIC, "cyclic"), (BIQUAD, "biquadratic"),
+                                          (DIHEDRAL, "dihedral")],
+                         ids=["cyclic", "biquadratic", "dihedral"])
+def test_a_wrong_orbit_plan_changes_the_sum_but_not_the_relation_check(tower, gtype):
+    """With every derived value taken as its representative's (the
+    identity for tau), psi_sum_check leaves 1, while
+    pattern_and_relation_check, which forms all 24 values directly, gives
+    the same result."""
+    emb = regular_embedding(tower)
+    gamma = random_invertible(random.Random(13), 4)
+    before = pattern_and_relation_check(emb, gamma, gtype)
+    assert before["pass"] and psi_sum_check(emb, gamma) == 1
+    reps, derived = emb.psi_plan
+    identity = emb.automorphisms[emb.galois_image.index(IDENTITY)]
+    emb.__dict__["psi_plan"] = (reps, tuple((s, r, identity) for s, r, _ in derived))
+    assert psi_sum_check(emb, gamma) != 1
+    assert pattern_and_relation_check(emb, gamma, gtype) == before
+
+
+@pytest.mark.parametrize("gamma", [
+    [[1, 2, 3, 4], [1, 2], [0, 0, 1, 0], [0, 0, 0, 1]],
+    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1, 5]],
+], ids=["short_row", "long_row"])
+def test_malformed_gamma_is_named(gamma):
+    emb = regular_embedding(CYCLIC)
+    for call in (lambda: psi_invariants(emb, gamma),
+                 lambda: block_membership_test(emb, gamma, "cyclic"),
+                 lambda: pattern_and_relation_check(emb, gamma, "cyclic")):
+        with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+            call()
 
 
 def _relations_on_every_automorphism(emb, gamma):
@@ -214,22 +296,23 @@ def _relations(emb, gamma, gtype):
 def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype, count):
     """One wrong entry of the conjugated matrix, or one wrong Psi value,
     turns the matching relation False, on the generators as on every
-    automorphism."""
+    automorphism.  The entries are read through `git4._entries`, the one
+    place where the Psi values conjugate gamma."""
     emb = regular_embedding(tower)
     assert len(emb.generators) == count
     gamma = random_invertible(random.Random(11), 4)
     assert _relations(emb, gamma, gtype)["pass"]
-    conjugate, psi_values = git4.conjugated_matrix, git4._psi_values
+    entries, psi_values = git4._entries, git4._psi_values
 
-    def wrong_entry(emb, gamma):
-        m = conjugate(emb, gamma)
+    def wrong_entry(emb, v, e, perms):
+        m = entries(emb, v, e, perms)
         m[0][1] = m[0][1] + 1
         return m
 
-    monkeypatch.setattr(git4, "conjugated_matrix", wrong_entry)
+    monkeypatch.setattr(git4, "_entries", wrong_entry)
     res = _relations(emb, gamma, gtype)
     assert not res["entry_relation"] and not res["pass"]
-    monkeypatch.setattr(git4, "conjugated_matrix", conjugate)
+    monkeypatch.setattr(git4, "_entries", entries)
 
     def wrong_value(emb, gamma, perms):
         # the transposition (0 1) is moved by conjugation in every image
