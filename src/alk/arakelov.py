@@ -28,28 +28,38 @@ from typing import Iterator, Optional, Sequence
 
 from . import enumeration
 from .numfield import FracIdeal, QuadField, embeddings
-from .ratlinalg import leading_minors, mat_det, mat_inv
+from .ratlinalg import adjugate, bareiss, integer_matrix, transpose
 
 
 @dataclass(frozen=True)
 class EuclideanLattice:
-    """Free Z-module of rank n with a symmetric positive definite Gram
-    matrix of Fraction entries; a float entry is stored as the Fraction of
-    its exact binary value, so det, dual and the definiteness test are
-    exact for every Gram.  A float Gram is symmetric only within a
-    tolerance, so its upper triangle is stored for both halves."""
+    """Free Z-module of rank n with the positive definite Gram num / den: num
+    a symmetric integer matrix of determinant det_num, den > 0 least.
+    `euclidean_lattice` clears a Gram to this form once, a float entry as its
+    exact binary value, so det, dual and the definiteness test are exact."""
 
-    gram: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int
+    det_num: int
+
+    @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     @property
     def rank(self) -> int:
-        return len(self.gram)
+        return len(self.num)
 
     def det(self) -> Fraction:
-        return mat_det(self.gram)
+        return Fraction(self.det_num, self.den ** self.rank)
 
     def dual(self) -> "EuclideanLattice":
-        return EuclideanLattice(tuple(map(tuple, mat_inv(self.gram))))
+        """L*, of Gram den * adj(num) / det(num) and determinant 1 / det(L)."""
+        n, den = self.rank, self.den
+        adj, det = adjugate(self.num)
+        g = math.gcd(det, *(den * x for row in adj for x in row))
+        return EuclideanLattice(tuple(tuple(den * x // g for x in row) for row in adj),
+                                det // g, (det // g * den) ** n // det)
 
 
 def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
@@ -58,21 +68,24 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("Gram matrix not square")
-    if not exact and not all(math.isfinite(x) for row in g for x in row):
-        raise ValueError("Gram entries must be finite")
-    for i in range(n):
-        for j in range(n):
-            a, b = g[i][j], g[j][i]
-            # rational input must be symmetric, float input within an
-            # absolute 1e-8 plus a relative 1e-5
-            if a != b and (exact or not abs(a - b) <= 1e-8 + 1e-5 * abs(b)):
-                raise ValueError("Gram matrix not symmetric")
-    # one triangle for both halves, so a float pair within the tolerance
-    # is stored equal
-    g = [[Fraction(g[i][j] if i <= j else g[j][i]) for j in range(n)] for i in range(n)]
-    if not all(m > 0 for m in leading_minors(g)):
+    if not exact:
+        if not all(math.isfinite(x) for row in g for x in row):
+            raise ValueError("Gram entries must be finite")
+        # symmetric within an absolute 1e-8 plus a relative 1e-5; one triangle
+        # for both halves, so a pair within the tolerance is stored equal
+        if not all(abs(g[i][j] - g[j][i]) <= 1e-8 + 1e-5 * abs(g[j][i])
+                   for i in range(n) for j in range(n)):
+            raise ValueError("Gram matrix not symmetric")
+        g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    num, den = integer_matrix([[x if isinstance(x, (int, Fraction)) else Fraction(x)
+                                for x in row] for row in g])
+    if num != transpose(num):
+        raise ValueError("Gram matrix not symmetric")
+    # Sylvester's criterion: before a row swap the pivots are the leading minors
+    pivots, swaps = bareiss([row[:] for row in num])
+    if swaps or not all(p > 0 for p in pivots):
         raise ValueError("Gram matrix not positive definite")
-    return EuclideanLattice(tuple(map(tuple, g)))
+    return EuclideanLattice(tuple(map(tuple, num)), den, pivots[-1] if n else 1)
 
 
 @dataclass(frozen=True)
@@ -103,17 +116,19 @@ def theta_invariants_euclidean(
 ) -> ThetaReport:
     """Sums the sparser side, L when det(L) >= 1 and L* otherwise, and takes
     the other from theta_{L*}(1) = covol(L) * theta_L(1)."""
-    det = lat.det() if lat.rank else Fraction(1)  # theta_log_sum refuses rank 0
+    det = lat.det()
     # math.log reads an int of any size, where float(det) may overflow or
     # underflow
     adeg = (math.log(det.denominator) - math.log(det.numerator)) / 2
-    gram = lat.gram if det >= 1 else lat.dual().gram
+    side = lat if det >= 1 else lat.dual()
+    num, den = side.num, side.den
     if lat.rank == 2:  # summed on a reduced basis, whose float Cholesky is well conditioned
-        entries = (gram[0][0], gram[0][1], gram[1][1])
-        m = math.lcm(*(x.denominator for x in entries))
-        (a, _), (b, _), (c, _) = _lagrange(tuple((x.numerator * (m // x.denominator), 0)
-                                                 for x in entries))[0]
-        gram = [[a / m, b / m], [b / m, c / m]]
+        (a, _), (b, _), (c, _) = _lagrange(((num[0][0], 0), (num[0][1], 0), (num[1][1], 0)))[0]
+        num = ((a, b), (b, c))
+    try:
+        gram = [[x / den for x in row] for row in num]
+    except OverflowError:
+        raise ValueError("a Gram entry of the summed side is beyond the float range") from None
     h, radius, tail = enumeration.theta_log_sum(gram, tail_tol, budget)
     h0, h1 = (h, h - adeg) if det >= 1 else (h + adeg, h)
     return ThetaReport(h0, h1, adeg, radius, tail)

@@ -76,6 +76,29 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
+def sqrt_mod(a: int, p: int) -> int:
+    """A square root of a modulo an odd prime p by Tonelli-Shanks (Cohen,
+    GTM 138, Algorithm 1.5.1); ValueError unless a is a square mod p."""
+    a %= p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    # z a non-square: c = z^q generates the 2-Sylow subgroup
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # r^2 = a*t, and the order 2^i of t falls every step
+        i, t2 = 1, t * t % p
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (e - i - 1), p)
+        e, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 def valuation(x: Fraction | int, p: int) -> int:
     """The exponent of p in a nonzero rational, for an integer p >= 2."""
     if p < 2:

@@ -29,6 +29,7 @@ from .intarith import (
     is_squarefree,
     prime_support,
     sqrt_fraction,
+    sqrt_mod,
     valuation,
 )
 from .nfpoly import NFElem, NumberField, _canonical
@@ -204,9 +205,13 @@ def splitting_type(F: QuadField, p: int) -> str:
 @lru_cache(maxsize=None)
 def _hensel_root(d: int, p: int) -> int:
     """The least root in [0, p) of omega's minimal polynomial mod p (split
-    p only)."""
-    c0, c1 = QuadField(d).gen_min_poly()
-    return next(x for x in range(p) if (x * x + int(c1) * x + int(c0)) % p == 0)
+    p only): (-c1 +- s) / 2 for s the square root of its discriminant mod
+    an odd p; at p = 2 the two residues are tried."""
+    c0, c1 = map(int, QuadField(d).gen_min_poly())
+    if p == 2:
+        return next(x for x in range(2) if (x * x + c1 * x + c0) % 2 == 0)
+    s = sqrt_mod(c1 * c1 - 4 * c0, p)
+    return min((-c1 + e * s) * ((p + 1) // 2) % p for e in (1, -1))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Linear algebra over Q.
 
 `mat_mul`, `mat_vec` and `transpose` work on any entries that support
-+ and *.  `mat_inv`, `mat_det` and `leading_minors` take matrices of int
-and Fraction entries only and raise TypeError on any other entry type:
-each clears its matrix to one integer matrix over a common denominator
-and eliminates fraction-free (Bareiss), so every intermediate is an
-integer minor, and gives Fraction results.  The pivot is the first
-nonzero entry of its column.  Matrices are lists of lists; nothing here
-mutates its arguments.
++ and *.  Elimination is exact and fraction-free, so every intermediate
+is an integer minor: `integer_matrix` clears a matrix of int and Fraction
+entries (any other entry type raises TypeError) to integers over one
+denominator, `bareiss` gives determinants and leading minors and
+`adjugate` inverses, and `mat_det` and `mat_inv` give Fraction results
+through them.  Matrices are lists of lists; only `bareiss` mutates its
+argument.
 """
 
 from __future__ import annotations
@@ -36,9 +36,10 @@ def transpose(a):
     return [list(row) for row in zip(*a)]
 
 
-def _as_integer_matrix(a):
-    """(m, den) with integer m and a = m / den; TypeError unless every
-    entry of a is an int or a Fraction."""
+def integer_matrix(a):
+    """(m, den) with integer m, a = m / den and den > 0 least, so m and den
+    have no common factor; TypeError unless every entry of a is an int or a
+    Fraction."""
     for row in a:
         for x in row:
             if not isinstance(x, (int, Fraction)):
@@ -47,27 +48,45 @@ def _as_integer_matrix(a):
     return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
 
 
-def _swap_in_pivot(m, col) -> bool:
-    """Bring the first row at or below col with a nonzero entry in column
-    col to row col; False when there is none."""
-    piv = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
-    if piv is None:
-        return False
-    m[col], m[piv] = m[piv], m[col]
-    return True
-
-
-def mat_inv(a):
-    """Inverse by fraction-free Gauss-Jordan elimination on [m | I]; each
-    step leaves integer minors, and the last ends at [det * I | det * m^-1].
-    Raises ZeroDivisionError on singular input."""
-    n = len(a)
-    m, den = _as_integer_matrix(a)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
-    prev = 1
+def bareiss(m) -> tuple[list[int], int]:
+    """(pivots, swaps): Bareiss's elimination of the square integer matrix m,
+    in place, and the row swaps it made.  Before the first swap, pivots[k] is
+    the leading principal minor of order k + 1; a zero pivot with no row to
+    swap in ends a singular m.  det m = (-1)^swaps * pivots[-1]."""
+    n = len(m)
+    pivots, swaps, prev = [], 0, 1
     for col in range(n):
-        if not _swap_in_pivot(aug, col):
-            raise ZeroDivisionError("singular matrix")
+        if m[col][col] == 0:  # the first nonzero entry below is the pivot
+            piv = next((r for r in range(col + 1, n) if m[r][col] != 0), None)
+            if piv is None:
+                return pivots + [0], swaps
+            m[col], m[piv], swaps = m[piv], m[col], swaps + 1
+        pivot_row = m[col]
+        p = pivot_row[col]
+        pivots.append(p)
+        for r in range(col + 1, n):
+            row = m[r]
+            f = row[col]
+            m[r] = row[:col + 1] + [(p * x - f * y) // prev
+                                    for x, y in zip(row[col + 1:], pivot_row[col + 1:])]
+        prev = p
+    return pivots, swaps
+
+
+def adjugate(m) -> tuple[list[list[int]], int]:
+    """(adj m, det m) of a square integer matrix by fraction-free
+    Gauss-Jordan elimination on [m | I]: each step leaves integer minors,
+    and the last ends at [q * I | q * m^-1] for q = det m times the sign of
+    the row swaps.  Raises ZeroDivisionError on singular input."""
+    n = len(m)
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev, sign = 1, 1
+    for col in range(n):
+        if aug[col][col] == 0:
+            piv = next((r for r in range(col + 1, n) if aug[r][col] != 0), None)
+            if piv is None:
+                raise ZeroDivisionError("singular matrix")
+            aug[col], aug[piv], sign = aug[piv], aug[col], -sign
         pivot_row = aug[col]
         p = pivot_row[col]
         for r in range(n):
@@ -75,49 +94,16 @@ def mat_inv(a):
                 f = aug[r][col]
                 aug[r] = [(p * x - f * y) // prev for x, y in zip(aug[r], pivot_row)]
         prev = p
-    # a^-1 = den * m^-1
-    return [[Fraction(den * x, prev) for x in row[n:]] for row in aug]
+    return [[sign * x for x in row[n:]] for row in aug], sign * prev
 
 
-def _bareiss_step(m, col, prev):
-    """Fraction-free elimination below m[col][col] in the integer matrix m;
-    entries left of col + 1 below the pivot are not updated."""
-    pivot_row = m[col]
-    p = pivot_row[col]
-    for r in range(col + 1, len(m)):
-        row = m[r]
-        f = row[col]
-        m[r] = row[:col + 1] + [(p * x - f * y) // prev
-                                for x, y in zip(row[col + 1:], pivot_row[col + 1:])]
+def mat_inv(a):
+    m, den = integer_matrix(a)
+    adj, det = adjugate(m)
+    return [[Fraction(den * x, det) for x in row] for row in adj]
 
 
 def mat_det(a):
-    n = len(a)
-    m, den = _as_integer_matrix(a)
-    sign, prev = 1, 1
-    for col in range(n - 1):
-        if m[col][col] == 0:
-            if not _swap_in_pivot(m, col):
-                return Fraction(0)
-            sign = -sign
-        _bareiss_step(m, col, prev)
-        prev = m[col][col]
-    return Fraction(sign * m[n - 1][n - 1], den ** n)
-
-
-def leading_minors(a) -> list:
-    """The leading principal minors of a, up to the first one that is zero,
-    exactly from one Bareiss pass without row swaps: after k steps the
-    pivot m[k][k] is the leading minor of order k + 1 of the integer
-    matrix, den^(k+1) times that of a."""
-    m, den = _as_integer_matrix(a)
-    minors = []
-    prev = 1
-    for col in range(len(m)):
-        p = m[col][col]
-        minors.append(Fraction(p, den ** (col + 1)))
-        if p == 0:
-            break
-        _bareiss_step(m, col, prev)
-        prev = p
-    return minors
+    m, den = integer_matrix(a)
+    pivots, swaps = bareiss(m)
+    return Fraction((-1) ** swaps * pivots[-1], den ** len(m))

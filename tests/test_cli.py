@@ -68,6 +68,16 @@ def test_count_box_with_finite_radii(capsys):
     assert code == 0 and data["count"] == 37
 
 
+def test_count_box_at_a_large_split_prime_answers(capsys):
+    # the root of omega's polynomial mod 10^9 + 9 was searched over range(p),
+    # which ran for more than 20 s; exit 2 flags the hypothesis, and the
+    # result is still printed
+    code, data = within_seconds(5, lambda: run_json(capsys, [
+        "count-box", "--field", '{"d": -1}', "--rinf", "1",
+        "--rfin", '{"1000000009": [1, 1]}']))
+    assert code == 2 and data["status"] == "hypothesis_violated" and data["count"] == 5
+
+
 def test_count_box_needs_one_finite_radius_per_place(capsys):
     # 3 is inert in Q(i) and 2 is one place of Q: a second radius was dropped;
     # 5 splits in Q(i), so a bare number leaves its second place unset
@@ -431,6 +441,11 @@ def test_usage_and_runtime_errors_exit_one(capsys):
     assert code == 1
     code, err = run_cli_err(capsys, ["theta", "--gram", "[]"])
     assert code == 1 and "rank-0" in err
+    # the dual, the side summed, has an entry 10^320: an OverflowError named
+    # only "integer division result too large for a float"
+    for gram in ("[[1e-320]]", "[[1e-320, 0], [0, 1]]"):
+        code, err = run_cli_err(capsys, ["theta", "--gram", gram])
+        assert code == 1 and "summed side is beyond the float range" in err, gram
     # not square: the first was read as the Gram [[1]] of Z
     for gram in ("[[1, 2]]", "[[2, 0], [0]]"):
         code, err = run_cli_err(capsys, ["theta", "--gram", gram])

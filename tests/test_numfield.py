@@ -8,13 +8,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alk import quartics
-from alk.intarith import factorize, valuation
+from alk.intarith import factorize, is_prime, sqrt_mod, valuation
 from alk.localgeom import different_and_orders
 from alk.numfield import (
     FieldTower,
     FracIdeal,
     Place,
     QuadField,
+    _hensel_root,
     conj,
     content,
     embeddings,
@@ -108,6 +109,30 @@ def _valuation_by_ideals(x, place, bound):
         lo, hi = (mid, hi) if contains(mid) else (lo, mid)
     return lo
 
+
+@pytest.mark.parametrize("d", [-1, 2, 5, -3, -15, 13, -7, 17])
+def test_hensel_root_is_the_least_root_of_a_search(d):
+    """Tonelli-Shanks answers as the search over range(p) it replaced, for
+    every split p < 2000, p = 2 included where it splits."""
+    F = QuadField(d)
+    c0, c1 = map(int, F.gen_min_poly())
+    split = [p for p in range(2, 2000) if is_prime(p) and splitting_type(F, p) == "split"]
+    assert len(split) > 130
+    for p in split:
+        want = next(x for x in range(p) if (x * x + c1 * x + c0) % p == 0)
+        assert _hensel_root(d, p) == want, p
+    with pytest.raises(ValueError, match="not a square mod 7"):
+        sqrt_mod(3, 7)
+
+
+def test_content_at_a_large_split_prime_answers():
+    # the norm's prime 22673594243 splits; a search over range(p) for the
+    # root mod p ran for more than 60 s
+    F = QuadField(-15)
+    x = F.elem(10 ** 7 + 19, 10 ** 6 + 3)
+    p = 22673594243
+    assert p in factorize(x.norm().numerator) and splitting_type(F, p) == "split"
+    assert abs(within_seconds(5, lambda: content(F, x)) - 1) < 1e-9
 
 def test_split_valuation_matches_an_ideal_membership_oracle():
     """Valuations past 100, denominators with p and other primes, both

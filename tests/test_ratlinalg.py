@@ -1,11 +1,14 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from alk.arakelov import euclidean_lattice
 from alk.numfield import QuadField
-from alk.ratlinalg import leading_minors, mat_det, mat_inv, mat_mul
+from alk.ratlinalg import bareiss, integer_matrix, mat_det, mat_inv, mat_mul
 from conftest import gauss_jordan
 
 
@@ -26,7 +29,7 @@ def test_non_rational_entries_raise_type_error():
     sqrt2 = QuadField(2).elem(0, 1)
     for x in (2.0, 2 + 0j, sqrt2):
         m = [[1, 0], [0, x]]
-        for fn in (mat_inv, mat_det, leading_minors):
+        for fn in (mat_inv, mat_det, integer_matrix):
             with pytest.raises(TypeError, match="int or Fraction"):
                 fn(m)
     # products stay generic
@@ -87,14 +90,17 @@ def test_bareiss_det_and_inverse_match_gauss_jordan():
     assert singular > 40
 
 
-def test_leading_minors_exact():
-    m = [[2, 1, 0], [1, Fraction(1, 2), 3], [0, 3, 1]]
-    # the second minor is 0: the list stops there
-    assert leading_minors(m) == [2, 0]
+def test_bareiss_pivots_are_the_leading_minors():
+    m, den = integer_matrix([[2, 1, 0], [1, Fraction(1, 2), 3], [0, 3, 1]])
+    pivots, swaps = bareiss(m)
+    # the second minor is 0, so the second pivot takes a row swap
+    assert den == 2 and Fraction(pivots[0], den) == 2 and swaps == 1
     g = [[4, 2, 1], [2, 3, Fraction(1, 2)], [1, Fraction(1, 2), 5]]
     want = [gauss_jordan([row[:k] for row in g[:k]])[0] for k in (1, 2, 3)]
-    assert leading_minors(g) == want
-    assert all(type(x) is Fraction for x in leading_minors(g))
+    m, den = integer_matrix(g)
+    pivots, swaps = bareiss(m)
+    assert swaps == 0 and [Fraction(p, den ** k) for k, p in enumerate(pivots, 1)] == want
+    assert type(euclidean_lattice(g).det()) is Fraction
 
 
 GRAMS_REJECTED = [
@@ -107,6 +113,8 @@ GRAMS_REJECTED = [
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, Fraction(1, 2)]],  # at minor 4
     [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [1, 1, 1, 3]],  # semidefinite at 4
     [[1, 0], [0, 0]],
+    [[0, 1], [1, 0]],  # a row swap at the first pivot
+    [[1, 1, 0], [1, 1, 0], [0, 0, 1]],  # a zero second minor, then a swap
 ]
 GRAMS_ACCEPTED = [
     [[Fraction(1, 3)]],
@@ -116,14 +124,14 @@ GRAMS_ACCEPTED = [
 ]
 
 
+def by_blocks(g):
+    """Sylvester's criterion from n separate leading-block determinants."""
+    return all(gauss_jordan([row[:k] for row in g[:k]])[0] > 0 for k in range(1, len(g) + 1))
+
+
 def test_euclidean_lattice_accepts_exactly_the_positive_definite_grams():
     """Sylvester's criterion from one Bareiss pass decides as n separate
     leading-block determinants do, for exact and float Grams."""
-
-    def by_blocks(g):
-        return all(gauss_jordan([row[:k] for row in g[:k]])[0] > 0
-                   for k in range(1, len(g) + 1))
-
     rng = random.Random(29)
     grams = [(g, False) for g in GRAMS_REJECTED] + [(g, True) for g in GRAMS_ACCEPTED]
     for _ in range(200):
@@ -145,6 +153,50 @@ def test_euclidean_lattice_accepts_exactly_the_positive_definite_grams():
                 with pytest.raises(ValueError, match="not positive definite"):
                     euclidean_lattice(gram)
     assert min(seen.values()) > 30
+
+
+@st.composite
+def symmetric_grams(draw):
+    """A symmetric Gram of rank 1-4, of int, Fraction or float entries.  The
+    float Grams are D G D for an integer G and a diagonal D of scales, which
+    keeps G's definiteness while the entries span 1e-300 to 1e300."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(("int", "fraction", "float")))
+    scales = [draw(st.sampled_from((1.0, 0.1, 1e-150, 1e150))) for _ in range(n)]
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            x = draw(st.integers(0, 16) if i == j else st.integers(-3, 3))
+            if kind == "fraction":
+                x = Fraction(x, draw(st.integers(1, 12)))
+            elif kind == "float":
+                x = x * scales[i] * scales[j]
+            g[i][j] = g[j][i] = x
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_grams())
+@example([[0, 1], [1, 0]])
+@example([[1, 1], [1, 1]])
+@example([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+@example([[1e300, 0], [0, 1e-300]])
+def test_lattice_matches_the_rational_oracles(gram):
+    exact = [[Fraction(x) for x in row] for row in gram]
+    if not by_blocks(exact):
+        with pytest.raises(ValueError, match="not positive definite"):
+            euclidean_lattice(gram)
+        return
+    lat = euclidean_lattice(gram)
+    assert lat.gram == tuple(map(tuple, exact))
+    assert lat.det() == mat_det(exact) and type(lat.det()) is Fraction
+    dual = lat.dual()
+    assert dual.gram == tuple(map(tuple, mat_inv(exact)))
+    assert dual.det() == 1 / lat.det()
+    # num / den in lowest terms, so the dual of the dual is the lattice
+    for x in (lat, dual):
+        assert math.gcd(x.den, *(y for row in x.num for y in row)) == 1
+    assert dual.dual() == lat
 
 
 def test_mat_mul_rejects_mismatched_shapes():
