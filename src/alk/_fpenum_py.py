@@ -12,8 +12,12 @@ KERNEL_NAME = "python"
 
 
 class BudgetExceeded(RuntimeError):
-    def __init__(self, budget: int, found: int):
-        super().__init__(f"enumeration budget {budget} exceeded after {found} vectors")
+    """A budget of `budget` units ran out, more than `found` being needed.
+    The units are lattice points or outer-level values in `gauss_sum`, box
+    rows or box points in `arakelov.box_count`."""
+
+    def __init__(self, budget: int, found: int, units: str):
+        super().__init__(f"enumeration budget {budget} exceeded: more than {found} {units}")
         self.budget = budget
         self.found = found
 
@@ -64,7 +68,7 @@ def gauss_sum(gram, bound, budget=5_000_000):
     if top < 0:
         return 0.0, 0
     if budget < 1:  # the origin alone exceeds it
-        raise BudgetExceeded(budget, max(budget, 0))
+        raise BudgetExceeded(budget, max(budget, 0), "lattice points")
     room = (budget - 1) // 2  # half-space points allowed besides the origin
     exp = math.exp
     neg_pi = -math.pi
@@ -91,7 +95,7 @@ def gauss_sum(gram, bound, budget=5_000_000):
         if i:
             nodes += max(hi - lo + 1, 0)
             if nodes > budget:
-                raise BudgetExceeded(budget, budget)
+                raise BudgetExceeded(budget, budget, "outer-level values")
             for xi in range(lo, hi + 1):
                 t = (d * xi + s) ** 2
                 if used + t <= top:
@@ -114,7 +118,7 @@ def gauss_sum(gram, bound, budget=5_000_000):
             return
         count += hi - lo + 1
         if count > room:
-            raise BudgetExceeded(budget, budget)
+            raise BudgetExceeded(budget, budget, "lattice points")
         for xi in range(lo, hi + 1):
             total += exp(neg_pi * (used + (d * xi + s) ** 2))
 

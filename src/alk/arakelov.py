@@ -6,10 +6,10 @@ floats with certified truncation tails.  The theta invariants of a
 Euclidean lattice sum its sparser side, L or L*, and take the other from
 Poisson summation, h0 - h1 = adeg, with log det from the logs of its
 numerator and denominator; a rank-2 side is summed on an exactly reduced
-basis.  A bundle takes one theta sum, on its direct image: the ideal's
-basis is reduced for the bundle's own form in integers of Q(sqrt(d)) by
-the one Lagrange-Gauss helper `_lagrange`, and L* stands for the Serre
-twist once the twist's ideal is checked, exactly, to be the trace dual.
+basis.  A bundle takes one theta sum on its direct image, whose basis
+`_lagrange` reduces exactly for the bundle's own form, and counts its unit
+box by rows on that basis, as `box_count` does every box; L* stands for the
+Serre twist once the twist's ideal is checked, exactly, to be the trace dual.
 
 Norm convention for bundles: a bundle carries one radius rho per
 Archimedean embedding (equal at conjugate embeddings) and the section
@@ -24,7 +24,7 @@ import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from numbers import Rational
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import enumeration
 from .numfield import FracIdeal, QuadField, embeddings
@@ -324,56 +324,80 @@ def _surd_float(x: int, y: int, d: int, k: int) -> float:
     return (x * x - y * y * d) / (k * x) / (1 - y / x * r)
 
 
-def ideal_gram(ideal: FracIdeal, sq_radii) -> tuple[list[list], tuple]:
-    """(gram, columns): the Gram of sum_sigma sigma(x) sigma(y)^* / R_sigma,
-    for squared radii (R_1, R_2) at the real embeddings or R at the complex
-    place (sq_radii = (R,), the form 2*Re(x y^*) / R), on the Lagrange-Gauss
-    reduced basis r_j = c_j[0]*b0 + c_j[1]*b1 of the ideal's HNF basis
-    (b0, b1) for this form; columns are the c_j.  The reduction is exact, in
-    integers of Q(sqrt(d)).  The entries are exact Fractions at equal radii
-    and at the complex place, and otherwise floats rounded from their exact
-    values without cancellation (`_surd_float`)."""
+def _box_form(ideal: FracIdeal, sq_radii):
+    """(gram, columns, reduced, k, D): `_reduce_forms` on k times the form
+    sum_sigma sigma(x) sigma(y)^* / R_sigma, for squared radii (R_1, R_2) at
+    the real embeddings or R at the complex place (sq_radii = (R,), the form
+    2*Re(x y^*) / R), over the ideal's HNF forms of denominator D.  The form
+    is at most 2 on the box |sigma(x)|^2 <= R_sigma, or Nr(x) <= R."""
     forms, D = _ideal_forms(ideal)
     inv = [1 / Fraction(R) for R in (sq_radii if len(sq_radii) == 2 else sq_radii * 2)]
     s, t = inv[0] + inv[1], inv[0] - inv[1]
     m = math.lcm(s.denominator, t.denominator)
-    d = ideal.field.d
-    gram, cols, _ = _reduce_forms(d, forms, s.numerator * (m // s.denominator),
-                                  t.numerator * (m // t.denominator))
-    k = m * D * D
-    a, b, c = (Fraction(x, k) if t == 0 else _surd_float(x, y, d, k) for x, y in gram)
-    return [[a, b], [b, c]], cols
+    gram, cols, reduced = _reduce_forms(ideal.field.d, forms, s.numerator * (m // s.denominator),
+                                        t.numerator * (m // t.denominator))
+    return gram, cols, reduced, m * D * D, D
 
 
-def box_points(ideal: FracIdeal, radii,
-               budget: int = enumeration.DEFAULT_BUDGET) -> Iterator[tuple[int, int]]:
-    """The (m, k) with x = m*b0 + k*b1 in the ideal's HNF basis and
-    |sigma(x)| <= rho_sigma at both real embeddings (radii (rho_1, rho_2)), or
-    Nr(x) <= R at the complex place (radii (R,)), in exact integer rows t of
-    x = s*r0 + t*r1 = (U + V*sqrt(d)) / D over a Lagrange-Gauss reduced basis:
-    U^2 + |d|*V^2 = A*s^2 + 2*B*s*t + C*t^2, which is D^2*Nr(x) or
-    D^2*(sigma_1(x)^2 + sigma_2(x)^2) / 2, is at most N on the box.  Row -t is
-    row t negated.  The budget bounds the rows and the points."""
-    d = ideal.field.d
-    basis, D = _ideal_forms(ideal)
-    ((A, _), (B, _), (C, _)), ((a0, a1), (c0, c1)), reduced = _reduce_forms(d, basis)
-    (p0, q0), (p1, q1) = reduced
-    radii = [Fraction(r) for r in radii]
-    N = math.floor((radii[0] if d < 0 else (radii[0] ** 2 + radii[1] ** 2) / 2) * D * D)
-    if d < 0:
+def _rounded_gram(form, d: int) -> list[list]:
+    """The Gram of a `_box_form` over its k: exact Fractions when the form is
+    rational (t = 0: equal radii, or the complex place), and otherwise each
+    entry rounded from its exact value without cancellation (`_surd_float`)."""
+    gram, _, _, k, _ = form
+    if any(y for _, y in gram):
+        a, b, c = (_surd_float(x, y, d, k) for x, y in gram)
+    else:
+        a, b, c = (Fraction(x, k) for x, _ in gram)
+    return [[a, b], [b, c]]
+
+
+def ideal_gram(ideal: FracIdeal, sq_radii) -> tuple[list[list], tuple]:
+    """(gram, columns): the Gram of sum_sigma sigma(x) sigma(y)^* / R_sigma
+    (`_box_form`) on the Lagrange-Gauss reduced basis r_j = c_j[0]*b0 +
+    c_j[1]*b1 of the ideal's HNF basis (b0, b1) for this form; columns are the
+    c_j.  The reduction is exact, in integers of Q(sqrt(d)); the entries are
+    exact at equal radii and at the complex place (`_rounded_gram`)."""
+    form = _box_form(ideal, sq_radii)
+    return _rounded_gram(form, ideal.field.d), form[1]
+
+
+def box_count(ideal, radii, budget: int = enumeration.DEFAULT_BUDGET) -> int:
+    """#{x in the ideal : |sigma(x)| <= rho_sigma} at both real embeddings
+    (radii (rho_1, rho_2)), or with Nr(x) <= R at the complex place (radii
+    (R,)), exact.  Over Q the ideal is a rational q > 0 and radii (rho,)."""
+    if not isinstance(ideal, FracIdeal):
+        return 2 * math.floor(radii[0] / ideal) + 1
+    return _count_rows(_box_form(ideal, [r * r for r in radii] if len(radii) == 2 else radii),
+                       radii, ideal.field.d, budget)
+
+
+def _count_rows(form, radii, d: int, budget: int) -> int:
+    """The points x = s*r0 + t*r1 of the box on the reduced basis of its own
+    `_box_form`, summed as row widths: the box lies in A*s^2 + 2*B*s*t + C*t^2
+    <= 2k, so |t| <= sqrt(2k*A / (AC - B^2)), whatever the ratio of the radii.
+    Each row's s-range is exact; row -t is row t negated."""
+    ((a, ay), (b, by), (c, cy)), _, ((p0, q0), (p1, q1)), k, D = form
+    # 2k*A / (AC - B^2) = 2k*A*E' / N(E) for E = AC - B^2 = ex + ey*sqrt(d) and
+    # its conjugate E'; N(E) > 0, as the conjugate form is positive definite too
+    ex, ey = a * c + ay * cy * d - b * b - by * by * d, a * cy + ay * c - 2 * b * by
+    t_max = math.isqrt(_floor_surd(2 * k * (a * ex - ay * ey * d), 2 * k * (ay * ex - a * ey),
+                                   d, ex * ex - ey * ey * d))
+    if t_max >= budget:  # more rows than the budget
+        raise enumeration.BudgetExceeded(budget, budget, "box rows")
+    if d < 0:  # a rational form: A*s^2 + 2*B*s*t + C*t^2 <= 2k in integers
         def row(t: int) -> tuple[int, int]:
-            disc = (B * t) ** 2 - A * (C * t * t - N)
+            disc = (b * t) ** 2 - a * (c * t * t - 2 * k)
             r = math.isqrt(max(disc, 0))
-            return (-((B * t + r) // A), (r - B * t) // A) if disc >= 0 else (1, 0)
+            return (-((b * t + r) // a), (r - b * t) // a) if disc >= 0 else (1, 0)
     else:
         # |s*alpha + t*beta| <= rho*D for alpha, beta the images of r0, r1 at
-        # sqrt(d) -> g*sqrt(d); over n = alpha*conj(alpha) and rho = a/b the
-        # two ends (+-a*D - t*b*beta) / (b*alpha) are (P + Q*sqrt(d)) / (b*|n|)
+        # sqrt(d) -> g*sqrt(d); over n = alpha*conj(alpha) and rho = i/j the
+        # two ends (+-i*D - t*j*beta) / (j*alpha) are (P + Q*sqrt(d)) / (j*|n|)
         n = p0 * p0 - d * q0 * q0
         h = 1 if n > 0 else -1
-        strips = [(h * a * D * p0, -g * h * a * D * q0, h * b * (d * q0 * q1 - p0 * p1),
-                   g * h * b * (p1 * q0 - p0 * q1), b * abs(n))
-                  for g, (a, b) in zip((1, -1), (r.as_integer_ratio() for r in radii))]
+        strips = [(h * i * D * p0, -g * h * i * D * q0, h * j * (d * q0 * q1 - p0 * p1),
+                   g * h * j * (p1 * q0 - p0 * q1), j * abs(n))
+                  for g, (i, j) in zip((1, -1), (r.as_integer_ratio() for r in radii))]
 
         def row(t: int) -> tuple[int, int]:
             # ceil(min) = min(ceil) and floor(max) = max(floor) of the ends
@@ -381,47 +405,13 @@ def box_points(ideal: FracIdeal, radii,
                     for P0, Q0, P1, Q1, M in strips]
             return (max(min(-_floor_surd(-P, -Q, d, M) for P, Q, M in s) for s in ends),
                     min(max(_floor_surd(P, Q, d, M) for P, Q, M in s) for s in ends))
-    rows = math.isqrt(N * A // (A * C - B * B)) + 1
-    if rows > budget:  # a needle-thin box has many empty rows
-        raise enumeration.BudgetExceeded(budget, budget)
     found = 0
-    for t in range(rows):
+    for t in range(t_max + 1):
         lo, hi = row(t)
         found += max(hi - lo + 1, 0) * (2 if t else 1)
         if found > budget:
-            raise enumeration.BudgetExceeded(budget, budget)
-        for s in range(lo, hi + 1):
-            m, k = s * a0 + t * c0, s * a1 + t * c1
-            yield m, k
-            if t:
-                yield -m, -k
-
-
-def box_sections(bundle: HermitianLineBundle,
-                 budget: int = enumeration.DEFAULT_BUDGET) -> list:
-    """All s in the ideal with |sigma(s)| <= rho_sigma at every embedding;
-    membership decided exactly."""
-    if bundle.field is None:
-        q = bundle.ideal
-        kmax = int(bundle.radii[0] / q)
-        return [k * q for k in range(-kmax, kmax + 1)]
-    b0, b1 = bundle.ideal.basis_elems()
-    points = _unit_box_points(bundle, budget)
-    return [b0 * m + b1 * k for m, k in sorted(points, key=lambda c: (c[1], c[0]))]
-
-
-def box_count(bundle: HermitianLineBundle,
-              budget: int = enumeration.DEFAULT_BUDGET) -> int:
-    """The number of `box_sections`, counted without building them."""
-    if bundle.field is None:
-        return 2 * int(bundle.radii[0] / bundle.ideal) + 1
-    return sum(1 for _ in _unit_box_points(bundle, budget))
-
-
-def _unit_box_points(bundle: HermitianLineBundle, budget: int):
-    # Nr(s) = |sigma(s)|^2 at the complex place
-    radii = bundle.radii if bundle.field.is_real else (bundle.radii[0] ** 2,)
-    return box_points(bundle.ideal, radii, budget)
+            raise enumeration.BudgetExceeded(budget, budget, "box points")
+    return found
 
 
 def serre_twist(bundle: HermitianLineBundle) -> HermitianLineBundle:
@@ -462,12 +452,22 @@ def bundle_theta_and_h0ar(
     twist's lattice, whose h0 is the bundle's h1, once the twist's ideal
     I^-1 d^-1 is checked, exactly, to be the trace dual of I.  adeg is the
     bundle's degree."""
-    if bundle.field is not None:
+    F = bundle.field
+    if F is None:
+        lat = direct_image(bundle)
+    else:
         ideal = bundle.ideal
-        check_trace_dual(ideal, ideal.inverse().scale(_inverse_different(bundle.field)))
-    rep = theta_invariants_euclidean(direct_image(bundle), tail_tol, budget)
+        check_trace_dual(ideal, ideal.inverse().scale(_inverse_different(F)))
+        sq = [r * r for r in (bundle.radii if F.is_real else bundle.radii[:1])]
+        # the direct image's form is the unit box's: one reduction for both
+        form = _box_form(ideal, sq)
+        lat = euclidean_lattice(_rounded_gram(form, F.d))
+    rep = theta_invariants_euclidean(lat, tail_tol, budget)
     report = ThetaReport(rep.h0, rep.h1, adeg(bundle), rep.truncation_radius, rep.tail_bound)
-    return report, math.log(box_count(bundle, budget))
+    # the unit box has Nr(s) <= rho^2 at the complex place
+    count = (box_count(bundle.ideal, bundle.radii, budget) if F is None
+             else _count_rows(form, bundle.radii if F.is_real else sq, F.d, budget))
+    return report, math.log(count)
 
 
 # ---------------------------------------------------------------------------

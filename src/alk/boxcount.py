@@ -4,8 +4,9 @@ A radius family assigns a radius in the value group at finitely many
 finite places and a positive radius per Archimedean place (normalized,
 i.e. squared-modulus scale at a complex place).  The set
 {x in F : |x|_u <= r_u for all u} is the intersection of a fractional
-ideal with an Archimedean box; it is counted exactly by two independent
-enumeration strategies.
+ideal with an Archimedean box, counted by `arakelov.box_count` on the basis
+reduced for the box's own form, and by the oracle `count_box_naive` on the
+basis reduced for the trace form.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from numbers import Rational
 from typing import Optional
 
 from . import enumeration
-from .arakelov import _reduce_forms, box_points, f_bound
+from .arakelov import _reduce_forms, box_count, f_bound
 from .intarith import valuation
 from .numfield import FracIdeal, Place, QuadField, prime_ideal
 
@@ -80,10 +81,7 @@ def _ideal_from_finite(r: RadiusFamily):
 def count_box(field: Optional[QuadField], r: RadiusFamily,
               budget: int = enumeration.DEFAULT_BUDGET) -> int:
     """#{x in F : |x|_u <= r_u for every place u}, exact."""
-    ideal = _ideal_from_finite(r)
-    if field is None:
-        return 2 * int(r.infinite[0] / ideal) + 1
-    return sum(1 for _ in box_points(ideal, r.infinite, budget))
+    return box_count(_ideal_from_finite(r), r.infinite, budget)
 
 
 def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
@@ -151,9 +149,10 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
     disc = 1 if field is None else field.disc
     norm = norm_of_family(r)
     hypothesis = norm >= c * disc
+    # counted first: a norm beyond the float range has more points than any budget
+    count = count_box(field, r, budget)
     big_c = math.exp(f_bound(-math.log(float(c))) + math.pi * n)
     bound = big_c * float(norm) / math.sqrt(disc)
-    count = count_box(field, r, budget)
     return {
         "count": count,
         "norm": float(norm),

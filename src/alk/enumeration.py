@@ -1,4 +1,4 @@
-"""Certified theta sums; box counts walk exact rows in `arakelov.box_points`.
+"""Certified theta sums; box counts sum exact rows in `arakelov.box_count`.
 
 One pure-Python Fincke-Pohst kernel (`_fpenum_py`) does the work.  A
 theta sum builds no point list: the kernel adds exp(-pi Q(x)) as it

@@ -12,7 +12,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from alk.arakelov import make_bundle
-from alk.numfield import FracIdeal, QuadField
+from alk.numfield import FracIdeal, QuadField, conj
 
 
 def random_posdef_gram(rng: random.Random, n: int, shift: int = 3):
@@ -40,6 +40,82 @@ def random_principal_bundle(rng: random.Random, F: QuadField):
     r1 = Fraction(rng.randint(1, 6), rng.randint(1, 2))
     r2 = r1 if not F.is_real else Fraction(rng.randint(1, 6), rng.randint(1, 2))
     return make_bundle(F, ideal, (r1, r2))
+
+
+def _leq_with_sqrt(rational_part, sqrt_part, d, bound):
+    """Exact test of rational_part + sqrt_part*sqrt(d) <= bound (d > 0)."""
+    rem = bound - rational_part
+    if sqrt_part == 0:
+        return rem >= 0
+    if sqrt_part > 0:
+        return rem >= 0 and sqrt_part * sqrt_part * d <= rem * rem
+    return rem >= 0 or sqrt_part * sqrt_part * d >= rem * rem
+
+
+def _box_test(D: int, d: int, radii):
+    """The test of `in_box_reference` on x = (U + V sqrt(d)) / D, in integers:
+    sigma(x)^2 = (U^2 + d V^2 +- 2 U V sqrt(d)) / D^2 against rho^2 at the
+    real places, Nr(x) = (U^2 - d V^2) / D^2 against R at the complex place."""
+    if d < 0:
+        p, q = radii[0].numerator * D * D, radii[0].denominator
+        return lambda U, V: q * (U * U - d * V * V) <= p
+    (p1, q1), (p2, q2) = ((r.numerator ** 2 * D * D, r.denominator ** 2) for r in radii)
+
+    def inside(U, V):
+        w, z = U * U + d * V * V, 2 * U * V
+        return (_leq_with_sqrt(q1 * w, q1 * z, d, p1)
+                and _leq_with_sqrt(q2 * w, -q2 * z, d, p2))
+
+    return inside
+
+
+def _int_coords(xs):
+    """((U, V), ...), D: the x = (U + V sqrt(d)) / D over one least D."""
+    D = math.lcm(*(c.denominator for x in xs for c in (x.a, x.b)))
+    return [(int(x.a * D), int(x.b * D)) for x in xs], D
+
+
+def in_box_reference(x, F, radii) -> bool:
+    """|sigma_i(x)| <= rho_i at the real embeddings, Nr(x) <= R at the
+    complex place, decided exactly."""
+    ((U, V),), D = _int_coords([x])
+    return _box_test(D, F.d, [Fraction(r) for r in radii])(U, V)
+
+
+def box_reference_points(ideal, radii):
+    """(r0, r1, points): the (m, k) with x = m*r0 + k*r1 in the ideal that
+    `in_box_reference` accepts, over a coefficient window that holds the box,
+    with count_box_naive's bounds.  The trace form T(x) = Tr(x conj(x)) at a
+    complex place, Tr(x^2) at real ones, is at most 2R or rho_1^2 + rho_2^2
+    on the box, and on a basis (r0, r1) of Gram G, x = m*r0 + k*r1 has
+    m^2 <= T(x) G_11 / det G and k^2 <= T(x) G_00 / det G.  (r0, r1) is the
+    ideal's HNF basis Lagrange-Gauss reduced for T, here in Fractions, so
+    that the window follows the box and not the skew of the ideal."""
+    F = ideal.field
+    radii = [Fraction(r) for r in radii]
+    bar = (lambda x: x) if F.is_real else conj
+    form = lambda x, y: (x * bar(y)).trace()
+    r0, r1 = ideal.basis_elems()
+    while True:
+        if form(r1, r1) < form(r0, r0):
+            r0, r1 = r1, r0
+        mu = math.floor(form(r0, r1) / form(r0, r0) + Fraction(1, 2))
+        if mu == 0:
+            break
+        r1 = r1 - r0 * mu
+    g00, g01, g11 = form(r0, r0), form(r0, r1), form(r1, r1)
+    det = g00 * g11 - g01 * g01
+    t_max = sum(r * r for r in radii) if F.is_real else 2 * radii[0]
+    m_max = math.isqrt(math.floor(t_max * g11 / det))
+    k_max = math.isqrt(math.floor(t_max * g00 / det))
+    ((u0, v0), (u1, v1)), D = _int_coords([r0, r1])
+    inside = _box_test(D, F.d, radii)
+    return r0, r1, [(m, k) for m in range(-m_max, m_max + 1) for k in range(-k_max, k_max + 1)
+                    if inside(m * u0 + k * u1, m * v0 + k * v1)]
+
+
+def box_reference_count(ideal, radii) -> int:
+    return len(box_reference_points(ideal, radii)[2])
 
 
 PI_100 = Decimal("3.14159265358979323846264338327950288419716939937510"

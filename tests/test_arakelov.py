@@ -13,7 +13,6 @@ from alk import _fpenum_py, arakelov, enumeration
 from alk.arakelov import (
     adeg,
     adeg_via_section,
-    box_sections,
     bundle_theta_and_h0ar,
     canonical_bundle,
     check_trace_dual,
@@ -33,8 +32,8 @@ from alk.arakelov import (
 from alk.boxcount import count_box, make_radius_family
 from alk.numfield import FracIdeal, finite_places, make_quad_field, prime_ideal, splitting_type
 from alk.ratlinalg import mat_det
-from conftest import (decimal_log_theta, random_posdef_gram, random_principal_bundle,
-                      within_seconds)
+from conftest import (box_reference_count, decimal_log_theta, random_posdef_gram,
+                      random_principal_bundle, within_seconds)
 
 FIELDS = [make_quad_field(d) for d in (-1, 2, 5, -3)]
 
@@ -373,13 +372,15 @@ def test_sheared_grams_are_reduced_before_either_side_is_summed(k):
 
 
 def test_box_sections_symmetric_and_contain_zero():
+    # h0_ar counts the sections in the unit box, Nr(s) <= rho^2 at the
+    # complex place: 0 and pairs s, -s, so an odd number
     rng = random.Random(17)
     for F in FIELDS:
         bundle = random_principal_bundle(rng, F)
-        secs = box_sections(bundle)
-        assert any(s.is_zero() for s in secs)
-        as_set = {(s.a, s.b) for s in secs}
-        assert all((-s.a, -s.b) in as_set for s in secs)
+        radii = bundle.radii if F.is_real else [bundle.radii[0] ** 2]
+        count = box_reference_count(bundle.ideal, radii)
+        assert bundle_theta_and_h0ar(bundle)[1] == math.log(count)
+        assert count % 2 == 1
 
 
 def test_unit_box_count_bounded_by_theta():
@@ -392,11 +393,28 @@ def test_unit_box_count_bounded_by_theta():
 
 
 def test_trivial_bundle_h0ar():
-    # unit box of O_F in Q(i): 0, units, and 1+i scale out; count is 9
-    # only for radius 2 in the normalized scale, so radius 1 gives 5
+    # unit box of O_F in Q(i): 0 and the four units; 1+i has norm 2, so the
+    # count is 9 only at radius 2 in the normalized scale
     F = make_quad_field(-1)
-    secs = box_sections(trivial_bundle(F))
-    assert len(secs) == 5
+    bundle = trivial_bundle(F)
+    assert box_reference_count(bundle.ideal, [1]) == 5
+    assert bundle_theta_and_h0ar(bundle)[1] == math.log(5)
+
+
+def test_a_bundle_takes_one_reduction(monkeypatch):
+    # the direct image's form is the unit box's, so the lattice and the box
+    # count share one Lagrange-Gauss reduction
+    calls = []
+    reduce_forms = arakelov._reduce_forms
+    monkeypatch.setattr(arakelov, "_reduce_forms",
+                        lambda *args: calls.append(args) or reduce_forms(*args))
+    rng = random.Random(43)
+    for F in FIELDS:
+        for _ in range(3):
+            bundle = random_principal_bundle(rng, F)
+            calls.clear()
+            bundle_theta_and_h0ar(bundle)
+            assert len(calls) == 1, bundle
 
 
 def test_comparison_function_shape():

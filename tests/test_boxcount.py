@@ -14,7 +14,7 @@ from alk.boxcount import (
     make_radius_family,
     norm_of_family,
 )
-from alk.arakelov import box_points, box_sections, ideal_gram, make_bundle
+from alk.arakelov import box_count, bundle_theta_and_h0ar, ideal_gram, make_bundle
 from alk.enumeration import BudgetExceeded
 from alk.numfield import (
     FracIdeal,
@@ -22,12 +22,11 @@ from alk.numfield import (
     QuadField,
     conj,
     finite_places,
-    gen_coords,
     make_quad_field,
     prime_ideal,
     splitting_type,
 )
-from conftest import within_seconds
+from conftest import box_reference_count, box_reference_points, in_box_reference, within_seconds
 
 
 def test_gaussian_integers_in_small_disc():
@@ -122,45 +121,21 @@ def test_bound_check_passes_in_hypothesis():
 
 
 # ---------------------------------------------------------------------------
-# box_points against a membership test on field elements
-
-
-def _leq_with_sqrt(rational_part, sqrt_part, d, bound):
-    """Exact test of rational_part + sqrt_part*sqrt(d) <= bound (d > 0)."""
-    rem = bound - rational_part
-    if sqrt_part == 0:
-        return rem >= 0
-    if sqrt_part > 0:
-        return rem >= 0 and sqrt_part * sqrt_part * d <= rem * rem
-    return rem >= 0 or sqrt_part * sqrt_part * d >= rem * rem
-
-
-def _in_box_reference(x, F, radii):
-    """|sigma_i(x)| <= rho_i at the real embeddings, Nr(x) <= R at the
-    complex place."""
-    if F.is_real:
-        sq = x * x  # sigma_1(x)^2 = a + b sqrt(d), sigma_2 flips the sign
-        return (_leq_with_sqrt(sq.a, sq.b, F.d, radii[0] ** 2)
-                and _leq_with_sqrt(sq.a, -sq.b, F.d, radii[1] ** 2))
-    return x.norm() <= radii[0]
-
-
-def _basis_coords(ideal, x):
-    """(m, k) with x = m*b0 + k*b1 over the HNF basis of the ideal."""
-    u, w = gen_coords(x)
-    (a, b), (_, c) = ideal.rows
-    m = u * ideal.den / a
-    k = (w * ideal.den - m * b) / c
-    assert m.denominator == 1 and k.denominator == 1
-    return int(m), int(k)
+# box_count against a membership test on field elements
 
 
 MEMBERSHIP_FIELDS = (5, 13, 17, 2, 3, 6, -3, -7, -11, -15, -1, -2, -5)
 
 
+def _shrunk(radii, i):
+    return [r * (1 - Fraction(1, 10 ** 9)) if j == i else r for j, r in enumerate(radii)]
+
+
 def test_box_points_match_the_field_route():
+    # box_count equals the number of points the exact field test accepts
+    # over a coefficient window that holds the box
     rng = random.Random(31)
-    seen = {"in": 0, "out": 0, "boundary": 0}
+    seen = {"boxes": 0, "points": 0, "boundary": 0}
     kinds = set()
     for d in MEMBERSHIP_FIELDS:
         F = QuadField(d)
@@ -201,25 +176,23 @@ def test_box_points_match_the_field_route():
                              if u.norm() == 1]
                     boxes.append(((Fraction(1),), units + [-u for u in units]))
             for radii, boundary in boxes:
-                points = list(box_points(ideal, radii))
-                assert len(set(points)) == len(points)
-                points = set(points)
-                for m in range(-3, 4):
-                    for k in range(-3, 4):
-                        want = _in_box_reference(b0 * m + b1 * k, F, radii)
-                        assert ((m, k) in points) == want, (d, ideal, radii, m, k)
-                        seen["in" if want else "out"] += 1
-                # boundary points are returned, and drop out when any one
-                # radius shrinks
+                count = box_count(ideal, radii)
+                assert count == box_reference_count(ideal, radii), (d, ideal, radii)
+                seen["boxes"] += 1
+                seen["points"] += count
+                # boundary points are counted, and drop out when a radius
+                # through them shrinks
                 for x in boundary:
-                    mk = _basis_coords(ideal, x)
-                    assert mk in points, (d, ideal, radii, x)
+                    assert in_box_reference(x, F, radii), (d, ideal, radii, x)
                     hit = [i for i in range(len(radii))
-                           if mk not in box_points(ideal, [r * (1 - Fraction(1, 10 ** 9)) if j == i
-                                                           else r for j, r in enumerate(radii)])]
+                           if not in_box_reference(x, F, _shrunk(radii, i))]
                     assert hit, (d, ideal, radii, x)
+                    for i in hit:
+                        shrunk = _shrunk(radii, i)
+                        fewer = box_count(ideal, shrunk)
+                        assert fewer < count and fewer == box_reference_count(ideal, shrunk)
                     seen["boundary"] += 1
-    assert min(seen.values()) > 300, seen
+    assert seen["boxes"] > 900 and seen["points"] > 500_000 and seen["boundary"] > 300, seen
     # real and imaginary fields, d = 1 mod 4 and not, split, inert and ramified
     assert len(kinds) == 12, kinds
 
@@ -231,17 +204,82 @@ def test_budget_counts_box_points_only():
         F = QuadField(d)
         fam = make_radius_family(F, [], rinf)
         assert count_box(F, fam, budget=count) == count == count_box_naive(F, fam)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=f"more than {count - 1} box points"):
             count_box(F, fam, budget=count - 1)
+    # the rows are bounded too, before they are walked
+    fam = make_radius_family(QuadField(5), [], [10 ** 6, 10 ** 6])
+    with pytest.raises(BudgetExceeded, match="more than 1000 box rows") as exc:
+        within_seconds(5, lambda: count_box(QuadField(5), fam, budget=1000))
+    assert (exc.value.budget, exc.value.found) == (1000, 1000)
 
 
-def test_needle_thin_box_is_refused_by_the_budget():
-    # radii 10^-10 and 10^10 over O_F: billions of rows of the trace-form
-    # ellipse, nearly all empty, are not walked
+# a fundamental unit a + b*sqrt(d) of each real field, of norm -1, -1, -1
+UNITS = {5: (Fraction(1, 2), Fraction(1, 2)), 2: (1, 1), 13: (Fraction(3, 2), Fraction(1, 2))}
+
+
+def _embedding_bound(x, d: int, i: int) -> Fraction:
+    """A rational just above |sigma_i(x)|, from 100 decimal digits."""
+    with localcontext() as ctx:
+        ctx.prec = 100
+        dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
+        value = abs(dec(x.a) + (1 if i == 0 else -1) * dec(x.b) * Decimal(d).sqrt())
+        return Fraction(value) * (1 + Fraction(1, 10 ** 30))
+
+
+@pytest.mark.parametrize("e", [10, 20, 40])
+@pytest.mark.parametrize("d", [5, 2, 13])
+def test_needle_boxes_count_as_the_balanced_boxes_they_map_to(d, e):
+    # For a unit eps, x -> eps^k x maps the ideal onto itself, so the needle
+    # box (rho_1, rho_2) of ratio about 10^e holds as many points as the box
+    # (rho_1 / |sigma_1(eps^k)|, rho_2 / |sigma_2(eps^k)|), balanced for the
+    # right k.  The oracle lists y in a rational box just around that one
+    # and tests eps^k y exactly against the needle box.  On the trace form's
+    # basis the needle spanned ~10^(e/2) rows, and was refused.
+    F = QuadField(d)
+    eps = F.elem(*UNITS[d])
+    rng = random.Random(d * e)
+    ideals = [FracIdeal.maximal_order(F)]
+    ideals += [prime_ideal(finite_places(F, p)[0]) ** -1 for p in (2, 3, 7)]
+    counts = []
+    for ideal in ideals:
+        for swap in (False, True):
+            a, b = rng.randint(1, 10), rng.randint(1, 10)  # a * b <= 100
+            radii = [Fraction(a, 10 ** (e // 2)), Fraction(b * 10 ** (e // 2))]
+            radii = radii[::-1] if swap else radii
+            # eps^2k is about rho_1 / rho_2, as |sigma_1(eps)| = 1/|sigma_2(eps)| > 1
+            k = round(math.log(radii[0] / radii[1]) / (2 * math.log(float(eps.a + eps.b * math.sqrt(d)))))
+            unit = eps ** k
+            balanced = [r * _embedding_bound(unit ** -1, d, i) for i, r in enumerate(radii)]
+            r0, r1, points = box_reference_points(ideal, balanced)
+            want = sum(in_box_reference(unit * (r0 * m + r1 * n), F, radii) for m, n in points)
+            assert within_seconds(10, lambda: box_count(ideal, radii)) == want, (d, e, ideal, radii)
+            counts.append(want)
+    assert max(counts) > 1, counts
+
+
+@pytest.mark.parametrize("e", [5, 6, 7, 10, 20])
+def test_needle_bundles_answer(e):
+    # O_F of Q(sqrt(5)) at radii (10^-e, 10^e): at e = 6 the unit box took
+    # seconds and at e = 7 it was refused.  Only 0 is in the box: a nonzero x
+    # in it has |Nr(x)| <= 1, so it is a unit, and no unit has |sigma_1| = 10^-e
     F = QuadField(5)
-    fam = make_radius_family(F, [], [Fraction(1, 10 ** 10), 10 ** 10])
-    with pytest.raises(BudgetExceeded):
-        within_seconds(5, lambda: count_box(F, fam))
+    radii = (Fraction(1, 10 ** e), Fraction(10 ** e))
+    bundle = make_bundle(F, FracIdeal.maximal_order(F), radii)
+    _, h0_ar = within_seconds(5, lambda: bundle_theta_and_h0ar(bundle))
+    assert h0_ar == math.log(count_box(F, make_radius_family(F, [], radii))) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from((2, 3, 5, 13, 17, 41)), p=st.sampled_from((2, 3, 5, 7)),
+       e=st.integers(-2, 2), rho=st.fractions(Fraction(1, 4), 12),
+       ratio=st.fractions(Fraction(1, 16), 16))
+def test_skewed_boxes_match_the_naive_count(d, p, e, rho, ratio):
+    # boxes of ratio up to 16 have a reduced basis of their own, unlike the
+    # trace form's of count_box_naive
+    F = QuadField(d)
+    place = finite_places(F, p)[0]
+    fam = make_radius_family(F, [(place, Fraction(place.residue_size) ** e)], [rho, rho * ratio])
+    assert count_box(F, fam) == count_box_naive(F, fam)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +344,8 @@ def test_ideal_gram_matches_the_trace_and_embedding_grams():
 
 def test_complex_count_box_equals_the_number_of_box_sections():
     # count_box takes the normalized radius R = rho^2 at the complex place,
-    # box_sections the radius rho at each conjugate embedding
+    # a bundle the radius rho at each conjugate embedding; its h0_ar is the
+    # log of the number of sections in its unit box
     rng = random.Random(41)
     for d in (d for d in MEMBERSHIP_FIELDS if d < 0):
         F = QuadField(d)
@@ -317,8 +356,10 @@ def test_complex_count_box_equals_the_number_of_box_sections():
                     rho = Fraction(rng.randint(1, 12), rng.randint(1, 3))
                     fam = make_radius_family(F, [(place, Fraction(q) ** e)], [rho * rho])
                     ideal = FracIdeal.maximal_order(F) * prime_ideal(place) ** (-e)
-                    sections = box_sections(make_bundle(F, ideal, (rho, rho)))
-                    assert count_box(F, fam) == len(sections) == count_box_naive(F, fam)
+                    sections = box_reference_count(ideal, [rho * rho])
+                    h0_ar = bundle_theta_and_h0ar(make_bundle(F, ideal, (rho, rho)))[1]
+                    assert count_box(F, fam) == sections == count_box_naive(F, fam)
+                    assert h0_ar == math.log(sections)
 
 
 def test_skewed_split_ideals_count_exactly():
@@ -341,7 +382,7 @@ def test_skewed_split_ideals_count_exactly():
             bundle = make_bundle(F, prime_ideal(place) ** (-e), (rho, rho))
             want = 1 + roots[d]
             assert count_box(F, fam, budget=1000) == want, (d, p, e)
-            assert len(box_sections(bundle, budget=1000)) == want, (d, p, e)
+            assert bundle_theta_and_h0ar(bundle, budget=1000)[1] == math.log(want), (d, p, e)
 
 
 def test_naive_count_is_fast_at_skewed_split_ideals():

@@ -500,12 +500,20 @@ def test_malformed_json_is_an_error_line(capsys, argv):
     ["count-box", "--field", '{"d": -1}', "--rinf", "[2]", "--rfin", '{"-3": 1}'],
     ["count-box", "--rinf", "[3]", "--rfin", '{"4": 4}'],
     ["entropy", "--a", "[1, 2, 3, 4]", "--prime", "4"],
-    # radii 10^-10 and 10^10: billions of mostly empty rows
-    ["count-box", "--field", '{"d": 5}', "--rinf", "[1e-10, 1e10]"],
 ], ids=" ".join)
 def test_bad_primes_and_needle_boxes_are_an_error_line(capsys, argv):
     code, err = within_seconds(5, lambda: run_cli_err(capsys, argv))
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_needle_box_is_counted_on_its_own_reduced_basis(capsys):
+    # radii 10^-10 and 10^10 over O_F: billions of mostly empty rows of the
+    # trace-form ellipse were refused by the budget.  Only 0 is in the box,
+    # and the norm 1 is below c * D_F = 5, a hypothesis flag
+    argv = ["count-box", "--field", '{"d": 5}', "--rinf", '["1e-10", "1e10"]', "--rfin", "{}",
+            "--c", "1"]
+    code, data = within_seconds(5, lambda: run_json(capsys, argv))
+    assert code == 2 and data["count"] == 1 and data["status"] == "hypothesis_violated"
 
 
 def test_json_numbers_are_read_exactly(capsys):
@@ -627,7 +635,10 @@ def test_exceeded_budget_is_an_error_line(capsys):
     # near 10^150 and 10^100, past 2^53, where float(x) repeats
     for argv in (["theta", "--gram", "[[1]]", "--budget", "2"],
                  ["theta", "--gram", "[[1e-300, 0], [0, 1e300]]"],
-                 ["theta", "--field", '{"d": 5}', "--radii", '["1e100", "1e100"]']):
+                 ["theta", "--field", '{"d": 5}', "--radii", '["1e100", "1e100"]'],
+                 # a norm of 10^600 is beyond the float range of the bound
+                 # C * norm / sqrt(D_F); its count is beyond the budget first
+                 ["count-box", "--field", '{"d": 5}', "--rinf", '["1e300", "1e300"]']):
         code, err = within_seconds(10, lambda: run_cli_err(capsys, argv))
         assert code == 1, argv
         assert err.startswith("error: enumeration budget"), err

@@ -35,7 +35,7 @@ def enumerate_vectors(gram, bound, budget=5_000_000):
                 continue
             if i == 0:
                 if len(coords) >= budget:
-                    raise _fpenum_py.BudgetExceeded(budget, len(coords))
+                    raise _fpenum_py.BudgetExceeded(budget, len(coords), "lattice points")
                 coords.append(tuple(x))
                 norms.append(used + t)
             else:
@@ -129,6 +129,7 @@ def test_gauss_sum_budget_stops_a_long_row():
     with pytest.raises(_fpenum_py.BudgetExceeded) as exc:
         _fpenum_py.gauss_sum([[1e-12]], 1.0, budget=1000)
     assert (exc.value.budget, exc.value.found) == (1000, 1000)
+    assert str(exc.value) == "enumeration budget 1000 exceeded: more than 1000 lattice points"
 
 
 def test_gauss_sum_budget_bounds_the_outer_levels():
@@ -138,6 +139,7 @@ def test_gauss_sum_budget_bounds_the_outer_levels():
     with pytest.raises(_fpenum_py.BudgetExceeded) as exc:
         within_seconds(5, lambda: _fpenum_py.gauss_sum(gram, 10.0))
     assert (exc.value.budget, exc.value.found) == (5_000_000, 5_000_000)
+    assert str(exc.value).endswith("more than 5000000 outer-level values")
     # U^T U for U = [[100, 1], [0, 0.1]]: 25 values of x[1] >= 0 at bound 6,
     # and 5 points, so a budget of 10 holds the points and not the values
     gram = [[1e4, 100.0], [100.0, 1.01]]
