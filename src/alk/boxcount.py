@@ -12,6 +12,7 @@ basis reduced for the trace form.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -139,9 +140,20 @@ def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
     return count
 
 
+def _log(q: Fraction) -> float:
+    """log q for a rational q > 0, from the logs of its numerator and
+    denominator, so that no float underflows or overflows."""
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
 def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
                          budget: int = enumeration.DEFAULT_BUDGET) -> dict:
-    """Compares the exact box count with C(n, c) ||r|| / sqrt(D_F)."""
+    """Compares the exact box count with C(n, c) ||r|| / sqrt(D_F).
+
+    -log c is read from float(c) where c is a normal float, and from the
+    exact c elsewhere.  C and the bound are reported as None where they are
+    beyond the float range, and the count is then compared in logs:
+    log count <= log C + log ||r|| - log(D_F) / 2."""
     c = Fraction(c)
     if c <= 0:
         raise ValueError("c must be positive")
@@ -151,8 +163,19 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
     hypothesis = norm >= c * disc
     # counted first: a norm beyond the float range has more points than any budget
     count = count_box(field, r, budget)
-    big_c = math.exp(f_bound(-math.log(float(c))) + math.pi * n)
-    bound = big_c * float(norm) / math.sqrt(disc)
+    neg_log_c = (-math.log(float(c)) if sys.float_info.min <= c <= sys.float_info.max
+                 else -_log(c))
+    log_big_c = f_bound(neg_log_c) + math.pi * n
+    try:
+        big_c = math.exp(log_big_c)
+        bound = big_c * float(norm) / math.sqrt(disc)
+    except OverflowError:
+        big_c = bound = None
+    if bound is not None and math.isfinite(bound):
+        passed = count <= bound
+    else:
+        bound = None
+        passed = count == 0 or math.log(count) <= log_big_c + _log(norm) - math.log(disc) / 2
     return {
         "count": count,
         "norm": float(norm),
@@ -160,5 +183,5 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
         "bound": bound,
         "hypothesis_ok": hypothesis,
         "status": "ok" if hypothesis else "hypothesis_violated",
-        "passed": (count <= bound) if hypothesis else None,
+        "passed": passed if hypothesis else None,
     }

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Optional
 
 
 TRIAL_LIMIT = 10 ** 6
@@ -50,6 +51,15 @@ def squarefree_kernel(n: int) -> int:
         if k % 2 == 1:
             s *= p
     return s if n > 0 else -s
+
+
+def exact_isqrt(n: int) -> Optional[int]:
+    """The r >= 0 with r * r = n, or None when n is not a square; one
+    `math.isqrt`."""
+    if n < 0:
+        return None
+    r = math.isqrt(n)
+    return r if r * r == n else None
 
 
 def is_square_int(n: int) -> bool:

@@ -23,12 +23,13 @@ from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from .intarith import (
+    exact_isqrt,
     factorize,
     is_prime,
     is_square_fraction,
+    is_square_int,
     is_squarefree,
     prime_support,
-    sqrt_fraction,
     sqrt_mod,
     valuation,
 )
@@ -158,28 +159,39 @@ def embeddings(x: NFElem) -> tuple[complex, complex]:
 
 
 def is_square_in_field(x: NFElem) -> bool:
-    """Whether x is a square in its quadratic field."""
+    """Whether x = (A + B sqrt(d)) / D is a square in its quadratic field,
+    decided on the integers A, B and D."""
     if x.is_zero():
         return True
-    if x.b == 0:
-        return is_square_fraction(x.a) or is_square_fraction(x.a / _d(x))
-    # (s + t sqrt(d))^2 = x needs Nr(x) a square and s^2 = (a +- sqrt(Nr))/2 a square
-    kind, r = norm_square_class(x)
-    return kind == "biquadratic" and any(
-        is_square_fraction((x.a + sign * r) / 2) for sign in (1, -1))
+    (A, B), D = x.num, x.den
+    if B == 0:
+        # A/D in lowest terms is a square iff A D is, and A/(D d) iff A D d is
+        return is_square_int(A * D) or is_square_int(A * D * _d(x))
+    # (s + t sqrt(d))^2 = x needs Nr(x) = (n/D)^2 and one of the rationals
+    # s^2 = (A +- n) / 2D a square, that is 2D(A +- n) a square
+    n = exact_isqrt(A * A - _d(x) * B * B)
+    return n is not None and any(is_square_int(2 * D * (A + sign * n)) for sign in (1, -1))
 
 
 def norm_square_class(delta: NFElem) -> tuple[str, Optional[Fraction]]:
-    """The square class of Nr(delta) for delta = a + b*sqrt(d) != 0, which
-    decides the Galois type of F(sqrt(delta))/Q when delta is not a square
-    in F (Kappe-Warren, Amer. Math. Monthly 96 (1989)):
+    """The square class of Nr(delta) for delta = (A + B sqrt(d)) / D != 0,
+    which decides the Galois type of F(sqrt(delta))/Q when delta is not a
+    square in F (Kappe-Warren, Amer. Math. Monthly 96 (1989)):
     ("biquadratic", r) with r^2 = Nr(delta), ("cyclic", r) with
-    r^2 = Nr(delta)/d, or ("dihedral", None).  A rational delta has
-    Nr(delta) = delta^2, so it is biquadratic."""
-    n = delta.norm()
-    for kind, x in (("biquadratic", n), ("cyclic", n / _d(delta))):
-        if is_square_fraction(x):
-            return kind, sqrt_fraction(x)
+    r^2 = Nr(delta)/d, or ("dihedral", None).  With N = A^2 - d B^2, so
+    that Nr(delta) = N / D^2, the class is biquadratic when N = s^2, with
+    r = s/D, and cyclic when N d = t^2, with r = t / (|d| D): one integer
+    square root per test.  A rational delta has Nr(delta) = delta^2, so it
+    is biquadratic."""
+    (A, B), D = delta.num, delta.den
+    d = _d(delta)
+    n = A * A - d * B * B
+    s = exact_isqrt(n)
+    if s is not None:
+        return "biquadratic", Fraction(s, D)
+    t = exact_isqrt(n * d)
+    if t is not None:
+        return "cyclic", Fraction(t, abs(d) * D)
     return "dihedral", None
 
 
@@ -561,7 +573,7 @@ class FieldTower:
             raise ValueError("a quartic tower needs delta and alpha in F")
         if delta.is_zero() or is_square_in_field(delta):
             raise ValueError("delta must be a nonsquare in F")
-        if delta.b == 0 and alpha.b == 0:
+        if delta.num[1] == 0 and alpha.num[1] == 0:
             raise ValueError("theta = alpha + sqrt(delta) is not primitive: "
                              "alpha and delta are both rational")
 
@@ -625,5 +637,5 @@ def make_tower(
         return FieldTower(None, Fraction(delta), declared_DK=declared_DK,
                           galois_hint=galois_hint)
     delta = F.coerce(delta)
-    alpha = F.elem(0, 1) if delta.b == 0 else F.elem(0)
+    alpha = F.elem(0, 1) if delta.num[1] == 0 else F.elem(0)
     return FieldTower(F, delta, alpha, declared_DK, galois_hint)

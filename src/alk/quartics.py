@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
-from .intarith import is_square_fraction, squarefree_kernel
+from .intarith import is_square_int, squarefree_kernel
 from .nfpoly import gaussian_period_quartic
 from .numfield import FieldTower, QuadField, make_quad_field, make_tower
 
@@ -68,8 +68,11 @@ def gaussian_period_tower(p: int) -> FieldTower:
     delta = F.elem(*gaussian_period_quartic(p)["delta"]) / 4
     tower = FieldTower(F, delta, F.elem(Fraction(-1, 4), Fraction(1, 4)),
                        declared_DK=p ** 3, galois_hint="cyclic")
-    ratio = power_basis_disc(tower) / tower.declared_DK
-    if ratio <= 0 or not is_square_fraction(ratio):
+    # disc / p^3 is a positive rational square iff disc's numerator times
+    # its denominator times p^3 is a positive integer square
+    disc = power_basis_disc(tower)
+    n = disc.numerator * disc.denominator * tower.declared_DK
+    if n <= 0 or not is_square_int(n):
         raise ArithmeticError("power basis discriminant inconsistent with p^3")
     return tower
 
@@ -79,8 +82,14 @@ def power_basis_disc(tower: FieldTower) -> Fraction:
     conj(alpha) +- t, s^2 = delta and t^2 = conj(delta), differ by 2s and
     2t within each pair, and with e = alpha - conj(alpha) the differences
     across the pairs multiply to ((e + s)^2 - t^2)((e - s)^2 - t^2) =
-    X = e^4 - 2 e^2 Tr(delta) + 4 b_delta^2 d, with e^2 = 4 b_alpha^2 d."""
-    d, delta = tower.base.d, tower.delta
-    e2 = 4 * tower.alpha.b ** 2 * d
-    x = e2 * e2 - 4 * e2 * delta.a + 4 * delta.b ** 2 * d
-    return 16 * (delta.a ** 2 - d * delta.b ** 2) * x * x
+    X = e^4 - 2 e^2 Tr(delta) + 4 b_delta^2 d, with e^2 = 4 b_alpha^2 d.
+    On the integers of delta = (A + B sqrt(d)) / D and
+    alpha = (a1 + b1 sqrt(d)) / E, with f = 4 b1^2 d = e^2 E^2, this is
+    16 (A^2 - d B^2) x^2 / (D^6 E^8) for the integer
+    x = X D^2 E^4 = f^2 D^2 - 4 f A D E^2 + 4 B^2 d E^4."""
+    d = tower.base.d
+    (A, B), D = tower.delta.num, tower.delta.den
+    b1, E = tower.alpha.num[1], tower.alpha.den
+    f, E2 = 4 * b1 * b1 * d, E * E
+    x = f * f * D * D - 4 * f * A * D * E2 + 4 * B * B * d * E2 * E2
+    return Fraction(16 * (A * A - d * B * B) * x * x, D ** 6 * E2 ** 4)

@@ -24,9 +24,9 @@ from typing import Optional
 
 from .intarith import (
     divisor_count,
+    exact_isqrt,
     factorize,
     is_prime,
-    is_square_fraction,
     squarefree_kernel,
     valuation,
 )
@@ -180,13 +180,13 @@ def cyclic_disc_check(tower: FieldTower) -> dict:
     # decomposition D_rel = W^2 d (or W^2 d / 4) with d > 1 squarefree
     decomposition = None
     kern = squarefree_kernel(d_rel)
-    if kern > 1 and is_square_fraction(Fraction(d_rel, kern)):
-        w = math.isqrt(d_rel // kern)
+    w = exact_isqrt(d_rel // kern) if kern > 1 else None
+    if w is not None:
         decomposition = {"W": w, "d": kern, "form": "W^2*d"}
     else:
         kern4 = squarefree_kernel(4 * d_rel)
-        if kern4 > 1 and is_square_fraction(Fraction(4 * d_rel, kern4)):
-            w = math.isqrt(4 * d_rel // kern4)
+        w = exact_isqrt(4 * d_rel // kern4) if kern4 > 1 else None
+        if w is not None:
             decomposition = {"W": w, "d": kern4, "form": "W^2*d/4"}
     return {
         "D_K": D_K,

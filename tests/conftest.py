@@ -431,6 +431,43 @@ def power_basis_trace_disc(tower) -> Fraction:
     return trace_form_det([theta ** i for i in range(4)])
 
 
+def norm_square_class_reference(delta):
+    """numfield.norm_square_class on Fractions: is_square_fraction on
+    Nr(delta), then on Nr(delta)/d, with the root from sqrt_fraction; the
+    oracle for the integer route."""
+    from alk.intarith import is_square_fraction, sqrt_fraction
+
+    n, d = delta.norm(), delta.field.squares[0][0]
+    for kind, x in (("biquadratic", n), ("cyclic", n / d)):
+        if is_square_fraction(x):
+            return kind, sqrt_fraction(x)
+    return "dihedral", None
+
+
+def is_square_in_field_reference(x) -> bool:
+    """numfield.is_square_in_field on Fractions: a rational a is a square
+    when a or a/d is one in Q, and a + b sqrt(d) with b != 0 when Nr(x) = r^2
+    and (a + r)/2 or (a - r)/2 is a square in Q."""
+    from alk.intarith import is_square_fraction
+
+    if x.is_zero():
+        return True
+    if x.b == 0:
+        return is_square_fraction(x.a) or is_square_fraction(x.a / x.field.squares[0][0])
+    kind, r = norm_square_class_reference(x)
+    return kind == "biquadratic" and any(
+        is_square_fraction((x.a + sign * r) / 2) for sign in (1, -1))
+
+
+def power_basis_disc_reference(tower) -> Fraction:
+    """quartics.power_basis_disc on Fractions: 16 Nr(delta) X^2 with
+    X = e^4 - 4 e^2 a_delta + 4 b_delta^2 d and e^2 = 4 b_alpha^2 d."""
+    d, delta = tower.base.d, tower.delta
+    e2 = 4 * tower.alpha.b ** 2 * d
+    x = e2 * e2 - 4 * e2 * delta.a + 4 * delta.b ** 2 * d
+    return 16 * (delta.a ** 2 - d * delta.b ** 2) * x * x
+
+
 def random_alpha_tower(rng: random.Random):
     """random_tower's radicand with a fractional alpha drawn directly, or
     None when FieldTower refuses the data."""

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from decimal import Decimal, localcontext
@@ -14,7 +15,7 @@ from alk.boxcount import (
     make_radius_family,
     norm_of_family,
 )
-from alk.arakelov import box_count, bundle_theta_and_h0ar, ideal_gram, make_bundle
+from alk.arakelov import box_count, bundle_theta_and_h0ar, f_bound, ideal_gram, make_bundle
 from alk.enumeration import BudgetExceeded
 from alk.numfield import (
     FracIdeal,
@@ -118,6 +119,25 @@ def test_bound_check_passes_in_hypothesis():
     res = counting_bound_check(F, fam, Fraction(1))  # norm 8 >= disc 4
     assert res["hypothesis_ok"] and res["passed"]
     assert res["count"] <= res["bound"]
+
+
+def test_bound_check_at_a_tiny_c_reports_null_beyond_the_float_range():
+    # c = 1e-305 gave an infinite bound, 1e-320 an OverflowError and 1e-400
+    # (float(c) = 0) a ValueError; where C and the bound are finite floats
+    # they are C = exp(f(-log float(c)) + pi n) and C ||r|| / sqrt(D_F)
+    F = make_quad_field(5)
+    fam = make_radius_family(F, [], [Fraction(3), Fraction(3)])
+    for c, c_finite, bound_finite in (("1/3", True, True), ("1e-300", True, True),
+                                      ("1e-305", True, False), ("1e-320", False, False),
+                                      ("1e-400", False, False)):
+        res = counting_bound_check(F, fam, Fraction(c))
+        big_c = math.exp(f_bound(-math.log(float(Fraction(c)))) + 2 * math.pi) if c_finite \
+            else None
+        want = {"count": 17, "norm": 9.0, "C": big_c,
+                "bound": big_c * 9 / math.sqrt(5) if bound_finite else None,
+                "hypothesis_ok": True, "status": "ok", "passed": True}
+        assert res == want, c
+        json.dumps(res, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

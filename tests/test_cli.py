@@ -62,6 +62,17 @@ def test_count_box_ok_and_violation_exit_codes(capsys):
     assert data["status"] == "hypothesis_violated"
 
 
+def test_count_box_at_a_tiny_c_prints_null_beyond_the_float_range(capsys):
+    # each exited 1: an infinite bound is not valid JSON, exp overflowed at
+    # 1e-320, and float(c) = 0 has no log at 1e-400
+    for c, nulls in (("1/2", set()), ("1e-305", {"bound"}), ("1e-320", {"C", "bound"}),
+                     ("1e-400", {"C", "bound"})):
+        code, data = run_json(capsys, ["count-box", "--field", '{"d": 5}',
+                                       "--rinf", "[3, 3]", "--c", c])
+        assert code == 0 and data["passed"] is True and data["count"] == 17, c
+        assert {k for k in ("C", "bound") if data[k] is None} == nulls, c
+
+
 def test_count_box_with_finite_radii(capsys):
     code, data = run_json(capsys, ["count-box", "--field", '{"d": -1}',
                                    "--rinf", "[2]", "--rfin", '{"5": [5, 1]}'])

@@ -3,8 +3,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import random_tower, trace_form_det, within_seconds
-from hypothesis import example, given, settings
+from conftest import (
+    is_square_in_field_reference,
+    norm_square_class_reference,
+    power_basis_disc_reference,
+    random_tower,
+    trace_form_det,
+    within_seconds,
+)
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alk import quartics
@@ -272,6 +279,70 @@ def test_norm_square_class_worked_values():
     zeta5_delta = QuadField(5).elem(Fraction(-5, 2), Fraction(1, 2))
     kind, r = norm_square_class(zeta5_delta)
     assert kind == "cyclic" and 5 * r * r == zeta5_delta.norm()
+
+
+# the integer square tests against their Fraction routes (conftest)
+
+SQUAREFREE = (-103, -15, -7, -3, -2, -1, 2, 3, 5, 6, 10, 13, 101)
+# d + b sqrt(d) with d - b^2 a square has Nr = d (d - b^2), a square times d
+CYCLIC_BASES = ((2, 1), (5, 1), (5, 2), (10, 3), (13, 2))
+BIG = 10 ** 40
+big_rationals = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+rationals = st.one_of(big_rationals, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4)))
+
+
+@st.composite
+def radicands(draw):
+    """(kind, F, delta) with delta = y^2 q c for y in F and a rational q:
+    biquadratic for c = 1, cyclic for c a cyclic base, and any class (mostly
+    dihedral) for a drawn c, with 40-digit numerators and denominators."""
+    kind = draw(st.sampled_from(("biquadratic", "cyclic", "any")))
+    if kind == "cyclic":
+        d, b = draw(st.sampled_from(CYCLIC_BASES))
+        F = QuadField(d)
+        c = F.elem(d, b)
+    else:
+        F = QuadField(draw(st.sampled_from(SQUAREFREE)))
+        c = F.elem(1) if kind == "biquadratic" else F.elem(draw(rationals), draw(rationals))
+    y = F.elem(draw(rationals), draw(st.one_of(st.just(0), rationals)))
+    q = draw(rationals)
+    assume(not (y.is_zero() or c.is_zero()) and q != 0)
+    return kind, F, y * y * q * c
+
+
+@settings(max_examples=400, deadline=None)
+@given(radicands())
+@example(("any", QuadField(2), QuadField(2).elem(3, 1)))
+def test_norm_square_class_equals_the_fraction_route(data):
+    kind, _, delta = data
+    got = norm_square_class(delta)
+    assert got == norm_square_class_reference(delta)
+    assert kind == "any" or got[0] == kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(SQUAREFREE), rationals, st.one_of(st.just(0), rationals),
+       st.sampled_from(((1, 0), (-1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1))))
+def test_square_test_equals_the_fraction_route(d, a, b, m):
+    # y^2 is a square, and y^2 m is one exactly when m is
+    F = QuadField(d)
+    y, m = F.elem(a, b), F.elem(*m)
+    assume(not y.is_zero())
+    assert is_square_in_field(y * y) and is_square_in_field_reference(y * y)
+    assert is_square_in_field(y * y * m) == is_square_in_field_reference(y * y * m) \
+        == is_square_in_field_reference(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(radicands(), rationals, rationals.filter(lambda b: b.denominator != 1))
+def test_power_basis_disc_equals_the_fraction_route(data, a1, b1):
+    # alpha with a fractional sqrt(d) part, so E > 1 in D^6 E^8
+    _, F, delta = data
+    try:
+        tower = FieldTower(F, delta, F.elem(a1, b1))
+    except ValueError:
+        assume(False)
+    assert quartics.power_basis_disc(tower) == power_basis_disc_reference(tower)
 
 
 def test_tower_rejects_square_delta():
