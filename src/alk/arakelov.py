@@ -256,16 +256,6 @@ def direct_image(bundle: HermitianLineBundle) -> EuclideanLattice:
     return euclidean_lattice(ideal_gram(bundle.ideal, [r * r for r in radii])[0])
 
 
-def _ideal_forms(ideal: FracIdeal):
-    """(((u0, v0), (u1, v1)), D) with b_i = (u_i + v_i*sqrt(d)) / D for the
-    HNF basis (b0, b1) of the ideal."""
-    (a, b), (_, c) = ideal.rows
-    # b0 = a + b*omega, b1 = c*omega, over den
-    if ideal.field.d % 4 == 1:  # omega = (1 + sqrt(d)) / 2
-        return ((2 * a + b, b), (c, c)), 2 * ideal.den
-    return ((a, b), (0, c)), ideal.den
-
-
 def _surd_sign(x: int, y: int, d: int) -> int:
     """The sign of x + y*sqrt(d), for y = 0 or a nonsquare d > 0."""
     lead = x if y == 0 or x * y > 0 or x * x > y * y * d else y
@@ -328,13 +318,15 @@ def _box_form(ideal: FracIdeal, sq_radii):
     """(gram, columns, reduced, k, D): `_reduce_forms` on k times the form
     sum_sigma sigma(x) sigma(y)^* / R_sigma, for squared radii (R_1, R_2) at
     the real embeddings or R at the complex place (sq_radii = (R,), the form
-    2*Re(x y^*) / R), over the ideal's HNF forms of denominator D.  The form
-    is at most 2 on the box |sigma(x)|^2 <= R_sigma, or Nr(x) <= R."""
-    forms, D = _ideal_forms(ideal)
+    2*Re(x y^*) / R), over the ideal's HNF rows, integer forms (u, v) of
+    (u + v*sqrt(d)) / D for D its den.  The form is at most 2 on the box
+    |sigma(x)|^2 <= R_sigma, or Nr(x) <= R."""
+    D = ideal.den
     inv = [1 / Fraction(R) for R in (sq_radii if len(sq_radii) == 2 else sq_radii * 2)]
     s, t = inv[0] + inv[1], inv[0] - inv[1]
     m = math.lcm(s.denominator, t.denominator)
-    gram, cols, reduced = _reduce_forms(ideal.field.d, forms, s.numerator * (m // s.denominator),
+    gram, cols, reduced = _reduce_forms(ideal.field.d, ideal.rows,
+                                        s.numerator * (m // s.denominator),
                                         t.numerator * (m // t.denominator))
     return gram, cols, reduced, m * D * D, D
 
@@ -432,11 +424,9 @@ def check_trace_dual(ideal: FracIdeal, dual: FracIdeal) -> None:
     """Raises ArithmeticError unless `dual` is the trace dual of `ideal`: the
     matrix Tr(b_i c_j) over their HNF bases must be integral with det +-1."""
     d = ideal.field.d
-    xs, D = _ideal_forms(ideal)
-    ys, E = _ideal_forms(dual)
     # Tr((u + v*sqrt(d)) (u' + v'*sqrt(d))) = 2*(u*u' + d*v*v')
-    t = [2 * (x[0] * y[0] + d * x[1] * y[1]) for x in xs for y in ys]
-    de = D * E
+    t = [2 * (x[0] * y[0] + d * x[1] * y[1]) for x in ideal.rows for y in dual.rows]
+    de = ideal.den * dual.den
     if any(x % de for x in t) or abs(t[0] * t[3] - t[1] * t[2]) != de * de:
         raise ArithmeticError("the Serre twist's ideal is not the trace dual of the ideal")
 

@@ -21,7 +21,7 @@ from typing import Optional
 from . import enumeration
 from .arakelov import _reduce_forms, box_count, f_bound
 from .intarith import valuation
-from .numfield import FracIdeal, Place, QuadField, prime_ideal
+from .numfield import FracIdeal, Place, QuadField, finite_places, prime_ideal
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,16 @@ def _radius_exponent(r: Fraction, q: int) -> int:
 
 
 def make_radius_family(field: Optional[QuadField], finite, infinite) -> RadiusFamily:
+    """Raises ValueError unless every finite radius is given at a finite
+    place of the field, once, and lies in its value group."""
     fin = []
     for place, r in finite:
+        # finite_places raises ValueError when p is not a prime
+        if not (isinstance(place, Place) and place.kind == "finite"
+                and place in finite_places(field, place.p)):
+            raise ValueError(f"{place} is not a finite place of {field or 'Q'}")
+        if any(place == v for v, _ in fin):
+            raise ValueError(f"a radius at the {place.tag} place over {place.p} is given twice")
         r = Fraction(r)
         _radius_exponent(r, place.residue_size)  # validates the value group
         fin.append((place, r))
@@ -97,14 +105,12 @@ def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
             count += 1 if k == 0 else 2
             k += 1
         return count
-    b = ideal.basis_elems()
-    # x = (U + V*sqrt(d)) / D; the trace form T(x) = U^2 + |d|*V^2 is
-    # D^2 * Nr(x) at the complex place and D^2 * (sigma_1(x)^2 +
-    # sigma_2(x)^2) / 2 at the real ones, so the box lies in T <= t_max
-    d = field.d
-    D = math.lcm(b[0].den, b[1].den)
-    forms = [tuple(c * (D // x.den) for c in x.num) for x in b]
-    ((n0, _), (n01, _), (n1, _)), _, ((u0, v0), (u1, v1)) = _reduce_forms(d, forms)
+    # x = (U + V*sqrt(d)) / D over the ideal's rows; the trace form
+    # T(x) = U^2 + |d|*V^2 is D^2 * Nr(x) at the complex place and
+    # D^2 * (sigma_1(x)^2 + sigma_2(x)^2) / 2 at the real ones, so the box
+    # lies in T <= t_max
+    d, D = field.d, ideal.den
+    ((n0, _), (n01, _), (n1, _)), _, ((u0, v0), (u1, v1)) = _reduce_forms(d, ideal.rows)
     t_max = D * D * (sum(x * x for x in r.infinite) / 2 if field.is_real
                      else r.infinite[0])
     # x = m*b0 + k*b1 in the reduced basis has m^2 <= T(x) * T(b1) / det

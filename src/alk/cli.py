@@ -17,8 +17,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import arakelov, boxcount, enumeration, git4, localgeom, quartics, toralsets
-from .intarith import is_prime
-from .numfield import FracIdeal, Place, finite_places, make_quad_field, make_tower
+from .numfield import FracIdeal, finite_places, make_quad_field, make_tower
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -207,11 +206,7 @@ def _radius_family(field, rinf, rfin_text):
     for p_str, r in (_load(rfin_text, dict, "--rfin") if rfin_text else {}).items():
         p = int(p_str)
         radii = r if isinstance(r, list) else [r]
-        # over Q a finite place is just the prime
-        if field is None and not is_prime(p):
-            raise ValueError(f"{p} is not a prime")
-        places = [Place(None, "finite", p, "ramified")] if field is None \
-            else finite_places(field, p)
+        places = finite_places(field, p)
         if len(radii) != len(places):
             raise ValueError(f"--rfin at {p}: {len(radii)} radii for "
                              f"{len(places)} place(s) over {p}")

@@ -299,12 +299,6 @@ class InvariantProfile:
     galois_type: Optional[str] = None
 
 
-def conjugated_matrix(emb: EmbeddingData, gamma):
-    """g^{-1} gamma g with gamma rational, as 4x4 rows of NFElem of the
-    closure, read from `emb.conjugation_table` with no field multiplication."""
-    return emb.conjugation_table(gamma)
-
-
 # sign(s) for every permutation s, built once
 _SIGN = {s: perm_sign(s) for s in ALL_PERMS}
 

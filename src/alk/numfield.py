@@ -3,7 +3,8 @@
 A field F = Q(sqrt(d)) is described by a squarefree integer d.  Its
 elements are `nfpoly.NFElem`s on the Kummer basis (1, sqrt d), so
 a + b*sqrt(d) has coordinates (a, b); the degree-2 helpers below (conj,
-embeddings, coordinates on the integral basis) read them.
+embeddings, coordinates on the integral basis) read them, and a fractional
+ideal holds its HNF rows on the same integer numerators.
 Finite places are tagged by the splitting behaviour of the rational prime
 below them; split-place valuations are read from residues mod p at a root
 of the minimal polynomial of the integral-basis generator, so all
@@ -92,25 +93,11 @@ class QuadField:
             return NFElem(self.nf, (1, 1), 2)
         return NFElem(self.nf, (0, 1), 1)
 
-    @property
-    def integral_basis(self) -> tuple[NFElem, NFElem]:
-        return (self.elem(1), self.omega)
-
-    @property
-    def omega_square(self) -> tuple[int, int]:
-        """(t, s) with omega^2 = t*omega + s."""
-        return (1, (self.d - 1) // 4) if self.d % 4 == 1 else (0, self.d)
-
     def gen_min_poly(self) -> tuple[Fraction, Fraction]:
         """(c0, c1) with omega^2 + c1*omega + c0 = 0."""
-        t, s = self.omega_square
-        return (Fraction(-s), Fraction(-t))
-
-    def from_gen_coords(self, u: int, w: int, den: int) -> NFElem:
-        """The element (u + w*omega) / den, den > 0."""
-        if self.d % 4 == 1:  # omega = (1 + sqrt(d)) / 2
-            return _canonical(self.nf, (2 * u + w, w), 2 * den)
-        return _canonical(self.nf, (u, w), den)
+        if self.d % 4 == 1:  # omega^2 = omega + (d - 1) / 4
+            return (Fraction((1 - self.d) // 4), Fraction(-1))
+        return (Fraction(-self.d), Fraction(0))
 
     def __repr__(self):
         return f"QuadField(d={self.d})"
@@ -261,7 +248,13 @@ class Place:
         return r
 
 
-def finite_places(F: QuadField, p: int) -> list[Place]:
+def finite_places(F: Optional[QuadField], p: int) -> list[Place]:
+    """The finite places over the prime p: of F, or the one of Q when F is
+    None; ValueError unless p is a prime."""
+    if F is None:
+        if not is_prime(p):
+            raise ValueError(f"{p} is not a prime")
+        return [Place(None, "finite", p, "ramified")]
     t = splitting_type(F, p)
     if t == "split":
         return [Place(F, "finite", p, "split1"), Place(F, "finite", p, "split2")]
@@ -378,10 +371,10 @@ def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, 
 
 @dataclass(frozen=True)
 class FracIdeal:
-    """Fractional ideal of O_F, stored as an HNF basis over the integral
-    basis (1, omega): rows (a, b) meaning a + b*omega, scaled by 1/den.
-    The form is canonical (a, c > 0, 0 <= b < c, gcd(a, b, c, den) = 1),
-    so equal ideals have equal (rows, den)."""
+    """Fractional ideal of O_F, stored as an HNF basis on the Kummer numerators
+    an NFElem holds: rows (a, b) and (0, c) meaning (a + b*sqrt(d)) / den and
+    c*sqrt(d) / den.  The form is canonical (a, c > 0, 0 <= b < c,
+    gcd(a, b, c, den) = 1), so equal ideals have equal (rows, den)."""
 
     field: QuadField
     rows: tuple[tuple[int, int], tuple[int, int]]
@@ -397,16 +390,18 @@ class FracIdeal:
 
     @staticmethod
     def from_gens(F: QuadField, gens: Sequence[NFElem]) -> "FracIdeal":
-        """O_F-module generated by the given elements."""
-        t, s = F.omega_square
-        coords = [gen_ints(g) for g in gens]
-        den = math.lcm(*[e for _, _, e in coords])
+        """O_F-module generated by the given elements: the Z-span of each x
+        and x*omega, for x = (u + v*sqrt(d)) / e."""
+        d = F.d
+        den = math.lcm(*[g.den for g in gens])
         rows = []
-        for u, w, e in coords:
-            u, w = u * (den // e), w * (den // e)
-            rows.append((u, w))
-            rows.append(_times_omega(t, s, u, w))
-        return FracIdeal._from_rows(F, rows, den)
+        for g in gens:
+            u, v = (x * (den // g.den) for x in g.num)
+            if d % 4 == 1:  # 2x and 2x*omega = x + x*sqrt(d), over 2*den
+                rows += [(2 * u, 2 * v), (u + d * v, u + v)]
+            else:
+                rows += [(u, v), (d * v, u)]
+        return FracIdeal._from_rows(F, rows, 2 * den if d % 4 == 1 else den)
 
     @staticmethod
     def _from_rows(F: QuadField, rows, den: int) -> "FracIdeal":
@@ -419,49 +414,40 @@ class FracIdeal:
 
     @staticmethod
     def maximal_order(F: QuadField) -> "FracIdeal":
+        if F.d % 4 == 1:  # 1 = 2/2 and omega = (1 + sqrt(d)) / 2
+            return FracIdeal(F, ((1, 1), (0, 2)), 2)
         return FracIdeal(F, ((1, 0), (0, 1)), 1)
 
     def basis_elems(self) -> tuple[NFElem, NFElem]:
-        F, den = self.field, self.den
-        return tuple(F.from_gen_coords(u, w, den) for u, w in self.rows)
+        return tuple(_canonical(self.field.nf, row, self.den) for row in self.rows)
 
     def norm(self) -> Fraction:
+        # the covolume a*c/den^2 over O_F's, 1/2 when d = 1 mod 4 and 1 otherwise
         (a, _), (_, c) = self.rows
-        return Fraction(a * c, self.den ** 2)
-
-    def _conj_rows(self) -> list[tuple[int, int]]:
-        # conj(omega) = t - omega
-        t, _ = self.field.omega_square
-        return [(u + t * w, -w) for u, w in self.rows]
+        return Fraction(a * c * (2 if self.field.d % 4 == 1 else 1), self.den ** 2)
 
     def conj(self) -> "FracIdeal":
-        return FracIdeal._from_rows(self.field, self._conj_rows(), self.den)
+        return FracIdeal._from_rows(self.field, [(u, -v) for u, v in self.rows], self.den)
 
     def inverse(self) -> "FracIdeal":
-        # L * conj(L) = Nr(L) * O_F in the maximal order, Nr(L) = a*c/den^2
-        (a, _), (_, c) = self.rows
-        den = self.den
+        # L * conj(L) = Nr(L) * O_F, so L^-1 = conj(L) * den^2 / (a*c*k)
+        n = self.norm()
         return FracIdeal._from_rows(
-            self.field, [(u * den, w * den) for u, w in self._conj_rows()], a * c)
+            self.field, [(u * n.denominator, -v * n.denominator) for u, v in self.rows],
+            self.den * n.numerator)
 
     def __mul__(self, other: "FracIdeal") -> "FracIdeal":
-        # each product of basis rows, and that product times omega
-        t, s = self.field.omega_square
-        rows = []
-        for x in self.rows:
-            for y in other.rows:
-                u, v = _row_product(t, s, x, y)
-                rows.append((u, v))
-                rows.append(_times_omega(t, s, u, v))
+        # the Z-span of the four products of basis rows is already an O_F-module
+        d = self.field.d
+        rows = [(u * x + d * v * y, u * y + v * x) for u, v in self.rows for x, y in other.rows]
         return FracIdeal._from_rows(self.field, rows, self.den * other.den)
 
     def scale(self, c) -> "FracIdeal":
         """c * L for a nonzero rational or field element c."""
-        F = self.field
-        u, w, e = gen_ints(F.coerce(c))
-        t, s = F.omega_square
-        rows = [_row_product(t, s, x, (u, w)) for x in self.rows]
-        return FracIdeal._from_rows(F, rows, self.den * e)
+        c = self.field.coerce(c)
+        d, (x, y) = self.field.d, c.num
+        rows = [(u * x + d * v * y, u * y + v * x) for u, v in self.rows]
+        return FracIdeal._from_rows(self.field, rows, self.den * c.den)
 
     def __pow__(self, n: int) -> "FracIdeal":
         if n == 0:
@@ -477,20 +463,20 @@ class FracIdeal:
             n >>= 1
         return out
 
-    def _has_row(self, u: int, w: int) -> bool:
-        """Whether (u + w*omega) / den lies in the ideal: (u, w) = m*(a, b)
-        + n*(0, c) over Z."""
+    def contains(self, x: NFElem) -> bool:
+        """Whether x = (p + q*sqrt(d)) / e lies in the ideal: (p, q) * den / e
+        = m*(a, b) + n*(0, c) over Z."""
+        (p, q), e = x.num, x.den
         (a, b), (_, c) = self.rows
+        u, w = p * self.den, q * self.den
+        if u % e or w % e:
+            return False
+        u, w = u // e, w // e
         return u % a == 0 and (w - u // a * b) % c == 0
 
-    def contains(self, x: NFElem) -> bool:
-        u, w, e = gen_ints(x)
-        u, w = u * self.den, w * self.den
-        return u % e == 0 and w % e == 0 and self._has_row(u // e, w // e)
-
     def is_ideal(self) -> bool:
-        t, s = self.field.omega_square
-        return all(self._has_row(*_times_omega(t, s, u, w)) for u, w in self.rows)
+        omega = self.field.omega
+        return all(self.contains(b * omega) for b in self.basis_elems())
 
     def __eq__(self, other):
         if not isinstance(other, FracIdeal):
@@ -500,16 +486,6 @@ class FracIdeal:
 
     def __hash__(self):
         return hash((self.field.d, self.rows, self.den))
-
-
-def _times_omega(t: int, s: int, u: int, w: int) -> tuple[int, int]:
-    """(u + w*omega) * omega over (1, omega), with omega^2 = t*omega + s."""
-    return (s * w, u + t * w)
-
-
-def _row_product(t: int, s: int, x: tuple[int, int], y: tuple[int, int]) -> tuple[int, int]:
-    """(x0 + x1*omega) * (y0 + y1*omega) over (1, omega)."""
-    return (x[0] * y[0] + s * x[1] * y[1], x[0] * y[1] + x[1] * y[0] + t * x[1] * y[1])
 
 
 def prime_ideal(place: Place) -> FracIdeal:

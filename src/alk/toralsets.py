@@ -24,7 +24,6 @@ from typing import Optional
 
 from .intarith import (
     divisor_count,
-    exact_isqrt,
     factorize,
     is_prime,
     squarefree_kernel,
@@ -177,17 +176,10 @@ def cyclic_disc_check(tower: FieldTower) -> dict:
     if D_K % (D_F * D_F) != 0:
         raise ArithmeticError("D_K not divisible by D_F^2")
     d_rel = D_K // (D_F * D_F)
-    # decomposition D_rel = W^2 d (or W^2 d / 4) with d > 1 squarefree
-    decomposition = None
+    # decomposition D_rel = W^2 d with d > 1 squarefree, so none for a square
     kern = squarefree_kernel(d_rel)
-    w = exact_isqrt(d_rel // kern) if kern > 1 else None
-    if w is not None:
-        decomposition = {"W": w, "d": kern, "form": "W^2*d"}
-    else:
-        kern4 = squarefree_kernel(4 * d_rel)
-        w = exact_isqrt(4 * d_rel // kern4) if kern4 > 1 else None
-        if w is not None:
-            decomposition = {"W": w, "d": kern4, "form": "W^2*d/4"}
+    decomposition = ({"W": math.isqrt(d_rel // kern), "d": kern, "form": "W^2*d"}
+                     if kern > 1 else None)
     return {
         "D_K": D_K,
         "D_F": D_F,

@@ -67,6 +67,37 @@ def test_radius_must_lie_in_the_value_group():
     make_radius_family(F, [(inert, Fraction(4))], [1, 1])
 
 
+def test_a_place_given_twice_is_refused():
+    # the second radius at the same place was applied again: the box was
+    # counted at radius 1/25, 5 points, where radius 1/5 has 25
+    F = make_quad_field(-1)
+    v1, v2 = finite_places(F, 5)
+    fam = make_radius_family(F, [(v1, Fraction(1, 5)), (v2, 1)], [40])
+    assert count_box(F, fam) == count_box_naive(F, fam) == 25
+    with pytest.raises(ValueError, match="twice"):
+        make_radius_family(F, [(v1, Fraction(1, 5)), (v2, 1), (v1, Fraction(1, 5))], [40])
+    with pytest.raises(ValueError, match="twice"):
+        make_radius_family(None, [(Place(None, "finite", 3, "ramified"), 1)] * 2, [2])
+
+
+@pytest.mark.parametrize("d, place", [
+    (-1, Place(QuadField(5), "finite", 5, "ramified")),  # a place of Q(sqrt 5)
+    (-1, Place(QuadField(-1), "finite", 5, "inert")),  # 5 splits in Q(i)
+    (-1, Place(QuadField(-1), "finite", 3, "split1")),  # 3 is inert in Q(i)
+    (-1, Place(QuadField(-1), "finite", 9, "inert")),
+    (-1, Place(QuadField(-1), "complex")),
+    (-1, Place(None, "finite", 3, "ramified")),  # a place of Q
+    (None, Place(QuadField(-1), "finite", 3, "inert")),
+    (None, Place(None, "finite", 4, "ramified")),
+    (None, 3),
+])
+def test_a_place_of_another_field_is_refused(d, place):
+    # each was accepted, and counted at a prime ideal of the wrong field
+    F = None if d is None else make_quad_field(d)
+    with pytest.raises(ValueError, match="not a finite place|not a prime"):
+        make_radius_family(F, [(place, 1)], [40])
+
+
 def test_norm_of_family_multiplies_all_radii():
     F = make_quad_field(-1)
     v1, v2 = finite_places(F, 5)

@@ -517,6 +517,15 @@ def test_bad_primes_and_needle_boxes_are_an_error_line(capsys, argv):
     assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_a_prime_given_twice_in_rfin_is_an_error(capsys):
+    # "5" and "05" name the same prime; the count was taken at radius 1/25
+    argv = ["count-box", "--field", '{"d": -1}', "--rinf", "40", "--rfin"]
+    code, data = run_json(capsys, argv + ['{"5": ["1/5", 1]}'])
+    assert code == 0 and data["count"] == 25
+    code, err = run_cli_err(capsys, argv + ['{"5": ["1/5", 1], "05": ["1/5", 1]}'])
+    assert code == 1 and err == "error: a radius at the split1 place over 5 is given twice\n", err
+
+
 def test_needle_box_is_counted_on_its_own_reduced_basis(capsys):
     # radii 10^-10 and 10^10 over O_F: billions of mostly empty rows of the
     # trace-form ellipse were refused by the budget.  Only 0 is in the box,

@@ -17,7 +17,6 @@ from alk.git4 import (
     block_membership_test,
     bowen_membership,
     bowen_membership_loop,
-    conjugated_matrix,
     content_vanishing_detector,
     entropy_quantities,
     galois_structures,
@@ -80,7 +79,7 @@ def test_regular_matrix_takes_at_most_four_coordinates():
 
 def test_conjugation_diagonalizes_regular_matrices():
     emb = regular_embedding(CYCLIC)
-    m = conjugated_matrix(emb, emb.regular_matrix((1, 2, 0, 1)))
+    m = emb.conjugation_table(emb.regular_matrix((1, 2, 0, 1)))
     for i in range(4):
         for j in range(4):
             if i != j:
@@ -119,7 +118,7 @@ def test_conjugation_table_equals_the_matrix_product(tower):
     for gamma in gammas:
         want = mat_mul(mat_mul(emb.g_inv, [[Fraction(x) for x in row] for row in gamma]),
                        emb.g)
-        got = conjugated_matrix(emb, gamma)
+        got = emb.conjugation_table(gamma)
         for got_row, want_row in zip(got, want):
             for x, y in zip(got_row, want_row):
                 assert x.field is emb.closure
@@ -141,7 +140,7 @@ def _psi_oracle(emb, gamma, perms):
     """Psi_s one monomial at a time: three closure products, then the sign,
     then 1/det, each an NFElem product."""
     det = mat_det([[Fraction(x) for x in row] for row in gamma])
-    m = conjugated_matrix(emb, gamma)
+    m = emb.conjugation_table(gamma)
     vals = []
     for s in perms:
         prod = m[s[0]][0]

@@ -256,7 +256,7 @@ def test_ideal_contains_its_basis():
 def test_trace_form_of_integral_basis_gives_signed_discriminant():
     for d in (-1, 2, 5, -3, 13, -7):
         F = QuadField(d)
-        det = trace_form_det(F.integral_basis)
+        det = trace_form_det((F.elem(1), F.omega))
         signed = d if d % 4 == 1 else 4 * d
         assert det == signed
 
@@ -650,8 +650,9 @@ def test_tower_constructor_refuses_zero_square_and_rational_data():
 
 
 def _contains_by_fractions(ideal, x):
-    """Membership by solving (u, w) * den = m*(a, b) + n*(0, c) over Q."""
-    u, w = gen_coords(x)
+    """Membership by solving (u, w) * den = m*(a, b) + n*(0, c) over Q, for
+    x = u + w*sqrt(d)."""
+    u, w = x.a, x.b
     (a, b), (_, c) = ideal.rows
     m = u * ideal.den / a
     if m.denominator != 1:
@@ -691,10 +692,55 @@ def test_ideal_operations_match_the_generator_route():
     assert cases > 1300
 
 
+# d = 1 and 5 mod 8, then d = 2 and 3 mod 4, each of both signs; 3 splits
+# in the fields of d = 13, -11, 10 and -2
+ROW_FIELDS = (17, -7, 13, -11, 5, -3, 10, -2, 3, -1)
+
+
+def test_ideal_rows_are_sqrt_d_numerators():
+    rng = random.Random(43)
+    kinds = set()
+    for d in ROW_FIELDS:
+        F = QuadField(d)
+        omega = F.omega
+        c0, c1 = F.gen_min_poly()
+        assert omega * omega + omega * c1 + c0 == F.elem(0)
+        O = FracIdeal.maximal_order(F)
+        assert O == FracIdeal.from_gens(F, [F.elem(1)]) and O.norm() == 1
+        assert O.rows == (((1, 1), (0, 2)) if d % 4 == 1 else ((1, 0), (0, 1)))
+        # (a + b*sqrt(d)) / den and c*sqrt(d) / den are the basis elements
+        for ideal in [O] + [prime_ideal(v) ** e for p in (2, 3, 5)
+                            for v in finite_places(F, p) for e in (-2, -1, 1, 3)]:
+            (a, b), (_, c) = ideal.rows
+            assert ideal.basis_elems() == (F.elem(Fraction(a, ideal.den), Fraction(b, ideal.den)),
+                                           F.elem(0, Fraction(c, ideal.den)))
+            assert ideal * ideal.inverse() == O
+        for p in (2, 3, 5):
+            for v in finite_places(F, p):
+                kinds.add((d % 8 if d % 4 == 1 else d % 4, d > 0, p, v.tag))
+                P = prime_ideal(v)
+                assert P.norm() == v.residue_size
+                assert P * P.inverse() == O and P.inverse() * P == O
+        for _ in range(20):
+            g = F.elem(Fraction(rng.randint(-20, 20), rng.randint(1, 6)),
+                       Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+            if g.is_zero():
+                continue
+            ideal = FracIdeal.from_gens(F, [g])
+            assert ideal.norm() == abs(g.norm())
+            assert ideal.contains(g) and ideal.contains(g * omega)
+            assert not ideal.contains(g / 2)
+            assert ideal * ideal.inverse() == O
+            assert ideal.is_ideal()
+    # every splitting type of 2, 3 and 5 over the two signs
+    assert {k[2:] for k in kinds} >= {(p, t) for p in (2, 3, 5)
+                                      for t in ("split1", "split2", "inert", "ramified")}
+
+
 def test_non_ideal_modules_are_rejected():
     for d in (-1, 5, 2, -3):
         F = QuadField(d)
-        # Z + 2*omega*Z is an order, not an O_F-ideal
+        # Z + 2*sqrt(d)*Z is an order, not an O_F-ideal
         module = FracIdeal(F, ((1, 0), (0, 2)), 1)
         assert not module.is_ideal()
         assert module.contains(F.elem(1)) and not module.contains(F.omega)

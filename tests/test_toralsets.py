@@ -214,6 +214,20 @@ def test_cyclic_discriminant_inequality_worked_values():
     assert res["decomposition"]["W"] == 4 and res["decomposition"]["d"] == 2
 
 
+def test_cyclic_decomposition_over_every_relative_discriminant():
+    # D_rel = W^2 d with d > 1 squarefree, and no decomposition for a square
+    tower = quartics.zeta5_tower()
+    for n in range(1, 20000):
+        res = cyclic_disc_check(dataclasses.replace(tower, declared_DK=25 * n))
+        assert res["D_rel"] == n
+        dec = res["decomposition"]
+        if math.isqrt(n) ** 2 == n:
+            assert dec is None, n
+        else:
+            assert dec["form"] == "W^2*d" and dec["d"] > 1, n
+            assert dec["W"] ** 2 * dec["d"] == n, n
+
+
 def test_cyclic_check_rejects_other_types():
     with pytest.raises(ValueError):
         cyclic_disc_check(quartics.biquadratic_tower(2, 3))
