@@ -29,11 +29,16 @@ coordinate of each entry, with no field multiplication.
 
 Every entry point makes one integer pass over gamma: it checks the 4x4
 shape, clears gamma once to integers v over one denominator e, takes
-det(gamma) = det(v)/e^4, and conjugates only the entries m[sigma(j)][j]
-that the requested permutations read (8 of 16 for the two special
-permutations of a block test).  A Psi profile shares its partial
-products: P[a][b] = m[a][0] m[b][1] and Q[c][d] = m[c][2] m[d][3] are
-formed once per ordered pair and kept as integer numerators, so
+det(gamma) = det(v)/e^4 by Bareiss elimination on v, and conjugates only
+the entries m[sigma(j)][j] that the requested permutations read.  A block
+test on C4 or V4 forms Psi of both special permutations from 8 of the 16
+entries and 6 field products; on D4 the two are 4-cycles of one orbit,
+so it forms Psi of the first from 4 entries and 3 products and takes the
+second as its image under an automorphism.
+
+A Psi profile shares its partial products: P[a][b] = m[a][0] m[b][1]
+and Q[c][d] = m[c][2] m[d][3] are formed once per ordered pair and kept
+as integer numerators, so
 Psi_sigma = sign(sigma)/det(gamma) P[sigma0][sigma1] Q[sigma2][sigma3]
 takes one more field product, and the rational factor sign/det is folded
 into its integer numerators and denominator before the one reduction to
@@ -62,7 +67,7 @@ from typing import Optional
 from .intarith import is_prime, valuation
 from .nfpoly import Automorphism, Conjugation, NFElem, NumberField, _canonical, _cleared
 from .numfield import FieldTower, conj, norm_square_class
-from .ratlinalg import mat_det, mat_inv, mat_mul, transpose
+from .ratlinalg import bareiss, mat_det, mat_inv, mat_mul, transpose
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
 IDENTITY = (0, 1, 2, 3)
@@ -309,10 +314,10 @@ def _clear(gamma) -> tuple[list[int], int, Fraction]:
     if len(gamma) != 4 or any(len(row) != 4 for row in gamma):
         raise ValueError("expected a 4x4 matrix")
     v, e = _cleared(gamma)
-    det = mat_det([v[i:i + 4] for i in range(0, 16, 4)]) / e ** 4
-    if det == 0:
+    pivots, swaps = bareiss([v[i:i + 4] for i in range(0, 16, 4)])
+    if pivots[-1] == 0:
         raise ValueError("gamma must be invertible")
-    return v, e, det
+    return v, e, Fraction(-pivots[-1] if swaps & 1 else pivots[-1], e ** 4)
 
 
 def _entries(emb: EmbeddingData, v, e: int, perms) -> list[list]:
@@ -451,16 +456,34 @@ def pattern_and_relation_check(emb: EmbeddingData, gamma, galois_type: str) -> d
 # block membership
 
 
+@lru_cache(maxsize=None)
+def _conjugator(image: tuple, s: tuple, t: tuple) -> Optional[int]:
+    """The index in the Galois image of its first rho with
+    rho s rho^{-1} = t, or None when s and t lie in different orbits."""
+    return next((k for k, rho in enumerate(image)
+                 if perm_compose(perm_compose(rho, s), perm_inverse(rho)) == t), None)
+
+
 def block_membership_test(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     """gamma in the embedded Res_{F/Q} GL2 iff Psi_sigma(gamma) = 0 for the
     special permutations iff gamma commutes with multiplication by sqrt(d);
-    the commutation route, exact on integer multiples of both, is the truth."""
+    the commutation route, exact on integer multiples of both, is the truth.
+    When an automorphism tau of the closure has rho conjugating the first
+    special permutation s to the second t (D4, where both are 4-cycles of
+    one orbit), only Psi_s is formed, from 4 entries and 3 products, and
+    Psi_t = tau(Psi_s); on C4 and V4 both values are formed directly."""
     gs = galois_structures(galois_type)
     sd = emb.sqrt_d_matrix
     v, e, det = _clear(gamma)
     gm = [v[i:i + 4] for i in range(0, 16, 4)]
     commutes = mat_mul(sd, gm) == mat_mul(gm, sd)
-    sp_values = dict(_profile(emb, v, e, det, gs.special)[1])
+    s, t = gs.special
+    k = _conjugator(emb.galois_image, s, t)
+    if k is None:
+        sp_values = dict(_profile(emb, v, e, det, gs.special)[1])
+    else:
+        x = _profile(emb, v, e, det, (s,))[1][0][1]
+        sp_values = {s: x, t: emb.automorphisms[k](x) if isinstance(x, NFElem) else x}
     vanish = all(v == 0 for v in sp_values.values())
     return {"in_R": commutes, "psi_sp_values": sp_values,
             "vanishing": vanish, "routes_agree": commutes == vanish}

@@ -15,17 +15,29 @@ elements is accumulated into, and the rows that reduce the monomials
 beyond the basis.  Norm and inverse multiply by the conjugate that
 negates the last generator, and repeat in the field below.  An
 `Automorphism` is an integer matrix over one denominator built from the
-images of the basis, each row kept as its nonzero entries only.  A
-`Conjugation` gamma -> A gamma B of rational matrices by fixed matrices
-over a field is likewise an integer table, applied by dot products: the
-one kernel for git4's g^-1 gamma g and for the GL2 torus coordinates.
+images of the basis, each row kept as its nonzero entries only.
+
+Products and automorphisms run straight-line code generated once per
+field (on its first product) and once per automorphism from these
+tables, with no loop over an index table: a product sums each monomial's
+terms a_i b_j once, then multiplies each monomial beyond the basis into
+its reduction row; an automorphism whose matrix is a signed permutation
+over denominator 1 maps an element in lowest terms to one in lowest
+terms, so its kernel takes no gcd.  Table constants are closure cells of
+the generated code, never text in its source, so constants of any length
+are allowed.
+
+A `Conjugation` gamma -> A gamma B of rational matrices by fixed
+matrices over a field is an integer table too, applied by dot products:
+the one kernel for git4's g^-1 gamma g and for the GL2 torus
+coordinates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 
@@ -41,6 +53,52 @@ def _over_common_den(vecs) -> tuple[list[list[int]], int]:
 
 # ---------------------------------------------------------------------------
 # number field elements
+
+
+class _Source:
+    """Straight-line source for one generated kernel.  Every constant
+    other than +-1 enters as a closure cell of a generated factory, named in
+    the source and never written into it, so no constant meets the limit on
+    the digits of an int rendered as text."""
+
+    def __init__(self):
+        self.consts: dict[int, str] = {}  # value -> cell name
+
+    def times(self, c: int, expr: str) -> str:
+        """The term c*expr for a nonzero integer c; a leading "-" is its sign."""
+        if c in (1, -1):
+            return expr if c == 1 else "-" + expr
+        name = self.consts.setdefault(abs(c), f"c{len(self.consts)}")
+        return f"{name} * {expr}" if c > 0 else f"-{name} * {expr}"
+
+    def function(self, name: str, args: str, lines, **cells):
+        """The function name(args) with the given body, its constants and
+        the objects in cells bound as closure cells."""
+        cells.update((cell, c) for c, cell in self.consts.items())
+        src = (f"def factory({', '.join(cells)}):\n    def {name}({args}):\n"
+               + "".join(f"        {line}\n" for line in lines) + f"    return {name}\n")
+        return _factory(src)(*cells.values())
+
+
+@lru_cache(maxsize=256)
+def _factory(src: str):
+    """The factory defined by src, compiled once per distinct source: fields
+    and automorphisms of one shape share it, with their own cells."""
+    scope = {}
+    exec(compile(src, "<nfpoly kernel>", "exec"), scope)
+    return scope["factory"]
+
+
+def _unpack(name: str, n: int, src: str) -> str:
+    """The line unpacking the length-n sequence src into name0, ..., name(n-1)."""
+    return f"{', '.join(f'{name}{i}' for i in range(n))}, = {src}"
+
+
+def _sum(terms) -> str:
+    """The sum of terms (strings, a leading "-" a sign) as one expression."""
+    if not terms:
+        return "0"
+    return terms[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in terms[1:])
 
 
 @dataclass(frozen=True)
@@ -98,23 +156,29 @@ class NumberField:
         rows, den = _over_common_den(rows)
         return index, [[(i, r) for i, r in enumerate(row) if r] for row in rows], den
 
-    def _mul_ints(self, a, b) -> list[int]:
-        """Numerators of a*b over the table denominator, for integer
-        coordinate vectors a and b: the products are accumulated per
-        monomial, then the monomials beyond the basis are reduced."""
+    @cached_property
+    def _mul_ints(self):
+        """The numerators of a*b over the table denominator, for integer
+        coordinate vectors a and b: straight-line code generated from
+        `_table` on first use.  Each monomial sums its products a_i b_j once;
+        each monomial beyond the basis is then multiplied into its reduction
+        row, and the basis monomials are scaled by the table denominator."""
         index, rows, den = self._table
-        n = len(a)
-        prod = [0] * (n + len(rows))
-        for i, x in enumerate(a):
-            if x:
-                for j, k in enumerate(index[i]):
-                    prod[k] += x * b[j]
-        low = prod[:n] if den == 1 else [c * den for c in prod[:n]]
-        for c, row in zip(prod[n:], rows):
-            if c:
-                for i, r in row:
-                    low[i] += c * r
-        return low
+        n = self.degree
+        gen = _Source()
+        monomials = [[] for _ in range(n + len(rows))]
+        for i in range(n):
+            for j, k in enumerate(index[i]):
+                monomials[k].append(f"a{i} * b{j}")
+        low = [terms if den == 1 else [gen.times(den, f"({_sum(terms)})")]
+               for terms in monomials[:n]]
+        lines = [_unpack("a", n, "a"), _unpack("b", n, "b")]
+        for k, row in enumerate(rows):
+            lines.append(f"t{k} = {_sum(monomials[n + k])}")
+            for i, r in row:
+                low[i].append(gen.times(r, f"t{k}"))
+        lines.append(f"return [{', '.join(_sum(terms) for terms in low)}]")
+        return gen.function("mul_ints", "a, b", lines)
 
     def _down(self, num, den: int) -> tuple[tuple, tuple[int, ...], int]:
         """(conj, y, yden): x' = conj/den is x = num/den with the last
@@ -270,11 +334,15 @@ class Automorphism:
     images[i], an automorphism when the images are those of the basis
     under one.  The images are the columns of an integer matrix over one
     denominator; each row is stored as its nonzero entries only, a tuple of
-    column indices and a tuple of coefficients, and a coordinate of the
-    image is the dot product of those coefficients with the numerators of
-    x at those columns.  A call hashes nothing."""
+    column indices and a tuple of coefficients.  A call runs straight-line
+    code generated from those rows when the map is built: each coordinate
+    of the image is the sum of the coefficients times the numerators of x
+    at those columns.  When the denominator is 1 and the matrix is a signed
+    permutation (every automorphism of a dihedral closure, and of a
+    biquadratic tower with a rational radicand), the image of an element
+    in lowest terms is in lowest terms, so no gcd is taken."""
 
-    __slots__ = ("field", "_rows", "_den")
+    __slots__ = ("field", "_rows", "_den", "_kernel")
 
     def __init__(self, field: NumberField, images):
         cols, self._den = _over_common_den([x.coeffs for x in images])
@@ -282,18 +350,34 @@ class Automorphism:
             (tuple(j for j, r in enumerate(row) if r), tuple(r for r in row if r))
             for row in zip(*cols))
         self.field = field
+        self._kernel = self._generate()
 
     def __call__(self, x: NFElem) -> NFElem:
-        get = x.num.__getitem__
-        return _canonical(self.field, [sum(map(mul, coeffs, map(get, cols)))
-                                       for cols, coeffs in self._rows], x.den * self._den)
+        return self._kernel(x)
+
+    def _generate(self):
+        gen, n = _Source(), len(self._rows)
+        image = ", ".join(_sum([gen.times(r, f"x{j}") for j, r in zip(cols, coeffs)])
+                          for cols, coeffs in self._rows)
+        lines = [_unpack("x", n, "x.num")]
+        signed_permutation = sorted(cols for cols, _ in self._rows) == [(j,) for j in range(n)] \
+            and all(coeffs[0] in (1, -1) for _, coeffs in self._rows)
+        if self._den == 1 and signed_permutation:
+            lines.append(f"return NFElem(field, ({image},), x.den)")
+        else:
+            den = "x.den" if self._den == 1 else "x.den * den"
+            lines.append(f"return canonical(field, [{image}], {den})")
+        return gen.function("automorphism", "x", lines, field=self.field, NFElem=NFElem,
+                            canonical=_canonical, den=self._den)
 
 
 def _cleared(matrix) -> tuple[list[int], int]:
     """(v, e): the matrix's entries, row by row, as integers over one
-    denominator e.  An entry that is not a rational number raises ValueError."""
+    denominator e.  int and Fraction entries are taken as they are; an entry
+    that is not a rational number raises ValueError."""
     try:
-        q = [Fraction(x) for row in matrix for x in row]
+        q = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+             for row in matrix for x in row]
     except TypeError:
         raise ValueError("matrix entries must be rational numbers") from None
     (v,), e = _over_common_den([q])

@@ -641,6 +641,53 @@ def test_block_membership_routes_agree():
             assert res["routes_agree"]
 
 
+def test_clear_takes_det_from_the_cleared_rows():
+    """git4._clear's det, read from Bareiss on the integer rows, is
+    mat_det(gamma), row swaps included; a singular gamma is refused."""
+    rng = random.Random(32)
+    for k in range(40):
+        gamma = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
+                 for _ in range(4)]
+        gamma[0][0] = Fraction(0) if k % 2 else gamma[0][0]  # odd k: a swap at the first pivot
+        if mat_det(gamma) == 0:
+            continue
+        v, e, det = git4._clear(gamma)
+        assert det == mat_det(gamma) and type(det) is Fraction
+        assert [Fraction(x, e) for x in v] == [x for row in gamma for x in row]
+    singular = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 0], [0, 0, 0, 1]]
+    with pytest.raises(ValueError, match="^gamma must be invertible$"):
+        git4._clear(singular)
+
+
+def test_dihedral_block_test_derives_one_special_value():
+    """On D4 the two special 4-cycles lie in one orbit, so the block test
+    forms Psi of the first and takes the second as its image under an
+    automorphism: both equal the values formed directly, on random gammas
+    and on elements of the field algebra (where both vanish), over
+    several dihedral towers.  On C4 and V4 no rho of the image conjugates
+    one to the other."""
+    rng = random.Random(31)
+    towers = [DIHEDRAL, quartics.dihedral_tower(5, 2, 3), quartics.dihedral_tower(3, -1, 1),
+              quartics.dihedral_tower(2, Fraction(1, 3), Fraction(-5, 2))]
+    special = galois_structures("dihedral").special
+    for tower in towers:
+        assert classify_galois_type(tower) == "dihedral"
+        emb = regular_embedding(tower)
+        assert git4._conjugator(emb.galois_image, *special) is not None
+        gammas = [random_invertible(rng, 4) for _ in range(6)]
+        gammas.append(emb.regular_matrix((1, 2, 0, 1)))
+        for gamma in gammas:
+            got = block_membership_test(emb, gamma, "dihedral")["psi_sp_values"]
+            want = git4._psi_values(emb, gamma, special)[1]
+            assert list(got) == [s for s, _ in want]
+            for (_, x), (_, y) in zip(got.items(), want):
+                assert type(x) is type(y)
+                assert (x.num, x.den) == (y.num, y.den) if isinstance(x, NFElem) else x == y
+    for tower, gtype in ((CYCLIC, "cyclic"), (BIQUAD, "biquadratic")):
+        image = regular_embedding(tower).galois_image
+        assert git4._conjugator(image, *galois_structures(gtype).special) is None
+
+
 def test_content_detector_forces_vanishing_consistently():
     emb = regular_embedding(CYCLIC)
     gs = galois_structures("cyclic")

@@ -342,3 +342,151 @@ def test_elements_of_different_fields_do_not_mix():
         assert x != y
     # equal squares are the same field, built twice
     assert sqrt2 * NumberField(((Fraction(2), 0),)).elem([0, 1]) == 2
+
+
+# ---------------------------------------------------------------------------
+# generated kernels against loops written here
+
+
+def schoolbook_product(K, a, b):
+    """a*b on K's Kummer basis from the squares alone: e_i e_j is e_(i^j)
+    times the product s = p + q w_0 of the squares w_b^2 at the set bits of
+    i&j, and e_t w_0 = d^(t&1) e_(t^1)."""
+    n, d = K.degree, K.squares[0][0]
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n):
+            p, q = Fraction(1), Fraction(0)
+            for bit, (sp, sq) in enumerate(K.squares):
+                if (i & j) >> bit & 1:
+                    p, q = p * sp + d * q * sq, p * sq + q * sp
+            t, c = i ^ j, a[i] * b[j]
+            out[t] += c * p
+            out[t ^ 1] += c * q * (d if t & 1 else 1)
+    return out
+
+
+def dot_product_image(images, x):
+    """sum_j x_j images[j], coordinate by coordinate."""
+    return [sum((c * y.coeffs[i] for c, y in zip(x.coeffs, images)), Fraction(0))
+            for i in range(len(x.num))]
+
+
+def _kernel_fields():
+    """name -> (field, the embedding whose automorphisms act on it, or None)."""
+    F3 = make_quad_field(3)
+    long_dihedral = regular_embedding(quartics.dihedral_tower(2, "1e-400", "1e400"))
+    out = {f"sqrt{d}": (make_quad_field(d).nf, None) for d in (2, 5, -7)}
+    out["zeta5"] = (TOWERS["zeta5"].nf, EMBEDDINGS["zeta5"])
+    out["gaussian13"] = (TOWERS["gaussian13"].nf, EMBEDDINGS["gaussian13"])
+    out["biquadratic23"] = (TOWERS["biquadratic23"].nf, EMBEDDINGS["biquadratic23"])
+    out["dihedral211_closure"] = (EMBEDDINGS["dihedral211"].closure, EMBEDDINGS["dihedral211"])
+    out["nonintegral"] = (make_tower(F3, F3.elem(Fraction(1, 2), Fraction(1, 3))).nf, None)
+    out["fractional_kummer"] = (FIELDS["fractional_kummer"], None)
+    out["long_dihedral_closure"] = (long_dihedral.closure, long_dihedral)
+    return out
+
+
+KERNEL_FIELDS = _kernel_fields()
+
+
+def _basis_images(L, tau):
+    """The images of L's basis under tau, as products of the images of the
+    generators, the way an automorphism of a Kummer field is built."""
+    images = [L.one()]
+    for b in range(len(L.squares)):
+        y = tau(L.elem([int(i == 1 << b) for i in range(L.degree)]))
+        images += [x * y for x in images]
+    return images
+
+
+def _rand_ints(rng, n, digits):
+    return [rng.randint(-10 ** digits, 10 ** digits) if rng.random() < 0.8 else 0
+            for _ in range(n)]
+
+
+def test_kernel_fields_cover_a_fractional_table_and_long_constants():
+    assert KERNEL_FIELDS["fractional_kummer"][0]._table[2] != 1
+    L = KERNEL_FIELDS["long_dihedral_closure"][0]
+    assert L.degree == 8 and max(abs(c) for row in L._table[1] for _, c in row) > 10 ** 399
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_generated_product_matches_schoolbook(name):
+    """The generated `_mul_ints` gives the schoolbook product times the
+    table denominator, on integer vectors with zero and long entries, and
+    every product it feeds is in lowest terms."""
+    K = KERNEL_FIELDS[name][0]
+    n, den = K.degree, K._table[2]
+    rng = random.Random(7005)
+    for digits in (1, 3, 40):
+        for _ in range(12):
+            a, b = _rand_ints(rng, n, digits), _rand_ints(rng, n, digits)
+            got = K._mul_ints(a, b)
+            assert all(type(c) is int for c in got)
+            assert [Fraction(c, den) for c in got] == schoolbook_product(K, a, b)
+            x, y = K.elem(a) / rng.randint(1, 9), K.elem(b)
+            xy = x * y
+            assert _is_canonical(xy)
+            assert list(xy.coeffs) == schoolbook_product(K, x.coeffs, y.coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_FIELDS))
+def test_generated_automorphism_matches_dot_product(name):
+    """Each generated automorphism is the dot product with the images of
+    the basis it was built from, in lowest terms: for the closure
+    automorphisms of a tower, for a signed permutation (the shortcut
+    path), for twice one (an integer matrix that needs the gcd) and for
+    maps with fractional images.  The
+    automorphisms of a dihedral closure and of a biquadratic tower with a
+    rational radicand take the shortcut and call no reduction."""
+    K, emb = KERNEL_FIELDS[name]
+    n = K.degree
+    rng = random.Random(7006)
+    basis = [K.elem([int(i == j) for i in range(n)]) for j in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    signed = [rng.choice((1, -1)) * basis[j] for j in perm]
+    maps = [signed, [2 * x for x in signed], [x / 2 + basis[0] / 3 for x in signed],
+            [K.elem(_rand_coeffs(rng, n)) for _ in range(n)]]
+    maps = [(Automorphism(K, images), images) for images in maps]
+    if emb is not None:
+        maps += [(tau, _basis_images(K, tau)) for tau in emb.automorphisms]
+    for tau, images in maps:
+        for digits in (1, 40):
+            for _ in range(8):
+                x = K.elem(_rand_ints(rng, n, digits)) / rng.randint(1, 10 ** digits)
+                got = tau(x)
+                assert got.field is K and _is_canonical(got)
+                assert list(got.coeffs) == dot_product_image(images, x)
+    if emb is not None:
+        # on a cyclic field the automorphisms of order 4 need the reduction
+        shortcuts = ["canonical" not in tau._kernel.__code__.co_freevars
+                     for tau in emb.automorphisms]
+        assert all(shortcuts) == (n == 8 or name == "biquadratic23"), name
+
+
+def test_constants_beyond_the_int_string_limit():
+    """u^2 = c^2 delta for zeta5's delta = -10 + 2 sqrt 5 and c = 10^2200:
+    the square has more than 4,300 digits, the default limit on the digits
+    of an int rendered as text, so kernels that wrote their constants into
+    their source could not be built.  The field is cyclic, and its
+    automorphism sqrt5 -> -sqrt5, u -> v = 4 c^2 sqrt5 / u (uv = 4 c^2 sqrt5,
+    as N(c^2 delta) = 5 (4 c^2)^2) has long entries and a denominator."""
+    c = 10 ** 2200
+    K = NumberField(((5, 0), (-10 * c * c, 2 * c * c)))
+    assert abs(K.squares[1][0]) > 10 ** 4300
+    sqrt5, u = K.elem([0, 1]), K.elem([0, 0, 1])
+    v = 4 * c * c * sqrt5 / u
+    assert v * v == K.elem([-10 * c * c, -2 * c * c])
+    tau = Automorphism(K, [K.one(), -sqrt5, v, -sqrt5 * v])
+    assert tau._den != 1
+    rng = random.Random(7007)
+    for _ in range(5):
+        x, y = K.elem(_rand_coeffs(rng, 4)), K.elem(_rand_coeffs(rng, 4))
+        xy = x * y
+        assert list(xy.coeffs) == schoolbook_product(K, x.coeffs, y.coeffs)
+        if not x.is_zero():
+            assert x * x.inverse() == 1
+        assert tau(xy) == tau(x) * tau(y) and _is_canonical(tau(x))
+        assert tau(tau(tau(tau(x)))) == x
