@@ -94,9 +94,9 @@ class ThetaReport:
     |v| <= truncation_radius and the other is derived from it by Poisson
     summation, h0 - h1 = adeg for a Euclidean lattice; both are below the
     true values by less than tail_bound, which bounds the truncation only,
-    not float rounding of the sum or of log det (small on the reduced bases
-    of rank 2, large on skewed Grams of rank 3 and 4).  For a bundle, L is
-    its direct image, h1 is also h0 of the Serre twist, and adeg is the
+    not float rounding: the points summed are exact, `_fpenum_py.gauss_sum`
+    bounds the rounding of their sum, and log det rounds too.  For a bundle,
+    L is its direct image, h1 is also h0 of the Serre twist, and adeg is the
     bundle's degree, so h0 - h1 = adeg - log(D_F) / 2."""
 
     h0: float
@@ -121,15 +121,11 @@ def theta_invariants_euclidean(
     # underflow
     adeg = (math.log(det.denominator) - math.log(det.numerator)) / 2
     side = lat if det >= 1 else lat.dual()
-    num, den = side.num, side.den
-    if lat.rank == 2:  # summed on a reduced basis, whose float Cholesky is well conditioned
+    if lat.rank == 2:  # summed on a reduced basis, whose outer walk is short
+        num = side.num
         (a, _), (b, _), (c, _) = _lagrange(((num[0][0], 0), (num[0][1], 0), (num[1][1], 0)))[0]
-        num = ((a, b), (b, c))
-    try:
-        gram = [[x / den for x in row] for row in num]
-    except OverflowError:
-        raise ValueError("a Gram entry of the summed side is beyond the float range") from None
-    h, radius, tail = enumeration.theta_log_sum(gram, tail_tol, budget)
+        side = EuclideanLattice(((a, b), (b, c)), side.den, side.det_num)
+    h, radius, tail = enumeration.theta_log_sum(side, tail_tol, budget)
     h0, h1 = (h, h - adeg) if det >= 1 else (h + adeg, h)
     return ThetaReport(h0, h1, adeg, radius, tail)
 
@@ -417,7 +413,7 @@ def h1_via_duality(bundle: HermitianLineBundle,
                    budget: int = enumeration.DEFAULT_BUDGET) -> float:
     """h1 of the bundle as h0 of the Serre twist, summed on its own lattice:
     the oracle for the h1 that `bundle_theta_and_h0ar` derives."""
-    return enumeration.theta_log_sum(direct_image(serre_twist(bundle)).gram, tail_tol, budget)[0]
+    return enumeration.theta_log_sum(direct_image(serre_twist(bundle)), tail_tol, budget)[0]
 
 
 def check_trace_dual(ideal: FracIdeal, dual: FracIdeal) -> None:

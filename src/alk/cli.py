@@ -364,8 +364,8 @@ def _verification_battery(cfg: RunConfig) -> list[dict]:
                  for j in range(n)] for i in range(n)]
         lat = arakelov.euclidean_lattice(gram)
         rep = arakelov.theta_invariants_euclidean(lat, budget=cfg.budget)
-        h0, _, _ = enumeration.theta_log_sum(lat.gram, budget=cfg.budget)
-        h1, _, _ = enumeration.theta_log_sum(lat.dual().gram, budget=cfg.budget)
+        h0, _, _ = enumeration.theta_log_sum(lat, budget=cfg.budget)
+        h1, _, _ = enumeration.theta_log_sum(lat.dual(), budget=cfg.budget)
         worst = max(worst, abs(rep.h0 - h0), abs(rep.h1 - h1))
     record("01_poisson_riemann_roch", worst < 1e-9, {"worst": worst})
 

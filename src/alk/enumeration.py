@@ -1,17 +1,17 @@
 """Certified theta sums; box counts sum exact rows in `arakelov.box_count`.
 
-One pure-Python Fincke-Pohst kernel (`_fpenum_py`) does the work.  A
-theta sum builds no point list: the kernel adds exp(-pi Q(x)) as it
-reaches each x, visits only the half space where the last nonzero
-coordinate of x is positive, and returns 1 + 2 * (half sum), which is
-exact because x and -x get bit-identical norms.
+One pure-Python Fincke-Pohst kernel (`_fpenum_py`) walks the lattice's
+integer Gram exactly, so the points summed are those with Q(x) <= R^2.
+It builds no point list: it adds exp(-pi Q(x)) as it reaches each x,
+visits only the half space where the last nonzero coordinate of x is
+positive, and returns 1 + 2 * (half sum).
 
 The sum stops at a radius set by the rank n and the tolerance alone.
 For c > 1/sqrt(2 pi), Banaszczyk's lemma (Math. Ann. 296 (1993), Lemma
 1.5) bounds the mass e^{-pi |v|^2} of any rank-n lattice outside radius
 c sqrt(n) by C^n theta, with C = c sqrt(2 pi e) e^{-pi c^2}.  So the log
 of the partial sum falls below log theta by less than -log(1 - C^n), the
-reported tail_bound; it covers truncation, not float rounding.
+reported tail_bound; it covers truncation, and `gauss_sum` bounds rounding.
 
 Each call sums one lattice.  `arakelov.theta_invariants_euclidean` calls it
 on the sparser of L and L* only and derives the other side by Poisson
@@ -55,14 +55,14 @@ def truncation_radius(n: int, tail_tol: float) -> tuple[float, float]:
     return hi, _banaszczyk_bound(n, hi)
 
 
-def theta_log_sum(gram, tail_tol=DEFAULT_TAIL_TOL, budget=DEFAULT_BUDGET):
+def theta_log_sum(lat, tail_tol=DEFAULT_TAIL_TOL, budget=DEFAULT_BUDGET):
     """(h0, truncation_radius, tail_bound) with h0 = log sum e^{-pi Q(v)}
-    over the whole lattice, certified to the given tail tolerance."""
+    over the whole `arakelov.EuclideanLattice` lat, certified to the given
+    tail tolerance."""
     if not 0 < tail_tol < 1:
         raise ValueError(f"tail tolerance {tail_tol} not in (0, 1)")
-    if not gram:
+    if not lat.rank:
         raise ValueError("theta sum of a rank-0 lattice")
-    radius, tail = truncation_radius(len(gram), tail_tol)
-    gram_f = [list(map(float, r)) for r in gram]
-    total, _ = _fpenum_py.gauss_sum(gram_f, radius * radius, budget)
+    radius, tail = truncation_radius(lat.rank, tail_tol)
+    total, _ = _fpenum_py.gauss_sum(lat.num, lat.den, radius * radius, budget)
     return math.log(total), radius, tail

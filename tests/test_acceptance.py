@@ -41,8 +41,8 @@ def test_criterion_01_theta_duality(capsys):
         # the report derives one side from the other by Poisson summation;
         # both are held against the kernel's direct sums of L and L*
         rep = arakelov.theta_invariants_euclidean(lat)
-        h0, _, _ = enumeration.theta_log_sum(lat.gram)
-        h1, _, _ = enumeration.theta_log_sum(lat.dual().gram)
+        h0, _, _ = enumeration.theta_log_sum(lat)
+        h1, _, _ = enumeration.theta_log_sum(lat.dual())
         worst = max(worst, abs(rep.h0 - h0), abs(rep.h1 - h1))
     elapsed = time.monotonic() - t0
     ok = worst < 1e-9 and elapsed < 10.0
@@ -62,7 +62,7 @@ def test_criterion_02_canonical_degree_and_h1_route(capsys):
         F = QUAD_FIELDS[i % 4]
         bundle = random_principal_bundle(rng, F)
         lat = arakelov.direct_image(bundle)
-        h1_direct, _, _ = enumeration.theta_log_sum(lat.dual().gram)
+        h1_direct, _, _ = enumeration.theta_log_sum(lat.dual())
         h1_dual = arakelov.h1_via_duality(bundle)
         worst_h1 = max(worst_h1, abs(h1_direct - h1_dual))
     ok = worst_deg < 1e-9 and worst_h1 < 1e-9

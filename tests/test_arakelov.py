@@ -139,8 +139,8 @@ def test_theta_of_integer_lattice_matches_direct_sum():
 
 def _direct_sums(lat):
     """h0 and h1 each summed by the kernel, on L and on L*."""
-    return (enumeration.theta_log_sum(lat.gram)[0],
-            enumeration.theta_log_sum(lat.dual().gram)[0])
+    return (enumeration.theta_log_sum(lat)[0],
+            enumeration.theta_log_sum(lat.dual())[0])
 
 
 def test_theta_duality_residual_on_random_lattices():
@@ -249,7 +249,7 @@ def test_h1_routes_agree():
         for _ in range(3):
             bundle = random_principal_bundle(rng, F)
             lat = direct_image(bundle)
-            h1_direct, _, _ = enumeration.theta_log_sum(lat.dual().gram)
+            h1_direct, _, _ = enumeration.theta_log_sum(lat.dual())
             assert abs(h1_direct - h1_via_duality(bundle)) < 1e-9
 
 
@@ -456,12 +456,12 @@ def test_theta_truncation_error_within_the_tail_bound(tail_tol):
         for _ in range(6):
             diag = [Fraction(rng.randint(1, 100), 20) for _ in range(n)]
             gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-            h0, radius, tail = enumeration.theta_log_sum(gram, tail_tol)
+            lat = euclidean_lattice(gram)
+            h0, radius, tail = enumeration.theta_log_sum(lat, tail_tol)
             want = math.fsum(math.log(_theta_1d(float(g))) for g in diag)
             assert tail < tail_tol
             assert -1e-14 <= want - h0 <= tail, (diag, want - h0, tail)
-            lat = euclidean_lattice(gram)
-            assert enumeration.theta_log_sum(lat.dual().gram, tail_tol)[1:] == (radius, tail)
+            assert enumeration.theta_log_sum(lat.dual(), tail_tol)[1:] == (radius, tail)
             rep = theta_invariants_euclidean(lat, tail_tol)
             assert (rep.truncation_radius, rep.tail_bound) == (radius, tail)
 
@@ -481,6 +481,6 @@ def test_truncation_radius_depends_on_the_rank_alone():
 def test_tail_tolerance_outside_zero_one_is_rejected(tail_tol):
     lat = euclidean_lattice([[1]])
     with pytest.raises(ValueError, match="tail tolerance"):
-        enumeration.theta_log_sum(lat.gram, tail_tol)
+        enumeration.theta_log_sum(lat, tail_tol)
     with pytest.raises(ValueError, match="tail tolerance"):
         theta_invariants_euclidean(lat, tail_tol)
