@@ -1,18 +1,17 @@
 """Theta sums by Fincke-Pohst enumeration on an exact integer Gram.
 
-One `ratlinalg.bareiss` pass on a copy of the integer Gram num leaves a
-fraction-free LDL^T: with rows U_k = m[k][k:] and pivots p_k = m[k][k],
-x^T num x = sum_k (U_k . x)^2 / (p_{k-1} p_k), p_{-1} = 1, and p_{i-1}
-times the part of that sum from level i on is an integer.  `gauss_sum`
-walks these rows in integers, so no float enters a range or the choice of
-a point.  The tests check it against an exact listing of a box.
+An `arakelov.EuclideanLattice` holds the upper-triangular rows U that one
+`ratlinalg.bareiss` pass leaves on its integer Gram num, a fraction-free
+LDL^T: with pivots p_k = U[k][k], x^T num x = sum_k (U_k . x)^2 /
+(p_{k-1} p_k), p_{-1} = 1, and p_{i-1} times the part of that sum from
+level i on is an integer.  `gauss_sum` walks these rows in integers, so no
+float enters a range or the choice of a point.  The tests check it against
+an exact listing of a box.
 """
 
 from __future__ import annotations
 
 import math
-
-from .ratlinalg import bareiss
 
 KERNEL_NAME = "python"
 
@@ -28,11 +27,12 @@ class BudgetExceeded(RuntimeError):
         self.found = found
 
 
-def gauss_sum(num, den, bound, budget=5_000_000):
+def gauss_sum(rows, den, bound, budget=5_000_000):
     """(sum of exp(-pi * Q(x)), count) over the integer x with
-    Q(x) = x^T num x / den <= bound: num a positive definite symmetric
-    integer matrix, den > 0, and bound an int, Fraction or float, taken as
-    its exact value, so the test is x^T num x <= floor(bound * den).
+    Q(x) = x^T num x / den <= bound: rows the upper-triangular U of a
+    positive definite symmetric integer matrix num (`EuclideanLattice.rows`,
+    every pivot U[k][k] > 0), den > 0, and bound an int, Fraction or float,
+    taken as its exact value, so the test is x^T num x <= floor(bound * den).
 
     At level i, with x[j] set for j > i, s = U_i . x over j > i and q / p_i
     the norm the levels above take, y = p_i x[i] + s needs y^2 <=
@@ -53,11 +53,7 @@ def gauss_sum(num, den, bound, budget=5_000_000):
     Only the half space where the last nonzero coordinate is positive is
     visited, and the full sum is 1 (the origin) plus twice the half sum.
     """
-    n = len(num)
-    m = [list(row) for row in num]
-    pivots, swaps = bareiss(m)
-    if swaps or not all(p > 0 for p in pivots):
-        raise ValueError("Gram matrix not positive definite")
+    n = len(rows)
     bn, bd = bound.as_integer_ratio()
     if bn < 0:
         return 0.0, 0
@@ -65,7 +61,7 @@ def gauss_sum(num, den, bound, budget=5_000_000):
         raise BudgetExceeded(budget, max(budget, 0), "lattice points")
     top = bn * den // bd  # x^T num x <= top
     room = (budget - 1) // 2  # half-space points allowed besides the origin
-    prev = [1] + pivots[:-1]
+    prev = [1] + [rows[k][k] for k in range(n - 1)]
     exp = math.exp
     neg_pi = -math.pi
     x = [0] * n
@@ -78,7 +74,7 @@ def gauss_sum(num, den, bound, budget=5_000_000):
         # them is nonzero, so x[i] ranges over both signs, otherwise only
         # over x[i] >= 0
         nonlocal total, count, nodes
-        row, pp = m[i], prev[i]
+        row, pp = rows[i], prev[i]
         p = row[i]
         s = 0
         for j in range(i + 1, n):

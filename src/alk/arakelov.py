@@ -34,13 +34,18 @@ from .ratlinalg import adjugate, bareiss, integer_matrix, transpose
 @dataclass(frozen=True)
 class EuclideanLattice:
     """Free Z-module of rank n with the positive definite Gram num / den: num
-    a symmetric integer matrix of determinant det_num, den > 0 least.
-    `euclidean_lattice` clears a Gram to this form once, a float entry as its
-    exact binary value, so det, dual and the definiteness test are exact."""
+    a symmetric integer matrix, den > 0 least.  rows is the upper-triangular
+    U that one `ratlinalg.bareiss` pass leaves on num, a fraction-free LDL^T
+    with pivots p_k = U[k][k], the leading principal minors of num:
+    x^T num x = sum_k (U_k . x)^2 / (p_{k-1} p_k), p_{-1} = 1, so det num is
+    the last pivot.  `euclidean_lattice` builds every lattice: it clears a
+    Gram to this form once, a float entry as its exact binary value, and
+    makes that pass, so det, dual and the definiteness test are exact and
+    `_fpenum_py.gauss_sum` walks U as it is."""
 
     num: tuple[tuple[int, ...], ...]
     den: int
-    det_num: int
+    rows: tuple[tuple[int, ...], ...]
 
     @property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -51,20 +56,20 @@ class EuclideanLattice:
         return len(self.num)
 
     def det(self) -> Fraction:
-        return Fraction(self.det_num, self.den ** self.rank)
+        return Fraction(self.rows[-1][-1] if self.rows else 1, self.den ** self.rank)
 
     def dual(self) -> "EuclideanLattice":
         """L*, of Gram den * adj(num) / det(num) and determinant 1 / det(L)."""
-        n, den = self.rank, self.den
         adj, det = adjugate(self.num)
-        g = math.gcd(det, *(den * x for row in adj for x in row))
-        return EuclideanLattice(tuple(tuple(den * x // g for x in row) for row in adj),
-                                det // g, (det // g * den) ** n // det)
+        return euclidean_lattice([[Fraction(self.den * x, det) for x in row] for row in adj])
 
 
 def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
-    exact = all(isinstance(x, Rational) for row in gram for x in row)
-    g = [[x if exact else float(x) for x in row] for row in gram]
+    # int and Fraction first: the abstract Rational test is several times slower
+    exact = all(isinstance(x, (int, Fraction)) or isinstance(x, Rational)
+                for row in gram for x in row)
+    g = [[(x if isinstance(x, (int, Fraction)) else Fraction(x)) if exact else float(x)
+          for x in row] for row in gram]
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("Gram matrix not square")
@@ -76,16 +81,16 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
         if not all(abs(g[i][j] - g[j][i]) <= 1e-8 + 1e-5 * abs(g[j][i])
                    for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix not symmetric")
-        g = [[g[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
-    num, den = integer_matrix([[x if isinstance(x, (int, Fraction)) else Fraction(x)
-                                for x in row] for row in g])
-    if num != transpose(num):
+        g = [[Fraction(g[min(i, j)][max(i, j)]) for j in range(n)] for i in range(n)]
+    m, den = integer_matrix(g)
+    num = tuple(map(tuple, m))
+    if m != transpose(m):
         raise ValueError("Gram matrix not symmetric")
     # Sylvester's criterion: before a row swap the pivots are the leading minors
-    pivots, swaps = bareiss([row[:] for row in num])
+    pivots, swaps = bareiss(m)
     if swaps or not all(p > 0 for p in pivots):
         raise ValueError("Gram matrix not positive definite")
-    return EuclideanLattice(tuple(map(tuple, num)), den, pivots[-1] if n else 1)
+    return EuclideanLattice(num, den, tuple((0,) * k + tuple(row[k:]) for k, row in enumerate(m)))
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,9 @@ class ThetaReport:
     |v| <= truncation_radius and the other is derived from it by Poisson
     summation, h0 - h1 = adeg for a Euclidean lattice; both are below the
     true values by less than tail_bound, which bounds the truncation only,
-    not float rounding: the points summed are exact, `_fpenum_py.gauss_sum`
-    bounds the rounding of their sum, and log det rounds too.  For a bundle,
+    not float rounding: the points summed are exact, chosen on the LDL^T
+    rows the summed lattice holds, `_fpenum_py.gauss_sum` bounds the
+    rounding of their sum, and log det rounds too.  For a bundle,
     L is its direct image, h1 is also h0 of the Serre twist, and adeg is the
     bundle's degree, so h0 - h1 = adeg - log(D_F) / 2."""
 
@@ -122,9 +128,10 @@ def theta_invariants_euclidean(
     adeg = (math.log(det.denominator) - math.log(det.numerator)) / 2
     side = lat if det >= 1 else lat.dual()
     if lat.rank == 2:  # summed on a reduced basis, whose outer walk is short
-        num = side.num
+        num, den = side.num, side.den
         (a, _), (b, _), (c, _) = _lagrange(((num[0][0], 0), (num[0][1], 0), (num[1][1], 0)))[0]
-        side = EuclideanLattice(((a, b), (b, c)), side.den, side.det_num)
+        side = euclidean_lattice([[Fraction(a, den), Fraction(b, den)],
+                                  [Fraction(b, den), Fraction(c, den)]])
     h, radius, tail = enumeration.theta_log_sum(side, tail_tol, budget)
     h0, h1 = (h, h - adeg) if det >= 1 else (h + adeg, h)
     return ThetaReport(h0, h1, adeg, radius, tail)

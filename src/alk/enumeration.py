@@ -1,8 +1,8 @@
 """Certified theta sums; box counts sum exact rows in `arakelov.box_count`.
 
-One pure-Python Fincke-Pohst kernel (`_fpenum_py`) walks the lattice's
-integer Gram exactly, so the points summed are those with Q(x) <= R^2.
-It builds no point list: it adds exp(-pi Q(x)) as it reaches each x,
+One pure-Python Fincke-Pohst kernel (`_fpenum_py`) walks the fraction-free
+LDL^T rows the lattice holds, exactly, so the points summed are those with
+Q(x) <= R^2; it makes no elimination of its own.  It builds no point list: it adds exp(-pi Q(x)) as it reaches each x,
 visits only the half space where the last nonzero coordinate of x is
 positive, and returns 1 + 2 * (half sum).
 
@@ -64,5 +64,5 @@ def theta_log_sum(lat, tail_tol=DEFAULT_TAIL_TOL, budget=DEFAULT_BUDGET):
     if not lat.rank:
         raise ValueError("theta sum of a rank-0 lattice")
     radius, tail = truncation_radius(lat.rank, tail_tol)
-    total, _ = _fpenum_py.gauss_sum(lat.num, lat.den, radius * radius, budget)
+    total, _ = _fpenum_py.gauss_sum(lat.rows, lat.den, radius * radius, budget)
     return math.log(total), radius, tail

@@ -67,7 +67,7 @@ from typing import Optional
 from .intarith import is_prime, valuation
 from .nfpoly import Automorphism, Conjugation, NFElem, NumberField, _canonical, _cleared
 from .numfield import FieldTower, conj, norm_square_class
-from .ratlinalg import bareiss, mat_det, mat_inv, mat_mul, transpose
+from .ratlinalg import bareiss, integer_matrix, mat_det, mat_inv, mat_mul, transpose
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
 IDENTITY = (0, 1, 2, 3)
@@ -169,9 +169,8 @@ class EmbeddingData:
     def sqrt_d_matrix(self) -> tuple:
         """sqrt(d)'s regular representation times its common denominator, as
         tuple rows of ints, built once per embedding (commuting ignores scalars)."""
-        m = self.regular_matrix(self.tower.sqrt_d_coords)
-        den = math.lcm(*(x.denominator for row in m for x in row))
-        return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in m)
+        m, _ = integer_matrix(self.regular_matrix(self.tower.sqrt_d_coords))
+        return tuple(map(tuple, m))
 
     @cached_property
     def generators(self) -> tuple:

@@ -62,16 +62,10 @@ def exact_isqrt(n: int) -> Optional[int]:
     return r if r * r == n else None
 
 
-def is_square_int(n: int) -> bool:
-    if n < 0:
-        return False
-    r = math.isqrt(n)
-    return r * r == n
-
-
 def is_square_fraction(x: Fraction | int) -> bool:
     x = Fraction(x)
-    return x >= 0 and is_square_int(x.numerator) and is_square_int(x.denominator)
+    return x >= 0 and exact_isqrt(x.numerator) is not None \
+        and exact_isqrt(x.denominator) is not None
 
 
 def sqrt_fraction(x: Fraction | int) -> Fraction:

@@ -42,13 +42,7 @@ from math import gcd, lcm
 from operator import mul
 
 from .intarith import factorize, is_prime
-
-
-def _over_common_den(vecs) -> tuple[list[list[int]], int]:
-    """Integer numerators of Fraction vectors over their least common
-    denominator."""
-    den = lcm(1, *(c.denominator for v in vecs for c in v))
-    return [[c.numerator * (den // c.denominator) for c in v] for v in vecs], den
+from .ratlinalg import integer_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +117,7 @@ class NumberField:
         n = self.degree
         if len(c) > n:
             raise ValueError(f"{len(c)} coordinates for a field of degree {n}")
-        (num,), den = _over_common_den([c + [Fraction(0)] * (n - len(c))])
+        (num,), den = integer_matrix([c + [Fraction(0)] * (n - len(c))])
         return _canonical(self, num, den)
 
     def one(self) -> "NFElem":
@@ -153,7 +147,7 @@ class NumberField:
             row = [Fraction(0)] * n
             row[t], row[t ^ 1] = p, q * d if t & 1 else q  # e_t w_0 = d^(t&1) e_(t^1)
             rows.append(row)
-        rows, den = _over_common_den(rows)
+        rows, den = integer_matrix(rows)
         return index, [[(i, r) for i, r in enumerate(row) if r] for row in rows], den
 
     @cached_property
@@ -345,7 +339,7 @@ class Automorphism:
     __slots__ = ("field", "_rows", "_den", "_kernel")
 
     def __init__(self, field: NumberField, images):
-        cols, self._den = _over_common_den([x.coeffs for x in images])
+        cols, self._den = integer_matrix([x.coeffs for x in images])
         self._rows = tuple(
             (tuple(j for j, r in enumerate(row) if r), tuple(r for r in row if r))
             for row in zip(*cols))
@@ -380,7 +374,7 @@ def _cleared(matrix) -> tuple[list[int], int]:
              for row in matrix for x in row]
     except TypeError:
         raise ValueError("matrix entries must be rational numbers") from None
-    (v,), e = _over_common_den([q])
+    (v,), e = integer_matrix([q])
     return v, e
 
 

@@ -28,7 +28,6 @@ from .intarith import (
     factorize,
     is_prime,
     is_square_fraction,
-    is_square_int,
     is_squarefree,
     prime_support,
     sqrt_mod,
@@ -153,11 +152,12 @@ def is_square_in_field(x: NFElem) -> bool:
     (A, B), D = x.num, x.den
     if B == 0:
         # A/D in lowest terms is a square iff A D is, and A/(D d) iff A D d is
-        return is_square_int(A * D) or is_square_int(A * D * _d(x))
+        return exact_isqrt(A * D) is not None or exact_isqrt(A * D * _d(x)) is not None
     # (s + t sqrt(d))^2 = x needs Nr(x) = (n/D)^2 and one of the rationals
     # s^2 = (A +- n) / 2D a square, that is 2D(A +- n) a square
     n = exact_isqrt(A * A - _d(x) * B * B)
-    return n is not None and any(is_square_int(2 * D * (A + sign * n)) for sign in (1, -1))
+    return n is not None and any(exact_isqrt(2 * D * (A + sign * n)) is not None
+                                 for sign in (1, -1))
 
 
 def norm_square_class(delta: NFElem) -> tuple[str, Optional[Fraction]]:
@@ -477,15 +477,6 @@ class FracIdeal:
     def is_ideal(self) -> bool:
         omega = self.field.omega
         return all(self.contains(b * omega) for b in self.basis_elems())
-
-    def __eq__(self, other):
-        if not isinstance(other, FracIdeal):
-            return NotImplemented
-        return (self.rows == other.rows and self.den == other.den
-                and self.field.d == other.field.d)
-
-    def __hash__(self):
-        return hash((self.field.d, self.rows, self.den))
 
 
 def prime_ideal(place: Place) -> FracIdeal:

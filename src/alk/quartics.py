@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 
-from .intarith import is_square_int, squarefree_kernel
+from .intarith import exact_isqrt, squarefree_kernel
 from .nfpoly import gaussian_period_quartic
 from .numfield import FieldTower, QuadField, make_quad_field, make_tower
 
@@ -72,7 +72,7 @@ def gaussian_period_tower(p: int) -> FieldTower:
     # its denominator times p^3 is a positive integer square
     disc = power_basis_disc(tower)
     n = disc.numerator * disc.denominator * tower.declared_DK
-    if n <= 0 or not is_square_int(n):
+    if n <= 0 or exact_isqrt(n) is None:
         raise ArithmeticError("power basis discriminant inconsistent with p^3")
     return tower
 

@@ -31,7 +31,7 @@ from .intarith import (
 )
 from .localgeom import different_and_orders
 from .numfield import FieldTower, QuadField, norm_square_class
-from .ratlinalg import mat_det
+from .ratlinalg import mat_det, mat_mul
 
 
 @dataclass(frozen=True)
@@ -139,8 +139,7 @@ def arch_disc(k) -> float:
     basis = [ident, kf]
     power = kf
     while len(basis) < n:  # centralizer algebra has dimension n for regular k
-        power = [[sum(power[i][t] * kf[t][j] for t in range(n)) for j in range(n)]
-                 for i in range(n)]
+        power = mat_mul(power, kf)
         basis.append(power)
     return arch_disc_from_basis(basis)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alk import _fpenum_py, arakelov, enumeration
+from alk import _fpenum_py, arakelov, enumeration, ratlinalg
 from alk.arakelov import (
     adeg,
     adeg_via_section,
@@ -359,6 +359,38 @@ def test_a_bundle_takes_one_theta_sum(monkeypatch):
             calls.clear()
             bundle_theta_and_h0ar(bundle)
             assert len(calls) == 1, bundle
+
+
+def test_a_lattice_takes_one_bareiss_pass(monkeypatch):
+    # the pass euclidean_lattice makes for the definiteness test and det is
+    # the one the theta kernel walks; _fpenum_py binds no bareiss, and one set
+    # there would be counted too
+    callers = []
+
+    def counted(m):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return ratlinalg.bareiss(m)
+
+    for module in (arakelov, _fpenum_py):
+        monkeypatch.setattr(module, "bareiss", counted, raising=False)
+    in_sums = []
+    gauss_sum = _fpenum_py.gauss_sum
+
+    def counted_sum(*args, **kw):
+        before = len(callers)
+        out = gauss_sum(*args, **kw)
+        in_sums.append(len(callers) - before)
+        return out
+
+    monkeypatch.setattr(_fpenum_py, "gauss_sum", counted_sum)
+    rng = random.Random(31)
+    for n in (3, 4):
+        for _ in range(5):
+            gram = random_posdef_gram(rng, n, shift=1)  # det >= 1: L is summed
+            callers.clear()
+            in_sums.clear()
+            theta_invariants_euclidean(euclidean_lattice(gram))
+            assert (callers, in_sums) == (["euclidean_lattice"], [0]), gram
 
 
 @pytest.mark.parametrize("k", [10 ** 3, 10 ** 5, 10 ** 7])

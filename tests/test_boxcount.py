@@ -5,17 +5,19 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from alk.boxcount import (
+    _ideal_from_finite,
     count_box,
     count_box_naive,
     counting_bound_check,
     make_radius_family,
     norm_of_family,
 )
-from alk.arakelov import box_count, bundle_theta_and_h0ar, f_bound, ideal_gram, make_bundle
+from alk.arakelov import (_reduce_forms, box_count, bundle_theta_and_h0ar, f_bound, ideal_gram,
+                          make_bundle)
 from alk.enumeration import BudgetExceeded
 from alk.numfield import (
     FracIdeal,
@@ -320,17 +322,49 @@ def test_needle_bundles_answer(e):
     assert h0_ar == math.log(count_box(F, make_radius_family(F, [], radii))) == 0.0
 
 
+def _naive_pairs(F, fam) -> int:
+    """The (m, k) pairs count_box_naive tries: |m| <= m_max and |k| <= k_max
+    on the trace form's reduced basis, as it bounds them."""
+    ideal = _ideal_from_finite(fam)
+    ((n0, _), (n01, _), (n1, _)), _, _ = _reduce_forms(F.d, ideal.rows)
+    t_max = ideal.den ** 2 * sum(x * x for x in fam.infinite) / 2
+    det = n0 * n1 - n01 * n01
+    return (2 * math.isqrt(math.floor(t_max * n1 / det)) + 1) * \
+        (2 * math.isqrt(math.floor(t_max * n0 / det)) + 1)
+
+
+def _skewed_family(d, p, e, rho, ratio):
+    F = QuadField(d)
+    place = finite_places(F, p)[0]
+    return F, make_radius_family(F, [(place, Fraction(place.residue_size) ** e)],
+                                 [rho, rho * ratio])
+
+
 @settings(max_examples=60, deadline=None)
 @given(d=st.sampled_from((2, 3, 5, 13, 17, 41)), p=st.sampled_from((2, 3, 5, 7)),
        e=st.integers(-2, 2), rho=st.fractions(Fraction(1, 4), 12),
        ratio=st.fractions(Fraction(1, 16), 16))
 def test_skewed_boxes_match_the_naive_count(d, p, e, rho, ratio):
     # boxes of ratio up to 16 have a reduced basis of their own, unlike the
-    # trace form's of count_box_naive
-    F = QuadField(d)
-    place = finite_places(F, p)[0]
-    fam = make_radius_family(F, [(place, Fraction(place.residue_size) ** e)], [rho, rho * ratio])
+    # trace form's of count_box_naive; the oracle takes about a microsecond
+    # a pair, so its pairs are bounded here and the large boxes pinned below
+    F, fam = _skewed_family(d, p, e, rho, ratio)
+    assume(_naive_pairs(F, fam) <= 20_000)
     assert count_box(F, fam) == count_box_naive(F, fam)
+
+
+@pytest.mark.parametrize("d, p, ratio, want", [
+    (41, 7, 16, 3_455_753),
+    (5, 3, 16, 333_845),
+    (13, 7, Fraction(1, 16), 23_971),
+])
+def test_large_skewed_boxes_keep_their_naive_counts(d, p, ratio, want):
+    # boxes the draw above reaches, at an inert place, e = 2 and rho = 12,
+    # where the oracle tries 4 * 10^5 to 6 * 10^7 pairs: each count was
+    # taken once by count_box_naive
+    F, fam = _skewed_family(d, p, 2, Fraction(12), ratio)
+    assert splitting_type(F, p) == "inert"
+    assert within_seconds(5, lambda: count_box(F, fam)) == want
 
 
 # ---------------------------------------------------------------------------

@@ -93,15 +93,16 @@ EMBEDDINGS = {name: regular_embedding(TOWERS[name]) for name in
 
 def test_number_field_has_one_basis():
     """A field is its Kummer squares and nothing else: no polynomial, no
-    matrix route, and no linear algebra behind the arithmetic."""
+    matrix route, and no linear algebra behind the arithmetic; from
+    ratlinalg it takes only `integer_matrix`, which clears denominators."""
     assert [f.name for f in dataclasses.fields(NumberField)] == ["squares"]
     for name in ("min_poly", "_monic", "gen", "_traces"):
         assert not hasattr(NumberField, name), name
     for name in ("_int_mult_matrix", "mult_matrix"):
         assert not hasattr(NFElem, name), name
     tree = ast.parse(Path(nfpoly.__file__).read_text())
-    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-                and n.module and "ratlinalg" in n.module]
+    assert [alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+            and n.module and "ratlinalg" in n.module for alias in n.names] == ["integer_matrix"]
 
 
 def test_nonintegral_field_is_covered():

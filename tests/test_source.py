@@ -52,3 +52,35 @@ def test_private_helpers_are_used_in_the_package():
     unused = [name for tree in trees for name, own in _private_definitions(tree)
               if not any(name in names for node, names in reads if node is not own)]
     assert unused == []
+
+
+def _enclosing_functions(tree):
+    """{id(node): the names of the functions that enclose it}."""
+    found = {}
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            found[id(child)] = names
+            inner = names + (child.name,) if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else names
+            visit(child, inner)
+
+    visit(tree, ())
+    return found
+
+
+def test_a_lattice_is_built_once_and_the_kernel_eliminates_nothing():
+    # euclidean_lattice makes the one Bareiss pass of a lattice, and the
+    # theta kernel walks the rows the lattice keeps from it
+    stray = []
+    for path in sorted(Path(alk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        scopes = _enclosing_functions(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "EuclideanLattice" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)) \
+                    and "euclidean_lattice" not in scopes[id(node)]:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+    kernel = Path(alk.__file__).parent / "_fpenum_py.py"
+    assert "bareiss" not in set(_names_read(ast.parse(kernel.read_text())))
