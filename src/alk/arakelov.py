@@ -38,10 +38,10 @@ class EuclideanLattice:
     U that one `ratlinalg.bareiss` pass leaves on num, a fraction-free LDL^T
     with pivots p_k = U[k][k], the leading principal minors of num:
     x^T num x = sum_k (U_k . x)^2 / (p_{k-1} p_k), p_{-1} = 1, so det num is
-    the last pivot.  `euclidean_lattice` builds every lattice: it clears a
-    Gram to this form once, a float entry as its exact binary value, and
-    makes that pass, so det, dual and the definiteness test are exact and
-    `_fpenum_py.gauss_sum` walks U as it is."""
+    the last pivot.  `_lattice` builds every lattice from an integer Gram in
+    lowest terms and makes that pass, so det, dual and the definiteness test
+    are exact and `_fpenum_py.gauss_sum` walks U as it is; `euclidean_lattice`
+    clears a Gram from outside to that form, a float as its exact value."""
 
     num: tuple[tuple[int, ...], ...]
     den: int
@@ -60,11 +60,30 @@ class EuclideanLattice:
 
     def dual(self) -> "EuclideanLattice":
         """L*, of Gram den * adj(num) / det(num) and determinant 1 / det(L)."""
-        adj, det = adjugate(self.num)
-        return euclidean_lattice([[Fraction(self.den * x, det) for x in row] for row in adj])
+        return _lattice(*_dual_gram(self))
+
+
+def _dual_gram(lat: EuclideanLattice) -> tuple[list[list[int]], int]:
+    """L*'s Gram den * adj(num) / det(num) in lowest terms, as (m, den)."""
+    adj, det = adjugate(lat.num)
+    g = math.gcd(det, lat.den * math.gcd(*(x for row in adj for x in row)))
+    return [[lat.den * x // g for x in row] for row in adj], det // g
+
+
+def _lattice(m: list[list[int]], den: int) -> EuclideanLattice:
+    """The lattice of Gram m / den, m a symmetric integer matrix with no
+    factor in common with den > 0; the Bareiss pass eliminates m in place."""
+    num = tuple(map(tuple, m))
+    # Sylvester's criterion: before a row swap the pivots are the leading minors
+    pivots, swaps = bareiss(m)
+    if swaps or not all(p > 0 for p in pivots):
+        raise ValueError("Gram matrix not positive definite")
+    return EuclideanLattice(num, den, tuple((0,) * k + tuple(row[k:]) for k, row in enumerate(m)))
 
 
 def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
+    """The lattice of a Gram of ints, rationals or floats; ValueError unless
+    it is square, finite, symmetric and positive definite."""
     # int and Fraction first: the abstract Rational test is several times slower
     exact = all(isinstance(x, (int, Fraction)) or isinstance(x, Rational)
                 for row in gram for x in row)
@@ -83,14 +102,9 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
             raise ValueError("Gram matrix not symmetric")
         g = [[Fraction(g[min(i, j)][max(i, j)]) for j in range(n)] for i in range(n)]
     m, den = integer_matrix(g)
-    num = tuple(map(tuple, m))
     if m != transpose(m):
         raise ValueError("Gram matrix not symmetric")
-    # Sylvester's criterion: before a row swap the pivots are the leading minors
-    pivots, swaps = bareiss(m)
-    if swaps or not all(p > 0 for p in pivots):
-        raise ValueError("Gram matrix not positive definite")
-    return EuclideanLattice(num, den, tuple((0,) * k + tuple(row[k:]) for k, row in enumerate(m)))
+    return _lattice(m, den)
 
 
 @dataclass(frozen=True)
@@ -126,12 +140,13 @@ def theta_invariants_euclidean(
     # math.log reads an int of any size, where float(det) may overflow or
     # underflow
     adeg = (math.log(det.denominator) - math.log(det.numerator)) / 2
-    side = lat if det >= 1 else lat.dual()
+    side = lat if det >= 1 or lat.rank == 2 else lat.dual()
     if lat.rank == 2:  # summed on a reduced basis, whose outer walk is short
-        num, den = side.num, side.den
+        # reduction keeps the content of the Gram, so it stays in lowest terms
+        num, den = (lat.num, lat.den) if det >= 1 else _dual_gram(lat)
         (a, _), (b, _), (c, _) = _lagrange(((num[0][0], 0), (num[0][1], 0), (num[1][1], 0)))[0]
-        side = euclidean_lattice([[Fraction(a, den), Fraction(b, den)],
-                                  [Fraction(b, den), Fraction(c, den)]])
+        if det < 1 or (a, b, c) != (num[0][0], num[0][1], num[1][1]):
+            side = _lattice([[a, b], [b, c]], den)
     h, radius, tail = enumeration.theta_log_sum(side, tail_tol, budget)
     h0, h1 = (h, h - adeg) if det >= 1 else (h + adeg, h)
     return ThetaReport(h0, h1, adeg, radius, tail)

@@ -80,11 +80,11 @@ def _ideal_from_finite(r: RadiusFamily):
         for place, ru in r.finite:
             q *= Fraction(1, place.p) ** _radius_exponent(ru, place.p)
         return q
-    ideal = FracIdeal.maximal_order(r.field)
+    ideal = None  # the product starts at its first factor
     for place, ru in r.finite:
-        e = _radius_exponent(ru, place.residue_size)
-        ideal = ideal * prime_ideal(place) ** (-e)
-    return ideal
+        factor = prime_ideal(place) ** -_radius_exponent(ru, place.residue_size)
+        ideal = factor if ideal is None else ideal * factor
+    return FracIdeal.maximal_order(r.field) if ideal is None else ideal
 
 
 def count_box(field: Optional[QuadField], r: RadiusFamily,

@@ -338,37 +338,6 @@ def content(F: QuadField, x: NFElem) -> float:
 # fractional ideals (maximal order of a quadratic field)
 
 
-def _hnf_rows(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Hermite normal form [[a, b], [0, c]] of the Z-module spanned by rows."""
-    rows = [r for r in rows if r != (0, 0)]
-    if not rows:
-        raise ValueError("zero module")
-    # gcd of the first column with Bezout tracking
-    while True:
-        nz = [r for r in rows if r[0] != 0]
-        if len(nz) <= 1:
-            break
-        nz.sort(key=lambda r: abs(r[0]))
-        a = nz[0]
-        new = [a]
-        for r in nz[1:]:
-            q = r[0] // a[0]
-            new.append((r[0] - q * a[0], r[1] - q * a[1]))
-        rows = new + [r for r in rows if r[0] == 0]
-    first = next((r for r in rows if r[0] != 0), None)
-    seconds = [r[1] for r in rows if r[0] == 0]
-    if first is None or not seconds:
-        raise ValueError("rows do not span a rank-2 module")
-    c = 0
-    for s in seconds:
-        c = math.gcd(c, s)
-    if c == 0:
-        raise ValueError("rows do not span a rank-2 module")
-    a, b = abs(first[0]), first[1] if first[0] > 0 else -first[1]
-    b %= c
-    return (a, b), (0, c)
-
-
 @dataclass(frozen=True)
 class FracIdeal:
     """Fractional ideal of O_F, stored as an HNF basis on the Kummer numerators
@@ -405,12 +374,27 @@ class FracIdeal:
 
     @staticmethod
     def _from_rows(F: QuadField, rows, den: int) -> "FracIdeal":
-        """The Z-module spanned by the integer rows, scaled by 1/den, in
-        lowest terms."""
-        r = _hnf_rows(rows)
-        g = math.gcd(r[0][0], r[0][1], r[1][1], den)
-        rows2 = ((r[0][0] // g, r[0][1] // g), (0, r[1][1] // g))
-        return FracIdeal(F, rows2, den // g)
+        """The Z-module spanned by the integer rows (x, y), scaled by 1/den, in
+        its canonical form, from one pass over the rows: each joins the HNF
+        ((a, b), (0, c)) of the rows before it, since (a, b) and (x, y) span
+        what (g, s*b + t*y) and (0, (a*y - x*b) / g) span, for
+        g = gcd(a, x) = s*a + t*x (Cohen, GTM 138, 2.4).  ValueError unless
+        the rows span a rank-2 module."""
+        a = b = c = 0
+        for x, y in rows:
+            if x:
+                g = math.gcd(a, x)
+                s = pow(a // g, -1, abs(x) // g)  # s*a = g mod x, so t is exact
+                t = (g - s * a) // x
+                a, b, c = g, s * b + t * y, math.gcd(c, (a * y - x * b) // g)
+            else:
+                c = math.gcd(c, y)
+            if c:
+                b %= c
+        if not (a and c):
+            raise ValueError("rows do not span a rank-2 module")
+        g = math.gcd(a, b, c, den)
+        return FracIdeal(F, ((a // g, b // g), (0, c // g)), den // g)
 
     @staticmethod
     def maximal_order(F: QuadField) -> "FracIdeal":
@@ -452,15 +436,13 @@ class FracIdeal:
     def __pow__(self, n: int) -> "FracIdeal":
         if n == 0:
             return FracIdeal.maximal_order(self.field)
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = FracIdeal.maximal_order(self.field)
-        base = self
-        while n:
-            if n & 1:
+        # left to right over the bits of |n|, from the base itself
+        base = self if n > 0 else self.inverse()
+        out = base
+        for bit in bin(abs(n))[3:]:
+            out = out * out
+            if bit == "1":
                 out = out * base
-            base = base * base
-            n >>= 1
         return out
 
     def contains(self, x: NFElem) -> bool:

@@ -362,8 +362,8 @@ def test_a_bundle_takes_one_theta_sum(monkeypatch):
 
 
 def test_a_lattice_takes_one_bareiss_pass(monkeypatch):
-    # the pass euclidean_lattice makes for the definiteness test and det is
-    # the one the theta kernel walks; _fpenum_py binds no bareiss, and one set
+    # the pass _lattice makes for the definiteness test and det is the one
+    # the theta kernel walks; _fpenum_py binds no bareiss, and one set
     # there would be counted too
     callers = []
 
@@ -390,7 +390,42 @@ def test_a_lattice_takes_one_bareiss_pass(monkeypatch):
             callers.clear()
             in_sums.clear()
             theta_invariants_euclidean(euclidean_lattice(gram))
-            assert (callers, in_sums) == (["euclidean_lattice"], [0]), gram
+            assert (callers, in_sums) == (["_lattice"], [0]), gram
+
+
+def test_theta_builds_at_most_one_lattice_beyond_its_input(monkeypatch):
+    # the summed side is L itself when det >= 1 and its Gram is reduced (a
+    # bundle's direct image at rank 2), and otherwise the one lattice built:
+    # the reduced rank-2 side, reduced from L*'s integer Gram, or L*
+    built = []
+
+    class Counted(arakelov.EuclideanLattice):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def count(lat):
+        monkeypatch.setattr(arakelov, "EuclideanLattice", Counted)
+        built.clear()
+        theta_invariants_euclidean(lat)
+        monkeypatch.undo()
+        return len(built)
+
+    rng = random.Random(37)
+    seen = {True: 0, False: 0}
+    for F in FIELDS:
+        for _ in range(15):
+            lat = direct_image(random_principal_bundle(rng, F))
+            seen[lat.det() >= 1] += 1
+            assert count(lat) == (0 if lat.det() >= 1 else 1), lat
+    assert min(seen.values()) >= 5, seen
+    for k in (1, 2, 50):  # det 1, a sheared basis of Z^2
+        assert count(euclidean_lattice([[1, k], [k, k * k + 1]])) == 1
+    for n in (3, 4):
+        for _ in range(5):
+            gram = random_posdef_gram(rng, n)
+            assert count(euclidean_lattice([[x / 64 for x in row] for row in gram])) == 1
+            assert count(euclidean_lattice(gram)) == 0
 
 
 @pytest.mark.parametrize("k", [10 ** 3, 10 ** 5, 10 ** 7])

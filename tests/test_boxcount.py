@@ -108,6 +108,26 @@ def test_norm_of_family_multiplies_all_radii():
     assert norm_of_family(fam) == 3
 
 
+def test_the_ideal_of_a_family_forms_no_product_with_the_maximal_order(monkeypatch):
+    # each place forms its prime ideal and the power's HNFs; the family's
+    # product starts at its first factor, and with no place at O_F
+    F = make_quad_field(-1)
+    v1, v2 = finite_places(F, 5)
+    calls = []
+    from_rows = FracIdeal._from_rows
+    monkeypatch.setattr(FracIdeal, "_from_rows",
+                        staticmethod(lambda *args: calls.append(args) or from_rows(*args)))
+    for finite, formed, want in (
+            ([], 0, FracIdeal.maximal_order(F)),
+            ([(v1, Fraction(1, 5))], 1, prime_ideal(v1)),
+            ([(v1, Fraction(1, 5)), (v2, Fraction(1, 25))], 1 + 2 + 1,
+             prime_ideal(v1) * prime_ideal(v2) ** 2)):
+        fam = make_radius_family(F, finite, [Fraction(3)])
+        calls.clear()
+        assert _ideal_from_finite(fam) == want
+        assert len(calls) == formed, finite
+
+
 def test_two_counting_routes_agree_on_random_families():
     rng = random.Random(19)
     for d in (-1, 2, 5, -3):
@@ -368,7 +388,7 @@ def test_large_skewed_boxes_keep_their_naive_counts(d, p, ratio, want):
 
 
 # ---------------------------------------------------------------------------
-# the one ideal Gram behind count_box, box_sections and direct_image
+# the one ideal Gram behind box_count, direct_image and a bundle's theta sum
 
 
 def _exact_value(a: Fraction, b: Fraction, d: int, R1, R2) -> Decimal:

@@ -90,6 +90,15 @@ def test_count_box_at_a_large_split_prime_answers(capsys):
     assert code == 2 and data["status"] == "hypothesis_violated" and data["count"] == 5
 
 
+def test_count_box_at_the_24th_power_of_a_split_prime(capsys):
+    # radius 7^-24 at the split place over 7 in Q(sqrt 2): the ideal P^24
+    # (the CI call of the same box)
+    code, data = within_seconds(5, lambda: run_json(capsys, [
+        "count-box", "--field", '{"d": 2}', "--rinf", "[96889010407, 96889010407]",
+        "--rfin", '{"7": ["1/191581231380566414401", 1]}']))
+    assert code == 0 and data["status"] == "ok" and data["count"] == 67
+
+
 def test_count_box_needs_one_finite_radius_per_place(capsys):
     # 3 is inert in Q(i) and 2 is one place of Q: a second radius was dropped;
     # 5 splits in Q(i), so a bare number leaves its second place unset

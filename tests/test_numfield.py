@@ -245,6 +245,82 @@ def test_integer_ideal_product_matches_the_generator_route():
     assert cases > 1000
 
 
+# entries small, moderate and near +-10^40, with zero rows and rows (0, y)
+_HNF_ENTRY = st.one_of(st.integers(-6, 6), st.integers(-10 ** 6, 10 ** 6),
+                       st.integers(10 ** 40 - 10 ** 3, 10 ** 40 + 10 ** 3),
+                       st.integers(-10 ** 40 - 10 ** 3, -10 ** 40 + 10 ** 3))
+_HNF_ROW = st.one_of(st.tuples(_HNF_ENTRY, _HNF_ENTRY), st.tuples(st.just(0), _HNF_ENTRY),
+                     st.just((0, 0)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.lists(_HNF_ROW, min_size=1, max_size=8))
+def test_hnf_of_rows_matches_an_independent_oracle(rows):
+    # the HNF ((a, b), (0, c)) of a rank-2 Z-module M: a generates the first
+    # coordinates, a*c = [Z^2 : M] is the gcd of the 2x2 minors, each row is
+    # an integer combination of the two HNF rows, and 0 <= b < c
+    minors = math.gcd(*(x * w - y * z for i, (x, y) in enumerate(rows) for z, w in rows[i + 1:]))
+    F = QuadField(2)
+    if minors == 0:
+        with pytest.raises(ValueError):
+            FracIdeal._from_rows(F, rows, 1)
+        return
+    ideal = FracIdeal._from_rows(F, rows, 1)
+    (a, b), (zero, c) = ideal.rows
+    assert ideal.den == 1 and zero == 0
+    assert a == math.gcd(*(x for x, _ in rows))
+    assert a * c == minors
+    assert 0 <= b < c
+    assert all(x % a == 0 and (y - x // a * b) % c == 0 for x, y in rows)
+
+
+def test_powers_form_no_wasted_products(monkeypatch):
+    # by squaring from P itself: no product with O_F, no square past the top bit
+    P = prime_ideal(finite_places(QuadField(2), 7)[0])
+    calls = []
+    from_rows = FracIdeal._from_rows
+    monkeypatch.setattr(FracIdeal, "_from_rows",
+                        staticmethod(lambda *args: calls.append(args) or from_rows(*args)))
+    for e, formed in ((1, 0), (2, 1), (24, 5), (-1, 1), (-24, 6)):
+        calls.clear()
+        P ** e
+        assert len(calls) == formed, e
+
+
+def _repeated_powers(P, top):
+    """{e: P^e} for |e| <= top, by repeated multiplication by P and by P^-1."""
+    out = {0: FracIdeal.maximal_order(P.field)}
+    for step, sign in ((P, 1), (P.inverse(), -1)):
+        for k in range(1, top + 1):
+            out[sign * k] = out[sign * (k - 1)] * step
+    return out
+
+
+def test_large_powers_equal_repeated_products():
+    # P^+-24 at the split places over 7 in Q(sqrt 2) and over 5 in Q(i),
+    # where the HNF of a power once took over 400 us; then e = -30..30 at a
+    # split, an inert and a ramified prime of five fields
+    def check(P, exponents):
+        powers = _repeated_powers(P, max(map(abs, exponents)))
+        for e in exponents:
+            got = P ** e
+            assert got == powers[e], (P, e)
+            assert got.norm() == P.norm() ** e, (P, e)
+
+    def run():
+        for d, p in ((2, 7), (-1, 5)):
+            for place in finite_places(QuadField(d), p):
+                check(prime_ideal(place), (24, -24))
+        for d in (-1, 2, 5, -3, 13):
+            F = QuadField(d)
+            for tag in ("split", "inert", "ramified"):
+                p = next(p for p in (2, 3, 5, 7, 11, 13, 17) if splitting_type(F, p) == tag)
+                for place in finite_places(F, p):
+                    check(prime_ideal(place), range(-30, 31))
+
+    within_seconds(20, run)
+
+
 def test_ideal_contains_its_basis():
     F = QuadField(-1)
     ideal = FracIdeal.from_gens(F, [F.elem(2, 1)])

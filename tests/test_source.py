@@ -70,8 +70,8 @@ def _enclosing_functions(tree):
 
 
 def test_a_lattice_is_built_once_and_the_kernel_eliminates_nothing():
-    # euclidean_lattice makes the one Bareiss pass of a lattice, and the
-    # theta kernel walks the rows the lattice keeps from it
+    # _lattice makes the one Bareiss pass of a lattice, and the theta kernel
+    # walks the rows the lattice keeps from it
     stray = []
     for path in sorted(Path(alk.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -79,8 +79,17 @@ def test_a_lattice_is_built_once_and_the_kernel_eliminates_nothing():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and "EuclideanLattice" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)) \
-                    and "euclidean_lattice" not in scopes[id(node)]:
+                    and "_lattice" not in scopes[id(node)]:
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
     kernel = Path(alk.__file__).parent / "_fpenum_py.py"
     assert "bareiss" not in set(_names_read(ast.parse(kernel.read_text())))
+
+
+def test_lattices_reach_the_builder_in_integers():
+    # the dual and the reduced rank-2 side hand _lattice integer Grams; no
+    # Fraction is built between two lattices
+    tree = ast.parse((Path(alk.__file__).parent / "arakelov.py").read_text())
+    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert [name for name in ("dual", "theta_invariants_euclidean", "_dual_gram", "_lattice")
+            if "Fraction" in set(_names_read(funcs[name]))] == []
