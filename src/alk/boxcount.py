@@ -26,12 +26,12 @@ from .numfield import FracIdeal, Place, QuadField, finite_places, prime_ideal
 
 @dataclass(frozen=True)
 class RadiusFamily:
-    """finite: ((place, radius), ...) with radius = q_v^e; all omitted
+    """finite: ((place, radius, e), ...) with radius = q_v^e; all omitted
     places have radius 1.  infinite: one radius per Archimedean place
     (two real, or one complex in the normalized scale, or one for Q)."""
 
     field: Optional[QuadField]
-    finite: tuple[tuple[Place, Fraction], ...]
+    finite: tuple[tuple[Place, Fraction, int], ...]
     infinite: tuple[Fraction, ...]
 
 
@@ -54,11 +54,11 @@ def make_radius_family(field: Optional[QuadField], finite, infinite) -> RadiusFa
         if not (isinstance(place, Place) and place.kind == "finite"
                 and place in finite_places(field, place.p)):
             raise ValueError(f"{place} is not a finite place of {field or 'Q'}")
-        if any(place == v for v, _ in fin):
+        if any(place == v for v, _, _ in fin):
             raise ValueError(f"a radius at the {place.tag} place over {place.p} is given twice")
         r = Fraction(r)
-        _radius_exponent(r, place.residue_size)  # validates the value group
-        fin.append((place, r))
+        # validates the value group; the exponent is kept for the ideal
+        fin.append((place, r, _radius_exponent(r, place.residue_size)))
     inf = tuple(Fraction(r) if isinstance(r, Rational) else Fraction(float(r))
                 for r in (infinite if isinstance(infinite, (tuple, list)) else (infinite,)))
     if any(r <= 0 for r in inf):
@@ -70,19 +70,19 @@ def make_radius_family(field: Optional[QuadField], finite, infinite) -> RadiusFa
 
 
 def norm_of_family(r: RadiusFamily) -> Fraction:
-    return math.prod([ru for _, ru in r.finite] + list(r.infinite), start=Fraction(1))
+    return math.prod([ru for _, ru, _ in r.finite] + list(r.infinite), start=Fraction(1))
 
 
 def _ideal_from_finite(r: RadiusFamily):
     """The fractional ideal {x : |x|_u <= r_u at all finite u}."""
     if r.field is None:
         q = Fraction(1)
-        for place, ru in r.finite:
-            q *= Fraction(1, place.p) ** _radius_exponent(ru, place.p)
+        for place, _, e in r.finite:
+            q *= Fraction(1, place.p) ** e
         return q
     ideal = None  # the product starts at its first factor
-    for place, ru in r.finite:
-        factor = prime_ideal(place) ** -_radius_exponent(ru, place.residue_size)
+    for place, _, e in r.finite:
+        factor = prime_ideal(place) ** -e
         ideal = factor if ideal is None else ideal * factor
     return FracIdeal.maximal_order(r.field) if ideal is None else ideal
 

@@ -4,9 +4,10 @@ Every field is a tower of quadratic extensions on the products of its
 generators sqrt(d), u, v, whose squares lie in Q(sqrt d) (Cohen, GTM 193,
 ch. 2), so Q(sqrt d) c K = F(u) c L = K(v) embed by zero-padding
 coordinates.  Cyclic quartic fields inside Q(zeta_p), p = 1 mod 4, are
-built from Gaussian periods multiplied on their own normal basis through
-a table of cyclotomic numbers built in O(p) steps; the one product
-needed is (eta_0 - eta_2)^2, the radicand delta of the tower.
+built from Gaussian periods: (eta_0 - eta_2)^2, four times the radicand
+of the tower, is ((-1)^((p-1)/4) p - a sqrt p)/2 in closed form for
+p = a^2 + b^2 with a = 1 mod 4, and Cornacchia's algorithm finds a from a
+square root of -1 mod p in O(log p) steps.
 
 A field element is a vector of integer numerators over one positive
 common denominator, kept in lowest terms (Cohen, GTM 138, ch. 4).  A
@@ -38,10 +39,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 
-from .intarith import factorize, is_prime
+from .intarith import is_prime, sqrt_mod
 from .ratlinalg import integer_matrix
 
 
@@ -423,52 +424,33 @@ class Conjugation:
 # Gaussian periods
 
 
-def _primitive_root(p: int) -> int:
-    fac = factorize(p - 1)
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise ValueError("no primitive root found")
+def gaussian_period_delta(p: int) -> tuple[int, int]:
+    """The odd integers (A, B) with (eta_0 - eta_2)^2 = (A + B sqrt p)/2 for
+    the quartic Gaussian periods eta_j of Q(zeta_p), p prime, p = 1 mod 4.
+
+    In closed form A = (-1)^((p-1)/4) p and B = -a, where p = a^2 + b^2
+    with a = 1 mod 4 (Berndt-Evans-Williams, Gauss and Jacobi Sums, on the
+    quartic Jacobi sum).  Cornacchia's algorithm finds a: for
+    x^2 = -1 mod p, Euclid on (p, x) reaches a remainder r < sqrt(p), and
+    {r, sqrt(p - r^2)} = {|a|, |b|} (Cohen, GTM 138, Algorithm 1.5.2).
+    """
+    if p % 4 != 1 or not is_prime(p):
+        raise ValueError(f"p must be a prime = 1 mod 4, got p = {p}")
+    x, r, s = p, sqrt_mod(-1, p), isqrt(p)
+    while r > s:
+        x, r = r, x % r
+    a = r if r % 2 else isqrt(p - r * r)
+    return (p if p % 8 == 1 else -p), (-a if a % 4 == 1 else a)
 
 
 def gaussian_period_quartic(p: int) -> dict:
     """Exact data for the quartic subfield K of Q(zeta_p), p prime, p = 1 mod 4.
 
     Returns delta = (eta_0 - eta_2)^2 in F = Q(sqrt(p)) as a pair
-    (rational part, sqrt(p) coefficient).
-
-    The work is done on the normal basis eta_0..eta_3 of K, where eta_j
-    sums zeta^x over C_j = {g^(4k+j)} for the primitive root g, the Galois
-    generator tau: eta_j -> eta_(j+1) shifts coordinates and
-    1 = -(eta_0 + ... + eta_3).  With m = (p-1)/4 and the cyclotomic
-    numbers (j, t) = #{z in C_j : 1 + z in C_t},
-    eta_0 eta_j = sum_t ((j, t) - m [-1 in C_j]) eta_t and
-    eta_a eta_b = tau^a(eta_0 eta_(b-a)) (Berndt-Evans-Williams, Gauss and
-    Jacobi Sums, ch. 2), so this costs O(p).  The square must be fixed by
-    tau^2, (a, b, a, b), and eta_0 + eta_2 = (-1 + sqrt p)/2 and
-    eta_1 + eta_3 = (-1 - sqrt p)/2 (the Gauss sum) then give delta.
+    (rational part, sqrt(p) coefficient), read from the closed form of
+    `gaussian_period_delta`.  eta_j sums zeta^x over C_j = {g^(4k+j)} for
+    a primitive root g; eta_0 and eta_2 do not depend on g, and
+    eta_0 + eta_2 = (-1 + sqrt p)/2 (the Gauss sum).
     """
-    if p % 4 != 1 or not is_prime(p):
-        raise ValueError(f"p must be a prime = 1 mod 4, got p = {p}")
-    g, m = _primitive_root(p), (p - 1) // 4
-    cls = [0] * p  # x in C_cls[x] for 0 < x < p
-    x = 1
-    for k in range(p - 1):
-        cls[x] = k % 4
-        x = x * g % p
-    table = [[-m * (cls[p - 1] == j)] * 4 for j in range(4)]  # eta_0 eta_j
-    for z in range(1, p - 1):
-        table[cls[z]][cls[z + 1]] += 1
-
-    def mul(u, v):  # product in normal coordinates
-        out = [0] * 4
-        for a, ua in enumerate(u):
-            for b, vb in enumerate(v):
-                for t, c in enumerate(table[(b - a) % 4]):
-                    out[(t + a) % 4] += ua * vb * c
-        return out
-
-    a, b, a2, b2 = mul([1, 0, -1, 0], [1, 0, -1, 0])
-    if (a2, b2) != (a, b):
-        raise ArithmeticError("(eta_0 - eta_2)^2 is not fixed by tau^2")
-    return {"p": p, "delta": (Fraction(-(a + b), 2), Fraction(a - b, 2))}
+    A, B = gaussian_period_delta(p)
+    return {"p": p, "delta": (Fraction(A, 2), Fraction(B, 2))}

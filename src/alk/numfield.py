@@ -71,6 +71,8 @@ class QuadField:
 
     def elem(self, a, b=0) -> NFElem:
         """The element a + b*sqrt(d)."""
+        if type(a) is int and type(b) is int:
+            return NFElem(self.nf, (a, b), 1)
         a, b = Fraction(a), Fraction(b)
         # numerators over the lcm of the denominators are already coprime to it
         den = math.lcm(a.denominator, b.denominator)

@@ -6,7 +6,7 @@ p = 1 mod 4 (Gaussian periods).  Every tower is given by (F, delta, alpha),
 its primitive element being theta = alpha + sqrt(delta) with alpha in F:
 make_tower takes theta = sqrt(delta) (alpha = 0) or sqrt(d) + sqrt(e)
 (alpha = sqrt d), and a Gaussian tower keeps the period eta_0 with
-alpha = (-1 + sqrt p)/4 and delta read from the period products.
+alpha = (-1 + sqrt p)/4 and delta in closed form from p = a^2 + b^2.
 FieldTower derives theta's minimal polynomial, K's Kummer basis and the
 coordinates of sqrt(d) from these three, and git4 takes all four
 conjugates of theta from the same root formula.
@@ -18,7 +18,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .intarith import exact_isqrt, squarefree_kernel
-from .nfpoly import gaussian_period_quartic
+from .nfpoly import NFElem, gaussian_period_delta
 from .numfield import FieldTower, QuadField, make_quad_field, make_tower
 
 
@@ -60,13 +60,14 @@ def gaussian_period_tower(p: int) -> FieldTower:
 
     The primitive element is the Gaussian period eta_0.  As
     eta_0 + eta_2 = (-1 + sqrt p)/2, it is alpha + sqrt(delta) with
-    alpha = (-1 + sqrt p)/4 and delta = (eta_0 - eta_2)^2/4.  The declared
-    discriminant p^3 comes from the conductor-discriminant formula and is
-    cross-checked against `power_basis_disc` (square index).
+    alpha = (-1 + sqrt p)/4 and delta = (eta_0 - eta_2)^2/4 = (A + B sqrt p)/8
+    for the odd integers (A, B) of `gaussian_period_delta`, so both are
+    built in lowest terms from integers.  The declared discriminant p^3
+    comes from the conductor-discriminant formula and is cross-checked
+    against `power_basis_disc` (square index).
     """
     F = make_quad_field(p)
-    delta = F.elem(*gaussian_period_quartic(p)["delta"]) / 4
-    tower = FieldTower(F, delta, F.elem(Fraction(-1, 4), Fraction(1, 4)),
+    tower = FieldTower(F, NFElem(F.nf, gaussian_period_delta(p), 8), NFElem(F.nf, (-1, 1), 4),
                        declared_DK=p ** 3, galois_hint="cyclic")
     # disc / p^3 is a positive rational square iff disc's numerator times
     # its denominator times p^3 is a positive integer square

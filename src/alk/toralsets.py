@@ -88,16 +88,15 @@ def nonarch_and_global_disc(desc: ToralSetDescriptor) -> dict:
     else:
         if tower.declared_DK is None:
             raise ValueError("quartic descriptor needs a certified maximal order")
-        d_rel = Fraction(abs(tower.declared_DK), tower.base.disc ** 2)
-        if d_rel.denominator != 1:
+        disc_fin, rem = divmod(abs(tower.declared_DK), tower.base.disc ** 2)
+        if rem:
             raise ArithmeticError("declared D_K not divisible by D_F^2")
-        disc_fin = int(d_rel)
         # conductor-square law through the norm: rational conductor f
         # scales the relative discriminant ideal by f^2, its norm by f^4
         for p, f in desc.local_conductors:
-            disc_fin *= p ** (4 * valuation(Fraction(f), p))
-        for p in sorted(set(factorize(disc_fin)) if disc_fin != 1 else set()):
-            table[p] = p ** valuation(Fraction(disc_fin), p)
+            disc_fin *= p ** (4 * valuation(f, p))
+        for p, e in sorted(factorize(disc_fin).items()):
+            table[p] = p ** e
     disc_fin = 1
     for du in table.values():
         disc_fin *= du

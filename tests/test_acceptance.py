@@ -105,7 +105,7 @@ def test_criterion_04_counting_bound_sweep(capsys):
                     finite.append((Place(None, "finite", p, "ramified"),
                                    Fraction(p) ** e))
             inf = [Fraction(rng.randint(1, 9), rng.randint(1, 2))]
-            fam = boxcount.RadiusFamily(None, tuple(finite), tuple(inf))
+            fam = boxcount.make_radius_family(None, finite, inf)
             disc = 1
         else:
             for p in (2, 3, 5):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from alk.boxcount import (
     _ideal_from_finite,
+    _radius_exponent,
     count_box,
     count_box_naive,
     counting_bound_check,
@@ -127,6 +128,27 @@ def test_the_ideal_of_a_family_forms_no_product_with_the_maximal_order(monkeypat
         assert _ideal_from_finite(fam) == want
         assert len(calls) == formed, finite
 
+
+
+def test_each_finite_radius_is_read_as_a_power_once(monkeypatch):
+    # make_radius_family keeps the exponent it validated, and the ideal of
+    # the family reads it
+    calls = []
+    monkeypatch.setattr("alk.boxcount._radius_exponent",
+                        lambda r, q: calls.append((r, q)) or _radius_exponent(r, q))
+    F = make_quad_field(-1)
+    v1, v2 = finite_places(F, 5)
+    inert = finite_places(F, 3)[0]
+    fam = make_radius_family(F, [(v1, Fraction(1, 5)), (v2, Fraction(25)), (inert, Fraction(1, 9))],
+                             [Fraction(40)])
+    assert [e for _, _, e in fam.finite] == [-1, 2, -1]
+    assert [r for _, r, _ in fam.finite] == [Fraction(1, 5), Fraction(25), Fraction(1, 9)]
+    assert _ideal_from_finite(fam) == prime_ideal(v1) * prime_ideal(v2) ** -2 * prime_ideal(inert)
+    assert count_box(F, fam) == count_box_naive(F, fam)
+    assert len(calls) == 3
+    calls.clear()
+    q = make_radius_family(None, [(finite_places(None, 2)[0], Fraction(8))], [Fraction(5)])
+    assert _ideal_from_finite(q) == Fraction(1, 8) and len(calls) == 1
 
 def test_two_counting_routes_agree_on_random_families():
     rng = random.Random(19)

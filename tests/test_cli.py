@@ -764,7 +764,8 @@ _FUZZ_SCALARS = st.one_of(
 )
 _FUZZ_VALUES = st.recursive(_FUZZ_SCALARS, lambda inner: st.lists(inner, max_size=3),
                             max_leaves=5)
-# p > 2,000 would only make the O(p) period construction slow
+# p stays at most 2,000, so that draws often hit a prime = 1 mod 4; towers at
+# primes up to 10^12 + 61 are built in tests/test_gaussian_periods.py
 _FUZZ_P = st.one_of(st.integers(-10 ** 6, 2000), st.integers(0, 2000),
                     st.floats(max_value=2000),
                     st.sampled_from([float("nan"), float("inf")]), st.none(),

@@ -633,6 +633,18 @@ def test_quadratic_elements_canonical_denominator():
         x * QuadField(-1).elem(1, 1)
 
 
+
+@pytest.mark.parametrize("d", (-7, -1, 2, 5, 13))
+def test_integer_pairs_build_the_element_of_the_fraction_route(d):
+    # elem(a, b) on two ints builds no Fraction; its (num, den) is the one
+    # that the same pair given as Fractions gives
+    F = QuadField(d)
+    for a, b in ((3, -1), (0, 0), (-4, 6), (10 ** 40, -(10 ** 41) - 1)):
+        x, y = F.elem(a, b), F.elem(Fraction(a), Fraction(b))
+        assert (x.num, x.den) == (y.num, y.den) == ((a, b), 1)
+        assert all(type(c) is int for c in x.num)
+    assert F.elem(True, False) == F.elem(1)
+
 # (d, a, b) -> the embeddings of a + b*sqrt(d), pinned as floats:
 # arakelov.ideal_gram's float Gram at unequal real radii is built from
 # these values, so they must not move by a bit

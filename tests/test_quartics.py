@@ -92,7 +92,7 @@ def test_closed_form_disc_equals_the_trace_form_of_the_power_basis():
 
 
 def test_gaussian_tower_at_a_five_digit_prime_is_built_and_classified_fast():
-    # the period products cost O(p), so p = 10009 takes milliseconds
+    # delta is read in closed form from p = a^2 + b^2, so p = 10009 takes milliseconds
     tower = within_seconds(5, lambda: quartics.gaussian_period_tower(10009))
     assert within_seconds(5, lambda: classify_galois_type(tower)) == "cyclic"
     assert tower.base.d == 10009 and tower.declared_DK == 10009 ** 3

@@ -93,3 +93,14 @@ def test_lattices_reach_the_builder_in_integers():
     funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert [name for name in ("dual", "theta_invariants_euclidean", "_dual_gram", "_lattice")
             if "Fraction" in set(_names_read(funcs[name]))] == []
+
+
+def test_gaussian_towers_are_built_from_integers():
+    # delta comes in closed form as two odd integers, and the tower's delta
+    # and alpha are NFElems built from them directly
+    src = Path(alk.__file__).parent
+    funcs = {node.name: node for name in ("nfpoly.py", "quartics.py")
+             for node in ast.walk(ast.parse((src / name).read_text()))
+             if isinstance(node, ast.FunctionDef)}
+    assert [name for name in ("gaussian_period_delta", "gaussian_period_tower")
+            if "Fraction" in set(_names_read(funcs[name]))] == []

@@ -60,6 +60,20 @@ def test_quartic_descriptor_uses_the_certified_discriminant():
     assert data2["disc_fin"] == 5 * 2 ** 4
 
 
+
+def test_quartic_local_discriminants_are_read_on_integers():
+    # D_K / D_F^2 by an integer divmod, each local factor from the integer's
+    # factorization: D_K = 13^3 and conductors 13 and 9 give 13 * 13^4 * 3^8
+    tower = quartics.gaussian_period_tower(13)
+    data = nonarch_and_global_disc(make_descriptor(tower, {13: 13, 3: 9}))
+    assert data["disc_u"] == {3: 3 ** 8, 13: 13 ** 5} and list(data["disc_u"]) == [3, 13]
+    assert data["disc_fin"] == 3 ** 8 * 13 ** 5 and type(data["disc_fin"]) is int
+    assert all(type(v) is int for v in data["disc_u"].values())
+    for dk in (13 ** 3 + 1, 13 ** 3 * 4 + 13):
+        bad = dataclasses.replace(tower, declared_DK=dk)
+        with pytest.raises(ArithmeticError, match=r"^declared D_K not divisible by D_F\^2$"):
+            nonarch_and_global_disc(make_descriptor(bad))
+
 def test_quartic_descriptor_requires_certification():
     tower = quartics.dihedral_tower(2, 1, 1)
     with pytest.raises(ValueError):
