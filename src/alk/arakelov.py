@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import enumeration
 from .numfield import FracIdeal, QuadField, embeddings
-from .ratlinalg import adjugate, bareiss, integer_matrix, transpose
+from .ratlinalg import adjugate, bareiss, transpose
 
 
 @dataclass(frozen=True)
@@ -84,11 +84,21 @@ def _lattice(m: list[list[int]], den: int) -> EuclideanLattice:
 def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
     """The lattice of a Gram of ints, rationals or floats; ValueError unless
     it is square, finite, symmetric and positive definite."""
-    # int and Fraction first: the abstract Rational test is several times slower
-    exact = all(isinstance(x, (int, Fraction)) or isinstance(x, Rational)
-                for row in gram for x in row)
-    g = [[(x if isinstance(x, (int, Fraction)) else Fraction(x)) if exact else float(x)
-          for x in row] for row in gram]
+    # one pass type-tests the entries, int and Fraction first (the abstract
+    # Rational test is slower); a non-rational entry makes every entry a float
+    g, exact = [], True
+    for row in gram:
+        g.append(q := [])
+        for x in row:
+            if not isinstance(x, (int, Fraction)):
+                if not isinstance(x, Rational):
+                    exact = False
+                    break
+                x = Fraction(x)
+            q.append(x)
+        if not exact:
+            g = [[float(x) for x in row] for row in gram]
+            break
     n = len(g)
     if any(len(row) != n for row in g):
         raise ValueError("Gram matrix not square")
@@ -101,7 +111,8 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
                    for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix not symmetric")
         g = [[Fraction(g[min(i, j)][max(i, j)]) for j in range(n)] for i in range(n)]
-    m, den = integer_matrix(g)
+    den = math.lcm(*(x.denominator for row in g for x in row))
+    m = [[x.numerator * (den // x.denominator) for x in row] for row in g]
     if m != transpose(m):
         raise ValueError("Gram matrix not symmetric")
     return _lattice(m, den)

@@ -24,8 +24,9 @@ T[i][k] = Tr(theta^(i+k)) of K, so g^{-1} = g^T T^{-1} needs one rational
 
 The conjugated matrix m = g^{-1} gamma g is linear in gamma.  Each
 embedding caches, on first use, one `nfpoly.Conjugation` for (g^{-1}, g),
-so conjugating a rational gamma is one integer dot product per
-coordinate of each entry, with no field multiplication.
+whose generated code gives each coordinate of an entry as one integer
+linear form of the cleared gamma, and one generated test of the 16 such
+forms of sd gamma - gamma sd, for sqrt(d)'s matrix sd, for the block test.
 
 Every entry point makes one integer pass over gamma: it checks the 4x4
 shape, clears gamma once to integers v over one denominator e, takes
@@ -65,7 +66,8 @@ from operator import mul
 from typing import Optional
 
 from .intarith import is_prime, valuation
-from .nfpoly import Automorphism, Conjugation, NFElem, NumberField, _canonical, _cleared
+from .nfpoly import (Automorphism, Conjugation, NFElem, NumberField, _canonical, _cleared,
+                     _linear_forms, _Source, _unpack)
 from .numfield import FieldTower, conj, norm_square_class
 from .ratlinalg import bareiss, integer_matrix, mat_det, mat_inv, mat_mul, transpose
 
@@ -171,6 +173,20 @@ class EmbeddingData:
         tuple rows of ints, built once per embedding (commuting ignores scalars)."""
         m, _ = integer_matrix(self.regular_matrix(self.tower.sqrt_d_coords))
         return tuple(map(tuple, m))
+
+    @cached_property
+    def commutation_test(self):
+        """v -> whether the 4x4 gamma cleared to the integers v commutes with
+        sqrt(d): straight-line code, generated from `sqrt_d_matrix` on first
+        use, that is True iff the 16 integer linear forms of sd v - v sd,
+        sum_k sd[i][k] v[4k + j] - v[4i + k] sd[k][j], are all 0."""
+        sd = self.sqrt_d_matrix
+        forms = [[sd[i][k] * (l == j) - sd[l][j] * (k == i) for k in range(4) for l in range(4)]
+                 for i in range(4) for j in range(4)]
+        gen = _Source()
+        nonzero = _linear_forms(gen, (enumerate(f) for f in forms if any(f)), "v")
+        lines = [_unpack("v", 16, "v"), f"return not ({' or '.join(nonzero)})"]
+        return gen.function("commutes", "v", lines)
 
     @cached_property
     def generators(self) -> tuple:
@@ -466,16 +482,15 @@ def _conjugator(image: tuple, s: tuple, t: tuple) -> Optional[int]:
 def block_membership_test(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     """gamma in the embedded Res_{F/Q} GL2 iff Psi_sigma(gamma) = 0 for the
     special permutations iff gamma commutes with multiplication by sqrt(d);
-    the commutation route, exact on integer multiples of both, is the truth.
+    the commutation route, exact on integer multiples of both, is the truth:
+    the embedding's `commutation_test`, independent of the conjugation table.
     When an automorphism tau of the closure has rho conjugating the first
     special permutation s to the second t (D4, where both are 4-cycles of
     one orbit), only Psi_s is formed, from 4 entries and 3 products, and
     Psi_t = tau(Psi_s); on C4 and V4 both values are formed directly."""
     gs = galois_structures(galois_type)
-    sd = emb.sqrt_d_matrix
     v, e, det = _clear(gamma)
-    gm = [v[i:i + 4] for i in range(0, 16, 4)]
-    commutes = mat_mul(sd, gm) == mat_mul(gm, sd)
+    commutes = emb.commutation_test(v)
     s, t = gs.special
     k = _conjugator(emb.galois_image, s, t)
     if k is None:

@@ -29,9 +29,10 @@ the generated code, never text in its source, so constants of any length
 are allowed.
 
 A `Conjugation` gamma -> A gamma B of rational matrices by fixed
-matrices over a field is an integer table too, applied by dot products:
-the one kernel for git4's g^-1 gamma g and for the GL2 torus
-coordinates.
+matrices over a field is an integer table too, from which each entry
+gets straight-line code, one integer linear form of the cleared gamma
+per coordinate: the one kernel for git4's g^-1 gamma g and for the GL2
+torus coordinates.  `_linear_forms` writes the forms of every kernel.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
-from operator import mul
 
 from .intarith import is_prime, sqrt_mod
 from .ratlinalg import integer_matrix
@@ -94,6 +94,13 @@ def _sum(terms) -> str:
     if not terms:
         return "0"
     return terms[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in terms[1:])
+
+
+def _linear_forms(gen: _Source, rows, x: str) -> list[str]:
+    """One expression per row for the integer linear form sum_j c_j x<j> over
+    the row's (j, c_j) pairs: zero coefficients are skipped, +-1 is a sign
+    and every other constant a cell of gen."""
+    return [_sum([gen.times(c, f"{x}{j}") for j, c in row if c]) for row in rows]
 
 
 @dataclass(frozen=True)
@@ -352,8 +359,7 @@ class Automorphism:
 
     def _generate(self):
         gen, n = _Source(), len(self._rows)
-        image = ", ".join(_sum([gen.times(r, f"x{j}") for j, r in zip(cols, coeffs)])
-                          for cols, coeffs in self._rows)
+        image = ", ".join(_linear_forms(gen, (zip(*row) for row in self._rows), "x"))
         lines = [_unpack("x", n, "x.num")]
         signed_permutation = sorted(cols for cols, _ in self._rows) == [(j,) for j in range(n)] \
             and all(coeffs[0] in (1, -1) for _, coeffs in self._rows)
@@ -368,15 +374,21 @@ class Automorphism:
 
 def _cleared(matrix) -> tuple[list[int], int]:
     """(v, e): the matrix's entries, row by row, as integers over one
-    denominator e.  int and Fraction entries are taken as they are; an entry
-    that is not a rational number raises ValueError."""
+    denominator e, in one pass that takes int and Fraction entries as they
+    are and any other through Fraction; a non-rational entry raises
+    ValueError."""
+    nums, dens = [], []
     try:
-        q = [x if isinstance(x, (int, Fraction)) else Fraction(x)
-             for row in matrix for x in row]
+        for row in matrix:
+            for x in row:
+                if not isinstance(x, (int, Fraction)):
+                    x = Fraction(x)
+                nums.append(x.numerator)
+                dens.append(x.denominator)
     except TypeError:
         raise ValueError("matrix entries must be rational numbers") from None
-    (v,), e = integer_matrix([q])
-    return v, e
+    e = lcm(*dens)
+    return [x * (e // d) for x, d in zip(nums, dens)], e
 
 
 class Conjugation:
@@ -384,27 +396,32 @@ class Conjugation:
     matrices A and B over a NumberField; a conjugation when A = B^-1.
     Entry (i, j) is sum_(k,l) gamma[k][l] A[i][k] B[l][j], linear in gamma,
     so the n^2 products A[i][k] B[l][j] of each entry are formed once and
-    held as integer numerators over one denominator per entry.  gamma is
-    cleared once to integers v over one denominator e (`_cleared`), and
-    each coordinate of an entry is one integer dot product with v, over
-    that entry's denominator times e, with no field multiplication.  A
-    call takes every entry; `entry` takes one, so a caller that reads only
-    some entries (git4's Psi values) conjugates only those."""
+    held as integer numerators over one denominator per entry, from which
+    the entry's straight-line code is generated when the map is built.  It
+    takes gamma cleared to integers v over one denominator e (`_cleared`)
+    and gives each coordinate as one integer linear form of v, over that
+    entry's denominator times e, with no field multiplication.  A call
+    takes every entry; `entry` takes one, so a caller that reads only some
+    entries (git4's Psi values) conjugates only those."""
 
     __slots__ = ("field", "_table")
 
     def __init__(self, field: NumberField, left, right):
         self.field = field
+        n = len(right)
         table = []
         for a_row in left:
             entries = []
             for j in range(len(right[0])):
                 prods = [a * row[j] for a in a_row for row in right]
                 den = lcm(*(x.den for x in prods))
-                cols = [[c * (den // x.den) for c in x.num] for x in prods]
-                entries.append((den, tuple(zip(*cols))))
+                coords = zip(*([c * (den // x.den) for c in x.num] for x in prods))
+                gen = _Source()
+                lines = [_unpack("v", n * n, "v"),
+                         f"return [{', '.join(_linear_forms(gen, map(enumerate, coords), 'v'))}]"]
+                entries.append((den, gen.function("entry", "v", lines)))
             table.append(tuple(entries))
-        # table[i][j] = (D, rows): rows[c][n k + l] / D is coordinate c of A[i][k] B[l][j]
+        # table[i][j] = (D, kernel): kernel(v)[c] / (D e) is coordinate c of entry (i, j)
         self._table = tuple(table)
 
     def __call__(self, gamma) -> list[list[NFElem]]:
@@ -416,8 +433,8 @@ class Conjugation:
 
     def entry(self, v, e: int, i: int, j: int) -> NFElem:
         """Entry (i, j) of A gamma B for gamma cleared to v over e."""
-        den, rows = self._table[i][j]
-        return _canonical(self.field, [sum(map(mul, coord, v)) for coord in rows], den * e)
+        den, kernel = self._table[i][j]
+        return _canonical(self.field, kernel(v), den * e)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alk import git4, quartics
+from alk import git4, localgeom, quartics
 from alk.git4 import (
     ALL_PERMS,
     IDENTITY,
@@ -105,25 +105,43 @@ CURATED = [CYCLIC, quartics.gaussian_period_tower(13), BIQUAD, quartics.sqrt2plu
            DIHEDRAL, _seeded_dihedral_make_tower(23)]
 
 
-@pytest.mark.parametrize("tower", CURATED, ids=["zeta5", "gauss13", "biquadratic", "sqrt2plus",
-                                                 "dihedral", "make_tower"])
-def test_conjugation_table_equals_the_matrix_product(tower):
-    emb = regular_embedding(tower)
-    table = emb.conjugation_table
+CURATED_IDS = ["zeta5", "gauss13", "biquadratic", "sqrt2plus", "dihedral", "make_tower"]
+# the (D, p) of the benchmark's GL2 torus operations
+GL2_CONFIGS = ((2, 2), (5, 5), (-1, 2), (-7, 7), (13, 13), (-3, 3))
+
+
+@pytest.mark.parametrize("case", CURATED + list(GL2_CONFIGS),
+                         ids=CURATED_IDS + [f"gl2_D{D}_p{p}" for D, p in GL2_CONFIGS])
+def test_conjugation_table_equals_the_matrix_product(case):
+    """Every entry of git4's g^-1 gamma g on a curated tower, and of
+    localgeom's E^-1 gamma E on the GL2 torus of the order Z[omega] at each
+    (D, p) of the benchmark, has the (num, den) of the matrix product, on
+    fractional, integral (up to p^2 on a torus) and identity gammas."""
+    if isinstance(case, tuple):
+        D, p = case
+        ext = localgeom.different_and_orders(D, p, 1)
+        torus = localgeom.QuadTorus(ext.K, ext.alpha)
+        e = torus.eigenbasis()
+        owner, name = torus, "conjugate"
+        left, right, field, n, span = gauss_jordan(e)[1], e, ext.K.nf, 2, p * p
+    else:
+        emb = regular_embedding(case)
+        owner, name = emb, "conjugation_table"
+        left, right, field, n, span = emb.g_inv, emb.g, emb.closure, 4, 5
+    table = getattr(owner, name)
     rng = random.Random(31)
-    gammas = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)]
-               for _ in range(4)] for _ in range(4)]
-    gammas += [[[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)] for _ in range(2)]
-    gammas.append([[int(i == j) for j in range(4)] for i in range(4)])
+    gammas = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+               for _ in range(n)] for _ in range(4)]
+    gammas += [[[rng.randint(-span, span) for _ in range(n)] for _ in range(n)] for _ in range(2)]
+    gammas.append([[int(i == j) for j in range(n)] for i in range(n)])
     for gamma in gammas:
-        want = mat_mul(mat_mul(emb.g_inv, [[Fraction(x) for x in row] for row in gamma]),
-                       emb.g)
-        got = emb.conjugation_table(gamma)
+        want = mat_mul(mat_mul(left, [[Fraction(x) for x in row] for row in gamma]), right)
+        got = table(gamma)
         for got_row, want_row in zip(got, want):
             for x, y in zip(got_row, want_row):
-                assert x.field is emb.closure
+                assert x.field is field
                 assert (x.num, x.den) == (y.num, y.den)
-    assert emb.conjugation_table is table  # built once per embedding
+    assert getattr(owner, name) is table  # built once per embedding or torus
 
 
 def _seeded_towers_per_type(count):
@@ -639,6 +657,73 @@ def test_block_membership_routes_agree():
         for _ in range(6):
             res = block_membership_test(emb, random_invertible(rng, 4), gtype)
             assert res["routes_agree"]
+
+
+def _commutation_gammas(rng, emb):
+    """Random gammas, regular matrices of field elements (in the block),
+    the same with one entry moved by 1, and gammas with a zero row or a
+    zero column."""
+    gammas = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(4)]
+               for _ in range(4)] for _ in range(4)]
+    for _ in range(4):
+        gamma = emb.regular_matrix(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                         for _ in range(4)))
+        gammas.append(gamma)
+        near = [row[:] for row in gamma]
+        near[rng.randrange(4)][rng.randrange(4)] += 1
+        gammas.append(near)
+    for k in range(4):
+        gamma = emb.regular_matrix((rng.randint(1, 3), rng.randint(-3, 3), 0, 1))
+        gammas.append([[0] * 4 if i == k else row for i, row in enumerate(gamma)])
+        gammas.append([[0 if j == k else x for j, x in enumerate(row)] for row in gamma])
+    gammas.append([[0] * 4 for _ in range(4)])
+    return gammas
+
+
+@pytest.mark.parametrize("towers", [
+    pytest.param(CURATED, id="curated"),
+    pytest.param(_seeded_towers_per_type(5), id="seeded"),
+])
+def test_commutation_kernel_equals_the_matrix_products(towers):
+    """The generated commutation test of each embedding decides
+    sd gamma = gamma sd as two matrix products do, on gammas in and out of
+    the block and on singular ones, and block_membership_test's in_R is its
+    answer."""
+    rng = random.Random(53)
+    seen = set()
+    for tower in towers:
+        emb = regular_embedding(tower)
+        sd = [list(row) for row in emb.sqrt_d_matrix]
+        for gamma in _commutation_gammas(rng, emb):
+            want = mat_mul(sd, gamma) == mat_mul(gamma, sd)
+            seen.add(want)
+            assert emb.commutation_test(git4._cleared(gamma)[0]) is want
+            if mat_det(gamma) != 0:
+                gtype = classify_galois_type(tower)
+                assert block_membership_test(emb, gamma, gtype)["in_R"] is want
+        assert emb.commutation_test is emb.commutation_test  # built once per embedding
+    assert seen == {True, False}
+
+
+def test_block_test_makes_no_matrix_product(monkeypatch):
+    """Once sqrt(d)'s matrix is built, a block test decides commutation by
+    its generated linear forms, with no matrix product."""
+    cases = ((CYCLIC, "cyclic"), (BIQUAD, "biquadratic"), (DIHEDRAL, "dihedral"))
+    rng = random.Random(54)
+    runs = []
+    for tower, gtype in cases:
+        emb = regular_embedding(tower)
+        emb.sqrt_d_matrix
+        runs += [(emb, emb.regular_matrix((1, 2, 0, 1)), gtype, True),
+                 (emb, random_invertible(rng, 4), gtype, False)]
+
+    def refuse(a, b):
+        raise AssertionError("mat_mul called")
+
+    monkeypatch.setattr(git4, "mat_mul", refuse)
+    for emb, gamma, gtype, in_block in runs:
+        res = block_membership_test(emb, gamma, gtype)
+        assert res["in_R"] is in_block and res["routes_agree"]
 
 
 def test_clear_takes_det_from_the_cleared_rows():

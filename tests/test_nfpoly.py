@@ -13,6 +13,8 @@ import ast
 import dataclasses
 import random
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -465,6 +467,68 @@ def test_generated_automorphism_matches_dot_product(name):
         shortcuts = ["canonical" not in tau._kernel.__code__.co_freevars
                      for tau in emb.automorphisms]
         assert all(shortcuts) == (n == 8 or name == "biquadratic23"), name
+
+
+def dot_product_conjugation(left, right, gamma):
+    """The coordinates of each entry of A gamma B from the integer table of
+    the products A[i][k] B[l][j] over one denominator per entry, each
+    coordinate one dot product with gamma's entries, and the largest
+    constant of the table: the loop the generated kernels of
+    `nfpoly.Conjugation` replace."""
+    flat = [Fraction(x) for row in gamma for x in row]
+    out, longest = [], 0
+    for a_row in left:
+        row = []
+        for j in range(len(right[0])):
+            prods = [a * r[j] for a in a_row for r in right]
+            den = lcm(*(x.den for x in prods))
+            cols = [[c * (den // x.den) for c in x.num] for x in prods]
+            longest = max(longest, *(abs(c) for col in cols for c in col))
+            row.append([sum(map(mul, coord, flat)) / den for coord in zip(*cols)])
+        out.append(row)
+    return out, longest
+
+
+def _conjugation_cases():
+    """name -> (field, A, B): git4's g^-1 and g on the closure of a dihedral
+    tower with 400-digit data, and random 3x3 matrices over the field with
+    fractional squares."""
+    emb = KERNEL_FIELDS["long_dihedral_closure"][1]
+    K = KERNEL_FIELDS["fractional_kummer"][0]
+    rng = random.Random(7008)
+    rand = [[[K.elem(_rand_coeffs(rng, K.degree)) for _ in range(3)] for _ in range(3)]
+            for _ in range(2)]
+    return {"long_dihedral": (emb.closure, emb.g_inv, emb.g),
+            "fractional_kummer": (K, *rand)}
+
+
+CONJUGATION_CASES = _conjugation_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CONJUGATION_CASES))
+def test_generated_conjugation_matches_dot_product(name):
+    """Each entry of a `Conjugation`, by a call and by `entry`, is in lowest
+    terms and has the coordinates of the dot-product oracle, on gammas with
+    short, long, zero and fractional entries; on the dihedral closure the
+    table's constants have more than 400 digits."""
+    K, left, right = CONJUGATION_CASES[name]
+    conjugation = nfpoly.Conjugation(K, left, right)
+    n = len(left)
+    rng = random.Random(7009)
+    gammas = [[[0] * n for _ in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]]
+    for digits in (1, 40):
+        gammas += [[[Fraction(x, rng.randint(1, 10 ** digits)) for x in _rand_ints(rng, n, digits)]
+                    for _ in range(n)] for _ in range(3)]
+    for gamma in gammas:
+        want, longest = dot_product_conjugation(left, right, gamma)
+        v, e = nfpoly._cleared(gamma)
+        for i, (got_row, want_row) in enumerate(zip(conjugation(gamma), want)):
+            for j, (x, y) in enumerate(zip(got_row, want_row)):
+                assert x.field is K and _is_canonical(x)
+                assert list(x.coeffs) == y
+                z = conjugation.entry(v, e, i, j)
+                assert (z.num, z.den) == (x.num, x.den)
+    assert (longest > 10 ** 400) == (name == "long_dihedral")
 
 
 def test_constants_beyond_the_int_string_limit():
