@@ -19,7 +19,7 @@ KERNEL_NAME = "python"
 class BudgetExceeded(RuntimeError):
     """A budget of `budget` units ran out, more than `found` being needed.
     The units are lattice points or outer-level values in `gauss_sum`, box
-    rows or box points in `arakelov.box_count`."""
+    rows or box points in `arakelov._count_rows`."""
 
     def __init__(self, budget: int, found: int, units: str):
         super().__init__(f"enumeration budget {budget} exceeded: more than {found} {units}")

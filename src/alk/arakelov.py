@@ -27,6 +27,7 @@ from numbers import Rational
 from typing import Optional, Sequence
 
 from . import enumeration
+from .intarith import log_abs
 from .numfield import FracIdeal, QuadField, embeddings
 from .ratlinalg import adjugate, bareiss, transpose
 
@@ -239,8 +240,7 @@ def adeg_via_section(bundle: HermitianLineBundle, s) -> float:
             raise ValueError("zero section")
         if (s / bundle.ideal).denominator != 1:
             raise ValueError("section not in the ideal")
-        index = abs(s) / bundle.ideal
-        return math.log(index) - math.log(abs(s) / bundle.radii[0])
+        return log_abs(s / bundle.ideal) - log_abs(s / bundle.radii[0])
     s = bundle.field.coerce(s)
     if s.is_zero():
         raise ValueError("zero section")
@@ -248,9 +248,12 @@ def adeg_via_section(bundle: HermitianLineBundle, s) -> float:
         raise ValueError("section not in the ideal")
     index = abs(s.norm()) / bundle.ideal.norm()
     arch = 0.0
-    for k, sigma in enumerate(embeddings(s)):
-        arch += math.log(abs(sigma) / float(bundle.radii[k]))
-    return math.log(index) - arch
+    for sigma, r in zip(embeddings(s), bundle.radii):
+        try:
+            arch += math.log(abs(sigma) / float(r))
+        except (OverflowError, ZeroDivisionError):  # float(r) overflows or is 0
+            arch += math.log(abs(sigma)) - log_abs(r)
+    return log_abs(index) - arch
 
 
 def adeg(bundle: HermitianLineBundle) -> float:

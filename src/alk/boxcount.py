@@ -12,7 +12,6 @@ basis reduced for the trace form.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -20,7 +19,7 @@ from typing import Optional
 
 from . import enumeration
 from .arakelov import _reduce_forms, box_count, f_bound
-from .intarith import valuation
+from .intarith import log_abs, valuation
 from .numfield import FracIdeal, Place, QuadField, finite_places, prime_ideal
 
 
@@ -146,12 +145,6 @@ def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
     return count
 
 
-def _log(q: Fraction) -> float:
-    """log q for a rational q > 0, from the logs of its numerator and
-    denominator, so that no float underflows or overflows."""
-    return math.log(q.numerator) - math.log(q.denominator)
-
-
 def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
                          budget: int = enumeration.DEFAULT_BUDGET) -> dict:
     """Compares the exact box count with C(n, c) ||r|| / sqrt(D_F).
@@ -169,9 +162,7 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
     hypothesis = norm >= c * disc
     # counted first: a norm beyond the float range has more points than any budget
     count = count_box(field, r, budget)
-    neg_log_c = (-math.log(float(c)) if sys.float_info.min <= c <= sys.float_info.max
-                 else -_log(c))
-    log_big_c = f_bound(neg_log_c) + math.pi * n
+    log_big_c = f_bound(-log_abs(c)) + math.pi * n
     try:
         big_c = math.exp(log_big_c)
         bound = big_c * float(norm) / math.sqrt(disc)
@@ -181,7 +172,7 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
         passed = count <= bound
     else:
         bound = None
-        passed = count == 0 or math.log(count) <= log_big_c + _log(norm) - math.log(disc) / 2
+        passed = count == 0 or math.log(count) <= log_big_c + log_abs(norm) - math.log(disc) / 2
     return {
         "count": count,
         "norm": float(norm),

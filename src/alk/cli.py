@@ -220,18 +220,19 @@ def _radius_family(field, rinf, rfin_text):
 
 def _cmd_theta(args, cfg: RunConfig):
     if args.gram:
+        given = [name for name, value in (("--field", args.field), ("--radii", args.radii),
+                                          ("--canonical", args.canonical)) if value]
+        if given:
+            raise ValueError(f"--gram cannot be combined with {', '.join(given)}")
         gram = _parse_matrix(args.gram, "--gram")
         lat = arakelov.euclidean_lattice(gram)
         rep = arakelov.theta_invariants_euclidean(lat, budget=cfg.budget)
         return {"report": rep.to_dict(), "kind": "euclidean"}, EXIT_OK
     field = _parse_field(args.field)
-    if args.canonical:
-        bundle = arakelov.canonical_bundle(field)
-    else:
-        bundle = arakelov.trivial_bundle(field)
-        if args.radii:
-            radii = tuple(_fraction(r) for r in _load(args.radii, list, "--radii"))
-            bundle = arakelov.make_bundle(field, bundle.ideal, radii)
+    bundle = (arakelov.canonical_bundle if args.canonical else arakelov.trivial_bundle)(field)
+    if args.radii:
+        radii = tuple(_fraction(r) for r in _load(args.radii, list, "--radii"))
+        bundle = arakelov.make_bundle(field, bundle.ideal, radii)
     rep, h0ar = arakelov.bundle_theta_and_h0ar(bundle, budget=cfg.budget)
     return {"report": rep.to_dict(), "h0_ar": h0ar, "kind": "bundle"}, EXIT_OK
 

@@ -65,7 +65,7 @@ from functools import cached_property, lru_cache
 from operator import mul
 from typing import Optional
 
-from .intarith import is_prime, valuation
+from .intarith import is_prime, log_abs, valuation
 from .nfpoly import (Automorphism, Conjugation, NFElem, NumberField, _canonical, _cleared,
                      _linear_forms, _Source, _unpack)
 from .numfield import FieldTower, conj, norm_square_class
@@ -543,7 +543,7 @@ class EntropyData:
 
 def root_log_values(t, p: Optional[int] = None) -> tuple:
     if p is None:
-        return tuple(math.log(abs(float(x))) for x in t)
+        return tuple(log_abs(x) for x in t)
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
     return tuple(-valuation(Fraction(x), p) * math.log(p) for x in t)
@@ -551,8 +551,7 @@ def root_log_values(t, p: Optional[int] = None) -> tuple:
 
 def entropy_quantities(t, p: Optional[int] = None) -> EntropyData:
     """Root-sum entropy data of a = diag(t1..t4) at the given place."""
-    if len(t) != 4 or any(Fraction(x) == 0 if p is not None else float(x) == 0
-                          for x in t):
+    if len(t) != 4 or any(Fraction(x) == 0 for x in t):
         raise ValueError("need four nonzero diagonal entries")
     logs = root_log_values(t, p)
     eta_sigma = {}

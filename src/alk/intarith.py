@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Optional
 
 
 TRIAL_LIMIT = 10 ** 6
+_FLOAT_MIN, _FLOAT_MAX = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -74,6 +76,18 @@ def sqrt_fraction(x: Fraction | int) -> Fraction:
     if not is_square_fraction(x):
         raise ValueError(f"{x} is not a rational square")
     return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
+
+
+def log_abs(x: Fraction | int) -> float:
+    """log |x| for a nonzero rational x: the log of float(|x|) where that is
+    a normal float, and the log of the numerator less the log of the
+    denominator elsewhere, where float(x) would underflow or overflow."""
+    n, d = x.as_integer_ratio()
+    n = abs(n)
+    e = n.bit_length() - d.bit_length()  # 2^(e-1) < |x| < 2^(e+1)
+    if -1021 <= e <= 1022 or _FLOAT_MIN <= Fraction(n, d) <= _FLOAT_MAX:
+        return math.log(n / d)  # int / int rounds as float(x) does
+    return math.log(n) - math.log(d)
 
 
 def is_prime(n: int) -> bool:

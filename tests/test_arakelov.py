@@ -506,6 +506,17 @@ def test_budget_is_enforced():
         count_box(F, fam, budget=3)
 
 
+@pytest.mark.parametrize("d, radii", [(5, ["1/2", "5/2"]), (-3, ["3/4"])])
+def test_a_box_of_exactly_budget_rows_answers(d, radii):
+    # rows t = 0 and 1 of the box's own form; only 0 is in the box, so the
+    # points never reach the budget and the rows alone decide
+    F = make_quad_field(d)
+    fam = make_radius_family(F, [], [Fraction(r) for r in radii])
+    assert count_box(F, fam, budget=2) == 1
+    with pytest.raises(enumeration.BudgetExceeded, match="more than 1 box rows"):
+        count_box(F, fam, budget=1)
+
+
 def _theta_1d(g):
     """sum_k exp(-pi g k^2) over all integers k, summed until the terms
     underflow, far past any truncation radius."""
