@@ -106,6 +106,69 @@ def test_cli_case(capsys, case):
             assert _same(_dotted(data, key), want), (key, _dotted(data, key))
 
 
+def run_case(capsys, argv):
+    """Run the row of cli_cases.json with this argv under its own seconds,
+    for the tests below that check its output against a closed form."""
+    case = next(case for case in CASES if case["argv"] == argv)
+    return within_seconds(case["seconds"], lambda: run_json(capsys, argv))
+
+
+def test_verify_all_battery(capsys):
+    code, data = run_case(capsys, ["verify-all"])
+    assert code == 0
+    assert data["pass"] and all(c["pass"] for c in data["checks"])
+    assert len(data["checks"]) >= 12
+
+
+def test_theta_on_a_gram_matrix(capsys):
+    code, data = run_case(capsys, ["theta", "--gram", "[[1]]"])
+    assert code == 0
+    rep = data["report"]
+    assert abs(rep["h0"] - rep["h1"] - rep["adeg"]) < 1e-9
+
+
+def test_theta_canonical_bundle(capsys):
+    code, data = run_case(capsys, ["theta", "--field", '{"d": 5}', "--canonical"])
+    assert code == 0
+    assert abs(data["report"]["adeg"] - math.log(5)) < 1e-9
+
+
+@pytest.mark.parametrize("gram, h0, h1", [
+    ("[[1e300]]", 0, 150), ("[[1e-30]]", 15, 0), ("[[1000000000000]]", 0, 6),
+    ("[[1e200, 0], [0, 1e200]]", 0, 200), ("[[1e-200, 0], [0, 1e-200]]", 200, 0)])
+def test_theta_of_a_scaled_integer_lattice_is_closed_form(capsys, gram, h0, h1):
+    """On L = 10^(e/2) Z^n the sparser side's theta is 1 to double precision,
+    so h0 and h1 are 0 and n*|e|/2 * log 10, in either order."""
+    code, data = run_case(capsys, ["theta", "--gram", gram])
+    assert code == 0
+    rep = data["report"]
+    assert abs(rep["h0"] - h0 * math.log(10)) <= 1e-12
+    assert abs(rep["h1"] - h1 * math.log(10)) <= 1e-12
+    assert abs(rep["adeg"] - (h0 - h1) * math.log(10)) <= 1e-12
+
+
+@pytest.mark.parametrize("gram, summed, value, adeg", [
+    ("[[1e320]]", "h0", 0.0, -160), ("[[1e-320]]", "h1", 0.0, 160),
+    ("[[1e-320, 0], [0, 1]]", "h1", 0.0829015200310546, 160)])
+def test_theta_of_a_gram_beyond_the_float_range_answers(capsys, gram, summed, value, adeg):
+    # the summed side's theta is 1, or theta_Z(1); the other side is
+    # derived from it by Poisson summation
+    code, data = run_case(capsys, ["theta", "--gram", gram])
+    assert code == 0
+    rep = data["report"]
+    assert abs(rep[summed] - value) <= 1e-15
+    assert abs(rep["adeg"] - adeg * math.log(10)) <= 1e-12
+    assert abs(rep["h0"] - rep["h1"] - rep["adeg"]) <= 1e-12
+
+
+@pytest.mark.parametrize("rho", ["1000", "10000"])
+def test_theta_of_a_bundle_at_unequal_radii_answers(capsys, rho):
+    code, data = run_case(capsys, ["theta", "--field", '{"d": 5}', "--radii", f'["1/{rho}", {rho}]'])
+    assert code == 0
+    rep = data["report"]
+    assert abs(rep["h1"] - rep["h0"] - 0.5 * math.log(5)) <= 1e-12
+
+
 def test_invariants_pins_non_rational_values(capsys):
     # a non-block matrix, so most Psi values lie outside Q and print as
     # coordinates on the Kummer basis of the closure
