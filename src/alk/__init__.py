@@ -50,8 +50,11 @@ from .localgeom import (
     integrality_checks,
     local_coords,
     norm_index,
+    normalizer_coset_rep,
     orbital_measure_split,
     psi_invariant,
+    psi_invariant_arch,
+    reconstruct,
     standard_torus,
 )
 from .numfield import (

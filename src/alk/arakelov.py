@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from . import enumeration
 from .intarith import log_abs
 from .numfield import FracIdeal, QuadField, embeddings
-from .ratlinalg import adjugate, bareiss, transpose
+from .ratlinalg import NotRational, adjugate, bareiss, integer_matrix, transpose
 
 
 @dataclass(frozen=True)
@@ -85,25 +85,15 @@ def _lattice(m: list[list[int]], den: int) -> EuclideanLattice:
 def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
     """The lattice of a Gram of ints, rationals or floats; ValueError unless
     it is square, finite, symmetric and positive definite."""
-    # one pass type-tests the entries, int and Fraction first (the abstract
-    # Rational test is slower); a non-rational entry makes every entry a float
-    g, exact = [], True
-    for row in gram:
-        g.append(q := [])
-        for x in row:
-            if not isinstance(x, (int, Fraction)):
-                if not isinstance(x, Rational):
-                    exact = False
-                    break
-                x = Fraction(x)
-            q.append(x)
-        if not exact:
-            g = [[float(x) for x in row] for row in gram]
-            break
-    n = len(g)
-    if any(len(row) != n for row in g):
+    try:
+        m, den = integer_matrix(gram)
+        g = None
+    except NotRational:  # a non-rational entry makes every entry a float
+        m = g = [[float(x) for x in row] for row in gram]
+    n = len(m)
+    if any(len(row) != n for row in m):
         raise ValueError("Gram matrix not square")
-    if not exact:
+    if g is not None:
         if not all(math.isfinite(x) for row in g for x in row):
             raise ValueError("Gram entries must be finite")
         # symmetric within an absolute 1e-8 plus a relative 1e-5; one triangle
@@ -111,9 +101,8 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
         if not all(abs(g[i][j] - g[j][i]) <= 1e-8 + 1e-5 * abs(g[j][i])
                    for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix not symmetric")
-        g = [[Fraction(g[min(i, j)][max(i, j)]) for j in range(n)] for i in range(n)]
-    den = math.lcm(*(x.denominator for row in g for x in row))
-    m = [[x.numerator * (den // x.denominator) for x in row] for row in g]
+        m, den = integer_matrix([[Fraction(g[min(i, j)][max(i, j)]) for j in range(n)]
+                                 for i in range(n)])
     if m != transpose(m):
         raise ValueError("Gram matrix not symmetric")
     return _lattice(m, den)
@@ -180,11 +169,19 @@ class HermitianLineBundle:
     radii: tuple[Fraction, ...]
 
 
-def make_bundle(field: Optional[QuadField], ideal, radii) -> HermitianLineBundle:
+def _positive_radii(radii, message: str) -> tuple[Fraction, ...]:
+    """One radius or a tuple or list of them as Fractions, a rational read
+    exactly and anything else through float; ValueError(message) unless
+    every radius is positive."""
     radii = tuple(Fraction(r) if isinstance(r, Rational) else Fraction(float(r))
                   for r in (radii if isinstance(radii, (tuple, list)) else (radii,)))
     if any(r <= 0 for r in radii):
-        raise ValueError("radii must be positive")
+        raise ValueError(message)
+    return radii
+
+
+def make_bundle(field: Optional[QuadField], ideal, radii) -> HermitianLineBundle:
+    radii = _positive_radii(radii, "radii must be positive")
     if field is None:
         q = Fraction(ideal)
         if q <= 0:

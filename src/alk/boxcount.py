@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Optional
 
 from . import enumeration
-from .arakelov import _reduce_forms, box_count, f_bound
+from .arakelov import _positive_radii, _reduce_forms, box_count, f_bound
 from .intarith import log_abs, valuation
 from .numfield import FracIdeal, Place, QuadField, finite_places, prime_ideal
 
@@ -58,10 +57,7 @@ def make_radius_family(field: Optional[QuadField], finite, infinite) -> RadiusFa
         r = Fraction(r)
         # validates the value group; the exponent is kept for the ideal
         fin.append((place, r, _radius_exponent(r, place.residue_size)))
-    inf = tuple(Fraction(r) if isinstance(r, Rational) else Fraction(float(r))
-                for r in (infinite if isinstance(infinite, (tuple, list)) else (infinite,)))
-    if any(r <= 0 for r in inf):
-        raise ValueError("infinite radii must be positive")
+    inf = _positive_radii(infinite, "infinite radii must be positive")
     expected = 1 if field is None or not field.is_real else 2
     if len(inf) != expected:
         raise ValueError(f"expected {expected} Archimedean radii")

@@ -203,7 +203,7 @@ def _flatten(data, prefix=""):
 
 def _radius_family(field, rinf, rfin_text):
     finite = []
-    for p_str, r in (_load(rfin_text, dict, "--rfin") if rfin_text else {}).items():
+    for p_str, r in (_load(rfin_text, dict, "--rfin") if rfin_text is not None else {}).items():
         p = int(p_str)
         radii = r if isinstance(r, list) else [r]
         places = finite_places(field, p)
@@ -219,9 +219,10 @@ def _radius_family(field, rinf, rfin_text):
 
 
 def _cmd_theta(args, cfg: RunConfig):
-    if args.gram:
+    if args.gram is not None:
         given = [name for name, value in (("--field", args.field), ("--radii", args.radii),
-                                          ("--canonical", args.canonical)) if value]
+                                          ("--canonical", args.canonical or None))
+                 if value is not None]
         if given:
             raise ValueError(f"--gram cannot be combined with {', '.join(given)}")
         gram = _parse_matrix(args.gram, "--gram")
@@ -230,7 +231,7 @@ def _cmd_theta(args, cfg: RunConfig):
         return {"report": rep.to_dict(), "kind": "euclidean"}, EXIT_OK
     field = _parse_field(args.field)
     bundle = (arakelov.canonical_bundle if args.canonical else arakelov.trivial_bundle)(field)
-    if args.radii:
+    if args.radii is not None:
         radii = tuple(_fraction(r) for r in _load(args.radii, list, "--radii"))
         bundle = arakelov.make_bundle(field, bundle.ideal, radii)
     rep, h0ar = arakelov.bundle_theta_and_h0ar(bundle, budget=cfg.budget)
@@ -313,9 +314,10 @@ def _cmd_tau_window(args, cfg: RunConfig):
 
 def _cmd_disc(args, cfg: RunConfig):
     tower = tower_from_json(args.tower)
-    conductors = _load(args.conductors or "{}", dict, "--conductors")
+    conductors = _load(args.conductors if args.conductors is not None else "{}", dict,
+                       "--conductors")
     conductors = {p: _int(f) for p, f in conductors.items()}
-    arch = _matrix_rows(args.arch, "--arch") if args.arch else None
+    arch = _matrix_rows(args.arch, "--arch") if args.arch is not None else None
     desc = toralsets.make_descriptor(tower, conductors, arch)
     return toralsets.nonarch_and_global_disc(desc), EXIT_OK
 

@@ -66,10 +66,10 @@ from operator import mul
 from typing import Optional
 
 from .intarith import is_prime, log_abs, valuation
-from .nfpoly import (Automorphism, Conjugation, NFElem, NumberField, _canonical, _cleared,
-                     _linear_forms, _Source, _unpack)
+from .nfpoly import (Automorphism, Conjugation, NFElem, NumberField, _canonical, _linear_forms,
+                     _Source, _unpack)
 from .numfield import FieldTower, conj, norm_square_class
-from .ratlinalg import bareiss, integer_matrix, mat_det, mat_inv, mat_mul, transpose
+from .ratlinalg import bareiss, in_gl_zp, integer_matrix, mat_inv, mat_mul, transpose
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
 IDENTITY = (0, 1, 2, 3)
@@ -328,8 +328,9 @@ def _clear(gamma) -> tuple[list[int], int, Fraction]:
     integers v over one denominator e, and det(gamma) = det(v)/e^4 != 0."""
     if len(gamma) != 4 or any(len(row) != 4 for row in gamma):
         raise ValueError("expected a 4x4 matrix")
-    v, e = _cleared(gamma)
-    pivots, swaps = bareiss([v[i:i + 4] for i in range(0, 16, 4)])
+    m, e = integer_matrix(gamma)
+    v = [x for row in m for x in row]
+    pivots, swaps = bareiss(m)
     if pivots[-1] == 0:
         raise ValueError("gamma must be invertible")
     return v, e, Fraction(-pivots[-1] if swaps & 1 else pivots[-1], e ** 4)
@@ -624,28 +625,22 @@ class BowenBall:
             raise ValueError("diagonal entries must be nonzero")
 
 
-def _in_gl_zp(x, p: int) -> bool:
-    for row in x:
-        for v in row:
-            if v != 0 and valuation(Fraction(v), p) < 0:
-                return False
-    det = mat_det([[Fraction(v) for v in row] for row in x])
-    return det != 0 and valuation(det, p) == 0
-
-
 def bowen_membership_loop(x, ball: BowenBall) -> bool:
     n = len(x)
     vals = [valuation(Fraction(ai), ball.p) for ai in ball.a]
     for t in range(-ball.tau, ball.tau + 1):
         y = [[Fraction(x[i][j]) * Fraction(ball.p) ** (t * (vals[i] - vals[j]))
               for j in range(n)] for i in range(n)]
-        if not _in_gl_zp(y, ball.p):
+        if not in_gl_zp(y, ball.p):
             return False
     return True
 
 
 def bowen_membership(x, ball: BowenBall) -> bool:
-    """Closed form: v_p(x_ij) >= tau |v(a_i) - v(a_j)| plus unit determinant."""
+    """Closed form: x in GL_n(Z_p), which refuses a non-rational entry, and
+    v_p(x_ij) >= tau |v(a_i) - v(a_j)|."""
+    if not in_gl_zp(x, ball.p):
+        return False
     n = len(x)
     vals = [valuation(Fraction(ai), ball.p) for ai in ball.a]
     for i in range(n):
@@ -654,5 +649,4 @@ def bowen_membership(x, ball: BowenBall) -> bool:
             v = Fraction(x[i][j])
             if v != 0 and valuation(v, ball.p) < need:
                 return False
-    det = mat_det([[Fraction(v) for v in row] for row in x])
-    return det != 0 and valuation(det, ball.p) == 0
+    return True

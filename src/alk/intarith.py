@@ -70,14 +70,6 @@ def is_square_fraction(x: Fraction | int) -> bool:
         and exact_isqrt(x.denominator) is not None
 
 
-def sqrt_fraction(x: Fraction | int) -> Fraction:
-    """Exact square root of a rational perfect square."""
-    x = Fraction(x)
-    if not is_square_fraction(x):
-        raise ValueError(f"{x} is not a rational square")
-    return Fraction(math.isqrt(x.numerator), math.isqrt(x.denominator))
-
-
 def log_abs(x: Fraction | int) -> float:
     """log |x| for a nonzero rational x: the log of float(|x|) where that is
     a normal float, and the log of the numerator less the log of the

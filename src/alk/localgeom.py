@@ -24,7 +24,7 @@ from typing import Optional
 from .intarith import valuation
 from .nfpoly import Conjugation, NFElem
 from .numfield import QuadField, conj, splitting_type
-from .ratlinalg import mat_det, mat_mul
+from .ratlinalg import in_gl_zp, integer_matrix, mat_det, mat_mul
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +215,14 @@ def integrality_checks(ext: LocalQuadExt, gamma) -> dict:
         "det_is_unit": det != 0 and valuation(det, p) == 0,
     }
     checks["all"] = all(checks.values())
-    entries_integral = all(
-        _p_integral(Fraction(x), p) for row in gamma for x in row
-    )
-    checks["gamma_in_gl2_zp"] = entries_integral and checks["det_is_unit"]
+    checks["gamma_in_gl2_zp"] = in_gl_zp(gamma, p)
     checks["coords"] = lc
     return checks
 
 
 def psi_bound_finite(ext: LocalQuadExt, gamma) -> dict:
     """|psi(k)|_p <= disc_u for k in GL2(Z_p), as exact valuations."""
-    psi = psi_invariant(ext.torus, [[Fraction(x) for x in row] for row in gamma])
+    psi = psi_invariant(ext.torus, gamma)
     if psi == 0:
         return {"psi": psi, "abs": Fraction(0), "disc_u": ext.disc_u, "ok": True}
     abs_psi = Fraction(ext.p) ** (-valuation(psi, ext.p))
@@ -377,9 +374,11 @@ def block_coordinates_gl4(F: QuadField, gamma, f: int = 1) -> dict:
     A1[i][j], A2[i][j] the (b1, b2) of gamma's 2x2 block (i, j)."""
     if len(gamma) != 4 or any(len(row) != 4 for row in gamma):
         raise ValueError("expected a 4x4 matrix")
-    conjugate = order_torus(F.d, f).conjugate
-    blocks = [[conjugate([row[2 * j:2 * j + 2] for row in gamma[2 * i:2 * i + 2]])
-               for j in range(2)] for i in range(2)]
+    entry = order_torus(F.d, f).conjugate.entry
+    w, e = integer_matrix(gamma)  # cleared once for the four blocks
+    blocks = [[[[entry(v, e, r, c) for c in range(2)] for r in range(2)]
+               for v in (w[i][j:j + 2] + w[i + 1][j:j + 2] for j in (0, 2))]
+              for i in (0, 2)]
     return {"A1": [[m[0][0] for m in row] for row in blocks],
             "A2": [[m[0][1] for m in row] for row in blocks],
             "pattern_ok": all(_sigma_pattern(m) for row in blocks for m in row)}
@@ -389,7 +388,7 @@ def block_integrality(F: QuadField, gamma, p: int, f: int = 1) -> dict:
     """Integrality of the block coordinates for gamma in GL4(Z_p)."""
     ext = different_and_orders(F.d, p, f)
     bc = block_coordinates_gl4(F, gamma, f)
-    if mat_det([[Fraction(x) for x in row] for row in gamma]) == 0:
+    if mat_det(gamma) == 0:
         raise ValueError("gamma must be invertible")
     a1, a2 = bc["A1"], bc["A2"]
     in_inv_diff = all(ext.in_inverse_different(a1[i][j]) and

@@ -372,37 +372,20 @@ class Automorphism:
                             canonical=_canonical, den=self._den)
 
 
-def _cleared(matrix) -> tuple[list[int], int]:
-    """(v, e): the matrix's entries, row by row, as integers over one
-    denominator e, in one pass that takes int and Fraction entries as they
-    are and any other through Fraction; a non-rational entry raises
-    ValueError."""
-    nums, dens = [], []
-    try:
-        for row in matrix:
-            for x in row:
-                if not isinstance(x, (int, Fraction)):
-                    x = Fraction(x)
-                nums.append(x.numerator)
-                dens.append(x.denominator)
-    except TypeError:
-        raise ValueError("matrix entries must be rational numbers") from None
-    e = lcm(*dens)
-    return [x * (e // d) for x, d in zip(nums, dens)], e
-
-
 class Conjugation:
     """The map gamma -> A gamma B on rational n x n matrices, for fixed n x n
     matrices A and B over a NumberField; a conjugation when A = B^-1.
     Entry (i, j) is sum_(k,l) gamma[k][l] A[i][k] B[l][j], linear in gamma,
     so the n^2 products A[i][k] B[l][j] of each entry are formed once and
     held as integer numerators over one denominator per entry, from which
-    the entry's straight-line code is generated when the map is built.  It
-    takes gamma cleared to integers v over one denominator e (`_cleared`)
+    the entry's straight-line code is generated when the map is built.  A
+    call clears gamma with `ratlinalg.integer_matrix`, which refuses a
+    non-rational entry, to integers v, row by row, over one denominator e,
     and gives each coordinate as one integer linear form of v, over that
     entry's denominator times e, with no field multiplication.  A call
     takes every entry; `entry` takes one, so a caller that reads only some
-    entries (git4's Psi values) conjugates only those."""
+    entries (git4's Psi values, the blocks of a 4x4 gamma) conjugates only
+    those."""
 
     __slots__ = ("field", "_table")
 
@@ -428,7 +411,8 @@ class Conjugation:
         n = len(self._table)
         if len(gamma) != n or any(len(row) != n for row in gamma):
             raise ValueError(f"expected a {n}x{n} matrix")
-        v, e = _cleared(gamma)
+        m, e = integer_matrix(gamma)
+        v = [x for row in m for x in row]
         return [[self.entry(v, e, i, j) for j in range(n)] for i in range(n)]
 
     def entry(self, v, e: int, i: int, j: int) -> NFElem:
@@ -458,16 +442,3 @@ def gaussian_period_delta(p: int) -> tuple[int, int]:
         x, r = r, x % r
     a = r if r % 2 else isqrt(p - r * r)
     return (p if p % 8 == 1 else -p), (-a if a % 4 == 1 else a)
-
-
-def gaussian_period_quartic(p: int) -> dict:
-    """Exact data for the quartic subfield K of Q(zeta_p), p prime, p = 1 mod 4.
-
-    Returns delta = (eta_0 - eta_2)^2 in F = Q(sqrt(p)) as a pair
-    (rational part, sqrt(p) coefficient), read from the closed form of
-    `gaussian_period_delta`.  eta_j sums zeta^x over C_j = {g^(4k+j)} for
-    a primitive root g; eta_0 and eta_2 do not depend on g, and
-    eta_0 + eta_2 = (-1 + sqrt p)/2 (the Gauss sum).
-    """
-    A, B = gaussian_period_delta(p)
-    return {"p": p, "delta": (Fraction(A, 2), Fraction(B, 2))}

@@ -1,19 +1,24 @@
 """Linear algebra over Q.
 
-`mat_mul`, `mat_vec` and `transpose` work on any entries that support
-+ and *.  Elimination is exact and fraction-free, so every intermediate
-is an integer minor: `integer_matrix` clears a matrix of int and Fraction
-entries (any other entry type raises TypeError) to integers over one
-denominator, `bareiss` gives determinants and leading minors and
-`adjugate` inverses, and `mat_det` and `mat_inv` give Fraction results
-through them.  Matrices are lists of lists; only `bareiss` mutates its
-argument.
+`mat_mul` and `transpose` work on any entries that support + and *.
+`integer_matrix` is the one place that decides what a rational entry is:
+it clears a matrix to integers over one least denominator, reading int
+and Fraction entries as they are and any other `numbers.Rational` through
+Fraction, and refuses every other entry (float, str, complex, a field
+element) with `NotRational`, both a TypeError and a ValueError.  Every
+rational matrix of the package goes through it.  Elimination is exact and
+fraction-free, so every intermediate is an integer minor: `bareiss` gives
+determinants and leading minors and `adjugate` inverses, `mat_det` and
+`mat_inv` give Fraction results through them, and `in_gl_zp` decides
+membership in GL_n(Z_p) from the cleared matrix.  Matrices are lists of
+lists; only `bareiss` mutates its argument.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Rational
 
 
 def mat_mul(a, b):
@@ -27,25 +32,36 @@ def mat_mul(a, b):
     ]
 
 
-def mat_vec(a, v):
-    return [sum((a[i][j] * v[j] for j in range(1, len(v))), start=a[i][0] * v[0])
-            for i in range(len(a))]
-
-
 def transpose(a):
     return [list(row) for row in zip(*a)]
 
 
+class NotRational(TypeError, ValueError):
+    """A matrix entry that is not a rational number.  Both a TypeError and a
+    ValueError, so `mat_inv` and `mat_det` refuse with the TypeError they
+    always raised and the GL2 and GL4 coordinates with their ValueError."""
+
+
 def integer_matrix(a):
     """(m, den) with integer m, a = m / den and den > 0 least, so m and den
-    have no common factor; TypeError unless every entry of a is an int or a
-    Fraction."""
+    have no common factor.  One pass over a reads int and Fraction entries
+    as they are and any other numbers.Rational through Fraction; any other
+    entry raises NotRational."""
+    rows, dens = [], []
     for row in a:
+        r = []
         for x in row:
             if not isinstance(x, (int, Fraction)):
-                raise TypeError(f"expected int or Fraction entries, got {type(x).__name__}")
-    den = math.lcm(*(x.denominator for row in a for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in a], den
+                if not isinstance(x, Rational):
+                    raise NotRational("matrix entries must be rational numbers: expected "
+                                      f"int or Fraction entries, got {type(x).__name__}")
+                x = Fraction(x)
+            d = x.denominator
+            r.append((x.numerator, d))
+            dens.append(d)
+        rows.append(r)
+    den = math.lcm(*dens)
+    return [[n * (den // d) for n, d in r] for r in rows], den
 
 
 def bareiss(m) -> tuple[list[int], int]:
@@ -107,3 +123,15 @@ def mat_det(a):
     m, den = integer_matrix(a)
     pivots, swaps = bareiss(m)
     return Fraction((-1) ** swaps * pivots[-1], den ** len(m))
+
+
+def in_gl_zp(a, p: int) -> bool:
+    """a in GL_n(Z_p) for a rational square a and a prime p: with a = m / den
+    cleared over its least denominator, every entry is p-integral iff
+    p does not divide den, and then det a is a p-adic unit iff p does not
+    divide det m."""
+    m, den = integer_matrix(a)
+    if den % p == 0:
+        return False
+    pivots, _ = bareiss(m)
+    return pivots[-1] % p != 0

@@ -433,14 +433,14 @@ def power_basis_trace_disc(tower) -> Fraction:
 
 def norm_square_class_reference(delta):
     """numfield.norm_square_class on Fractions: is_square_fraction on
-    Nr(delta), then on Nr(delta)/d, with the root from sqrt_fraction; the
-    oracle for the integer route."""
-    from alk.intarith import is_square_fraction, sqrt_fraction
+    Nr(delta), then on Nr(delta)/d, with the root from exact_isqrt of
+    numerator and denominator; the oracle for the integer route."""
+    from alk.intarith import exact_isqrt, is_square_fraction
 
     n, d = delta.norm(), delta.field.squares[0][0]
     for kind, x in (("biquadratic", n), ("cyclic", n / d)):
         if is_square_fraction(x):
-            return kind, sqrt_fraction(x)
+            return kind, Fraction(exact_isqrt(x.numerator), exact_isqrt(x.denominator))
     return "dihedral", None
 
 
@@ -493,7 +493,7 @@ def eta_closure(tower):
     conjugates +-u +- 2v and +-v +- 2u are distinct.  One exact elimination
     over the basis sqrt(d)^i u^j v^k gives eta^8 and the coordinates of
     sqrt(d), u and v in the power basis of eta."""
-    from alk.ratlinalg import mat_inv, mat_vec, transpose
+    from alk.ratlinalg import mat_inv, mat_mul, transpose
 
     delta, F = tower.delta, tower.base
     zero, one = F.elem(0), F.elem(1)
@@ -506,7 +506,7 @@ def eta_closure(tower):
         return [c for q in x for c in q.coeffs]
 
     inv = mat_inv(transpose([coords(p) for p in powers[:8]]))
-    eta8, sqrt_d, u, v = (mat_vec(inv, coords(x)) for x in (
+    eta8, sqrt_d, u, v = (transpose(mat_mul(inv, transpose([coords(x)])))[0] for x in (
         powers[8], (F.elem(0, 1), zero, zero, zero), (zero, one, zero, zero),
         (zero, zero, one, zero)))
     L = PowerBasisField(tuple(-c for c in eta8) + (Fraction(1),))

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from alk import enumeration, quartics
 from alk.arakelov import euclidean_lattice, theta_invariants_euclidean
 from alk.cli import main
-from alk.intarith import sqrt_fraction
 from conftest import PowerBasisField, eta_closure, within_seconds
 
 
@@ -267,7 +266,9 @@ def _to_old_basis(tower, data, value, theta):
         v = None
     u2 = [Fraction(x) for x in data["u^2"]]
     assert data["d"] == tower.base.d and u2[1] * tower.delta.a == u2[0] * tower.delta.b
-    c = sqrt_fraction(u2[1] / tower.delta.b)
+    c2 = u2[1] / tower.delta.b
+    c = Fraction(math.isqrt(c2.numerator), math.isqrt(c2.denominator))
+    assert c * c == c2
     gens = {"sqrt(d)": sqrt_d, "u": c * u, "v": None if v is None else c * v}
     total = L.elem(0)
     for name, x in zip(data["basis"], value):

@@ -10,7 +10,7 @@ from conftest import gauss_jordan, within_seconds
 
 from alk.git4 import regular_embedding
 from alk.intarith import exact_isqrt, factorize, is_prime
-from alk.nfpoly import gaussian_period_delta, gaussian_period_quartic
+from alk.nfpoly import gaussian_period_delta
 from alk.quartics import gaussian_period_tower
 from alk.toralsets import classify_galois_type, make_descriptor, nonarch_and_global_disc
 
@@ -24,7 +24,7 @@ def test_period_data_is_pinned():
              (Q(-5, 2), Q(-1, 2))),
             (13, (Q(3), Q(-4), Q(2), Q(1), Q(1)), (Q(3), Q(2, 3), Q(0), Q(-2, 3)),
              (Q(-13, 2), Q(3, 2)))):
-        assert gaussian_period_quartic(p) == {"p": p, "delta": delta}
+        assert tuple(Q(x, 2) for x in gaussian_period_delta(p)) == delta
         tower = gaussian_period_tower(p)
         assert tower.theta_min_poly == mp and tower.sqrt_d_coords == sqrtp
         assert 4 * tower.delta == tower.base.elem(*delta)
@@ -34,7 +34,7 @@ def test_period_data_is_pinned():
 @pytest.mark.parametrize("p", (-3, 0, 1, 2, 3, 7, 9, 21, 25, 45))
 def test_rejects_p_that_is_not_a_prime_one_mod_four(p):
     with pytest.raises(ValueError, match=rf"prime = 1 mod 4, got p = {p}$"):
-        gaussian_period_quartic(p)
+        gaussian_period_delta(p)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -54,7 +54,7 @@ def test_period_data_satisfies_exact_field_identities(p):
     assert images[1] != theta and images[2] != theta and images[4] == theta
     sqrtp = sum(c * theta ** i for i, c in enumerate(tower.sqrt_d_coords))
     assert sqrtp * sqrtp == p and sqrtp == emb.closure.elem([0, 1])
-    u, v = gaussian_period_quartic(p)["delta"]
+    u, v = (Q(x, 2) for x in gaussian_period_delta(p))
     diff = theta - images[2]
     assert diff * diff == u + v * sqrtp
 
@@ -130,9 +130,8 @@ def test_closed_form_equals_the_cyclotomic_table_below_twenty_thousand():
     primes = [p for p in range(5, 20000, 4) if is_prime(p)]
     assert len(primes) == 1125
     for p in primes:
-        delta = _cyclotomic_delta(p)
-        assert gaussian_period_quartic(p)["delta"] == delta, p
         A, B = gaussian_period_delta(p)
+        assert (Q(A, 2), Q(B, 2)) == _cyclotomic_delta(p), p
         # A = +-p, and B = -a for p = a^2 + b^2 with a = 1 mod 4
         assert abs(A) == p and B % 4 == 3 and exact_isqrt(p - B * B) is not None, p
         delta = gaussian_period_tower(p).delta

@@ -32,7 +32,7 @@ from alk.git4 import (
 from alk.intarith import is_prime, is_square_fraction, squarefree_kernel
 from alk.nfpoly import NFElem, NumberField
 from alk.numfield import conj, make_quad_field, make_tower, norm_square_class
-from alk.ratlinalg import mat_det, mat_mul
+from alk.ratlinalg import integer_matrix, mat_det, mat_mul
 from alk.toralsets import classify_galois_type
 from conftest import PowerBasisField, eta_closure, gauss_jordan, random_invertible, random_tower
 
@@ -280,6 +280,20 @@ def test_malformed_gamma_is_named(gamma):
                  lambda: block_membership_test(emb, gamma, "cyclic"),
                  lambda: pattern_and_relation_check(emb, gamma, "cyclic")):
         with pytest.raises(ValueError, match="^expected a 4x4 matrix$"):
+            call()
+
+
+@pytest.mark.parametrize("entry", [0.1, "1/2"], ids=["float", "string"])
+def test_non_rational_gamma_is_refused(entry):
+    # a float or a string entry was read through Fraction, and answered
+    emb = regular_embedding(CYCLIC)
+    gamma = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    gamma[1][2] = entry
+    ball = BowenBall(2, (Fraction(1, 2), Fraction(2)), 1)
+    for call in (lambda: psi_invariants(emb, gamma),
+                 lambda: block_membership_test(emb, gamma, "cyclic"),
+                 lambda: bowen_membership([[1, 0], [0, entry]], ball)):
+        with pytest.raises(ValueError, match="rational"):
             call()
 
 
@@ -697,7 +711,8 @@ def test_commutation_kernel_equals_the_matrix_products(towers):
         for gamma in _commutation_gammas(rng, emb):
             want = mat_mul(sd, gamma) == mat_mul(gamma, sd)
             seen.add(want)
-            assert emb.commutation_test(git4._cleared(gamma)[0]) is want
+            v = [x for row in integer_matrix(gamma)[0] for x in row]
+            assert emb.commutation_test(v) is want
             if mat_det(gamma) != 0:
                 gtype = classify_galois_type(tower)
                 assert block_membership_test(emb, gamma, gtype)["in_R"] is want

@@ -86,16 +86,20 @@ def test_local_coords_are_the_conjugate_by_the_eigenbasis():
 
 def test_malformed_matrices_are_refused():
     """A non-rational entry or a wrong shape raises ValueError; the kernel
-    would otherwise read a misshapen gamma as the entries it has."""
+    would otherwise read a misshapen gamma as the entries it has.  A float
+    and a string were read through Fraction: 0.1 as its binary value and
+    "1/2" as 1/2."""
     torus = standard_torus(2)
     K = torus.K
-    for entry in (K.elem(0, 1), K.elem(1), complex(1, 1)):
+    for entry in (K.elem(0, 1), K.elem(1), complex(1, 1), 0.1, "1/2"):
         with pytest.raises(ValueError, match="rational"):
             local_coords(torus, [[entry, 0], [0, 1]])
-    gamma = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
-    gamma[2][1] = K.elem(0, 1)
-    with pytest.raises(ValueError, match="rational"):
-        block_coordinates_gl4(QuadField(2), gamma)
+    for entry in (K.elem(0, 1), 0.1, "1/2"):
+        gamma = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+        gamma[2][1] = entry
+        for call in (block_coordinates_gl4, lambda F, g: block_integrality(F, g, 3)):
+            with pytest.raises(ValueError, match="rational"):
+                call(QuadField(2), gamma)
     for gamma in ([[1, 2, 3], [4, 5, 6]], [[1], [2]], [[1, 2], [3, 4], [5, 6]], [[1, 2]]):
         with pytest.raises(ValueError, match="expected a 2x2 matrix"):
             local_coords(torus, gamma)

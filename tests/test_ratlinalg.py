@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from alk.arakelov import euclidean_lattice
 from alk.numfield import QuadField
-from alk.ratlinalg import bareiss, integer_matrix, mat_det, mat_inv, mat_mul
+from alk.intarith import valuation
+from alk.ratlinalg import bareiss, in_gl_zp, integer_matrix, mat_det, mat_inv, mat_mul
 from conftest import gauss_jordan
 
 
@@ -27,13 +28,45 @@ def test_singular_int_matrix_has_fraction_zero_determinant():
 
 def test_non_rational_entries_raise_type_error():
     sqrt2 = QuadField(2).elem(0, 1)
-    for x in (2.0, 2 + 0j, sqrt2):
+    for x in (2.0, 2 + 0j, sqrt2, "1/2"):
         m = [[1, 0], [0, x]]
         for fn in (mat_inv, mat_det, integer_matrix):
             with pytest.raises(TypeError, match="int or Fraction"):
                 fn(m)
     # products stay generic
     assert mat_mul([[sqrt2]], [[sqrt2]]) == [[QuadField(2).elem(2)]]
+
+
+def _in_gl_zp_by_valuations(x, p):
+    """x in GL_n(Z_p) entry by entry and by det's valuation: the test git4
+    wrote out before `in_gl_zp`, kept as its oracle."""
+    for row in x:
+        for v in row:
+            if v != 0 and valuation(Fraction(v), p) < 0:
+                return False
+    det = mat_det([[Fraction(v) for v in row] for row in x])
+    return det != 0 and valuation(det, p) == 0
+
+
+def test_in_gl_zp_matches_the_valuations():
+    """On a seeded sweep of 1x1 to 4x4 matrices, with p dividing the common
+    denominator, singular matrices and unit determinants all met."""
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(600):
+        n, p = rng.randint(1, 4), rng.choice((2, 3, 5))
+        a = [[Fraction(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3, 5))) for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.2:
+            a[-1] = list(a[0])  # singular for n > 1
+        _, den = integer_matrix(a)
+        det = mat_det(a)
+        seen.add((den % p == 0, det == 0, det != 0 and valuation(det, p) == 0))
+        assert in_gl_zp(a, p) is _in_gl_zp_by_valuations(a, p), (a, p)
+    assert {(True, False, False), (False, True, False), (False, False, True),
+            (False, False, False)} <= seen
+    with pytest.raises(TypeError, match="int or Fraction"):
+        in_gl_zp([[0.5]], 2)
 
 
 # ---------------------------------------------------------------------------

@@ -43,15 +43,35 @@ def _names_read(node):
             yield from (alias.name for alias in sub.names)
 
 
-def test_private_helpers_are_used_in_the_package():
-    # a module-level _helper that only its own definition (or the tests)
-    # reads is dead package code
+def _public_definitions(tree):
+    """(name, node) for each module-level function or class without a
+    leading underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+
+
+def _unread(definitions):
+    """The names definitions yields, over every package module, that no
+    module-level statement of the package reads other than their own
+    definition; alk/__init__.py reads each name it exports."""
     trees = [ast.parse(path.read_text(), filename=str(path))
              for path in sorted(Path(alk.__file__).parent.glob("*.py"))]
     reads = [(node, set(_names_read(node))) for tree in trees for node in tree.body]
-    unused = [name for tree in trees for name, own in _private_definitions(tree)
-              if not any(name in names for node, names in reads if node is not own)]
-    assert unused == []
+    return [name for tree in trees for name, own in definitions(tree)
+            if not any(name in names for node, names in reads if node is not own)]
+
+
+def test_private_helpers_are_used_in_the_package():
+    # a module-level _helper that only its own definition (or the tests)
+    # reads is dead package code
+    assert _unread(_private_definitions) == []
+
+
+def test_public_helpers_are_used_or_exported():
+    # a public function or class that the package neither reads nor
+    # exports is read by the tests alone: dead package code
+    assert _unread(_public_definitions) == []
 
 
 def _enclosing_functions(tree):
