@@ -23,13 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from numbers import Rational
 from typing import Optional, Sequence
 
 from . import enumeration
 from .intarith import log_abs
 from .numfield import FracIdeal, QuadField, embeddings
-from .ratlinalg import NotRational, adjugate, bareiss, integer_matrix, transpose
+from .ratlinalg import NotRational, adjugate, bareiss, integer_matrix, rational, real, transpose
 
 
 @dataclass(frozen=True)
@@ -89,19 +88,17 @@ def euclidean_lattice(gram: Sequence[Sequence]) -> EuclideanLattice:
         m, den = integer_matrix(gram)
         g = None
     except NotRational:  # a non-rational entry makes every entry a float
-        m = g = [[float(x) for x in row] for row in gram]
+        m = g = [[float(real(x)) for x in row] for row in gram]
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("Gram matrix not square")
     if g is not None:
-        if not all(math.isfinite(x) for row in g for x in row):
-            raise ValueError("Gram entries must be finite")
         # symmetric within an absolute 1e-8 plus a relative 1e-5; one triangle
         # for both halves, so a pair within the tolerance is stored equal
         if not all(abs(g[i][j] - g[j][i]) <= 1e-8 + 1e-5 * abs(g[j][i])
                    for i in range(n) for j in range(n)):
             raise ValueError("Gram matrix not symmetric")
-        m, den = integer_matrix([[Fraction(g[min(i, j)][max(i, j)]) for j in range(n)]
+        m, den = integer_matrix([[real(g[min(i, j)][max(i, j)]) for j in range(n)]
                                  for i in range(n)])
     if m != transpose(m):
         raise ValueError("Gram matrix not symmetric")
@@ -170,11 +167,9 @@ class HermitianLineBundle:
 
 
 def _positive_radii(radii, message: str) -> tuple[Fraction, ...]:
-    """One radius or a tuple or list of them as Fractions, a rational read
-    exactly and anything else through float; ValueError(message) unless
-    every radius is positive."""
-    radii = tuple(Fraction(r) if isinstance(r, Rational) else Fraction(float(r))
-                  for r in (radii if isinstance(radii, (tuple, list)) else (radii,)))
+    """One radius or a tuple or list of them as Fractions, each read by
+    `ratlinalg.real`; ValueError(message) unless every radius is positive."""
+    radii = tuple(real(r) for r in (radii if isinstance(radii, (tuple, list)) else (radii,)))
     if any(r <= 0 for r in radii):
         raise ValueError(message)
     return radii
@@ -183,7 +178,7 @@ def _positive_radii(radii, message: str) -> tuple[Fraction, ...]:
 def make_bundle(field: Optional[QuadField], ideal, radii) -> HermitianLineBundle:
     radii = _positive_radii(radii, "radii must be positive")
     if field is None:
-        q = Fraction(ideal)
+        q = rational(ideal)
         if q <= 0:
             raise ValueError("ideal generator must be positive")
         if len(radii) != 1:
@@ -232,12 +227,12 @@ def adeg_via_section(bundle: HermitianLineBundle, s) -> float:
     """deg = log [L : O_F s] - sum_sigma log ||s||_sigma for s in L (a
     rational, or an element of F)."""
     if bundle.field is None:
-        s = Fraction(s)
+        s = rational(s)
         if s == 0:
             raise ValueError("zero section")
-        if (s / bundle.ideal).denominator != 1:
+        if Fraction(s, bundle.ideal).denominator != 1:
             raise ValueError("section not in the ideal")
-        return log_abs(s / bundle.ideal) - log_abs(s / bundle.radii[0])
+        return log_abs(Fraction(s, bundle.ideal)) - log_abs(s / bundle.radii[0])
     s = bundle.field.coerce(s)
     if s.is_zero():
         raise ValueError("zero section")
@@ -260,7 +255,7 @@ def adeg(bundle: HermitianLineBundle) -> float:
 def dual_bundle(bundle: HermitianLineBundle) -> HermitianLineBundle:
     radii = tuple(1 / r for r in bundle.radii)
     if bundle.field is None:
-        return make_bundle(None, 1 / bundle.ideal, radii)
+        return make_bundle(None, Fraction(1, bundle.ideal), radii)
     return make_bundle(bundle.field, bundle.ideal.inverse(), radii)
 
 
@@ -351,7 +346,7 @@ def _box_form(ideal: FracIdeal, sq_radii):
     (u + v*sqrt(d)) / D for D its den.  The form is at most 2 on the box
     |sigma(x)|^2 <= R_sigma, or Nr(x) <= R."""
     D = ideal.den
-    inv = [1 / Fraction(R) for R in (sq_radii if len(sq_radii) == 2 else sq_radii * 2)]
+    inv = [Fraction(1, R) for R in (sq_radii if len(sq_radii) == 2 else sq_radii * 2)]
     s, t = inv[0] + inv[1], inv[0] - inv[1]
     m = math.lcm(s.denominator, t.denominator)
     gram, cols, reduced = _reduce_forms(ideal.field.d, ideal.rows,

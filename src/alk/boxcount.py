@@ -20,6 +20,7 @@ from . import enumeration
 from .arakelov import _positive_radii, _reduce_forms, box_count, f_bound
 from .intarith import log_abs, valuation
 from .numfield import FracIdeal, Place, QuadField, finite_places, prime_ideal
+from .ratlinalg import rational
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ def make_radius_family(field: Optional[QuadField], finite, infinite) -> RadiusFa
             raise ValueError(f"{place} is not a finite place of {field or 'Q'}")
         if any(place == v for v, _, _ in fin):
             raise ValueError(f"a radius at the {place.tag} place over {place.p} is given twice")
-        r = Fraction(r)
+        r = rational(r)
         # validates the value group; the exponent is kept for the ideal
         fin.append((place, r, _radius_exponent(r, place.residue_size)))
     inf = _positive_radii(infinite, "infinite radii must be positive")
@@ -149,7 +150,7 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
     exact c elsewhere.  C and the bound are reported as None where they are
     beyond the float range, and the count is then compared in logs:
     log count <= log C + log ||r|| - log(D_F) / 2."""
-    c = Fraction(c)
+    c = rational(c)
     if c <= 0:
         raise ValueError("c must be positive")
     n = 1 if field is None else 2

@@ -49,10 +49,13 @@ def _json_number(text: str) -> Fraction:
     return Fraction(x)
 
 
-def _json(text: str):
-    """The JSON value of text with every number exact: integers as int,
-    other numbers as Fraction."""
-    return json.loads(text, parse_float=_json_number, parse_constant=_json_number)
+def _json(text: str, what: str):
+    """The JSON value of the option what with every number exact: integers
+    as int, other numbers as Fraction; ValueError naming what on no JSON."""
+    try:
+        return json.loads(text, parse_float=_json_number, parse_constant=_json_number)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _fraction(x) -> Fraction:
@@ -91,16 +94,25 @@ def _budget(text: str) -> int:
 def _load(text, kind, what):
     """The JSON value of text, which must be an array (kind list) or an
     object (kind dict)."""
-    data = _json(text) if isinstance(text, str) else text
+    data = _json(text, what) if isinstance(text, str) else text
     if not isinstance(data, kind):
         raise ValueError(f"{what} must be a JSON {'array' if kind is list else 'object'}")
     return data
 
 
+def _int_keys(text, what) -> list[tuple[int, object]]:
+    """The (key, value) pairs of the JSON object what, each key read by `_int`."""
+    data = _load(text, dict, what)
+    try:
+        return [(_int(key), value) for key, value in data.items()]
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _parse_field(text):
     if text is None or text.lower() in ("q", "null"):
         return None
-    data = _json(text)
+    data = _json(text, "--field")
     if data is None:
         return None
     return make_quad_field(_int(_load(data, dict, "--field")["d"]))
@@ -121,7 +133,7 @@ def _parse_matrix(text, what, sizes=None):
 
 
 def tower_from_json(data) -> object:
-    data = _load(data, dict, "a tower")
+    data = _load(_json(data, "--tower") if isinstance(data, str) else data, dict, "a tower")
 
     def field(key):
         if key in data:
@@ -203,8 +215,7 @@ def _flatten(data, prefix=""):
 
 def _radius_family(field, rinf, rfin_text):
     finite = []
-    for p_str, r in (_load(rfin_text, dict, "--rfin") if rfin_text is not None else {}).items():
-        p = int(p_str)
+    for p, r in _int_keys(rfin_text, "--rfin") if rfin_text is not None else ():
         radii = r if isinstance(r, list) else [r]
         places = finite_places(field, p)
         if len(radii) != len(places):
@@ -240,7 +251,7 @@ def _cmd_theta(args, cfg: RunConfig):
 
 def _cmd_count_box(args, cfg: RunConfig):
     field = _parse_field(args.field)
-    rinf = _json(args.rinf)
+    rinf = _json(args.rinf, "--rinf")
     if not isinstance(rinf, list):
         rinf = [rinf]
     fam = _radius_family(field, rinf, args.rfin)
@@ -314,9 +325,8 @@ def _cmd_tau_window(args, cfg: RunConfig):
 
 def _cmd_disc(args, cfg: RunConfig):
     tower = tower_from_json(args.tower)
-    conductors = _load(args.conductors if args.conductors is not None else "{}", dict,
-                       "--conductors")
-    conductors = {p: _int(f) for p, f in conductors.items()}
+    text = args.conductors if args.conductors is not None else "{}"
+    conductors = {p: _int(f) for p, f in _int_keys(text, "--conductors")}
     arch = _matrix_rows(args.arch, "--arch") if args.arch is not None else None
     desc = toralsets.make_descriptor(tower, conductors, arch)
     return toralsets.nonarch_and_global_disc(desc), EXIT_OK
@@ -395,25 +405,24 @@ def _verification_battery(cfg: RunConfig) -> list[dict]:
 
     # box count worked example
     F = make_quad_field(-1)
-    fam = boxcount.make_radius_family(F, [], [Fraction(2)])
+    fam = boxcount.make_radius_family(F, [], [2])
     count = boxcount.count_box(F, fam, cfg.budget)
     record("03_box_count_gaussian", count == 9, {"count": count})
 
     # psi invariant worked example
     torus = localgeom.standard_torus(2)
-    psi = localgeom.psi_invariant(torus, [[Fraction(1), Fraction(1)],
-                                          [Fraction(0), Fraction(1)]])
+    psi = localgeom.psi_invariant(torus, [[1, 1], [0, 1]])
     record("04_psi_unipotent", psi == Fraction(-1, 2), {"psi": str(psi)})
 
     # orbital measure example
-    val = localgeom.orbital_measure_split(Fraction(8), "split_nonarch", q=2)
-    oracle = localgeom.orbital_measure_split_oracle(Fraction(8), 2)
+    val = localgeom.orbital_measure_split(8, "split_nonarch", q=2)
+    oracle = localgeom.orbital_measure_split_oracle(8, 2)
     record("05_orbital_measure", val == 4.0 and oracle == 4,
            {"formula": val, "oracle": oracle})
 
     # identity profile
     emb = git4.regular_embedding(quartics.zeta5_tower())
-    ident = [[Fraction(1 if i == j else 0) for j in range(4)] for i in range(4)]
+    ident = [[int(i == j) for j in range(4)] for i in range(4)]
     prof = git4.psi_invariants(emb, ident)
     delta_ok = all(
         (v == 1) == (s == git4.IDENTITY) and (s == git4.IDENTITY or v == 0)
@@ -423,8 +432,7 @@ def _verification_battery(cfg: RunConfig) -> list[dict]:
 
     # entropy worked example
     p = 2
-    ent = git4.entropy_quantities([Fraction(4), Fraction(2), Fraction(1, 2),
-                                   Fraction(1, 4)], p)
+    ent = git4.entropy_quantities([4, 2, Fraction(1, 2), Fraction(1, 4)], p)
     lp = math.log(p)
     ent_ok = (abs(ent.eta["cyclic"] - 12 * lp) < 1e-12
               and abs(ent.h_int - 2 * lp) < 1e-12

@@ -69,7 +69,8 @@ from .intarith import is_prime, log_abs, valuation
 from .nfpoly import (Automorphism, Conjugation, NFElem, NumberField, _canonical, _linear_forms,
                      _Source, _unpack)
 from .numfield import FieldTower, conj, norm_square_class
-from .ratlinalg import bareiss, in_gl_zp, integer_matrix, mat_inv, mat_mul, transpose
+from .ratlinalg import (bareiss, in_gl_zp, integer_matrix, mat_inv, mat_mul, rational, real,
+                        transpose)
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
 IDENTITY = (0, 1, 2, 3)
@@ -164,7 +165,7 @@ class EmbeddingData:
         powers = self.tower.theta_powers
         if len(coeffs) > 4:
             raise ValueError(f"{len(coeffs)} coordinates for a quartic field")
-        x = sum(map(mul, map(Fraction, coeffs), powers))
+        x = sum(map(mul, coeffs, powers))
         return mat_mul([(x * t).coeffs for t in powers], self.tower.theta_basis_inverse)
 
     @cached_property
@@ -543,16 +544,18 @@ class EntropyData:
 
 
 def root_log_values(t, p: Optional[int] = None) -> tuple:
+    """log |t_i| at the place p, each t_i read by `ratlinalg.real` at p None."""
     if p is None:
-        return tuple(log_abs(x) for x in t)
+        return tuple(log_abs(real(x)) for x in t)
     if not is_prime(p):
         raise ValueError(f"{p} is not a prime")
-    return tuple(-valuation(Fraction(x), p) * math.log(p) for x in t)
+    return tuple(-valuation(x, p) * math.log(p) for x in t)
 
 
 def entropy_quantities(t, p: Optional[int] = None) -> EntropyData:
     """Root-sum entropy data of a = diag(t1..t4) at the given place."""
-    if len(t) != 4 or any(Fraction(x) == 0 for x in t):
+    t = [real(x) if p is None else rational(x) for x in t]
+    if len(t) != 4 or any(x == 0 for x in t):
         raise ValueError("need four nonzero diagonal entries")
     logs = root_log_values(t, p)
     eta_sigma = {}
@@ -565,7 +568,7 @@ def entropy_quantities(t, p: Optional[int] = None) -> EntropyData:
         in_a_prime = h_int < h_haar / 3.0
     else:
         # the logs are -v log p, so the strict test is exact on the valuations v
-        v_haar, v_int = _haar_and_int([valuation(Fraction(x), p) for x in t])
+        v_haar, v_int = _haar_and_int([valuation(x, p) for x in t])
         in_a_prime = 3 * v_int < v_haar
     return EntropyData(logs, eta_sigma, eta, h_haar, h_int, in_a_prime)
 
@@ -621,32 +624,31 @@ class BowenBall:
             raise ValueError(f"{self.p} is not a prime")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
-        if any(Fraction(x) == 0 for x in self.a):
+        if any(rational(x) == 0 for x in self.a):
             raise ValueError("diagonal entries must be nonzero")
 
 
 def bowen_membership_loop(x, ball: BowenBall) -> bool:
-    n = len(x)
-    vals = [valuation(Fraction(ai), ball.p) for ai in ball.a]
+    """The oracle: a^-t x a^t in GL_n(Z_p) for every |t| <= tau."""
+    m, den = integer_matrix(x)
+    vals = [valuation(ai, ball.p) for ai in ball.a]
     for t in range(-ball.tau, ball.tau + 1):
-        y = [[Fraction(x[i][j]) * Fraction(ball.p) ** (t * (vals[i] - vals[j]))
-              for j in range(n)] for i in range(n)]
+        y = [[Fraction(v, den) * Fraction(1, ball.p) ** (t * (vals[j] - vals[i]))
+              for j, v in enumerate(row)] for i, row in enumerate(m)]
         if not in_gl_zp(y, ball.p):
             return False
     return True
 
 
 def bowen_membership(x, ball: BowenBall) -> bool:
-    """Closed form: x in GL_n(Z_p), which refuses a non-rational entry, and
-    v_p(x_ij) >= tau |v(a_i) - v(a_j)|."""
-    if not in_gl_zp(x, ball.p):
+    """Closed form on x = m / den: x in GL_n(Z_p), so that v_p(x_ij) =
+    v_p(m_ij), and v_p(m_ij) >= tau |v(a_i) - v(a_j)|."""
+    m, den = integer_matrix(x)
+    if den % ball.p == 0 or not in_gl_zp(m, ball.p):
         return False
-    n = len(x)
-    vals = [valuation(Fraction(ai), ball.p) for ai in ball.a]
-    for i in range(n):
-        for j in range(n):
-            need = ball.tau * abs(vals[i] - vals[j])
-            v = Fraction(x[i][j])
-            if v != 0 and valuation(v, ball.p) < need:
+    vals = [valuation(ai, ball.p) for ai in ball.a]
+    for i, row in enumerate(m):
+        for j, v in enumerate(row):
+            if v != 0 and valuation(v, ball.p) < ball.tau * abs(vals[i] - vals[j]):
                 return False
     return True

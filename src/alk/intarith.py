@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
+from .ratlinalg import rational
+
 
 TRIAL_LIMIT = 10 ** 6
 _FLOAT_MIN, _FLOAT_MAX = Fraction(sys.float_info.min), Fraction(sys.float_info.max)
@@ -65,7 +67,7 @@ def exact_isqrt(n: int) -> Optional[int]:
 
 
 def is_square_fraction(x: Fraction | int) -> bool:
-    x = Fraction(x)
+    x = rational(x)
     return x >= 0 and exact_isqrt(x.numerator) is not None \
         and exact_isqrt(x.denominator) is not None
 
@@ -113,7 +115,8 @@ def valuation(x: Fraction | int, p: int) -> int:
     """The exponent of p in a nonzero rational, for an integer p >= 2."""
     if p < 2:
         raise ValueError(f"valuation at {p}: need an integer of at least 2")
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):
+        x = rational(x)
     if x == 0:
         raise ValueError("valuation of 0 is undefined (infinite)")
     v = 0
@@ -135,11 +138,3 @@ def divisor_count(n: int) -> int:
         out *= e + 1
     return out
 
-
-def prime_support(x: Fraction | int) -> list[int]:
-    """Primes dividing the numerator or denominator of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("0 has no finite support")
-    ps = set(factorize(x.numerator)) | set(factorize(x.denominator))
-    return sorted(ps)

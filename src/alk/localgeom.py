@@ -24,7 +24,7 @@ from typing import Optional
 from .intarith import valuation
 from .nfpoly import Conjugation, NFElem
 from .numfield import QuadField, conj, splitting_type
-from .ratlinalg import in_gl_zp, integer_matrix, mat_det, mat_mul
+from .ratlinalg import in_gl_zp, integer_matrix, mat_det, mat_mul, rational
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def integrality_checks(ext: LocalQuadExt, gamma) -> dict:
     the direct matrix-side membership gamma in GL2(Z_p)."""
     lc = local_coords(ext.torus, gamma)
     p = ext.p
-    det = Fraction(gamma[0][0] * gamma[1][1] - gamma[0][1] * gamma[1][0])
+    det = gamma[0][0] * gamma[1][1] - gamma[0][1] * gamma[1][0]
     checks = {
         "b_in_inv_different": ext.in_inverse_different(lc.b1)
         and ext.in_inverse_different(lc.b2),
@@ -297,7 +297,7 @@ def orbital_measure_split(psi: Fraction, kind: str, q: Optional[int] = None,
         if in_inverse_different is None:
             raise ValueError("field case needs the inverse-different flag")
         return 1.0 if in_inverse_different else 0.0
-    psi = Fraction(psi)
+    psi = rational(psi)
     if psi == 0 or psi == -1:
         raise ValueError("psi in {0, -1} is the degenerate stabilizer case")
     if kind == "split_nonarch":
@@ -320,15 +320,15 @@ def orbital_measure_split(psi: Fraction, kind: str, q: Optional[int] = None,
 def orbital_measure_split_oracle(psi: Fraction, q: int) -> int:
     """Valuation-range enumeration oracle for the split case: counts the
     radii rho with |b2 c1| <= |rho| <= |b1 c2|^{-1} factor by factor."""
-    psi = Fraction(psi)
+    psi = rational(psi)
 
     def range_count(m: int) -> int:
         if m < 0:
             return 0
-        lo_abs = Fraction(q) ** (-m)  # |b2 c1|, with |b1 c2| = 1
+        lo_abs = Fraction(1, q) ** m  # |b2 c1|, with |b1 c2| = 1
         count = 0
         for k in range(-m - 5, m + 6):
-            rho_abs = Fraction(q) ** (-k)
+            rho_abs = Fraction(1, q) ** k
             if lo_abs <= rho_abs <= 1:
                 count += 1
         return count

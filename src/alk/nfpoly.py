@@ -43,7 +43,7 @@ from functools import cached_property, lru_cache
 from math import gcd, isqrt, lcm
 
 from .intarith import is_prime, sqrt_mod
-from .ratlinalg import integer_matrix
+from .ratlinalg import integer_matrix, rational
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +118,15 @@ class NumberField:
         return 1 << len(self.squares)
 
     def elem(self, coeffs) -> "NFElem":
-        """The element with the given coordinates, zero-padded to the degree."""
-        if isinstance(coeffs, (int, Fraction)):
+        """The element with the given coordinates, one rational or a list or
+        tuple of them read by `integer_matrix`, zero-padded to the degree."""
+        if not isinstance(coeffs, (list, tuple)):
             coeffs = [coeffs]
-        c = [Fraction(x) for x in coeffs]
         n = self.degree
-        if len(c) > n:
-            raise ValueError(f"{len(c)} coordinates for a field of degree {n}")
-        (num,), den = integer_matrix([c + [Fraction(0)] * (n - len(c))])
-        return _canonical(self, num, den)
+        if len(coeffs) > n:
+            raise ValueError(f"{len(coeffs)} coordinates for a field of degree {n}")
+        (num,), den = integer_matrix([list(coeffs) + [0] * (n - len(coeffs))])
+        return NFElem(self, tuple(num), den)
 
     def one(self) -> "NFElem":
         return self.elem(1)
@@ -236,7 +236,7 @@ class NFElem:
         if isinstance(other, NFElem):
             _same_field(self, other)
             return other
-        q = other if isinstance(other, (int, Fraction)) else Fraction(other)
+        q = other if isinstance(other, (int, Fraction)) else rational(other)
         return NFElem(self.field, (q.numerator,) + (0,) * (len(self.num) - 1),
                       q.denominator)
 
@@ -266,7 +266,7 @@ class NFElem:
             return _canonical(K, K._mul_ints(self.num, other.num),
                               self.den * other.den * K._table[2])
         if not isinstance(other, (int, Fraction)):
-            other = Fraction(other)
+            other = rational(other)
         p = other.numerator
         return _canonical(K, [x * p for x in self.num], self.den * other.denominator)
 
@@ -288,7 +288,7 @@ class NFElem:
     def __truediv__(self, other):
         if isinstance(other, NFElem):
             return self * other.inverse()
-        return self * (1 / Fraction(other))
+        return self * Fraction(1, other if isinstance(other, (int, Fraction)) else rational(other))
 
     def __rtruediv__(self, other):
         return self._coerce(other) * self.inverse()

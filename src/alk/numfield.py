@@ -21,20 +21,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import index
 from typing import Optional, Sequence
 
-from .intarith import (
-    exact_isqrt,
-    factorize,
-    is_prime,
-    is_square_fraction,
-    is_squarefree,
-    prime_support,
-    sqrt_mod,
-    valuation,
-)
+from .intarith import (exact_isqrt, factorize, is_prime, is_square_fraction, is_squarefree,
+                       sqrt_mod, valuation)
 from .nfpoly import NFElem, NumberField, _canonical
-from .ratlinalg import mat_inv
+from .ratlinalg import integer_matrix, mat_inv, rational
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +47,7 @@ class QuadField:
     d: int
 
     def __post_init__(self):
-        if self.d in (0, 1) or not is_squarefree(self.d):
+        if index(self.d) in (0, 1) or not is_squarefree(self.d):
             raise ValueError(f"d = {self.d} must be squarefree and not 0 or 1")
 
     @property
@@ -73,11 +66,8 @@ class QuadField:
         """The element a + b*sqrt(d)."""
         if type(a) is int and type(b) is int:
             return NFElem(self.nf, (a, b), 1)
-        a, b = Fraction(a), Fraction(b)
-        # numerators over the lcm of the denominators are already coprime to it
-        den = math.lcm(a.denominator, b.denominator)
-        return NFElem(self.nf, (a.numerator * (den // a.denominator),
-                                b.numerator * (den // b.denominator)), den)
+        (num,), den = integer_matrix([[a, b]])
+        return NFElem(self.nf, tuple(num), den)
 
     def coerce(self, x) -> NFElem:
         """x as an element of F: a rational, or an element of F itself."""
@@ -302,8 +292,7 @@ def place_data(F: QuadField, x: NFElem, v: Place) -> tuple[Optional[int], float 
     """
     if v.kind == "finite":
         val = finite_valuation(x, v)
-        q = Fraction(v.residue_size)
-        return val, q ** (-val)
+        return val, Fraction(1, v.residue_size) ** val
     if v.kind == "real":
         return None, abs(embeddings(x)[v.embedding_index])
     # complex place, normalized absolute value = squared modulus = Nr(x)
@@ -317,8 +306,7 @@ def support_places(F: QuadField, x: NFElem) -> list[Place]:
     u, w = gen_coords(x)
     den = math.lcm(u.denominator, w.denominator)
     y = x * den
-    primes = set(prime_support(Fraction(den))) if den != 1 else set()
-    primes |= set(factorize(int(y.norm())))
+    primes = set(factorize(den)) | set(factorize(int(y.norm())))
     out: list[Place] = []
     for p in sorted(primes):
         out.extend(finite_places(F, p))
@@ -508,7 +496,7 @@ class FieldTower:
     """
 
     base: Optional[QuadField]
-    delta: object  # NFElem of base for quartic towers, Fraction for base Q
+    delta: object  # NFElem of base for quartic towers, a rational for base Q
     alpha: Optional[NFElem] = None  # theta - sqrt(delta), in F
     declared_DK: Optional[int] = None
     galois_hint: Optional[str] = None
@@ -516,7 +504,7 @@ class FieldTower:
     def __post_init__(self):
         F, delta, alpha = self.base, self.delta, self.alpha
         if F is None:
-            if alpha is not None or delta == 0 or is_square_fraction(Fraction(delta)):
+            if alpha is not None or delta == 0 or is_square_fraction(delta):
                 raise ValueError("delta must be a nonsquare")
             return
         # coerce raises ValueError for an element of another field
@@ -585,7 +573,7 @@ def make_tower(
     (alpha = sqrt(d)) when delta = e is; FieldTower raises ValueError
     unless delta is a nonzero nonsquare."""
     if F is None:
-        return FieldTower(None, Fraction(delta), declared_DK=declared_DK,
+        return FieldTower(None, rational(delta), declared_DK=declared_DK,
                           galois_hint=galois_hint)
     delta = F.coerce(delta)
     alpha = F.elem(0, 1) if delta.num[1] == 0 else F.elem(0)

@@ -40,7 +40,7 @@ def biquadratic_tower(d: int, e: int) -> FieldTower:
     integer that is not a square in F."""
     F = make_quad_field(d)
     # make_tower rejects a square e before the discriminants below meet it
-    tower = make_tower(F, Fraction(e), galois_hint="biquadratic")
+    tower = make_tower(F, e, galois_hint="biquadratic")
     # D_K is the product of the discriminants of the three quadratic
     # subfields Q(sqrt d), Q(sqrt e) and Q(sqrt(d e))
     dk = (F.disc * QuadField(squarefree_kernel(e)).disc
@@ -51,8 +51,7 @@ def biquadratic_tower(d: int, e: int) -> FieldTower:
 def dihedral_tower(d: int, a, b) -> FieldTower:
     """K = F(sqrt(a + b sqrt d)) in the dihedral (non-Galois) case."""
     F = make_quad_field(d)
-    delta = F.elem(Fraction(a), Fraction(b))
-    return make_tower(F, delta, galois_hint="dihedral")
+    return make_tower(F, F.elem(a, b), galois_hint="dihedral")
 
 
 def gaussian_period_tower(p: int) -> FieldTower:

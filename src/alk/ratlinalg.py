@@ -1,17 +1,17 @@
 """Linear algebra over Q.
 
 `mat_mul` and `transpose` work on any entries that support + and *.
-`integer_matrix` is the one place that decides what a rational entry is:
-it clears a matrix to integers over one least denominator, reading int
-and Fraction entries as they are and any other `numbers.Rational` through
-Fraction, and refuses every other entry (float, str, complex, a field
-element) with `NotRational`, both a TypeError and a ValueError.  Every
-rational matrix of the package goes through it.  Elimination is exact and
-fraction-free, so every intermediate is an integer minor: `bareiss` gives
-determinants and leading minors and `adjugate` inverses, `mat_det` and
-`mat_inv` give Fraction results through them, and `in_gl_zp` decides
-membership in GL_n(Z_p) from the cleared matrix.  Matrices are lists of
-lists; only `bareiss` mutates its argument.
+`rational` is the one place that decides what a rational number is: int
+and Fraction as they are, any other `numbers.Rational` through Fraction,
+and `NotRational`, both a TypeError and a ValueError, for anything else
+(float, str, complex, a field element); `real` also reads a finite float,
+as its exact binary value.  `integer_matrix` clears a matrix, read entry by
+entry as `rational` reads it, to integers over one least denominator.
+Elimination is exact and fraction-free, so every intermediate is an
+integer minor: `bareiss` gives determinants and leading minors and
+`adjugate` inverses, `mat_det` and `mat_inv` give Fraction results through
+them, and `in_gl_zp` decides membership in GL_n(Z_p) from the cleared
+matrix.  Matrices are lists of lists; only `bareiss` mutates its argument.
 """
 
 from __future__ import annotations
@@ -37,25 +37,38 @@ def transpose(a):
 
 
 class NotRational(TypeError, ValueError):
-    """A matrix entry that is not a rational number.  Both a TypeError and a
+    """An input that is not a rational number.  Both a TypeError and a
     ValueError, so `mat_inv` and `mat_det` refuse with the TypeError they
     always raised and the GL2 and GL4 coordinates with their ValueError."""
+
+
+def rational(x):
+    """x as an exact rational; hot paths test for int and Fraction inline
+    and call this for the rest."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, Rational):
+        return Fraction(x)
+    raise NotRational(f"inputs must be rational numbers: int or Fraction, not {type(x).__name__}")
+
+
+def real(x) -> Fraction:
+    """An Archimedean input as a Fraction, a finite float read exactly."""
+    if isinstance(x, float) and math.isfinite(x) or isinstance(x, Rational):
+        return Fraction(x)
+    raise NotRational(f"real inputs must be finite numbers: int, Fraction or float, not {x!r}")
 
 
 def integer_matrix(a):
     """(m, den) with integer m, a = m / den and den > 0 least, so m and den
     have no common factor.  One pass over a reads int and Fraction entries
-    as they are and any other numbers.Rational through Fraction; any other
-    entry raises NotRational."""
+    as they are and every other entry through `rational`."""
     rows, dens = [], []
     for row in a:
         r = []
         for x in row:
             if not isinstance(x, (int, Fraction)):
-                if not isinstance(x, Rational):
-                    raise NotRational("matrix entries must be rational numbers: expected "
-                                      f"int or Fraction entries, got {type(x).__name__}")
-                x = Fraction(x)
+                x = rational(x)
             d = x.denominator
             r.append((x.numerator, d))
             dens.append(d)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Optional
 
 from .intarith import (
@@ -31,7 +32,7 @@ from .intarith import (
 )
 from .localgeom import different_and_orders
 from .numfield import FieldTower, QuadField, norm_square_class
-from .ratlinalg import mat_det, mat_mul
+from .ratlinalg import mat_det, mat_mul, rational
 
 
 @dataclass(frozen=True)
@@ -52,18 +53,16 @@ class ToralSetDescriptor:
 
 
 def make_descriptor(tower: FieldTower, conductors=None, arch_generator=None):
-    cond = tuple(sorted((int(p), int(f)) for p, f in (conductors or {}).items()))
+    cond = tuple(sorted((index(p), index(f)) for p, f in (conductors or {}).items()))
     if any(f == 0 or not is_prime(p) for p, f in cond):
         raise ValueError(f"conductors must be nonzero, at primes: got {dict(cond)}")
-    arch = None
-    if arch_generator is not None:
-        arch = tuple(tuple(x for x in row) for row in arch_generator)
+    arch = None if arch_generator is None else tuple(map(tuple, arch_generator))
     return ToralSetDescriptor(tower, cond, arch)
 
 
 def quad_field_of_square(delta: Fraction) -> QuadField:
     """Q(sqrt(delta)) as a QuadField (squarefree kernel of num*den)."""
-    delta = Fraction(delta)
+    delta = rational(delta)
     m = delta.numerator * delta.denominator
     return QuadField(squarefree_kernel(m))
 

@@ -694,20 +694,26 @@ def _commutation_gammas(rng, emb):
     return gammas
 
 
-@pytest.mark.parametrize("towers", [
-    pytest.param(CURATED, id="curated"),
-    pytest.param(_seeded_towers_per_type(5), id="seeded"),
+@pytest.mark.parametrize("towers, least_entry", [
+    pytest.param(CURATED, 0, id="curated"),
+    pytest.param(_seeded_towers_per_type(5), 0, id="seeded"),
+    # sqrt(d)'s matrix holds an int beyond a 640-digit limit on int <-> text
+    # conversion, so the kernel must take it as a closure cell
+    pytest.param([quartics.dihedral_tower(2, Fraction("1e-400"), Fraction("1e400"))], 10 ** 640,
+                 id="long_dihedral"),
 ])
-def test_commutation_kernel_equals_the_matrix_products(towers):
+def test_commutation_kernel_equals_the_matrix_products(towers, least_entry):
     """The generated commutation test of each embedding decides
     sd gamma = gamma sd as two matrix products do, on gammas in and out of
     the block and on singular ones, and block_membership_test's in_R is its
-    answer."""
+    answer.  Some entry of some sd is above least_entry."""
     rng = random.Random(53)
     seen = set()
+    largest = 0
     for tower in towers:
         emb = regular_embedding(tower)
         sd = [list(row) for row in emb.sqrt_d_matrix]
+        largest = max(largest, *(abs(x) for row in sd for x in row))
         for gamma in _commutation_gammas(rng, emb):
             want = mat_mul(sd, gamma) == mat_mul(gamma, sd)
             seen.add(want)
@@ -718,6 +724,7 @@ def test_commutation_kernel_equals_the_matrix_products(towers):
                 assert block_membership_test(emb, gamma, gtype)["in_R"] is want
         assert emb.commutation_test is emb.commutation_test  # built once per embedding
     assert seen == {True, False}
+    assert largest > least_entry
 
 
 def test_block_test_makes_no_matrix_product(monkeypatch):

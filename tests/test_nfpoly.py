@@ -97,7 +97,8 @@ EMBEDDINGS = {name: regular_embedding(TOWERS[name]) for name in
 def test_number_field_has_one_basis():
     """A field is its Kummer squares and nothing else: no polynomial, no
     matrix route, and no linear algebra behind the arithmetic; from
-    ratlinalg it takes only `integer_matrix`, which clears denominators."""
+    ratlinalg it takes only `rational`, which reads a scalar, and
+    `integer_matrix`, which clears denominators."""
     assert [f.name for f in dataclasses.fields(NumberField)] == ["squares"]
     for name in ("min_poly", "_monic", "gen", "_traces"):
         assert not hasattr(NumberField, name), name
@@ -105,7 +106,8 @@ def test_number_field_has_one_basis():
         assert not hasattr(NFElem, name), name
     tree = ast.parse(Path(nfpoly.__file__).read_text())
     assert [alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
-            and n.module and "ratlinalg" in n.module for alias in n.names] == ["integer_matrix"]
+            and n.module and "ratlinalg" in n.module for alias in n.names] == ["integer_matrix",
+                                                                       "rational"]
 
 
 def test_nonintegral_field_is_covered():
@@ -379,7 +381,7 @@ def dot_product_image(images, x):
 def _kernel_fields():
     """name -> (field, the embedding whose automorphisms act on it, or None)."""
     F3 = make_quad_field(3)
-    long_dihedral = regular_embedding(quartics.dihedral_tower(2, "1e-400", "1e400"))
+    long_dihedral = regular_embedding(quartics.dihedral_tower(2, Fraction("1e-400"), Fraction("1e400")))
     out = {f"sqrt{d}": (make_quad_field(d).nf, None) for d in (2, 5, -7)}
     out["zeta5"] = (TOWERS["zeta5"].nf, EMBEDDINGS["zeta5"])
     out["gaussian13"] = (TOWERS["gaussian13"].nf, EMBEDDINGS["gaussian13"])

@@ -852,11 +852,11 @@ def test_factorize_stops_trial_division_at_ten_to_the_six():
 
 
 def test_content_of_an_element_with_a_huge_norm_is_an_error():
-    # 1/6 and 3/4 as floats are Fractions over 2^55; trial division of the
-    # norm ran for more than 8 s
+    # the exact values of the floats 1/6 and 3/4 are Fractions over 2^55;
+    # trial division of the norm ran for more than 8 s
     F = QuadField(-15)
     with pytest.raises(ValueError, match="cannot factor"):
-        within_seconds(5, lambda: content(F, F.elem(1 / 6, 3 / 4)))
+        within_seconds(5, lambda: content(F, F.elem(Fraction(1 / 6), Fraction(3 / 4))))
 
 
 def test_valuation_needs_a_base_of_at_least_two():

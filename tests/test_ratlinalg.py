@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from alk import arakelov, boxcount, git4, localgeom, quartics, toralsets
 from alk.arakelov import euclidean_lattice
-from alk.numfield import QuadField
-from alk.intarith import valuation
-from alk.ratlinalg import bareiss, in_gl_zp, integer_matrix, mat_det, mat_inv, mat_mul
+from alk.numfield import FieldTower, QuadField, finite_places, make_tower
+from alk.intarith import is_square_fraction, valuation
+from alk.ratlinalg import (NotRational, bareiss, in_gl_zp, integer_matrix, mat_det, mat_inv,
+                           mat_mul)
 from conftest import gauss_jordan
 
 
@@ -35,6 +37,87 @@ def test_non_rational_entries_raise_type_error():
                 fn(m)
     # products stay generic
     assert mat_mul([[sqrt2]], [[sqrt2]]) == [[QuadField(2).elem(2)]]
+
+
+_Q2 = QuadField(2)
+_ONE_PLUS_SQRT2 = _Q2.elem(1, 1)
+_BALL = git4.BowenBall(2, (1, 4), 1)
+
+# every entry point that reads an exact rational from its caller, each
+# through ratlinalg.rational or integer_matrix
+EXACT_ENTRY_POINTS = {
+    "integer_matrix": lambda x: integer_matrix([[1, x]]),
+    "NumberField.elem": lambda x: _Q2.nf.elem([0, x]),
+    "QuadField.elem": lambda x: _Q2.elem(x),
+    "QuadField.elem b": lambda x: _Q2.elem(0, x),
+    "NFElem +": lambda x: _ONE_PLUS_SQRT2 + x,
+    "NFElem - reflected": lambda x: x - _ONE_PLUS_SQRT2,
+    "NFElem *": lambda x: _ONE_PLUS_SQRT2 * x,
+    "NFElem * reflected": lambda x: x * _ONE_PLUS_SQRT2,
+    "NFElem /": lambda x: _ONE_PLUS_SQRT2 / x,
+    "valuation": lambda x: valuation(x, 2),
+    "is_square_fraction": is_square_fraction,
+    "FieldTower over Q": lambda x: FieldTower(None, x),
+    "make_tower over Q": lambda x: make_tower(None, x),
+    "make_tower over F": lambda x: make_tower(_Q2, x),
+    "dihedral_tower": lambda x: quartics.dihedral_tower(2, x, 1),
+    "biquadratic_tower": lambda x: quartics.biquadratic_tower(2, x),
+    "quad_field_of_square": toralsets.quad_field_of_square,
+    "make_radius_family finite radius":
+        lambda x: boxcount.make_radius_family(None, [(finite_places(None, 2)[0], x)], [1]),
+    "counting_bound_check c":
+        lambda x: boxcount.counting_bound_check(None, boxcount.make_radius_family(None, [], [1]), x),
+    "make_bundle over Q": lambda x: arakelov.make_bundle(None, x, (1,)),
+    "adeg_via_section over Q": lambda x: arakelov.adeg_via_section(arakelov.trivial_bundle(None), x),
+    "entropy_quantities at a prime": lambda x: git4.entropy_quantities([x, 1, 2, 4], 2),
+    "root_log_values at a prime": lambda x: git4.root_log_values([x], 2),
+    "regular_matrix": lambda x: git4.regular_embedding(quartics.zeta5_tower()).regular_matrix((x,)),
+    "BowenBall": lambda x: git4.BowenBall(2, (x, 1), 1),
+    "bowen_membership": lambda x: git4.bowen_membership([[x, 0], [0, 1]], _BALL),
+    "bowen_membership_loop": lambda x: git4.bowen_membership_loop([[x, 0], [0, 1]], _BALL),
+    "orbital_measure_split": lambda x: localgeom.orbital_measure_split(x, "split_nonarch", q=2),
+    "orbital_measure_split_oracle": lambda x: localgeom.orbital_measure_split_oracle(x, 2),
+}
+
+# every entry point that reads an Archimedean input through ratlinalg.real,
+# with the value it read
+REAL_ENTRY_POINTS = {
+    "make_bundle radius": lambda x: arakelov.make_bundle(None, 1, (x,)).radii[0],
+    "make_radius_family infinite radius":
+        lambda x: boxcount.make_radius_family(None, [], [x]).infinite[0],
+    "euclidean_lattice float route": lambda x: euclidean_lattice([[x]]).gram[0][0],
+    "entropy_quantities at the real place":
+        lambda x: math.exp(git4.entropy_quantities([x, 1, 2, 4]).logs[0]),
+    "root_log_values at the real place": lambda x: math.exp(git4.root_log_values([x])[0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_ENTRY_POINTS))
+@pytest.mark.parametrize("x", [0.1, "1/2", 1j], ids=["float", "str", "complex"])
+def test_exact_entry_points_refuse_what_is_not_rational(name, x):
+    with pytest.raises(NotRational, match="rational.*int or Fraction"):
+        EXACT_ENTRY_POINTS[name](x)
+
+
+@pytest.mark.parametrize("name", sorted(REAL_ENTRY_POINTS))
+def test_real_entry_points_read_a_float_exactly(name):
+    read = REAL_ENTRY_POINTS[name]
+    got = read(0.5)
+    assert got == Fraction(1, 2)
+    if "radius" in name or "lattice" in name:
+        assert type(got) is Fraction
+    for x in ("0.5", 1j):
+        with pytest.raises(NotRational, match="finite numbers"):
+            read(x)
+
+
+def test_field_and_place_constructors_take_integers():
+    with pytest.raises(TypeError):
+        QuadField(5.0)
+    tower = make_tower(None, Fraction(2))
+    for conductors in ({3.0: 3}, {3: 3.0}):
+        with pytest.raises(TypeError):
+            toralsets.make_descriptor(tower, conductors)
 
 
 def _in_gl_zp_by_valuations(x, p):

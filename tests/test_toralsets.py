@@ -49,7 +49,11 @@ def test_descriptor_conductors_sit_at_primes():
     for key in (1, 4, 0, -3):
         with pytest.raises(ValueError, match="at primes"):
             make_descriptor(tower, {key: 2})
-    assert make_descriptor(tower, {"3": 3}).local_conductors == ((3, 3),)
+    # primes and conductors are read by operator.index: no string, and no
+    # float truncated to an integer
+    for conductors in ({"3": 3}, {3: 3.7}, {3.9: 3}):
+        with pytest.raises(TypeError):
+            make_descriptor(tower, conductors)
 
 
 def test_quartic_descriptor_uses_the_certified_discriminant():
