@@ -19,7 +19,7 @@ KERNEL_NAME = "python"
 class BudgetExceeded(RuntimeError):
     """A budget of `budget` units ran out, more than `found` being needed.
     The units are lattice points or outer-level values in `gauss_sum`, box
-    rows or box points in `arakelov._count_rows`."""
+    rows or box points in `quadforms.count_rows`."""
 
     def __init__(self, budget: int, found: int, units: str):
         super().__init__(f"enumeration budget {budget} exceeded: more than {found} {units}")
@@ -90,7 +90,6 @@ def gauss_sum(rows, den, bound, budget=5_000_000):
                 y = p * xi + s
                 x[i] = xi
                 level(i - 1, (y * y + pp * q) // p, free or xi != 0)
-            x[i] = 0
             return
         if not free:
             lo = 1  # x = 0 is the origin, counted once outside the sum

@@ -6,10 +6,10 @@ floats with certified truncation tails.  The theta invariants of a
 Euclidean lattice sum its sparser side, L or L*, and take the other from
 Poisson summation, h0 - h1 = adeg, with log det from the logs of its
 numerator and denominator; a rank-2 side is summed on an exactly reduced
-basis.  A bundle takes one theta sum on its direct image, whose basis
-`_lagrange` reduces exactly for the bundle's own form, and counts its unit
-box by rows on that basis, as `box_count` does every box; L* stands for the
-Serre twist once the twist's ideal is checked, exactly, to be the trace dual.
+basis.  A bundle takes one theta sum on its direct image, on the basis
+`quadforms` reduces for its unit box's form, and counts that box on the same
+basis; L* stands for the Serre twist once the twist's ideal is checked,
+exactly, to be the trace dual.
 
 Norm convention for bundles: a bundle carries one radius rho per
 Archimedean embedding (equal at conjugate embeddings) and the section
@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 from . import enumeration
 from .intarith import log_abs
 from .numfield import FracIdeal, QuadField, embeddings
+from .quadforms import box_count, box_form, count_rows, lagrange, positive_radii, rounded_gram
 from .ratlinalg import NotRational, adjugate, bareiss, integer_matrix, rational, real, transpose
 
 
@@ -142,7 +143,7 @@ def theta_invariants_euclidean(
     if lat.rank == 2:  # summed on a reduced basis, whose outer walk is short
         # reduction keeps the content of the Gram, so it stays in lowest terms
         num, den = (lat.num, lat.den) if det >= 1 else _dual_gram(lat)
-        (a, _), (b, _), (c, _) = _lagrange(((num[0][0], 0), (num[0][1], 0), (num[1][1], 0)))[0]
+        (a, _), (b, _), (c, _) = lagrange(((num[0][0], 0), (num[0][1], 0), (num[1][1], 0)))[0]
         if det < 1 or (a, b, c) != (num[0][0], num[0][1], num[1][1]):
             side = _lattice([[a, b], [b, c]], den)
     h, radius, tail = enumeration.theta_log_sum(side, tail_tol, budget)
@@ -166,17 +167,8 @@ class HermitianLineBundle:
     radii: tuple[Fraction, ...]
 
 
-def _positive_radii(radii, message: str) -> tuple[Fraction, ...]:
-    """One radius or a tuple or list of them as Fractions, each read by
-    `ratlinalg.real`; ValueError(message) unless every radius is positive."""
-    radii = tuple(real(r) for r in (radii if isinstance(radii, (tuple, list)) else (radii,)))
-    if any(r <= 0 for r in radii):
-        raise ValueError(message)
-    return radii
-
-
 def make_bundle(field: Optional[QuadField], ideal, radii) -> HermitianLineBundle:
-    radii = _positive_radii(radii, "radii must be positive")
+    radii = positive_radii(radii, "radii must be positive")
     if field is None:
         q = rational(ideal)
         if q <= 0:
@@ -270,164 +262,21 @@ def tensor_bundle(b1: HermitianLineBundle, b2: HermitianLineBundle) -> Hermitian
     return make_bundle(b1.field, b1.ideal * b2.ideal, radii)
 
 
+def _image_and_box(bundle: HermitianLineBundle):
+    """(L, radii, form): the direct image L, whose form is its unit box's
+    `quadforms.box_form` at the box's radii; form is None over Q."""
+    F = bundle.field
+    if F is None:
+        return euclidean_lattice([[(bundle.ideal / bundle.radii[0]) ** 2]]), bundle.radii, None
+    # the unit box has Nr(s) <= rho^2 at the complex place
+    radii = bundle.radii if F.is_real else (bundle.radii[0] ** 2,)
+    form = box_form(bundle.ideal, radii)
+    return euclidean_lattice(rounded_gram(form, F.d)), radii, form
+
+
 def direct_image(bundle: HermitianLineBundle) -> EuclideanLattice:
-    """Underlying Z-lattice with ||v||^2 = sum over embeddings of
-    |sigma(v)|^2 / rho_sigma^2, on the reduced basis of `ideal_gram`."""
-    if bundle.field is None:
-        q = bundle.ideal
-        return euclidean_lattice([[(q / bundle.radii[0]) ** 2]])
-    radii = bundle.radii if bundle.field.is_real else bundle.radii[:1]
-    return euclidean_lattice(ideal_gram(bundle.ideal, [r * r for r in radii])[0])
-
-
-def _surd_sign(x: int, y: int, d: int) -> int:
-    """The sign of x + y*sqrt(d), for y = 0 or a nonsquare d > 0."""
-    lead = x if y == 0 or x * y > 0 or x * x > y * y * d else y
-    return (lead > 0) - (lead < 0)
-
-
-def _floor_surd(p: int, q: int, d: int, m: int) -> int:
-    """floor((p + q*sqrt(d)) / m) for m > 0, and q = 0 or a nonsquare d > 0."""
-    r = math.isqrt(q * q * d)
-    return (p + (r if q >= 0 else -r - 1)) // m
-
-
-def _lagrange(gram, d: int = 0):
-    """(gram', (c0, c1)): the Lagrange-Gauss reduction of a positive definite
-    binary form, exact.  gram = (A, B, C) stands for [[A, B], [B, C]], each
-    entry an integer pair (x, y) for x + y*sqrt(d): y = 0 for a rational form,
-    whatever d is, and otherwise d > 0 is a nonsquare and the conjugate form
-    (y -> -y) is positive definite too, as it is for sum sigma(x)sigma(y)/R_sigma
-    (the conjugate swaps the radii).  gram' is the Gram of the reduced basis
-    r_j = c_j[0]*e_0 + c_j[1]*e_1, with A' <= C' and |2B'| <= A'."""
-    (a, ay), (b, by), (c, cy) = gram
-    c0, c1 = (1, 0), (0, 1)
-    while True:
-        if _surd_sign(c - a, cy - ay, d) < 0:
-            a, ay, c, cy, c0, c1 = c, cy, a, ay, c1, c0
-        # mu = floor(B/A + 1/2) = floor((2B + A) * conj(A) / (2 A conj(A)))
-        x, y = 2 * b + a, 2 * by + ay
-        mu = _floor_surd(x * a - y * ay * d, y * a - x * ay, d, 2 * (a * a - ay * ay * d))
-        if mu == 0:
-            return ((a, ay), (b, by), (c, cy)), (c0, c1)
-        c, cy = c - mu * (2 * b - mu * a), cy - mu * (2 * by - mu * ay)
-        b, by = b - mu * a, by - mu * ay
-        c1 = (c1[0] - mu * c0[0], c1[1] - mu * c0[1])
-
-
-def _reduce_forms(d: int, forms, s: int = 1, t: int = 0):
-    """(gram, columns, reduced): `_lagrange` on the Gram of
-    s*(u*u' + |d|*v*v') + t*(u*v' + v*u')*sqrt(d) over two integer forms
-    (u, v) of (u + v*sqrt(d)) / D, and the reduced forms.  That is
-    D^2 * sum_sigma sigma(x)sigma(y)^* / R_sigma for s = 1/R_1 + 1/R_2 and
-    t = 1/R_1 - 1/R_2; s = 1, t = 0 is the trace form.  t = 0 at equal
-    radii and at the complex place."""
-    (u0, v0), (u1, v1) = forms
-    gram = tuple((s * (x[0] * y[0] + abs(d) * x[1] * y[1]), t * (x[0] * y[1] + x[1] * y[0]))
-                 for x, y in ((forms[0], forms[0]), (forms[0], forms[1]), (forms[1], forms[1])))
-    gram, cols = _lagrange(gram, d)
-    return gram, cols, tuple((m * u0 + k * u1, m * v0 + k * v1) for m, k in cols)
-
-
-def _surd_float(x: int, y: int, d: int, k: int) -> float:
-    """(x + y*sqrt(d)) / k for k > 0 in floats without cancellation: the sum
-    when x and y have the same sign, else (x^2 - y^2*d) / (k*(x - y*sqrt(d)))."""
-    r = math.sqrt(d)
-    if x * y >= 0:
-        return x / k + y / k * r
-    return (x * x - y * y * d) / (k * x) / (1 - y / x * r)
-
-
-def _box_form(ideal: FracIdeal, sq_radii):
-    """(gram, columns, reduced, k, D): `_reduce_forms` on k times the form
-    sum_sigma sigma(x) sigma(y)^* / R_sigma, for squared radii (R_1, R_2) at
-    the real embeddings or R at the complex place (sq_radii = (R,), the form
-    2*Re(x y^*) / R), over the ideal's HNF rows, integer forms (u, v) of
-    (u + v*sqrt(d)) / D for D its den.  The form is at most 2 on the box
-    |sigma(x)|^2 <= R_sigma, or Nr(x) <= R."""
-    D = ideal.den
-    inv = [Fraction(1, R) for R in (sq_radii if len(sq_radii) == 2 else sq_radii * 2)]
-    s, t = inv[0] + inv[1], inv[0] - inv[1]
-    m = math.lcm(s.denominator, t.denominator)
-    gram, cols, reduced = _reduce_forms(ideal.field.d, ideal.rows,
-                                        s.numerator * (m // s.denominator),
-                                        t.numerator * (m // t.denominator))
-    return gram, cols, reduced, m * D * D, D
-
-
-def _rounded_gram(form, d: int) -> list[list]:
-    """The Gram of a `_box_form` over its k: exact Fractions when the form is
-    rational (t = 0: equal radii, or the complex place), and otherwise each
-    entry rounded from its exact value without cancellation (`_surd_float`)."""
-    gram, _, _, k, _ = form
-    if any(y for _, y in gram):
-        a, b, c = (_surd_float(x, y, d, k) for x, y in gram)
-    else:
-        a, b, c = (Fraction(x, k) for x, _ in gram)
-    return [[a, b], [b, c]]
-
-
-def ideal_gram(ideal: FracIdeal, sq_radii) -> tuple[list[list], tuple]:
-    """(gram, columns): the Gram of sum_sigma sigma(x) sigma(y)^* / R_sigma
-    (`_box_form`) on the Lagrange-Gauss reduced basis r_j = c_j[0]*b0 +
-    c_j[1]*b1 of the ideal's HNF basis (b0, b1) for this form; columns are the
-    c_j.  The reduction is exact, in integers of Q(sqrt(d)); the entries are
-    exact at equal radii and at the complex place (`_rounded_gram`)."""
-    form = _box_form(ideal, sq_radii)
-    return _rounded_gram(form, ideal.field.d), form[1]
-
-
-def box_count(ideal, radii, budget: int = enumeration.DEFAULT_BUDGET) -> int:
-    """#{x in the ideal : |sigma(x)| <= rho_sigma} at both real embeddings
-    (radii (rho_1, rho_2)), or with Nr(x) <= R at the complex place (radii
-    (R,)), exact.  Over Q the ideal is a rational q > 0 and radii (rho,)."""
-    if not isinstance(ideal, FracIdeal):
-        return 2 * math.floor(radii[0] / ideal) + 1
-    return _count_rows(_box_form(ideal, [r * r for r in radii] if len(radii) == 2 else radii),
-                       radii, ideal.field.d, budget)
-
-
-def _count_rows(form, radii, d: int, budget: int) -> int:
-    """The points x = s*r0 + t*r1 of the box on the reduced basis of its own
-    `_box_form`, summed as row widths: the box lies in A*s^2 + 2*B*s*t + C*t^2
-    <= 2k, so |t| <= sqrt(2k*A / (AC - B^2)), whatever the ratio of the radii.
-    Each row's s-range is exact; row -t is row t negated."""
-    ((a, ay), (b, by), (c, cy)), _, ((p0, q0), (p1, q1)), k, D = form
-    # 2k*A / (AC - B^2) = 2k*A*E' / N(E) for E = AC - B^2 = ex + ey*sqrt(d) and
-    # its conjugate E'; N(E) > 0, as the conjugate form is positive definite too
-    ex, ey = a * c + ay * cy * d - b * b - by * by * d, a * cy + ay * c - 2 * b * by
-    t_max = math.isqrt(_floor_surd(2 * k * (a * ex - ay * ey * d), 2 * k * (ay * ex - a * ey),
-                                   d, ex * ex - ey * ey * d))
-    if t_max >= budget:  # more rows than the budget
-        raise enumeration.BudgetExceeded(budget, budget, "box rows")
-    if d < 0:  # a rational form: A*s^2 + 2*B*s*t + C*t^2 <= 2k in integers
-        def row(t: int) -> tuple[int, int]:
-            disc = (b * t) ** 2 - a * (c * t * t - 2 * k)
-            r = math.isqrt(max(disc, 0))
-            return (-((b * t + r) // a), (r - b * t) // a) if disc >= 0 else (1, 0)
-    else:
-        # |s*alpha + t*beta| <= rho*D for alpha, beta the images of r0, r1 at
-        # sqrt(d) -> g*sqrt(d); over n = alpha*conj(alpha) and rho = i/j the
-        # two ends (+-i*D - t*j*beta) / (j*alpha) are (P + Q*sqrt(d)) / (j*|n|)
-        n = p0 * p0 - d * q0 * q0
-        h = 1 if n > 0 else -1
-        strips = [(h * i * D * p0, -g * h * i * D * q0, h * j * (d * q0 * q1 - p0 * p1),
-                   g * h * j * (p1 * q0 - p0 * q1), j * abs(n))
-                  for g, (i, j) in zip((1, -1), (r.as_integer_ratio() for r in radii))]
-
-        def row(t: int) -> tuple[int, int]:
-            # ceil(min) = min(ceil) and floor(max) = max(floor) of the ends
-            ends = [[(t * P1 + e * P0, t * Q1 + e * Q0, M) for e in (1, -1)]
-                    for P0, Q0, P1, Q1, M in strips]
-            return (max(min(-_floor_surd(-P, -Q, d, M) for P, Q, M in s) for s in ends),
-                    min(max(_floor_surd(P, Q, d, M) for P, Q, M in s) for s in ends))
-    found = 0
-    for t in range(t_max + 1):
-        lo, hi = row(t)
-        found += max(hi - lo + 1, 0) * (2 if t else 1)
-        if found > budget:
-            raise enumeration.BudgetExceeded(budget, budget, "box points")
-    return found
+    """The Z-lattice with ||v||^2 = sum over embeddings of |sigma(v)|^2 / rho_sigma^2."""
+    return _image_and_box(bundle)[0]
 
 
 def serre_twist(bundle: HermitianLineBundle) -> HermitianLineBundle:
@@ -466,21 +315,14 @@ def bundle_theta_and_h0ar(
     twist's lattice, whose h0 is the bundle's h1, once the twist's ideal
     I^-1 d^-1 is checked, exactly, to be the trace dual of I.  adeg is the
     bundle's degree."""
-    F = bundle.field
-    if F is None:
-        lat = direct_image(bundle)
-    else:
-        ideal = bundle.ideal
+    F, ideal = bundle.field, bundle.ideal
+    if F is not None:
         check_trace_dual(ideal, ideal.inverse().scale(_inverse_different(F)))
-        sq = [r * r for r in (bundle.radii if F.is_real else bundle.radii[:1])]
-        # the direct image's form is the unit box's: one reduction for both
-        form = _box_form(ideal, sq)
-        lat = euclidean_lattice(_rounded_gram(form, F.d))
+    # the direct image's form is the unit box's: one reduction for both
+    lat, radii, form = _image_and_box(bundle)
     rep = theta_invariants_euclidean(lat, tail_tol, budget)
     report = ThetaReport(rep.h0, rep.h1, adeg(bundle), rep.truncation_radius, rep.tail_bound)
-    # the unit box has Nr(s) <= rho^2 at the complex place
-    count = (box_count(bundle.ideal, bundle.radii, budget) if F is None
-             else _count_rows(form, bundle.radii if F.is_real else sq, F.d, budget))
+    count = box_count(ideal, radii, budget) if F is None else count_rows(form, radii, F.d, budget)
     return report, math.log(count)
 
 

@@ -4,9 +4,8 @@ A radius family assigns a radius in the value group at finitely many
 finite places and a positive radius per Archimedean place (normalized,
 i.e. squared-modulus scale at a complex place).  The set
 {x in F : |x|_u <= r_u for all u} is the intersection of a fractional
-ideal with an Archimedean box, counted by `arakelov.box_count` on the basis
-reduced for the box's own form, and by the oracle `count_box_naive` on the
-basis reduced for the trace form.
+ideal with an Archimedean box, counted by `quadforms.box_count` and by the
+oracle `count_box_naive`.
 """
 
 from __future__ import annotations
@@ -17,9 +16,10 @@ from fractions import Fraction
 from typing import Optional
 
 from . import enumeration
-from .arakelov import _positive_radii, _reduce_forms, box_count, f_bound
+from .arakelov import f_bound
 from .intarith import log_abs, valuation
 from .numfield import FracIdeal, Place, QuadField, finite_places, prime_ideal
+from .quadforms import box_count, positive_radii, reduce_forms
 from .ratlinalg import rational
 
 
@@ -58,7 +58,7 @@ def make_radius_family(field: Optional[QuadField], finite, infinite) -> RadiusFa
         r = rational(r)
         # validates the value group; the exponent is kept for the ideal
         fin.append((place, r, _radius_exponent(r, place.residue_size)))
-    inf = _positive_radii(infinite, "infinite radii must be positive")
+    inf = positive_radii(infinite, "infinite radii must be positive")
     expected = 1 if field is None or not field.is_real else 2
     if len(inf) != expected:
         raise ValueError(f"expected {expected} Archimedean radii")
@@ -106,7 +106,7 @@ def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
     # D^2 * (sigma_1(x)^2 + sigma_2(x)^2) / 2 at the real ones, so the box
     # lies in T <= t_max
     d, D = field.d, ideal.den
-    ((n0, _), (n01, _), (n1, _)), _, ((u0, v0), (u1, v1)) = _reduce_forms(d, ideal.rows)
+    ((n0, _), (n01, _), (n1, _)), _, ((u0, v0), (u1, v1)) = reduce_forms(d, ideal.rows)
     t_max = D * D * (sum(x * x for x in r.infinite) / 2 if field.is_real
                      else r.infinite[0])
     # x = m*b0 + k*b1 in the reduced basis has m^2 <= T(x) * T(b1) / det

@@ -1,4 +1,4 @@
-"""Certified theta sums; box counts sum exact rows in `arakelov.box_count`.
+"""Certified theta sums; box counts sum exact rows in `quadforms.box_count`.
 
 One pure-Python Fincke-Pohst kernel (`_fpenum_py`) walks the fraction-free
 LDL^T rows the lattice holds, exactly, so the points summed are those with

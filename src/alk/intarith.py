@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from operator import index
 from typing import Optional
 
 from .ratlinalg import rational
@@ -19,7 +20,7 @@ def factorize(n: int) -> dict[int, int]:
 
     Raises ValueError when the cofactor left exceeds TRIAL_LIMIT^2, since it
     may then be composite; any smaller cofactor is prime."""
-    n = abs(n)
+    n = abs(index(n))
     if n == 0:
         raise ValueError("cannot factor 0")
     out: dict[int, int] = {}
@@ -43,9 +44,7 @@ def factorize(n: int) -> dict[int, int]:
 
 
 def is_squarefree(n: int) -> bool:
-    if n == 0:
-        return False
-    return all(e == 1 for e in factorize(n).values())
+    return index(n) != 0 and all(e == 1 for e in factorize(n).values())
 
 
 def squarefree_kernel(n: int) -> int:
@@ -54,7 +53,7 @@ def squarefree_kernel(n: int) -> int:
     for p, k in factorize(n).items():
         if k % 2 == 1:
             s *= p
-    return s if n > 0 else -s
+    return s if index(n) > 0 else -s
 
 
 def exact_isqrt(n: int) -> Optional[int]:
@@ -85,7 +84,7 @@ def log_abs(x: Fraction | int) -> float:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+    return index(n) >= 2 and factorize(n) == {n: 1}
 
 
 def sqrt_mod(a: int, p: int) -> int:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from alk import _fpenum_py, arakelov, enumeration, ratlinalg
+from alk import _fpenum_py, arakelov, enumeration, quadforms, ratlinalg
 from alk.arakelov import (
     adeg,
     adeg_via_section,
@@ -92,16 +92,17 @@ NO_NUMPY_SCRIPT = """
 import sys
 sys.modules["numpy"] = None  # any import of numpy now raises ImportError
 sys.modules["mpmath"] = None  # nor of mpmath
-from alk.arakelov import (bundle_theta_and_h0ar, direct_image, euclidean_lattice,
-                          ideal_gram, make_bundle, theta_invariants_euclidean)
+from alk.arakelov import (bundle_theta_and_h0ar, direct_image, euclidean_lattice, make_bundle,
+                          theta_invariants_euclidean)
 from alk.git4 import psi_invariants, regular_embedding
 from alk.numfield import FracIdeal, make_quad_field
+from alk.quadforms import box_form, rounded_gram
 from alk.quartics import dihedral_tower
 
 theta_invariants_euclidean(euclidean_lattice([[1.5, 0.3], [0.3, 2.25]]))
 F = make_quad_field(5)
 bundle = make_bundle(F, FracIdeal.maximal_order(F), (1, 2))
-gram = ideal_gram(bundle.ideal, [1, 4])[0]
+gram = rounded_gram(box_form(bundle.ideal, (1, 2)), 5)
 assert isinstance(gram[0][0], float)
 assert direct_image(bundle).gram == tuple(map(tuple, gram))
 bundle_theta_and_h0ar(bundle)
@@ -473,8 +474,8 @@ def test_a_bundle_takes_one_reduction(monkeypatch):
     # the direct image's form is the unit box's, so the lattice and the box
     # count share one Lagrange-Gauss reduction
     calls = []
-    reduce_forms = arakelov._reduce_forms
-    monkeypatch.setattr(arakelov, "_reduce_forms",
+    reduce_forms = quadforms.reduce_forms
+    monkeypatch.setattr(quadforms, "reduce_forms",
                         lambda *args: calls.append(args) or reduce_forms(*args))
     rng = random.Random(43)
     for F in FIELDS:

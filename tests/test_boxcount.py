@@ -17,8 +17,8 @@ from alk.boxcount import (
     make_radius_family,
     norm_of_family,
 )
-from alk.arakelov import (_reduce_forms, box_count, bundle_theta_and_h0ar, f_bound, ideal_gram,
-                          make_bundle)
+from alk.arakelov import bundle_theta_and_h0ar, direct_image, f_bound, make_bundle
+from alk.quadforms import _surd_negative, box_count, box_form, reduce_forms, rounded_gram
 from alk.enumeration import BudgetExceeded
 from alk.numfield import (
     FracIdeal,
@@ -368,7 +368,7 @@ def _naive_pairs(F, fam) -> int:
     """The (m, k) pairs count_box_naive tries: |m| <= m_max and |k| <= k_max
     on the trace form's reduced basis, as it bounds them."""
     ideal = _ideal_from_finite(fam)
-    ((n0, _), (n01, _), (n1, _)), _, _ = _reduce_forms(F.d, ideal.rows)
+    ((n0, _), (n01, _), (n1, _)), _, _ = reduce_forms(F.d, ideal.rows)
     t_max = ideal.den ** 2 * sum(x * x for x in fam.infinite) / 2
     det = n0 * n1 - n01 * n01
     return (2 * math.isqrt(math.floor(t_max * n1 / det)) + 1) * \
@@ -413,6 +413,23 @@ def test_large_skewed_boxes_keep_their_naive_counts(d, p, ratio, want):
 # the one ideal Gram behind box_count, direct_image and a bundle's theta sum
 
 
+def test_surd_negative_against_an_exact_floor():
+    # for an integer x, x + y*sqrt(d) < 0 exactly when x + floor(y*sqrt(d))
+    # < 0, and floor(y*sqrt(d)) = +-isqrt(y^2*d) - (y < 0): y*sqrt(d) is
+    # irrational for a nonsquare d and y != 0.  |x| runs over 0, small values
+    # and isqrt(y^2*d) - 1 .. isqrt(y^2*d) + 2, where x^2 - y^2*d changes sign
+    cases = 0
+    for d in (2, 3, 5, 13, 10 ** 18 + 3):
+        for y in (0, 1, 2, 7, 12345, 10 ** 20 + 1):
+            r = math.isqrt(y * y * d)
+            xs = {0, 1, 2, 5} | {r + k for k in (-1, 0, 1, 2) if r + k >= 0}
+            for sy, root_floor in ((y, r), (-y, -r - (y != 0))):
+                for x in xs | {-x for x in xs}:
+                    assert _surd_negative(x, sy, d) is (x + root_floor < 0), (x, sy, d)
+                    cases += 1
+    assert cases > 500, cases
+
+
 def _exact_value(a: Fraction, b: Fraction, d: int, R1, R2) -> Decimal:
     """sigma_1(x)/R1 + sigma_2(x)/R2 for x = a + b*sqrt(d), to 50 digits."""
     dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
@@ -421,10 +438,11 @@ def _exact_value(a: Fraction, b: Fraction, d: int, R1, R2) -> Decimal:
     return dec(a * s) + dec(b * t) * root
 
 
-def test_ideal_gram_matches_the_trace_and_embedding_grams():
-    # the Gram on the reduced basis r_j = c_j[0]*b0 + c_j[1]*b1: exact at
-    # equal radii and at the complex place, and at unequal real radii each
-    # entry within 4 ulp of its exact value, correctly rounded from 50 digits
+def test_box_form_gram_matches_the_trace_and_embedding_grams():
+    # a bundle's direct image has the Gram of its unit box's form on the
+    # reduced basis r_j = c_j[0]*b0 + c_j[1]*b1: exact at equal radii and at
+    # the complex place, and at unequal real radii each entry within 4 ulp of
+    # its exact value, correctly rounded from 50 digits
     rng = random.Random(37)
     kinds, seen = set(), {"equal": 0, "unequal": 0, "complex": 0}
     with localcontext() as ctx:
@@ -438,10 +456,15 @@ def test_ideal_gram_matches_the_trace_and_embedding_grams():
                     ideals += [prime_ideal(place) ** e for e in range(-4, 5) if e]
             for ideal in ideals:
                 b = ideal.basis_elems()
-                R = Fraction(rng.randint(1, 60), rng.randint(1, 9))
-                R2 = R * Fraction(rng.randint(10, 30), rng.randint(1, 9)) ** 2  # > R
-                for sq_radii in ([(R,)] if d < 0 else [(R, R), (R, R2), (R2, R)]):
-                    got, cols = ideal_gram(ideal, sq_radii)
+                rho = Fraction(rng.randint(1, 60), rng.randint(1, 9))
+                rho2 = rho * Fraction(rng.randint(10, 30), rng.randint(1, 9))  # > rho
+                for radii in ([(rho, rho)] if d < 0 else [(rho, rho), (rho, rho2), (rho2, rho)]):
+                    # the unit box: Nr(x) <= rho^2 at the complex place
+                    R, sq_radii = rho * rho, tuple(r * r for r in radii)
+                    form = box_form(ideal, (R,) if d < 0 else radii)
+                    got, cols = rounded_gram(form, d), form[1]
+                    lat = direct_image(make_bundle(F, ideal, radii))
+                    assert lat.gram == tuple(map(tuple, got)), (d, ideal, radii)
                     (m0, k0), (m1, k1) = cols
                     assert abs(m0 * k1 - m1 * k0) == 1
                     r = [b[0] * m + b[1] * k for m, k in cols]

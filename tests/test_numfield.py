@@ -15,7 +15,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from alk import quartics
-from alk.intarith import factorize, is_prime, sqrt_mod, valuation
+from alk.intarith import (factorize, is_prime, is_squarefree, sqrt_mod, squarefree_kernel,
+                          valuation)
 from alk.localgeom import different_and_orders
 from alk.numfield import (
     FieldTower,
@@ -646,7 +647,7 @@ def test_integer_pairs_build_the_element_of_the_fraction_route(d):
     assert F.elem(True, False) == F.elem(1)
 
 # (d, a, b) -> the embeddings of a + b*sqrt(d), pinned as floats:
-# arakelov.ideal_gram's float Gram at unequal real radii is built from
+# quadforms.rounded_gram's float Gram at unequal real radii is built from
 # these values, so they must not move by a bit
 PINNED_EMBEDDINGS = {
     (2, Fraction(1, 3), Fraction(2, 7)): (0.7373943511542176, -0.07072768448755101),
@@ -849,6 +850,21 @@ def test_factorize_stops_trial_division_at_ten_to_the_six():
     for n in (1000003 ** 2, 2 ** 61 - 1):  # the cofactor may be composite
         with pytest.raises(ValueError, match=f"cannot factor {n}"):
             within_seconds(5, lambda: factorize(n))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_prime(3.0),
+    lambda: factorize(Fraction(7)),
+    lambda: different_and_orders(5, 3.0),
+    lambda: is_squarefree(6.0),
+    lambda: squarefree_kernel(Fraction(12)),
+])
+def test_integer_helpers_refuse_floats_and_fractions(call):
+    # each reads its integer with operator.index, as QuadField reads d:
+    # is_prime(3.0) was True, factorize(Fraction(7)) gave {Fraction(7, 1): 1}
+    # and different_and_orders(5, 3.0) failed in pow() inside splitting_type
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
 
 
 def test_content_of_an_element_with_a_huge_norm_is_an_error():

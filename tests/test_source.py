@@ -124,3 +124,52 @@ def test_gaussian_towers_are_built_from_integers():
              if isinstance(node, ast.FunctionDef)}
     assert [name for name in ("gaussian_period_delta", "gaussian_period_tower")
             if "Fraction" in set(_names_read(funcs[name]))] == []
+
+
+# the exact binary-form code, as quadforms names it and as arakelov named it
+QUADFORMS_NAMES = {"positive_radii", "_surd_negative", "_floor_surd", "lagrange", "reduce_forms",
+                   "_surd_float", "box_form", "rounded_gram", "box_count", "count_rows"}
+FORMER_NAMES = {"_positive_radii", "_surd_sign", "_lagrange", "_reduce_forms", "_box_form",
+                "_rounded_gram", "ideal_gram", "_count_rows"}
+
+
+def test_no_module_imports_a_private_name_of_arakelov_or_quadforms():
+    # nor does boxcount import a private name of any module
+    found = []
+    for path in sorted(Path(alk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (path.name == "boxcount.py" or (
+                    node.module or "").split(".")[-1] in ("arakelov", "quadforms")):
+                found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                          if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("arakelov", "quadforms") and node.attr.startswith("_"):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert found == []
+
+
+def _module_level_names(name):
+    """(defined, renamed): the names a module's def, class and assignment
+    statements bind, and the `as` names of its imports."""
+    tree = ast.parse((Path(alk.__file__).parent / f"{name}.py").read_text())
+    defined = {node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {t.id for node in tree.body if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Name)}
+    renamed = {alias.asname for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.asname}
+    return defined, renamed
+
+
+def test_the_binary_form_code_lives_in_quadforms_alone():
+    defined, renamed = _module_level_names("arakelov")
+    assert (defined | renamed) & (QUADFORMS_NAMES | FORMER_NAMES) == set()
+    assert QUADFORMS_NAMES <= _module_level_names("quadforms")[0]
+
+
+def test_every_module_has_a_readme_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip() for line in readme.splitlines()
+            if line.startswith("| `alk.")}
+    modules = {f"`alk.{path.stem}`" for path in Path(alk.__file__).parent.glob("*.py")
+               if path.stem not in ("__init__", "_fpenum_py")}
+    assert modules - rows == set()
