@@ -1,15 +1,15 @@
 """Euclidean lattices and Hermitian line bundles over quadratic rings.
 
 Degrees, theta invariants, Poisson-Riemann-Roch, duality, and the
-comparison bounds.  Gram matrices and ideals are exact; theta values are
-floats with certified truncation tails.  The theta invariants of a
-Euclidean lattice sum its sparser side, L or L*, and take the other from
-Poisson summation, h0 - h1 = adeg, with log det from the logs of its
-numerator and denominator; a rank-2 side is summed on an exactly reduced
-basis.  A bundle takes one theta sum on its direct image, on the basis
-`quadforms` reduces for its unit box's form, and counts that box on the same
-basis; L* stands for the Serre twist once the twist's ideal is checked,
-exactly, to be the trace dual.
+comparison bounds.  Ideals are exact, Grams are integers over one
+denominator, and theta values are floats with certified truncation tails.
+The theta invariants of a Euclidean lattice sum its sparser side, L or L*,
+and take the other from Poisson summation, h0 - h1 = adeg, with adeg from
+one log of 1/det; a rank-2 side is summed on an exactly reduced basis.  A
+bundle takes one theta sum on its direct image, the integer
+`quadforms.lattice_gram` of its unit box's form on the basis `quadforms`
+reduces for it, and counts that box on the same basis; L* stands for the
+Serre twist once the twist's ideal is checked, exactly, to be the trace dual.
 
 Norm convention for bundles: a bundle carries one radius rho per
 Archimedean embedding (equal at conjugate embeddings) and the section
@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 from . import enumeration
 from .intarith import log_abs
 from .numfield import FracIdeal, QuadField, embeddings
-from .quadforms import box_count, box_form, count_rows, lagrange, positive_radii, rounded_gram
+from .quadforms import box_count, box_form, count_rows, lagrange, lattice_gram, positive_radii
 from .ratlinalg import NotRational, adjugate, bareiss, integer_matrix, rational, real, transpose
 
 
@@ -42,7 +42,7 @@ class EuclideanLattice:
     the last pivot.  `_lattice` builds every lattice from an integer Gram in
     lowest terms and makes that pass, so det, dual and the definiteness test
     are exact and `_fpenum_py.gauss_sum` walks U as it is; `euclidean_lattice`
-    clears a Gram from outside to that form, a float as its exact value."""
+    clears only a Gram from outside to that form, a float as its exact value."""
 
     num: tuple[tuple[int, ...], ...]
     den: int
@@ -136,9 +136,7 @@ def theta_invariants_euclidean(
     """Sums the sparser side, L when det(L) >= 1 and L* otherwise, and takes
     the other from theta_{L*}(1) = covol(L) * theta_L(1)."""
     det = lat.det()
-    # math.log reads an int of any size, where float(det) may overflow or
-    # underflow
-    adeg = (math.log(det.denominator) - math.log(det.numerator)) / 2
+    adeg = log_abs(1 / det) / 2  # one log, where log(den) - log(num) would cancel
     side = lat if det >= 1 or lat.rank == 2 else lat.dual()
     if lat.rank == 2:  # summed on a reduced basis, whose outer walk is short
         # reduction keeps the content of the Gram, so it stays in lowest terms
@@ -263,15 +261,16 @@ def tensor_bundle(b1: HermitianLineBundle, b2: HermitianLineBundle) -> Hermitian
 
 
 def _image_and_box(bundle: HermitianLineBundle):
-    """(L, radii, form): the direct image L, whose form is its unit box's
-    `quadforms.box_form` at the box's radii; form is None over Q."""
+    """(L, radii, form): the direct image L, the lattice of `quadforms.lattice_gram` on
+    its unit box's `quadforms.box_form` at the box's radii; form is None over Q."""
     F = bundle.field
     if F is None:
-        return euclidean_lattice([[(bundle.ideal / bundle.radii[0]) ** 2]]), bundle.radii, None
+        n, d = (bundle.ideal / bundle.radii[0]).as_integer_ratio()
+        return _lattice([[n * n]], d * d), bundle.radii, None
     # the unit box has Nr(s) <= rho^2 at the complex place
     radii = bundle.radii if F.is_real else (bundle.radii[0] ** 2,)
     form = box_form(bundle.ideal, radii)
-    return euclidean_lattice(rounded_gram(form, F.d)), radii, form
+    return _lattice(*lattice_gram(form, F.d)), radii, form
 
 
 def direct_image(bundle: HermitianLineBundle) -> EuclideanLattice:

@@ -12,6 +12,8 @@ from . import enumeration
 from .numfield import FracIdeal
 from .ratlinalg import real
 
+_GRAM_BITS = 64  # a rounded `lattice_gram` has A * 2^s >= 2^_GRAM_BITS, A its first entry
+
 
 def positive_radii(radii, message: str) -> tuple[Fraction, ...]:
     """One radius or a tuple or list of them as Fractions, each read by
@@ -70,42 +72,38 @@ def reduce_forms(d: int, forms, s: int = 1, t: int = 0):
     return gram, cols, tuple((m * u0 + k * u1, m * v0 + k * v1) for m, k in cols)
 
 
-def _surd_float(x: int, y: int, d: int, k: int) -> float:
-    """(x + y*sqrt(d)) / k for k > 0 in floats without cancellation: the sum
-    when x and y have the same sign, else (x^2 - y^2*d) / (k*(x - y*sqrt(d)))."""
-    r = math.sqrt(d)
-    if x * y >= 0:
-        return x / k + y / k * r
-    return (x * x - y * y * d) / (k * x) / (1 - y / x * r)
-
-
 def box_form(ideal: FracIdeal, radii):
     """(gram, columns, reduced, k, D): `reduce_forms` on k times the form
     sum_sigma sigma(x) sigma(y)^* / R_sigma of the box of `box_count`'s radii,
     R_sigma = rho_sigma^2 at the real embeddings or R at the complex place
     (the form 2*Re(x y^*) / R), over the ideal's HNF rows, integer forms
     (u, v) of (u + v*sqrt(d)) / D for D its den; it is at most 2 on the box."""
-    D = ideal.den
-    inv = [Fraction(1, r * r) for r in radii] if len(radii) == 2 else [Fraction(1, radii[0])] * 2
-    s, t = inv[0] + inv[1], inv[0] - inv[1]
-    m = math.lcm(s.denominator, t.denominator)
-    gram, cols, reduced = reduce_forms(ideal.field.d, ideal.rows,
-                                       s.numerator * (m // s.denominator),
-                                       t.numerator * (m // t.denominator))
-    return gram, cols, reduced, m * D * D, D
+    k = len(radii)  # 1/R_sigma = (q/p)^k for rho_sigma = p/q, or R = p/q at the complex place
+    (n1, e1), (n2, e2) = ((r.denominator ** k, r.numerator ** k) for r in (radii * 2)[:2])
+    a, b, e = n1 * e2, n2 * e1, e1 * e2  # s, t = (a + b) / e, (a - b) / e
+    g = math.gcd(a + b, a - b, e)
+    gram, cols, reduced = reduce_forms(ideal.field.d, ideal.rows, (a + b) // g, (a - b) // g)
+    return gram, cols, reduced, e // g * ideal.den ** 2, ideal.den
 
 
-def rounded_gram(form, d: int) -> list[list]:
-    """The Gram of a `box_form` over its k, on the basis r_j = c_j[0]*b0 +
-    c_j[1]*b1 for its columns c_j: exact Fractions when the form is rational
-    (t = 0: equal radii, or the complex place), and otherwise each entry
-    rounded from its exact value without cancellation (`_surd_float`)."""
+def lattice_gram(form, d: int) -> tuple[list[list[int]], int]:
+    """(m, den): the Gram of a `box_form` over its k on its reduced basis, as
+    integers in lowest terms: exact when t = 0 (equal radii, or the complex place),
+    else each entry (x + y*sqrt(d)) / k rounded to nearest on 2^-s, s >= 0 least
+    with A * 2^s >= 2^64 (A the first entry), so within 2^-s-1 <= A * 2^-65.  It
+    stays positive definite: a reduced form has |2B| <= A <= C, so det >= 3AC/4,
+    and errors e < A/4 keep A - e > 0 and lower det by at most e(2A + C) <= 3Ce < 3AC/4."""
     gram, _, _, k, _ = form
     if any(y for _, y in gram):
-        a, b, c = (_surd_float(x, y, d, k) for x, y in gram)
-    else:
-        a, b, c = (Fraction(x, k) for x, _ in gram)
-    return [[a, b], [b, c]]
+        (a, ay), _, _ = gram
+        # A >= 1/(2ak), as A*conj(A)*k^2 = a^2 - ay^2*d >= 1: floor(A*2^s) has >= 65 bits
+        s = _GRAM_BITS + 1 + k.bit_length() + a.bit_length()
+        s = max(s + _GRAM_BITS + 1 - _floor_surd(a << s, ay << s, d, k).bit_length(), 0)
+        gram = [(_floor_surd((x << s + 1) + k, y << s + 1, d, 2 * k), 0) for x, y in gram]
+        k = 1 << s
+    g = math.gcd(*(x for x, _ in gram), k)
+    a, b, c = (x // g for x, _ in gram)
+    return [[a, b], [b, c]], k // g
 
 
 def box_count(ideal, radii, budget: int = enumeration.DEFAULT_BUDGET) -> int:

@@ -60,13 +60,16 @@ def gaussian_period_tower(p: int) -> FieldTower:
     The primitive element is the Gaussian period eta_0.  As
     eta_0 + eta_2 = (-1 + sqrt p)/2, it is alpha + sqrt(delta) with
     alpha = (-1 + sqrt p)/4 and delta = (eta_0 - eta_2)^2/4 = (A + B sqrt p)/8
-    for the odd integers (A, B) of `gaussian_period_delta`, so both are
-    built in lowest terms from integers.  The declared discriminant p^3
-    comes from the conductor-discriminant formula and is cross-checked
-    against `power_basis_disc` (square index).
+    for the odd integers (A, B) of `gaussian_period_delta`, in lowest terms.
+    Nr(delta) > 0, and delta > 0 iff p = 1 mod 8 (K real): a sign that the
+    declared discriminant p^3, from the conductor-discriminant formula and
+    cross-checked against `power_basis_disc` (square index), cannot see.
     """
     F = make_quad_field(p)
-    tower = FieldTower(F, NFElem(F.nf, gaussian_period_delta(p), 8), NFElem(F.nf, (-1, 1), 4),
+    A, B = gaussian_period_delta(p)
+    if not (A * A > p * B * B and (A > 0) == (p % 8 == 1)):
+        raise ArithmeticError(f"delta = ({A} + {B} sqrt({p}))/8 has the wrong signature")
+    tower = FieldTower(F, NFElem(F.nf, (A, B), 8), NFElem(F.nf, (-1, 1), 4),
                        declared_DK=p ** 3, galois_hint="cyclic")
     # disc / p^3 is a positive rational square iff disc's numerator times
     # its denominator times p^3 is a positive integer square

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -96,15 +97,15 @@ from alk.arakelov import (bundle_theta_and_h0ar, direct_image, euclidean_lattice
                           theta_invariants_euclidean)
 from alk.git4 import psi_invariants, regular_embedding
 from alk.numfield import FracIdeal, make_quad_field
-from alk.quadforms import box_form, rounded_gram
+from alk.quadforms import box_form, lattice_gram
 from alk.quartics import dihedral_tower
 
 theta_invariants_euclidean(euclidean_lattice([[1.5, 0.3], [0.3, 2.25]]))
 F = make_quad_field(5)
 bundle = make_bundle(F, FracIdeal.maximal_order(F), (1, 2))
-gram = rounded_gram(box_form(bundle.ideal, (1, 2)), 5)
-assert isinstance(gram[0][0], float)
-assert direct_image(bundle).gram == tuple(map(tuple, gram))
+num, den = lattice_gram(box_form(bundle.ideal, (1, 2)), 5)
+assert den > 1 and den & (den - 1) == 0  # rounded on a power of 2
+assert (direct_image(bundle).num, direct_image(bundle).den) == (tuple(map(tuple, num)), den)
 bundle_theta_and_h0ar(bundle)
 gamma = [[1, 1, 0, 0], [0, 1, 2, 0], [0, 0, 1, 0], [1, 0, 0, 1]]
 psi_invariants(regular_embedding(dihedral_tower(2, 1, 1)), gamma)
@@ -212,6 +213,20 @@ def test_scaled_integer_lattice_degree():
     lat = euclidean_lattice([[Fraction(1, 4)]])  # basis vector of length 1/2
     rep = theta_invariants_euclidean(lat)
     assert abs(rep.adeg - math.log(2.0)) < 1e-12
+
+
+def test_lattice_degree_is_within_an_ulp_of_its_50_digit_value():
+    # adeg = log(1/det)/2 in one log: the logs of det's numerator and
+    # denominator nearly cancel, and their difference was 11 and 12 ulp off
+    for gram in ([[0.1]], [[0.3, 0.1], [0.1, 0.7]]):
+        lat = euclidean_lattice(gram)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            want = (Decimal(lat.det().denominator) / Decimal(lat.det().numerator)).ln() / 2
+        got = theta_invariants_euclidean(lat).adeg
+        assert abs(Decimal(got) - want) <= Decimal(math.ulp(float(want))), (gram, got, want)
+    # and a unimodular lattice has degree +0.0, not -0.0
+    assert math.copysign(1.0, theta_invariants_euclidean(euclidean_lattice([[1]])).adeg) == 1.0
 
 
 def test_degree_independent_of_chosen_section():

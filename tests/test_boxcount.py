@@ -18,7 +18,7 @@ from alk.boxcount import (
     norm_of_family,
 )
 from alk.arakelov import bundle_theta_and_h0ar, direct_image, f_bound, make_bundle
-from alk.quadforms import _surd_negative, box_count, box_form, reduce_forms, rounded_gram
+from alk.quadforms import _surd_negative, box_count, box_form, lattice_gram, reduce_forms
 from alk.enumeration import BudgetExceeded
 from alk.numfield import (
     FracIdeal,
@@ -439,10 +439,10 @@ def _exact_value(a: Fraction, b: Fraction, d: int, R1, R2) -> Decimal:
 
 
 def test_box_form_gram_matches_the_trace_and_embedding_grams():
-    # a bundle's direct image has the Gram of its unit box's form on the
-    # reduced basis r_j = c_j[0]*b0 + c_j[1]*b1: exact at equal radii and at
-    # the complex place, and at unequal real radii each entry within 4 ulp of
-    # its exact value, correctly rounded from 50 digits
+    # a bundle's direct image has the integer Gram of its unit box's form on
+    # the reduced basis r_j = c_j[0]*b0 + c_j[1]*b1, in lowest terms: exact
+    # at equal radii and at the complex place, and at unequal real radii
+    # each entry within A * 2^-64 of its exact value, taken to 50 digits
     rng = random.Random(37)
     kinds, seen = set(), {"equal": 0, "unequal": 0, "complex": 0}
     with localcontext() as ctx:
@@ -462,9 +462,12 @@ def test_box_form_gram_matches_the_trace_and_embedding_grams():
                     # the unit box: Nr(x) <= rho^2 at the complex place
                     R, sq_radii = rho * rho, tuple(r * r for r in radii)
                     form = box_form(ideal, (R,) if d < 0 else radii)
-                    got, cols = rounded_gram(form, d), form[1]
+                    (num, den), cols = lattice_gram(form, d), form[1]
+                    assert all(type(x) is int for x in (den, *num[0], *num[1]))
+                    assert den > 0 and math.gcd(*num[0], *num[1], den) == 1
                     lat = direct_image(make_bundle(F, ideal, radii))
-                    assert lat.gram == tuple(map(tuple, got)), (d, ideal, radii)
+                    assert (lat.num, lat.den) == (tuple(map(tuple, num)), den), (d, ideal, radii)
+                    got = [[Fraction(x, den) for x in row] for row in num]
                     (m0, k0), (m1, k1) = cols
                     assert abs(m0 * k1 - m1 * k0) == 1
                     r = [b[0] * m + b[1] * k for m, k in cols]
@@ -473,16 +476,16 @@ def test_box_form_gram_matches_the_trace_and_embedding_grams():
                         other = conj if d < 0 else (lambda x: x)
                         want = [[(r[i] * other(r[j])).trace() / R for j in range(2)]
                                 for i in range(2)]
-                        assert got == want and all(type(x) is Fraction for row in got for x in row)
+                        assert got == want
                         exact = want
                         seen["complex" if d < 0 else "equal"] += 1
                     else:
                         exact = [[_exact_value((r[i] * r[j]).a, (r[i] * r[j]).b, d, *sq_radii)
                                   for j in range(2)] for i in range(2)]
+                        tol = exact[0][0] / 2 ** 64
                         for row_g, row_e in zip(got, exact):
                             for g, e in zip(row_g, row_e):
-                                w = float(e)
-                                assert type(g) is float and abs(g - w) <= 4 * math.ulp(w), \
+                                assert abs(Decimal(g.numerator) / g.denominator - e) <= tol, \
                                     (d, ideal, sq_radii, g, e)
                         seen["unequal"] += 1
                     # Lagrange-Gauss reduced: |2B| <= A <= C
@@ -490,6 +493,51 @@ def test_box_form_gram_matches_the_trace_and_embedding_grams():
                     assert 2 * abs(B) <= A <= C, (d, ideal, sq_radii, exact)
     assert len(kinds) == 6, kinds  # real and imaginary; split, inert, ramified
     assert min(seen.values()) > 100, seen
+
+
+def _embeddings(x, d: int) -> tuple[Decimal, Decimal]:
+    """a + b*sqrt(d) and a - b*sqrt(d) for x = a + b*sqrt(d), d > 0, in the
+    context's precision: the one of them that sums two terms of one sign
+    directly, the other as the norm over it, so neither cancels."""
+    dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
+    u, v = dec(x.a), dec(x.b) * Decimal(d).sqrt()
+    if x.a * x.b >= 0:
+        return u + v, dec(x.a * x.a - d * x.b * x.b) / (u + v)
+    return dec(x.a * x.a - d * x.b * x.b) / (u - v), u - v
+
+
+def test_rounded_box_grams_are_positive_definite_and_within_their_bound():
+    # at unequal real radii up to 10^+-400, over ideals at split, inert and
+    # ramified primes, the direct image's Gram is positive definite and each
+    # entry is within A * 2^-65 of sigma_1(x)/R_1 + sigma_2(x)/R_2 (taken to
+    # 60 digits: far closer than the bound), A the first entry
+    big = 10 ** 400
+    skewed = [(Fraction(1, big), Fraction(20, big)), (Fraction(big), Fraction(7 * big, 10))]
+    skewed += [(Fraction(2, 3), Fraction(10 ** j)) for j in (10, 100, 200)]
+    for d in (2, 5, 13):
+        F = QuadField(d)
+        places = {}
+        for p in (2, 3, 5, 7, 11, 13):
+            places.setdefault(splitting_type(F, p), finite_places(F, p)[0])
+        assert len(places) == 3, (d, places)
+        ideals = [prime_ideal(place) ** e for place in places.values() for e in (1, -3)]
+        cases = [(FracIdeal.maximal_order(F), (Fraction(1, big), Fraction(big)))]
+        cases += [(ideal, radii) for ideal in ideals for radii in skewed]
+        for ideal, radii in cases:
+            lat = direct_image(make_bundle(F, ideal, radii))
+            (a, b), (_, c) = lat.num
+            assert a > 0 and a * c - b * b > 0, (d, ideal, radii)
+            b0, b1 = ideal.basis_elems()
+            with localcontext() as ctx:
+                ctx.prec = 60
+                r = [_embeddings(b0 * m + b1 * k, d) for m, k in box_form(ideal, radii)[1]]
+                R1, R2 = (Decimal(rho.numerator) ** 2 / Decimal(rho.denominator) ** 2
+                          for rho in radii)
+                exact = [r[i][0] * r[j][0] / R1 + r[i][1] * r[j][1] / R2
+                         for i, j in ((0, 0), (0, 1), (1, 1))]
+                for x, e in zip((a, b, c), exact):
+                    assert abs(Decimal(x) / lat.den - e) <= exact[0] / 2 ** 65, \
+                        (d, ideal, radii, x, e)
 
 
 def test_complex_count_box_equals_the_number_of_box_sections():

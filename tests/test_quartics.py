@@ -73,6 +73,17 @@ def test_gaussian_period_towers_are_cyclic_with_cube_discriminant():
         assert ratio > 0 and is_square_fraction(ratio)
 
 
+def test_a_gaussian_delta_of_the_wrong_sign_is_refused(monkeypatch):
+    # the p^3 check cannot see the sign of A: with it flipped, each of these
+    # towers built without error; the signature check refuses every one
+    real_delta = quartics.gaussian_period_delta
+    monkeypatch.setattr(quartics, "gaussian_period_delta",
+                        lambda p: (-real_delta(p)[0], real_delta(p)[1]))
+    for p in (13, 17, 29, 41, 73, 89, 97, 113):
+        with pytest.raises(ArithmeticError, match="signature"):
+            quartics.gaussian_period_tower(p)
+
+
 def test_closed_form_disc_equals_the_trace_form_of_the_power_basis():
     """16 Nr(delta) X^2 against det(Tr(theta^(i+k))) in the reference field
     of theta_min_poly, on the curated towers and on seeded towers of every

@@ -107,12 +107,21 @@ def test_a_lattice_is_built_once_and_the_kernel_eliminates_nothing():
 
 
 def test_lattices_reach_the_builder_in_integers():
-    # the dual and the reduced rank-2 side hand _lattice integer Grams; no
-    # Fraction is built between two lattices
-    tree = ast.parse((Path(alk.__file__).parent / "arakelov.py").read_text())
-    funcs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    assert [name for name in ("dual", "theta_invariants_euclidean", "_dual_gram", "_lattice")
+    # the dual, the reduced rank-2 side and a bundle's direct image hand
+    # _lattice integer Grams; no Fraction is built between two lattices, and
+    # a bundle's Gram passes through no euclidean_lattice, real or float
+    src = Path(alk.__file__).parent
+    funcs = {node.name: node for name in ("arakelov.py", "quadforms.py")
+             for node in ast.walk(ast.parse((src / name).read_text()))
+             if isinstance(node, ast.FunctionDef)}
+    assert [name for name in ("dual", "theta_invariants_euclidean", "_dual_gram", "_lattice",
+                              "_image_and_box", "box_form", "lattice_gram")
             if "Fraction" in set(_names_read(funcs[name]))] == []
+    bundle_route = [funcs[name] for name in ("_image_and_box", "box_form", "lattice_gram")]
+    assert [node.name for node in bundle_route
+            if {"euclidean_lattice", "real", "float", "sqrt"} & set(_names_read(node))] == []
+    assert [node.name for node in bundle_route for sub in ast.walk(node)
+            if isinstance(sub, ast.Constant) and isinstance(sub.value, float)] == []
 
 
 def test_gaussian_towers_are_built_from_integers():
@@ -126,11 +135,12 @@ def test_gaussian_towers_are_built_from_integers():
             if "Fraction" in set(_names_read(funcs[name]))] == []
 
 
-# the exact binary-form code, as quadforms names it and as arakelov named it
-QUADFORMS_NAMES = {"positive_radii", "_surd_negative", "_floor_surd", "lagrange", "reduce_forms",
-                   "_surd_float", "box_form", "rounded_gram", "box_count", "count_rows"}
+# the exact binary-form code, as quadforms names it, and the names it had or
+# that arakelov gave it before
+QUADFORMS_NAMES = {"positive_radii", "_GRAM_BITS", "_surd_negative", "_floor_surd", "lagrange",
+                   "reduce_forms", "box_form", "lattice_gram", "box_count", "count_rows"}
 FORMER_NAMES = {"_positive_radii", "_surd_sign", "_lagrange", "_reduce_forms", "_box_form",
-                "_rounded_gram", "ideal_gram", "_count_rows"}
+                "_rounded_gram", "ideal_gram", "_count_rows", "_surd_float", "rounded_gram"}
 
 
 def test_no_module_imports_a_private_name_of_arakelov_or_quadforms():
@@ -164,6 +174,7 @@ def test_the_binary_form_code_lives_in_quadforms_alone():
     defined, renamed = _module_level_names("arakelov")
     assert (defined | renamed) & (QUADFORMS_NAMES | FORMER_NAMES) == set()
     assert QUADFORMS_NAMES <= _module_level_names("quadforms")[0]
+    assert FORMER_NAMES & _module_level_names("quadforms")[0] == set()
 
 
 def test_every_module_has_a_readme_row():
