@@ -1,21 +1,17 @@
 """Euclidean lattices and Hermitian line bundles over quadratic rings.
 
 Degrees, theta invariants, Poisson-Riemann-Roch, duality, and the
-comparison bounds.  Ideals are exact, Grams are integers over one
-denominator, and theta values are floats with certified truncation tails.
-The theta invariants of a Euclidean lattice sum its sparser side, L or L*,
-and take the other from Poisson summation, h0 - h1 = adeg, with adeg from
-one log of 1/det; a rank-2 side is summed on an exactly reduced basis.  A
-bundle takes one theta sum on its direct image, the integer
-`quadforms.lattice_gram` of its unit box's form on the basis `quadforms`
-reduces for it, and counts that box on the same basis; L* stands for the
-Serre twist once the twist's ideal is checked, exactly, to be the trace dual.
-
-Norm convention for bundles: a bundle carries one radius rho per
-Archimedean embedding (equal at conjugate embeddings) and the section
-norm at sigma is |sigma(s)| / rho_sigma.  Sections of norm <= 1
-everywhere are exactly the elements of the ideal inside the box
-|sigma(s)| <= rho_sigma.
+comparison bounds.  Ideals, radii and Grams are exact, a degree is one
+rounded log of an exact rational, and a theta value is a float certified to
+the fixed tail tolerance `enumeration.DEFAULT_TAIL_TOL`.  A Euclidean
+lattice has degree log(1/det) / 2; its theta invariants sum its sparser
+side, L or L*, and take the other from Poisson summation, h0 - h1 = adeg,
+a rank-2 side on an exactly reduced basis.  A bundle (I, rho) has degree
+sum_sigma log rho_sigma - log N(I).  It takes one theta sum on its direct
+image, the integer `quadforms.lattice_gram` of its unit box's form on the
+basis `quadforms` reduces for it, and counts that box on the same basis;
+L* stands for the Serre twist once its ideal is checked, exactly, to be
+the trace dual.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from typing import Optional, Sequence
 
 from . import enumeration
 from .intarith import log_abs
-from .numfield import FracIdeal, QuadField, embeddings
+from .numfield import FracIdeal, QuadField
 from .quadforms import box_count, box_form, count_rows, lagrange, lattice_gram, positive_radii
 from .ratlinalg import NotRational, adjugate, bareiss, integer_matrix, rational, real, transpose
 
@@ -128,11 +124,8 @@ class ThetaReport:
         return asdict(self)
 
 
-def theta_invariants_euclidean(
-    lat: EuclideanLattice,
-    tail_tol: float = enumeration.DEFAULT_TAIL_TOL,
-    budget: int = enumeration.DEFAULT_BUDGET,
-) -> ThetaReport:
+def theta_invariants_euclidean(lat: EuclideanLattice, *,
+                               budget: int = enumeration.DEFAULT_BUDGET) -> ThetaReport:
     """Sums the sparser side, L when det(L) >= 1 and L* otherwise, and takes
     the other from theta_{L*}(1) = covol(L) * theta_L(1)."""
     det = lat.det()
@@ -144,7 +137,7 @@ def theta_invariants_euclidean(
         (a, _), (b, _), (c, _) = lagrange(((num[0][0], 0), (num[0][1], 0), (num[1][1], 0)))[0]
         if det < 1 or (a, b, c) != (num[0][0], num[0][1], num[1][1]):
             side = _lattice([[a, b], [b, c]], den)
-    h, radius, tail = enumeration.theta_log_sum(side, tail_tol, budget)
+    h, radius, tail = enumeration.theta_log_sum(side, budget=budget)
     h0, h1 = (h, h - adeg) if det >= 1 else (h + adeg, h)
     return ThetaReport(h0, h1, adeg, radius, tail)
 
@@ -155,10 +148,10 @@ def theta_invariants_euclidean(
 
 @dataclass(frozen=True)
 class HermitianLineBundle:
-    """field None means the base is Q and the ideal is a positive rational
-    generator; otherwise the ideal is a fractional ideal of O_F.  radii
-    has one entry per Archimedean embedding (two for quadratic F, equal
-    at the complex conjugate pair)."""
+    """An ideal I, over Q its positive rational generator and over F a
+    FracIdeal of F, with one radius rho_sigma > 0 per Archimedean embedding
+    (equal at a complex pair).  A section s has norm |sigma(s)| / rho_sigma
+    at sigma, so those of norm <= 1 are the elements of I in the box."""
 
     field: Optional[QuadField]
     ideal: object
@@ -176,6 +169,8 @@ def make_bundle(field: Optional[QuadField], ideal, radii) -> HermitianLineBundle
         return HermitianLineBundle(None, q, radii)
     if not isinstance(ideal, FracIdeal):
         raise TypeError("quadratic field bundles need a FracIdeal")
+    if ideal.field != field:
+        raise ValueError(f"an ideal of {ideal.field} for a bundle over {field}")
     if not ideal.is_ideal():
         raise ValueError("basis not closed under multiplication by O_F")
     if len(radii) != 2:
@@ -207,39 +202,16 @@ def _inverse_different(field: QuadField):
     return field.elem(0, Fraction(1, d if d % 4 == 1 else 2 * d))
 
 
-def sections_basis(bundle: HermitianLineBundle):
-    if bundle.field is None:
-        return (bundle.ideal,)
-    return bundle.ideal.basis_elems()
-
-
-def adeg_via_section(bundle: HermitianLineBundle, s) -> float:
-    """deg = log [L : O_F s] - sum_sigma log ||s||_sigma for s in L (a
-    rational, or an element of F)."""
-    if bundle.field is None:
-        s = rational(s)
-        if s == 0:
-            raise ValueError("zero section")
-        if Fraction(s, bundle.ideal).denominator != 1:
-            raise ValueError("section not in the ideal")
-        return log_abs(Fraction(s, bundle.ideal)) - log_abs(s / bundle.radii[0])
-    s = bundle.field.coerce(s)
-    if s.is_zero():
-        raise ValueError("zero section")
-    if not bundle.ideal.contains(s):
-        raise ValueError("section not in the ideal")
-    index = abs(s.norm()) / bundle.ideal.norm()
-    arch = 0.0
-    for sigma, r in zip(embeddings(s), bundle.radii):
-        try:
-            arch += math.log(abs(sigma) / float(r))
-        except (OverflowError, ZeroDivisionError):  # float(r) overflows or is 0
-            arch += math.log(abs(sigma)) - log_abs(r)
-    return log_abs(index) - arch
-
-
 def adeg(bundle: HermitianLineBundle) -> float:
-    return adeg_via_section(bundle, sections_basis(bundle)[0])
+    """deg = sum_sigma log rho_sigma - log N(I), one log of an exact rational.
+
+    It is the section definition log [I : O_F s] - sum_sigma log ||s||_sigma
+    for any s != 0 in I, ||s||_sigma = |sigma(s)| / rho_sigma, with s gone:
+    log [I : O_F s] = log |Nr s| - log N(I) and sum_sigma log |sigma(s)| =
+    log |Nr s| cancel.  Over Q, I = qZ and N(I) = q; at the complex place
+    the radii are (rho, rho), and the two embeddings give |sigma(s)|^2 = Nr s."""
+    norm = bundle.ideal if bundle.field is None else bundle.ideal.norm()
+    return log_abs(math.prod(bundle.radii) / norm)
 
 
 def dual_bundle(bundle: HermitianLineBundle) -> HermitianLineBundle:
@@ -284,12 +256,11 @@ def serre_twist(bundle: HermitianLineBundle) -> HermitianLineBundle:
     return tensor_bundle(dual_bundle(bundle), canonical_bundle(bundle.field))
 
 
-def h1_via_duality(bundle: HermitianLineBundle,
-                   tail_tol: float = enumeration.DEFAULT_TAIL_TOL,
+def h1_via_duality(bundle: HermitianLineBundle, *,
                    budget: int = enumeration.DEFAULT_BUDGET) -> float:
     """h1 of the bundle as h0 of the Serre twist, summed on its own lattice:
     the oracle for the h1 that `bundle_theta_and_h0ar` derives."""
-    return enumeration.theta_log_sum(direct_image(serre_twist(bundle)), tail_tol, budget)[0]
+    return enumeration.theta_log_sum(direct_image(serre_twist(bundle)), budget=budget)[0]
 
 
 def check_trace_dual(ideal: FracIdeal, dual: FracIdeal) -> None:
@@ -303,11 +274,8 @@ def check_trace_dual(ideal: FracIdeal, dual: FracIdeal) -> None:
         raise ArithmeticError("the Serre twist's ideal is not the trace dual of the ideal")
 
 
-def bundle_theta_and_h0ar(
-    bundle: HermitianLineBundle,
-    tail_tol: float = enumeration.DEFAULT_TAIL_TOL,
-    budget: int = enumeration.DEFAULT_BUDGET,
-) -> tuple[ThetaReport, float]:
+def bundle_theta_and_h0ar(bundle: HermitianLineBundle, *,
+                          budget: int = enumeration.DEFAULT_BUDGET) -> tuple[ThetaReport, float]:
     """Theta invariants of the bundle from one theta sum, and the Arakelov h0
     from the unit box.  h0 and h1 are those of the direct image L and of L*
     (`theta_invariants_euclidean`, which sums one side); L* is the Serre
@@ -319,7 +287,7 @@ def bundle_theta_and_h0ar(
         check_trace_dual(ideal, ideal.inverse().scale(_inverse_different(F)))
     # the direct image's form is the unit box's: one reduction for both
     lat, radii, form = _image_and_box(bundle)
-    rep = theta_invariants_euclidean(lat, tail_tol, budget)
+    rep = theta_invariants_euclidean(lat, budget=budget)
     report = ThetaReport(rep.h0, rep.h1, adeg(bundle), rep.truncation_radius, rep.tail_bound)
     count = box_count(ideal, radii, budget) if F is None else count_rows(form, radii, F.d, budget)
     return report, math.log(count)
@@ -334,12 +302,11 @@ def f_bound(t: float) -> float:
     return 1.0 + t if t >= 0 else math.exp(2.0 * math.pi * t)
 
 
-def theta_bounds(t: float, bundle: HermitianLineBundle,
-                 tail_tol: float = enumeration.DEFAULT_TAIL_TOL) -> dict:
+def theta_bounds(t: float, bundle: HermitianLineBundle) -> dict:
     """Instantiates the degree-based upper bounds at the given t."""
     n = 1 if bundle.field is None else 2
     log_df = 0.0 if bundle.field is None else math.log(bundle.field.disc)
-    report, h0_ar = bundle_theta_and_h0ar(bundle, tail_tol)
+    report, h0_ar = bundle_theta_and_h0ar(bundle)
     deg = report.adeg
     checks = {}
     checks["h0_small_degree"] = {

@@ -83,9 +83,16 @@ def _ideal_from_finite(r: RadiusFamily):
     return FracIdeal.maximal_order(r.field) if ideal is None else ideal
 
 
+def _same_field(field: Optional[QuadField], r: RadiusFamily) -> None:
+    """Raises ValueError unless a count over field is one of r's own field."""
+    if field != r.field:
+        raise ValueError(f"a radius family over {r.field or 'Q'} counted over {field or 'Q'}")
+
+
 def count_box(field: Optional[QuadField], r: RadiusFamily,
               budget: int = enumeration.DEFAULT_BUDGET) -> int:
     """#{x in F : |x|_u <= r_u for every place u}, exact."""
+    _same_field(field, r)
     return box_count(_ideal_from_finite(r), r.infinite, budget)
 
 
@@ -93,6 +100,7 @@ def count_box_naive(field: Optional[QuadField], r: RadiusFamily) -> int:
     """Independent oracle: direct double loop over the coefficients of x
     in a Lagrange-Gauss reduced basis of the ideal, inside exact integer
     bounds from the trace form, with its own exact membership test."""
+    _same_field(field, r)
     ideal = _ideal_from_finite(r)
     if field is None:
         count = 0

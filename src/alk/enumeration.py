@@ -6,7 +6,8 @@ Q(x) <= R^2; it makes no elimination of its own.  It builds no point list: it ad
 visits only the half space where the last nonzero coordinate of x is
 positive, and returns 1 + 2 * (half sum).
 
-The sum stops at a radius set by the rank n and the tolerance alone.
+The sum stops at a radius set by the rank n alone, for the fixed tail
+tolerance DEFAULT_TAIL_TOL = 1e-12.
 For c > 1/sqrt(2 pi), Banaszczyk's lemma (Math. Ann. 296 (1993), Lemma
 1.5) bounds the mass e^{-pi |v|^2} of any rank-n lattice outside radius
 c sqrt(n) by C^n theta, with C = c sqrt(2 pi e) e^{-pi c^2}.  So the log
@@ -55,14 +56,12 @@ def truncation_radius(n: int, tail_tol: float) -> tuple[float, float]:
     return hi, _banaszczyk_bound(n, hi)
 
 
-def theta_log_sum(lat, tail_tol=DEFAULT_TAIL_TOL, budget=DEFAULT_BUDGET):
+def theta_log_sum(lat, *, budget=DEFAULT_BUDGET):
     """(h0, truncation_radius, tail_bound) with h0 = log sum e^{-pi Q(v)}
-    over the whole `arakelov.EuclideanLattice` lat, certified to the given
-    tail tolerance."""
-    if not 0 < tail_tol < 1:
-        raise ValueError(f"tail tolerance {tail_tol} not in (0, 1)")
+    over the whole `arakelov.EuclideanLattice` lat, certified to
+    DEFAULT_TAIL_TOL."""
     if not lat.rank:
         raise ValueError("theta sum of a rank-0 lattice")
-    radius, tail = truncation_radius(lat.rank, tail_tol)
+    radius, tail = truncation_radius(lat.rank, DEFAULT_TAIL_TOL)
     total, _ = _fpenum_py.gauss_sum(lat.rows, lat.den, radius * radius, budget)
     return math.log(total), radius, tail

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from alk import _fpenum_py, arakelov, enumeration, quadforms, ratlinalg
 from alk.arakelov import (
     adeg,
-    adeg_via_section,
     bundle_theta_and_h0ar,
     canonical_bundle,
     check_trace_dual,
@@ -23,7 +22,6 @@ from alk.arakelov import (
     f_bound,
     h1_via_duality,
     make_bundle,
-    sections_basis,
     serre_twist,
     tensor_bundle,
     theta_bounds,
@@ -33,8 +31,8 @@ from alk.arakelov import (
 from alk.boxcount import count_box, make_radius_family
 from alk.numfield import FracIdeal, finite_places, make_quad_field, prime_ideal, splitting_type
 from alk.ratlinalg import NotRational, mat_det
-from conftest import (box_reference_count, decimal_log_theta, random_posdef_gram,
-                      random_principal_bundle, within_seconds)
+from conftest import (box_reference_count, decimal_log_theta, random_nonzero_elem,
+                      random_posdef_gram, random_principal_bundle, within_seconds)
 
 FIELDS = [make_quad_field(d) for d in (-1, 2, 5, -3)]
 
@@ -229,20 +227,82 @@ def test_lattice_degree_is_within_an_ulp_of_its_50_digit_value():
     assert math.copysign(1.0, theta_invariants_euclidean(euclidean_lattice([[1]])).adeg) == 1.0
 
 
+def _section_degree(bundle, s) -> Decimal:
+    """The degree by its definition at 60 digits, for a section s != 0 of I:
+    log [I : O_F s] - sum_sigma log(|sigma(s)| / rho_sigma), with the index
+    the determinant of s, s*omega over I's basis, |sigma(s)|^2 = Nr s at the
+    complex place and sigma(s) = a +- b sqrt(d) at the real ones."""
+    F = bundle.field
+    with localcontext() as ctx:
+        ctx.prec = 60
+        dec = lambda q: Decimal(q.numerator) / Decimal(q.denominator)
+        if F is None:
+            index = Fraction(s, bundle.ideal)
+            assert index.denominator == 1, "s lies in I"
+            return dec(abs(index)).ln() - (dec(abs(s)) / dec(bundle.radii[0])).ln()
+        (p, q), (r, t) = ((x.a, x.b) for x in bundle.ideal.basis_elems())
+        (u, v), (w, z) = ((x.a, x.b) for x in (s, s * F.omega))
+        index = abs((u * z - v * w) / (p * t - q * r))
+        assert index.denominator == 1, "s lies in I"
+        rho1, rho2 = map(dec, bundle.radii)
+        if F.is_real:
+            a, b = dec(s.a), dec(s.b) * Decimal(F.d).sqrt()
+            arch = (abs(a + b) / rho1).ln() + (abs(a - b) / rho2).ln()
+        else:
+            arch = (dec(s.norm()) / (rho1 * rho2)).ln()
+        return dec(index).ln() - arch
+
+
+def _random_bundle(rng, F):
+    """A bundle over F (None for Q) of random ideal, with radii up to 10^+-400."""
+    def radius():
+        scale = Fraction(10) ** rng.choice((0, rng.randint(-400, 400)))
+        return Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) * scale
+    if F is None:
+        return make_bundle(None, Fraction(rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4)),
+                           (radius(),))
+    gens = [random_nonzero_elem(rng, F, 50) * Fraction(1, rng.randint(1, 30))
+            for _ in range(rng.randint(1, 2))]
+    r1 = radius()
+    return make_bundle(F, FracIdeal.from_gens(F, gens), (r1, radius() if F.is_real else r1))
+
+
 def test_degree_independent_of_chosen_section():
+    # adeg, one log of prod(radii) / N(I), is within max(2 ulp, 2^-52) of the
+    # section definition at either HNF basis element: the float route through
+    # the embeddings of one section was up to 52 times that off
     rng = random.Random(5)
-    for F in FIELDS:
-        bundle = random_principal_bundle(rng, F)
-        b1, b2 = sections_basis(bundle)
-        assert abs(adeg_via_section(bundle, b1) - adeg_via_section(bundle, b2)) < 1e-12
+    bases = [None] + [make_quad_field(d) for d in (-15, -7, -1, 2, 5, 13)]
+    for k in range(2000):
+        bundle = _random_bundle(rng, bases[k % len(bases)])
+        got = adeg(bundle)
+        sections = ((bundle.ideal, -3 * bundle.ideal) if bundle.field is None
+                    else bundle.ideal.basis_elems())
+        for s in sections:
+            want = _section_degree(bundle, s)
+            tol = max(2 * math.ulp(float(want)), 2.0 ** -52)
+            assert abs(Decimal(got) - want) <= Decimal(tol), (bundle, s, got, want)
+    # N(I) = |Nr(12 + 23 sqrt 5)| = 2501 = rho_1 rho_2: the section route gave -1.78e-15
+    F = make_quad_field(5)
+    assert adeg(make_bundle(F, FracIdeal.from_gens(F, [F.elem(12, 23)]), (2501, 1))) == 0.0
 
 
 def test_sections_are_read_as_elements_of_the_field():
-    # a non-NFElem section was guarded by an assert only
-    bundle = trivial_bundle(make_quad_field(2))
-    assert adeg_via_section(bundle, 2) == adeg_via_section(bundle, bundle.field.elem(2))
+    # a section s twists a bundle's ideal to s*I: a rational s is read as an
+    # element of F, and an element of another field is refused
+    F = make_quad_field(2)
+    ideal = trivial_bundle(F).ideal
+    assert ideal.scale(2) == ideal.scale(F.elem(2))
+    twisted = [adeg(make_bundle(F, ideal.scale(s), (1, 1))) for s in (2, F.elem(2))]
+    assert twisted[0] == twisted[1] == -math.log(4)
     with pytest.raises(ValueError):
-        adeg_via_section(bundle, make_quad_field(3).elem(1, 1))
+        ideal.scale(make_quad_field(3).elem(1, 1))
+
+
+def test_a_bundle_ideal_over_another_field_is_refused():
+    # tensor_bundle multiplied such an ideal's rows with the bundle's d
+    with pytest.raises(ValueError, match=r"QuadField\(d=2\).*QuadField\(d=5\)"):
+        make_bundle(make_quad_field(5), FracIdeal.maximal_order(make_quad_field(2)), (1, 1))
 
 
 def test_degree_of_dual_and_tensor():
@@ -545,20 +605,28 @@ def _theta_1d(g):
 def test_theta_truncation_error_within_the_tail_bound(tail_tol):
     """On a diagonal lattice theta is a product of 1-D series, so h0 is
     known independently of the enumeration; the truncated sum may miss it
-    only by less than the reported bound, which depends on the rank alone."""
+    only by less than the reported bound, which depends on the rank alone.
+    The theta functions sum at the fixed 1e-12; the kernel is summed
+    directly at the truncation radius of the looser tolerances."""
     rng = random.Random(23)
     for n in (1, 2, 3, 4):
         for _ in range(6):
             diag = [Fraction(rng.randint(1, 100), 20) for _ in range(n)]
             gram = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
             lat = euclidean_lattice(gram)
-            h0, radius, tail = enumeration.theta_log_sum(lat, tail_tol)
+            if tail_tol == enumeration.DEFAULT_TAIL_TOL:
+                h0, radius, tail = enumeration.theta_log_sum(lat)
+                assert enumeration.theta_log_sum(lat.dual())[1:] == (radius, tail)
+                rep = theta_invariants_euclidean(lat)
+                assert (rep.truncation_radius, rep.tail_bound) == (radius, tail)
+            else:
+                radius, tail = enumeration.truncation_radius(n, tail_tol)
+                total, _ = _fpenum_py.gauss_sum(lat.rows, lat.den, radius * radius,
+                                                enumeration.DEFAULT_BUDGET)
+                h0 = math.log(total)
             want = math.fsum(math.log(_theta_1d(float(g))) for g in diag)
             assert tail < tail_tol
             assert -1e-14 <= want - h0 <= tail, (diag, want - h0, tail)
-            assert enumeration.theta_log_sum(lat.dual(), tail_tol)[1:] == (radius, tail)
-            rep = theta_invariants_euclidean(lat, tail_tol)
-            assert (rep.truncation_radius, rep.tail_bound) == (radius, tail)
 
 
 def test_truncation_radius_depends_on_the_rank_alone():
@@ -574,8 +642,10 @@ def test_truncation_radius_depends_on_the_rank_alone():
 
 @pytest.mark.parametrize("tail_tol", [0, -1e-12, 1, 2.5, float("nan"), float("inf")])
 def test_tail_tolerance_outside_zero_one_is_rejected(tail_tol):
+    # the tolerance is fixed and budget keyword-only, so a stale positional
+    # tolerance is refused and not read as a budget
     lat = euclidean_lattice([[1]])
-    with pytest.raises(ValueError, match="tail tolerance"):
+    with pytest.raises(TypeError):
         enumeration.theta_log_sum(lat, tail_tol)
-    with pytest.raises(ValueError, match="tail tolerance"):
+    with pytest.raises(TypeError):
         theta_invariants_euclidean(lat, tail_tol)

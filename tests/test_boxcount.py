@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -99,6 +100,19 @@ def test_a_place_of_another_field_is_refused(d, place):
     F = None if d is None else make_quad_field(d)
     with pytest.raises(ValueError, match="not a finite place|not a prime"):
         make_radius_family(F, [(place, 1)], [40])
+
+
+@pytest.mark.parametrize("field", [QuadField(5), None], ids=["Q(sqrt 5)", "Q"])
+def test_a_family_of_another_field_is_refused(field):
+    # each count took its field from the caller: the naive count of Q(i)'s
+    # 37 points at R = 10 gave 93 over Q(sqrt 5), and a TypeError over Q, and
+    # the bound check held Q(i)'s count against Q(sqrt 5)'s bound
+    F = make_quad_field(-1)
+    fam = make_radius_family(F, [], [10])
+    assert count_box(F, fam) == count_box_naive(F, fam) == 37
+    for count in (count_box, count_box_naive, lambda K, r: counting_bound_check(K, r, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"over {F} counted over {field or 'Q'}")):
+            count(field, fam)
 
 
 def test_norm_of_family_multiplies_all_radii():

@@ -647,8 +647,8 @@ def test_integer_pairs_build_the_element_of_the_fraction_route(d):
     assert F.elem(True, False) == F.elem(1)
 
 # (d, a, b) -> the embeddings of a + b*sqrt(d), pinned as floats:
-# arakelov.adeg_via_section's degree and numfield.place_data's Archimedean
-# absolute values are built from these values, so they must not move by a bit
+# numfield.place_data's Archimedean absolute values are built from these
+# values, so they must not move by a bit
 PINNED_EMBEDDINGS = {
     (2, Fraction(1, 3), Fraction(2, 7)): (0.7373943511542176, -0.07072768448755101),
     (5, Fraction(-7, 2), Fraction(3, 2)): (-0.1458980337503153, -6.854101966249685),

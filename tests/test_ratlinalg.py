@@ -68,7 +68,6 @@ EXACT_ENTRY_POINTS = {
     "counting_bound_check c":
         lambda x: boxcount.counting_bound_check(None, boxcount.make_radius_family(None, [], [1]), x),
     "make_bundle over Q": lambda x: arakelov.make_bundle(None, x, (1,)),
-    "adeg_via_section over Q": lambda x: arakelov.adeg_via_section(arakelov.trivial_bundle(None), x),
     "entropy_quantities at a prime": lambda x: git4.entropy_quantities([x, 1, 2, 4], 2),
     "root_log_values at a prime": lambda x: git4.root_log_values([x], 2),
     "regular_matrix": lambda x: git4.regular_embedding(quartics.zeta5_tower()).regular_matrix((x,)),

@@ -124,6 +124,26 @@ def test_lattices_reach_the_builder_in_integers():
             if isinstance(sub, ast.Constant) and isinstance(sub.value, float)] == []
 
 
+def test_a_bundle_degree_is_one_log_of_its_exact_data():
+    # adeg takes no section, so it coerces and tests no element and makes
+    # no float embedding
+    tree = ast.parse((Path(alk.__file__).parent / "arakelov.py").read_text())
+    (adeg,) = [node for node in tree.body if getattr(node, "name", None) == "adeg"]
+    body = {name for stmt in adeg.body for name in _names_read(stmt)}
+    assert {"embeddings", "float", "coerce", "contains"} & body == set()
+
+
+def test_theta_sums_take_no_tail_tolerance():
+    # the tolerance is enumeration.DEFAULT_TAIL_TOL; truncation_radius, the
+    # radius at a given tolerance, is the one function that takes it
+    src = Path(alk.__file__).parent
+    found = [f"{name}.{fn}" for name in ("arakelov", "enumeration")
+             for fn, node in _public_definitions(ast.parse((src / f"{name}.py").read_text()))
+             if isinstance(node, ast.FunctionDef) and fn != "truncation_radius"
+             and "tail_tol" in {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}]
+    assert found == []
+
+
 def test_gaussian_towers_are_built_from_integers():
     # delta comes in closed form as two odd integers, and the tower's delta
     # and alpha are NFElems built from them directly
