@@ -222,13 +222,9 @@ def dual_bundle(bundle: HermitianLineBundle) -> HermitianLineBundle:
 
 
 def tensor_bundle(b1: HermitianLineBundle, b2: HermitianLineBundle) -> HermitianLineBundle:
-    if (b1.field is None) != (b2.field is None) or (
-        b1.field is not None and b1.field.d != b2.field.d
-    ):
+    if b1.field != b2.field:
         raise ValueError("bundles over different fields")
     radii = tuple(r1 * r2 for r1, r2 in zip(b1.radii, b2.radii))
-    if b1.field is None:
-        return make_bundle(None, b1.ideal * b2.ideal, radii)
     return make_bundle(b1.field, b1.ideal * b2.ideal, radii)
 
 

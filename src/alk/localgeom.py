@@ -7,14 +7,16 @@ matrix of x = a + b*sqrt(D) on the basis (1, sqrt(D)) is
 algebra turns any rational 2x2 matrix gamma into coordinates (b1, b2) in
 K with E^{-1} gamma E = [[b1, b2], [conj b2, conj b1]], read from one
 `nfpoly.Conjugation` per torus, the kernel git4 uses for g^{-1} gamma g.
-The Res_{F/Q} GL2 block coordinates of a rational 4x4 matrix are the
-(b1, b2) of its four 2x2 blocks on the torus (1, f omega) (Khayutin,
-Duke Math. J. 168 (2019)).  Everything at finite places is exact.
+The invariant psi_T(gamma) = Nr(b2)/det(gamma) needs no coordinates: it is
+(n disc(gamma) - tr(f gamma)^2) / (4 n det(gamma)) for a traceless f that
+generates the algebra and n = -det f, exact at every place.  The
+Res_{F/Q} GL2 block coordinates of a rational 4x4 matrix are the (b1, b2)
+of its four 2x2 blocks on the torus (1, f omega) (Khayutin, Duke Math. J.
+168 (2019)).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -24,7 +26,7 @@ from typing import Optional
 from .intarith import valuation
 from .nfpoly import Conjugation, NFElem
 from .numfield import QuadField, conj, splitting_type
-from .ratlinalg import in_gl_zp, integer_matrix, mat_det, mat_mul, rational
+from .ratlinalg import in_gl_zp, integer_matrix, mat_det, mat_mul, rational, real
 
 
 # ---------------------------------------------------------------------------
@@ -61,10 +63,16 @@ class QuadTorus:
         e = self.eigenbasis()
         return Conjugation(self.K.nf, _inv2(e), e)
 
+    @cached_property
+    def generator(self) -> list[list[int]]:
+        """embed(2g - Tr g) = ((-Tr g, 2), (-2 Nr g, Tr g)), traceless and
+        cleared to integers: the f of `psi_invariant`, with n = disc g."""
+        t, nr = self.basis_gen.trace(), self.basis_gen.norm()
+        return integer_matrix([[-t, 2], [-2 * nr, t]])[0]
+
 
 def _inv2(m):
-    """Inverse of a 2x2 matrix by its adjugate: over NFElem for a torus's
-    kernel and `reconstruct`, over float or complex Archimedean data."""
+    """Inverse of a 2x2 matrix over NFElem by its adjugate."""
     (a, b), (c, d) = m
     r = 1 / (a * d - b * c)
     return [[d * r, -b * r], [-c * r, a * r]]
@@ -147,15 +155,8 @@ def different_and_orders(D: int, p: int, f: int = 1) -> LocalQuadExt:
 
 @dataclass(frozen=True)
 class LocalCoords:
-    b1: object  # NFElem (finite) or a pair of complex numbers (Archimedean)
-    b2: object
-    kind: str  # "finite" or "arch"
-
-    def psi(self, det_gamma) -> object:
-        """Nr(b2)/det; exact in the finite case."""
-        if self.kind == "finite":
-            return self.b2.norm() / det_gamma
-        return self.b2[0] * self.b2[1] / det_gamma
+    b1: NFElem
+    b2: NFElem
 
 
 def _sigma_pattern(m) -> bool:
@@ -169,7 +170,7 @@ def local_coords(torus: QuadTorus, gamma) -> LocalCoords:
     m = torus.conjugate(gamma)
     if not _sigma_pattern(m):
         raise ArithmeticError("conjugated matrix lost its sigma-pattern")
-    return LocalCoords(m[0][0], m[0][1], "finite")
+    return LocalCoords(m[0][0], m[0][1])
 
 
 def reconstruct(torus: QuadTorus, coords: LocalCoords):
@@ -179,13 +180,31 @@ def reconstruct(torus: QuadTorus, coords: LocalCoords):
     return mat_mul(mat_mul(e, mid), _inv2(e))
 
 
-def psi_invariant(torus: QuadTorus, gamma) -> Fraction:
-    """psi_T(gamma) = Nr(b2)/det(gamma); lies in the base field."""
-    lc = local_coords(torus, gamma)
-    det = gamma[0][0] * gamma[1][1] - gamma[0][1] * gamma[1][0]
+def _psi(f, gamma) -> Fraction:
+    """psi_T(gamma) = Nr(b2)/det(gamma) for a rational 2x2 gamma and the
+    torus of the algebra generated by the integer f = ((p, q), (r, -p)),
+    n = -det f = p^2 + qr nonzero.  As f^2 = n, E^{-1} f E = diag(phi, -phi)
+    on the torus's eigenbasis E, so gamma - f gamma f^{-1} maps to
+    [[0, 2 b2], [2 conj b2, 0]], of determinant -4 Nr(b2); expanded with
+    f^{-1} = f/n, psi = (n disc(gamma) - tr(f gamma)^2) / (4 n det(gamma)),
+    of degree 0 in gamma, which is therefore cleared to integers."""
+    (p, q), (r, _) = f
+    n = p * p + q * r
+    if n == 0:
+        raise ValueError("f generates no torus: its traceless part is zero or nilpotent")
+    if len(gamma) != 2 or any(len(row) != 2 for row in gamma):
+        raise ValueError("expected a 2x2 matrix")
+    ((a, b), (c, d)), _ = integer_matrix(gamma)
+    det = a * d - b * c
     if det == 0:
         raise ValueError("gamma must be invertible")
-    return lc.psi(Fraction(det))
+    s = p * (a - d) + q * c + r * b  # tr(f gamma)
+    return Fraction(n * ((a - d) ** 2 + 4 * b * c) - s * s, 4 * n * det)
+
+
+def psi_invariant(torus: QuadTorus, gamma) -> Fraction:
+    """psi_T(gamma) = Nr(b2)/det(gamma), exact; lies in the base field."""
+    return _psi(torus.generator, gamma)
 
 
 def normalizer_coset_rep(torus: QuadTorus) -> list[list[Fraction]]:
@@ -231,52 +250,18 @@ def psi_bound_finite(ext: LocalQuadExt, gamma) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Archimedean coordinates
+# the Archimedean invariant
 
 
-def arch_conjugator(f: list[list[float]]) -> tuple:
-    """Conjugator for the algebra generated by a traceless norm-one matrix.
-
-    Returns (c, alpha) with c f c^{-1} = diag(alpha, -alpha); a unipotent
-    (or swap) pre-conjugation makes the top-right entry at least 1/2 in
-    absolute value first.
-    """
-    a, b = f[0][0], f[0][1]
-    c_, d_ = f[1][0], f[1][1]
-    if abs(a + d_) > 1e-9:
-        raise ValueError("generator must be traceless")
-    nrm = math.sqrt(2 * a * a + b * b + c_ * c_)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError("generator must have norm one")
-    candidates = (
-        [[1.0, 0.0], [0.0, 1.0]],
-        [[0.0, 1.0], [1.0, 0.0]],
-        [[1.0, 1.0], [0.0, 1.0]],
-        [[1.0, -1.0], [0.0, 1.0]],
-    )
-    for u in candidates:
-        fp = mat_mul(mat_mul(u, f), _inv2(u))
-        if abs(fp[0][1]) >= 0.49:
-            break
-    else:
-        raise ArithmeticError("no pre-conjugation achieved |b| >= 1/2")
-    ap, bp = fp[0][0], fp[0][1]
-    alpha = cmath.sqrt(complex(ap * ap + bp * fp[1][0]))
-    m = [[complex(bp), complex(bp)], [alpha - ap, -alpha - ap]]
-    return mat_mul(_inv2(m), [[complex(x) for x in row] for row in u]), alpha
-
-
-def arch_local_coords(f: list[list[float]], gamma) -> LocalCoords:
-    c, _alpha = arch_conjugator(f)
-    g = [[complex(float(x)) for x in row] for row in gamma]
-    m = mat_mul(mat_mul(c, g), _inv2(c))
-    return LocalCoords((m[0][0], m[1][1]), (m[0][1], m[1][0]), "arch")
-
-
-def psi_invariant_arch(f: list[list[float]], gamma) -> complex:
-    lc = arch_local_coords(f, gamma)
-    det = float(gamma[0][0]) * float(gamma[1][1]) - float(gamma[0][1]) * float(gamma[1][0])
-    return lc.psi(det)
+def psi_invariant_arch(f, gamma) -> float:
+    """psi_T(gamma) for the torus of R[f], f a real 2x2 matrix whose
+    traceless part is neither zero nor nilpotent; f and gamma are read
+    exactly by `ratlinalg.real`, and the exact value is rounded once."""
+    if len(f) != 2 or any(len(row) != 2 for row in f):
+        raise ValueError("expected a 2x2 matrix")
+    (a, b), (c, d) = ([real(x) for x in row] for row in f)
+    gamma = [[real(x) for x in row] for row in gamma]
+    return float(_psi(integer_matrix([[a - d, 2 * b], [2 * c, d - a]])[0], gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +286,8 @@ def orbital_measure_split(psi: Fraction, kind: str, q: Optional[int] = None,
     if psi == 0 or psi == -1:
         raise ValueError("psi in {0, -1} is the degenerate stabilizer case")
     if kind == "split_nonarch":
+        if q is None:
+            raise ValueError("split_nonarch needs the residue field size q")
         m = valuation(psi, q)
         el = valuation(1 + psi, q)
         if m < 0 or el < 0:
@@ -308,6 +295,8 @@ def orbital_measure_split(psi: Fraction, kind: str, q: Optional[int] = None,
         return float((m + 1) * (el + 1))
     if kind in ("split_real", "split_complex"):
         pref = 2.0 if kind == "split_real" else 2.0 * math.pi
+        if radius is None or real(radius) <= 0:
+            raise ValueError(f"{kind} needs a positive radius, not {radius!r}")
         r = float(radius)
         t1 = math.log(1.0 / abs(float(psi))) + 2.0 * math.log(r)
         t2 = math.log(1.0 / abs(1.0 + float(psi))) + 2.0 * math.log(r)

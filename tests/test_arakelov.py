@@ -314,6 +314,32 @@ def test_degree_of_dual_and_tensor():
         assert abs(adeg(tensor_bundle(b1, b2)) - adeg(b1) - adeg(b2)) < 1e-12
 
 
+def test_tensor_bundle_refuses_bundles_over_different_fields():
+    F2, F5 = make_quad_field(2), make_quad_field(5)
+    for b1, b2 in ((trivial_bundle(None), trivial_bundle(F5)),
+                   (trivial_bundle(F5), trivial_bundle(None)),
+                   (trivial_bundle(F2), trivial_bundle(F5))):
+        with pytest.raises(ValueError, match="bundles over different fields"):
+            tensor_bundle(b1, b2)
+
+
+def test_tensor_bundle_multiplies_ideals_and_radii():
+    # over Q the generators multiply; the Serre twist is the dual times
+    # the inverse different, over Q the dual alone
+    got = tensor_bundle(make_bundle(None, 2, (3,)), make_bundle(None, Fraction(1, 5), (0.5,)))
+    assert got == arakelov.HermitianLineBundle(None, Fraction(2, 5), (Fraction(3, 2),))
+    assert serre_twist(make_bundle(None, 3, (Fraction(1, 2),))) == \
+        arakelov.HermitianLineBundle(None, Fraction(1, 3), (Fraction(2),))
+    rng = random.Random(10)
+    for F in FIELDS:
+        for _ in range(3):
+            bundle = random_principal_bundle(rng, F)
+            want = arakelov.HermitianLineBundle(
+                F, bundle.ideal.inverse() * canonical_bundle(F).ideal,
+                tuple(1 / r for r in bundle.radii))
+            assert serre_twist(bundle) == want
+
+
 def test_canonical_module_degree_is_log_disc():
     for F in FIELDS:
         got = adeg(canonical_bundle(F))

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from alk.localgeom import (
-    arch_conjugator,
     block_coordinates_gl4,
     block_integrality,
     different_and_orders,
@@ -23,7 +22,7 @@ from alk.localgeom import (
     standard_torus,
 )
 from alk.numfield import QuadField, conj, make_quad_field
-from alk.ratlinalg import mat_mul
+from alk.ratlinalg import NotRational, mat_det, mat_inv, mat_mul
 from conftest import gauss_jordan, random_gl2_zp, random_invertible
 
 
@@ -189,16 +188,6 @@ def test_invariant_bounded_by_local_discriminant():
             assert res["ok"], (D, p, f, res)
 
 
-def test_arch_conjugator_diagonalizes():
-    s = 1.0 / math.sqrt(5.0)
-    f = [[0.0, s], [2.0 * s, 0.0]]
-    c, alpha = arch_conjugator(f)
-    diag = mat_mul(mat_mul(c, [[complex(x) for x in r] for r in f]), gauss_jordan(c)[1])
-    assert abs(diag[0][0] - alpha) < 1e-12
-    assert abs(diag[1][1] + alpha) < 1e-12
-    assert abs(diag[0][1]) < 1e-12 and abs(diag[1][0]) < 1e-12
-
-
 def test_arch_invariant_matches_the_finite_route():
     s = 1.0 / math.sqrt(5.0)
     f = [[0.0, s], [2.0 * s, 0.0]]
@@ -212,11 +201,120 @@ def test_arch_invariant_matches_the_finite_route():
     assert abs(float(exact) - psi.real) < 1e-9
 
 
-def test_arch_conjugator_rejects_bad_generators():
-    with pytest.raises(ValueError):
-        arch_conjugator([[1.0, 0.0], [0.0, 1.0]])  # not traceless
-    with pytest.raises(ValueError):
-        arch_conjugator([[0.0, 2.0], [2.0, 0.0]])  # wrong norm
+# the tori of the sweep: standard ones, orders of conductor 1, 2, 3, 6 and -2,
+# and the local orders of different_and_orders
+_SWEEP_DS = (-15, -7, -3, -1, 2, 3, 5, 13, 17, 21)
+_SWEEP_TORI = ([standard_torus(D) for D in _SWEEP_DS]
+               + [order_torus(D, f) for D in _SWEEP_DS for f in (1, 2, 3, 6, -2)]
+               + [different_and_orders(D, p, f).torus
+                  for D, p, f in ((-7, 2, 1), (5, 5, 3), (13, 3, 2), (-15, 2, 6))])
+
+
+def test_invariant_is_the_norm_of_the_conjugation_route():
+    """psi_invariant against Nr(b2)/det with b2 from the torus's
+    Conjugation, on 10,000 gamma over the tori above."""
+    rng = random.Random(71)
+    swept = 0
+    while swept < 10_000:
+        torus = rng.choice(_SWEEP_TORI)
+        gamma = [[Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(2)]
+                 for _ in range(2)]
+        det = gamma[0][0] * gamma[1][1] - gamma[0][1] * gamma[1][0]
+        if det == 0:
+            with pytest.raises(ValueError, match="gamma must be invertible"):
+                psi_invariant(torus, gamma)
+            continue
+        assert psi_invariant(torus, gamma) == local_coords(torus, gamma).b2.norm() / det
+        swept += 1
+
+
+def _psi_by_definition(f, gamma):
+    """-det(gamma - f gamma f^-1) / (4 det gamma) in Fractions, for f
+    traceless: the determinant of [[0, 2 b2], [2 conj b2, 0]] on the
+    eigenbasis, over 4 det gamma."""
+    f = [[Fraction(x) for x in row] for row in f]
+    gamma = [[Fraction(x) for x in row] for row in gamma]
+    conj_gamma = mat_mul(mat_mul(f, gamma), mat_inv(f))
+    diff = [[x - y for x, y in zip(r, s)] for r, s in zip(gamma, conj_gamma)]
+    return -mat_det(diff) / (4 * mat_det(gamma))
+
+
+def _random_float_matrix(rng):
+    return [[rng.uniform(-3, 3) for _ in range(2)] for _ in range(2)]
+
+
+def test_arch_invariant_at_sqrt_d_is_the_finite_invariant():
+    """At f = [[0, 1], [D, 0]], the matrix of sqrt(D), psi_invariant_arch
+    is the finite invariant rounded once, on rational and float gamma."""
+    rng = random.Random(73)
+    for D in _SWEEP_DS:
+        torus = standard_torus(D)
+        for _ in range(40):
+            gamma = random_invertible(rng, 2, span=9)
+            assert psi_invariant_arch([[0, 1], [D, 0]], gamma) == float(psi_invariant(torus, gamma))
+            gamma = _random_float_matrix(rng)
+            exact = [[Fraction(x) for x in row] for row in gamma]
+            assert psi_invariant_arch([[0, 1], [D, 0]], gamma) == float(psi_invariant(torus, exact))
+
+
+def test_arch_invariant_is_the_exact_value_rounded_once():
+    """On float f that are neither traceless nor of norm one, the value is
+    the float of the exact definition; it does not change under
+    f -> 3f + 2 and under conjugation of f and gamma by a rational P."""
+    rng = random.Random(79)
+    for _ in range(200):
+        f, gamma = _random_float_matrix(rng), _random_float_matrix(rng)
+        got = psi_invariant_arch(f, gamma)
+        exact_f = [[Fraction(x) for x in row] for row in f]
+        exact_gamma = [[Fraction(x) for x in row] for row in gamma]
+        t = (exact_f[0][0] + exact_f[1][1]) / 2
+        traceless = [[x - t * (i == j) for j, x in enumerate(row)]
+                     for i, row in enumerate(exact_f)]
+        assert got == float(_psi_by_definition(traceless, gamma))
+        assert psi_invariant_arch([[3 * x + 2 * (i == j) for j, x in enumerate(row)]
+                                   for i, row in enumerate(exact_f)], gamma) == got
+        p = [[Fraction(rng.randint(-5, 5), rng.randint(1, 7)) for _ in range(2)]
+             for _ in range(2)]
+        if mat_det(p) == 0:
+            continue
+        p_inv = mat_inv(p)
+        assert psi_invariant_arch(mat_mul(mat_mul(p, exact_f), p_inv),
+                                  mat_mul(mat_mul(p, exact_gamma), p_inv)) == got
+
+
+def test_arch_invariant_refusals():
+    """f must generate a torus (n != 0) and gamma be invertible, both 2x2;
+    a string or a complex entry is not a real number."""
+    gamma = [[1, 1], [0, 1]]
+    for f, g in (([[2.0, 0.0], [0.0, 2.0]], gamma), ([[0, 1], [0, 0]], gamma),
+                 ([[3, 1], [-1, 1]], gamma),  # (f - 2)^2 = 0
+                 ([[0, 1], [2, 0]], [[1, 2], [2, 4]]),
+                 ([[0, 1, 0], [2, 0, 0], [0, 0, 1]], gamma),
+                 ([[0, 1], [2, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])):
+        with pytest.raises(ValueError):
+            psi_invariant_arch(f, g)
+    for bad in ("1", 1j):
+        with pytest.raises(NotRational):
+            psi_invariant_arch([[0, bad], [2, 0]], gamma)
+        with pytest.raises(NotRational):
+            psi_invariant_arch([[0, 1], [2, 0]], [[bad, 1], [0, 1]])
+
+
+def test_invariant_of_400_digit_entries():
+    """gamma with 400-digit entries: the formula's integers pass 1,600
+    digits and stay integers; run under a limit of 640 digits on
+    int <-> text conversion, a step that wrote one out would fail."""
+    rng = random.Random(83)
+    big = 10 ** 400
+    for D, f in ((2, 1), (-7, 3), (13, 2)):
+        torus = order_torus(D, f)
+        for _ in range(3):
+            gamma = [[Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(2)]
+                     for _ in range(2)]
+            psi = psi_invariant(torus, gamma)
+            assert psi == _psi_by_definition(torus.generator, gamma)
+            assert abs(psi.numerator) > 10 ** 1600 or psi.denominator > 10 ** 1600
+            assert psi_invariant_arch(torus.generator, gamma) == float(psi)
 
 
 def test_split_orbital_formula_matches_enumeration():
@@ -237,6 +335,13 @@ def test_orbital_degenerate_inputs_rejected():
         orbital_measure_split(Fraction(0), "split_nonarch", q=2)
     with pytest.raises(ValueError):
         orbital_measure_split(Fraction(-1), "split_nonarch", q=2)
+    # a missing q or radius, or a radius that is not positive, is named
+    with pytest.raises(ValueError, match="residue field size q"):
+        orbital_measure_split(Fraction(8), "split_nonarch")
+    for kind in ("split_real", "split_complex"):
+        for radius in (None, 0, -1, Fraction(-1, 2), 0.0):
+            with pytest.raises(ValueError, match=f"{kind} needs a positive radius"):
+                orbital_measure_split(Fraction(1, 4), kind, radius=radius)
 
 
 def test_field_case_is_an_indicator():

@@ -74,6 +74,7 @@ EXACT_ENTRY_POINTS = {
     "BowenBall": lambda x: git4.BowenBall(2, (x, 1), 1),
     "bowen_membership": lambda x: git4.bowen_membership([[x, 0], [0, 1]], _BALL),
     "bowen_membership_loop": lambda x: git4.bowen_membership_loop([[x, 0], [0, 1]], _BALL),
+    "psi_invariant": lambda x: localgeom.psi_invariant(localgeom.standard_torus(2), [[x, 1], [0, 1]]),
     "orbital_measure_split": lambda x: localgeom.orbital_measure_split(x, "split_nonarch", q=2),
     "orbital_measure_split_oracle": lambda x: localgeom.orbital_measure_split_oracle(x, 2),
 }

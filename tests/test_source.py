@@ -204,3 +204,17 @@ def test_every_module_has_a_readme_row():
     modules = {f"`alk.{path.stem}`" for path in Path(alk.__file__).parent.glob("*.py")
                if path.stem not in ("__init__", "_fpenum_py")}
     assert modules - rows == set()
+
+
+def test_psi_is_one_formula_at_every_place():
+    # psi_invariant and psi_invariant_arch share localgeom._psi: no
+    # Conjugation route, no complex arithmetic and no float eigenbasis
+    tree = ast.parse((Path(alk.__file__).parent / "localgeom.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    assert "cmath" not in imported
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"local_coords", "conjugate"} & set(_names_read(funcs["psi_invariant"])) == set()
+    assert {"arch_conjugator", "arch_local_coords"} & set(funcs) == set()
+    assert all("_psi" in set(_names_read(funcs[name]))
+               for name in ("psi_invariant", "psi_invariant_arch"))
