@@ -129,7 +129,11 @@ def _matrix_rows(text, what, sizes=None) -> list[list]:
 
 
 def _parse_matrix(text, what, sizes=None):
-    return [[_fraction(x) for x in row] for row in _matrix_rows(text, what, sizes)]
+    rows = _matrix_rows(text, what, sizes)
+    try:
+        return [[_fraction(x) for x in row] for row in rows]
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def tower_from_json(data) -> object:
@@ -327,7 +331,7 @@ def _cmd_disc(args, cfg: RunConfig):
     tower = tower_from_json(args.tower)
     text = args.conductors if args.conductors is not None else "{}"
     conductors = {p: _int(f) for p, f in _int_keys(text, "--conductors")}
-    arch = _matrix_rows(args.arch, "--arch") if args.arch is not None else None
+    arch = _parse_matrix(args.arch, "--arch") if args.arch is not None else None
     desc = toralsets.make_descriptor(tower, conductors, arch)
     return toralsets.nonarch_and_global_disc(desc), EXIT_OK
 

@@ -5,9 +5,11 @@ itself; we fix the right-regular matrix model on a basis (1, g): the
 matrix of x = a + b*sqrt(D) on the basis (1, sqrt(D)) is
 [[a, b], [bD, a]].  The eigenbasis E = [[1, 1], [g, conj g]] of the
 algebra turns any rational 2x2 matrix gamma into coordinates (b1, b2) in
-K with E^{-1} gamma E = [[b1, b2], [conj b2, conj b1]], read from one
-`nfpoly.Conjugation` per torus, the kernel git4 uses for g^{-1} gamma g.
-The invariant psi_T(gamma) = Nr(b2)/det(gamma) needs no coordinates: it is
+K with E^{-1} gamma E = [[b1, b2], [conj b2, conj b1]]; as
+E^{-1} = [[conj g, -1], [-g, 1]] / (conj g - g), they are one closed
+formula in gamma's cleared entries and g's integers, and gamma is
+embed(b1) + embed(b2) [[1, 0], [Tr g, -1]].  The invariant
+psi_T(gamma) = Nr(b2)/det(gamma) needs no coordinates: it is
 (n disc(gamma) - tr(f gamma)^2) / (4 n det(gamma)) for a traceless f that
 generates the algebra and n = -det f, exact at every place.  The
 Res_{F/Q} GL2 block coordinates of a rational 4x4 matrix are the (b1, b2)
@@ -19,14 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from .intarith import valuation
-from .nfpoly import Conjugation, NFElem
+from .intarith import log_abs, valuation
+from .nfpoly import NFElem, _canonical
 from .numfield import QuadField, conj, splitting_type
-from .ratlinalg import in_gl_zp, integer_matrix, mat_det, mat_mul, rational, real
+from .ratlinalg import in_gl_zp, integer_matrix, mat_det, rational, real
 
 
 # ---------------------------------------------------------------------------
@@ -51,31 +53,12 @@ class QuadTorus:
         w, z = _coords_in_basis(x * g, g)
         return [[u, v], [w, z]]
 
-    def eigenbasis(self) -> list[list[NFElem]]:
-        """E = [[1, 1], [g, conj g]]: E^{-1} embed(x) E = diag(x, conj x)."""
-        one, g = self.K.elem(1), self.basis_gen
-        return [[one, one], [g, conj(g)]]
-
-    @cached_property
-    def conjugate(self) -> Conjugation:
-        """gamma -> E^{-1} gamma E on rational 2x2 matrices; one inverse
-        and one table per torus."""
-        e = self.eigenbasis()
-        return Conjugation(self.K.nf, _inv2(e), e)
-
     @cached_property
     def generator(self) -> list[list[int]]:
         """embed(2g - Tr g) = ((-Tr g, 2), (-2 Nr g, Tr g)), traceless and
         cleared to integers: the f of `psi_invariant`, with n = disc g."""
         t, nr = self.basis_gen.trace(), self.basis_gen.norm()
         return integer_matrix([[-t, 2], [-2 * nr, t]])[0]
-
-
-def _inv2(m):
-    """Inverse of a 2x2 matrix over NFElem by its adjugate."""
-    (a, b), (c, d) = m
-    r = 1 / (a * d - b * c)
-    return [[d * r, -b * r], [-c * r, a * r]]
 
 
 def _coords_in_basis(x: NFElem, g: NFElem) -> tuple[Fraction, Fraction]:
@@ -90,10 +73,8 @@ def standard_torus(D: int) -> QuadTorus:
     return QuadTorus(K, K.elem(0, 1))
 
 
-@lru_cache
 def order_torus(D: int, f: int) -> QuadTorus:
-    """Torus on the basis (1, f*omega) of the conductor-f order; one per
-    (D, f), so its conjugation table is built once."""
+    """Torus on the basis (1, f*omega) of the conductor-f order."""
     K = QuadField(D)
     return QuadTorus(K, K.omega * f)
 
@@ -159,25 +140,43 @@ class LocalCoords:
     b2: NFElem
 
 
-def _sigma_pattern(m) -> bool:
-    """m = [[b1, b2], [conj b2, conj b1]]."""
-    return m[1][1] == conj(m[0][0]) and m[1][0] == conj(m[0][1])
+def _coords(torus: QuadTorus, a: int, b: int, c: int, d: int, e: int) -> LocalCoords:
+    """(b1, b2) of gamma = [[a, b], [c, d]] / e, the top row of
+    E^{-1} gamma E:
+        b1 = (a conj g + b Nr g - c - d g) / (conj g - g),
+        b2 = ((a - d + b Tr g) conj g - b Nr g - c) / (conj g - g);
+    for g = (p + q sqrt D) / r, over m = 2 q D r e and with
+    y = c r^2 - (a - d) p r - b p^2,
+        b1 = ((a + d) q D r + (y + b D q^2) sqrt D) / m,
+        b2 = ((r (a - d) + 2 b p) q D + (y - b D q^2) sqrt D) / m."""
+    (p, q), r = torus.basis_gen.num, torus.basis_gen.den
+    qd = q * torus.K.d
+    m = 2 * qd * r * e
+    if m < 0:  # (b1, b2) is linear in gamma: -gamma over -m
+        a, b, c, d, m = -a, -b, -c, -d, -m
+    y = c * r * r - (a - d) * p * r - b * p * p
+    bq = b * q * qd
+    nf = torus.K.nf
+    return LocalCoords(_canonical(nf, ((a + d) * qd * r, y + bq), m),
+                       _canonical(nf, ((r * (a - d) + 2 * b * p) * qd, y - bq), m))
 
 
 def local_coords(torus: QuadTorus, gamma) -> LocalCoords:
     """Exact coordinates of a rational 2x2 matrix with respect to the torus;
-    a non-rational entry raises ValueError."""
-    m = torus.conjugate(gamma)
-    if not _sigma_pattern(m):
-        raise ArithmeticError("conjugated matrix lost its sigma-pattern")
-    return LocalCoords(m[0][0], m[0][1])
+    a non-rational entry or another shape raises ValueError."""
+    if len(gamma) != 2 or any(len(row) != 2 for row in gamma):
+        raise ValueError("expected a 2x2 matrix")
+    ((a, b), (c, d)), e = integer_matrix(gamma)
+    return _coords(torus, a, b, c, d, e)
 
 
-def reconstruct(torus: QuadTorus, coords: LocalCoords):
-    """E [[b1, b2], [conj b2, conj b1]] E^{-1}, for the identity check."""
-    e = torus.eigenbasis()
-    mid = [[coords.b1, coords.b2], [conj(coords.b2), conj(coords.b1)]]
-    return mat_mul(mat_mul(e, mid), _inv2(e))
+def reconstruct(torus: QuadTorus, coords: LocalCoords) -> list[list[Fraction]]:
+    """E [[b1, b2], [conj b2, conj b1]] E^{-1} = embed(b1) + embed(b2) C, with
+    C = [[1, 0], [Tr g, -1]] the matrix of x -> conj x on the basis (1, g)."""
+    t = torus.basis_gen.trace()
+    (u, v), (w, z) = torus.embed(coords.b2)
+    return [[x + y for x, y in zip(row, turned)]
+            for row, turned in zip(torus.embed(coords.b1), ((u + t * v, -v), (w + t * z, -z)))]
 
 
 def _psi(f, gamma) -> Fraction:
@@ -295,14 +294,13 @@ def orbital_measure_split(psi: Fraction, kind: str, q: Optional[int] = None,
         return float((m + 1) * (el + 1))
     if kind in ("split_real", "split_complex"):
         pref = 2.0 if kind == "split_real" else 2.0 * math.pi
-        if radius is None or real(radius) <= 0:
+        r = None if radius is None else real(radius)
+        if r is None or r <= 0:
             raise ValueError(f"{kind} needs a positive radius, not {radius!r}")
-        r = float(radius)
-        t1 = math.log(1.0 / abs(float(psi))) + 2.0 * math.log(r)
-        t2 = math.log(1.0 / abs(1.0 + float(psi))) + 2.0 * math.log(r)
-        if t1 < 0 or t2 < 0:
+        if r * r < abs(psi) or r * r < abs(1 + psi):  # a range of negative length
             return 0.0
-        return pref * t1 * pref * t2
+        log_r2 = 2 * log_abs(r)
+        return pref * (log_r2 - log_abs(psi)) * pref * (log_r2 - log_abs(1 + psi))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -363,14 +361,12 @@ def block_coordinates_gl4(F: QuadField, gamma, f: int = 1) -> dict:
     A1[i][j], A2[i][j] the (b1, b2) of gamma's 2x2 block (i, j)."""
     if len(gamma) != 4 or any(len(row) != 4 for row in gamma):
         raise ValueError("expected a 4x4 matrix")
-    entry = order_torus(F.d, f).conjugate.entry
+    torus = order_torus(F.d, f)
     w, e = integer_matrix(gamma)  # cleared once for the four blocks
-    blocks = [[[[entry(v, e, r, c) for c in range(2)] for r in range(2)]
-               for v in (w[i][j:j + 2] + w[i + 1][j:j + 2] for j in (0, 2))]
+    blocks = [[_coords(torus, *w[i][j:j + 2], *w[i + 1][j:j + 2], e) for j in (0, 2)]
               for i in (0, 2)]
-    return {"A1": [[m[0][0] for m in row] for row in blocks],
-            "A2": [[m[0][1] for m in row] for row in blocks],
-            "pattern_ok": all(_sigma_pattern(m) for row in blocks for m in row)}
+    return {"A1": [[lc.b1 for lc in row] for row in blocks],
+            "A2": [[lc.b2 for lc in row] for row in blocks]}
 
 
 def block_integrality(F: QuadField, gamma, p: int, f: int = 1) -> dict:
@@ -385,6 +381,5 @@ def block_integrality(F: QuadField, gamma, p: int, f: int = 1) -> dict:
                       for i in range(2) for j in range(2))
     diff_int = all(ext.in_order(a1[i][j] - a2[i][j])
                    for i in range(2) for j in range(2))
-    return {"pattern_ok": bc["pattern_ok"], "in_inv_different": in_inv_diff,
-            "difference_integral": diff_int,
+    return {"in_inv_different": in_inv_diff, "difference_integral": diff_int,
             "A2_zero": all(a2[i][j].is_zero() for i in range(2) for j in range(2))}

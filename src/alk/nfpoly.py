@@ -31,8 +31,8 @@ are allowed.
 A `Conjugation` gamma -> A gamma B of rational matrices by fixed
 matrices over a field is an integer table too, from which each entry
 gets straight-line code, one integer linear form of the cleared gamma
-per coordinate: the one kernel for git4's g^-1 gamma g and for the GL2
-torus coordinates.  `_linear_forms` writes the forms of every kernel.
+per coordinate: the kernel of git4's g^-1 gamma g.  `_linear_forms`
+writes the forms of every kernel.
 """
 
 from __future__ import annotations
@@ -378,14 +378,13 @@ class Conjugation:
     Entry (i, j) is sum_(k,l) gamma[k][l] A[i][k] B[l][j], linear in gamma,
     so the n^2 products A[i][k] B[l][j] of each entry are formed once and
     held as integer numerators over one denominator per entry, from which
-    the entry's straight-line code is generated when the map is built.  A
-    call clears gamma with `ratlinalg.integer_matrix`, which refuses a
-    non-rational entry, to integers v, row by row, over one denominator e,
-    and gives each coordinate as one integer linear form of v, over that
-    entry's denominator times e, with no field multiplication.  A call
-    takes every entry; `entry` takes one, so a caller that reads only some
-    entries (git4's Psi values, the blocks of a 4x4 gamma) conjugates only
-    those."""
+    the entry's straight-line code is generated when the map is built.
+    `entry` takes gamma cleared to integers v, row by row, over one
+    denominator e (by `ratlinalg.integer_matrix`, which refuses a
+    non-rational entry) and gives each coordinate of one entry as one
+    integer linear form of v, over that entry's denominator times e, with
+    no field multiplication, so a caller that reads only some entries
+    (git4's Psi values) conjugates only those."""
 
     __slots__ = ("field", "_table")
 
@@ -406,14 +405,6 @@ class Conjugation:
             table.append(tuple(entries))
         # table[i][j] = (D, kernel): kernel(v)[c] / (D e) is coordinate c of entry (i, j)
         self._table = tuple(table)
-
-    def __call__(self, gamma) -> list[list[NFElem]]:
-        n = len(self._table)
-        if len(gamma) != n or any(len(row) != n for row in gamma):
-            raise ValueError(f"expected a {n}x{n} matrix")
-        m, e = integer_matrix(gamma)
-        v = [x for row in m for x in row]
-        return [[self.entry(v, e, i, j) for j in range(n)] for i in range(n)]
 
     def entry(self, v, e: int, i: int, j: int) -> NFElem:
         """Entry (i, j) of A gamma B for gamma cleared to v over e."""

@@ -32,7 +32,7 @@ from .intarith import (
 )
 from .localgeom import different_and_orders
 from .numfield import FieldTower, QuadField, norm_square_class
-from .ratlinalg import mat_det, mat_mul, rational
+from .ratlinalg import mat_det, mat_mul, rational, real
 
 
 @dataclass(frozen=True)
@@ -113,8 +113,9 @@ def nonarch_and_global_disc(desc: ToralSetDescriptor) -> dict:
 def arch_disc_from_basis(basis) -> float:
     """det(<k_i, k_j>) / |det(Tr(k_i k_j))| for a basis of the torus algebra
     (entrywise inner product in the numerator, trace form below), with
-    both determinants exact over the Fractions of the entries."""
-    mats = [[list(map(Fraction, row)) for row in k] for k in basis]
+    both determinants exact over the entries read by `ratlinalg.real`, and
+    their ratio rounded once."""
+    mats = [[[real(x) for x in row] for row in k] for k in basis]
     m = len(mats)
     n = len(mats[0])
     inner = [[sum(mats[a][i][j] * mats[b][i][j] for i in range(n) for j in range(n))
@@ -128,17 +129,16 @@ def arch_disc_from_basis(basis) -> float:
 
 
 def arch_disc(k) -> float:
-    """Archimedean discriminant of the algebra generated by a traceless k."""
+    """Archimedean discriminant of the algebra generated by a traceless k,
+    read exactly by `ratlinalg.real`: its basis of powers of k is exact,
+    and only the ratio of `arch_disc_from_basis` is rounded."""
     n = len(k)
-    kf = [[float(x) for x in row] for row in k]
-    if abs(sum(kf[i][i] for i in range(n))) > 1e-9:
+    k = [[real(x) for x in row] for row in k]
+    if sum(k[i][i] for i in range(n)) != 0:
         raise ValueError("generator must be traceless")
-    ident = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    basis = [ident, kf]
-    power = kf
+    basis = [[[int(i == j) for j in range(n)] for i in range(n)], k]
     while len(basis) < n:  # centralizer algebra has dimension n for regular k
-        power = mat_mul(power, kf)
-        basis.append(power)
+        basis.append(mat_mul(basis[-1], k))
     return arch_disc_from_basis(basis)
 
 

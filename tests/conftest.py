@@ -189,6 +189,16 @@ def random_invertible(rng: random.Random, n: int, span: int = 3):
             return m
 
 
+def conjugate_all(conjugation, gamma):
+    """Every entry of an `nfpoly.Conjugation` of the rational n x n gamma,
+    each by `entry` on gamma cleared once."""
+    from alk.ratlinalg import integer_matrix
+
+    m, e = integer_matrix(gamma)
+    v = [x for row in m for x in row]
+    return [[conjugation.entry(v, e, i, j) for j in range(len(m))] for i in range(len(m))]
+
+
 def gauss_jordan(a):
     """(det, inverse or None) of a square matrix by plain Gauss-Jordan
     elimination over any field-like entries (int and Fraction taken as

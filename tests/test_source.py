@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 import alk
+from alk import nfpoly
 
 
 def test_no_assert_statements_in_the_package():
@@ -218,3 +219,18 @@ def test_psi_is_one_formula_at_every_place():
     assert {"arch_conjugator", "arch_local_coords"} & set(funcs) == set()
     assert all("_psi" in set(_names_read(funcs[name]))
                for name in ("psi_invariant", "psi_invariant_arch"))
+
+
+def test_torus_coordinates_are_one_closed_form():
+    # local_coords and the GL4 blocks read (b1, b2) from localgeom._coords:
+    # no Conjugation, no field eigenbasis and no re-check of the sigma
+    # pattern; Conjugation serves git4's g^-1 gamma g by `entry` alone
+    tree = ast.parse((Path(alk.__file__).parent / "localgeom.py").read_text())
+    assert "Conjugation" not in set(_names_read(tree))
+    defined = {node.name for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"_inv2", "_sigma_pattern", "eigenbasis", "conjugate"} & defined == set()
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert all("_coords" in set(_names_read(funcs[name]))
+               for name in ("local_coords", "block_coordinates_gl4"))
+    assert "__call__" not in vars(nfpoly.Conjugation)

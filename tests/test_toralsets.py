@@ -8,6 +8,7 @@ import pytest
 from alk import quartics
 from alk.git4 import regular_embedding
 from alk.numfield import make_tower, make_quad_field
+from alk.ratlinalg import NotRational
 from alk.toralsets import (
     arch_disc,
     arch_disc_from_basis,
@@ -114,6 +115,33 @@ def test_archimedean_discriminant_is_basis_independent():
 def test_arch_disc_needs_traceless_input():
     with pytest.raises(ValueError):
         arch_disc([[1, 0], [0, 1]])
+    # the trace is decided exactly: 1e-10 is not zero
+    with pytest.raises(ValueError, match="traceless"):
+        arch_disc([[1e-10, 1], [2, 0]])
+
+
+def test_arch_disc_is_exact():
+    """The powers of k are exact: the nilpotent k = [[-2, -4/3], [3, 2]]
+    spans no torus algebra, and its exact trace Gram is singular (float
+    rounding of k^2 = 0 gave 4.2e16); entries of 10^400 answer 1.0 (they
+    overflowed a float), under a limit of 640 digits on int <-> text
+    conversion; 11/9 is rounded once."""
+    with pytest.raises(ValueError, match="singular"):
+        arch_disc([[-2, Fraction(-4, 3)], [3, 2]])
+    big = 10 ** 400
+    assert arch_disc([[0, big], [big, 0]]) == 1.0
+    assert arch_disc([[Fraction(1, 2), 1], [2, Fraction(-1, 2)]]) == float(Fraction(11, 9))
+
+
+def test_arch_disc_reads_real_numbers():
+    """Entries are read by `ratlinalg.real`: a string or a complex is no
+    real number."""
+    ident = [[1, 0], [0, 1]]
+    for bad in ("1", "1/2", 1j):
+        with pytest.raises(NotRational):
+            arch_disc([[0, bad], [2, 0]])
+        with pytest.raises(NotRational):
+            arch_disc_from_basis([ident, [[0, bad], [2, 0]]])
 
 
 def _rational_roots_cubic(coeffs) -> list[Fraction]:
