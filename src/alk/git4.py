@@ -49,8 +49,15 @@ Math. J. 168(12), 2019) lets `psi_invariants` form Psi directly only on
 one representative per orbit of S4 under conjugation by the Galois image
 (10 for C4, 12 for V4, 8 for D4) and take every other value as the image
 of its representative under an automorphism: 22, 28 and 19 field
-products per profile.  `pattern_and_relation_check`, the check of that
-relation, forms all 24 values directly.
+products per profile.
+
+`pattern_and_relation_check`, the check of that relation and of the entry
+relation tau(m[i][j]) = m[rho i][rho j], reads one proof per embedding
+(`EmbeddingData.relation_certificate`), built on first use: m is Q-linear
+in gamma and tau is Q-linear, so the entry relation on the 16 matrix units
+E_kl gives it for every rational gamma, and with tau multiplicative on the
+closure's basis and sign(rho sigma rho^{-1}) = sign(sigma) it gives the
+profile relation.  Per gamma, the check only reads gamma.
 
 Permutations of {0,1,2,3} are stored as image tuples.
 """
@@ -208,6 +215,34 @@ class EmbeddingData:
         return Conjugation(self.closure, self.g_inv, self.g)
 
     @cached_property
+    def relation_certificate(self) -> tuple:
+        """(entry_relation, profile_relation) for every rational gamma,
+        proved once per embedding on the generators (tau, rho), on first use:
+        (a) tau(m[i][j]) = m[rho i][rho j] for m = g^{-1} E_kl g on each of
+            the 16 matrix units E_kl; as m = g^{-1} gamma g is Q-linear in
+            gamma and tau is Q-linear, this is the entry relation for every
+            rational gamma;
+        (b) tau(e_a e_b) = tau(e_a) tau(e_b) on the closure's basis (b <= a,
+            as L is commutative), so tau is a ring map fixing Q; with (a)
+            and sign(rho s rho^{-1}) = sign(s), Psi_s = sign(s)/det
+            prod_i m[s(i)][i] gives tau.Psi_s = Psi_{rho s rho^{-1}}, the
+            profile relation.
+        A relation that holds for tau and tau' holds for tau tau', so on
+        generators it holds on all of Gal(L/Q)."""
+        entry, L = self.conjugation_table.entry, self.closure
+        units = [[entry([int(n == k) for n in range(16)], 1, i, j) for i in range(4)
+                  for j in range(4)] for k in range(16)]
+        entry_ok = all(tau(m[4 * i + j]) == m[4 * rho[i] + rho[j]] for tau, rho in self.generators
+                       for m in units for i in range(4) for j in range(4))
+        basis = [L.elem([0] * a + [1]) for a in range(L.degree)]
+        products = [(a, b, x * y) for a, x in enumerate(basis) for b, y in enumerate(basis[:a + 1])]
+        ring_map = True
+        for tau, _ in self.generators:
+            images = [tau(x) for x in basis]
+            ring_map &= all(tau(xy) == images[a] * images[b] for a, b, xy in products)
+        return entry_ok, entry_ok and ring_map
+
+    @cached_property
     def psi_plan(self) -> tuple:
         """(reps, derived) of `_orbit_plan` for this embedding's Galois
         image, with each rho of derived replaced by its automorphism tau:
@@ -349,14 +384,10 @@ def _entries(emb: EmbeddingData, v, e: int, perms) -> list[list]:
     return m
 
 
-def _psi_values(emb: EmbeddingData, gamma, perms):
-    """(m, [(s, Psi_s(gamma)) for s in perms]), formed directly for every s;
-    a value in Q is returned as a Fraction."""
-    return _profile(emb, *_clear(gamma), perms)
-
-
 def _profile(emb: EmbeddingData, v, e: int, det: Fraction, perms):
-    """`_psi_values` on gamma cleared to v over e, with determinant det.
+    """(m, [(s, Psi_s(gamma)) for s in perms]) for gamma cleared to v over
+    e, with determinant det, formed directly for every s; a value in Q is
+    returned as a Fraction.
 
     Only the entries of m = g^{-1} gamma g that perms read are conjugated
     (`_entries`).  Psi_s = P[s0][s1] Q[s2][s3] sign(s)/det with the shared
@@ -451,19 +482,14 @@ def psi_sum_check(emb: EmbeddingData, gamma) -> object:
 
 def pattern_and_relation_check(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     """Entry-level Galois relation tau(m[i][j]) = m[rho i][rho j] and the
-    profile-level relation tau.Psi_sigma = Psi_{rho sigma rho^{-1}}, for
-    the generators of Gal(L/Q): each relation holds for tau tau' once it
-    holds for tau and tau', so on generators it holds on the whole group."""
+    profile-level relation tau.Psi_sigma = Psi_{rho sigma rho^{-1}}, read
+    from the embedding's `relation_certificate`, which proves both for every
+    rational gamma; gamma is read as every entry point reads it (shape,
+    rationality, invertibility), and the Galois image is compared with the
+    structure's."""
     gs = galois_structures(galois_type)
-    m, vals = _psi_values(emb, gamma, ALL_PERMS)
-    values = [v for _, v in vals]
-    entry_ok = profile_ok = True
-    for tau, rho in emb.generators:
-        if any(tau(m[i][j]) != m[rho[i]][rho[j]] for i in range(4) for j in range(4)):
-            entry_ok = False
-        for v, k in zip(values, _CONJUGATION[rho]):
-            if (tau(v) if isinstance(v, NFElem) else v) != values[k]:
-                profile_ok = False
+    _clear(gamma)
+    entry_ok, profile_ok = emb.relation_certificate
     image_ok = frozenset(emb.galois_image) == gs.image
     return {"entry_relation": entry_ok, "profile_relation": profile_ok,
             "image_matches": image_ok, "pass": entry_ok and profile_ok and image_ok}
@@ -588,7 +614,8 @@ def tau_window(eta: float, h_int: float, D_K, D_F, c=1, kappa: float = 0.0,
                beta: Optional[float] = None) -> dict:
     """{tau : tau*eta > log(D_K)/2 + kappa and 2*tau*h_int <= log D_K
     - 3 log D_F - log c}; the refined mode intersects with the additional
-    upper constraint 2*tau*h_int <= (1/2 - 2 eps) log D_K - beta log D_F."""
+    upper constraint 2*tau*h_int <= (1/2 - 2 eps) log D_K - beta log D_F.
+    log c is `log_abs(c)`, so a rational c beyond the float range answers."""
     if D_K <= 0 or D_F <= 0:
         raise ValueError("discriminants must be positive")
     if eta <= 0 or h_int <= 0:
@@ -597,7 +624,7 @@ def tau_window(eta: float, h_int: float, D_K, D_F, c=1, kappa: float = 0.0,
         raise ValueError("c must be positive")
     log_dk, log_df = math.log(D_K), math.log(D_F)
     lo = (0.5 * log_dk + kappa) / eta
-    hi = (log_dk - 3.0 * log_df - math.log(float(c))) / (2.0 * h_int)
+    hi = (log_dk - 3.0 * log_df - log_abs(c)) / (2.0 * h_int)
     if mode == "refined":
         if eps is None or beta is None:
             raise ValueError("refined mode needs eps and beta")

@@ -27,6 +27,7 @@ from .intarith import (
     divisor_count,
     factorize,
     is_prime,
+    log_abs,
     squarefree_kernel,
     valuation,
 )
@@ -114,7 +115,8 @@ def arch_disc_from_basis(basis) -> float:
     """det(<k_i, k_j>) / |det(Tr(k_i k_j))| for a basis of the torus algebra
     (entrywise inner product in the numerator, trace form below), with
     both determinants exact over the entries read by `ratlinalg.real`, and
-    their ratio rounded once."""
+    their ratio rounded once; a ratio beyond the float range is refused
+    with its size as a power of 10."""
     mats = [[[real(x) for x in row] for row in k] for k in basis]
     m = len(mats)
     n = len(mats[0])
@@ -125,7 +127,12 @@ def arch_disc_from_basis(basis) -> float:
     det_tr = mat_det(tracef)
     if det_tr == 0:
         raise ValueError("trace Gram is singular for this basis")
-    return float(mat_det(inner) / abs(det_tr))
+    ratio = mat_det(inner) / abs(det_tr)
+    try:
+        return float(ratio)
+    except OverflowError:
+        raise ValueError(f"Archimedean discriminant of about 10^{log_abs(ratio) / math.log(10):.0f}"
+                         " is beyond the float range") from None
 
 
 def arch_disc(k) -> float:

@@ -30,7 +30,7 @@ from alk.git4 import (
     tau_window,
 )
 from alk.intarith import is_prime, is_square_fraction, squarefree_kernel
-from alk.nfpoly import NFElem, NumberField
+from alk.nfpoly import Automorphism, Conjugation, NFElem, NumberField
 from alk.numfield import conj, make_quad_field, make_tower, norm_square_class
 from alk.ratlinalg import integer_matrix, mat_det, mat_mul
 from alk.toralsets import classify_galois_type
@@ -180,7 +180,7 @@ def test_psi_values_equal_the_per_monomial_oracle(towers):
         gtype = classify_galois_type(tower)
         for perms in (ALL_PERMS, galois_structures(gtype).special):
             for gamma in gammas:
-                got = git4._psi_values(emb, gamma, perms)[1]
+                got = git4._profile(emb, *git4._clear(gamma), perms)[1]
                 want = _psi_oracle(emb, gamma, perms)
                 assert [s for s, _ in got] == list(perms)
                 for (s, x), (_, y) in zip(got, want):
@@ -205,7 +205,7 @@ def test_orbit_route_equals_the_direct_route(towers):
         emb = regular_embedding(tower)
         for gamma in gammas:
             got = psi_invariants(emb, gamma).values
-            want = git4._psi_values(emb, gamma, ALL_PERMS)[1]
+            want = git4._profile(emb, *git4._clear(gamma), ALL_PERMS)[1]
             assert [s for s, _ in got] == list(ALL_PERMS)
             for (s, x), (_, y) in zip(got, want):
                 assert type(x) is type(y), s
@@ -243,8 +243,8 @@ def test_orbit_plan_covers_every_permutation_once(tower, n_reps, n_products):
 def test_a_wrong_orbit_plan_changes_the_sum_but_not_the_relation_check(tower, gtype):
     """With every derived value taken as its representative's (the
     identity for tau), psi_sum_check leaves 1, while
-    pattern_and_relation_check, which forms all 24 values directly, gives
-    the same result."""
+    pattern_and_relation_check, which reads the embedding's relation
+    certificate, gives the same result."""
     emb = regular_embedding(tower)
     gamma = random_invertible(random.Random(13), 4)
     before = pattern_and_relation_check(emb, gamma, gtype)
@@ -284,10 +284,11 @@ def test_non_rational_gamma_is_refused(entry):
 
 
 def _relations_on_every_automorphism(emb, gamma):
-    """(entry, profile) relations checked for every automorphism of the
-    closure, not only for generators: the oracle of
-    pattern_and_relation_check."""
-    m, vals = git4._psi_values(emb, gamma, ALL_PERMS)
+    """(entry, profile) relations checked on gamma's own entries and 24 Psi
+    values, for every automorphism of the closure, not only for
+    generators: the per-gamma oracle of pattern_and_relation_check, which
+    reads them from the embedding's relation certificate."""
+    m, vals = git4._profile(emb, *git4._clear(gamma), ALL_PERMS)
     values = [v for _, v in vals]
     entry_ok = profile_ok = True
     for tau, rho in zip(emb.automorphisms, emb.galois_image):
@@ -306,39 +307,124 @@ def _relations(emb, gamma, gtype):
     return res
 
 
-@pytest.mark.parametrize("tower, gtype, count", [(CYCLIC, "cyclic", 1),
-                                                 (BIQUAD, "biquadratic", 2),
-                                                 (DIHEDRAL, "dihedral", 2)],
+def _seeded_gamma(rng, k):
+    """An invertible 4x4 gamma: fractional entries for even k, small
+    integers for odd k."""
+    if k % 2:
+        return random_invertible(rng, 4)
+    while True:
+        gamma = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)]
+                 for _ in range(4)]
+        if mat_det(gamma) != 0:
+            return gamma
+
+
+@pytest.mark.parametrize("tower", CURATED + _seeded_towers_per_type(1),
+                         ids=CURATED_IDS + ["seeded_biquadratic", "seeded_cyclic",
+                                            "seeded_dihedral"])
+def test_relation_certificate_agrees_with_the_per_gamma_oracle(tower):
+    """On 300 seeded gammas per tower, the relations pattern_and_relation_check
+    reads from the certificate are those of the per-gamma oracle on every
+    automorphism, and all hold.  The certificate is built on first use, not
+    by regular_embedding, and once."""
+    emb = regular_embedding(tower)
+    gtype = classify_galois_type(tower)
+    assert "relation_certificate" not in vars(emb)
+    rng = random.Random(61)
+    for k in range(300):
+        assert _relations(emb, _seeded_gamma(rng, k), gtype)["pass"]
+    assert emb.relation_certificate == (True, True)
+    assert emb.relation_certificate is vars(emb)["relation_certificate"]
+
+
+def test_relation_certificate_on_the_long_dihedral_tower():
+    """On the dihedral tower with 1,601-digit entries in sqrt(d)'s matrix
+    (also run under a 640-digit limit on int <-> text conversion), the
+    certificate holds and agrees with the per-gamma oracle."""
+    emb = regular_embedding(quartics.dihedral_tower(2, Fraction("1e-400"), Fraction("1e400")))
+    rng = random.Random(62)
+    for k in range(2):
+        assert _relations(emb, _seeded_gamma(rng, k), "dihedral")["pass"]
+
+
+RELATION_CASES = [(CYCLIC, "cyclic", 1), (BIQUAD, "biquadratic", 2), (DIHEDRAL, "dihedral", 2)]
+
+
+@pytest.mark.parametrize("tower, gtype, count", RELATION_CASES,
                          ids=["cyclic", "biquadratic", "dihedral"])
 def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype, count):
-    """One wrong entry of the conjugated matrix, or one wrong Psi value,
-    turns the matching relation False, on the generators as on every
-    automorphism.  The entries are read through `git4._entries`, the one
-    place where the Psi values conjugate gamma."""
+    """One coefficient of the conjugation table changed, on a fresh
+    embedding, fails the certificate, and the per-gamma oracle's entry
+    relation on a gamma that reads it.  One wrong Psi value fails the
+    oracle's profile relation alone, while the certificate, which reads no
+    Psi value, still passes."""
     emb = regular_embedding(tower)
     assert len(emb.generators) == count
-    gamma = random_invertible(random.Random(11), 4)
+    rng = random.Random(11)
+    gamma = random_invertible(rng, 4)
+    while gamma[1][1] == 0:  # the changed coefficient reads gamma[1][1]
+        gamma = random_invertible(rng, 4)
     assert _relations(emb, gamma, gtype)["pass"]
-    entries, psi_values = git4._entries, git4._psi_values
 
-    def wrong_entry(emb, v, e, perms):
-        m = entries(emb, v, e, perms)
-        m[0][1] = m[0][1] + 1
-        return m
-
-    monkeypatch.setattr(git4, "_entries", wrong_entry)
-    res = _relations(emb, gamma, gtype)
-    assert not res["entry_relation"] and not res["pass"]
-    monkeypatch.setattr(git4, "_entries", entries)
-
-    def wrong_value(emb, gamma, perms):
+    def wrong_value(emb, v, e, det, perms):
         # the transposition (0 1) is moved by conjugation in every image
-        m, vals = psi_values(emb, gamma, perms)
-        return m, [(s, v + 1 if s == (1, 0, 2, 3) else v) for s, v in vals]
+        m, vals = profile(emb, v, e, det, perms)
+        return m, [(s, x + 1 if s == (1, 0, 2, 3) else x) for s, x in vals]
 
-    monkeypatch.setattr(git4, "_psi_values", wrong_value)
-    res = _relations(emb, gamma, gtype)
-    assert res["entry_relation"] and not res["profile_relation"] and not res["pass"]
+    profile = git4._profile
+    monkeypatch.setattr(git4, "_profile", wrong_value)
+    assert _relations_on_every_automorphism(emb, gamma) == (True, False)
+    assert pattern_and_relation_check(emb, gamma, gtype)["pass"]
+    monkeypatch.undo()
+
+    emb = regular_embedding(tower)
+    table = emb.conjugation_table
+    rows = [list(row) for row in table._table]
+    den, kernel = rows[0][1]
+    # coordinate 0 of entry (0, 1) gains 1 times v[5], the cleared gamma[1][1]
+    rows[0][1] = (den, lambda v: [x + v[5] * (c == 0) for c, x in enumerate(kernel(v))])
+    table._table = tuple(map(tuple, rows))
+    assert pattern_and_relation_check(emb, gamma, gtype) == {
+        "entry_relation": False, "profile_relation": False, "image_matches": True,
+        "pass": False}
+    assert not _relations_on_every_automorphism(emb, gamma)[0]
+
+
+@pytest.mark.parametrize("tower, gtype, count", RELATION_CASES,
+                         ids=["cyclic", "biquadratic", "dihedral"])
+def test_a_swapped_rho_fails_the_certificate(tower, gtype, count):
+    """The rhos of two automorphisms swapped in the Galois image, on a fresh
+    embedding: the image still matches as a set, but the certificate's
+    entry relation fails on the generators taken from the swapped pairs."""
+    emb = regular_embedding(tower)
+    image = list(emb.galois_image)
+    a, b = [k for k, rho in enumerate(image) if rho != IDENTITY][:2]
+    image[a], image[b] = image[b], image[a]
+    bad = dataclasses.replace(emb, galois_image=tuple(image))
+    assert len(bad.generators) == count
+    res = pattern_and_relation_check(bad, random_invertible(random.Random(12), 4), gtype)
+    assert res["image_matches"] and not res["entry_relation"] and not res["pass"]
+
+
+@pytest.mark.parametrize("tower", [CYCLIC, BIQUAD, DIHEDRAL],
+                         ids=["cyclic", "biquadratic", "dihedral"])
+def test_a_generator_that_is_no_ring_map_fails_the_profile_relation(tower):
+    """With a conjugation table of zeros the entry relation holds for any
+    linear map, so the profile relation rests on the ring-map check alone:
+    it holds for the generators' own automorphisms and fails when the image
+    of each basis element but 1 is doubled, a linear map fixing Q that is
+    not multiplicative."""
+    emb = regular_embedding(tower)
+    L = emb.closure
+    zero = [[L.elem(0)] * 4 for _ in range(4)]
+    basis = [L.elem([0] * a + [1]) for a in range(L.degree)]
+    for scale, want in ((1, (True, True)), (2, (True, False))):
+        fresh = dataclasses.replace(emb)
+        vars(fresh)["conjugation_table"] = Conjugation(L, zero, zero)
+        vars(fresh)["generators"] = tuple(
+            (Automorphism(L, [tau(x) * (scale if a else 1) for a, x in enumerate(basis)]), rho)
+            for tau, rho in emb.generators)
+        assert fresh.relation_certificate == want
 
 
 def _power_basis_closure(tower):
@@ -771,7 +857,7 @@ def test_dihedral_block_test_derives_one_special_value():
         gammas.append(emb.regular_matrix((1, 2, 0, 1)))
         for gamma in gammas:
             got = block_membership_test(emb, gamma, "dihedral")["psi_sp_values"]
-            want = git4._psi_values(emb, gamma, special)[1]
+            want = git4._profile(emb, *git4._clear(gamma), special)[1]
             assert list(got) == [s for s, _ in want]
             for (_, x), (_, y) in zip(got.items(), want):
                 assert type(x) is type(y)
@@ -862,6 +948,21 @@ def test_tau_window_worked_example():
     assert abs(win["lo"] - 2.5) < 1e-9
     assert abs(win["hi"] - 12.0) < 1e-9
     assert not win["empty"]
+
+
+def test_tau_window_reads_c_beyond_the_float_range():
+    """log c is read exactly: at c = 10^-400 (math.log(float(c)) raised a
+    math domain error) the upper end is 12 + 100 log2(10), at c = 10^400 the
+    window is empty, and inside the float range log c is math.log(float(c))."""
+    lp = math.log(2)
+    win = tau_window(12 * lp, 2 * lp, 2 ** 60, 2 ** 4, c=Fraction(1, 10 ** 400))
+    assert win["lo"] == 2.5 and not win["empty"]
+    assert math.isclose(win["hi"], 12 + 100 * math.log2(10), rel_tol=1e-14)
+    win = tau_window(12 * lp, 2 * lp, 2 ** 60, 2 ** 4, c=10 ** 400)
+    assert win["empty"] and win["hi"] < 0
+    for c in (Fraction(1, 3), 7, 2.5, 1e-300, Fraction(10) ** 300):
+        want = (math.log(2 ** 60) - 3.0 * math.log(2 ** 4) - math.log(float(c))) / (4 * lp)
+        assert tau_window(12 * lp, 2 * lp, 2 ** 60, 2 ** 4, c=c)["hi"] == want, c
 
 
 def test_refined_window_only_shrinks():

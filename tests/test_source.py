@@ -234,3 +234,14 @@ def test_torus_coordinates_are_one_closed_form():
     assert all("_coords" in set(_names_read(funcs[name]))
                for name in ("local_coords", "block_coordinates_gl4"))
     assert "__call__" not in vars(nfpoly.Conjugation)
+
+
+def test_relations_are_read_from_the_certificate():
+    # pattern_and_relation_check reads gamma by _clear and both relations
+    # from the embedding's cached proof: per gamma it conjugates no entry
+    # and forms no Psi value
+    tree = ast.parse((Path(alk.__file__).parent / "git4.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    names = set(_names_read(funcs["pattern_and_relation_check"]))
+    assert {"_profile", "_entries", "_psi_values", "conjugation_table"} & names == set()
+    assert {"relation_certificate", "_clear"} <= names

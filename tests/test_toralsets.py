@@ -133,6 +133,22 @@ def test_arch_disc_is_exact():
     assert arch_disc([[Fraction(1, 2), 1], [2, Fraction(-1, 2)]]) == float(Fraction(11, 9))
 
 
+def test_arch_disc_beyond_the_float_range_is_refused():
+    """An exact ratio beyond the float range is refused with its size as a
+    power of 10 (float() of it raised Python's bare "integer division
+    result too large for a float"); at 10^300 it answers, rounded once."""
+    for e, answer in ((200, None), (150, float((Fraction(10) ** 300 + Fraction(10) ** -300) / 2))):
+        k = [[0, Fraction(1, 10 ** e)], [10 ** e, 0]]
+        if answer is not None:
+            assert arch_disc(k) == answer
+            continue
+        with pytest.raises(ValueError, match=r"^Archimedean discriminant of about 10\^400 is "
+                                             r"beyond the float range$"):
+            arch_disc(k)
+        with pytest.raises(ValueError, match=r"about 10\^400 "):
+            arch_disc_from_basis([[[1, 0], [0, 1]], k])
+
+
 def test_arch_disc_reads_real_numbers():
     """Entries are read by `ratlinalg.real`: a string or a complex is no
     real number."""
