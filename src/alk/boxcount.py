@@ -155,8 +155,8 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
     """Compares the exact box count with C(n, c) ||r|| / sqrt(D_F).
 
     -log c is read from float(c) where c is a normal float, and from the
-    exact c elsewhere.  C and the bound are reported as None where they are
-    beyond the float range, and the count is then compared in logs:
+    exact c elsewhere.  The norm, C and the bound are reported as None where
+    they are beyond the float range, and the count is then compared in logs:
     log count <= log C + log ||r|| - log(D_F) / 2."""
     c = rational(c)
     if c <= 0:
@@ -170,9 +170,13 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
     log_big_c = f_bound(-log_abs(c)) + math.pi * n
     try:
         big_c = math.exp(log_big_c)
-        bound = big_c * float(norm) / math.sqrt(disc)
     except OverflowError:
-        big_c = bound = None
+        big_c = None
+    try:
+        norm_f = float(norm)
+    except OverflowError:
+        norm_f = None
+    bound = None if big_c is None or norm_f is None else big_c * norm_f / math.sqrt(disc)
     if bound is not None and math.isfinite(bound):
         passed = count <= bound
     else:
@@ -180,7 +184,7 @@ def counting_bound_check(field: Optional[QuadField], r: RadiusFamily, c,
         passed = count == 0 or math.log(count) <= log_big_c + log_abs(norm) - math.log(disc) / 2
     return {
         "count": count,
-        "norm": float(norm),
+        "norm": norm_f,
         "C": big_c,
         "bound": bound,
         "hypothesis_ok": hypothesis,

@@ -23,27 +23,32 @@ T[i][k] = Tr(theta^(i+k)) of K, so g^{-1} = g^T T^{-1} needs one rational
 4x4 inverse and no field inverse in L.
 
 The conjugated matrix m = g^{-1} gamma g is linear in gamma.  Each
-embedding caches, on first use, one `nfpoly.Conjugation` for (g^{-1}, g),
-whose generated code gives each coordinate of an entry as one integer
-linear form of the cleared gamma, and one generated test of the 16 such
-forms of sd gamma - gamma sd, for sqrt(d)'s matrix sd, for the block test.
+embedding caches, on first use, one `Conjugation` for (g^{-1}, g), whose
+generated code gives each coordinate of an entry as one integer linear
+form of the cleared gamma, and one generated test of the 16 such forms of
+sd gamma - gamma sd, for sqrt(d)'s matrix sd, for the block test.
 
 Every entry point makes one integer pass over gamma: it checks the 4x4
 shape, clears gamma once to integers v over one denominator e, takes
-det(gamma) = det(v)/e^4 by Bareiss elimination on v, and conjugates only
-the entries m[sigma(j)][j] that the requested permutations read.  A block
-test on C4 or V4 forms Psi of both special permutations from 8 of the 16
-entries and 6 field products; on D4 the two are 4-cycles of one orbit,
-so it forms Psi of the first from 4 entries and 3 products and takes the
-second as its image under an automorphism.
+det(v) = e^4 det(gamma) as one closed-form Laplace expansion over the 2x2
+minors of rows 0-1 and rows 2-3, and conjugates only the entries of
+g^{-1} v g = e m that the requested permutations read, each left
+unreduced over its table denominator.  The four entries of a Psi monomial
+carry e^4, as det(v) does, so Psi is read from v and det(v) and e is
+never used.  A block test on C4 or V4 forms Psi of both special
+permutations from 8 of the 16 entries and 6 field products; on D4 the
+two are 4-cycles of one orbit, so it forms Psi of the first from 4
+entries and 3 products and takes the second as its image under an
+automorphism.
 
 A Psi profile shares its partial products: P[a][b] = m[a][0] m[b][1]
 and Q[c][d] = m[c][2] m[d][3] are formed once per ordered pair and kept
 as integer numerators, so
-Psi_sigma = sign(sigma)/det(gamma) P[sigma0][sigma1] Q[sigma2][sigma3]
-takes one more field product, and the rational factor sign/det is folded
-into its integer numerators and denominator before the one reduction to
-lowest terms: 48 field products for all 24 permutations.  The Galois
+Psi_sigma = sign(sigma)/det(v) P[sigma0][sigma1] Q[sigma2][sigma3]
+takes one more field product; the sign of det(v) joins sign(sigma) as a
+sign flip of its integer numerators, |det(v)| joins their denominator,
+and each value is reduced to lowest terms once: 48 field products and
+no reduction of an entry for all 24 permutations.  The Galois
 action tau.Psi_sigma = Psi_{rho sigma rho^{-1}} (after Khayutin, Duke
 Math. J. 168(12), 2019) lets `psi_invariants` form Psi directly only on
 one representative per orbit of S4 under conjugation by the Galois image
@@ -73,11 +78,10 @@ from operator import mul
 from typing import Optional
 
 from .intarith import is_prime, log_abs, valuation
-from .nfpoly import (Automorphism, Conjugation, NFElem, NumberField, _canonical, _linear_forms,
-                     _Source, _unpack)
+from .nfpoly import (Automorphism, NFElem, NumberField, _canonical, _linear_forms, _Source,
+                     _unpack)
 from .numfield import FieldTower, conj, norm_square_class
-from .ratlinalg import (bareiss, in_gl_zp, integer_matrix, mat_inv, mat_mul, rational, real,
-                        transpose)
+from .ratlinalg import in_gl_zp, integer_matrix, mat_inv, mat_mul, rational, real, transpose
 
 ALL_PERMS = tuple(itertools.permutations(range(4)))
 IDENTITY = (0, 1, 2, 3)
@@ -157,6 +161,45 @@ def galois_structures(galois_type: str) -> GaloisStructure:
 # regular embedding
 
 
+class Conjugation:
+    """The map gamma -> A gamma B on rational n x n matrices, for fixed n x n
+    matrices A and B over a NumberField; a conjugation when A = B^-1.
+    Entry (i, j) is sum_(k,l) gamma[k][l] A[i][k] B[l][j], linear in gamma,
+    so the n^2 products A[i][k] B[l][j] of each entry are formed once and
+    held as integer numerators over one denominator per entry, from which
+    the entry's straight-line code is generated when the map is built.
+    `entry` takes gamma cleared to integers v, row by row, and gives the
+    entry of A v B unreduced, each coordinate one integer linear form of v
+    over the entry's table denominator, with no field multiplication and
+    no gcd, so a caller that reads only some entries (the Psi values)
+    conjugates only those and reduces only what it forms from them."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, left, right):
+        n = len(right)
+        table = []
+        for a_row in left:
+            entries = []
+            for j in range(len(right[0])):
+                prods = [a * row[j] for a in a_row for row in right]
+                den = math.lcm(*(x.den for x in prods))
+                coords = zip(*([c * (den // x.den) for c in x.num] for x in prods))
+                gen = _Source()
+                lines = [_unpack("v", n * n, "v"),
+                         f"return [{', '.join(_linear_forms(gen, map(enumerate, coords), 'v'))}]"]
+                entries.append((den, gen.function("entry", "v", lines)))
+            table.append(tuple(entries))
+        # table[i][j] = (D, kernel): kernel(v)[c] / D is coordinate c of entry (i, j)
+        self._table = tuple(table)
+
+    def entry(self, v, i: int, j: int) -> tuple[list[int], int]:
+        """(numerators, den): entry (i, j) of A v B for the integer matrix v,
+        row by row, is sum_c numerators[c] e_c / den, not reduced."""
+        den, kernel = self._table[i][j]
+        return kernel(v), den
+
+
 @dataclass(frozen=True)
 class EmbeddingData:
     tower: FieldTower
@@ -209,10 +252,10 @@ class EmbeddingData:
 
     @cached_property
     def conjugation_table(self) -> Conjugation:
-        """gamma -> g^{-1} gamma g as one `nfpoly.Conjugation`, whose integer
+        """gamma -> g^{-1} gamma g as one `Conjugation`, whose integer
         table of the closure products g^{-1}[i][k] g[l][j] is built on
         first use."""
-        return Conjugation(self.closure, self.g_inv, self.g)
+        return Conjugation(self.g_inv, self.g)
 
     @cached_property
     def relation_certificate(self) -> tuple:
@@ -230,7 +273,7 @@ class EmbeddingData:
         A relation that holds for tau and tau' holds for tau tau', so on
         generators it holds on all of Gal(L/Q)."""
         entry, L = self.conjugation_table.entry, self.closure
-        units = [[entry([int(n == k) for n in range(16)], 1, i, j) for i in range(4)
+        units = [[_canonical(L, *entry([int(n == k) for n in range(16)], i, j)) for i in range(4)
                   for j in range(4)] for k in range(16)]
         entry_ok = all(tau(m[4 * i + j]) == m[4 * rho[i] + rho[j]] for tau, rho in self.generators
                        for m in units for i in range(4) for j in range(4))
@@ -359,68 +402,77 @@ class InvariantProfile:
 _SIGN = {s: perm_sign(s) for s in ALL_PERMS}
 
 
-def _clear(gamma) -> tuple[list[int], int, Fraction]:
-    """(v, e, det): the 4x4 rational gamma's entries, row by row, as
-    integers v over one denominator e, and det(gamma) = det(v)/e^4 != 0."""
+def _clear(gamma) -> tuple[list[int], int]:
+    """(v, det_v): the 4x4 rational gamma's entries, row by row, as integers
+    v over one denominator e, and det(v) = e^4 det(gamma) != 0, one Laplace
+    expansion over the 2x2 minors of rows 0-1 and of rows 2-3."""
     if len(gamma) != 4 or any(len(row) != 4 for row in gamma):
         raise ValueError("expected a 4x4 matrix")
-    m, e = integer_matrix(gamma)
-    v = [x for row in m for x in row]
-    pivots, swaps = bareiss(m)
-    if pivots[-1] == 0:
+    m, _ = integer_matrix(gamma)
+    v = m[0] + m[1] + m[2] + m[3]
+    a0, a1, a2, a3, b0, b1, b2, b3, c0, c1, c2, c3, d0, d1, d2, d3 = v
+    det_v = ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2) - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+             + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+             - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
+    if det_v == 0:
         raise ValueError("gamma must be invertible")
-    return v, e, Fraction(-pivots[-1] if swaps & 1 else pivots[-1], e ** 4)
+    return v, det_v
 
 
-def _entries(emb: EmbeddingData, v, e: int, perms) -> list[list]:
-    """m = g^{-1} gamma g for gamma cleared to v over e, at the entries
-    m[s(j)][j] that perms read; the other entries are None."""
+def _entries(emb: EmbeddingData, v, perms) -> list[list]:
+    """g^{-1} v g for the integer matrix v, at the entries m[s(j)][j] that
+    perms read, each (numerators, den) unreduced (`Conjugation.entry`); the
+    other entries are None."""
     entry = emb.conjugation_table.entry
     m = [[None] * 4 for _ in range(4)]
     for s in perms:
         for j, i in enumerate(s):
             if m[i][j] is None:
-                m[i][j] = entry(v, e, i, j)
+                m[i][j] = entry(v, i, j)
     return m
 
 
-def _profile(emb: EmbeddingData, v, e: int, det: Fraction, perms):
-    """(m, [(s, Psi_s(gamma)) for s in perms]) for gamma cleared to v over
-    e, with determinant det, formed directly for every s; a value in Q is
-    returned as a Fraction.
+def _profile(emb: EmbeddingData, v, det_v: int, perms) -> list:
+    """[Psi_s(gamma) for s in perms] for gamma cleared to the integers v
+    with det(v) = det_v, each formed directly; a value in Q is returned as
+    a Fraction.
 
-    Only the entries of m = g^{-1} gamma g that perms read are conjugated
-    (`_entries`).  Psi_s = P[s0][s1] Q[s2][s3] sign(s)/det with the shared
-    products P[a][b] = m[a][0] m[b][1] and Q[c][d] = m[c][2] m[d][3], each
-    formed once, only for the pairs that perms use, and kept as
-    `_mul_ints` numerators over their denominator.  The rational factor
-    sign(s)/det is folded into the integer numerators of the last product
-    and into its denominator, so each value is reduced to lowest terms
+    v = e gamma for gamma's denominator e, so g^{-1} v g = e m for
+    m = g^{-1} gamma g and det v = e^4 det(gamma): e cancels from
+    Psi_s = sign(s)/det(v) prod_i (g^{-1} v g)[s(i)][i].  Only the entries
+    that perms read are conjugated (`_entries`), each kept as integer
+    numerators over its table denominator D_ij.  The shared products
+    P[a][b] = m[a][0] m[b][1] and Q[c][d] = m[c][2] m[d][3] are formed once,
+    only for the pairs that perms use, as `_mul_ints` numerators, so
+    Psi_s = sign(s) N_s / (D_s0,0 D_s1,1 D_s2,2 D_s3,3 T^3 |det v|) for
+    N_s = P[s0][s1] Q[s2][s3] and the closure's table denominator T; the
+    sign of det v joins sign(s), and each value is reduced to lowest terms
     once.  All 24 permutations take 12 + 12 + 24 = 48 field products."""
-    m = _entries(emb, v, e, perms)
+    m = _entries(emb, v, perms)
     L = emb.closure
     mul_ints = L._mul_ints
-    # sign(s)/det = sign(s) * scale / |det.numerator|; det_den also holds
-    # the denominator of the last _mul_ints numerators
-    scale = det.denominator if det > 0 else -det.denominator
     table_den = L._table[2]
-    det_den = abs(det.numerator) * table_den
+    # the last product's table denominator and |det v| in one factor
+    last_den = abs(det_v) * table_den
+    det_sign = 1 if det_v > 0 else -1
     P, Q = {}, {}
     vals = []
     for s in perms:
         a, b, c, d = s
         p = P.get((a, b))
         if p is None:
-            x, y = m[a][0], m[b][1]
-            p = P[a, b] = (mul_ints(x.num, y.num), x.den * y.den * table_den)
+            (x, dx), (y, dy) = m[a][0], m[b][1]
+            p = P[a, b] = (mul_ints(x, y), dx * dy * table_den)
         q = Q.get((c, d))
         if q is None:
-            x, y = m[c][2], m[d][3]
-            q = Q[c, d] = (mul_ints(x.num, y.num), x.den * y.den * table_den)
-        f = _SIGN[s] * scale
-        val = _canonical(L, [x * f for x in mul_ints(p[0], q[0])], p[1] * q[1] * det_den)
-        vals.append((s, Fraction(val.num[0], val.den) if not any(val.num[1:]) else val))
-    return m, vals
+            (x, dx), (y, dy) = m[c][2], m[d][3]
+            q = Q[c, d] = (mul_ints(x, y), dx * dy * table_den)
+        num = mul_ints(p[0], q[0])
+        if _SIGN[s] != det_sign:
+            num = [-x for x in num]
+        val = _canonical(L, num, p[1] * q[1] * last_den)
+        vals.append(Fraction(val.num[0], val.den) if not any(val.num[1:]) else val)
+    return vals
 
 
 @lru_cache(maxsize=None)
@@ -459,10 +511,10 @@ def psi_invariants(emb: EmbeddingData, gamma,
     conjugates the representative to s, as tau.Psi_rep =
     Psi_{rho rep rho^{-1}}, and a rational value is copied as it is."""
     reps, derived = emb.psi_plan
-    _, vals = _profile(emb, *_clear(gamma), reps)
-    values = dict(vals)
+    vals = _profile(emb, *_clear(gamma), reps)
+    values = dict(zip(reps, vals))
     for s, r, tau in derived:
-        x = vals[r][1]
+        x = vals[r]
         values[s] = tau(x) if isinstance(x, NFElem) else x
     return InvariantProfile(tuple((s, values[s]) for s in ALL_PERMS), galois_type)
 
@@ -517,14 +569,14 @@ def block_membership_test(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     one orbit), only Psi_s is formed, from 4 entries and 3 products, and
     Psi_t = tau(Psi_s); on C4 and V4 both values are formed directly."""
     gs = galois_structures(galois_type)
-    v, e, det = _clear(gamma)
+    v, det_v = _clear(gamma)
     commutes = emb.commutation_test(v)
     s, t = gs.special
     k = _conjugator(emb.galois_image, s, t)
     if k is None:
-        sp_values = dict(_profile(emb, v, e, det, gs.special)[1])
+        sp_values = dict(zip(gs.special, _profile(emb, v, det_v, gs.special)))
     else:
-        x = _profile(emb, v, e, det, (s,))[1][0][1]
+        x, = _profile(emb, v, det_v, (s,))
         sp_values = {s: x, t: emb.automorphisms[k](x) if isinstance(x, NFElem) else x}
     vanish = all(v == 0 for v in sp_values.values())
     return {"in_R": commutes, "psi_sp_values": sp_values,

@@ -28,11 +28,9 @@ terms, so its kernel takes no gcd.  Table constants are closure cells of
 the generated code, never text in its source, so constants of any length
 are allowed.
 
-A `Conjugation` gamma -> A gamma B of rational matrices by fixed
-matrices over a field is an integer table too, from which each entry
-gets straight-line code, one integer linear form of the cleared gamma
-per coordinate: the kernel of git4's g^-1 gamma g.  `_linear_forms`
-writes the forms of every kernel.
+`_linear_forms` writes the integer linear forms of these kernels and of
+git4's, which conjugate a cleared rational matrix by g and test its
+commutation with sqrt(d).
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 
 from .intarith import is_prime, sqrt_mod
 from .ratlinalg import integer_matrix, rational
@@ -370,46 +368,6 @@ class Automorphism:
             lines.append(f"return canonical(field, [{image}], {den})")
         return gen.function("automorphism", "x", lines, field=self.field, NFElem=NFElem,
                             canonical=_canonical, den=self._den)
-
-
-class Conjugation:
-    """The map gamma -> A gamma B on rational n x n matrices, for fixed n x n
-    matrices A and B over a NumberField; a conjugation when A = B^-1.
-    Entry (i, j) is sum_(k,l) gamma[k][l] A[i][k] B[l][j], linear in gamma,
-    so the n^2 products A[i][k] B[l][j] of each entry are formed once and
-    held as integer numerators over one denominator per entry, from which
-    the entry's straight-line code is generated when the map is built.
-    `entry` takes gamma cleared to integers v, row by row, over one
-    denominator e (by `ratlinalg.integer_matrix`, which refuses a
-    non-rational entry) and gives each coordinate of one entry as one
-    integer linear form of v, over that entry's denominator times e, with
-    no field multiplication, so a caller that reads only some entries
-    (git4's Psi values) conjugates only those."""
-
-    __slots__ = ("field", "_table")
-
-    def __init__(self, field: NumberField, left, right):
-        self.field = field
-        n = len(right)
-        table = []
-        for a_row in left:
-            entries = []
-            for j in range(len(right[0])):
-                prods = [a * row[j] for a in a_row for row in right]
-                den = lcm(*(x.den for x in prods))
-                coords = zip(*([c * (den // x.den) for c in x.num] for x in prods))
-                gen = _Source()
-                lines = [_unpack("v", n * n, "v"),
-                         f"return [{', '.join(_linear_forms(gen, map(enumerate, coords), 'v'))}]"]
-                entries.append((den, gen.function("entry", "v", lines)))
-            table.append(tuple(entries))
-        # table[i][j] = (D, kernel): kernel(v)[c] / (D e) is coordinate c of entry (i, j)
-        self._table = tuple(table)
-
-    def entry(self, v, e: int, i: int, j: int) -> NFElem:
-        """Entry (i, j) of A gamma B for gamma cleared to v over e."""
-        den, kernel = self._table[i][j]
-        return _canonical(self.field, kernel(v), den * e)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ error.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import index
@@ -34,6 +35,8 @@ from .intarith import (
 from .localgeom import different_and_orders
 from .numfield import FieldTower, QuadField, norm_square_class
 from .ratlinalg import mat_det, mat_mul, rational, real
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -200,20 +203,39 @@ def cyclic_disc_check(tower: FieldTower) -> dict:
 def linnik_rhs(disc: float, vol: float, tau: float, h: float, eps: float,
                c: float = 1.0, D_F: float = 1.0) -> dict:
     """1/vol + disc^(1+eps)/vol^2 * e^(-2 tau h), with the theorem's
-    hypothesis tau <= (log disc - log(c D_F)) / (2h) checked and flagged."""
+    hypothesis tau <= (log disc - log(c D_F)) / (2h) checked and flagged.
+    The value and its two terms are reported beside their logs, and as
+    None where they lie beyond the float range; a term whose float formula
+    fails on the way (vol^2 below the normal floats, vol^2 or disc^(1+eps)
+    above them) is read from its log."""
     if disc <= 0 or vol <= 0 or h <= 0 or tau < 0:
         raise ValueError("positive disc, vol, h and nonnegative tau required")
     if c <= 0:
         raise ValueError("c must be positive")
     if D_F <= 0:
         raise ValueError("D_F must be positive")
-    term1 = 1.0 / vol
-    term2 = disc ** (1.0 + eps) / vol ** 2 * math.exp(-2.0 * tau * h)
+    log_vol = math.log(vol)
+    logs = {"volume": 0.0 - log_vol,  # not -0.0 at vol = 1
+            "disc": (1.0 + eps) * math.log(disc) - 2.0 * log_vol - 2.0 * tau * h}
+    terms = {"volume": 1.0 / vol, "disc": math.inf}
+    try:
+        square = vol ** 2
+        if square >= sys.float_info.min:  # else vol^2 has lost bits or is 0
+            terms["disc"] = disc ** (1.0 + eps) / square * math.exp(-2.0 * tau * h)
+    except OverflowError:  # vol^2 or disc^(1 + eps) beyond the float range
+        pass
+    for name, x in terms.items():
+        if math.isinf(x):
+            terms[name] = math.exp(logs[name]) if logs[name] < _LOG_FLOAT_MAX else None
+    value = None if None in terms.values() else terms["volume"] + terms["disc"]
+    lo, hi = sorted(logs.values())
     tau_max = (math.log(disc) - math.log(c * D_F)) / (2.0 * h)
     in_hyp = tau <= tau_max
     return {
-        "value": term1 + term2,
-        "terms": {"volume": term1, "disc": term2},
+        "value": None if value is None or math.isinf(value) else value,
+        "log_value": hi + math.log1p(math.exp(lo - hi)),
+        "terms": terms,
+        "log_terms": logs,
         "tau_max": tau_max,
         "in_hypothesis": in_hyp,
         "status": "ok" if in_hyp else "out_of_hypothesis",

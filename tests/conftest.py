@@ -189,14 +189,37 @@ def random_invertible(rng: random.Random, n: int, span: int = 3):
             return m
 
 
-def conjugate_all(conjugation, gamma):
-    """Every entry of an `nfpoly.Conjugation` of the rational n x n gamma,
-    each by `entry` on gamma cleared once."""
+def conjugate_all(field, conjugation, gamma):
+    """Every entry of a `git4.Conjugation` over field of the rational n x n
+    gamma, as a field element in lowest terms: gamma is cleared once to
+    integers v over e, and entry (i, j) of A gamma B is `entry(v, i, j)`
+    over e."""
+    from alk.nfpoly import _canonical
     from alk.ratlinalg import integer_matrix
 
     m, e = integer_matrix(gamma)
     v = [x for row in m for x in row]
-    return [[conjugation.entry(v, e, i, j) for j in range(len(m))] for i in range(len(m))]
+    n = len(m)
+    return [[_canonical(field, num, den * e)
+             for num, den in (conjugation.entry(v, i, j) for j in range(n))] for i in range(n)]
+
+
+def rand_coeffs(rng: random.Random, n: int, span: int = 9):
+    """n field coordinates, each 0 with probability 0.2, else a Fraction
+    of numerator at most span and denominator at most 6."""
+    return [Fraction(rng.randint(-span, span), rng.randint(1, 6))
+            if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
+
+
+def rand_ints(rng: random.Random, n: int, digits: int):
+    """n integers of up to digits digits, each 0 with probability 0.2."""
+    return [rng.randint(-10 ** digits, 10 ** digits) if rng.random() < 0.8 else 0
+            for _ in range(n)]
+
+
+def is_canonical(x) -> bool:
+    """Whether the field element x is in lowest terms over a positive denominator."""
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1
 
 
 def gauss_jordan(a):

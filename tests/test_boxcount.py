@@ -229,6 +229,20 @@ def test_bound_check_at_a_tiny_c_reports_null_beyond_the_float_range():
         json.dumps(res, allow_nan=False)
 
 
+def test_bound_check_reports_a_norm_beyond_the_float_range_as_null():
+    # float(norm) of the norm 2 * 10^400 exited with "integer division result
+    # too large for a float"; the norm is None beside a finite C, and the
+    # exact count, 2 * 2 * 10^400 + 1 points of (1/2)Z in [-10^400, 10^400],
+    # is compared in logs
+    fam = make_radius_family(None, [(finite_places(None, 2)[0], Fraction(2))],
+                             [Fraction(10) ** 400])
+    res = counting_bound_check(None, fam, 1)
+    assert res == {"count": 4 * 10 ** 400 + 1, "norm": None,
+                   "C": math.exp(f_bound(0.0) + math.pi), "bound": None,
+                   "hypothesis_ok": True, "status": "ok", "passed": True}
+    json.dumps(res, allow_nan=False)
+
+
 # ---------------------------------------------------------------------------
 # box_count against a membership test on field elements
 

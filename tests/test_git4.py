@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from alk.git4 import (
     ALL_PERMS,
     IDENTITY,
     BowenBall,
+    Conjugation,
     block_membership_test,
     bowen_membership,
     bowen_membership_loop,
@@ -30,16 +32,19 @@ from alk.git4 import (
     tau_window,
 )
 from alk.intarith import is_prime, is_square_fraction, squarefree_kernel
-from alk.nfpoly import Automorphism, Conjugation, NFElem, NumberField
+from alk.nfpoly import Automorphism, NFElem, NumberField
 from alk.numfield import conj, make_quad_field, make_tower, norm_square_class
-from alk.ratlinalg import integer_matrix, mat_det, mat_mul
+from alk.ratlinalg import NotRational, integer_matrix, mat_det, mat_mul
 from alk.toralsets import classify_galois_type
-from conftest import (PowerBasisField, conjugate_all, eta_closure, gauss_jordan, random_invertible,
-                      random_tower)
+from conftest import (PowerBasisField, conjugate_all, eta_closure, gauss_jordan, is_canonical,
+                      rand_coeffs, rand_ints, random_invertible, random_tower)
 
 CYCLIC = quartics.zeta5_tower()
 BIQUAD = quartics.biquadratic_tower(2, 3)
 DIHEDRAL = quartics.dihedral_tower(2, 1, 1)
+# sqrt(d)'s matrix and the conjugation table hold ints of more than 640
+# digits, the limit on int <-> text conversion of one CI step
+LONG_DIHEDRAL = quartics.dihedral_tower(2, Fraction("1e-400"), Fraction("1e400"))
 
 
 def test_permutation_algebra():
@@ -80,7 +85,7 @@ def test_regular_matrix_takes_at_most_four_coordinates():
 
 def test_conjugation_diagonalizes_regular_matrices():
     emb = regular_embedding(CYCLIC)
-    m = conjugate_all(emb.conjugation_table, emb.regular_matrix((1, 2, 0, 1)))
+    m = conjugate_all(emb.closure, emb.conjugation_table, emb.regular_matrix((1, 2, 0, 1)))
     for i in range(4):
         for j in range(4):
             if i != j:
@@ -123,11 +128,83 @@ def test_conjugation_table_equals_the_matrix_product(case):
     gammas.append([[int(i == j) for j in range(4)] for i in range(4)])
     for gamma in gammas:
         want = mat_mul(mat_mul(emb.g_inv, [[Fraction(x) for x in row] for row in gamma]), emb.g)
-        for got_row, want_row in zip(conjugate_all(table, gamma), want):
+        for got_row, want_row in zip(conjugate_all(emb.closure, table, gamma), want):
             for x, y in zip(got_row, want_row):
-                assert x.field is emb.closure
                 assert (x.num, x.den) == (y.num, y.den)
     assert emb.conjugation_table is table  # built once per embedding
+
+
+def dot_product_conjugation(left, right, gamma):
+    """The coordinates of each entry of A gamma B from the integer table of
+    the products A[i][k] B[l][j] over one denominator per entry, each
+    coordinate one dot product with gamma's entries, and the largest
+    constant of the table: the loop the generated kernels of
+    `Conjugation` replace."""
+    flat = [Fraction(x) for row in gamma for x in row]
+    out, longest = [], 0
+    for a_row in left:
+        row = []
+        for j in range(len(right[0])):
+            prods = [a * r[j] for a in a_row for r in right]
+            den = math.lcm(*(x.den for x in prods))
+            cols = [[c * (den // x.den) for c in x.num] for x in prods]
+            longest = max(longest, *(abs(c) for col in cols for c in col))
+            row.append([sum(map(operator.mul, coord, flat)) / den for coord in zip(*cols)])
+        out.append(row)
+    return out, longest
+
+
+def _conjugation_cases():
+    """name -> (field, A, B): g^-1 and g on the closure of the dihedral
+    tower with 400-digit data, and random 3x3 matrices over a field whose
+    squares are not integral."""
+    emb = regular_embedding(LONG_DIHEDRAL)
+    K = NumberField(squares=((3, 0), (Fraction(1, 2), Fraction(1, 3)),
+                             (Fraction(1, 2), Fraction(-1, 3))))
+    assert K._table[2] != 1
+    rng = random.Random(7008)
+    rand = [[[K.elem(rand_coeffs(rng, K.degree)) for _ in range(3)] for _ in range(3)]
+            for _ in range(2)]
+    return {"long_dihedral": (emb.closure, emb.g_inv, emb.g),
+            "fractional_kummer": (K, *rand)}
+
+
+CONJUGATION_CASES = _conjugation_cases()
+
+
+@pytest.mark.parametrize("name", sorted(CONJUGATION_CASES))
+def test_generated_conjugation_matches_dot_product(name):
+    """Each raw entry of a `Conjugation`, `entry(v, i, j)` for gamma
+    cleared to v over e, is integer numerators over a denominator that
+    does not depend on gamma, and over that denominator times e it has the
+    coordinates of the dot-product oracle, as has the canonical entry, in
+    lowest terms; on gammas with short, long, zero and fractional entries.
+    On the dihedral closure the table's constants have more than 400
+    digits."""
+    K, left, right = CONJUGATION_CASES[name]
+    conjugation = Conjugation(left, right)
+    n = len(left)
+    dens = [[conjugation.entry([0] * n * n, i, j)[1] for j in range(n)] for i in range(n)]
+    rng = random.Random(7009)
+    gammas = [[[0] * n for _ in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]]
+    for digits in (1, 40):
+        gammas += [[[Fraction(x, rng.randint(1, 10 ** digits)) for x in rand_ints(rng, n, digits)]
+                    for _ in range(n)] for _ in range(3)]
+    for gamma in gammas:
+        want, longest = dot_product_conjugation(left, right, gamma)
+        m, e = integer_matrix(gamma)
+        v = [x for row in m for x in row]
+        canonical = conjugate_all(K, conjugation, gamma)
+        for i in range(n):
+            for j in range(n):
+                num, den = conjugation.entry(v, i, j)
+                assert den == dens[i][j] and len(num) == K.degree
+                assert all(type(c) is int for c in num)
+                assert [Fraction(c, den * e) for c in num] == want[i][j]
+                x = canonical[i][j]
+                assert is_canonical(x)
+                assert list(x.coeffs) == want[i][j]
+    assert (longest > 10 ** 400) == (name == "long_dihedral")
 
 
 def _seeded_towers_per_type(count):
@@ -144,7 +221,7 @@ def _psi_oracle(emb, gamma, perms):
     """Psi_s one monomial at a time: three closure products, then the sign,
     then 1/det, each an NFElem product."""
     det = mat_det([[Fraction(x) for x in row] for row in gamma])
-    m = conjugate_all(emb.conjugation_table, gamma)
+    m = conjugate_all(emb.closure, emb.conjugation_table, gamma)
     vals = []
     for s in perms:
         prod = m[s[0]][0]
@@ -155,13 +232,17 @@ def _psi_oracle(emb, gamma, perms):
     return vals
 
 
+def _swap_rows(gamma):
+    return [gamma[1], gamma[0]] + gamma[2:]
+
+
 def _oracle_gammas():
     """Non-integral entries with det < 0, the same with two rows swapped
     (det > 0), and integral ones with det -2 and 1."""
     rng = random.Random(37)
     gammas = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(4)]
                for _ in range(4)] for _ in range(2)]
-    gammas.append([gammas[1][1], gammas[1][0]] + gammas[1][2:])
+    gammas.append(_swap_rows(gammas[1]))
     gammas += [[[3, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 0, 1]],
                [[1, 2, 0, 1], [0, 1, 3, 0], [0, 0, 1, -1], [0, 0, 0, 1]]]
     assert any(mat_det(g) < 0 for g in gammas) and any(mat_det(g) > 0 for g in gammas)
@@ -169,21 +250,43 @@ def _oracle_gammas():
     return gammas
 
 
-@pytest.mark.parametrize("towers", [
-    pytest.param(CURATED, id="curated"),
-    pytest.param(_seeded_towers_per_type(5), id="seeded"),
+def _wide_gammas(rng, count):
+    """count gammas of 30-digit numerators over mixed denominators of 1 to
+    20 digits, each with its first two rows swapped, so det(v) takes both
+    signs; a zero entry at (0, 0) in every other one."""
+    gammas = []
+    for k in range(count):
+        gamma = [[Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** rng.randint(0, 20)))
+                  for _ in range(4)] for _ in range(4)]
+        gamma[0][0] *= k % 2
+        gammas += [gamma, _swap_rows(gamma)]
+    assert {mat_det(g) < 0 for g in gammas} == {True, False}
+    assert len({x.denominator for g in gammas for row in g for x in row}) > 10
+    return gammas
+
+
+@pytest.mark.parametrize("towers, small, wide", [
+    pytest.param(CURATED, True, 2, id="curated"),
+    pytest.param(_seeded_towers_per_type(5), True, 1, id="seeded"),
+    pytest.param([LONG_DIHEDRAL], False, 1, id="long_dihedral"),
 ])
-def test_psi_values_equal_the_per_monomial_oracle(towers):
-    gammas = _oracle_gammas()
+def test_psi_values_equal_the_per_monomial_oracle(towers, small, wide):
+    """Psi read from the cleared gamma and det(v), with e cancelled, equals
+    Psi formed one monomial at a time from the reduced entries of
+    g^-1 gamma g and det(gamma), on gammas with det(v) of both signs,
+    small and 20-digit denominators, and on the dihedral tower with
+    400-digit data."""
+    rng = random.Random(38)
     for tower in towers:
         emb = regular_embedding(tower)
         gtype = classify_galois_type(tower)
+        gammas = (_oracle_gammas() if small else []) + _wide_gammas(rng, wide)
         for perms in (ALL_PERMS, galois_structures(gtype).special):
             for gamma in gammas:
-                got = git4._profile(emb, *git4._clear(gamma), perms)[1]
+                got = git4._profile(emb, *git4._clear(gamma), perms)
                 want = _psi_oracle(emb, gamma, perms)
-                assert [s for s, _ in got] == list(perms)
-                for (s, x), (_, y) in zip(got, want):
+                assert len(got) == len(perms)
+                for x, (s, y) in zip(got, want):
                     assert type(x) is type(y), s
                     if isinstance(x, NFElem):
                         assert x.field is emb.closure
@@ -205,9 +308,9 @@ def test_orbit_route_equals_the_direct_route(towers):
         emb = regular_embedding(tower)
         for gamma in gammas:
             got = psi_invariants(emb, gamma).values
-            want = git4._profile(emb, *git4._clear(gamma), ALL_PERMS)[1]
+            want = git4._profile(emb, *git4._clear(gamma), ALL_PERMS)
             assert [s for s, _ in got] == list(ALL_PERMS)
-            for (s, x), (_, y) in zip(got, want):
+            for (s, x), y in zip(got, want):
                 assert type(x) is type(y), s
                 if isinstance(x, NFElem):
                     assert x.field is emb.closure
@@ -288,8 +391,8 @@ def _relations_on_every_automorphism(emb, gamma):
     values, for every automorphism of the closure, not only for
     generators: the per-gamma oracle of pattern_and_relation_check, which
     reads them from the embedding's relation certificate."""
-    m, vals = git4._profile(emb, *git4._clear(gamma), ALL_PERMS)
-    values = [v for _, v in vals]
+    m = conjugate_all(emb.closure, emb.conjugation_table, gamma)
+    values = git4._profile(emb, *git4._clear(gamma), ALL_PERMS)
     entry_ok = profile_ok = True
     for tau, rho in zip(emb.automorphisms, emb.galois_image):
         if any(tau(m[i][j]) != m[rho[i]][rho[j]] for i in range(4) for j in range(4)):
@@ -341,7 +444,7 @@ def test_relation_certificate_on_the_long_dihedral_tower():
     """On the dihedral tower with 1,601-digit entries in sqrt(d)'s matrix
     (also run under a 640-digit limit on int <-> text conversion), the
     certificate holds and agrees with the per-gamma oracle."""
-    emb = regular_embedding(quartics.dihedral_tower(2, Fraction("1e-400"), Fraction("1e400")))
+    emb = regular_embedding(LONG_DIHEDRAL)
     rng = random.Random(62)
     for k in range(2):
         assert _relations(emb, _seeded_gamma(rng, k), "dihedral")["pass"]
@@ -366,10 +469,10 @@ def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype, coun
         gamma = random_invertible(rng, 4)
     assert _relations(emb, gamma, gtype)["pass"]
 
-    def wrong_value(emb, v, e, det, perms):
+    def wrong_value(emb, v, det_v, perms):
         # the transposition (0 1) is moved by conjugation in every image
-        m, vals = profile(emb, v, e, det, perms)
-        return m, [(s, x + 1 if s == (1, 0, 2, 3) else x) for s, x in vals]
+        vals = profile(emb, v, det_v, perms)
+        return [x + 1 if s == (1, 0, 2, 3) else x for s, x in zip(perms, vals)]
 
     profile = git4._profile
     monkeypatch.setattr(git4, "_profile", wrong_value)
@@ -420,7 +523,7 @@ def test_a_generator_that_is_no_ring_map_fails_the_profile_relation(tower):
     basis = [L.elem([0] * a + [1]) for a in range(L.degree)]
     for scale, want in ((1, (True, True)), (2, (True, False))):
         fresh = dataclasses.replace(emb)
-        vars(fresh)["conjugation_table"] = Conjugation(L, zero, zero)
+        vars(fresh)["conjugation_table"] = Conjugation(zero, zero)
         vars(fresh)["generators"] = tuple(
             (Automorphism(L, [tau(x) * (scale if a else 1) for a, x in enumerate(basis)]), rho)
             for tau, rho in emb.generators)
@@ -727,22 +830,37 @@ def test_wrong_type_fails_the_image_check():
 
 
 def test_block_membership_routes_agree():
+    """In and out of the block, the commutation route and the vanishing of
+    the special Psi values agree, and those values are the per-monomial
+    oracle's, on small gammas, on gammas with det(v) of both signs and
+    20-digit denominators, and on the dihedral tower with 400-digit data."""
     rng = random.Random(13)
-    cases = ((CYCLIC, "cyclic"), (BIQUAD, "biquadratic"),
-             (DIHEDRAL, "dihedral"))
-    for tower, gtype in cases:
+    cases = ((CYCLIC, "cyclic", 6), (BIQUAD, "biquadratic", 6), (DIHEDRAL, "dihedral", 6),
+             (LONG_DIHEDRAL, "dihedral", 2))
+    for tower, gtype, count in cases:
         emb = regular_embedding(tower)
+        special = galois_structures(gtype).special
         # elements of the field algebra sit inside the block
-        for _ in range(6):
-            coeffs = tuple(Fraction(rng.randint(-3, 3)) for _ in range(4))
-            gamma = emb.regular_matrix(coeffs)
-            if mat_det([row[:] for row in gamma]) == 0:
+        inside = [emb.regular_matrix(tuple(Fraction(rng.randint(-3, 3)) for _ in range(4)))
+                  for _ in range(count)]
+        inside += [emb.regular_matrix(tuple(Fraction(rng.randint(-10 ** 30, 10 ** 30),
+                                                      rng.randint(1, 10 ** 20))
+                                             for _ in range(4)))]
+        inside.append(_swap_rows(inside[-1]))  # the opposite det(v), not asserted in the block
+        outside = [random_invertible(rng, 4) for _ in range(count)] + _wide_gammas(rng, 1)
+        for gamma in inside + outside:
+            if mat_det(gamma) == 0:
                 continue
             res = block_membership_test(emb, gamma, gtype)
-            assert res["in_R"] and res["vanishing"] and res["routes_agree"]
-        for _ in range(6):
-            res = block_membership_test(emb, random_invertible(rng, 4), gtype)
             assert res["routes_agree"]
+            want = dict(_psi_oracle(emb, gamma, special))
+            assert list(res["psi_sp_values"]) == list(special)
+            for s, x in res["psi_sp_values"].items():
+                y = want[s]
+                assert type(x) is type(y)
+                assert (x.num, x.den) == (y.num, y.den) if isinstance(x, NFElem) else x == y
+            if gamma in inside[:-1]:
+                assert res["in_R"] and res["vanishing"]
 
 
 def _commutation_gammas(rng, emb):
@@ -771,8 +889,7 @@ def _commutation_gammas(rng, emb):
     pytest.param(_seeded_towers_per_type(5), 0, id="seeded"),
     # sqrt(d)'s matrix holds an int beyond a 640-digit limit on int <-> text
     # conversion, so the kernel must take it as a closure cell
-    pytest.param([quartics.dihedral_tower(2, Fraction("1e-400"), Fraction("1e400"))], 10 ** 640,
-                 id="long_dihedral"),
+    pytest.param([LONG_DIHEDRAL], 10 ** 640, id="long_dihedral"),
 ])
 def test_commutation_kernel_equals_the_matrix_products(towers, least_entry):
     """The generated commutation test of each embedding decides
@@ -821,21 +938,67 @@ def test_block_test_makes_no_matrix_product(monkeypatch):
 
 
 def test_clear_takes_det_from_the_cleared_rows():
-    """git4._clear's det, read from Bareiss on the integer rows, is
-    mat_det(gamma), row swaps included; a singular gamma is refused."""
+    """git4._clear's det_v, one closed-form expansion on the integer rows
+    v = e gamma, is mat_det(v) = e^4 mat_det(gamma), of both signs and with
+    gamma[0][0] = 0 (where elimination swaps at its first pivot); a
+    singular or a non-rational gamma keeps its message."""
     rng = random.Random(32)
-    for k in range(40):
-        gamma = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(4)]
+    signs = set()
+    for k in range(60):
+        span = 10 ** 20 if k % 3 == 2 else 4
+        gamma = [[Fraction(rng.randint(-6, 6), rng.randint(1, span)) for _ in range(4)]
                  for _ in range(4)]
-        gamma[0][0] = Fraction(0) if k % 2 else gamma[0][0]  # odd k: a swap at the first pivot
+        gamma[0][0] = Fraction(0) if k % 2 else gamma[0][0]
         if mat_det(gamma) == 0:
             continue
-        v, e, det = git4._clear(gamma)
-        assert det == mat_det(gamma) and type(det) is Fraction
-        assert [Fraction(x, e) for x in v] == [x for row in gamma for x in row]
+        v, det_v = git4._clear(gamma)
+        m, e = integer_matrix(gamma)
+        assert v == [x for row in m for x in row] and type(det_v) is int
+        assert det_v == mat_det(m) == mat_det(gamma) * e ** 4
+        signs.add(det_v > 0)
+    assert signs == {True, False}
     singular = [[1, 2, 3, 4], [2, 4, 6, 8], [0, 0, 1, 0], [0, 0, 0, 1]]
     with pytest.raises(ValueError, match="^gamma must be invertible$"):
         git4._clear(singular)
+    with pytest.raises(ValueError, match="^gamma must be invertible$"):
+        git4._clear([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 1]])
+    for entry in (0.5, "1/2"):
+        with pytest.raises(NotRational, match="^inputs must be rational numbers: int or "
+                           f"Fraction, not {type(entry).__name__}$"):
+            git4._clear([[1, 0, 0, 0], [0, entry, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+
+
+def test_psi_reduces_once_per_value(monkeypatch):
+    """One psi_invariants call reduces each value it forms once, makes one
+    field element per formed or tau-derived value, and none per conjugated
+    entry: the entries stay integer numerators over their denominators."""
+    reduced, made = [], []
+    canonical, init = git4._canonical, NFElem.__init__
+
+    def counted_canonical(field, num, den):
+        reduced.append(den)
+        return canonical(field, num, den)
+
+    def counted_init(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    rng = random.Random(39)
+    for tower in (CYCLIC, BIQUAD, DIHEDRAL):
+        emb = regular_embedding(tower)
+        reps, derived = emb.psi_plan
+        gammas = [random_invertible(rng, 4)] + _wide_gammas(rng, 1)
+        psi_invariants(emb, gammas[0])  # builds the tables and kernels
+        for gamma in gammas:
+            with monkeypatch.context() as patch:
+                patch.setattr(git4, "_canonical", counted_canonical)
+                patch.setattr(NFElem, "__init__", counted_init)
+                values = dict(psi_invariants(emb, gamma).values)
+            tau_derived = sum(isinstance(values[s], NFElem) for s, _, _ in derived)
+            assert len(reduced) == len(reps)
+            assert len(made) == len(reps) + tau_derived
+            reduced.clear()
+            made.clear()
 
 
 def test_dihedral_block_test_derives_one_special_value():
@@ -857,9 +1020,9 @@ def test_dihedral_block_test_derives_one_special_value():
         gammas.append(emb.regular_matrix((1, 2, 0, 1)))
         for gamma in gammas:
             got = block_membership_test(emb, gamma, "dihedral")["psi_sp_values"]
-            want = git4._profile(emb, *git4._clear(gamma), special)[1]
-            assert list(got) == [s for s, _ in want]
-            for (_, x), (_, y) in zip(got.items(), want):
+            want = git4._profile(emb, *git4._clear(gamma), special)
+            assert list(got) == list(special)
+            for x, y in zip(got.values(), want):
                 assert type(x) is type(y)
                 assert (x.num, x.den) == (y.num, y.den) if isinstance(x, NFElem) else x == y
     for tower, gtype in ((CYCLIC, "cyclic"), (BIQUAD, "biquadratic")):

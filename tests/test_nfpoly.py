@@ -13,8 +13,6 @@ import ast
 import dataclasses
 import random
 from fractions import Fraction
-from math import lcm
-from operator import mul
 from pathlib import Path
 
 import pytest
@@ -23,7 +21,8 @@ from alk import nfpoly, quartics
 from alk.git4 import regular_embedding
 from alk.nfpoly import Automorphism, NFElem, NumberField
 from alk.numfield import make_quad_field, make_tower
-from conftest import PowerBasisField, closure_mul, conjugate_all, eta_closure, gauss_jordan
+from conftest import (PowerBasisField, closure_mul, eta_closure, gauss_jordan, is_canonical,
+                      rand_coeffs, rand_ints)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +125,7 @@ def test_fields_of_a_tower_share_their_leading_basis():
         assert L.squares[:2] == K.squares and K.squares[:1] == F.squares
         for small, big in ((F, K), (K, L), (F, L)):
             for _ in range(5):
-                a, b = _rand_coeffs(rng, small.degree), _rand_coeffs(rng, small.degree)
+                a, b = rand_coeffs(rng, small.degree), rand_coeffs(rng, small.degree)
                 x, y = small.elem(a), small.elem(b)
                 assert big.elem(a) * big.elem(b) == big.elem((x * y).coeffs)
                 if any(b):
@@ -142,24 +141,13 @@ def test_galois_fields_carry_their_automorphisms():
         assert len(emb.automorphisms) == len(set(emb.galois_image)) == count
 
 
-def _rand_coeffs(rng, n, span=9):
-    return [Fraction(rng.randint(-span, span), rng.randint(1, 6))
-            if rng.random() < 0.8 else Fraction(0) for _ in range(n)]
-
-
-def _is_canonical(x: NFElem) -> bool:
-    from math import gcd
-
-    return x.den > 0 and gcd(x.den, *x.num) == 1
-
-
 @pytest.mark.parametrize("name", sorted(FIELDS))
 def test_ring_operations_match_reference(name):
     K = FIELDS[name]
     n, mul = K.degree, ref_product(K)
     rng = random.Random(7001)
     for _ in range(25):
-        a, b = _rand_coeffs(rng, n), _rand_coeffs(rng, n)
+        a, b = rand_coeffs(rng, n), rand_coeffs(rng, n)
         x, y = K.elem(a), K.elem(b)
         q = Fraction(rng.randint(-7, 7), rng.randint(1, 5))
         k = rng.randint(-5, 5)
@@ -179,7 +167,7 @@ def test_ring_operations_match_reference(name):
             "pow0": (x ** 0, one),
         }
         for op, (got, want) in cases.items():
-            assert isinstance(got, NFElem) and _is_canonical(got), op
+            assert isinstance(got, NFElem) and is_canonical(got), op
             assert list(got.coeffs) == want, op
         # trace, norm and inverse from the reference multiplication matrix
         matrix = ref_mult_matrix(a, mul, n)
@@ -189,7 +177,7 @@ def test_ring_operations_match_reference(name):
         if any(a):
             assert list(x.inverse().coeffs) == [row[0] for row in inv]
         with pytest.raises(ValueError, match="coordinates for a field of degree"):
-            K.elem(_rand_coeffs(rng, n + 1))
+            K.elem(rand_coeffs(rng, n + 1))
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
@@ -199,7 +187,7 @@ def test_division_and_inverse_match_reference(name):
     rng = random.Random(7002)
     one = [Fraction(1)] + [Fraction(0)] * (n - 1)
     for _ in range(15):
-        a, b = _rand_coeffs(rng, n), _rand_coeffs(rng, n)
+        a, b = rand_coeffs(rng, n), rand_coeffs(rng, n)
         if not any(b):
             continue
         x, y = K.elem(a), K.elem(b)
@@ -250,14 +238,14 @@ def test_automorphism_from_power_basis_images_is_composition(name):
         return sum((c * p for c, p in zip(coords, P)), K.elem(0))
 
     for _ in range(3):
-        c = _rand_coeffs(rng, n, 3)
+        c = rand_coeffs(rng, n, 3)
         powers = [from_power(c) ** i for i in range(n)]
         tau = Automorphism(K, [sum((r * p for r, p in zip(row, powers)), K.elem(0))
                                for row in P_inv])
         for _ in range(10):
-            a = _rand_coeffs(rng, n)
+            a = rand_coeffs(rng, n)
             got = tau(from_power(a))
-            assert _is_canonical(got)
+            assert is_canonical(got)
             want = sum((x * ref.elem(c) ** i for i, x in enumerate(a)), ref.elem(0))
             assert [sum(x * row[i] for x, row in zip(got.coeffs, P_inv)) for i in range(n)] \
                 == list(want.coeffs)
@@ -300,7 +288,7 @@ def test_closure_automorphisms_are_ring_maps_from_generator_images(name):
                     want = want * tau(g)
             assert tau(L.elem([int(j == i) for j in range(n)])) == want
         for _ in range(5):
-            x, y = L.elem(_rand_coeffs(rng, n)), L.elem(_rand_coeffs(rng, n))
+            x, y = L.elem(rand_coeffs(rng, n)), L.elem(rand_coeffs(rng, n))
             assert tau(x * y) == tau(x) * tau(y) and tau(x + y) == tau(x) + tau(y)
         if n == 8:
             assert tau._den == 1 and all(len(cols) == 1 and coeffs[0] in (1, -1)
@@ -323,7 +311,7 @@ def test_canonical_form_equality_and_hash():
     for got, want in pairs:
         assert got == want and hash(got) == hash(want)
         assert (got.num, got.den) == (want.num, want.den)
-        assert _is_canonical(got)
+        assert is_canonical(got)
     assert half == Fraction(1, 2) and half != Fraction(1, 3) and half != 0
     assert K.elem([0]) == 0 and K.one() == 1
     assert K.elem([0]).den == 1
@@ -405,11 +393,6 @@ def _basis_images(L, tau):
     return images
 
 
-def _rand_ints(rng, n, digits):
-    return [rng.randint(-10 ** digits, 10 ** digits) if rng.random() < 0.8 else 0
-            for _ in range(n)]
-
-
 def test_kernel_fields_cover_a_fractional_table_and_long_constants():
     assert KERNEL_FIELDS["fractional_kummer"][0]._table[2] != 1
     L = KERNEL_FIELDS["long_dihedral_closure"][0]
@@ -426,13 +409,13 @@ def test_generated_product_matches_schoolbook(name):
     rng = random.Random(7005)
     for digits in (1, 3, 40):
         for _ in range(12):
-            a, b = _rand_ints(rng, n, digits), _rand_ints(rng, n, digits)
+            a, b = rand_ints(rng, n, digits), rand_ints(rng, n, digits)
             got = K._mul_ints(a, b)
             assert all(type(c) is int for c in got)
             assert [Fraction(c, den) for c in got] == schoolbook_product(K, a, b)
             x, y = K.elem(a) / rng.randint(1, 9), K.elem(b)
             xy = x * y
-            assert _is_canonical(xy)
+            assert is_canonical(xy)
             assert list(xy.coeffs) == schoolbook_product(K, x.coeffs, y.coeffs)
 
 
@@ -453,81 +436,22 @@ def test_generated_automorphism_matches_dot_product(name):
     rng.shuffle(perm)
     signed = [rng.choice((1, -1)) * basis[j] for j in perm]
     maps = [signed, [2 * x for x in signed], [x / 2 + basis[0] / 3 for x in signed],
-            [K.elem(_rand_coeffs(rng, n)) for _ in range(n)]]
+            [K.elem(rand_coeffs(rng, n)) for _ in range(n)]]
     maps = [(Automorphism(K, images), images) for images in maps]
     if emb is not None:
         maps += [(tau, _basis_images(K, tau)) for tau in emb.automorphisms]
     for tau, images in maps:
         for digits in (1, 40):
             for _ in range(8):
-                x = K.elem(_rand_ints(rng, n, digits)) / rng.randint(1, 10 ** digits)
+                x = K.elem(rand_ints(rng, n, digits)) / rng.randint(1, 10 ** digits)
                 got = tau(x)
-                assert got.field is K and _is_canonical(got)
+                assert got.field is K and is_canonical(got)
                 assert list(got.coeffs) == dot_product_image(images, x)
     if emb is not None:
         # on a cyclic field the automorphisms of order 4 need the reduction
         shortcuts = ["canonical" not in tau._kernel.__code__.co_freevars
                      for tau in emb.automorphisms]
         assert all(shortcuts) == (n == 8 or name == "biquadratic23"), name
-
-
-def dot_product_conjugation(left, right, gamma):
-    """The coordinates of each entry of A gamma B from the integer table of
-    the products A[i][k] B[l][j] over one denominator per entry, each
-    coordinate one dot product with gamma's entries, and the largest
-    constant of the table: the loop the generated kernels of
-    `nfpoly.Conjugation` replace."""
-    flat = [Fraction(x) for row in gamma for x in row]
-    out, longest = [], 0
-    for a_row in left:
-        row = []
-        for j in range(len(right[0])):
-            prods = [a * r[j] for a in a_row for r in right]
-            den = lcm(*(x.den for x in prods))
-            cols = [[c * (den // x.den) for c in x.num] for x in prods]
-            longest = max(longest, *(abs(c) for col in cols for c in col))
-            row.append([sum(map(mul, coord, flat)) / den for coord in zip(*cols)])
-        out.append(row)
-    return out, longest
-
-
-def _conjugation_cases():
-    """name -> (field, A, B): git4's g^-1 and g on the closure of a dihedral
-    tower with 400-digit data, and random 3x3 matrices over the field with
-    fractional squares."""
-    emb = KERNEL_FIELDS["long_dihedral_closure"][1]
-    K = KERNEL_FIELDS["fractional_kummer"][0]
-    rng = random.Random(7008)
-    rand = [[[K.elem(_rand_coeffs(rng, K.degree)) for _ in range(3)] for _ in range(3)]
-            for _ in range(2)]
-    return {"long_dihedral": (emb.closure, emb.g_inv, emb.g),
-            "fractional_kummer": (K, *rand)}
-
-
-CONJUGATION_CASES = _conjugation_cases()
-
-
-@pytest.mark.parametrize("name", sorted(CONJUGATION_CASES))
-def test_generated_conjugation_matches_dot_product(name):
-    """Each entry of a `Conjugation`, by `entry`, is in lowest terms and has
-    the coordinates of the dot-product oracle, on gammas with short, long,
-    zero and fractional entries; on the dihedral closure the table's
-    constants have more than 400 digits."""
-    K, left, right = CONJUGATION_CASES[name]
-    conjugation = nfpoly.Conjugation(K, left, right)
-    n = len(left)
-    rng = random.Random(7009)
-    gammas = [[[0] * n for _ in range(n)], [[int(i == j) for j in range(n)] for i in range(n)]]
-    for digits in (1, 40):
-        gammas += [[[Fraction(x, rng.randint(1, 10 ** digits)) for x in _rand_ints(rng, n, digits)]
-                    for _ in range(n)] for _ in range(3)]
-    for gamma in gammas:
-        want, longest = dot_product_conjugation(left, right, gamma)
-        for got_row, want_row in zip(conjugate_all(conjugation, gamma), want):
-            for x, y in zip(got_row, want_row):
-                assert x.field is K and _is_canonical(x)
-                assert list(x.coeffs) == y
-    assert (longest > 10 ** 400) == (name == "long_dihedral")
 
 
 def test_constants_beyond_the_int_string_limit():
@@ -547,10 +471,10 @@ def test_constants_beyond_the_int_string_limit():
     assert tau._den != 1
     rng = random.Random(7007)
     for _ in range(5):
-        x, y = K.elem(_rand_coeffs(rng, 4)), K.elem(_rand_coeffs(rng, 4))
+        x, y = K.elem(rand_coeffs(rng, 4)), K.elem(rand_coeffs(rng, 4))
         xy = x * y
         assert list(xy.coeffs) == schoolbook_product(K, x.coeffs, y.coeffs)
         if not x.is_zero():
             assert x * x.inverse() == 1
-        assert tau(xy) == tau(x) * tau(y) and _is_canonical(tau(x))
+        assert tau(xy) == tau(x) * tau(y) and is_canonical(tau(x))
         assert tau(tau(tau(tau(x)))) == x

@@ -4,7 +4,7 @@ import ast
 from pathlib import Path
 
 import alk
-from alk import nfpoly
+from alk import git4
 
 
 def test_no_assert_statements_in_the_package():
@@ -233,7 +233,7 @@ def test_torus_coordinates_are_one_closed_form():
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert all("_coords" in set(_names_read(funcs[name]))
                for name in ("local_coords", "block_coordinates_gl4"))
-    assert "__call__" not in vars(nfpoly.Conjugation)
+    assert "__call__" not in vars(git4.Conjugation)
 
 
 def test_relations_are_read_from_the_certificate():
@@ -245,3 +245,13 @@ def test_relations_are_read_from_the_certificate():
     names = set(_names_read(funcs["pattern_and_relation_check"]))
     assert {"_profile", "_entries", "_psi_values", "conjugation_table"} & names == set()
     assert {"relation_certificate", "_clear"} <= names
+
+
+def test_gl4_invariants_take_one_integer_pass():
+    # git4 takes det(v) of the cleared gamma in closed form, with no
+    # elimination, and Conjugation lives next to its one caller, git4
+    package = Path(alk.__file__).parent
+    assert "bareiss" not in set(_names_read(ast.parse((package / "git4.py").read_text())))
+    nfpoly = ast.parse((package / "nfpoly.py").read_text())
+    assert "Conjugation" not in {node.name for node in ast.walk(nfpoly)
+                                 if isinstance(node, ast.ClassDef)}

@@ -314,6 +314,40 @@ def test_special_shape_matches_the_generic_decaying_term():
     assert abs(special["terms"]["volume"] - disc ** (-0.5 + eps)) < 1e-18
 
 
+def test_rhs_beyond_the_float_range():
+    """A term or value beyond the float range is None beside its log (vol^2
+    underflowing to 0 raised "float division by zero", vol^2 or disc^(1+eps)
+    above the floats an OverflowError); a term whose vol^2 is subnormal, or
+    whose vol^2 or disc^(1+eps) overflows, is read from its log; inside the
+    float range
+    the value is the direct formula's, bit for bit."""
+    ln10 = math.log(10.0)
+    res = linnik_rhs(1e6, 1e-320, 1.0, ln10, 0.0)
+    assert res["value"] is None and res["terms"] == {"volume": None, "disc": None}
+    assert res["log_terms"] == {"volume": -math.log(1e-320),
+                                "disc": math.log(1e6) - 2.0 * math.log(1e-320) - 2.0 * ln10}
+    assert res["log_value"] == pytest.approx(res["log_terms"]["disc"], rel=1e-15)
+    res = linnik_rhs(1e6, 1e-300, 1.0, ln10, 0.0)
+    assert res["terms"]["volume"] == 1.0 / 1e-300
+    assert res["value"] is None and res["terms"]["disc"] is None
+    # vol^2 = 1e-320 is subnormal: 1e6 * 1e320 * 1e-300 = 1e26
+    res = linnik_rhs(1e6, 1e-160, 150.0, ln10, 0.0)
+    assert res["terms"]["disc"] == pytest.approx(1e26, rel=1e-12)
+    assert res["value"] == res["terms"]["volume"] + res["terms"]["disc"]
+    # disc^1.5 = 1e450 and vol^2 = 1e600 overflow: 1e450 / 1e600 = 1e-150
+    res = linnik_rhs(1e300, 1e300, 0.0, 1.0, 0.5)
+    assert res["terms"]["disc"] == pytest.approx(1e-150, rel=1e-12)
+    for disc, vol, tau, h, eps in ((1e6, 1e3, 1.0, ln10, 0.0), (1e8, 5e4, 1.5, 0.3, 0.02),
+                                   (3.0, 1e-100, 0.0, 1.0, -0.5)):
+        res = linnik_rhs(disc, vol, tau, h, eps)
+        term2 = disc ** (1.0 + eps) / vol ** 2 * math.exp(-2.0 * tau * h)
+        assert res["terms"] == {"volume": 1.0 / vol, "disc": term2}
+        assert res["value"] == 1.0 / vol + term2
+        assert res["log_value"] == pytest.approx(math.log(res["value"]), rel=1e-14)
+    # the default vol = 1 prints its log as 0.0, not -0.0
+    assert str(linnik_rhs(10.0, 1.0, 1.0, 1.0, 0.0)["log_terms"]["volume"]) == "0.0"
+
+
 def test_rhs_input_validation():
     with pytest.raises(ValueError):
         linnik_rhs(-1.0, 1.0, 0.0, 1.0, 0.0)
