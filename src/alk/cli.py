@@ -353,7 +353,7 @@ def _cmd_linnik_rhs(args, cfg: RunConfig):
                                            args.h, args.eps)
         return res, EXIT_OK
     res = toralsets.linnik_rhs(args.disc, args.vol, args.tau, args.h,
-                               args.eps, c=float(_fraction(args.c)), D_F=args.DF)
+                               args.eps, c=_fraction(args.c), D_F=args.DF)
     code = EXIT_OK if res["in_hypothesis"] else EXIT_HYPOTHESIS
     return res, code
 

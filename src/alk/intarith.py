@@ -73,12 +73,14 @@ def is_square_fraction(x: Fraction | int) -> bool:
 
 def log_abs(x: Fraction | int) -> float:
     """log |x| for a nonzero rational x: the log of float(|x|) where that is
-    a normal float, and the log of the numerator less the log of the
-    denominator elsewhere, where float(x) would underflow or overflow."""
+    a normal float or |x| itself, and the log of the numerator less the log
+    of the denominator elsewhere, where float(x) would lose bits or
+    overflow."""
     n, d = x.as_integer_ratio()
     n = abs(n)
     e = n.bit_length() - d.bit_length()  # 2^(e-1) < |x| < 2^(e+1)
-    if -1021 <= e <= 1022 or _FLOAT_MIN <= Fraction(n, d) <= _FLOAT_MAX:
+    if (-1021 <= e <= 1022 or _FLOAT_MIN <= Fraction(n, d) <= _FLOAT_MAX
+            or e < 0 and (n / d).as_integer_ratio() == (n, d)):
         return math.log(n / d)  # int / int rounds as float(x) does
     return math.log(n) - math.log(d)
 
@@ -128,12 +130,4 @@ def valuation(x: Fraction | int, p: int) -> int:
         d //= p
         v -= 1
     return v
-
-
-def divisor_count(n: int) -> int:
-    n = abs(n)
-    out = 1
-    for e in factorize(n).values():
-        out *= e + 1
-    return out
 

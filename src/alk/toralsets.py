@@ -6,6 +6,12 @@ conductors (empty = maximal type), and optionally a traceless generator
 of the Archimedean torus algebra.  Finite-place discriminants are exact
 integers; the Archimedean one is the Gram-determinant ratio.
 
+The local discriminant at p is p^e_p, e_p = v_p(D) + k v_p(f_p), from the
+one factorization of the relative discriminant D (D = D_K, k = 2 over Q;
+D = D_K / D_F^2, k = 4 over a quadratic F): a conductor f scales the
+order's discriminant by f^2 (|Nr(f omega - conj(f omega))| = f^2 |D_K|),
+whose norm from F is f^4.  No product is factored again.
+
 A quartic tower K = F(sqrt(delta)), F = Q(sqrt d), is biquadratic when
 Nr(delta) is a rational square, cyclic when Nr(delta)/d is one, and
 dihedral otherwise (Kappe-Warren, Amer. Math. Monthly 96 (1989)); the
@@ -24,15 +30,7 @@ from fractions import Fraction
 from operator import index
 from typing import Optional
 
-from .intarith import (
-    divisor_count,
-    factorize,
-    is_prime,
-    log_abs,
-    squarefree_kernel,
-    valuation,
-)
-from .localgeom import different_and_orders
+from .intarith import factorize, is_prime, log_abs, squarefree_kernel, valuation
 from .numfield import FieldTower, QuadField, norm_square_class
 from .ratlinalg import mat_det, mat_mul, rational, real
 
@@ -48,12 +46,6 @@ class ToralSetDescriptor:
     @property
     def maximal_type(self) -> bool:
         return all(abs(f) == 1 for _, f in self.local_conductors)
-
-    def conductor_at(self, p: int) -> int:
-        for q, f in self.local_conductors:
-            if q == p:
-                return f
-        return 1
 
 
 def make_descriptor(tower: FieldTower, conductors=None, arch_generator=None):
@@ -75,34 +67,31 @@ def quad_field_of_square(delta: Fraction) -> QuadField:
 # discriminants
 
 
-def nonarch_and_global_disc(desc: ToralSetDescriptor) -> dict:
-    """Per-prime local discriminants, their product disc_fin, and the global
-    discriminant including the Archimedean factor when a generator is set."""
-    tower = desc.tower
-    table: dict[int, int] = {}
+def _local_exponents(tower: FieldTower, conductors=()) -> dict[int, int]:
+    """{p: e_p}, the local discriminant at p being p^e_p with
+    e_p = v_p(D) + k v_p(f_p), over the primes of the relative discriminant
+    D and of the conductors (e_p may be 0): D = D_K with k = 2 over Q, and
+    D = D_K / D_F^2 with k = 4 over a quadratic F."""
     if tower.base is None:
-        K = quad_field_of_square(tower.delta)
-        support = set(factorize(K.disc)) | {p for p, _ in desc.local_conductors}
-        for p in sorted(support):
-            ext = different_and_orders(K.d, p, desc.conductor_at(p))
-            du = int(ext.disc_u)
-            if du != 1:
-                table[p] = du
+        exps, k = factorize(quad_field_of_square(tower.delta).disc), 2
     else:
         if tower.declared_DK is None:
             raise ValueError("quartic descriptor needs a certified maximal order")
-        disc_fin, rem = divmod(abs(tower.declared_DK), tower.base.disc ** 2)
+        d_rel, rem = divmod(abs(tower.declared_DK), tower.base.disc ** 2)
         if rem:
             raise ArithmeticError("declared D_K not divisible by D_F^2")
-        # conductor-square law through the norm: rational conductor f
-        # scales the relative discriminant ideal by f^2, its norm by f^4
-        for p, f in desc.local_conductors:
-            disc_fin *= p ** (4 * valuation(f, p))
-        for p, e in sorted(factorize(disc_fin).items()):
-            table[p] = p ** e
-    disc_fin = 1
-    for du in table.values():
-        disc_fin *= du
+        exps, k = factorize(d_rel), 4
+    for p, f in conductors:
+        exps[p] = exps.get(p, 0) + k * valuation(f, p)
+    return exps
+
+
+def nonarch_and_global_disc(desc: ToralSetDescriptor) -> dict:
+    """Per-prime local discriminants, their product disc_fin, and the global
+    discriminant including the Archimedean factor when a generator is set."""
+    exps = _local_exponents(desc.tower, desc.local_conductors)
+    table = {p: p ** exps[p] for p in sorted(exps) if exps[p]}
+    disc_fin = math.prod(table.values())
     out = {"disc_u": table, "disc_fin": disc_fin,
            "maximal_type": desc.maximal_type}
     if desc.arch_generator is not None:
@@ -176,23 +165,19 @@ def cyclic_disc_check(tower: FieldTower) -> dict:
     """D_{K/F} >= D_F / 4 for cyclic quartic K with quadratic subfield F."""
     if classify_galois_type(tower) != "cyclic":
         raise ValueError("cyclic tower required")
-    if tower.declared_DK is None:
-        raise ValueError("needs a certified field discriminant")
-    D_K = abs(tower.declared_DK)
-    D_F = tower.base.disc
-    if D_K % (D_F * D_F) != 0:
-        raise ArithmeticError("D_K not divisible by D_F^2")
-    d_rel = D_K // (D_F * D_F)
+    exps = _local_exponents(tower)
     # decomposition D_rel = W^2 d with d > 1 squarefree, so none for a square
-    kern = squarefree_kernel(d_rel)
-    decomposition = ({"W": math.isqrt(d_rel // kern), "d": kern, "form": "W^2*d"}
-                     if kern > 1 else None)
+    W = d = 1
+    for p, e in exps.items():
+        W, d = W * p ** (e // 2), d * p ** (e % 2)
+    d_rel = W * W * d
+    D_F = tower.base.disc
     return {
-        "D_K": D_K,
+        "D_K": abs(tower.declared_DK),
         "D_F": D_F,
         "D_rel": d_rel,
         "pass": 4 * d_rel >= D_F,
-        "decomposition": decomposition,
+        "decomposition": {"W": W, "d": d, "form": "W^2*d"} if d > 1 else None,
     }
 
 
@@ -200,14 +185,35 @@ def cyclic_disc_check(tower: FieldTower) -> dict:
 # the basic-lemma right-hand side
 
 
+def _rhs_report(formulas: dict, logs: dict) -> dict:
+    """The value and the terms beside their logs: each term by its float
+    formula, or from its log where the formula overflows or is not finite,
+    and None beyond the float range, as is the value."""
+    terms = {}
+    for name, formula in formulas.items():
+        try:
+            x = formula()
+        except OverflowError:  # a power beyond the float range
+            x = math.inf
+        if not math.isfinite(x):
+            x = math.exp(logs[name]) if logs[name] < _LOG_FLOAT_MAX else None
+        terms[name] = x
+    value = None if None in terms.values() else terms["volume"] + terms["disc"]
+    lo, hi = sorted(logs.values())
+    return {"value": None if value is None or math.isinf(value) else value,
+            "log_value": hi + math.log1p(math.exp(lo - hi)),
+            "terms": terms, "log_terms": logs}
+
+
 def linnik_rhs(disc: float, vol: float, tau: float, h: float, eps: float,
-               c: float = 1.0, D_F: float = 1.0) -> dict:
+               c=1, D_F: float = 1.0) -> dict:
     """1/vol + disc^(1+eps)/vol^2 * e^(-2 tau h), with the theorem's
-    hypothesis tau <= (log disc - log(c D_F)) / (2h) checked and flagged.
-    The value and its two terms are reported beside their logs, and as
-    None where they lie beyond the float range; a term whose float formula
-    fails on the way (vol^2 below the normal floats, vol^2 or disc^(1+eps)
-    above them) is read from its log."""
+    hypothesis tau <= (log disc - log(c D_F)) / (2h) checked and flagged,
+    log(c D_F) the `log_abs` of the exact product.  The value and its two
+    terms are reported beside their logs, and as None where they lie
+    beyond the float range; a term whose float formula fails on the way
+    (vol^2 below the normal floats, vol^2 or disc^(1+eps) above them) is
+    read from its log."""
     if disc <= 0 or vol <= 0 or h <= 0 or tau < 0:
         raise ValueError("positive disc, vol, h and nonnegative tau required")
     if c <= 0:
@@ -217,41 +223,30 @@ def linnik_rhs(disc: float, vol: float, tau: float, h: float, eps: float,
     log_vol = math.log(vol)
     logs = {"volume": 0.0 - log_vol,  # not -0.0 at vol = 1
             "disc": (1.0 + eps) * math.log(disc) - 2.0 * log_vol - 2.0 * tau * h}
-    terms = {"volume": 1.0 / vol, "disc": math.inf}
-    try:
-        square = vol ** 2
-        if square >= sys.float_info.min:  # else vol^2 has lost bits or is 0
-            terms["disc"] = disc ** (1.0 + eps) / square * math.exp(-2.0 * tau * h)
-    except OverflowError:  # vol^2 or disc^(1 + eps) beyond the float range
-        pass
-    for name, x in terms.items():
-        if math.isinf(x):
-            terms[name] = math.exp(logs[name]) if logs[name] < _LOG_FLOAT_MAX else None
-    value = None if None in terms.values() else terms["volume"] + terms["disc"]
-    lo, hi = sorted(logs.values())
-    tau_max = (math.log(disc) - math.log(c * D_F)) / (2.0 * h)
+    report = _rhs_report({
+        "volume": lambda: 1.0 / vol,
+        # below the normal floats vol^2 has lost bits or is 0
+        "disc": lambda: (disc ** (1.0 + eps) / vol ** 2 * math.exp(-2.0 * tau * h)
+                         if vol ** 2 >= sys.float_info.min else math.inf)}, logs)
+    tau_max = (math.log(disc) - log_abs(Fraction(c) * Fraction(D_F))) / (2.0 * h)
     in_hyp = tau <= tau_max
-    return {
-        "value": None if value is None or math.isinf(value) else value,
-        "log_value": hi + math.log1p(math.exp(lo - hi)),
-        "terms": terms,
-        "log_terms": logs,
-        "tau_max": tau_max,
-        "in_hypothesis": in_hyp,
-        "status": "ok" if in_hyp else "out_of_hypothesis",
-    }
+    return {**report, "tau_max": tau_max, "in_hypothesis": in_hyp,
+            "status": "ok" if in_hyp else "out_of_hypothesis"}
 
 
 def linnik_rhs_special(disc: float, D_F: float, tau: float, h: float,
                        eps: float) -> dict:
     """Maximal-type shape disc^(-1/2+eps) + D_F^(-2) disc^eps e^(-2 tau h)
     (volume replaced by the disc^(1/2) proxy; the o(1) exponent is carried
-    by eps and reported, not bounded)."""
+    by eps and reported, not bounded), reported as `linnik_rhs` reports."""
     if disc <= 0 or D_F <= 0 or h <= 0 or tau < 0:
         raise ValueError("positive inputs required")
-    term1 = disc ** (-0.5 + eps)
-    term2 = D_F ** (-2.0) * disc ** eps * math.exp(-2.0 * tau * h)
-    return {"value": term1 + term2, "terms": {"volume": term1, "disc": term2}}
+    log_disc = math.log(disc)
+    logs = {"volume": (-0.5 + eps) * log_disc,
+            "disc": eps * log_disc - 2.0 * math.log(D_F) - 2.0 * tau * h}
+    return _rhs_report({
+        "volume": lambda: disc ** (-0.5 + eps),
+        "disc": lambda: D_F ** (-2.0) * disc ** eps * math.exp(-2.0 * tau * h)}, logs)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +256,9 @@ def linnik_rhs_special(disc: float, D_F: float, tau: float, h: float,
 def divisor_bound_check(desc: ToralSetDescriptor) -> dict:
     """2^b <= tau(disc_fin) with b the number of non-dyadic finite places
     where the different's norm is a non-unit."""
-    data = nonarch_and_global_disc(desc)
-    disc_fin = data["disc_fin"]
-    # disc_u holds exactly the places whose local discriminant is a non-unit
-    b = sum(p != 2 for p in data["disc_u"])
-    tau_d = divisor_count(disc_fin) if disc_fin != 0 else 0
+    exps = _local_exponents(desc.tower, desc.local_conductors)
+    b = sum(p != 2 and e > 0 for p, e in exps.items())
+    tau_d = math.prod(e + 1 for e in exps.values())
     return {"b": b, "2^b": 2 ** b, "divisor_count": tau_d,
-            "disc_fin": disc_fin, "pass": 2 ** b <= tau_d}
+            "disc_fin": math.prod(p ** e for p, e in exps.items()),
+            "pass": 2 ** b <= tau_d}

@@ -255,3 +255,21 @@ def test_gl4_invariants_take_one_integer_pass():
     nfpoly = ast.parse((package / "nfpoly.py").read_text())
     assert "Conjugation" not in {node.name for node in ast.walk(nfpoly)
                                  if isinstance(node, ast.ClassDef)}
+
+
+def test_toral_discriminants_come_from_one_factorization():
+    # toralsets reads each local discriminant off the one factorization of
+    # the tower's relative discriminant: no localgeom order per prime, and
+    # no product it has built is factored again
+    package = Path(alk.__file__).parent
+    tree = ast.parse((package / "toralsets.py").read_text())
+    assert "localgeom" not in {node.module for node in ast.walk(tree)
+                               if isinstance(node, ast.ImportFrom)}
+    assert {"localgeom", "divisor_count"} & set(_names_read(tree)) == set()
+    factored = [set(_names_read(arg)) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "factorize" for arg in node.args]
+    assert factored and all("disc_fin" not in names for names in factored)
+    intarith = ast.parse((package / "intarith.py").read_text())
+    assert "divisor_count" not in {node.name for node in intarith.body
+                                   if isinstance(node, ast.FunctionDef)}

@@ -7,6 +7,8 @@ import pytest
 
 from alk import quartics
 from alk.git4 import regular_embedding
+from alk.intarith import is_squarefree, valuation
+from alk.localgeom import different_and_orders
 from alk.numfield import make_tower, make_quad_field
 from alk.ratlinalg import NotRational
 from alk.toralsets import (
@@ -78,11 +80,87 @@ def test_quartic_local_discriminants_are_read_on_integers():
         bad = dataclasses.replace(tower, declared_DK=dk)
         with pytest.raises(ArithmeticError, match=r"^declared D_K not divisible by D_F\^2$"):
             nonarch_and_global_disc(make_descriptor(bad))
+        # the cyclic check reads the same factorization, with the same refusal
+        with pytest.raises(ArithmeticError, match=r"^declared D_K not divisible by D_F\^2$"):
+            cyclic_disc_check(bad)
+
+
+def test_a_conductor_beyond_the_trial_limit_is_no_cofactor():
+    # each local discriminant is p^(v_p(D) + k v_p(f)) from the one
+    # factorization of D: a conductor prime above 10^6 is never factored
+    # ("cannot factor 1000012000054000108000081" on the quartic tower)
+    p = 1000003
+    for tower, disc_u, tau in ((quartics.zeta5_tower(), {5: 5, p: p ** 4}, 10),
+                               (make_tower(None, Fraction(5)), {5: 5, p: p ** 2}, 6)):
+        desc = make_descriptor(tower, {p: p})
+        data = nonarch_and_global_disc(desc)
+        assert data["disc_u"] == disc_u and list(data["disc_u"]) == [5, p]
+        assert data["disc_fin"] == data["disc"] == 5 * disc_u[p]
+        res = divisor_bound_check(desc)
+        assert (res["b"], res["divisor_count"], res["disc_fin"]) == (2, tau, data["disc_fin"])
+
+
+def _seeded_conductors(rng, primes):
+    """A conductor map on up to three of primes: units of both signs, p-powers
+    of both signs and conductors that carry other primes."""
+    conductors = {}
+    for p in rng.sample(primes, rng.randint(0, 3)):
+        conductors[p] = rng.choice((1, -1, p, -p, p ** 3, 2 * p, -3 * p * 7, 35 * p ** 2,
+                                    6, -35))
+    return conductors
+
+
+def test_local_discriminants_sweep():
+    """Quadratic towers: each local discriminant is the order's, |Nr(f omega -
+    conj(f omega))|_p^-1 = p^v_p(f^2 D_K) (`localgeom.different_and_orders`).
+    Quartic towers: disc_fin is D_K / D_F^2 times p^(4 v_p(f)) per conductor.
+    Both: the divisor bound reads the same places and exponents."""
+    rng = random.Random(48)
+    primes = [2, 3, 5, 7, 11, 13]
+    quadratic = [make_tower(None, Fraction(d)) for d in (2, 3, 5, -1, -3, -15, 6, 7,
+                                                         Fraction(5, 4), -12, 21)]
+    quartic = [quartics.zeta5_tower(), quartics.sqrt2plus_tower(),
+               quartics.gaussian_period_tower(13), quartics.biquadratic_tower(2, 3),
+               quartics.biquadratic_tower(-1, 5),
+               dataclasses.replace(quartics.zeta5_tower(), declared_DK=25 * 7 ** 3 * 4)]
+    for tower in quadratic + quartic:
+        for trial in range(40):
+            conductors = {} if trial == 0 else _seeded_conductors(rng, primes)
+            desc = make_descriptor(tower, conductors)
+            data = nonarch_and_global_disc(desc)
+            if tower.base is None:
+                K = quad_field_of_square(tower.delta)
+                # primes holds every prime of these field discriminants
+                oracle = {p: int(different_and_orders(K.d, p, conductors.get(p, 1)).disc_u)
+                          for p in primes}
+                assert data["disc_u"] == {p: du for p, du in oracle.items() if du != 1}, \
+                    (tower.delta, conductors)
+            else:
+                disc_fin = abs(tower.declared_DK) // tower.base.disc ** 2
+                for p, f in conductors.items():
+                    disc_fin *= p ** (4 * valuation(f, p))
+                assert data["disc_fin"] == disc_fin, (tower.declared_DK, conductors)
+            assert math.prod(data["disc_u"].values()) == data["disc_fin"]
+            assert list(data["disc_u"]) == sorted(data["disc_u"])
+            assert data["maximal_type"] == all(abs(f) == 1 for f in conductors.values())
+            res = divisor_bound_check(desc)
+            exps = {p: valuation(du, p) for p, du in data["disc_u"].items()}
+            assert res["b"] == sum(p != 2 for p in exps)
+            assert res["divisor_count"] == math.prod(e + 1 for e in exps.values())
+            assert res["disc_fin"] == data["disc_fin"] and res["pass"]
+        if tower.base is not None and classify_galois_type(tower) == "cyclic":
+            res = cyclic_disc_check(tower)
+            dec = res["decomposition"]
+            assert dec is not None and is_squarefree(dec["d"])
+            assert dec["W"] ** 2 * dec["d"] == res["D_rel"] == res["D_K"] // res["D_F"] ** 2
+
 
 def test_quartic_descriptor_requires_certification():
     tower = quartics.dihedral_tower(2, 1, 1)
     with pytest.raises(ValueError):
         nonarch_and_global_disc(make_descriptor(tower))
+    with pytest.raises(ValueError, match="^quartic descriptor needs a certified maximal order$"):
+        cyclic_disc_check(dataclasses.replace(quartics.zeta5_tower(), declared_DK=None))
 
 
 def test_archimedean_discriminant_worked_value():
@@ -318,8 +396,8 @@ def test_rhs_beyond_the_float_range():
     """A term or value beyond the float range is None beside its log (vol^2
     underflowing to 0 raised "float division by zero", vol^2 or disc^(1+eps)
     above the floats an OverflowError); a term whose vol^2 is subnormal, or
-    whose vol^2 or disc^(1+eps) overflows, is read from its log; inside the
-    float range
+    whose vol^2 or disc^(1+eps) overflows, or whose product is inf * 0, is
+    read from its log; inside the float range
     the value is the direct formula's, bit for bit."""
     ln10 = math.log(10.0)
     res = linnik_rhs(1e6, 1e-320, 1.0, ln10, 0.0)
@@ -337,6 +415,10 @@ def test_rhs_beyond_the_float_range():
     # disc^1.5 = 1e450 and vol^2 = 1e600 overflow: 1e450 / 1e600 = 1e-150
     res = linnik_rhs(1e300, 1e300, 0.0, 1.0, 0.5)
     assert res["terms"]["disc"] == pytest.approx(1e-150, rel=1e-12)
+    # disc^1.02 / 1e-10 overflows to inf, and inf * e^-2000 was NaN
+    res = linnik_rhs(1e300, 1e-5, 1000.0, 1.0, 0.02)
+    assert res["terms"] == {"volume": 1.0 / 1e-5, "disc": math.exp(res["log_terms"]["disc"])}
+    assert res["value"] == res["terms"]["volume"] + res["terms"]["disc"]
     for disc, vol, tau, h, eps in ((1e6, 1e3, 1.0, ln10, 0.0), (1e8, 5e4, 1.5, 0.3, 0.02),
                                    (3.0, 1e-100, 0.0, 1.0, -0.5)):
         res = linnik_rhs(disc, vol, tau, h, eps)
@@ -346,6 +428,50 @@ def test_rhs_beyond_the_float_range():
         assert res["log_value"] == pytest.approx(math.log(res["value"]), rel=1e-14)
     # the default vol = 1 prints its log as 0.0, not -0.0
     assert str(linnik_rhs(10.0, 1.0, 1.0, 1.0, 0.0)["log_terms"]["volume"]) == "0.0"
+
+
+def test_rhs_reads_c_and_D_F_exactly():
+    """log(c D_F) is the log of the exact product: c = 10^400 and products
+    beyond or below the float range answer (an OverflowError, tau_max = -inf
+    and "math domain error" before); at c = 1 or D_F = 1 tau_max is the
+    float formula's, bit for bit."""
+    ln10 = math.log(10.0)
+    for c, D_F, log_cd in ((Fraction(10) ** 400, 1.0, 400 * ln10),
+                           (Fraction(10) ** 300, 1e300, 600 * ln10),
+                           (Fraction(1, 10 ** 300), 1e-300, -600 * ln10)):
+        res = linnik_rhs(1e6, 1.0, 1.0, 1.0, 0.0, c=c, D_F=D_F)
+        assert res["tau_max"] == pytest.approx((6 * ln10 - log_cd) / 2.0, rel=1e-14)
+    for x in (5.0, 2.5, 1e-300, 1e-310, 5e-324, 1e300, 1.7976931348623157e308):
+        for c, D_F in ((1, x), (1.0, x), (Fraction(x), 1.0), (x, 1.0)):
+            res = linnik_rhs(1e6, 1.0, 1.0, 2.0, 0.0, c=c, D_F=D_F)
+            assert res["tau_max"] == (math.log(1e6) - math.log(x)) / 4.0, (c, D_F)
+
+
+def test_special_shape_beyond_the_float_range():
+    """The special shape reports its terms and value as linnik_rhs does:
+    None beside their logs beyond the float range (an OverflowError
+    before), a failed float formula read from its log, and inside the float
+    range the direct formula, bit for bit."""
+    res = linnik_rhs_special(1e300, 1e-300, 0.0, 1.0, 1.0)
+    assert res["terms"] == {"volume": 1e300 ** 0.5, "disc": None} and res["value"] is None
+    assert res["log_terms"]["disc"] == pytest.approx(900 * math.log(10.0), rel=1e-14)
+    assert res["log_value"] == res["log_terms"]["disc"]
+    res = linnik_rhs_special(1e-320, 1.0, 1.0, 1.0, -1.0)
+    assert res["terms"] == {"volume": None, "disc": None} and res["value"] is None
+    assert res["log_terms"] == {"volume": -1.5 * math.log(1e-320),
+                                "disc": -math.log(1e-320) - 2.0}
+    # D_F^-2 disc^eps = 1e300 * 1e300 overflows to inf, and inf * e^-2000 is NaN
+    res = linnik_rhs_special(1e300, 1e-150, 1000.0, 1.0, 1.0)
+    assert res["terms"]["disc"] == math.exp(res["log_terms"]["disc"])
+    assert res["value"] == 1e150 + res["terms"]["disc"]
+    for disc, df, tau, h, eps in ((1e6, 5.0, 1.0, 1.0, 0.0), (1e8, 5.0, 1.5, 0.3, 0.02),
+                                  (3.0, 1e-100, 0.0, 1.0, -0.5)):
+        res = linnik_rhs_special(disc, df, tau, h, eps)
+        terms = {"volume": disc ** (-0.5 + eps),
+                 "disc": df ** (-2.0) * disc ** eps * math.exp(-2.0 * tau * h)}
+        assert res["terms"] == terms
+        assert res["value"] == terms["volume"] + terms["disc"]
+        assert res["log_value"] == pytest.approx(math.log(res["value"]), rel=1e-14)
 
 
 def test_rhs_input_validation():
