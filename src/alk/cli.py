@@ -91,6 +91,17 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+def _exact(text: str):
+    """The argparse type of a number option read exactly, as `_fraction`
+    reads one; NaN and infinities stay floats, for `_check_finite` to refuse."""
+    if text.strip().lower().lstrip("+-") in ("nan", "inf", "infinity"):
+        return float(text)
+    try:
+        return _fraction(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _load(text, kind, what):
     """The JSON value of text, which must be an array (kind list) or an
     object (kind dict)."""
@@ -109,13 +120,20 @@ def _int_keys(text, what) -> list[tuple[int, object]]:
         raise ValueError(f"{what}: {exc}") from None
 
 
+def _required(data: dict, key, what):
+    """data[key], or ValueError naming what and the missing key."""
+    if key in data:
+        return data[key]
+    raise ValueError(f"{what} needs the field {key!r}")
+
+
 def _parse_field(text):
     if text is None or text.lower() in ("q", "null"):
         return None
     data = _json(text, "--field")
     if data is None:
         return None
-    return make_quad_field(_int(_load(data, dict, "--field")["d"]))
+    return make_quad_field(_int(_required(_load(data, dict, "--field"), "d", "--field")))
 
 
 def _matrix_rows(text, what, sizes=None) -> list[list]:
@@ -140,9 +158,7 @@ def tower_from_json(data) -> object:
     data = _load(_json(data, "--tower") if isinstance(data, str) else data, dict, "a tower")
 
     def field(key):
-        if key in data:
-            return data[key]
-        raise ValueError(f"{data.get('kind', 'a')} tower needs the field {key!r}")
+        return _required(data, key, f"{data.get('kind', 'a')} tower")
 
     kind = field("kind")
     if kind == "zeta5":
@@ -521,8 +537,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_parser("tau-window")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--hint", type=float, required=True)
-    p.add_argument("--DK", type=float, required=True)
-    p.add_argument("--DF", type=float, required=True)
+    p.add_argument("--DK", type=_exact, required=True)
+    p.add_argument("--DF", type=_exact, required=True)
     p.add_argument("--c", default="1")
     p.add_argument("--kappa", type=float, default=0.0)
     p.add_argument("--mode", default="main", choices=["main", "refined"])
@@ -545,13 +561,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_cyclic_check)
 
     p = add_parser("linnik-rhs")
-    p.add_argument("--disc", type=float, required=True)
+    p.add_argument("--disc", type=_exact, required=True)
     p.add_argument("--vol", type=float, default=1.0)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--c", default="1")
-    p.add_argument("--DF", type=float, default=1.0)
+    p.add_argument("--DF", type=_exact, default="1")
     p.add_argument("--special", action="store_true")
     p.set_defaults(handler=_cmd_linnik_rhs)
 

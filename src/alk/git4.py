@@ -17,8 +17,7 @@ abelian, and L = K(v) of degree 8 on {1, sqrt d} x {1, u, v, uv} when
 K is dihedral, with u and v integer multiples of sqrt(delta) and
 sqrt(conj delta).  An automorphism of L is given by the images of
 sqrt(d), u and v, so on the dihedral closure it permutes the basis up to
-sign.  The Galois relations are checked on generators of Gal(L/Q), which
-implies them for every automorphism.  g g^T is the rational trace form
+sign.  g g^T is the rational trace form
 T[i][k] = Tr(theta^(i+k)) of K, so g^{-1} = g^T T^{-1} needs one rational
 4x4 inverse and no field inverse in L.
 
@@ -35,34 +34,34 @@ minors of rows 0-1 and rows 2-3, and conjugates only the entries of
 g^{-1} v g = e m that the requested permutations read, each left
 unreduced over its table denominator.  The four entries of a Psi monomial
 carry e^4, as det(v) does, so Psi is read from v and det(v) and e is
-never used.  A block test on C4 or V4 forms Psi of both special
-permutations from 8 of the 16 entries and 6 field products; on D4 the
-two are 4-cycles of one orbit, so it forms Psi of the first from 4
-entries and 3 products and takes the second as its image under an
-automorphism.
+never used.
 
-A Psi profile shares its partial products: P[a][b] = m[a][0] m[b][1]
+Every set of Psi values takes one route, `_psi_values`: by the Galois
+action tau.Psi_sigma = Psi_{rho sigma rho^{-1}} (after Khayutin, Duke
+Math. J. 168(12), 2019), only one representative per orbit of S4 under
+conjugation by the Galois image is formed (`EmbeddingData.psi_route`),
+and every other value is tau(Psi_rep).  All 24 values take 10, 12 or 8
+representatives and 22, 28 or 19 field products on C4, V4 and D4; the
+block test's two special values take both (8 of the 16 entries and 6
+products) on C4 and V4, and one (4 entries and 3 products) on D4.
+
+A Psi value shares its partial products: P[a][b] = m[a][0] m[b][1]
 and Q[c][d] = m[c][2] m[d][3] are formed once per ordered pair and kept
 as integer numerators, so
 Psi_sigma = sign(sigma)/det(v) P[sigma0][sigma1] Q[sigma2][sigma3]
 takes one more field product; the sign of det(v) joins sign(sigma) as a
 sign flip of its integer numerators, |det(v)| joins their denominator,
 and each value is reduced to lowest terms once: 48 field products and
-no reduction of an entry for all 24 permutations.  The Galois
-action tau.Psi_sigma = Psi_{rho sigma rho^{-1}} (after Khayutin, Duke
-Math. J. 168(12), 2019) lets `psi_invariants` form Psi directly only on
-one representative per orbit of S4 under conjugation by the Galois image
-(10 for C4, 12 for V4, 8 for D4) and take every other value as the image
-of its representative under an automorphism: 22, 28 and 19 field
-products per profile.
+no reduction of an entry were all 24 permutations formed.
 
 `pattern_and_relation_check`, the check of that relation and of the entry
 relation tau(m[i][j]) = m[rho i][rho j], reads one proof per embedding
-(`EmbeddingData.relation_certificate`), built on first use: m is Q-linear
-in gamma and tau is Q-linear, so the entry relation on the 16 matrix units
-E_kl gives it for every rational gamma, and with tau multiplicative on the
-closure's basis and sign(rho sigma rho^{-1}) = sign(sigma) it gives the
-profile relation.  Per gamma, the check only reads gamma.
+(`EmbeddingData.relation_certificate`), built on first use for every
+automorphism of L but the identity: m is Q-linear in gamma and tau is
+Q-linear, so the entry relation on the 16 matrix units E_kl gives it for
+every rational gamma, and with tau multiplicative on the closure's basis
+and sign(rho sigma rho^{-1}) = sign(sigma) it gives the profile relation.
+Per gamma, the check only reads gamma.
 
 Permutations of {0,1,2,3} are stored as image tuples.
 """
@@ -240,17 +239,6 @@ class EmbeddingData:
         return gen.function("commutes", "v", lines)
 
     @cached_property
-    def generators(self) -> tuple:
-        """A smallest set of (tau, rho) pairs whose rho generate the Galois
-        image: one for C4, two for V4 and D4.  As tau -> rho is injective
-        (g's columns are distinct), the taus generate Gal(L/Q)."""
-        pairs = [p for p in zip(self.automorphisms, self.galois_image) if p[1] != IDENTITY]
-        size = len(set(self.galois_image))
-        return next(gens for k in range(1, len(pairs) + 1)
-                    for gens in itertools.combinations(pairs, k)
-                    if len(_closure([rho for _, rho in gens])) == size)
-
-    @cached_property
     def conjugation_table(self) -> Conjugation:
         """gamma -> g^{-1} gamma g as one `Conjugation`, whose integer
         table of the closure products g^{-1}[i][k] g[l][j] is built on
@@ -260,7 +248,8 @@ class EmbeddingData:
     @cached_property
     def relation_certificate(self) -> tuple:
         """(entry_relation, profile_relation) for every rational gamma,
-        proved once per embedding on the generators (tau, rho), on first use:
+        proved once per embedding, on first use, for each (tau, rho) of the
+        closure but the identity (rho = 1 fixes the roots, which generate L):
         (a) tau(m[i][j]) = m[rho i][rho j] for m = g^{-1} E_kl g on each of
             the 16 matrix units E_kl; as m = g^{-1} gamma g is Q-linear in
             gamma and tau is Q-linear, this is the entry relation for every
@@ -269,31 +258,37 @@ class EmbeddingData:
             as L is commutative), so tau is a ring map fixing Q; with (a)
             and sign(rho s rho^{-1}) = sign(s), Psi_s = sign(s)/det
             prod_i m[s(i)][i] gives tau.Psi_s = Psi_{rho s rho^{-1}}, the
-            profile relation.
-        A relation that holds for tau and tau' holds for tau tau', so on
-        generators it holds on all of Gal(L/Q)."""
+            profile relation."""
         entry, L = self.conjugation_table.entry, self.closure
+        pairs = [p for p in zip(self.automorphisms, self.galois_image) if p[1] != IDENTITY]
         units = [[_canonical(L, *entry([int(n == k) for n in range(16)], i, j)) for i in range(4)
                   for j in range(4)] for k in range(16)]
-        entry_ok = all(tau(m[4 * i + j]) == m[4 * rho[i] + rho[j]] for tau, rho in self.generators
+        entry_ok = all(tau(m[4 * i + j]) == m[4 * rho[i] + rho[j]] for tau, rho in pairs
                        for m in units for i in range(4) for j in range(4))
         basis = [L.elem([0] * a + [1]) for a in range(L.degree)]
         products = [(a, b, x * y) for a, x in enumerate(basis) for b, y in enumerate(basis[:a + 1])]
         ring_map = True
-        for tau, _ in self.generators:
+        for tau, _ in pairs:
             images = [tau(x) for x in basis]
             ring_map &= all(tau(xy) == images[a] * images[b] for a, b, xy in products)
         return entry_ok, entry_ok and ring_map
 
-    @cached_property
-    def psi_plan(self) -> tuple:
-        """(reps, derived) of `_orbit_plan` for this embedding's Galois
-        image, with each rho of derived replaced by its automorphism tau:
-        (s, r, tau) with Psi_s = tau(Psi_{reps[r]}).  Built on first use,
-        with no field arithmetic."""
-        reps, derived = _orbit_plan(frozenset(self.galois_image))
+    def psi_route(self, perms: tuple) -> tuple:
+        """(reps, route) for the permutations perms, built once per perms on
+        first use, with no field arithmetic: reps, the representatives of
+        `_orbit_plan` of the orbits perms meet, in its order, and route, per
+        s of perms, (r, tau) with Psi_s = tau(Psi_{reps[r]}), tau None when
+        s is reps[r].  The routes are kept in the instance's `psi_routes`."""
+        routes = self.__dict__.setdefault("psi_routes", {})
+        found = routes.get(perms)
+        if found is not None:
+            return found
+        reps, plan = _orbit_plan(frozenset(self.galois_image))
         tau_of = dict(zip(self.galois_image, self.automorphisms))
-        return reps, tuple((s, r, tau_of[rho]) for s, r, rho in derived)
+        used = sorted({plan[s][0] for s in perms})
+        found = routes[perms] = (tuple(reps[r] for r in used), tuple(
+            (used.index(plan[s][0]), tau_of.get(plan[s][1])) for s in perms))
+        return found
 
 
 def _conj_delta_ratio(tower: FieldTower) -> Optional[NFElem]:
@@ -346,7 +341,7 @@ def regular_embedding(tower: FieldTower) -> EmbeddingData:
     alpha, alpha_bar = L.elem(tower.alpha.coeffs), L.elem(conj(tower.alpha).coeffs)
     roots = [alpha + u / c, alpha - u / c, alpha_bar + v / c, alpha_bar - v / c]
     g = [[r ** i for r in roots] for i in range(4)]
-    _check_roots(tower, g, sqrt_d)
+    _check_roots(tower, g)
     taus = tuple(_automorphism(L, (e * sqrt_d, s * x, t * y)[:len(L.squares)])
                  for e, x, y in ((1, u, v), (-1, v, u)) for s in (1, -1) for t in signs)
     image = tuple(_column_permutation(g, tau) for tau in taus)
@@ -362,11 +357,9 @@ def regular_embedding(tower: FieldTower) -> EmbeddingData:
                          taus, image)
 
 
-def _check_roots(tower: FieldTower, g, sqrt_d) -> None:
-    """Raise ArithmeticError unless sqrt_d_coords at the first root give
-    sqrt(d) and every root satisfies theta's minimal polynomial."""
-    if sum(c * row[0] for c, row in zip(tower.sqrt_d_coords, g)) != sqrt_d:
-        raise ArithmeticError("sqrt_d_coords do not give sqrt(d) at the first root")
+def _check_roots(tower: FieldTower, g) -> None:
+    """Raise ArithmeticError unless every root satisfies theta's minimal
+    polynomial."""
     for r in g[1]:
         acc = 0
         for c in reversed(tower.theta_min_poly):
@@ -477,13 +470,13 @@ def _profile(emb: EmbeddingData, v, det_v: int, perms) -> list:
 
 @lru_cache(maxsize=None)
 def _orbit_plan(image: frozenset) -> tuple:
-    """(reps, derived) for the action s -> rho s rho^{-1} of the Galois
-    image on S4.  reps holds one permutation per orbit: of all such
-    choices, the first in the order of ALL_PERMS that uses the fewest
-    distinct pairs (s0, s1) and (s2, s3), so the fewest products P and Q.
-    derived holds (s, r, rho) for every other permutation
-    s = rho reps[r] rho^{-1}.  The orbits number 10, 12 and 8 for C4, V4
-    and D4, and the choices at most 1024."""
+    """(reps, plan) for the action s -> rho s rho^{-1} of the Galois image
+    on S4.  reps holds one permutation per orbit: of all such choices, the
+    first in the order of ALL_PERMS that uses the fewest distinct pairs
+    (s0, s1) and (s2, s3), so the fewest products P and Q.  plan maps each
+    permutation s to (r, rho) with s = rho reps[r] rho^{-1}, the first such
+    rho of the sorted image, and rho None for s = reps[r].  The orbits
+    number 10, 12 and 8 for C4, V4 and D4, and the choices at most 1024."""
     group = sorted(image)
     orbits, seen = [], set()
     for i in range(len(ALL_PERMS)):
@@ -494,29 +487,29 @@ def _orbit_plan(image: frozenset) -> tuple:
     reps = min(itertools.product(*orbits),
                key=lambda c: len({ALL_PERMS[k][:2] for k in c})
                + len({ALL_PERMS[k][2:] for k in c}))
-    targets = {}  # index of s -> (s, r, rho)
+    plan = {}
     for r, k in enumerate(reps):
+        plan[ALL_PERMS[k]] = (r, None)
         for rho in group:
-            t = _CONJUGATION[rho][k]
-            if t not in reps and t not in targets:
-                targets[t] = (ALL_PERMS[t], r, rho)
-    return tuple(ALL_PERMS[k] for k in reps), tuple(targets[t] for t in sorted(targets))
+            plan.setdefault(ALL_PERMS[_CONJUGATION[rho][k]], (r, rho))
+    return tuple(ALL_PERMS[k] for k in reps), plan
+
+
+def _psi_values(emb: EmbeddingData, v, det_v: int, perms: tuple) -> list:
+    """[Psi_s(gamma) for s in perms]: the representatives of the embedding's
+    route for perms (`EmbeddingData.psi_route`) are formed by `_profile`,
+    and every other value is tau(Psi_rep); a rational value is copied."""
+    reps, route = emb.psi_route(perms)
+    vals = _profile(emb, v, det_v, reps)
+    return [vals[r] if tau is None or not isinstance(vals[r], NFElem) else tau(vals[r])
+            for r, tau in route]
 
 
 def psi_invariants(emb: EmbeddingData, gamma,
                    galois_type: Optional[str] = None) -> InvariantProfile:
-    """The 24 values Psi_s(gamma), formed directly only on one
-    representative per Galois orbit (`EmbeddingData.psi_plan`); every
-    other value is tau(Psi_rep) for the automorphism tau whose rho
-    conjugates the representative to s, as tau.Psi_rep =
-    Psi_{rho rep rho^{-1}}, and a rational value is copied as it is."""
-    reps, derived = emb.psi_plan
-    vals = _profile(emb, *_clear(gamma), reps)
-    values = dict(zip(reps, vals))
-    for s, r, tau in derived:
-        x = vals[r]
-        values[s] = tau(x) if isinstance(x, NFElem) else x
-    return InvariantProfile(tuple((s, values[s]) for s in ALL_PERMS), galois_type)
+    """The 24 values Psi_s(gamma), by `_psi_values`."""
+    vals = _psi_values(emb, *_clear(gamma), ALL_PERMS)
+    return InvariantProfile(tuple(zip(ALL_PERMS, vals)), galois_type)
 
 
 def psi_sum_check(emb: EmbeddingData, gamma) -> object:
@@ -551,33 +544,16 @@ def pattern_and_relation_check(emb: EmbeddingData, gamma, galois_type: str) -> d
 # block membership
 
 
-@lru_cache(maxsize=None)
-def _conjugator(image: tuple, s: tuple, t: tuple) -> Optional[int]:
-    """The index in the Galois image of its first rho with
-    rho s rho^{-1} = t, or None when s and t lie in different orbits."""
-    return next((k for k, rho in enumerate(image)
-                 if perm_compose(perm_compose(rho, s), perm_inverse(rho)) == t), None)
-
-
 def block_membership_test(emb: EmbeddingData, gamma, galois_type: str) -> dict:
     """gamma in the embedded Res_{F/Q} GL2 iff Psi_sigma(gamma) = 0 for the
     special permutations iff gamma commutes with multiplication by sqrt(d);
     the commutation route, exact on integer multiples of both, is the truth:
     the embedding's `commutation_test`, independent of the conjugation table.
-    When an automorphism tau of the closure has rho conjugating the first
-    special permutation s to the second t (D4, where both are 4-cycles of
-    one orbit), only Psi_s is formed, from 4 entries and 3 products, and
-    Psi_t = tau(Psi_s); on C4 and V4 both values are formed directly."""
+    The special values are read by `_psi_values`."""
     gs = galois_structures(galois_type)
     v, det_v = _clear(gamma)
     commutes = emb.commutation_test(v)
-    s, t = gs.special
-    k = _conjugator(emb.galois_image, s, t)
-    if k is None:
-        sp_values = dict(zip(gs.special, _profile(emb, v, det_v, gs.special)))
-    else:
-        x, = _profile(emb, v, det_v, (s,))
-        sp_values = {s: x, t: emb.automorphisms[k](x) if isinstance(x, NFElem) else x}
+    sp_values = dict(zip(gs.special, _psi_values(emb, v, det_v, gs.special)))
     vanish = all(v == 0 for v in sp_values.values())
     return {"in_R": commutes, "psi_sp_values": sp_values,
             "vanishing": vanish, "routes_agree": commutes == vanish}
@@ -667,14 +643,15 @@ def tau_window(eta: float, h_int: float, D_K, D_F, c=1, kappa: float = 0.0,
     """{tau : tau*eta > log(D_K)/2 + kappa and 2*tau*h_int <= log D_K
     - 3 log D_F - log c}; the refined mode intersects with the additional
     upper constraint 2*tau*h_int <= (1/2 - 2 eps) log D_K - beta log D_F.
-    log c is `log_abs(c)`, so a rational c beyond the float range answers."""
+    log c, log D_K and log D_F are `log_abs` of the exact numbers, so
+    rationals beyond the float range answer."""
     if D_K <= 0 or D_F <= 0:
         raise ValueError("discriminants must be positive")
     if eta <= 0 or h_int <= 0:
         raise ValueError("window needs positive eta and h_int")
     if c <= 0:
         raise ValueError("c must be positive")
-    log_dk, log_df = math.log(D_K), math.log(D_F)
+    log_dk, log_df = log_abs(D_K), log_abs(D_F)
     lo = (0.5 * log_dk + kappa) / eta
     hi = (log_dk - 3.0 * log_df - log_abs(c)) / (2.0 * h_int)
     if mode == "refined":

@@ -193,7 +193,7 @@ def _rhs_report(formulas: dict, logs: dict) -> dict:
     for name, formula in formulas.items():
         try:
             x = formula()
-        except OverflowError:  # a power beyond the float range
+        except (OverflowError, ZeroDivisionError):  # a power beyond the float range
             x = math.inf
         if not math.isfinite(x):
             x = math.exp(logs[name]) if logs[name] < _LOG_FLOAT_MAX else None
@@ -209,11 +209,11 @@ def linnik_rhs(disc: float, vol: float, tau: float, h: float, eps: float,
                c=1, D_F: float = 1.0) -> dict:
     """1/vol + disc^(1+eps)/vol^2 * e^(-2 tau h), with the theorem's
     hypothesis tau <= (log disc - log(c D_F)) / (2h) checked and flagged,
-    log(c D_F) the `log_abs` of the exact product.  The value and its two
-    terms are reported beside their logs, and as None where they lie
-    beyond the float range; a term whose float formula fails on the way
-    (vol^2 below the normal floats, vol^2 or disc^(1+eps) above them) is
-    read from its log."""
+    log disc and log(c D_F) the `log_abs` of the exact numbers.  The value
+    and its two terms are reported beside their logs, and as None where
+    they lie beyond the float range; a term whose float formula fails on
+    the way (vol^2 or disc below the normal floats, vol^2 or disc^(1+eps)
+    above them) is read from its log."""
     if disc <= 0 or vol <= 0 or h <= 0 or tau < 0:
         raise ValueError("positive disc, vol, h and nonnegative tau required")
     if c <= 0:
@@ -222,13 +222,13 @@ def linnik_rhs(disc: float, vol: float, tau: float, h: float, eps: float,
         raise ValueError("D_F must be positive")
     log_vol = math.log(vol)
     logs = {"volume": 0.0 - log_vol,  # not -0.0 at vol = 1
-            "disc": (1.0 + eps) * math.log(disc) - 2.0 * log_vol - 2.0 * tau * h}
+            "disc": (1.0 + eps) * log_abs(disc) - 2.0 * log_vol - 2.0 * tau * h}
     report = _rhs_report({
         "volume": lambda: 1.0 / vol,
-        # below the normal floats vol^2 has lost bits or is 0
+        # below the normal floats vol^2 and float(disc) have lost bits or are 0
         "disc": lambda: (disc ** (1.0 + eps) / vol ** 2 * math.exp(-2.0 * tau * h)
-                         if vol ** 2 >= sys.float_info.min else math.inf)}, logs)
-    tau_max = (math.log(disc) - log_abs(Fraction(c) * Fraction(D_F))) / (2.0 * h)
+                         if min(vol ** 2, disc) >= sys.float_info.min else math.inf)}, logs)
+    tau_max = (log_abs(disc) - log_abs(Fraction(c) * Fraction(D_F))) / (2.0 * h)
     in_hyp = tau <= tau_max
     return {**report, "tau_max": tau_max, "in_hypothesis": in_hyp,
             "status": "ok" if in_hyp else "out_of_hypothesis"}
@@ -238,15 +238,19 @@ def linnik_rhs_special(disc: float, D_F: float, tau: float, h: float,
                        eps: float) -> dict:
     """Maximal-type shape disc^(-1/2+eps) + D_F^(-2) disc^eps e^(-2 tau h)
     (volume replaced by the disc^(1/2) proxy; the o(1) exponent is carried
-    by eps and reported, not bounded), reported as `linnik_rhs` reports."""
+    by eps and reported, not bounded), reported as `linnik_rhs` reports,
+    with the logs of disc and D_F `log_abs` of the exact numbers."""
     if disc <= 0 or D_F <= 0 or h <= 0 or tau < 0:
         raise ValueError("positive inputs required")
-    log_disc = math.log(disc)
+    log_disc = log_abs(disc)
     logs = {"volume": (-0.5 + eps) * log_disc,
-            "disc": eps * log_disc - 2.0 * math.log(D_F) - 2.0 * tau * h}
+            "disc": eps * log_disc - 2.0 * log_abs(D_F) - 2.0 * tau * h}
+    # below the normal floats float(disc) has lost bits or is 0
+    normal = disc >= sys.float_info.min
     return _rhs_report({
-        "volume": lambda: disc ** (-0.5 + eps),
-        "disc": lambda: D_F ** (-2.0) * disc ** eps * math.exp(-2.0 * tau * h)}, logs)
+        "volume": lambda: disc ** (-0.5 + eps) if normal else math.inf,
+        "disc": lambda: (D_F ** (-2.0) * disc ** eps * math.exp(-2.0 * tau * h)
+                         if normal else math.inf)}, logs)
 
 
 # ---------------------------------------------------------------------------

@@ -323,21 +323,24 @@ def test_orbit_route_equals_the_direct_route(towers):
                                                        (DIHEDRAL, 8, 19)],
                          ids=["cyclic", "biquadratic", "dihedral"])
 def test_orbit_plan_covers_every_permutation_once(tower, n_reps, n_products):
+    """The route of all 24 permutations forms the representatives of
+    `_orbit_plan` and carries every other permutation to its
+    representative by the automorphism whose rho conjugates one to the
+    other."""
     emb = regular_embedding(tower)
-    reps, derived = emb.psi_plan
-    assert emb.psi_plan is emb.psi_plan  # built once per embedding
-    assert len(reps) == n_reps
-    covered = list(reps) + [s for s, _, _ in derived]
-    assert sorted(covered) == sorted(ALL_PERMS)
+    reps, route = emb.psi_route(ALL_PERMS)
+    assert emb.psi_route(ALL_PERMS) is emb.psi_route(ALL_PERMS)  # built once per embedding
+    assert reps == git4._orbit_plan(frozenset(emb.galois_image))[0]
+    assert len(reps) == n_reps and len(route) == len(ALL_PERMS)
     # P and Q products of the representatives, then one product per value
     assert len({s[:2] for s in reps}) + len({s[2:] for s in reps}) + len(reps) == n_products
     rho_of = {id(tau): rho for tau, rho in zip(emb.automorphisms, emb.galois_image)}
-    for s, r, tau in derived:
-        rho = rho_of[id(tau)]
-        assert s == perm_compose(perm_compose(rho, reps[r]), perm_inverse(rho))
-    # the group-level plan is the same for every embedding with this image
-    assert [(s, r) for s, r, _ in derived] == \
-        [(s, r) for s, r, _ in git4._orbit_plan(frozenset(emb.galois_image))[1]]
+    for s, (r, tau) in zip(ALL_PERMS, route):
+        if tau is None:
+            assert s == reps[r]
+        else:
+            rho = rho_of[id(tau)]
+            assert s != reps[r] and s == perm_compose(perm_compose(rho, reps[r]), perm_inverse(rho))
 
 
 @pytest.mark.parametrize("tower, gtype", [(CYCLIC, "cyclic"), (BIQUAD, "biquadratic"),
@@ -352,9 +355,10 @@ def test_a_wrong_orbit_plan_changes_the_sum_but_not_the_relation_check(tower, gt
     gamma = random_invertible(random.Random(13), 4)
     before = pattern_and_relation_check(emb, gamma, gtype)
     assert before["pass"] and psi_sum_check(emb, gamma) == 1
-    reps, derived = emb.psi_plan
+    reps, route = emb.psi_route(ALL_PERMS)
     identity = emb.automorphisms[emb.galois_image.index(IDENTITY)]
-    emb.__dict__["psi_plan"] = (reps, tuple((s, r, identity) for s, r, _ in derived))
+    vars(emb)["psi_routes"][ALL_PERMS] = (
+        reps, tuple((r, None if tau is None else identity) for r, tau in route))
     assert psi_sum_check(emb, gamma) != 1
     assert pattern_and_relation_check(emb, gamma, gtype) == before
 
@@ -388,9 +392,9 @@ def test_non_rational_gamma_is_refused(entry):
 
 def _relations_on_every_automorphism(emb, gamma):
     """(entry, profile) relations checked on gamma's own entries and 24 Psi
-    values, for every automorphism of the closure, not only for
-    generators: the per-gamma oracle of pattern_and_relation_check, which
-    reads them from the embedding's relation certificate."""
+    values, for every automorphism of the closure: the per-gamma oracle of
+    pattern_and_relation_check, which reads them from the embedding's
+    relation certificate."""
     m = conjugate_all(emb.closure, emb.conjugation_table, gamma)
     values = git4._profile(emb, *git4._clear(gamma), ALL_PERMS)
     entry_ok = profile_ok = True
@@ -450,7 +454,9 @@ def test_relation_certificate_on_the_long_dihedral_tower():
         assert _relations(emb, _seeded_gamma(rng, k), "dihedral")["pass"]
 
 
-RELATION_CASES = [(CYCLIC, "cyclic", 1), (BIQUAD, "biquadratic", 2), (DIHEDRAL, "dihedral", 2)]
+# the count of automorphisms of the closure, the identity aside, that the
+# certificate checks
+RELATION_CASES = [(CYCLIC, "cyclic", 3), (BIQUAD, "biquadratic", 3), (DIHEDRAL, "dihedral", 7)]
 
 
 @pytest.mark.parametrize("tower, gtype, count", RELATION_CASES,
@@ -462,7 +468,7 @@ def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype, coun
     oracle's profile relation alone, while the certificate, which reads no
     Psi value, still passes."""
     emb = regular_embedding(tower)
-    assert len(emb.generators) == count
+    assert len(emb.automorphisms) - 1 == count
     rng = random.Random(11)
     gamma = random_invertible(rng, 4)
     while gamma[1][1] == 0:  # the changed coefficient reads gamma[1][1]
@@ -498,36 +504,62 @@ def test_relation_checks_fail_on_a_changed_value(monkeypatch, tower, gtype, coun
 def test_a_swapped_rho_fails_the_certificate(tower, gtype, count):
     """The rhos of two automorphisms swapped in the Galois image, on a fresh
     embedding: the image still matches as a set, but the certificate's
-    entry relation fails on the generators taken from the swapped pairs."""
+    entry relation fails on the swapped pairs."""
     emb = regular_embedding(tower)
     image = list(emb.galois_image)
     a, b = [k for k, rho in enumerate(image) if rho != IDENTITY][:2]
     image[a], image[b] = image[b], image[a]
     bad = dataclasses.replace(emb, galois_image=tuple(image))
-    assert len(bad.generators) == count
+    assert len(bad.automorphisms) - 1 == count
     res = pattern_and_relation_check(bad, random_invertible(random.Random(12), 4), gtype)
     assert res["image_matches"] and not res["entry_relation"] and not res["pass"]
 
 
 @pytest.mark.parametrize("tower", [CYCLIC, BIQUAD, DIHEDRAL],
                          ids=["cyclic", "biquadratic", "dihedral"])
-def test_a_generator_that_is_no_ring_map_fails_the_profile_relation(tower):
+def test_an_automorphism_that_is_no_ring_map_fails_the_profile_relation(tower):
     """With a conjugation table of zeros the entry relation holds for any
     linear map, so the profile relation rests on the ring-map check alone:
-    it holds for the generators' own automorphisms and fails when the image
-    of each basis element but 1 is doubled, a linear map fixing Q that is
-    not multiplicative."""
+    it holds for the closure's own automorphisms, rebuilt from their basis
+    images, and fails when any one automorphism but the identity is
+    replaced by the map that doubles the image of each basis element but 1,
+    a linear map fixing Q that is not multiplicative."""
     emb = regular_embedding(tower)
     L = emb.closure
     zero = [[L.elem(0)] * 4 for _ in range(4)]
     basis = [L.elem([0] * a + [1]) for a in range(L.degree)]
-    for scale, want in ((1, (True, True)), (2, (True, False))):
-        fresh = dataclasses.replace(emb)
+
+    def certificate(k, scale):
+        taus = list(emb.automorphisms)
+        taus[k] = Automorphism(L, [taus[k](x) * (scale if a else 1) for a, x in enumerate(basis)])
+        fresh = dataclasses.replace(emb, automorphisms=tuple(taus))
         vars(fresh)["conjugation_table"] = Conjugation(zero, zero)
-        vars(fresh)["generators"] = tuple(
-            (Automorphism(L, [tau(x) * (scale if a else 1) for a, x in enumerate(basis)]), rho)
-            for tau, rho in emb.generators)
-        assert fresh.relation_certificate == want
+        return fresh.relation_certificate
+
+    moved = [k for k, rho in enumerate(emb.galois_image) if rho != IDENTITY]
+    assert len(moved) == len(emb.automorphisms) - 1
+    for k in moved:
+        assert certificate(k, 1) == (True, True)
+        assert certificate(k, 2) == (True, False), k
+
+
+@pytest.mark.parametrize("tower, gtype, count", RELATION_CASES,
+                         ids=["cyclic", "biquadratic", "dihedral"])
+def test_the_certificate_checks_every_automorphism(tower, gtype, count):
+    """Each automorphism but the identity is checked on its own, not
+    through a generating set: one image entry replaced by another element
+    of the image, or one automorphism by another of the closure, fails the
+    entry relation, for each of the 3 or 7 in turn."""
+    emb = regular_embedding(tower)
+    moved = [k for k, rho in enumerate(emb.galois_image) if rho != IDENTITY]
+    assert len(moved) == count
+    for k in moved:
+        other = emb.galois_image[moved[moved.index(k) - 1]]
+        image = emb.galois_image[:k] + (other,) + emb.galois_image[k + 1:]
+        assert dataclasses.replace(emb, galois_image=image).relation_certificate == (False, False)
+        taus = emb.automorphisms[:k] + (emb.automorphisms[moved[moved.index(k) - 1]],) \
+            + emb.automorphisms[k + 1:]
+        assert dataclasses.replace(emb, automorphisms=taus).relation_certificate == (False, False)
 
 
 def _power_basis_closure(tower):
@@ -793,13 +825,16 @@ def test_galois_towers_close_in_K(build, gtype):
 @pytest.mark.parametrize("tower", [CYCLIC, BIQUAD, DIHEDRAL, quartics.sqrt2plus_tower(),
                                    quartics.gaussian_period_tower(13)])
 def test_inconsistent_tower_data_is_refused(tower):
-    """_check_roots refuses sqrt(d) coordinates that are not derived from
-    (F, delta, alpha), written over the cached ones."""
+    """_check_roots refuses a minimal polynomial of theta that is not
+    derived from (F, delta, alpha), written over the cached one: its
+    constant or its linear coefficient moved by 1."""
     regular_embedding(tower)
-    for scale in (-1, 2):
+    for k in (0, 1):
         bad = dataclasses.replace(tower)
-        bad.__dict__["sqrt_d_coords"] = tuple(scale * c for c in tower.sqrt_d_coords)
-        with pytest.raises(ArithmeticError):
+        poly = list(tower.theta_min_poly)
+        poly[k] += 1
+        bad.__dict__["theta_min_poly"] = tuple(poly)
+        with pytest.raises(ArithmeticError, match="non-root"):
             regular_embedding(bad)
 
 
@@ -986,7 +1021,7 @@ def test_psi_reduces_once_per_value(monkeypatch):
     rng = random.Random(39)
     for tower in (CYCLIC, BIQUAD, DIHEDRAL):
         emb = regular_embedding(tower)
-        reps, derived = emb.psi_plan
+        reps, route = emb.psi_route(ALL_PERMS)
         gammas = [random_invertible(rng, 4)] + _wide_gammas(rng, 1)
         psi_invariants(emb, gammas[0])  # builds the tables and kernels
         for gamma in gammas:
@@ -994,7 +1029,8 @@ def test_psi_reduces_once_per_value(monkeypatch):
                 patch.setattr(git4, "_canonical", counted_canonical)
                 patch.setattr(NFElem, "__init__", counted_init)
                 values = dict(psi_invariants(emb, gamma).values)
-            tau_derived = sum(isinstance(values[s], NFElem) for s, _, _ in derived)
+            tau_derived = sum(isinstance(values[s], NFElem) and tau is not None
+                              for s, (_, tau) in zip(ALL_PERMS, route))
             assert len(reduced) == len(reps)
             assert len(made) == len(reps) + tau_derived
             reduced.clear()
@@ -1007,7 +1043,7 @@ def test_dihedral_block_test_derives_one_special_value():
     automorphism: both equal the values formed directly, on random gammas
     and on elements of the field algebra (where both vanish), over
     several dihedral towers.  On C4 and V4 no rho of the image conjugates
-    one to the other."""
+    one to the other, so both are formed."""
     rng = random.Random(31)
     towers = [DIHEDRAL, quartics.dihedral_tower(5, 2, 3), quartics.dihedral_tower(3, -1, 1),
               quartics.dihedral_tower(2, Fraction(1, 3), Fraction(-5, 2))]
@@ -1015,7 +1051,7 @@ def test_dihedral_block_test_derives_one_special_value():
     for tower in towers:
         assert classify_galois_type(tower) == "dihedral"
         emb = regular_embedding(tower)
-        assert git4._conjugator(emb.galois_image, *special) is not None
+        assert len(emb.psi_route(special)[0]) == 1
         gammas = [random_invertible(rng, 4) for _ in range(6)]
         gammas.append(emb.regular_matrix((1, 2, 0, 1)))
         for gamma in gammas:
@@ -1026,8 +1062,71 @@ def test_dihedral_block_test_derives_one_special_value():
                 assert type(x) is type(y)
                 assert (x.num, x.den) == (y.num, y.den) if isinstance(x, NFElem) else x == y
     for tower, gtype in ((CYCLIC, "cyclic"), (BIQUAD, "biquadratic")):
-        image = regular_embedding(tower).galois_image
-        assert git4._conjugator(image, *galois_structures(gtype).special) is None
+        special = galois_structures(gtype).special
+        assert sorted(regular_embedding(tower).psi_route(special)[0]) == sorted(special)
+
+
+def _same_values(got, want):
+    for x, y in zip(got, want, strict=True):
+        assert type(x) is type(y)
+        assert (x.num, x.den) == (y.num, y.den) if isinstance(x, NFElem) else x == y
+
+
+@pytest.mark.parametrize("tower, count", [
+    (CYCLIC, 6), (quartics.gaussian_period_tower(13), 6), (BIQUAD, 6), (DIHEDRAL, 6),
+    (LONG_DIHEDRAL, 1)], ids=["zeta5", "gauss13", "biquadratic", "dihedral", "long_dihedral"])
+def test_block_values_are_the_profile_values(tower, count):
+    """The block test and psi_invariants read Psi by one route: on seeded
+    gammas and on an element of the field algebra, each structure's
+    special values, that of the tower's own Galois type and those of the
+    other two, equal psi_invariants at the same permutations, in value and
+    type."""
+    emb = regular_embedding(tower)
+    rng = random.Random(71)
+    gammas = [_seeded_gamma(rng, k) for k in range(count)] + [emb.regular_matrix((1, 2, 0, 1))]
+    for gamma in gammas:
+        profile = dict(psi_invariants(emb, gamma).values)
+        for gtype in ("cyclic", "biquadratic", "dihedral"):
+            special = galois_structures(gtype).special
+            got = block_membership_test(emb, gamma, gtype)["psi_sp_values"]
+            assert tuple(got) == special
+            _same_values(got.values(), [profile[s] for s in special])
+
+
+def test_a_route_is_built_once_per_permutation_set(monkeypatch):
+    """An embedding builds the route of a permutation set on the first call
+    that asks for it, and never per gamma; a fresh embedding builds its
+    own."""
+    built = []
+    orbit_plan = git4._orbit_plan
+
+    def counted(image):
+        built.append(image)
+        return orbit_plan(image)
+
+    monkeypatch.setattr(git4, "_orbit_plan", counted)
+    rng = random.Random(72)
+    for tower in (CYCLIC, BIQUAD, DIHEDRAL):
+        emb = regular_embedding(tower)
+        wanted = {ALL_PERMS} | {galois_structures(t).special
+                                for t in ("cyclic", "biquadratic", "dihedral")}
+        routes = {}
+        for _ in range(3):
+            gamma = random_invertible(rng, 4)
+            psi_invariants(emb, gamma)
+            for gtype in ("cyclic", "biquadratic", "dihedral"):
+                block_membership_test(emb, gamma, gtype)
+            if not routes:
+                routes = dict(vars(emb)["psi_routes"])
+            assert vars(emb)["psi_routes"] == routes
+            assert all(vars(emb)["psi_routes"][p] is routes[p] for p in routes)
+        assert set(routes) == wanted and len(built) == len(wanted)
+        fresh = dataclasses.replace(emb)
+        psi_invariants(fresh, random_invertible(rng, 4))
+        assert fresh.psi_route(ALL_PERMS) is not emb.psi_route(ALL_PERMS)
+        assert fresh.psi_route(ALL_PERMS) == emb.psi_route(ALL_PERMS)
+        assert len(built) == len(wanted) + 1
+        built.clear()
 
 
 def test_content_detector_forces_vanishing_consistently():
@@ -1126,6 +1225,22 @@ def test_tau_window_reads_c_beyond_the_float_range():
     for c in (Fraction(1, 3), 7, 2.5, 1e-300, Fraction(10) ** 300):
         want = (math.log(2 ** 60) - 3.0 * math.log(2 ** 4) - math.log(float(c))) / (4 * lp)
         assert tau_window(12 * lp, 2 * lp, 2 ** 60, 2 ** 4, c=c)["hi"] == want, c
+
+
+def test_tau_window_reads_the_discriminants_exactly():
+    """log D_K and log D_F are `log_abs` of the exact numbers: D_K = 10^400
+    (an infinity as a float) answers with lo = 200 log 10 above
+    hi = (400 log 10 - 3 log 2) / 2, D_F = 10^400 gives hi = -800 log 10,
+    and inside the float range the window is the float's, bit for bit."""
+    ln10 = math.log(10.0)
+    win = tau_window(1.0, 1.0, 10 ** 400, 2)
+    assert math.isclose(win["lo"], 200 * ln10, rel_tol=1e-14) and win["empty"]
+    assert math.isclose(win["hi"], (400 * ln10 - 3 * math.log(2)) / 2, rel_tol=1e-14)
+    win = tau_window(1.0, 1.0, 10 ** 400, Fraction(10) ** 400, mode="refined", eps=0.1, beta=1)
+    assert math.isclose(win["hi"], -800 * ln10 / 2, rel_tol=1e-14)
+    for D_K, D_F in ((2 ** 60, 2 ** 4), (1e300, 2.5), (1.5, 1e-300)):
+        for exact in ((Fraction(D_K), Fraction(D_F)), (D_K, Fraction(D_F))):
+            assert tau_window(1.5, 0.5, *exact) == tau_window(1.5, 0.5, float(D_K), float(D_F))
 
 
 def test_refined_window_only_shrinks():

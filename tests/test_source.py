@@ -273,3 +273,18 @@ def test_toral_discriminants_come_from_one_factorization():
     intarith = ast.parse((package / "intarith.py").read_text())
     assert "divisor_count" not in {node.name for node in intarith.body
                                    if isinstance(node, ast.FunctionDef)}
+
+
+def test_psi_values_take_one_route():
+    # psi_invariants and block_membership_test read Psi through _psi_values,
+    # which follows the embedding's route: no conjugator search, no orbit
+    # plan or generating set kept on the embedding beside it, and
+    # _check_roots tests the roots alone
+    tree = ast.parse((Path(alk.__file__).parent / "git4.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_conjugator" not in _module_level_names("git4")[0]
+    assert {"generators", "psi_plan"} & set(vars(git4.EmbeddingData)) == set()
+    for name in ("psi_invariants", "block_membership_test"):
+        names = set(_names_read(funcs[name]))
+        assert "_psi_values" in names and "_profile" not in names, name
+    assert "sqrt_d_coords" not in set(_names_read(funcs["_check_roots"]))

@@ -447,6 +447,32 @@ def test_rhs_reads_c_and_D_F_exactly():
             assert res["tau_max"] == (math.log(1e6) - math.log(x)) / 4.0, (c, D_F)
 
 
+def test_rhs_reads_disc_and_D_F_exactly():
+    """log disc and log D_F are `log_abs` of the exact numbers: disc or D_F
+    = 10^400 (an infinity as a float) answer, a disc below the float range
+    reads a term from its log where its float is 0 (disc^0.001 = 10^-0.4,
+    not 0), and inside the float range every output is the float's, bit
+    for bit."""
+    ln10, big, tiny = math.log(10.0), Fraction(10) ** 400, Fraction(1, 10 ** 400)
+    res = linnik_rhs(big, 1.0, 1.0, 1.0, 0.0)
+    assert res["terms"]["disc"] is None and res["value"] is None
+    assert res["log_terms"]["disc"] == pytest.approx(400 * ln10 - 2.0, rel=1e-14)
+    assert res["tau_max"] == pytest.approx(200 * ln10, rel=1e-14)
+    res = linnik_rhs(1e6, 1.0, 1.0, 1.0, 0.0, D_F=big)
+    assert res["tau_max"] == pytest.approx(-197 * ln10, rel=1e-14)
+    res = linnik_rhs(tiny, 1.0, 0.0, 1.0, -0.999)
+    assert res["terms"]["disc"] == pytest.approx(10 ** -0.4, rel=1e-12)
+    res = linnik_rhs_special(tiny, big, 0.0, 1.0, 0.001)
+    assert res["terms"]["volume"] == pytest.approx(10 ** 199.6, rel=1e-12)
+    assert res["terms"]["disc"] == 0.0
+    for disc, df in ((1e6, 5.0), (3.0, 1e-100), (1e300, 1e-300), (2.5e-300, 1.0)):
+        exact = (Fraction(disc), Fraction(df))
+        assert linnik_rhs(exact[0], 1e3, 1.0, 0.3, 0.02, D_F=exact[1]) == \
+            linnik_rhs(disc, 1e3, 1.0, 0.3, 0.02, D_F=df)
+        assert linnik_rhs_special(*exact, 1.0, 0.3, 0.02) == \
+            linnik_rhs_special(disc, df, 1.0, 0.3, 0.02)
+
+
 def test_special_shape_beyond_the_float_range():
     """The special shape reports its terms and value as linnik_rhs does:
     None beside their logs beyond the float range (an OverflowError
